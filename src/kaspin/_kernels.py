@@ -1,4 +1,4 @@
-"""Bitmask product tables and the dense product kernels.
+"""Bitmask sign tables and the dense product kernel.
 
 A basis subset I of {1..d} is a bitmask; the product of two basis
 blades is e_I e_J = sign(I, J) * e_{I xor J}, where sign(I, J) counts
@@ -7,114 +7,56 @@ and multiplies in the squares of the repeated covectors. The tables
 are exact (entries in {-1, 0, +1}), so float coefficients inherit no
 rounding from the structure constants.
 
-The double loop over masks is the only hot spot in the package. It is
-compiled with numba when available; set KASPIN_DISABLE_NUMBA=1 (or
-uninstall numba) to force the pure-numpy bincount path. Both paths use
-the same tables. benchmarks/bench_kernels.py compares them.
+This is the only module that reads signs off bitmasks. The square
+tables are indexed by (I, K) with K the output blade, so the factor
+paired with e_I is e_{I xor K} and every product is one gather and one
+matrix-vector product: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K].
 """
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-
-def numba_active():
-    return HAS_NUMBA and not os.environ.get("KASPIN_DISABLE_NUMBA")
-
 
 class ProductTables(NamedTuple):
-    sign: np.ndarray  # (2^d, 2^d) float64, geometric-product signs
-    wedge_sign: np.ndarray  # same shape, zero on overlapping masks
-    xor: np.ndarray  # (2^d, 2^d) int64 result masks
+    xor: np.ndarray  # (2^d, 2^d) gather index, xor[i, k] = i ^ k
+    sign: np.ndarray  # (2^d, 2^d) sign of e_i e_{i^k}
+    wedge_sign: np.ndarray  # same, zero where i and i^k overlap
+    grade: np.ndarray  # (2^d,) number of covectors in each blade
+    metric: np.ndarray  # (2^d,) <e_I, e_I>, the induced metric diagonal
 
 
-def _reorder_sign(i, j):
-    # transpositions needed to merge the ascending lists behind i and j
-    s = 0
-    a = i >> 1
-    while a:
-        s += (a & j).bit_count()
-        a >>= 1
-    return -1.0 if s & 1 else 1.0
+def _parity_sign(count):
+    return 1.0 - 2.0 * (count & 1)
 
 
 @lru_cache(maxsize=None)
 def get_tables(p, q):
     d = p + q
-    n = 1 << d
-    sign = np.zeros((n, n))
-    wedge_sign = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            val = _reorder_sign(i, j)
-            common = i & j
-            if common == 0:
-                wedge_sign[i, j] = val
-            k = 0
-            while common:
-                if (common & 1) and k >= p:
-                    val = -val
-                common >>= 1
-                k += 1
-            sign[i, j] = val
-    masks = np.arange(n, dtype=np.int64)
+    # the smallest unsigned type that holds a mask keeps the n x n
+    # temporaries of the build small; the cached tables are widened
+    masks = np.arange(1 << d, dtype=np.min_scalar_type((1 << d) - 1))
+    grade = np.zeros_like(masks)
+    for bit in range(d):
+        grade += masks >> bit & 1
     xor = masks[:, None] ^ masks[None, :]
-    return ProductTables(sign, wedge_sign, xor)
+    # moving each covector of the right factor past the larger ones of
+    # the left factor: bit b of i ^ k meets grade(i >> (b + 1)) of them
+    swaps = np.zeros_like(xor)
+    for bit in range(d):
+        swaps += (xor >> bit & 1) * grade[masks >> (bit + 1)][:, None]
+    common = masks[:, None] & xor
+    wedge_sign = np.where(common == 0, _parity_sign(swaps), 0.0)
+    # each repeated covector beyond the first p squares to -1
+    sign = _parity_sign(swaps + grade[common >> p])
+    metric = _parity_sign(grade[masks >> p])
+    tables = ProductTables(xor.astype(np.intp), sign, wedge_sign, grade.astype(np.int64), metric)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
-def gp_numpy(a, b, tables):
-    """Bincount formulation of out[i^j] += sign[i,j] a[i] b[j]."""
-    weights = tables.sign * np.outer(a, b)
-    return np.bincount(tables.xor.ravel(), weights=weights.ravel(), minlength=a.shape[0])
-
-
-def wedge_numpy(a, b, tables):
-    weights = tables.wedge_sign * np.outer(a, b)
-    return np.bincount(tables.xor.ravel(), weights=weights.ravel(), minlength=a.shape[0])
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _gp_loop(a, b, sign, xor):
-        n = a.shape[0]
-        out = np.zeros(n)
-        for i in range(n):
-            ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(n):
-                bj = b[j]
-                if bj == 0.0:
-                    continue
-                out[xor[i, j]] += sign[i, j] * ai * bj
-        return out
-
-    def gp_numba(a, b, sign, xor):
-        return _gp_loop(a, b, sign, xor)
-
-else:  # pragma: no cover
-
-    def gp_numba(a, b, sign, xor):
-        raise RuntimeError("numba is not available")
-
-
-def product(a, b, tables):
-    if numba_active():
-        return gp_numba(a, b, tables.sign, tables.xor)
-    return gp_numpy(a, b, tables)
-
-
-def wedge_product(a, b, tables):
-    if numba_active():
-        return gp_numba(a, b, tables.wedge_sign, tables.xor)
-    return wedge_numpy(a, b, tables)
+def product(a, b, sign, xor):
+    """out[k] = sum_i a[i] sign[i, k] b[i ^ k], for either sign table."""
+    return a @ (sign * b[xor])

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .clifford_rep import Spinor, build_pairings, build_rep, quantize
+from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep, quantize
 from .geometry_lab import preset, run_campaign
 from .ka_core import Multivector, Signature, geometric_product, ka_trace
 from .rng import make_rng, random_multivector, random_spinor
@@ -31,9 +31,6 @@ from .spinor_square import (
     square,
     verify_square_conditions,
 )
-
-# symmetry signs of the two pairings, keyed by (d/2) mod 4
-_PAIRING_TABLE = {1: (1, -1), 2: (-1, -1), 3: (-1, 1), 0: (1, 1)}
 
 
 class UsageError(Exception):
@@ -90,6 +87,13 @@ def _signature_from(args, payload=None):
 # ---------------------------------------------------------------------------
 
 
+def _symmetry_sign(B):
+    """+1 if B.T == B, -1 if B.T == -B, else 0."""
+    if np.array_equal(B.T, B):
+        return 1
+    return -1 if np.array_equal(B.T, -B) else 0
+
+
 def _cmd_verify_algebra(args):
     sig = Signature(args.p, args.q)
     if not sig.supports_rep():
@@ -128,8 +132,8 @@ def _cmd_verify_algebra(args):
             target = 2.0 * metric[1 << (i - 1)] if i == j else 0.0
             cliff = max(cliff, (anti - Multivector.scalar(sig, target)).norm_inf())
 
-    expected = _PAIRING_TABLE[(sig.d // 2) % 4]
-    computed = (pr.sigma_plus, pr.sigma_minus)
+    expected = PAIRING_SYMMETRY[(sig.d // 2) % 4]
+    computed = tuple(_symmetry_sign(B) for B in (pr.Bplus, pr.Bminus))
     checks = {
         "associativity": {"max": assoc, "pass": assoc <= tol},
         "clifford_relation": {"max": cliff, "pass": cliff <= tol},

@@ -112,12 +112,9 @@ def quantize(rep: GammaRep, a: Multivector) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _inverse_trace_signs(sig: Signature) -> np.ndarray:
     # Gamma_I^{-1} = (-1)^{k(k-1)/2} * metric_I * Gamma_I for each blade
-    n = sig.n_blades
-    signs = np.empty(n)
-    metric = sig.blade_signs()
-    for mask in range(n):
-        k = mask.bit_count()
-        signs[mask] = (-1.0) ** (k * (k - 1) // 2) * metric[mask]
+    tables = sig.tables()
+    k = tables.grade
+    signs = (-1.0) ** (k * (k - 1) // 2) * tables.metric
     signs.setflags(write=False)
     return signs
 
@@ -142,26 +139,24 @@ class PairedRep:
     sigma_plus: int
     sigma_minus: int
 
+    def _pairing(self, tag: str) -> tuple:
+        """(B, sigma, s) of the pairing named by tag."""
+        pairings = {
+            "plus": (self.Bplus, self.sigma_plus, 1),
+            "minus": (self.Bminus, self.sigma_minus, -1),
+        }
+        if tag not in pairings:
+            raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
+        return pairings[tag]
+
     def B(self, tag: str) -> np.ndarray:
-        if tag == "plus":
-            return self.Bplus
-        if tag == "minus":
-            return self.Bminus
-        raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
+        return self._pairing(tag)[0]
 
     def sigma(self, tag: str) -> int:
-        if tag == "plus":
-            return self.sigma_plus
-        if tag == "minus":
-            return self.sigma_minus
-        raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
+        return self._pairing(tag)[1]
 
     def s(self, tag: str) -> int:
-        if tag == "plus":
-            return 1
-        if tag == "minus":
-            return -1
-        raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
+        return self._pairing(tag)[2]
 
     def to_json(self) -> str:
         payload = json.loads(self.rep.to_json())

@@ -377,9 +377,7 @@ class WalkerData:
 class WalkerResiduals:
     hessian: float
     laplacian: float
-    s_u: float
     s_v: float
-    s_i: float
     gauge_imaginary: bool
 
 
@@ -465,7 +463,7 @@ def walker_residuals(wd, s):
     flagged rather than failed, and the first-order compatibility
     residuals are skipped.  With s_frak supplied only the v-direction
     equation is nontrivial in this gauge, the u and surface directions
-    holding identically.
+    holding identically, so s_v is the one first-order residual.
     """
     s = np.asarray(s, dtype=float)
     K = float(wd.K.value(s))
@@ -482,10 +480,10 @@ def walker_residuals(wd, s):
     lap_res = float(abs(np.trace(qinv @ hess_k) - 6.0 * lam**2 * K))
     square, pair_kf = _gauge_square(wd, s, K, qinv)
     if wd.s_frak is None:
-        return WalkerResiduals(hess_res, lap_res, 0.0, 0.0, 0.0, bool(square < 0.0))
+        return WalkerResiduals(hess_res, lap_res, 0.0, bool(square < 0.0))
     sval = float(wd.s_frak.value(s))
     s_v = float(abs(pair_kf / (4.0 * lam * K) - lam * (float(wd.F.value(s)) - sval**2)))
-    return WalkerResiduals(hess_res, lap_res, 0.0, s_v, 0.0, False)
+    return WalkerResiduals(hess_res, lap_res, s_v, False)
 
 
 def einstein_residual(wd, s):
@@ -1153,9 +1151,7 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
             res = walker_residuals(ps.walker, x[2:])
             record("walker.hessian", res.hessian)
             record("walker.laplacian", res.laplacian)
-            record("walker.s_u", res.s_u)
             record("walker.s_v", res.s_v)
-            record("walker.s_i", res.s_i)
         elif check == "heterotic":
             res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
             for name, value in res.items():

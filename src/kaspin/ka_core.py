@@ -17,8 +17,8 @@ immutable after construction and every operation is a pure function.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,14 +58,7 @@ class Signature:
 
     def blade_signs(self):
         """<e_I, e_I> for every mask I (the induced metric diagonal)."""
-        out = np.ones(self.n_blades)
-        for mask in range(self.n_blades):
-            s = 1.0
-            for i in range(self.d):
-                if mask >> i & 1:
-                    s *= 1.0 if i < self.p else -1.0
-            out[mask] = s
-        return out
+        return self.tables().metric.copy()
 
     def supports_rep(self):
         """Whether the representation modules accept this signature."""
@@ -163,8 +156,7 @@ class Multivector:
         if components.shape != (sig.d,):
             raise ValueError(f"expected {sig.d} components")
         coeffs = np.zeros(sig.n_blades)
-        for i in range(sig.d):
-            coeffs[1 << i] = components[i]
+        coeffs[1 << np.arange(sig.d)] = components
         return cls(sig, coeffs)
 
     @classmethod
@@ -176,18 +168,10 @@ class Multivector:
     # -- views ---------------------------------------------------------
 
     def grade(self, k):
-        coeffs = self.coeffs.copy()
-        for mask in range(self.sig.n_blades):
-            if mask.bit_count() != k:
-                coeffs[mask] = 0.0
-        return Multivector(self.sig, coeffs)
+        return Multivector(self.sig, np.where(self.sig.tables().grade == k, self.coeffs, 0.0))
 
     def grades(self):
-        present = set()
-        for mask in range(self.sig.n_blades):
-            if self.coeffs[mask] != 0.0:
-                present.add(mask.bit_count())
-        return sorted(present)
+        return np.unique(self.sig.tables().grade[self.coeffs != 0.0]).tolist()
 
     @property
     def scalar_part(self):
@@ -195,7 +179,7 @@ class Multivector:
 
     def one_form_components(self):
         """The d grade-1 components, in basis order."""
-        return np.array([self.coeffs[1 << i] for i in range(self.sig.d)])
+        return self.coeffs[1 << np.arange(self.sig.d)]
 
     def norm_inf(self):
         return float(np.max(np.abs(self.coeffs)))
@@ -230,12 +214,9 @@ class Multivector:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        entries = {}
-        for mask in range(self.sig.n_blades):
-            c = float(self.coeffs[mask])
-            # keep -0.0 so the round trip stays bit-exact
-            if c != 0.0 or math.copysign(1.0, c) < 0:
-                entries[_mask_key(mask)] = c
+        # keep -0.0 so the round trip stays bit-exact
+        kept = (self.coeffs != 0.0) | np.signbit(self.coeffs)
+        entries = {_mask_key(mask): float(self.coeffs[mask]) for mask in np.flatnonzero(kept)}
         return json.dumps(
             {"p": self.sig.p, "q": self.sig.q, "coeffs": entries},
             sort_keys=True,
@@ -258,13 +239,15 @@ class Multivector:
 def wedge(a, b):
     """Exterior product."""
     a._check(b)
-    return Multivector(a.sig, _kernels.wedge_product(a.coeffs, b.coeffs, a.sig.tables()))
+    t = a.sig.tables()
+    return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.wedge_sign, t.xor))
 
 
 def geometric_product(a, b):
     """The quantized (Clifford) product on the exterior algebra."""
     a._check(b)
-    return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, a.sig.tables()))
+    t = a.sig.tables()
+    return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.sign, t.xor))
 
 
 def contract(theta, a):
@@ -279,29 +262,29 @@ def contract(theta, a):
     return geometric_product(theta, a) - wedge(theta, a)
 
 
-def _grade_sign_array(sig, sign_of_grade):
-    out = np.ones(sig.n_blades)
-    for mask in range(sig.n_blades):
-        out[mask] = sign_of_grade(mask.bit_count())
-    return out
+@lru_cache(maxsize=None)
+def _involution_signs(sig):
+    """Per-blade signs of pi, tau and pi o tau, from the grade k."""
+    k = sig.tables().grade
+    signs = ((-1.0) ** k, (-1.0) ** (k * (k - 1) // 2), (-1.0) ** (k * (k + 1) // 2))
+    for arr in signs:
+        arr.setflags(write=False)
+    return signs
 
 
 def pi(a):
     """Grade involution: (-1)^k on grade k."""
-    signs = _grade_sign_array(a.sig, lambda k: (-1.0) ** k)
-    return Multivector(a.sig, a.coeffs * signs)
+    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[0])
 
 
 def tau(a):
     """Reversion: (-1)^(k(k-1)/2) on grade k."""
-    signs = _grade_sign_array(a.sig, lambda k: (-1.0) ** (k * (k - 1) // 2))
-    return Multivector(a.sig, a.coeffs * signs)
+    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[1])
 
 
 def pi_tau(a):
     """The composite pi o tau: (-1)^(k(k+1)/2) on grade k."""
-    signs = _grade_sign_array(a.sig, lambda k: (-1.0) ** (k * (k + 1) // 2))
-    return Multivector(a.sig, a.coeffs * signs)
+    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[2])
 
 
 def ka_trace(a):

@@ -20,9 +20,7 @@ def random_multivector(sig, rng, grade=None, scale=1.0):
 
     coeffs = rng.standard_normal(sig.n_blades) * scale
     if grade is not None:
-        for mask in range(sig.n_blades):
-            if mask.bit_count() != grade:
-                coeffs[mask] = 0.0
+        coeffs[sig.tables().grade != grade] = 0.0
     return Multivector(sig, coeffs)
 
 

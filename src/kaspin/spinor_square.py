@@ -120,7 +120,7 @@ def default_probes(pr: PairedRep, tag: str, seed=0):
 
 def check_admissible(pr: PairedRep, s: int, E, probes=None, seed=0, tol=DEFAULT_TOL):
     """Admissibility of an endomorphism under the pairing of adjoint type s."""
-    tag = "plus" if s == 1 else "minus" if s == -1 else None
+    tag = {1: "plus", -1: "minus"}.get(s)
     if tag is None:
         raise ValueError(f"adjoint type must be +1 or -1, got {s!r}")
     if probes is None:
@@ -214,16 +214,19 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector, tol=1e-8) -
     scale = np.max(np.abs(E))
     if scale == 0.0:
         return ReconstructionResult(Spinor(rep, np.zeros(rep.N)), 0, 0.0)
-    col = int(np.argmax(np.linalg.norm(E, axis=0)))
-    eta = E[:, col]
+    # fit on unit max-norm so no product of entries over- or underflows
+    Ehat = E / scale
+    col = int(np.argmax(np.linalg.norm(Ehat, axis=0)))
+    eta = Ehat[:, col]
     model = np.outer(eta, eta @ B)
-    c = float(np.vdot(model, E) / np.vdot(model, model))
+    c = float(np.vdot(model, Ehat) / np.vdot(model, model))
     if c == 0.0:
         raise ReconstructionError("polyform is not reconstructible: degenerate fit")
     kappa = 1 if c > 0 else -1
-    xi = np.sqrt(abs(c)) * eta
-    residual = float(np.max(np.abs(E - c * model)) / scale)
-    if residual > tol:
+    xi = np.sqrt(abs(c)) * np.sqrt(scale) * eta
+    residual = float(np.max(np.abs(Ehat - c * model)))
+    # a NaN residual must reject too, so test for acceptance
+    if not residual <= tol:
         raise ReconstructionError(
             f"polyform is not reconstructible: rank-one fit residual {residual:.3e}"
         )

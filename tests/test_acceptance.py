@@ -285,7 +285,7 @@ def test_acceptance_08_deformed_families_and_sensitivity():
             e = einstein_residual(wd, s)
             worst_einstein = max(worst_einstein, e.f_equation, e.ricci_q)
             w = walker_residuals(wd, s)
-            worst_walker = max(worst_walker, w.hessian, w.laplacian, w.s_u, w.s_v, w.s_i)
+            worst_walker = max(worst_walker, w.hessian, w.laplacian, w.s_v)
 
     for _ in range(3):
         params = {

@@ -1,5 +1,6 @@
 """Command line interface: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -53,13 +54,21 @@ def test_verify_algebra_unsupported_signature_exits_two(capsys):
 
 
 def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):
-    # poison the expected pairing signs so the comparison must fail
-    monkeypatch.setitem(cli._PAIRING_TABLE, 2, (1, 1))
+    # a Bplus cut to its upper triangle is neither symmetric nor
+    # antisymmetric, so the measured pairing signs must fail the table
+    real_build_pairings = cli.build_pairings
+
+    def broken_pairings(rep):
+        pr = real_build_pairings(rep)
+        return dataclasses.replace(pr, Bplus=np.triu(pr.Bplus))
+
+    monkeypatch.setattr(cli, "build_pairings", broken_pairings)
     code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--trials", "5")
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] == "fail"
     assert not report["checks"]["pairing_table"]["pass"]
+    assert report["checks"]["pairing_table"]["computed"] == [0, -1]
 
 
 def test_square_grades_and_reconstruct_roundtrip(capsys):
@@ -121,6 +130,15 @@ def test_reconstruct_negative_verdict_is_exit_zero(capsys):
     report = json.loads(out)
     assert report["reconstructible"] is False
     assert "reason" in report
+
+
+def test_reconstruct_huge_non_square_is_rejected(capsys):
+    code, out, _ = run_cli(
+        capsys, "reconstruct", '{"p":3,"q":1,"coeffs":{"1":1e300,"1,4":1e300}}'
+    )
+    assert code == 0
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    assert report["reconstructible"] is False
 
 
 def test_check_polyform_verdicts(capsys):

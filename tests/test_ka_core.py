@@ -24,7 +24,15 @@ from kaspin.ka_core import (
 )
 from kaspin.rng import make_rng, random_multivector
 
-from oracles import slow_geometric_product, slow_wedge
+from oracles import (
+    blade_product,
+    blade_wedge,
+    indices_to_mask,
+    mask_to_indices,
+    metric_diag,
+    slow_geometric_product,
+    slow_wedge,
+)
 
 # Signatures supported by the representation modules; ka_core itself
 # only requires 1 <= d <= 8.
@@ -79,26 +87,46 @@ def test_wedge_matches_oracle_random(p, q):
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_numpy_and_numba_paths_agree():
-    tables = _kernels.get_tables(4, 4)
-    rng = make_rng(103)
-    a = rng.standard_normal(256)
-    b = rng.standard_normal(256)
-    want = _kernels.gp_numpy(a, b, tables)
-    if _kernels.HAS_NUMBA:
-        got = _kernels.gp_numba(a, b, tables.sign, tables.xor)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+ALL_SIGS_UP_TO_6 = [(p, d - p) for d in range(1, 7) for p in range(d + 1)]
 
 
-def test_numba_disable_env_flag(monkeypatch):
-    monkeypatch.setenv("KASPIN_DISABLE_NUMBA", "1")
-    assert not _kernels.numba_active()
-    a = _mv(3, 1, np.arange(16.0))
-    b = _mv(3, 1, np.ones(16))
-    res_numpy = geometric_product(a, b).coeffs
-    monkeypatch.delenv("KASPIN_DISABLE_NUMBA")
-    res_default = geometric_product(a, b).coeffs
-    np.testing.assert_allclose(res_numpy, res_default, atol=1e-12)
+@pytest.mark.parametrize("p,q", ALL_SIGS_UP_TO_6)
+def test_tables_match_blade_oracle(p, q):
+    t = _kernels.get_tables(p, q)
+    diag = metric_diag(p, q)
+    n = 1 << (p + q)
+    for i in range(n):
+        ii = mask_to_indices(i)
+        assert t.grade[i] == len(ii)
+        assert t.metric[i] == math.prod(diag[j] for j in ii)
+        for k in range(n):
+            assert t.xor[i, k] == i ^ k
+            jj = mask_to_indices(i ^ k)
+            coeff, out = blade_product(ii, jj, diag)
+            assert indices_to_mask(out) == k
+            assert t.sign[i, k] == coeff
+            coeff, out = blade_wedge(ii, jj)
+            assert t.wedge_sign[i, k] == coeff
+            if coeff:
+                assert indices_to_mask(out) == k
+
+
+@st.composite
+def _operand_pair(draw):
+    p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 3), (2, 2)]))
+    n = 1 << (p + q)
+    coeffs = st.lists(st.floats(-4, 4, allow_nan=False), min_size=n, max_size=n)
+    return p, q, np.array(draw(coeffs)), np.array(draw(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operand_pair())
+def test_products_match_slow_oracle(case):
+    p, q, a, b = case
+    got = geometric_product(_mv(p, q, a), _mv(p, q, b)).coeffs
+    np.testing.assert_allclose(got, slow_geometric_product(p, q, a, b), rtol=0, atol=1e-12)
+    got = wedge(_mv(p, q, a), _mv(p, q, b)).coeffs
+    np.testing.assert_allclose(got, slow_wedge(p, q, a, b), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,28 @@ def test_reconstruct_rejects_rank_two(paired):
         reconstruct(pr, "minus", a + b)
 
 
+def test_reconstruct_rejects_huge_non_square(paired):
+    # u = e^1 is spacelike, not null, so no spinor squares to u + u ^ e^4 at
+    # any scale; at 1e300 the fit once overflowed to a NaN residual and passed
+    pr = paired[(3, 1)]
+    alpha = Multivector.from_json('{"p":3,"q":1,"coeffs":{"1":1e300,"1,4":1e300}}')
+    with pytest.raises(ReconstructionError):
+        reconstruct(pr, "minus", alpha)
+
+
+@pytest.mark.parametrize("tag", ["plus", "minus"])
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_reconstruct_recovers_huge_spinor(paired, tag, kappa):
+    pr = paired[(3, 1)]
+    xi = np.array([0.5, -1.0, 0.0, 2.0]) * 1e75
+    rec = reconstruct(pr, tag, square(pr, tag, kappa, Spinor(pr.rep, xi)).alpha)
+    assert rec.kappa == kappa
+    got = rec.spinor.components
+    err = min(np.max(np.abs(got - xi)), np.max(np.abs(got + xi)))
+    assert err <= 1e-8 * np.max(np.abs(xi))
+    assert rec.residual <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # square conditions
 # ---------------------------------------------------------------------------
