@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep, quantize
-from .geometry_lab import preset, run_campaign
 from .ka_core import Multivector, Signature, geometric_product, ka_trace
 from .rng import make_rng, random_multivector, random_spinor
 from .spinor_square import (
@@ -37,13 +36,19 @@ class UsageError(Exception):
     """Bad flags or payloads; mapped to exit code 2."""
 
 
+def _finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{name} must be finite")
+    return values
+
+
 def _resolve_tol(args, fallback):
     if args.tol is not None:
         tol = args.tol
     else:
         env = os.environ.get("KASPIN_TOL")
         tol = float(env) if env else fallback
-    if tol <= 0.0:
+    if _finite("tol", tol) <= 0.0:
         raise UsageError("tol must be positive")
     return tol
 
@@ -55,17 +60,30 @@ def _require_trials(args):
 
 
 def _emit(report, args):
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
 
 
+def _reject_constant(token):
+    raise UsageError(f"non-finite JSON number {token}")
+
+
+def _finite_float(text):
+    return _finite(f"JSON number {text}", float(text))
+
+
+def _loads(text):
+    """Strict JSON: NaN, Infinity and numbers that overflow to them are usage errors."""
+    return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+
+
 def _read_payload(args):
     if args.payload is None or args.payload == "-":
-        return json.loads(sys.stdin.read())
-    return json.loads(args.payload)
+        return _loads(sys.stdin.read())
+    return _loads(args.payload)
 
 
 def _signature_from(args, payload=None):
@@ -175,7 +193,13 @@ def _spinor_components(payload):
         payload = payload.get("components")
     if not isinstance(payload, list):
         raise UsageError("spinor payload must be a component list or carry 'components'")
-    return np.asarray([float(v) for v in payload])
+    return _finite("spinor components", np.asarray([float(v) for v in payload]))
+
+
+def _polyform(payload):
+    alpha = Multivector.from_json(payload)
+    _finite("polyform coefficients", alpha.coeffs)
+    return alpha
 
 
 def _cmd_square(args):
@@ -210,7 +234,7 @@ def _cmd_reconstruct(args):
     if not sig.supports_rep():
         raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
     pr = build_pairings(build_rep(sig))
-    alpha = Multivector.from_json(payload)
+    alpha = _polyform(payload)
     tol = _resolve_tol(args, 1e-8)
     report = {
         "command": "reconstruct",
@@ -245,7 +269,7 @@ def _cmd_check_polyform(args):
     if not sig.supports_rep():
         raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
     pr = build_pairings(build_rep(sig))
-    alpha = Multivector.from_json(payload)
+    alpha = _polyform(payload)
     tol = _resolve_tol(args, 1e-8)
     conditions = verify_square_conditions(
         pr, args.pairing, alpha, n_probes=_require_trials(args), seed=args.seed, tol=tol
@@ -283,9 +307,11 @@ def _comma_floats(text):
 
 
 def _cmd_check_metric(args):
+    from .geometry_lab import preset, run_campaign
+
     params = {}
     if args.params:
-        parsed = json.loads(args.params)
+        parsed = _loads(args.params)
         if not isinstance(parsed, dict):
             raise UsageError("--params must be a JSON object")
         params.update(parsed)
@@ -387,7 +413,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.stats import qmc
 
 _FD_SCALE = 1e-5
 
@@ -710,15 +708,31 @@ def _check_keys(name, params, allowed):
         raise ValueError(f"unknown parameters for {name}: {sorted(extra)}")
 
 
-def _positive(name, value):
+def _finite(name, value):
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _positive(name, value):
+    value = _finite(name, value)
     if value <= 0.0:
         raise ValueError(f"{name} must be positive")
     return value
 
 
+def _rate(params):
+    """The preset's lam: positive, with lam^2 and 1/lam^2 finite and nonzero."""
+    lam = _positive("lam", params.get("lam", 1.0))
+    square = lam * lam
+    if square == 0.0 or not math.isfinite(square) or not math.isfinite(1.0 / square):
+        raise ValueError(f"lam {lam!r} is out of range: lam^2 or 1/lam^2 over- or underflows")
+    return lam
+
+
 def _coefficients(params, default):
-    a = tuple(float(v) for v in params.get("a", default))
+    a = tuple(_finite("a", v) for v in params.get("a", default))
     if len(a) != 4:
         raise ValueError("a must have four entries")
     return a
@@ -783,7 +797,7 @@ def _preset_minkowski(params):
 
 def _preset_ads4(params):
     _check_keys("ads4", params, {"lam"})
-    lam = _positive("lam", params.get("lam", 1.0))
+    lam = _rate(params)
     profile = _inverse_square_profile(1.0 / lam**2)
     wd = WalkerData(
         F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
@@ -820,7 +834,7 @@ def _preset_ads4(params):
 
 def _preset_poly(params):
     _check_keys("ads4-deformed-poly", params, {"lam", "a"})
-    lam = _positive("lam", params.get("lam", 1.0))
+    lam = _rate(params)
     a1, a2, a3, a4 = _coefficients(params, (1.0, 0.5, 0.2, 0.1))
 
     def linear(x_coord):
@@ -894,16 +908,45 @@ def _preset_poly(params):
     )
 
 
+# Taylor coefficients of j1(z) / z in powers of z^2:
+# (-1/2)^k / (k! (2k + 3)!!), enough terms for full precision below the cut-off
+_J1_SERIES = tuple(
+    (-0.5) ** k / (math.factorial(k) * math.prod(range(3, 2 * k + 4, 2))) for k in range(7)
+)
+_J1_SERIES_CUTOFF = 0.5
+
+
+def _spherical_bessel_1(z):
+    """(j1, j1', y1, y1') at z != 0, in closed form (A&S 10.1.11-12).
+
+    Below the cut-off j1 comes from its series: the closed form
+    sin z / z^2 - cos z / z loses about log10(3 / z^2) digits there to
+    cancellation. The derivatives use f1' = f0 - 2 f1 / z.
+    """
+    sin, cos = math.sin(z), math.cos(z)
+    j0, y0 = sin / z, -cos / z
+    if abs(z) < _J1_SERIES_CUTOFF:
+        z2 = z * z
+        acc = 0.0
+        for coef in reversed(_J1_SERIES):
+            acc = acc * z2 + coef
+        j1 = z * acc
+    else:
+        j1 = (j0 - cos) / z
+    y1 = (y0 - sin) / z
+    return j1, j0 - 2.0 * j1 / z, y1, y0 - 2.0 * y1 / z
+
+
 def _preset_bessel(params):
     _check_keys("ads4-deformed-bessel", params, {"lam", "c", "a"})
-    lam = _positive("lam", params.get("lam", 1.0))
+    lam = _rate(params)
     c = _positive("c", params.get("c", 2.0))
     a1, a2, a3, a4 = _coefficients(params, (1.0, 1.0, 1.0, 0.0))
 
     def radial(z):
-        h = a3 * special.spherical_yn(1, z) + a4 * special.spherical_jn(1, z)
-        hp = a3 * special.spherical_yn(1, z, derivative=True)
-        hp += a4 * special.spherical_jn(1, z, derivative=True)
+        j1, j1p, y1, y1p = _spherical_bessel_1(z)
+        h = a3 * y1 + a4 * j1
+        hp = a3 * y1p + a4 * j1p
         # order-one spherical equation gives the second derivative
         hpp = -(2.0 / z) * hp - (1.0 - 2.0 / z**2) * h
         return h, hp, hpp
@@ -944,7 +987,7 @@ def _preset_bessel(params):
 
 def _preset_walker_generic(params):
     _check_keys("walker-generic", params, {"lam", "F", "K", "q2", "s_frak"})
-    lam = _positive("lam", params.get("lam", 1.0))
+    lam = _rate(params)
     if not all(key in params for key in ("F", "K", "q2")):
         raise ValueError(
             "walker-generic requires Python callbacks for F, K, and q2; "
@@ -972,13 +1015,13 @@ def _preset_walker_generic(params):
 
 def _preset_ppwave(params):
     _check_keys("heterotic-ppwave", params, {"amp", "q0", "omega"})
-    amp = float(params.get("amp", 0.3))
+    amp = _finite("amp", params.get("amp", 0.3))
     q0 = np.asarray(params.get("q0", np.eye(2)), dtype=float)
-    if q0.shape != (2, 2) or np.max(np.abs(q0 - q0.T)) > 1e-12:
+    if q0.shape != (2, 2) or not np.all(np.isfinite(q0)) or np.max(np.abs(q0 - q0.T)) > 1e-12:
         raise ValueError("q0 must be a symmetric 2x2 matrix")
     if q0[0, 0] <= 0.0 or np.linalg.det(q0) <= 0.0:
         raise ValueError("q0 must be positive definite")
-    omega = tuple(float(w) for w in params.get("omega", (0.5, 0.3, 0.0)))
+    omega = tuple(_finite("omega", w) for w in params.get("omega", (0.5, 0.3, 0.0)))
     if len(omega) != 3:
         raise ValueError("omega must have three coefficients")
 
@@ -1071,6 +1114,33 @@ def preset(name, params=None):
 _CHECKS = ("killing", "einstein", "walker", "heterotic", "bianchi")
 
 
+def _halton(n, seed):
+    """n points of the scrambled Halton sequence in [0, 1)^4, bases 2, 3, 5, 7.
+
+    Owen's randomized Halton (arXiv 1706.02808) as SciPy implements it:
+    the same points, bit for bit, as SciPy's
+    ``qmc.Halton(d=4, scramble=True, seed=seed).random(n)``.
+    Each base shuffles one permutation of its digits per base-b place,
+    down to the places a double can still resolve, and point i sums the
+    permuted digits of i weighted by base^-(place + 1), place by place.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)[:, None]
+    out = np.empty((n, 4))
+    for col, base in enumerate((2, 3, 5, 7)):
+        places = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (places, 1)), axis=1)
+        digits = index // base ** np.arange(places) % base
+        # weights by repeated division and a left-to-right sum, as SciPy
+        # accumulates them, so no sample point moves in its last bit
+        weights = np.empty(places)
+        weights[0] = 1.0 / base
+        for j in range(1, places):
+            weights[j] = weights[j - 1] / base
+        out[:, col] = np.cumsum(perms[np.arange(places), digits] * weights, axis=1)[:, -1]
+    return out
+
+
 def _perturbed(ps, amount):
     # surface presets take the bump on the F profile (and hence the
     # chart), anything else a uniform rescaling of the metric
@@ -1116,12 +1186,11 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
         raise ValueError(f"preset {ps.name} carries no heterotic data")
     if check == "bianchi" and ps.heterotic is None:
         raise ValueError(f"preset {ps.name} carries no heterotic data")
+    perturb = _finite("perturb", perturb)
     if perturb:
         ps = _perturbed(ps, perturb)
-    lower = [b[0] for b in ps.sample_box]
-    upper = [b[1] for b in ps.sample_box]
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
-    pts = qmc.scale(sampler.random(n_points), lower, upper)
+    lower, upper = np.asarray(ps.sample_box, dtype=float).T
+    pts = _halton(n_points, seed) * (upper - lower) + lower
     if lower[3] > 0.0:
         pts[:, 3] = np.maximum(pts[:, 3], 0.05)
 

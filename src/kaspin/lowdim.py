@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +32,19 @@ from .ka_core import (
 )
 
 SIG_LORENTZ = Signature(3, 1)
-_H = FormMetric.from_signature(SIG_LORENTZ)
+SIG_NEUTRAL = Signature(2, 2)
 DEFAULT_TOL = 1e-9
+
+
+@lru_cache(maxsize=None)
+def _metric(sig):
+    # built on first use, so importing the module builds no product tables
+    return FormMetric.from_signature(sig)
+
+
+def _h(a, b):
+    """The induced metric of signature (3,1) on a pair of polyforms."""
+    return _metric(SIG_LORENTZ).inner(a, b)
 
 
 def _is_one_form(a: Multivector, tol: float) -> bool:
@@ -55,11 +67,11 @@ class ParabolicPair:
         scale = max(1.0, self.u.norm_inf(), self.l.norm_inf()) ** 2
         if self.u.norm_inf() <= tol:
             raise ValueError("u must be nonzero")
-        if abs(_H.inner(self.u, self.u)) > tol * scale:
+        if abs(_h(self.u, self.u)) > tol * scale:
             raise ValueError("u must be null")
-        if abs(_H.inner(self.l, self.l) - 1.0) > tol * scale:
+        if abs(_h(self.l, self.l) - 1.0) > tol * scale:
             raise ValueError("l must have unit norm")
-        if abs(_H.inner(self.u, self.l)) > tol * scale:
+        if abs(_h(self.u, self.l)) > tol * scale:
             raise ValueError("u and l must be orthogonal")
 
     def to_json(self) -> str:
@@ -112,7 +124,7 @@ def polyform_to_pair(alpha: Multivector, tol: float = DEFAULT_TOL) -> ParabolicP
         _reject("components outside grades 1 and 2")
     if u.norm_inf() <= tol * scale:
         _reject("grade-1 part vanishes")
-    if abs(_H.inner(u, u)) > tol * scale * scale:
+    if abs(_h(u, u)) > tol * scale * scale:
         _reject("grade-1 part is not null")
     if omega.norm_inf() <= tol * scale:
         _reject("grade-2 part vanishes, no unit transverse factor exists")
@@ -123,7 +135,7 @@ def polyform_to_pair(alpha: Multivector, tol: float = DEFAULT_TOL) -> ParabolicP
     l0 = contract(theta, omega) * (1.0 / r[pivot])
     if (wedge(u, l0) - omega).norm_inf() > tol * scale:
         _reject("grade-2 part is not divisible by the grade-1 part")
-    if abs(_H.inner(l0, l0) - 1.0) > tol * max(1.0, scale):
+    if abs(_h(l0, l0) - 1.0) > tol * max(1.0, scale):
         _reject("transverse factor is not of unit norm")
 
     gauge = normalize_gauge(
@@ -174,17 +186,13 @@ def pair_to_flag(pp: ParabolicPair) -> DegenerateFlag:
 
 def normalize_gauge(pp: ParabolicPair, v: Multivector, tol: float = DEFAULT_TOL) -> ParabolicPair:
     """Shift l along u so that it is orthogonal to the timelike unit v."""
-    if not _is_one_form(v, tol) or abs(_H.inner(v, v) + 1.0) > tol:
+    if not _is_one_form(v, tol) or abs(_h(v, v) + 1.0) > tol:
         raise ValueError("gauge direction must be a unit timelike one-form")
-    huv = _H.inner(pp.u, v)
+    huv = _h(pp.u, v)
     if abs(huv) <= tol:
         raise ValueError("u is orthogonal to the gauge direction; bad input")
-    f = -_H.inner(pp.l, v) / huv
+    f = -_h(pp.l, v) / huv
     return ParabolicPair(pp.u, pp.l + f * pp.u)
-
-
-SIG_NEUTRAL = Signature(2, 2)
-_H22 = FormMetric.from_signature(SIG_NEUTRAL)
 
 
 def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool:
@@ -201,7 +209,7 @@ def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool
         return False
     if (hodge_star(two) - two).norm_inf() > tol * scale:
         return False
-    return abs(_H22.inner(two, two)) <= tol * scale * scale
+    return abs(_metric(SIG_NEUTRAL).inner(two, two)) <= tol * scale * scale
 
 
 def random_parabolic_pair(rng) -> ParabolicPair:

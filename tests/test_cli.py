@@ -124,6 +124,75 @@ def test_payload_commands_reject_bad_input(capsys):
         assert "error" in err
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("square", "[NaN,0,0,0]", "--p", "3", "--q", "1"),
+        ("square", "[1,-Infinity,0,0]", "--p", "3", "--q", "1"),
+        ("square", "[1e400,0,0,0]", "--p", "3", "--q", "1"),
+        ("square", '["nan",0,0,0]', "--p", "3", "--q", "1"),
+        ("square", "[1" + "0" * 400 + ",0,0,0]", "--p", "3", "--q", "1"),
+        ("check-polyform", '{"p":3,"q":1,"coeffs":{"":Infinity,"1":0.5}}'),
+        ("check-polyform", '{"p":3,"q":1,"coeffs":{"":"inf"}}'),
+        ("reconstruct", '{"p":3,"q":1,"coeffs":{"1":NaN,"1,4":1.0}}'),
+        ("check-metric", "--preset", "ads4", "--params", '{"lam":NaN}'),
+        ("check-metric", "--preset", "ads4", "--params", '{"lam":-1e999}'),
+    ],
+)
+def test_non_finite_payloads_exit_two(capsys, argv):
+    assert_usage_error(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--tol", "nan"),
+        ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--tol", "inf"),
+        ("verify-algebra", "--p", "3", "--q", "1", "--trials", "2", "--tol", "nan"),
+        ("check-metric", "--preset", "ads4", "--tol", "nan"),
+        ("check-metric", "--preset", "ads4", "--lambda", "nan"),
+        ("check-metric", "--preset", "ads4", "--lambda", "inf"),
+        ("check-metric", "--preset", "ads4-deformed-bessel", "--c", "inf"),
+        ("check-metric", "--preset", "ads4-deformed-bessel", "--a", "1,nan,1,0"),
+        ("check-metric", "--preset", "ads4", "--perturb", "nan"),
+        ("check-metric", "--preset", "ads4", "--perturb=-inf"),
+    ],
+)
+def test_non_finite_flags_exit_two(capsys, argv):
+    assert_usage_error(*run_cli(capsys, *argv))
+
+
+def test_non_finite_env_tol_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("KASPIN_TOL", "nan")
+    assert_usage_error(*run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}'))
+
+
+@pytest.mark.parametrize("lam", ["1e-200", "7.3e-200", "1e-160", "1e200"])
+def test_out_of_range_lambda_exits_two(capsys, lam):
+    # 1e-200 used to die in 1.0 / lam**2 with a ZeroDivisionError and exit 1
+    assert_usage_error(*run_cli(
+        capsys, "check-metric", "--preset", "ads4", "--lambda", lam, "--check", "einstein",
+    ))
+
+
+def test_non_finite_report_is_never_printed(capsys, monkeypatch):
+    real = cli.verify_square_conditions
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), residual_sandwich=float("nan"))
+
+    monkeypatch.setattr(cli, "verify_square_conditions", nan_residual)
+    code, out, err = run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}')
+    assert_usage_error(code, out, err)
+
+
 def test_reconstruct_negative_verdict_is_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}')
     assert code == 0

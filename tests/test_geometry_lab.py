@@ -27,6 +27,9 @@ from kaspin.geometry_lab import (
     walker_chart,
     walker_killing_data,
     walker_residuals,
+    _J1_SERIES_CUTOFF,
+    _halton,
+    _spherical_bessel_1,
 )
 from kaspin.ka_core import Multivector, Signature, hodge_star, wedge
 from kaspin.rng import make_rng
@@ -148,6 +151,35 @@ def test_preset_validation_errors():
         preset("ads4", {"lam": 1.0, "bogus": 3})
     with pytest.raises(ValueError):
         preset("walker-generic", {"lam": 1.0})  # needs callbacks
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("ads4", {"lam": float("nan")}),
+        ("ads4", {"lam": float("inf")}),
+        ("ads4", {"lam": "nan"}),
+        # lam^2 underflows to zero, or 1/lam^2 overflows, or lam^2 overflows
+        ("ads4", {"lam": 1e-200}),
+        ("ads4", {"lam": 1e-160}),
+        ("ads4", {"lam": 1e200}),
+        ("ads4-deformed-poly", {"lam": 1e-170}),
+        ("ads4-deformed-bessel", {"lam": 1e-200}),
+        ("ads4-deformed-bessel", {"c": float("inf")}),
+        ("ads4-deformed-bessel", {"a": (1.0, float("nan"), 1.0, 0.0)}),
+        ("heterotic-ppwave", {"amp": float("nan")}),
+        ("heterotic-ppwave", {"omega": (0.5, float("inf"), 0.0)}),
+        ("heterotic-ppwave", {"q0": [[1.0, 0.0], [0.0, float("nan")]]}),
+    ],
+)
+def test_preset_rejects_non_finite_and_out_of_range_parameters(name, params):
+    with pytest.raises(ValueError):
+        preset(name, params)
+
+
+def test_preset_accepts_small_and_large_finite_lambda():
+    for lam in (1e-100, 1e100):
+        assert preset("ads4", {"lam": lam}).lam == lam
 
 
 def test_flat_chart_curvature_vanishes():
@@ -770,3 +802,34 @@ def test_run_campaign_heterotic_preset():
     assert report["verdict"] == "pass"
     assert report["residuals"]["heterotic.bianchi"]["max"] <= 1e-9
     assert report["residuals"]["heterotic.grad_l"]["max"] <= 1e-6
+
+
+@pytest.mark.parametrize("perturb", [float("nan"), float("inf"), -float("inf")])
+def test_run_campaign_rejects_non_finite_perturb(perturb):
+    with pytest.raises(ValueError):
+        run_campaign(preset("ads4"), "einstein", n_points=2, perturb=perturb)
+
+
+def test_halton_matches_scipy_bit_for_bit():
+    from scipy.stats import qmc
+
+    for seed in [*range(100), 2**31 - 1]:
+        for n in (1, 5, 20, 100, 257):
+            want = qmc.Halton(d=4, scramble=True, seed=seed).random(n)
+            assert np.array_equal(_halton(n, seed), want), (seed, n)
+
+
+def test_spherical_bessel_closed_form_matches_scipy():
+    from scipy import special
+
+    z = np.concatenate([np.geomspace(1e-6, 50.0, 2001), np.linspace(0.05, 50.0, 2001)])
+    assert np.count_nonzero(z < _J1_SERIES_CUTOFF) > 100  # the series branch is covered
+    got = np.array([_spherical_bessel_1(float(v)) for v in z])
+    want = np.stack([
+        special.spherical_jn(1, z),
+        special.spherical_jn(1, z, derivative=True),
+        special.spherical_yn(1, z),
+        special.spherical_yn(1, z, derivative=True),
+    ], axis=1)
+    rel = np.abs(got - want) / np.abs(want)
+    assert np.max(rel) <= 1e-13, np.max(rel, axis=0)

@@ -1,0 +1,42 @@
+"""What importing the package costs: no scipy, no product tables, no chart layer for the CLI."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kaspin
+
+SRC = str(Path(kaspin.__file__).resolve().parents[1])
+
+
+def fresh_python(code):
+    """Run code in a new interpreter that imports this checkout's kaspin; return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.strip()
+
+
+def test_no_module_imports_scipy():
+    loaded = fresh_python(
+        "import sys, kaspin.cli, kaspin.geometry_lab, kaspin.lowdim\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert loaded == "[]"
+
+
+def test_cli_imports_the_chart_layer_only_for_check_metric():
+    loaded = fresh_python("import sys, kaspin.cli\nprint('kaspin.geometry_lab' in sys.modules)")
+    assert loaded == "False"
+
+
+def test_importing_lowdim_builds_no_product_tables():
+    cached = fresh_python(
+        "import kaspin.lowdim\n"
+        "from kaspin import _kernels\n"
+        "print(_kernels.get_tables.cache_info().currsize)"
+    )
+    assert cached == "0"
