@@ -11,6 +11,8 @@ This is the only module that reads signs off bitmasks. The square
 tables are indexed by (I, K) with K the output blade, so the factor
 paired with e_I is e_{I xor K} and every product is one gather and one
 matrix-vector product: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K].
+The gathered matrix R_b[I, K] = sign(I, I xor K) b[I xor K] is the right
+action of b, so x @ R_b multiplies every row of a stack x by b at once.
 """
 
 from functools import lru_cache
@@ -57,6 +59,20 @@ def get_tables(p, q):
     return tables
 
 
+def right_matrix(b, sign, xor):
+    """R[i, k] = sign[i, k] b[i ^ k], so (x @ R)[..., k] is the product x b.
+
+    Built in place: the returned array is the only 2^d x 2^d float array
+    the call allocates.
+    """
+    out = b[xor]
+    out *= sign
+    return out
+
+
 def product(a, b, sign, xor):
-    """out[k] = sum_i a[i] sign[i, k] b[i ^ k], for either sign table."""
-    return a @ (sign * b[xor])
+    """out[..., k] = sum_i a[..., i] sign[i, k] b[i ^ k], for either sign table.
+
+    a may carry leading batch axes; each row is multiplied by the one b.
+    """
+    return a @ right_matrix(b, sign, xor)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep, quantize
-from .ka_core import Multivector, Signature, geometric_product, ka_trace
+from .ka_core import Multivector, Signature, geometric_product, ka_trace, multiplier
 from .rng import make_rng, random_multivector, random_spinor
 from .spinor_square import (
     ReconstructionError,
@@ -53,9 +53,15 @@ def _resolve_tol(args, fallback):
     return tol
 
 
+# upper cap on --trials: each trial is a probe row, a property trial or a
+# sample point whose cost is fixed, so this bounds a run's time and memory
+# (a check-metric campaign holds about 1 KB per point while sampling)
+MAX_TRIALS = 100_000
+
+
 def _require_trials(args):
-    if args.trials < 1:
-        raise UsageError("trials must be at least 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     return args.trials
 
 
@@ -140,15 +146,16 @@ def _cmd_verify_algebra(args):
         iso = max(iso, float(np.max(np.abs(eab - ea @ eb))))
         trace_err = max(trace_err, abs(ka_trace(a) - float(np.trace(ea))))
 
+    # e_i <> e_j + e_j <> e_i = 2 g_ij for every j at once, multiplying
+    # the stacked one-forms e_j by e_i on either side
     metric = sig.blade_signs()
+    one_forms = np.eye(sig.n_blades)[1 << np.arange(sig.d)]
     cliff = 0.0
-    for i in range(1, sig.d + 1):
-        for j in range(i, sig.d + 1):
-            ei = Multivector.basis(sig, (i,))
-            ej = Multivector.basis(sig, (j,))
-            anti = geometric_product(ei, ej) + geometric_product(ej, ei)
-            target = 2.0 * metric[1 << (i - 1)] if i == j else 0.0
-            cliff = max(cliff, (anti - Multivector.scalar(sig, target)).norm_inf())
+    for i in range(sig.d):
+        by_ei = multiplier(Multivector.basis(sig, (i + 1,)))
+        anti = by_ei.left(one_forms) + by_ei.right(one_forms)
+        anti[i, 0] -= 2.0 * metric[1 << i]
+        cliff = max(cliff, float(np.max(np.abs(anti))))
 
     expected = PAIRING_SYMMETRY[(sig.d // 2) % 4]
     computed = tuple(_symmetry_sign(B) for B in (pr.Bplus, pr.Bminus))
@@ -354,17 +361,26 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default):
-        p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--seed", type=int, default=0)
+    # each subcommand takes only the flags it reads, so a flag it would
+    # ignore is a usage error
+    def out_flag(p):
+        p.add_argument("--out", default=None, help="also write the JSON report to this path")
+
+    def tol_flag(p):
         p.add_argument("--tol", type=float, default=None,
                        help="residual tolerance (default from KASPIN_TOL, else per-command)")
-        p.add_argument("--out", default=None, help="also write the JSON report to this path")
+
+    def trial_flags(p, trials_default):
+        p.add_argument("--trials", type=int, default=trials_default,
+                       help=f"number of trials, probes or sample points (1..{MAX_TRIALS})")
+        p.add_argument("--seed", type=int, default=0)
 
     va = sub.add_parser("verify-algebra", help="product and representation property suite")
     va.add_argument("--p", type=int, required=True)
     va.add_argument("--q", type=int, required=True)
-    common(va, 100)
+    trial_flags(va, 100)
+    tol_flag(va)
+    out_flag(va)
     va.set_defaults(func=_cmd_verify_algebra)
 
     def payload_command(name, help_text):
@@ -374,7 +390,7 @@ def _build_parser():
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--pairing", choices=("plus", "minus"), default="minus")
-        common(p, 10)
+        out_flag(p)
         return p
 
     sq = payload_command("square", "polyform square of a spinor")
@@ -382,9 +398,12 @@ def _build_parser():
     sq.set_defaults(func=_cmd_square)
 
     rc = payload_command("reconstruct", "recover a spinor from its polyform square")
+    tol_flag(rc)
     rc.set_defaults(func=_cmd_reconstruct)
 
     cp = payload_command("check-polyform", "test the square variety conditions")
+    trial_flags(cp, 10)
+    tol_flag(cp)
     cp.set_defaults(func=_cmd_check_polyform)
 
     cm = sub.add_parser("check-metric", help="residual campaign on a chart preset")
@@ -396,7 +415,9 @@ def _build_parser():
     cm.add_argument("--check", default="einstein",
                     help="comma list: killing,einstein,walker,heterotic,bianchi")
     cm.add_argument("--perturb", type=float, default=0.0)
-    common(cm, 20)
+    trial_flags(cm, 20)
+    tol_flag(cm)
+    out_flag(cm)
     cm.set_defaults(func=_cmd_check_metric)
 
     return parser

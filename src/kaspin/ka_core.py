@@ -250,6 +250,33 @@ def geometric_product(a, b):
     return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.sign, t.xor))
 
 
+@dataclass(frozen=True, eq=False)
+class Multiplier:
+    """Multiplication by one fixed multivector a, on stacks of coefficient rows.
+
+    right(x) is x <> a and left(x) is a <> x, row by row, for x of shape
+    (..., 2^d). Both share the one gathered matrix R with x @ R = x <> a:
+    the scalar part of x <> y is sum_I x_I g_I y_I, with g_I = e_I e_I =
+    +-1, and it makes left and right multiplication by a adjoint, so
+    a <> x is ((x * g) @ R.T) * g and no second 2^d x 2^d matrix is built.
+    """
+
+    R: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+
+    def right(self, x):
+        return x @ self.R
+
+    def left(self, x):
+        return ((x * self.g) @ self.R.T) * self.g
+
+
+def multiplier(a):
+    """The Multiplier of a: one gather of a through the product's sign table."""
+    t = a.sig.tables()
+    return Multiplier(_kernels.right_matrix(a.coeffs, t.sign, t.xor), t.sign[:, 0])
+
+
 def contract(theta, a):
     """Interior product with the metric dual of the one-form theta.
 

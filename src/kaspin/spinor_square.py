@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford_rep import PairedRep, Spinor, dequantize, quantize, s_transpose
-from .ka_core import Multivector, geometric_product, ka_trace
+from .ka_core import Multivector, geometric_product, ka_trace, multiplier
 from .rng import make_rng, random_multivector
 
 DEFAULT_TOL = 1e-9
@@ -95,14 +95,10 @@ def admissibility_report(B, sigma, E, probes, tol=DEFAULT_TOL) -> AdmissibilityR
     Et = np.linalg.solve(B, Ehat.T @ B)
     r_transpose = float(np.max(np.abs(Et - sigma * Ehat)))
     r_idem = float(np.max(np.abs(Ehat @ Ehat - np.trace(Ehat) * Ehat)))
-    r_sandwich = 0.0
-    witness = False
-    for A in probes:
-        EA = Ehat @ A
-        t = np.trace(EA)
-        r_sandwich = max(r_sandwich, float(np.max(np.abs(EA @ Ehat - t * Ehat))))
-        if abs(t) > tol:
-            witness = True
+    EA = Ehat @ np.asarray(probes, dtype=np.float64)
+    t = np.trace(EA, axis1=1, axis2=2)
+    r_sandwich = float(np.max(np.abs(EA @ Ehat - t[:, None, None] * Ehat)))
+    witness = bool(np.any(np.abs(t) > tol))
     rank = int(np.linalg.matrix_rank(Ehat, tol=1e-9))
     ok = witness and max(r_transpose, r_idem, r_sandwich) <= tol
     return AdmissibilityReport(r_idem, r_transpose, r_sandwich, rank, ok, tol)
@@ -143,6 +139,36 @@ class SquareConditionsReport:
     tol: float
 
 
+# probes are tested this many rows at a time, so memory does not grow with
+# n_probes; a block is at most 256 x 256 floats, the size of a Multiplier's
+# matrix at d = 8
+PROBE_BLOCK = 256
+
+
+def _probe_blocks(sig, top, n_probes, seed):
+    """Coefficient rows of every probe, at most PROBE_BLOCK rows at a time.
+
+    The order is fixed: 1, the volume form, the d basis one-forms, the
+    n_probes seeded random polyforms, and last the monomial e_top.
+    """
+    n = sig.n_blades
+    units = [0, n - 1, *(1 << i for i in range(sig.d))]
+    first_random = len(units)
+    total = first_random + n_probes + 1
+    unit_rows = np.array([*range(first_random), total - 1])
+    unit_blades = np.array([*units, top])
+    rng = make_rng(seed, stream=53)
+    for start in range(0, total, PROBE_BLOCK):
+        stop = min(start + PROBE_BLOCK, total)
+        block = np.zeros((stop - start, n))
+        lo, hi = max(start, first_random), min(stop, first_random + n_probes)
+        if lo < hi:
+            block[lo - start : hi - start] = rng.standard_normal((hi - lo, n))
+        here = (unit_rows >= start) & (unit_rows < stop)
+        block[unit_rows[here] - start, unit_blades[here]] = 1.0
+        yield block
+
+
 def verify_square_conditions(
     pr: PairedRep, pairing_tag: str, alpha: Multivector, n_probes=10, seed=0, tol=DEFAULT_TOL
 ) -> SquareConditionsReport:
@@ -152,7 +178,13 @@ def verify_square_conditions(
     (ii) alpha <> alpha = S(alpha) alpha, (iii) the sandwich identity
     for random probes plus basis one-forms, the volume form, and one
     monomial guaranteed to have S(alpha <> beta) != 0.
+
+    Every probe shares the one Multiplier of alpha, so a block of probes
+    beta costs two matrix products: one for the stack of alpha <> beta,
+    one for (alpha <> beta) <> alpha.
     """
+    if n_probes < 0:
+        raise ValueError(f"n_probes must be non-negative, got {n_probes!r}")
     sig = pr.rep.sig
     s = pr.s(pairing_tag)
     sigma = pr.sigma(pairing_tag)
@@ -160,30 +192,22 @@ def verify_square_conditions(
     if scale == 0.0:
         return SquareConditionsReport(True, 0.0, 0.0, 0.0, True, tol)
     ahat = alpha * (1.0 / scale)
+    by_alpha = multiplier(ahat)
 
     r_sym = (s_transpose(pr, s, ahat) - sigma * ahat).norm_inf()
-    r_idem = (geometric_product(ahat, ahat) - ka_trace(ahat) * ahat).norm_inf()
+    r_idem = float(np.max(np.abs(by_alpha.right(ahat.coeffs) - ka_trace(ahat) * ahat.coeffs)))
 
-    probes = [Multivector.scalar(sig, 1.0), Multivector.volume(sig)]
-    for i in range(1, sig.d + 1):
-        probes.append(Multivector.basis(sig, (i,)))
-    rng = make_rng(seed, stream=53)
-    for _ in range(n_probes):
-        probes.append(random_multivector(sig, rng))
     # the monomial dual to the largest coefficient always has a nonzero
     # trace against alpha
-    top = np.zeros(sig.n_blades)
-    top[int(np.argmax(np.abs(ahat.coeffs)))] = 1.0
-    probes.append(Multivector(sig, top))
-
+    top = int(np.argmax(np.abs(ahat.coeffs)))
     r_sandwich = 0.0
     witness = False
-    for beta in probes:
-        ab = geometric_product(ahat, beta)
-        t = ka_trace(ab)
-        r_sandwich = max(r_sandwich, (geometric_product(ab, ahat) - t * ahat).norm_inf())
-        if abs(t) > tol:
-            witness = True
+    for betas in _probe_blocks(sig, top, n_probes, seed):
+        ab = by_alpha.left(betas)
+        traces = 2.0 ** (sig.d // 2) * ab[:, 0]
+        residual = by_alpha.right(ab) - np.outer(traces, ahat.coeffs)
+        r_sandwich = max(r_sandwich, float(np.max(np.abs(residual))))
+        witness = witness or bool(np.any(np.abs(traces) > tol))
 
     ok = witness and max(r_sym, r_idem, r_sandwich) <= tol
     return SquareConditionsReport(ok, r_sym, r_idem, r_sandwich, witness, tol)

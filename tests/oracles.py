@@ -114,3 +114,46 @@ def slow_wedge(p, q, a, b):
             if coeff:
                 out[indices_to_mask(idx)] += coeff * ca * cb
     return out
+
+
+def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, tol=1e-9):
+    """spinor_square.verify_square_conditions as one product pair per probe."""
+    from kaspin.clifford_rep import s_transpose
+    from kaspin.ka_core import Multivector, geometric_product, ka_trace
+    from kaspin.rng import make_rng, random_multivector
+    from kaspin.spinor_square import SquareConditionsReport
+
+    sig = pr.rep.sig
+    s = pr.s(pairing_tag)
+    sigma = pr.sigma(pairing_tag)
+    scale = alpha.norm_inf()
+    if scale == 0.0:
+        return SquareConditionsReport(True, 0.0, 0.0, 0.0, True, tol)
+    ahat = alpha * (1.0 / scale)
+
+    r_sym = (s_transpose(pr, s, ahat) - sigma * ahat).norm_inf()
+    r_idem = (geometric_product(ahat, ahat) - ka_trace(ahat) * ahat).norm_inf()
+
+    probes = [Multivector.scalar(sig, 1.0), Multivector.volume(sig)]
+    for i in range(1, sig.d + 1):
+        probes.append(Multivector.basis(sig, (i,)))
+    rng = make_rng(seed, stream=53)
+    for _ in range(n_probes):
+        probes.append(random_multivector(sig, rng))
+    # the monomial dual to the largest coefficient always has a nonzero
+    # trace against alpha
+    top = np.zeros(sig.n_blades)
+    top[int(np.argmax(np.abs(ahat.coeffs)))] = 1.0
+    probes.append(Multivector(sig, top))
+
+    r_sandwich = 0.0
+    witness = False
+    for beta in probes:
+        ab = geometric_product(ahat, beta)
+        t = ka_trace(ab)
+        r_sandwich = max(r_sandwich, (geometric_product(ab, ahat) - t * ahat).norm_inf())
+        if abs(t) > tol:
+            witness = True
+
+    ok = witness and max(r_sym, r_idem, r_sandwich) <= tol
+    return SquareConditionsReport(ok, r_sym, r_idem, r_sandwich, witness, tol)

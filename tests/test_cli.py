@@ -1,5 +1,6 @@
 """Command line interface: reports, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kaspin import cli
+from kaspin.ka_core import Multiplier
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -42,7 +44,10 @@ def test_verify_algebra_covers_all_supported_signatures(capsys):
             capsys, "verify-algebra", "--p", str(p), "--q", str(q), "--trials", "10"
         )
         assert code == 0, (p, q)
-        assert json.loads(out)["verdict"] == "pass"
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        # e_i e_j + e_j e_i = 2 g_ij is exact in every entry
+        assert report["checks"]["clifford_relation"]["max"] == 0.0
 
 
 def test_verify_algebra_unsupported_signature_exits_two(capsys):
@@ -69,6 +74,17 @@ def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):
     assert report["verdict"] == "fail"
     assert not report["checks"]["pairing_table"]["pass"]
     assert report["checks"]["pairing_table"]["computed"] == [0, -1]
+
+
+def test_verify_algebra_clifford_relation_detects_a_wrong_left_action(capsys, monkeypatch):
+    # with the right product standing in for the left one, e_i e_j + e_j e_i
+    # becomes 2 e_j e_i, which is not 2 g_ij for i != j
+    monkeypatch.setattr(Multiplier, "left", Multiplier.right)
+    code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--trials", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["checks"]["clifford_relation"]["pass"]
+    assert report["checks"]["clifford_relation"]["max"] == 2.0
 
 
 def test_square_grades_and_reconstruct_roundtrip(capsys):
@@ -191,6 +207,54 @@ def test_non_finite_report_is_never_printed(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_square_conditions", nan_residual)
     code, out, err = run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}')
     assert_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("square", "[1,0,0,0]", "--p", "3", "--q", "1", "--tol", "nan"),
+        ("square", "[1,0,0,0]", "--p", "3", "--q", "1", "--tol", "1e-3"),
+        ("square", "[1,0,0,0]", "--p", "3", "--q", "1", "--trials", "5"),
+        ("square", "[1,0,0,0]", "--p", "3", "--q", "1", "--seed", "3"),
+        ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--trials", "5"),
+        ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--seed", "3"),
+    ],
+)
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_trials_cap_bounds(capsys):
+    ok = cli._require_trials(argparse.Namespace(trials=cli.MAX_TRIALS))
+    assert ok == cli.MAX_TRIALS
+    for trials in (0, -1, cli.MAX_TRIALS + 1, 10**9):
+        with pytest.raises(cli.UsageError):
+            cli._require_trials(argparse.Namespace(trials=trials))
+
+
+@pytest.mark.parametrize("trials", [str(10**9), str(cli.MAX_TRIALS + 1)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-algebra", "--p", "4", "--q", "4"),
+        ("check-polyform", '{"p":4,"q":4,"coeffs":{"":1.0}}'),
+        ("check-metric", "--preset", "ads4", "--check", "einstein"),
+    ],
+)
+def test_huge_trials_exit_two_before_any_work(capsys, monkeypatch, argv, trials):
+    # every path that would size its work by --trials fails the test if reached
+    from kaspin import geometry_lab
+
+    def reached(*args, **kwargs):
+        raise AssertionError("work started before --trials was checked")
+
+    monkeypatch.setattr(cli, "make_rng", reached)
+    monkeypatch.setattr(cli, "verify_square_conditions", reached)
+    monkeypatch.setattr(geometry_lab, "run_campaign", reached)
+    assert_usage_error(*run_cli(capsys, *argv, "--trials", trials))
 
 
 def test_reconstruct_negative_verdict_is_exit_zero(capsys):

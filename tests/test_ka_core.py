@@ -17,6 +17,7 @@ from kaspin.ka_core import (
     geometric_product,
     hodge_star,
     ka_trace,
+    multiplier,
     pi,
     pi_tau,
     tau,
@@ -127,6 +128,25 @@ def test_products_match_slow_oracle(case):
     np.testing.assert_allclose(got, slow_geometric_product(p, q, a, b), rtol=0, atol=1e-12)
     got = wedge(_mv(p, q, a), _mv(p, q, b)).coeffs
     np.testing.assert_allclose(got, slow_wedge(p, q, a, b), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (2, 1), (3, 1), (2, 2), (4, 4), (5, 3)])
+def test_stacked_operands_give_row_wise_products(p, q):
+    sig = Signature(p, q)
+    t = sig.tables()
+    rng = make_rng(110, stream=p * 10 + q)
+    rows = rng.standard_normal((5, sig.n_blades))
+    a = random_multivector(sig, rng)
+    by_a = multiplier(a)
+    stacked_gp = _kernels.product(rows, a.coeffs, t.sign, t.xor)
+    stacked_wedge = _kernels.product(rows, a.coeffs, t.wedge_sign, t.xor)
+    right, left = by_a.right(rows), by_a.left(rows)
+    for k, x in enumerate(rows):
+        xm = Multivector(sig, x)
+        np.testing.assert_allclose(stacked_gp[k], geometric_product(xm, a).coeffs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(right[k], geometric_product(xm, a).coeffs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(left[k], geometric_product(a, xm).coeffs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked_wedge[k], wedge(xm, a).coeffs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kaspin import _kernels, spinor_square
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, quantize
 from kaspin.ka_core import (
     FormMetric,
@@ -20,10 +23,13 @@ from kaspin.spinor_square import (
     check_admissible,
     check_chirality,
     constraint_transfer,
+    default_probes,
     reconstruct,
     square,
     verify_square_conditions,
 )
+
+from oracles import slow_verify_square_conditions
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -228,6 +234,113 @@ def test_verify_square_conditions_rejections(paired):
     assert rep2.residual_idempotent > 1e-3
 
 
+@st.composite
+def _variety_case(draw):
+    p, q = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)]))
+    kind = draw(st.sampled_from(["square", "perturbed", "random"]))
+    tag = draw(st.sampled_from(["plus", "minus"]))
+    n_probes = draw(st.integers(min_value=0, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return p, q, kind, tag, n_probes, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(_variety_case())
+def test_batched_square_conditions_match_per_probe_oracle(paired, case):
+    p, q, kind, tag, n_probes, seed = case
+    pr = paired[(p, q)]
+    sig = pr.rep.sig
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        alpha = Multivector(sig, rng.standard_normal(sig.n_blades))
+    else:
+        kappa = int(rng.choice([-1, 1]))
+        alpha = square(pr, tag, kappa, Spinor(pr.rep, rng.standard_normal(pr.rep.N))).alpha
+        if kind == "perturbed":
+            noise = rng.standard_normal(sig.n_blades)
+            alpha = alpha + (1e-3 * alpha.norm_inf() / np.max(np.abs(noise))) * Multivector(sig, noise)
+    got = verify_square_conditions(pr, tag, alpha, n_probes=n_probes, seed=seed)
+    want = slow_verify_square_conditions(pr, tag, alpha, n_probes=n_probes, seed=seed)
+    assert got.is_square == want.is_square
+    assert got.witness_found == want.witness_found
+    for name in ("residual_symmetry", "residual_idempotent", "residual_sandwich"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+
+
+def _per_probe_rows(sig, top, n_probes, seed):
+    rows = [Multivector.scalar(sig, 1.0), Multivector.volume(sig)]
+    rows += [Multivector.basis(sig, (i,)) for i in range(1, sig.d + 1)]
+    rng = make_rng(seed, stream=53)
+    rows += [random_multivector(sig, rng) for _ in range(n_probes)]
+    rows.append(Multivector(sig, np.eye(sig.n_blades)[top]))
+    return np.array([row.coeffs for row in rows])
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_probe_blocks_are_bounded_and_keep_the_probe_order(monkeypatch, block):
+    # blocks of at most PROBE_BLOCK rows, whose concatenation is the probe
+    # list of the per-probe loop, seeded draws included, bit for bit
+    monkeypatch.setattr(spinor_square, "PROBE_BLOCK", block)
+    sig = Signature(2, 2)
+    for n_probes in (0, 1, 5, 600):
+        blocks = list(spinor_square._probe_blocks(sig, 6, n_probes, seed=17))
+        assert max(len(b) for b in blocks) <= block
+        assert np.array_equal(np.vstack(blocks), _per_probe_rows(sig, 6, n_probes, 17))
+
+
+def test_default_probe_count_is_one_block():
+    for sig in (Signature(4, 4), Signature(5, 3)):
+        assert len(list(spinor_square._probe_blocks(sig, 0, 10, seed=0))) == 1
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_square_conditions_agree_across_block_sizes(paired, monkeypatch, block):
+    pr = paired[(3, 1)]
+    rng = make_rng(314)
+    alpha = square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha
+    bad = alpha + Multivector.basis(pr.rep.sig, (1,), 1e-3)
+    monkeypatch.setattr(spinor_square, "PROBE_BLOCK", block)
+    for candidate in (alpha, bad):
+        got = verify_square_conditions(pr, "minus", candidate, n_probes=9, seed=3)
+        want = slow_verify_square_conditions(pr, "minus", candidate, n_probes=9, seed=3)
+        assert (got.is_square, got.witness_found) == (want.is_square, want.witness_found)
+        assert abs(got.residual_sandwich - want.residual_sandwich) <= 1e-12
+
+
+def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
+    # the cost of the variety check must not grow by products per probe:
+    # every gather of a product or a Multiplier goes through right_matrix
+    pr = paired[(4, 4)]
+    alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(315))).alpha
+    counts = {"gathers": 0, "products": 0}
+    real_gather = _kernels.right_matrix
+    real_product = spinor_square.geometric_product
+
+    def gather(*args):
+        counts["gathers"] += 1
+        return real_gather(*args)
+
+    def product(*args):
+        counts["products"] += 1
+        return real_product(*args)
+
+    monkeypatch.setattr(_kernels, "right_matrix", gather)
+    monkeypatch.setattr(spinor_square, "geometric_product", product)
+    seen = []
+    for n_probes in (0, 50):
+        counts.update(gathers=0, products=0)
+        assert verify_square_conditions(pr, "minus", alpha, n_probes=n_probes).is_square
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[1]["gathers"] == 1 and seen[1]["products"] == 0
+
+
+def test_negative_probe_count_is_rejected(paired):
+    pr = paired[(3, 1)]
+    with pytest.raises(ValueError, match="n_probes"):
+        verify_square_conditions(pr, "minus", Multivector.scalar(pr.rep.sig, 1.0), n_probes=-1)
+
+
 def test_verify_zero_alpha_is_square(paired):
     pr = paired[(1, 1)]
     rep = verify_square_conditions(pr, "plus", Multivector.zero(pr.rep.sig), 3, seed=0)
@@ -298,6 +411,24 @@ def test_check_admissible_rejects_identity(paired):
     rep = check_admissible(pr, 1, np.eye(4))
     assert not rep.is_admissible
     assert rep.residual_idempotent > 1.0
+
+
+def test_admissibility_matches_per_probe_loop(paired):
+    for pq in [(3, 1), (2, 2), (4, 4)]:
+        pr = paired[pq]
+        rng = make_rng(316, stream=pq[0] * 10 + pq[1])
+        probes = default_probes(pr, "minus", seed=5)
+        good = quantize(pr.rep, square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha)
+        for E in (good, good + 1e-3 * rng.standard_normal(good.shape), np.eye(pr.rep.N)):
+            rep = admissibility_report(pr.Bminus, pr.sigma("minus"), E, probes)
+            Ehat = E / np.max(np.abs(E))
+            traces = [np.trace(Ehat @ A) for A in probes]
+            worst = max(np.max(np.abs(Ehat @ A @ Ehat - t * Ehat)) for A, t in zip(probes, traces))
+            assert abs(rep.residual_sandwich - worst) <= 1e-12
+            assert rep.is_admissible == (
+                any(abs(t) > rep.tol for t in traces)
+                and max(rep.residual_transpose, rep.residual_idempotent, worst) <= rep.tol
+            )
 
 
 def test_split_plane_example_raw_pairing():
