@@ -434,7 +434,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,18 @@ a_j b_i.  Named presets supply closed-form charts for the constant
 curvature half-space model, its two deformation families over the
 hyperbolic half-plane, and a plane-fronted heterotic background, each
 with the field data needed by the residual campaigns.
+
+Points are stacks: every chart, field and residual function takes x
+of shape (..., d), the leading axes indexing sample points, and a
+single point is the stack shape ().  Callables attached to the data
+take such stacks too; _pointwise lifts a one-point callable (the
+walker-generic preset and MetricChart.from_callable apply it to user
+callbacks, which therefore always see one point).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -35,61 +43,111 @@ from typing import Callable, Sequence
 import numpy as np
 
 _FD_SCALE = 1e-5
+POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
+
+# libm power and exp, elementwise: numpy's own power and exp loops can
+# differ from libm in the last bit, and the closed forms keep the values
+# of their one-point (math module) versions bit for bit
+_pow = np.float_power
+_exp_ufunc = np.frompyfunc(math.exp, 1, 1)
+
+
+def _exp(v):
+    return np.asarray(_exp_ufunc(v), dtype=float)
+
+
+def _pointwise(fn):
+    """Lift a callable of one point to (..., d) stacks, calling it point by point."""
+    if fn is None:
+        return None
+
+    def lifted(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.asarray(fn(x), dtype=float)
+        values = np.stack([np.asarray(fn(p), dtype=float) for p in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+
+    return lifted
+
+
+def _zeros(x, *shape):
+    return np.zeros(np.shape(x)[:-1] + shape)
+
+
+def _embed(x, shape, *entries):
+    """Arrays of the given shape per point of x, zero but for the (index, value) entries."""
+    out = _zeros(x, *shape)
+    for index, value in entries:
+        index = np.index_exp[index]
+        out[(Ellipsis, *index) + np.index_exp[:] * (len(shape) - len(index))] = value
+    return out
+
+
+def _t(a, *perm):
+    """Transpose the trailing len(perm) axes of a; the point axes stay in front."""
+    lead = a.ndim - len(perm)
+    return a.transpose(*range(lead), *(lead + p for p in perm))
+
+
+def _max_abs(a, axes):
+    """max |a| over the last `axes` (component) axes: one value per point."""
+    return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _pair(a, ginv, b):
+    """a @ ginv @ b at every point."""
+    return ((a[..., None, :] @ ginv) @ b[..., :, None])[..., 0, 0]
+
+
+def _per_point(a, like):
+    """Reshape point values a to broadcast against like, whose leading axes are the points."""
+    a = np.asarray(a)
+    return a.reshape(a.shape + (1,) * (np.ndim(like) - a.ndim))
 
 
 def _fd_steps(x):
     return _FD_SCALE * (1.0 + np.abs(x))
 
 
+def _fd_at(f, x, h, *steps):
+    """f at x moved by sign * h[k] along each (k, sign) step: one call per stencil point."""
+    p = x.copy()
+    for k, sign in steps:
+        p[..., k] += sign * h[..., k]
+    return np.asarray(f(p), float)
+
+
 def _fd_jacobian(f, x):
-    """Centered differences; leading axis is the derivative direction."""
+    """Centered differences; the axis after the point axes is the derivative direction."""
     x = np.asarray(x, dtype=float)
     h = _fd_steps(x)
     rows = []
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        rows.append((np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h[k]))
-    return np.stack(rows)
+    for k in range(x.shape[-1]):
+        diff = _fd_at(f, x, h, (k, 1)) - _fd_at(f, x, h, (k, -1))
+        rows.append(diff / _per_point(2.0 * h[..., k], diff))
+    return np.stack(rows, axis=x.ndim - 1)
 
 
 def _fd_second(f, x):
-    """Second partials; the two leading axes are derivative directions."""
+    """Second partials; the two axes after the point axes are derivative directions."""
     x = np.asarray(x, dtype=float)
     h = _fd_steps(x)
     f0 = np.asarray(f(x), dtype=float)
-    n = x.size
+    n = x.shape[-1]
+    at = functools.partial(_fd_at, f, x, h)
     out = np.zeros((n, n) + f0.shape)
     for m in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[m] += h[m]
-        xm[m] -= h[m]
-        out[m, m] = (np.asarray(f(xp), float) - 2.0 * f0 + np.asarray(f(xm), float)) / h[m] ** 2
+        out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _per_point(_pow(h[..., m], 2), f0)
         for k in range(m + 1, n):
-            xa = x.copy()
-            xb = x.copy()
-            xc = x.copy()
-            xd = x.copy()
-            xa[m] += h[m]
-            xa[k] += h[k]
-            xb[m] += h[m]
-            xb[k] -= h[k]
-            xc[m] -= h[m]
-            xc[k] += h[k]
-            xd[m] -= h[m]
-            xd[k] -= h[k]
-            mixed = (
-                np.asarray(f(xa), float)
-                - np.asarray(f(xb), float)
-                - np.asarray(f(xc), float)
-                + np.asarray(f(xd), float)
-            ) / (4.0 * h[m] * h[k])
-            out[m, k] = mixed
-            out[k, m] = mixed
-    return out
+            corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
+            out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
+                4.0 * h[..., m] * h[..., k], f0)
+    return np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,92 +203,86 @@ class MetricChart:
 
     @classmethod
     def from_callable(cls, g, in_domain=None, dim=4):
-        return cls(
-            g=g,
-            dg=lambda x: _fd_jacobian(g, x),
-            d2g=lambda x: _fd_second(g, x),
-            provenance="finite-difference",
-            in_domain=in_domain,
-            dim=dim,
-        )
+        """Chart of a one-point metric callable, derivatives by centered differences."""
+        g = _pointwise(g)
+        return cls(g, lambda x: _fd_jacobian(g, x), lambda x: _fd_second(g, x),
+                   provenance="finite-difference", in_domain=_pointwise(in_domain), dim=dim)
 
     def contains(self, x):
-        return self.in_domain is None or bool(self.in_domain(x))
+        """Whether every point of the stack x lies in the chart domain."""
+        return self.in_domain is None or bool(np.all(self.in_domain(x)))
+
+
+def _braces(dg):
+    return _t(dg, 1, 0, 2) + _t(dg, 1, 2, 0) - dg
 
 
 def christoffel(chart, x):
-    """Levi-Civita symbols, gamma[k, i, j] = Gamma^k_{ij}."""
+    """Levi-Civita symbols, gamma[..., k, i, j] = Gamma^k_{ij}."""
     x = np.asarray(x, dtype=float)
     if not chart.contains(x):
         raise ValueError("point lies outside the chart domain")
     ginv = np.linalg.inv(chart.g(x))
-    dg = np.asarray(chart.dg(x), dtype=float)
-    braces = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, braces)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _braces(np.asarray(chart.dg(x), float)))
 
 
 def _christoffel_with_derivative(chart, x):
     ginv = np.linalg.inv(chart.g(x))
     dg = np.asarray(chart.dg(x), dtype=float)
     d2g = np.asarray(chart.d2g(x), dtype=float)
-    braces = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    dbraces = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, braces)
-    dgamma = 0.5 * np.einsum("mkl,lij->mkij", dginv, braces)
-    dgamma += 0.5 * np.einsum("kl,mlij->mkij", ginv, dbraces)
+    braces = _braces(dg)
+    dbraces = _t(d2g, 0, 2, 1, 3) + _t(d2g, 0, 2, 3, 1) - d2g
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, braces)
+    dgamma = 0.5 * np.einsum("...mkl,...lij->...mkij", dginv, braces)
+    dgamma += 0.5 * np.einsum("...kl,...mlij->...mkij", ginv, dbraces)
     return gamma, dgamma
 
 
 def riemann(chart, x):
-    """Curvature tensor R[r, s, m, n] = R^r_{smn}, first index raised."""
+    """Curvature tensor R[..., r, s, m, n] = R^r_{smn}, first index raised."""
     x = np.asarray(x, dtype=float)
     if not chart.contains(x):
         raise ValueError("point lies outside the chart domain")
     gamma, dgamma = _christoffel_with_derivative(chart, x)
-    t = np.einsum("mrns->rsmn", dgamma)
-    gg = np.einsum("rml,lns->rsmn", gamma, gamma)
-    return t - t.transpose(0, 1, 3, 2) + gg - gg.transpose(0, 1, 3, 2)
+    t = np.einsum("...mrns->...rsmn", dgamma)
+    gg = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    return t - _t(t, 0, 1, 3, 2) + gg - _t(gg, 0, 1, 3, 2)
 
 
 def ricci(chart, x):
-    return np.einsum("rsrn->sn", riemann(chart, x))
+    return np.einsum("...rsrn->...sn", riemann(chart, x))
+
+
+def _nabla(gamma, omega, x):
+    w = np.asarray(omega.value(x), dtype=float)
+    return omega.jacobian(x) - np.einsum("...kij,...k->...ij", gamma, w)
 
 
 def covariant_derivative_oneform(chart, omega, x):
-    """(nabla omega)[i, j] = d_i omega_j - Gamma^k_{ij} omega_k."""
+    """(nabla omega)[..., i, j] = d_i omega_j - Gamma^k_{ij} omega_k."""
     x = np.asarray(x, dtype=float)
-    gamma = christoffel(chart, x)
-    w = np.asarray(omega.value(x), dtype=float)
-    return omega.jacobian(x) - np.einsum("kij,k->ij", gamma, w)
+    return _nabla(christoffel(chart, x), omega, x)
 
 
 def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
-_EPS_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _levi_civita(n):
-    if n not in _EPS_CACHE:
-        eps = np.zeros((n,) * n)
-        for perm in itertools.permutations(range(n)):
-            eps[perm] = _perm_sign(perm)
-        _EPS_CACHE[n] = eps
-    return _EPS_CACHE[n]
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = _perm_sign(perm)
+    return eps
 
 
 _RAISE = {
-    1: "Aa,a->A",
-    2: "Aa,Bb,ab->AB",
-    3: "Aa,Bb,Cc,abc->ABC",
-    4: "Aa,Bb,Cc,Dd,abcd->ABCD",
+    1: "...Aa,...a->...A",
+    2: "...Aa,...Bb,...ab->...AB",
+    3: "...Aa,...Bb,...Cc,...abc->...ABC",
+    4: "...Aa,...Bb,...Cc,...Dd,...abcd->...ABCD",
 }
 
 
@@ -241,42 +293,44 @@ def hodge_star_chart(chart, x, omega):
     to +1 on the chart coordinate order, weighted by the metric volume
     sqrt(|det g|)/k!, so on an orthonormal chart it matches the
     algebraic dual under the component dictionary coeff_{i<j<...} =
-    T_{ij...}.
+    T_{ij...}.  omega carries the point axes of x in front.
     """
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    k = omega.ndim
+    lead = x.shape[:-1]
+    k = omega.ndim - len(lead)
+    n = chart.dim
     g = chart.g(x)
-    root = math.sqrt(abs(np.linalg.det(g)))
-    eps = _levi_civita(chart.dim)
+    root = np.sqrt(np.abs(np.linalg.det(g)))
+    eps = _levi_civita(n)
     if k == 0:
-        return root * float(omega) * eps
+        return np.reshape(root * omega, lead + (1,) * n) * eps
     ginv = np.linalg.inv(g)
     raised = np.einsum(_RAISE[k], *([ginv] * k + [omega]))
-    axes = (tuple(range(k)), tuple(range(k)))
-    return root / math.factorial(k) * np.tensordot(raised, eps, axes=axes)
+    dual = (raised.reshape(lead + (1, n**k)) @ eps.reshape(n**k, -1)).reshape(lead + (n,) * (n - k))
+    return _per_point(root / math.factorial(k), dual) * dual
 
 
 def _wedge_oneforms(*forms):
     """Wedge of one-forms as a tensor, no 1/k! factor."""
     forms = [np.asarray(f, dtype=float) for f in forms]
-    k = len(forms)
-    out = np.zeros((forms[0].size,) * k)
-    for perm in itertools.permutations(range(k)):
+    out = 0.0
+    for perm in itertools.permutations(range(len(forms))):
         term = np.array(1.0)
-        for p in perm:
-            term = np.multiply.outer(term, forms[p])
-        out += _perm_sign(perm) * term
+        for j, p in enumerate(perm):
+            f = forms[p]
+            term = term[..., None] * f.reshape(f.shape[:-1] + (1,) * j + f.shape[-1:])
+        out = out + _perm_sign(perm) * term
     return out
 
 
 def _wedge_two_forms(a, b):
     # det convention: antisymmetrize the outer product over S4 and
     # divide by 2!2! for the two-form factors
-    t = np.einsum("ij,kl->ijkl", a, b)
+    t = np.einsum("...ij,...kl->...ijkl", a, b)
     out = np.zeros_like(t)
     for perm in itertools.permutations(range(4)):
-        out += _perm_sign(perm) * np.transpose(t, perm)
+        out += _perm_sign(perm) * _t(t, *perm)
     return out / 4.0
 
 
@@ -302,17 +356,28 @@ class KillingData:
 
 @dataclass(frozen=True, eq=False)
 class KillingResiduals:
-    r_u: float
-    r_l: float
+    """Residuals, one value (one-form for kappa_hat) per point.
+
+    parabolic is the scaled violation of the pair invariants.
+    """
+
+    r_u: float | np.ndarray
+    r_l: float | np.ndarray
     kappa_hat: np.ndarray
+    parabolic: float | np.ndarray
 
 
 def _parabolic_violation(ginv, u, l):
-    scale = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(l)))) ** 2
-    uu = float(u @ ginv @ u)
-    ll = float(l @ ginv @ l)
-    ul = float(u @ ginv @ l)
-    return max(abs(uu), abs(ll - 1.0), abs(ul)) / scale
+    scale = _pow(np.maximum(np.maximum(1.0, _max_abs(u, 1)), _max_abs(l, 1)), 2)
+    uu, ll, ul = _pair(u, ginv, u), _pair(l, ginv, l), _pair(u, ginv, l)
+    return np.maximum(np.maximum(np.abs(uu), np.abs(ll - 1.0)), np.abs(ul)) / scale
+
+
+def _shift(kappa, defect, u, x):
+    """The shift one-form: kappa's value, or each defect row projected onto u."""
+    if kappa is not None:
+        return np.asarray(kappa.value(x), dtype=float)
+    return (defect @ u[..., :, None])[..., 0] / (u[..., None, :] @ u[..., :, None])[..., 0]
 
 
 def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
@@ -329,21 +394,19 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     ginv = np.linalg.inv(g)
     u = np.asarray(kd.u.value(x), dtype=float)
     l = np.asarray(kd.l.value(x), dtype=float)
-    if np.max(np.abs(u)) <= 1e-12:
+    if np.any(_max_abs(u, 1) <= 1e-12):
         raise ValueError("u vanishes at the sample point")
     violation = _parabolic_violation(ginv, u, l)
-    if violation > invariant_tol:
-        raise ValueError(f"pair invariants violated by {violation:.3e}")
-    nabla_u = covariant_derivative_oneform(chart, kd.u, x)
-    r_u = float(np.max(np.abs(nabla_u - kd.lam * (np.outer(u, l) - np.outer(l, u)))))
-    nabla_l = covariant_derivative_oneform(chart, kd.l, x)
-    defect = nabla_l - kd.lam * (np.outer(l, l) - g)
-    if kd.kappa is not None:
-        kappa_hat = np.asarray(kd.kappa.value(x), dtype=float)
-    else:
-        kappa_hat = defect @ u / float(u @ u)
-    r_l = float(np.max(np.abs(defect - np.outer(kappa_hat, u))))
-    return KillingResiduals(r_u=r_u, r_l=r_l, kappa_hat=kappa_hat)
+    if np.any(violation > invariant_tol):
+        first = np.extract(violation > invariant_tol, violation)[0]
+        raise ValueError(f"pair invariants violated by {first:.3e}")
+    gamma = christoffel(chart, x)
+    nabla_u = _nabla(gamma, kd.u, x)
+    r_u = _max_abs(nabla_u - kd.lam * (_outer(u, l) - _outer(l, u)), 2)
+    defect = _nabla(gamma, kd.l, x) - kd.lam * (_outer(l, l) - g)
+    kappa_hat = _shift(kd.kappa, defect, u, x)
+    r_l = _max_abs(defect - _outer(kappa_hat, u), 2)
+    return KillingResiduals(r_u=r_u, r_l=r_l, kappa_hat=kappa_hat, parabolic=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -373,83 +436,66 @@ class WalkerData:
 
 @dataclass(frozen=True, eq=False)
 class WalkerResiduals:
-    hessian: float
-    laplacian: float
-    s_v: float
-    gauge_imaginary: bool
+    """Residuals and the imaginary-gauge flag, one value per point."""
+
+    hessian: float | np.ndarray
+    laplacian: float | np.ndarray
+    s_v: float | np.ndarray
+    gauge_imaginary: bool | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class EinsteinResiduals:
-    f_equation: float
-    ricci_q: float
+    f_equation: float | np.ndarray
+    ricci_q: float | np.ndarray
 
 
 def walker_chart(wd):
     """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
     q2 = wd.q2
 
-    def g(x):
-        s = np.asarray(x, dtype=float)[2:]
-        out = np.zeros((4, 4))
-        out[0, 0] = wd.F.value(s)
-        out[0, 1] = out[1, 0] = wd.K.value(s)
-        out[2:, 2:] = q2.g(s)
-        return out
+    def assemble(x, derivs, f, k, q):
+        # f, k and q are the surface values, or their partials along the
+        # derivs leading surface axes; the v and u directions are flat
+        s = _surface(x)
+        lead = (np.s_[2:],) * derivs
+        k = k(s)
+        return _embed(s, (4,) * (derivs + 2), (lead + (0, 0), f(s)), (lead + (0, 1), k),
+                      (lead + (1, 0), k), (lead + (np.s_[2:], np.s_[2:]), q(s)))
 
-    def dg(x):
-        s = np.asarray(x, dtype=float)[2:]
-        out = np.zeros((4, 4, 4))
-        d_f = wd.F.gradient(s)
-        d_k = wd.K.gradient(s)
-        d_q = np.asarray(q2.dg(s), dtype=float)
-        for m in (2, 3):
-            out[m, 0, 0] = d_f[m - 2]
-            out[m, 0, 1] = out[m, 1, 0] = d_k[m - 2]
-            out[m, 2:, 2:] = d_q[m - 2]
-        return out
-
-    def d2g(x):
-        s = np.asarray(x, dtype=float)[2:]
-        out = np.zeros((4, 4, 4, 4))
-        h_f = wd.F.hessian(s)
-        h_k = wd.K.hessian(s)
-        h_q = np.asarray(q2.d2g(s), dtype=float)
-        for m in (2, 3):
-            for n in (2, 3):
-                out[m, n, 0, 0] = h_f[m - 2, n - 2]
-                out[m, n, 0, 1] = out[m, n, 1, 0] = h_k[m - 2, n - 2]
-                out[m, n, 2:, 2:] = h_q[m - 2, n - 2]
-        return out
-
-    closed_form = (
-        wd.F.grad is not None
-        and wd.F.hess is not None
-        and wd.K.grad is not None
-        and wd.K.hess is not None
-        and q2.provenance == "analytic"
+    closed_form = q2.provenance == "analytic" and all(
+        d is not None for d in (wd.F.grad, wd.F.hess, wd.K.grad, wd.K.hess)
     )
-    domain = None
-    if q2.in_domain is not None:
-        def domain(x):
-            return bool(q2.in_domain(np.asarray(x, dtype=float)[2:]))
+    domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
     return MetricChart(
-        g=g,
-        dg=dg,
-        d2g=d2g,
+        g=lambda x: assemble(x, 0, wd.F.value, wd.K.value, q2.g),
+        dg=lambda x: assemble(x, 1, wd.F.gradient, wd.K.gradient, q2.dg),
+        d2g=lambda x: assemble(x, 2, wd.F.hessian, wd.K.hessian, q2.d2g),
         provenance="analytic" if closed_form else "finite-difference",
         in_domain=domain,
     )
 
 
+def _surface(x):
+    """The surface coordinates (x, y) of chart points (v, u, x, y)."""
+    return np.asarray(x, dtype=float)[..., 2:]
+
+
 def _surface_hessian(q2, f, s):
     gamma = christoffel(q2, s)
-    return f.hessian(s) - np.einsum("kij,k->ij", gamma, f.gradient(s))
+    return f.hessian(s) - np.einsum("...kij,...k->...ij", gamma, f.gradient(s))
+
+
+def _profile_k(wd, s):
+    K = np.asarray(wd.K.value(s), dtype=float)
+    if np.any(np.abs(K) < 1e-12):
+        raise ValueError("profile K must be nowhere zero")
+    return K
 
 
 def _gauge_square(wd, s, K, qinv):
-    pair_kf = float(wd.K.gradient(s) @ qinv @ wd.F.gradient(s))
-    return float(wd.F.value(s)) - pair_kf / (4.0 * wd.lam**2 * K), pair_kf
+    pair_kf = _pair(wd.K.gradient(s), qinv, wd.F.gradient(s))
+    return np.asarray(wd.F.value(s), dtype=float) - pair_kf / (4.0 * wd.lam**2 * K), pair_kf
 
 
 def walker_residuals(wd, s):
@@ -464,40 +510,35 @@ def walker_residuals(wd, s):
     holding identically, so s_v is the one first-order residual.
     """
     s = np.asarray(s, dtype=float)
-    K = float(wd.K.value(s))
-    if abs(K) < 1e-12:
-        raise ValueError("profile K must be nowhere zero")
+    K = _profile_k(wd, s)
     lam = wd.lam
     q = wd.q2.g(s)
     qinv = np.linalg.inv(q)
     d_k = wd.K.gradient(s)
     hess_k = _surface_hessian(wd.q2, wd.K, s)
-    hess_res = float(
-        np.max(np.abs(hess_k - np.outer(d_k, d_k) / (2.0 * K) - 2.0 * lam**2 * K * q))
-    )
-    lap_res = float(abs(np.trace(qinv @ hess_k) - 6.0 * lam**2 * K))
+    k2 = K[..., None, None]
+    hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q, 2)
+    lap_res = np.abs(np.trace(qinv @ hess_k, axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
     square, pair_kf = _gauge_square(wd, s, K, qinv)
     if wd.s_frak is None:
-        return WalkerResiduals(hess_res, lap_res, 0.0, bool(square < 0.0))
-    sval = float(wd.s_frak.value(s))
-    s_v = float(abs(pair_kf / (4.0 * lam * K) - lam * (float(wd.F.value(s)) - sval**2)))
-    return WalkerResiduals(hess_res, lap_res, s_v, False)
+        return WalkerResiduals(hess_res, lap_res, np.zeros_like(K), square < 0.0)
+    s_v = np.abs(pair_kf / (4.0 * lam * K) - lam * (wd.F.value(s) - _pow(wd.s_frak.value(s), 2)))
+    return WalkerResiduals(hess_res, lap_res, s_v, np.zeros(K.shape, dtype=bool))
 
 
 def einstein_residual(wd, s):
     """Einstein reduction: the F equation and Ric(q2) = -lam^2 q2."""
     s = np.asarray(s, dtype=float)
-    K = float(wd.K.value(s))
-    if abs(K) < 1e-12:
-        raise ValueError("profile K must be nowhere zero")
+    K = _profile_k(wd, s)
     lam = wd.lam
     q = wd.q2.g(s)
     qinv = np.linalg.inv(q)
     hess_f = _surface_hessian(wd.q2, wd.F, s)
-    pair_kf = float(wd.K.gradient(s) @ qinv @ wd.F.gradient(s))
-    f_res = abs(np.trace(qinv @ hess_f) - pair_kf / K - 2.0 * lam**2 * float(wd.F.value(s)))
-    ric_res = float(np.max(np.abs(ricci(wd.q2, s) + lam**2 * q)))
-    return EinsteinResiduals(f_equation=float(f_res), ricci_q=ric_res)
+    pair_kf = _pair(wd.K.gradient(s), qinv, wd.F.gradient(s))
+    trace = np.trace(qinv @ hess_f, axis1=-2, axis2=-1)
+    f_res = np.abs(trace - pair_kf / K - 2.0 * lam**2 * wd.F.value(s))
+    ric_res = _max_abs(ricci(wd.q2, s) + lam**2 * q, 2)
+    return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
 
 
 def walker_killing_data(wd):
@@ -509,34 +550,24 @@ def walker_killing_data(wd):
     pointwise fit.
     """
 
-    def u_val(x):
-        out = np.zeros(4)
-        out[0] = wd.K.value(np.asarray(x, dtype=float)[2:])
-        return out
-
-    def u_jac(x):
-        out = np.zeros((4, 4))
-        out[2:, 0] = wd.K.gradient(np.asarray(x, dtype=float)[2:])
-        return out
-
     def gauge_component(s):
         if wd.s_frak is not None:
-            return float(wd.s_frak.value(s))
-        K = float(wd.K.value(s))
+            return wd.s_frak.value(s)
+        K = np.asarray(wd.K.value(s), dtype=float)
         qinv = np.linalg.inv(wd.q2.g(s))
         square, _ = _gauge_square(wd, s, K, qinv)
-        return math.sqrt(max(square, 0.0))
+        return np.sqrt(np.maximum(square, 0.0))
 
     def l_val(x):
-        s = np.asarray(x, dtype=float)[2:]
-        K = float(wd.K.value(s))
-        out = np.zeros(4)
-        out[0] = gauge_component(s)
-        out[2:] = -wd.K.gradient(s) / (2.0 * wd.lam * K)
-        return out
+        s = _surface(x)
+        dk = -wd.K.gradient(s) / (2.0 * wd.lam * np.asarray(wd.K.value(s), dtype=float))[..., None]
+        return _embed(x, (4,), (0, gauge_component(s)), (np.s_[2:], dk))
 
     return KillingData(
-        u=OneFormField(u_val, jac=u_jac),
+        u=OneFormField(
+            lambda x: _embed(x, (4,), (0, wd.K.value(_surface(x)))),
+            jac=lambda x: _embed(x, (4, 4), (np.s_[2:, 0], wd.K.gradient(_surface(x)))),
+        ),
         l=OneFormField(l_val),
         lam=wd.lam,
         kappa=None,
@@ -569,40 +600,43 @@ class HeteroticConfig:
 
 
 def _gaugino_fit(hc, ginv, u, x):
+    worst = np.zeros(u.shape[:-1])
     if not hc.FA:
-        return 0.0
-    c = ginv @ u
-    _, _, vt = np.linalg.svd(c[None, :])
-    null_basis = vt[1:].T
-    cols = np.stack([_wedge_oneforms(u, e).ravel() for e in np.eye(4)], axis=1)
+        return worst
+    c = (ginv @ u[..., :, None])[..., 0]
+    _, _, vt = np.linalg.svd(c[..., None, :])
+    null_basis = _t(vt[..., 1:, :], 1, 0)
+    flat = u.shape[:-1] + (16,)
+    cols = np.stack([_wedge_oneforms(u, e).reshape(flat) for e in np.eye(4)], axis=-1)
     design = cols @ null_basis
-    worst = 0.0
+    # least squares by the pseudoinverse, with lstsq's default cut-off
+    solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
     for idx, curvature in enumerate(hc.FA):
         target = np.asarray(curvature(x), dtype=float)
         if hc.chi_A is not None:
             chi = np.asarray(hc.chi_A[idx](x), dtype=float)
-            fit = float(np.max(np.abs(target - _wedge_oneforms(u, chi))))
-            fit = max(fit, abs(float(chi @ ginv @ u)))
+            fit = _max_abs(target - _wedge_oneforms(u, chi), 2)
+            fit = np.maximum(fit, np.abs(_pair(chi, ginv, u)))
         else:
-            coef, *_ = np.linalg.lstsq(design, target.ravel(), rcond=None)
-            fit = float(np.max(np.abs(design @ coef - target.ravel())))
-        worst = max(worst, fit)
+            target = target.reshape(flat)
+            fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
+        worst = np.maximum(worst, fit)
     return worst
 
 
 def _coclosed_residual(hc, x):
     if hc.H is None:
-        return 0.0
+        return _zeros(x)
     chart = hc.chart
 
     def density(p):
-        p = np.asarray(p, dtype=float)
         g = chart.g(p)
         rho = hodge_star_chart(chart, p, np.asarray(hc.H(p), dtype=float))
-        return math.sqrt(abs(np.linalg.det(g))) * (np.linalg.inv(g) @ rho)
+        root = np.sqrt(np.abs(np.linalg.det(g)))
+        return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
-    divergence = float(np.trace(_fd_jacobian(density, x)))
-    return abs(divergence) / math.sqrt(abs(np.linalg.det(chart.g(x))))
+    divergence = np.trace(_fd_jacobian(density, x), axis1=-2, axis2=-1)
+    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
 
 
 def heterotic_susy_residuals(hc, kd, x):
@@ -622,39 +656,36 @@ def heterotic_susy_residuals(hc, kd, x):
     l = np.asarray(kd.l.value(x), dtype=float)
     phi = np.asarray(hc.varphi.value(x), dtype=float)
     if hc.H is None:
-        rho = np.zeros(4)
+        rho = _zeros(x, 4)
     else:
         rho = hodge_star_chart(chart, x, np.asarray(hc.H(x), dtype=float))
 
     def pairing(a, b):
-        return float(a @ ginv @ b)
+        return _pair(a, ginv, b)
+
+    def star(omega):
+        return hodge_star_chart(chart, x, omega)
 
     res = {}
-    res["star_identity_u"] = float(
-        np.max(np.abs(_wedge_oneforms(phi, u) - hodge_star_chart(chart, x, _wedge_oneforms(rho, u))))
+    res["star_identity_u"] = _max_abs(_wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)), 2)
+    res["star_identity_ul"] = _max_abs(
+        _wedge_oneforms(phi, u, l) + pairing(rho, l)[..., None, None, None] * star(u), 3
     )
-    res["star_identity_ul"] = float(
-        np.max(np.abs(_wedge_oneforms(phi, u, l) + pairing(rho, l) * hodge_star_chart(chart, x, u)))
+    res["star_identity_l"] = _max_abs(
+        star(_wedge_oneforms(l, u, rho)) + pairing(phi, l)[..., None] * u, 1
     )
-    res["star_identity_l"] = float(
-        np.max(np.abs(hodge_star_chart(chart, x, _wedge_oneforms(l, u, rho)) + pairing(phi, l) * u))
-    )
-    res["u_phi_orthogonal"] = abs(pairing(u, phi))
-    res["u_rho_orthogonal"] = abs(pairing(u, rho))
-    res["rho_phi_orthogonal"] = abs(pairing(rho, phi))
+    res["u_phi_orthogonal"] = np.abs(pairing(u, phi))
+    res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
+    res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
     res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
-    nabla_u = covariant_derivative_oneform(chart, kd.u, x)
-    res["grad_u"] = float(np.max(np.abs(nabla_u - 0.5 * _wedge_oneforms(u, phi))))
-    nabla_l = covariant_derivative_oneform(chart, kd.l, x)
-    defect = nabla_l - 0.5 * hodge_star_chart(chart, x, _wedge_oneforms(rho, l))
-    if kd.kappa is not None:
-        kappa = np.asarray(kd.kappa.value(x), dtype=float)
-    else:
-        kappa = defect @ u / float(u @ u)
-    res["grad_l"] = float(np.max(np.abs(defect - np.outer(kappa, u))))
+    gamma = christoffel(chart, x)
+    res["grad_u"] = _max_abs(_nabla(gamma, kd.u, x) - 0.5 * _wedge_oneforms(u, phi), 2)
+    defect = _nabla(gamma, kd.l, x) - 0.5 * star(_wedge_oneforms(rho, l))
+    kappa = _shift(kd.kappa, defect, u, x)
+    res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
     res["rho_coclosed"] = _coclosed_residual(hc, x)
     jac = hc.varphi.jacobian(x)
-    res["dphi_closed"] = float(np.max(np.abs(jac - jac.T)))
+    res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
     return res
 
 
@@ -662,20 +693,15 @@ def modified_bianchi_residual(hc, x):
     """Max norm of dH - sum_a signs_a * F_a ^ F_a at x, dH by differences."""
     x = np.asarray(x, dtype=float)
     if hc.H is None:
-        d_h = np.zeros((4, 4, 4, 4))
+        d_h = _zeros(x, 4, 4, 4, 4)
     else:
-        jac = _fd_jacobian(lambda p: np.asarray(hc.H(p), dtype=float), x)
-        d_h = (
-            jac
-            - jac.transpose(1, 0, 2, 3)
-            + jac.transpose(1, 2, 0, 3)
-            - jac.transpose(1, 2, 3, 0)
-        )
-    source = np.zeros((4, 4, 4, 4))
+        jac = _fd_jacobian(hc.H, x)
+        d_h = jac - _t(jac, 1, 0, 2, 3) + _t(jac, 1, 2, 0, 3) - _t(jac, 1, 2, 3, 0)
+    source = 0.0
     for sign, curvature in zip(hc.signs, hc.FA):
         two_form = np.asarray(curvature(x), dtype=float)
         source = source + sign * _wedge_two_forms(two_form, two_form)
-    return float(np.max(np.abs(d_h - source)))
+    return _max_abs(d_h - source, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -741,54 +767,43 @@ def _coefficients(params, default):
 def _poincare_half_plane(lam):
     """Hyperbolic half-plane metric delta/(lam*y)^2 with closed derivatives."""
 
-    def g(s):
-        return np.eye(2) / (lam * s[1]) ** 2
-
-    def dg(s):
-        out = np.zeros((2, 2, 2))
-        out[1] = -2.0 * np.eye(2) / (lam**2 * s[1] ** 3)
-        return out
-
-    def d2g(s):
-        out = np.zeros((2, 2, 2, 2))
-        out[1, 1] = 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)
-        return out
+    def conformal(s, factor, power):
+        return factor * np.eye(2) / (lam**2 * _pow(s[..., 1], power))[..., None, None]
 
     return MetricChart(
-        g=g, dg=dg, d2g=d2g, provenance="analytic",
-        in_domain=lambda s: s[1] > 0.0, dim=2,
+        g=lambda s: np.eye(2) / _pow(lam * s[..., 1], 2)[..., None, None],
+        dg=lambda s: _embed(s, (2, 2, 2), (1, conformal(s, -2.0, 3))),
+        d2g=lambda s: _embed(s, (2, 2, 2, 2), ((1, 1), conformal(s, 6.0, 4))),
+        provenance="analytic", in_domain=lambda s: s[..., 1] > 0.0, dim=2,
     )
 
 
 def _inverse_square_profile(c0):
     return ScalarField(
-        value=lambda s: c0 / s[1] ** 2,
-        grad=lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
-        hess=lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
+        value=lambda s: c0 / _pow(s[..., 1], 2),
+        grad=lambda s: _embed(s, (2,), (1, -2.0 * c0 / _pow(s[..., 1], 3))),
+        hess=lambda s: _embed(s, (2, 2), ((1, 1), 6.0 * c0 / _pow(s[..., 1], 4))),
     )
 
 
-_ZERO_SURFACE = ScalarField(
-    value=lambda s: 0.0,
-    grad=lambda s: np.zeros(2),
-    hess=lambda s: np.zeros((2, 2)),
-)
+_ZERO_SURFACE = ScalarField(lambda s: _zeros(s), lambda s: _zeros(s, 2), lambda s: _zeros(s, 2, 2))
+
+
+def _constant(vector):
+    """One-form field with the same components at every point."""
+    return OneFormField(lambda x: _embed(x, (4,), (slice(None), vector)), lambda x: _zeros(x, 4, 4))
 
 
 def _preset_minkowski(params):
     _check_keys("minkowski", params, set())
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
     chart = MetricChart(
-        g=lambda x: eta.copy(),
-        dg=lambda x: np.zeros((4, 4, 4)),
-        d2g=lambda x: np.zeros((4, 4, 4, 4)),
+        g=lambda x: np.broadcast_to(eta, np.shape(x)[:-1] + (4, 4)).copy(),
+        dg=lambda x: _zeros(x, 4, 4, 4),
+        d2g=lambda x: _zeros(x, 4, 4, 4, 4),
         provenance="analytic",
     )
-    kd = KillingData(
-        u=OneFormField(lambda x: np.array([1.0, 0.0, 0.0, 1.0]), jac=lambda x: np.zeros((4, 4))),
-        l=OneFormField(lambda x: np.array([0.0, 1.0, 0.0, 0.0]), jac=lambda x: np.zeros((4, 4))),
-        lam=0.0,
-    )
+    kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
     return Preset(
         name="minkowski", params={}, chart=chart, lam=0.0,
         sample_box=_BOX_FLAT, killing=kd,
@@ -804,27 +819,17 @@ def _preset_ads4(params):
         s_frak=_ZERO_SURFACE,
     )
 
-    def u_val(x):
-        return np.array([1.0 / (lam * x[3]) ** 2, 0.0, 0.0, 0.0])
-
-    def u_jac(x):
-        out = np.zeros((4, 4))
-        out[3, 0] = -2.0 / (lam**2 * x[3] ** 3)
-        return out
-
-    def l_val(x):
-        return np.array([0.0, 0.0, 0.0, 1.0 / (lam * x[3])])
-
-    def l_jac(x):
-        out = np.zeros((4, 4))
-        out[3, 3] = -1.0 / (lam * x[3] ** 2)
-        return out
-
     kd = KillingData(
-        u=OneFormField(u_val, jac=u_jac),
-        l=OneFormField(l_val, jac=l_jac),
+        u=OneFormField(
+            lambda x: _embed(x, (4,), (0, 1.0 / _pow(lam * x[..., 3], 2))),
+            jac=lambda x: _embed(x, (4, 4), ((3, 0), -2.0 / (lam**2 * _pow(x[..., 3], 3)))),
+        ),
+        l=OneFormField(
+            lambda x: _embed(x, (4,), (3, 1.0 / (lam * x[..., 3]))),
+            jac=lambda x: _embed(x, (4, 4), ((3, 3), -1.0 / (lam * _pow(x[..., 3], 2)))),
+        ),
         lam=lam,
-        kappa=OneFormField(lambda x: np.zeros(4), jac=lambda x: np.zeros((4, 4))),
+        kappa=_constant([0.0, 0.0, 0.0, 0.0]),
     )
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
@@ -840,16 +845,18 @@ def _preset_poly(params):
     def linear(x_coord):
         return a1 + a2 * x_coord
 
+    def f_hess(s):
+        cross = a2 * (a3 - 2.0 * a4 / _pow(s[..., 1], 3))
+        return _embed(s, (2, 2), ((0, 1), cross), ((1, 0), cross),
+                      ((1, 1), linear(s[..., 0]) * 6.0 * a4 / _pow(s[..., 1], 4)))
+
     profile_f = ScalarField(
-        value=lambda s: linear(s[0]) * (a3 * s[1] + a4 / s[1] ** 2),
-        grad=lambda s: np.array([
-            a2 * (a3 * s[1] + a4 / s[1] ** 2),
-            linear(s[0]) * (a3 - 2.0 * a4 / s[1] ** 3),
-        ]),
-        hess=lambda s: np.array([
-            [0.0, a2 * (a3 - 2.0 * a4 / s[1] ** 3)],
-            [a2 * (a3 - 2.0 * a4 / s[1] ** 3), linear(s[0]) * 6.0 * a4 / s[1] ** 4],
-        ]),
+        value=lambda s: linear(s[..., 0]) * (a3 * s[..., 1] + a4 / _pow(s[..., 1], 2)),
+        grad=lambda s: np.stack([
+            a2 * (a3 * s[..., 1] + a4 / _pow(s[..., 1], 2)),
+            linear(s[..., 0]) * (a3 - 2.0 * a4 / _pow(s[..., 1], 3)),
+        ], axis=-1),
+        hess=f_hess,
     )
     box = _BOX_DEFORMED
     # the gauge square is 1.5*a3*y*(a1 + a2*x); attach pair data only
@@ -857,11 +864,11 @@ def _preset_poly(params):
     gated = a3 >= 0.0 and min(linear(box[2][0]), linear(box[2][1])) >= 0.05
 
     def gauge_val(s):
-        return math.sqrt(1.5 * a3 * s[1] * linear(s[0]))
+        return np.sqrt(1.5 * a3 * s[..., 1] * linear(s[..., 0]))
 
     def gauge_grad(s):
         sv = gauge_val(s)
-        return np.array([sv * a2 / (2.0 * linear(s[0])), sv / (2.0 * s[1])])
+        return np.stack([sv * a2 / (2.0 * linear(s[..., 0])), sv / (2.0 * s[..., 1])], axis=-1)
 
     s_field = ScalarField(value=gauge_val, grad=gauge_grad) if gated else None
     wd = WalkerData(
@@ -871,33 +878,23 @@ def _preset_poly(params):
 
     kd = None
     if gated:
-        def u_val(x):
-            return np.array([0.5 / x[3] ** 2, 0.0, 0.0, 0.0])
-
-        def u_jac(x):
-            out = np.zeros((4, 4))
-            out[3, 0] = -1.0 / x[3] ** 3
-            return out
-
         def l_val(x):
-            return np.array([gauge_val(x[2:]), 0.0, 0.0, 1.0 / (lam * x[3])])
+            return _embed(x, (4,), (0, gauge_val(x[..., 2:])), (3, 1.0 / (lam * x[..., 3])))
 
         def l_jac(x):
-            grad = gauge_grad(x[2:])
-            out = np.zeros((4, 4))
-            out[2, 0] = grad[0]
-            out[3, 0] = grad[1]
-            out[3, 3] = -1.0 / (lam * x[3] ** 2)
-            return out
+            return _embed(x, (4, 4), (np.s_[2:, 0], gauge_grad(x[..., 2:])),
+                          ((3, 3), -1.0 / (lam * _pow(x[..., 3], 2))))
 
         def kappa_val(x):
             # shift gauge: kappa = d(s_frak)/K with K = 1/(2 y^2)
-            out = np.zeros(4)
-            out[2:] = 2.0 * x[3] ** 2 * gauge_grad(x[2:])
-            return out
+            shift = (2.0 * _pow(x[..., 3], 2))[..., None] * gauge_grad(x[..., 2:])
+            return _embed(x, (4,), (np.s_[2:], shift))
 
         kd = KillingData(
-            u=OneFormField(u_val, jac=u_jac),
+            u=OneFormField(
+                lambda x: _embed(x, (4,), (0, 0.5 / _pow(x[..., 3], 2))),
+                jac=lambda x: _embed(x, (4, 4), ((3, 0), -1.0 / _pow(x[..., 3], 3))),
+            ),
             l=OneFormField(l_val, jac=l_jac),
             lam=lam,
             kappa=OneFormField(kappa_val),
@@ -923,16 +920,16 @@ def _spherical_bessel_1(z):
     sin z / z^2 - cos z / z loses about log10(3 / z^2) digits there to
     cancellation. The derivatives use f1' = f0 - 2 f1 / z.
     """
-    sin, cos = math.sin(z), math.cos(z)
+    z = np.asarray(z, dtype=float)
+    sin, cos = np.sin(z), np.cos(z)
     j0, y0 = sin / z, -cos / z
-    if abs(z) < _J1_SERIES_CUTOFF:
-        z2 = z * z
-        acc = 0.0
-        for coef in reversed(_J1_SERIES):
-            acc = acc * z2 + coef
-        j1 = z * acc
-    else:
-        j1 = (j0 - cos) / z
+    small = np.abs(z) < _J1_SERIES_CUTOFF
+    zs = np.where(small, z, 0.0)  # the series only where it is used, so nothing overflows
+    z2 = zs * zs
+    acc = 0.0
+    for coef in reversed(_J1_SERIES):
+        acc = acc * z2 + coef
+    j1 = np.where(small, zs * acc, (j0 - cos) / z)
     y1 = (y0 - sin) / z
     return j1, j0 - 2.0 * j1 / z, y1, y0 - 2.0 * y1 / z
 
@@ -948,30 +945,29 @@ def _preset_bessel(params):
         h = a3 * y1 + a4 * j1
         hp = a3 * y1p + a4 * j1p
         # order-one spherical equation gives the second derivative
-        hpp = -(2.0 / z) * hp - (1.0 - 2.0 / z**2) * h
+        hpp = -(2.0 / z) * hp - (1.0 - 2.0 / _pow(z, 2)) * h
         return h, hp, hpp
 
     def split(x_coord):
-        grow = a1 * math.exp(c * x_coord)
-        decay = a2 * math.exp(-c * x_coord)
+        grow = a1 * _exp(c * x_coord)
+        decay = a2 * _exp(-c * x_coord)
         return grow + decay, grow - decay
 
     def f_val(s):
-        h, _, _ = radial(c * s[1])
-        return split(s[0])[0] * h
+        h, _, _ = radial(c * s[..., 1])
+        return split(s[..., 0])[0] * h
 
     def f_grad(s):
-        even, odd = split(s[0])
-        h, hp, _ = radial(c * s[1])
-        return np.array([c * odd * h, c * even * hp])
+        even, odd = split(s[..., 0])
+        h, hp, _ = radial(c * s[..., 1])
+        return np.stack([c * odd * h, c * even * hp], axis=-1)
 
     def f_hess(s):
-        even, odd = split(s[0])
-        h, hp, hpp = radial(c * s[1])
-        return np.array([
-            [c**2 * even * h, c**2 * odd * hp],
-            [c**2 * odd * hp, c**2 * even * hpp],
-        ])
+        even, odd = split(s[..., 0])
+        h, hp, hpp = radial(c * s[..., 1])
+        cross = c**2 * odd * hp
+        return _embed(s, (2, 2), ((0, 0), c**2 * even * h), ((0, 1), cross), ((1, 0), cross),
+                      ((1, 1), c**2 * even * hpp))
 
     wd = WalkerData(
         F=ScalarField(value=f_val, grad=f_grad, hess=f_hess),
@@ -994,11 +990,17 @@ def _preset_walker_generic(params):
             "it cannot be built from serialized parameters"
         )
 
+    # callbacks take one surface point; lift them to stacks point by point
     def as_field(obj):
-        return obj if isinstance(obj, ScalarField) else ScalarField(obj)
+        if isinstance(obj, ScalarField):
+            return ScalarField(_pointwise(obj.value), _pointwise(obj.grad), _pointwise(obj.hess))
+        return ScalarField(_pointwise(obj))
 
     q2 = params["q2"]
-    if not isinstance(q2, MetricChart):
+    if isinstance(q2, MetricChart):
+        lifted = {name: _pointwise(getattr(q2, name)) for name in ("g", "dg", "d2g", "in_domain")}
+        q2 = replace(q2, **lifted)
+    else:
         q2 = MetricChart.from_callable(q2, dim=2)
     s_frak = params.get("s_frak")
     if s_frak is not None:
@@ -1026,57 +1028,47 @@ def _preset_ppwave(params):
         raise ValueError("omega must have three coefficients")
 
     def phase(v):
-        return amp * (1.0 - math.cos(v))
+        return amp * (1.0 - np.cos(v))
 
     def rate(v):
-        return amp * math.sin(v)
+        return amp * np.sin(v)
 
-    def g(x):
-        out = np.zeros((4, 4))
-        out[0, 1] = out[1, 0] = 1.0
-        out[2:, 2:] = math.exp(2.0 * phase(x[0])) * q0
-        return out
-
-    def dg(x):
-        out = np.zeros((4, 4, 4))
-        out[0, 2:, 2:] = 2.0 * rate(x[0]) * math.exp(2.0 * phase(x[0])) * q0
-        return out
+    def conformal(x, factor):
+        """factor(v) * exp(2 phase(v)) * q0 in the transverse block, per point."""
+        return (factor * _exp(2.0 * phase(x[..., 0])))[..., None, None] * q0
 
     def d2g(x):
-        out = np.zeros((4, 4, 4, 4))
-        f = rate(x[0])
-        out[0, 0, 2:, 2:] = (
-            (2.0 * amp * math.cos(x[0]) + 4.0 * f**2) * math.exp(2.0 * phase(x[0])) * q0
-        )
-        return out
+        v = x[..., 0]
+        factor = 2.0 * amp * np.cos(v) + 4.0 * _pow(rate(v), 2)
+        return _embed(x, (4, 4, 4, 4), (np.s_[0, 0, 2:, 2:], conformal(x, factor)))
 
-    chart = MetricChart(g=g, dg=dg, d2g=d2g, provenance="analytic")
+    chart = MetricChart(
+        g=lambda x: _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(x, 1.0))),
+        dg=lambda x: _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(x, 2.0 * rate(x[..., 0])))),
+        d2g=d2g,
+        provenance="analytic",
+    )
     transverse = q0[:, 0] / math.sqrt(q0[0, 0])
 
-    def l_val(x):
-        out = np.zeros(4)
-        out[2:] = math.exp(phase(x[0])) * transverse
-        return out
-
     def l_jac(x):
-        out = np.zeros((4, 4))
-        out[0, 2:] = rate(x[0]) * math.exp(phase(x[0])) * transverse
-        return out
+        v = x[..., 0]
+        return _embed(x, (4, 4), (np.s_[0, 2:], (rate(v) * _exp(phase(v)))[..., None] * transverse))
 
     kd = KillingData(
-        u=OneFormField(lambda x: np.array([1.0, 0.0, 0.0, 0.0]), jac=lambda x: np.zeros((4, 4))),
-        l=OneFormField(l_val, jac=l_jac),
+        u=_constant([1.0, 0.0, 0.0, 0.0]),
+        l=OneFormField(
+            lambda x: _embed(x, (4,), (np.s_[2:], _exp(phase(x[..., 0]))[..., None] * transverse)),
+            jac=l_jac,
+        ),
         lam=0.0,
     )
 
     def dilaton_val(x):
-        v = x[0]
-        return np.array([omega[0] + omega[1] * v + omega[2] * v**2, 0.0, 0.0, 0.0])
+        v = x[..., 0]
+        return _embed(x, (4,), (0, omega[0] + omega[1] * v + omega[2] * _pow(v, 2)))
 
     def dilaton_jac(x):
-        out = np.zeros((4, 4))
-        out[0, 0] = omega[1] + 2.0 * omega[2] * x[0]
-        return out
+        return _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * x[..., 0]))
 
     hc = HeteroticConfig(
         chart=chart,
@@ -1114,6 +1106,21 @@ def preset(name, params=None):
 _CHECKS = ("killing", "einstein", "walker", "heterotic", "bianchi")
 
 
+@functools.cache
+def _halton_constants(base):
+    """Per-base constants of _halton: place count, digit rows, place values, weights."""
+    places = math.ceil(54 / math.log2(base)) - 1
+    # weights by repeated division, as SciPy accumulates them
+    weights = np.empty(places)
+    weights[0] = 1.0 / base
+    for j in range(1, places):
+        weights[j] = weights[j - 1] / base
+    rows, place_values = np.tile(np.arange(base), (places, 1)), base ** np.arange(places)
+    for shared in (rows, place_values, weights):
+        shared.flags.writeable = False  # every call reads the same arrays
+    return places, rows, place_values, weights
+
+
 def _halton(n, seed):
     """n points of the scrambled Halton sequence in [0, 1)^4, bases 2, 3, 5, 7.
 
@@ -1128,15 +1135,10 @@ def _halton(n, seed):
     index = np.arange(n)[:, None]
     out = np.empty((n, 4))
     for col, base in enumerate((2, 3, 5, 7)):
-        places = math.ceil(54 / math.log2(base)) - 1
-        perms = rng.permuted(np.tile(np.arange(base), (places, 1)), axis=1)
-        digits = index // base ** np.arange(places) % base
-        # weights by repeated division and a left-to-right sum, as SciPy
-        # accumulates them, so no sample point moves in its last bit
-        weights = np.empty(places)
-        weights[0] = 1.0 / base
-        for j in range(1, places):
-            weights[j] = weights[j - 1] / base
+        places, digit_rows, place_values, weights = _halton_constants(base)
+        perms = rng.permuted(digit_rows, axis=1)
+        digits = index // place_values % base
+        # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
         out[:, col] = np.cumsum(perms[np.arange(places), digits] * weights, axis=1)[:, -1]
     return out
 
@@ -1146,22 +1148,15 @@ def _perturbed(ps, amount):
     # chart), anything else a uniform rescaling of the metric
     if ps.walker is not None:
         base = ps.walker.F
-        shifted = ScalarField(
-            value=lambda s: base.value(s) + amount,
-            grad=base.grad,
-            hess=base.hess,
-        )
-        wd = replace(ps.walker, F=shifted)
+        wd = replace(ps.walker, F=replace(base, value=lambda s: base.value(s) + amount))
         return replace(ps, walker=wd, chart=walker_chart(wd))
     factor = 1.0 + amount
     old = ps.chart
-    chart = MetricChart(
+    chart = replace(
+        old,
         g=lambda x: factor * np.asarray(old.g(x), dtype=float),
         dg=lambda x: factor * np.asarray(old.dg(x), dtype=float),
         d2g=lambda x: factor * np.asarray(old.d2g(x), dtype=float),
-        provenance=old.provenance,
-        in_domain=old.in_domain,
-        dim=old.dim,
     )
     updates = {"chart": chart}
     if ps.heterotic is not None:
@@ -1169,12 +1164,48 @@ def _perturbed(ps, amount):
     return replace(ps, **updates)
 
 
+def _score(ps, check, x):
+    """Residual name -> one value per point of the stack x."""
+    if check == "killing":
+        res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
+        return {"killing.r_u": res.r_u, "killing.r_l": res.r_l, "killing.parabolic": res.parabolic}
+    if check == "einstein":
+        g = ps.chart.g(x)
+        defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
+        out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(g, 2)}
+        if ps.walker is not None:
+            res = einstein_residual(ps.walker, x[..., 2:])
+            out["einstein.f_equation"] = res.f_equation
+            out["einstein.ricci_q"] = res.ricci_q
+        return out
+    if check == "walker":
+        res = walker_residuals(ps.walker, x[..., 2:])
+        return {f"walker.{name}": getattr(res, name) for name in ("hessian", "laplacian", "s_v")}
+    if check == "heterotic":
+        res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
+        out = {f"heterotic.{name}": value for name, value in res.items()}
+        out["heterotic.bianchi"] = modified_bianchi_residual(ps.heterotic, x)
+        return out
+    return {"bianchi.modified": modified_bianchi_residual(ps.heterotic, x)}
+
+
+def _summary(vals, pts):
+    # the mean is a left-to-right sum, as when the points were scored one by one
+    listed = vals.tolist()
+    worst = int(np.argmax(vals))
+    mean = sum(listed) / len(listed)
+    return {"max": listed[worst], "mean": mean, "worst_point": pts[worst].tolist()}
+
+
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """Score one residual family at quasi-random points of the sample box.
 
-    Returns a JSON-ready report with per-residual max and mean and a
-    verdict of "pass" when every max is within tol.  perturb biases the
-    preset before sampling, as a detection control.
+    Returns a JSON-ready report with per-residual max, mean and the
+    sample point of the max, and a verdict of "pass" when every max is
+    within tol.  perturb biases the preset before sampling, as a
+    detection control.  Points are scored in stacked blocks of
+    POINT_BLOCK; overflow, division by zero or an invalid operation
+    raises FloatingPointError rather than scoring inf or nan.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
@@ -1194,45 +1225,14 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     if lower[3] > 0.0:
         pts[:, 3] = np.maximum(pts[:, 3], 0.05)
 
-    values: dict[str, list[float]] = {}
+    blocks: dict[str, list[np.ndarray]] = {}
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for start in range(0, n_points, POINT_BLOCK):
+            x = pts[start:start + POINT_BLOCK]
+            for name, value in _score(ps, check, x).items():
+                blocks.setdefault(name, []).append(np.broadcast_to(value, x.shape[:-1]))
 
-    def record(name, value):
-        values.setdefault(name, []).append(float(value))
-
-    for x in pts:
-        if check == "killing":
-            res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
-            record("killing.r_u", res.r_u)
-            record("killing.r_l", res.r_l)
-            ginv = np.linalg.inv(ps.chart.g(x))
-            u = np.asarray(ps.killing.u.value(x), dtype=float)
-            l = np.asarray(ps.killing.l.value(x), dtype=float)
-            record("killing.parabolic", _parabolic_violation(ginv, u, l))
-        elif check == "einstein":
-            g = ps.chart.g(x)
-            defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
-            record("einstein.chart", np.max(np.abs(defect)) / np.max(np.abs(g)))
-            if ps.walker is not None:
-                res = einstein_residual(ps.walker, x[2:])
-                record("einstein.f_equation", res.f_equation)
-                record("einstein.ricci_q", res.ricci_q)
-        elif check == "walker":
-            res = walker_residuals(ps.walker, x[2:])
-            record("walker.hessian", res.hessian)
-            record("walker.laplacian", res.laplacian)
-            record("walker.s_v", res.s_v)
-        elif check == "heterotic":
-            res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
-            for name, value in res.items():
-                record(f"heterotic.{name}", value)
-            record("heterotic.bianchi", modified_bianchi_residual(ps.heterotic, x))
-        else:
-            record("bianchi.modified", modified_bianchi_residual(ps.heterotic, x))
-
-    residuals = {
-        name: {"max": max(vals), "mean": sum(vals) / len(vals)}
-        for name, vals in values.items()
-    }
+    residuals = {name: _summary(np.concatenate(parts), pts) for name, parts in blocks.items()}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
     return {
         "preset": ps.name,

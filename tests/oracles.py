@@ -1,9 +1,11 @@
 """Slow reference implementations used only by the tests.
 
-Everything here works on explicit index lists with bubble-sort swap
-counting, so it shares no code path (and hopefully no bugs) with the
-bitmask tables inside the package. Expected values frozen into the
-test files were produced by these functions.
+The algebra references work on explicit index lists with bubble-sort
+swap counting, so they share no code path (and hopefully no bugs) with
+the bitmask tables inside the package. Expected values frozen into the
+test files were produced by these functions. The campaign reference
+scores one sample point at a time, as run_campaign did before it
+stacked its points.
 """
 
 import numpy as np
@@ -157,3 +159,97 @@ def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, t
 
     ok = witness and max(r_sym, r_idem, r_sandwich) <= tol
     return SquareConditionsReport(ok, r_sym, r_idem, r_sandwich, witness, tol)
+
+
+def slow_point_residuals(ps, check, x):
+    """The residuals of one campaign check at the single point x, name -> float.
+
+    The body of run_campaign's former per-point loop, verbatim but for
+    returning its records.
+    """
+    from kaspin.geometry_lab import (
+        _parabolic_violation,
+        einstein_residual,
+        heterotic_susy_residuals,
+        killing_pair_residual,
+        modified_bianchi_residual,
+        ricci,
+        walker_residuals,
+    )
+
+    values = {}
+
+    def record(name, value):
+        values[name] = float(value)
+
+    if check == "killing":
+        res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
+        record("killing.r_u", res.r_u)
+        record("killing.r_l", res.r_l)
+        ginv = np.linalg.inv(ps.chart.g(x))
+        u = np.asarray(ps.killing.u.value(x), dtype=float)
+        l = np.asarray(ps.killing.l.value(x), dtype=float)
+        record("killing.parabolic", _parabolic_violation(ginv, u, l))
+    elif check == "einstein":
+        g = ps.chart.g(x)
+        defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
+        record("einstein.chart", np.max(np.abs(defect)) / np.max(np.abs(g)))
+        if ps.walker is not None:
+            res = einstein_residual(ps.walker, x[2:])
+            record("einstein.f_equation", res.f_equation)
+            record("einstein.ricci_q", res.ricci_q)
+    elif check == "walker":
+        res = walker_residuals(ps.walker, x[2:])
+        record("walker.hessian", res.hessian)
+        record("walker.laplacian", res.laplacian)
+        record("walker.s_v", res.s_v)
+    elif check == "heterotic":
+        res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
+        for name, value in res.items():
+            record(f"heterotic.{name}", value)
+        record("heterotic.bianchi", modified_bianchi_residual(ps.heterotic, x))
+    else:
+        record("bianchi.modified", modified_bianchi_residual(ps.heterotic, x))
+    return values
+
+
+def slow_run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
+    """geometry_lab.run_campaign as one point at a time, without worst points."""
+    from kaspin.geometry_lab import _CHECKS, _finite, _halton, _perturbed
+
+    if check not in _CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    if check == "killing" and ps.killing is None:
+        raise ValueError(f"preset {ps.name} carries no pair data")
+    if check == "walker" and ps.walker is None:
+        raise ValueError(f"preset {ps.name} carries no surface data")
+    if check == "heterotic" and (ps.heterotic is None or ps.killing is None):
+        raise ValueError(f"preset {ps.name} carries no heterotic data")
+    if check == "bianchi" and ps.heterotic is None:
+        raise ValueError(f"preset {ps.name} carries no heterotic data")
+    perturb = _finite("perturb", perturb)
+    if perturb:
+        ps = _perturbed(ps, perturb)
+    lower, upper = np.asarray(ps.sample_box, dtype=float).T
+    pts = _halton(n_points, seed) * (upper - lower) + lower
+    if lower[3] > 0.0:
+        pts[:, 3] = np.maximum(pts[:, 3], 0.05)
+
+    values: dict[str, list[float]] = {}
+    for x in pts:
+        for name, value in slow_point_residuals(ps, check, x).items():
+            values.setdefault(name, []).append(value)
+
+    residuals = {
+        name: {"max": max(vals), "mean": sum(vals) / len(vals)}
+        for name, vals in values.items()
+    }
+    verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
+    return {
+        "preset": ps.name,
+        "params": ps.params,
+        "points": int(n_points),
+        "residuals": residuals,
+        "verdict": verdict,
+        "seed": int(seed),
+    }

@@ -3,10 +3,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kaspin
 from kaspin import cli
 from kaspin.ka_core import Multiplier
 
@@ -406,3 +411,21 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert out_path.read_text() == out
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--preset", "ads4-deformed-bessel", "--c", "1000"),
+    ("--preset", "ads4", "--lambda", "1e-150", "--check", "killing"),
+    ("--preset", "ads4", "--lambda", "1e150", "--check", "killing"),
+])
+def test_check_metric_overflow_is_an_input_error(argv):
+    # a fresh interpreter, so a warning or traceback would reach stderr as users see it
+    env = dict(os.environ, PYTHONPATH=str(Path(kaspin.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaspin.cli", "check-metric", *argv, "--trials", "5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error:")

@@ -40,3 +40,14 @@ def test_importing_lowdim_builds_no_product_tables():
         "print(_kernels.get_tables.cache_info().currsize)"
     )
     assert cached == "0"
+
+
+def test_chart_layer_loads_only_the_standard_library_numpy_and_kaspin():
+    outside = fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kaspin.geometry_lab\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'numpy', 'kaspin'}))"
+    )
+    assert outside == "[]"
