@@ -54,6 +54,9 @@ class GammaRep:
     sig: Signature
     gammas: tuple = field(repr=False)
     blades: np.ndarray = field(init=False, repr=False, compare=False)
+    # float64 (n_blades, N^2) rows of the blade matrices, shared by
+    # quantize and build_pairings so neither casts blades per call
+    blade_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.sig.n_blades
@@ -65,6 +68,9 @@ class GammaRep:
             blades[mask] = self.gammas[low.bit_length() - 1] @ blades[mask ^ low]
         blades.setflags(write=False)
         object.__setattr__(self, "blades", blades)
+        table = blades.reshape(n, N * N).astype(np.float64)
+        table.setflags(write=False)
+        object.__setattr__(self, "blade_table", table)
 
     @property
     def N(self):
@@ -106,7 +112,7 @@ def quantize(rep: GammaRep, a: Multivector) -> np.ndarray:
     """Matrix of the left action of a multivector on the spinor module."""
     if a.sig != rep.sig:
         raise ValueError(f"signature mismatch: {a.sig} vs {rep.sig}")
-    return np.tensordot(a.coeffs, rep.blades, axes=(0, 0))
+    return (a.coeffs @ rep.blade_table).reshape(rep.N, rep.N)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +189,7 @@ def build_pairings(rep: GammaRep) -> PairedRep:
     """
     sig = rep.sig
     n = sig.n_blades
-    blades = rep.blades.astype(np.float64)
+    blades = rep.blade_table.reshape(n, rep.N, rep.N)
     M = np.einsum("kji,kjl->il", blades, blades) / n
 
     nu_plus_mask = (1 << sig.p) - 1

@@ -44,6 +44,7 @@ import numpy as np
 
 _FD_SCALE = 1e-5
 POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
+HALTON_BLOCK = 1024  # sample points whose digits _halton expands at once
 
 # libm power and exp, elementwise: numpy's own power and exp loops can
 # differ from libm in the last bit, and the closed forms keep the values
@@ -1132,14 +1133,20 @@ def _halton(n, seed):
     permuted digits of i weighted by base^-(place + 1), place by place.
     """
     rng = np.random.default_rng(seed)
-    index = np.arange(n)[:, None]
+    bases = (2, 3, 5, 7)
+    perms = [rng.permuted(_halton_constants(base)[1], axis=1) for base in bases]
     out = np.empty((n, 4))
-    for col, base in enumerate((2, 3, 5, 7)):
-        places, digit_rows, place_values, weights = _halton_constants(base)
-        perms = rng.permuted(digit_rows, axis=1)
-        digits = index // place_values % base
-        # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
-        out[:, col] = np.cumsum(perms[np.arange(places), digits] * weights, axis=1)[:, -1]
+    # the (points, places) digit arrays are built a block at a time, so
+    # their size does not grow with n
+    for start in range(0, n, HALTON_BLOCK):
+        index = np.arange(start, min(start + HALTON_BLOCK, n))[:, None]
+        for col, base in enumerate(bases):
+            places, _, place_values, weights = _halton_constants(base)
+            digits = index // place_values % base
+            # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
+            out[start:start + len(index), col] = np.cumsum(
+                perms[col][np.arange(places), digits] * weights, axis=1
+            )[:, -1]
     return out
 
 

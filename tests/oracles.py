@@ -3,10 +3,14 @@
 The algebra references work on explicit index lists with bubble-sort
 swap counting, so they share no code path (and hopefully no bugs) with
 the bitmask tables inside the package. Expected values frozen into the
-test files were produced by these functions. The campaign reference
-scores one sample point at a time, as run_campaign did before it
-stacked its points.
+test files were produced by these functions. The square-variety
+references test the sandwich identity, on seeded probes as
+verify_square_conditions did before its rank-one fit, and on every
+basis blade. The campaign reference scores one sample point at a time,
+as run_campaign did before it stacked its points.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,22 +122,40 @@ def slow_wedge(p, q, a, b):
     return out
 
 
-def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, tol=1e-9):
-    """spinor_square.verify_square_conditions as one product pair per probe."""
+class ProbeVerdict(NamedTuple):
+    """A square verdict by the sandwich identity and its residuals."""
+
+    is_square: bool
+    residual_symmetry: float
+    residual_idempotent: float
+    residual_sandwich: float
+    witness_found: bool
+
+
+def _symmetry_residual(pr, pairing_tag, ahat):
     from kaspin.clifford_rep import s_transpose
+
+    return (s_transpose(pr, pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat).norm_inf()
+
+
+def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, tol=1e-9):
+    """The square verdict by the sandwich identity on probes, one product pair each.
+
+    Tests the s-transpose symmetry, alpha <> alpha = S(alpha) alpha, and
+    alpha <> beta <> alpha = S(alpha <> beta) alpha for the probes 1, nu,
+    the basis one-forms, n_probes seeded random polyforms and the
+    monomial at alpha's largest coefficient, on alpha at unit max-norm.
+    """
     from kaspin.ka_core import Multivector, geometric_product, ka_trace
     from kaspin.rng import make_rng, random_multivector
-    from kaspin.spinor_square import SquareConditionsReport
 
     sig = pr.rep.sig
-    s = pr.s(pairing_tag)
-    sigma = pr.sigma(pairing_tag)
     scale = alpha.norm_inf()
     if scale == 0.0:
-        return SquareConditionsReport(True, 0.0, 0.0, 0.0, True, tol)
+        return ProbeVerdict(True, 0.0, 0.0, 0.0, True)
     ahat = alpha * (1.0 / scale)
 
-    r_sym = (s_transpose(pr, s, ahat) - sigma * ahat).norm_inf()
+    r_sym = _symmetry_residual(pr, pairing_tag, ahat)
     r_idem = (geometric_product(ahat, ahat) - ka_trace(ahat) * ahat).norm_inf()
 
     probes = [Multivector.scalar(sig, 1.0), Multivector.volume(sig)]
@@ -158,7 +180,32 @@ def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, t
             witness = True
 
     ok = witness and max(r_sym, r_idem, r_sandwich) <= tol
-    return SquareConditionsReport(ok, r_sym, r_idem, r_sandwich, witness, tol)
+    return ProbeVerdict(ok, r_sym, r_idem, r_sandwich, witness)
+
+
+def full_basis_verify_square_conditions(pr, pairing_tag, alpha, tol=1e-9):
+    """The square verdict by the sandwich identity on every basis blade.
+
+    The sandwich alpha <> beta <> alpha = S(alpha <> beta) alpha is linear
+    in beta, so the 2^d blades (1 among them, which gives idempotency)
+    test it for every beta. Both products are taken for all blades at
+    once, as rows of the identity multiplied by alpha's Multiplier.
+    """
+    from kaspin.ka_core import multiplier
+
+    sig = pr.rep.sig
+    scale = alpha.norm_inf()
+    if scale == 0.0:
+        return ProbeVerdict(True, 0.0, 0.0, 0.0, True)
+    ahat = alpha * (1.0 / scale)
+    by_alpha = multiplier(ahat)
+    ab = by_alpha.left(np.eye(sig.n_blades))
+    traces = 2.0 ** (sig.d // 2) * ab[:, 0]
+    residuals = np.max(np.abs(by_alpha.right(ab) - np.outer(traces, ahat.coeffs)), axis=1)
+    r_sym = _symmetry_residual(pr, pairing_tag, ahat)
+    witness = bool(np.any(np.abs(traces) > tol))
+    ok = witness and max(r_sym, float(np.max(residuals))) <= tol
+    return ProbeVerdict(ok, r_sym, float(residuals[0]), float(np.max(residuals)), witness)
 
 
 def slow_point_residuals(ps, check, x):

@@ -207,7 +207,7 @@ def test_non_finite_report_is_never_printed(capsys, monkeypatch):
     real = cli.verify_square_conditions
 
     def nan_residual(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), residual_sandwich=float("nan"))
+        return dataclasses.replace(real(*args, **kwargs), residual_rank_one=float("nan"))
 
     monkeypatch.setattr(cli, "verify_square_conditions", nan_residual)
     code, out, err = run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}')
@@ -223,6 +223,8 @@ def test_non_finite_report_is_never_printed(capsys, monkeypatch):
         ("square", "[1,0,0,0]", "--p", "3", "--q", "1", "--seed", "3"),
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--trials", "5"),
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--seed", "3"),
+        ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--trials", "5"),
+        ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--seed", "3"),
     ],
 )
 def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
@@ -245,19 +247,19 @@ def test_trials_cap_bounds(capsys):
     "argv",
     [
         ("verify-algebra", "--p", "4", "--q", "4"),
-        ("check-polyform", '{"p":4,"q":4,"coeffs":{"":1.0}}'),
+        ("check-metric", "--preset", "ads4", "--check", "killing,einstein"),
         ("check-metric", "--preset", "ads4", "--check", "einstein"),
     ],
 )
 def test_huge_trials_exit_two_before_any_work(capsys, monkeypatch, argv, trials):
-    # every path that would size its work by --trials fails the test if reached
+    # every path that would size its work by --trials fails the test if
+    # reached (check-polyform takes no --trials: it has no probes to count)
     from kaspin import geometry_lab
 
     def reached(*args, **kwargs):
         raise AssertionError("work started before --trials was checked")
 
     monkeypatch.setattr(cli, "make_rng", reached)
-    monkeypatch.setattr(cli, "verify_square_conditions", reached)
     monkeypatch.setattr(geometry_lab, "run_campaign", reached)
     assert_usage_error(*run_cli(capsys, *argv, "--trials", trials))
 
@@ -291,7 +293,39 @@ def test_check_polyform_verdicts(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["is_square"] is True
-    assert report["witness_found"] is True
+    assert report["residual_rank_one"] <= report["tol"]
+    assert sorted(report) == [
+        "command", "is_square", "pairing", "residual_rank_one", "residual_symmetry",
+        "signature", "tol",
+    ]
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-9", "1e-6", "1e-4", "1e-2"])
+@pytest.mark.parametrize("pq", [(3, 1), (2, 2), (4, 4)])
+def test_check_polyform_and_reconstruct_agree_at_equal_tol(capsys, pq, tol):
+    # one shared test decides both, so the verdicts agree at every tol,
+    # including near it: perturbations span 1e-14 .. 1e-1
+    from kaspin.clifford_rep import Spinor, build_pairings, build_rep
+    from kaspin.ka_core import Multivector, Signature
+    from kaspin.spinor_square import square
+
+    pr = build_pairings(build_rep(Signature(*pq)))
+    rng = np.random.default_rng([pq[0], pq[1]])
+    seen = set()
+    for size in 10.0 ** np.arange(-14, 0):
+        for tag in ("plus", "minus"):
+            xi = rng.standard_normal(pr.rep.N)
+            alpha = square(pr, tag, int(rng.choice([-1, 1])), Spinor(pr.rep, xi)).alpha
+            noise = rng.standard_normal(alpha.coeffs.shape)
+            noise *= size * alpha.norm_inf() / np.max(np.abs(noise))
+            payload = (alpha + Multivector(alpha.sig, noise)).to_json()
+            args = (payload, "--pairing", tag, "--tol", tol)
+            _, out, _ = run_cli(capsys, "check-polyform", *args)
+            is_square = json.loads(out)["is_square"]
+            _, out, _ = run_cli(capsys, "reconstruct", *args)
+            assert json.loads(out)["reconstructible"] is is_square, (size, tag)
+            seen.add(is_square)
+    assert seen == {True, False}
 
 
 def test_check_metric_ads4_multi_check(capsys):

@@ -110,6 +110,26 @@ def test_quantize_basis_cases(reps):
     )
 
 
+def test_quantize_is_bit_identical_to_tensordot(reps):
+    for (p, q), rep in reps.items():
+        sig = rep.sig
+        rng = make_rng(205, stream=p * 10 + q)
+        for _ in range(20):
+            coeffs = rng.standard_normal(sig.n_blades) * 10.0 ** rng.integers(-8, 9)
+            coeffs[rng.random(sig.n_blades) < 0.5] = 0.0
+            got = quantize(rep, Multivector(sig, coeffs))
+            want = np.tensordot(coeffs, rep.blades, axes=(0, 0))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (p, q)
+
+
+def test_blade_table_is_a_read_only_float_copy_of_the_blades(reps):
+    for rep in reps.values():
+        n, N = rep.sig.n_blades, rep.N
+        assert rep.blade_table.dtype == np.float64 and rep.blade_table.shape == (n, N * N)
+        assert not rep.blade_table.flags.writeable
+        assert np.array_equal(rep.blade_table.reshape(n, N, N), rep.blades)
+
+
 def test_quantize_is_algebra_isomorphism(reps):
     for (p, q), rep in reps.items():
         sig = rep.sig

@@ -819,6 +819,32 @@ def test_halton_matches_scipy_bit_for_bit():
             assert np.array_equal(_halton(n, seed), want), (seed, n)
 
 
+def test_halton_blocks_match_scipy_and_each_other(monkeypatch):
+    from scipy.stats import qmc
+
+    from kaspin import geometry_lab
+
+    n = 2 * geometry_lab.HALTON_BLOCK + 5
+    for seed in (0, 7):
+        want = qmc.Halton(d=4, scramble=True, seed=seed).random(n)
+        assert np.array_equal(_halton(n, seed), want), seed
+    monkeypatch.setattr(geometry_lab, "HALTON_BLOCK", 7)
+    assert np.array_equal(_halton(50, 3), qmc.Halton(d=4, scramble=True, seed=3).random(50))
+
+
+def test_halton_memory_is_flat_in_the_point_count():
+    import tracemalloc
+
+    # the (100000, 4) output alone is 3.2 MB; whole-n digit arrays were 125 MB
+    tracemalloc.start()
+    try:
+        _halton(100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 def test_spherical_bessel_closed_form_matches_scipy():
     from scipy import special
 

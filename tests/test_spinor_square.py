@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaspin import _kernels, spinor_square
-from kaspin.clifford_rep import Spinor, build_pairings, build_rep, quantize
+from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, quantize
 from kaspin.ka_core import (
+    MAX_DIM,
     FormMetric,
     Multivector,
     Signature,
@@ -23,13 +24,12 @@ from kaspin.spinor_square import (
     check_admissible,
     check_chirality,
     constraint_transfer,
-    default_probes,
     reconstruct,
     square,
     verify_square_conditions,
 )
 
-from oracles import slow_verify_square_conditions
+from oracles import full_basis_verify_square_conditions, slow_verify_square_conditions
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -196,6 +196,24 @@ def test_reconstruct_recovers_huge_spinor(paired, tag, kappa):
     assert rec.residual <= 1e-9
 
 
+@pytest.mark.parametrize("tag", ["plus", "minus"])
+def test_square_test_holds_near_the_float_range(paired, tag):
+    # quantize(alpha) overflows here; the fit runs on alpha scaled by a
+    # power of two, so both verdicts and the spinor stay finite
+    pr = paired[(4, 4)]
+    alpha = square(pr, tag, -1, random_spinor(pr.rep, make_rng(318))).alpha
+    factor = 1.5e308 / alpha.norm_inf()
+    big = alpha * factor
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.tensordot(big.coeffs, pr.rep.blades, axes=(0, 0))))
+    rep = verify_square_conditions(pr, tag, big)
+    assert rep.is_square and rep.residual_rank_one <= 1e-12
+    rec, ref = reconstruct(pr, tag, big), reconstruct(pr, tag, alpha)
+    assert rec.kappa == ref.kappa == -1
+    want = ref.spinor.components * np.sqrt(factor)
+    assert np.max(np.abs(rec.spinor.components - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # square conditions
 # ---------------------------------------------------------------------------
@@ -206,110 +224,96 @@ def test_verify_square_conditions_accepts_squares(paired):
         rng = make_rng(307, stream=p * 10 + q)
         for tag in ("plus", "minus"):
             res = square(pr, tag, int(rng.choice([-1, 1])), random_spinor(pr.rep, rng))
-            rep = verify_square_conditions(pr, tag, res.alpha, n_probes=10, seed=11)
+            rep = verify_square_conditions(pr, tag, res.alpha)
             assert rep.is_square
             assert rep.residual_symmetry <= 1e-9
-            assert rep.residual_idempotent <= 1e-9
-            assert rep.residual_sandwich <= 1e-9
+            assert rep.residual_rank_one <= 1e-9
 
 
 def test_verify_square_conditions_rejections(paired):
     pr = paired[(3, 1)]
     sig = pr.rep.sig
     # scalar is killed by the grade filter of the minus pairing
-    rep = verify_square_conditions(pr, "minus", Multivector.scalar(sig, 1.0), 5, seed=0)
+    rep = verify_square_conditions(pr, "minus", Multivector.scalar(sig, 1.0))
     assert not rep.is_square and rep.residual_symmetry > 1e-3
     # one-form factor is not null
     bad = Multivector.basis(sig, (1,)) + Multivector.basis(sig, (1, 2)) + Multivector.basis(sig, (1, 3))
-    assert not verify_square_conditions(pr, "minus", bad, 5, seed=0).is_square
-    # rank-two sums respect the symmetry condition but fail idempotency
+    assert not verify_square_conditions(pr, "minus", bad).is_square
+    # rank-two sums respect the symmetry condition but are not rank one
     rng = make_rng(308)
     two = (
         square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha
         + square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha
     )
-    rep2 = verify_square_conditions(pr, "minus", two, 5, seed=0)
+    rep2 = verify_square_conditions(pr, "minus", two)
     assert not rep2.is_square
     assert rep2.residual_symmetry <= 1e-12
-    assert rep2.residual_idempotent > 1e-3
+    assert rep2.residual_rank_one > 1e-3
+
+
+VARIETY_KINDS = ["square", "perturbed", "two_squares", "rank_one_asymmetric", "random", "zero"]
+
+
+def _variety_candidate(pr, tag, kind, rng):
+    """A polyform of the named kind, for comparing square verdicts."""
+    sig, N, B = pr.rep.sig, pr.rep.N, pr.B(tag)
+    if kind == "zero":
+        return Multivector.zero(sig)
+    if kind == "random":
+        return Multivector(sig, rng.standard_normal(sig.n_blades))
+    if kind == "two_squares":
+        # symmetric under the pairing, but of rank two
+        x1, x2 = rng.standard_normal((2, N))
+        return dequantize(pr.rep, np.outer(x1, x1 @ B) + np.outer(x2, x2 @ B))
+    if kind == "rank_one_asymmetric":
+        # u (x) (w @ B) with w not parallel to u: rank one, but not symmetric
+        u, w = rng.standard_normal((2, N))
+        return dequantize(pr.rep, np.outer(u, w @ B))
+    kappa = int(rng.choice([-1, 1]))
+    alpha = square(pr, tag, kappa, Spinor(pr.rep, rng.standard_normal(N))).alpha
+    if kind == "perturbed":
+        noise = rng.standard_normal(sig.n_blades)
+        alpha = alpha + (1e-3 * alpha.norm_inf() / np.max(np.abs(noise))) * Multivector(sig, noise)
+    return alpha
 
 
 @st.composite
 def _variety_case(draw):
     p, q = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)]))
-    kind = draw(st.sampled_from(["square", "perturbed", "random"]))
+    kind = draw(st.sampled_from(VARIETY_KINDS))
     tag = draw(st.sampled_from(["plus", "minus"]))
     n_probes = draw(st.integers(min_value=0, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return p, q, kind, tag, n_probes, seed
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_variety_case())
-def test_batched_square_conditions_match_per_probe_oracle(paired, case):
+def test_rank_one_verdict_matches_probe_and_full_basis_oracles(paired, case):
     p, q, kind, tag, n_probes, seed = case
     pr = paired[(p, q)]
-    sig = pr.rep.sig
-    rng = np.random.default_rng(seed)
-    if kind == "random":
-        alpha = Multivector(sig, rng.standard_normal(sig.n_blades))
-    else:
-        kappa = int(rng.choice([-1, 1]))
-        alpha = square(pr, tag, kappa, Spinor(pr.rep, rng.standard_normal(pr.rep.N))).alpha
-        if kind == "perturbed":
-            noise = rng.standard_normal(sig.n_blades)
-            alpha = alpha + (1e-3 * alpha.norm_inf() / np.max(np.abs(noise))) * Multivector(sig, noise)
-    got = verify_square_conditions(pr, tag, alpha, n_probes=n_probes, seed=seed)
-    want = slow_verify_square_conditions(pr, tag, alpha, n_probes=n_probes, seed=seed)
-    assert got.is_square == want.is_square
-    assert got.witness_found == want.witness_found
-    for name in ("residual_symmetry", "residual_idempotent", "residual_sandwich"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
-
-
-def _per_probe_rows(sig, top, n_probes, seed):
-    rows = [Multivector.scalar(sig, 1.0), Multivector.volume(sig)]
-    rows += [Multivector.basis(sig, (i,)) for i in range(1, sig.d + 1)]
-    rng = make_rng(seed, stream=53)
-    rows += [random_multivector(sig, rng) for _ in range(n_probes)]
-    rows.append(Multivector(sig, np.eye(sig.n_blades)[top]))
-    return np.array([row.coeffs for row in rows])
-
-
-@pytest.mark.parametrize("block", [1, 3, 256])
-def test_probe_blocks_are_bounded_and_keep_the_probe_order(monkeypatch, block):
-    # blocks of at most PROBE_BLOCK rows, whose concatenation is the probe
-    # list of the per-probe loop, seeded draws included, bit for bit
-    monkeypatch.setattr(spinor_square, "PROBE_BLOCK", block)
-    sig = Signature(2, 2)
-    for n_probes in (0, 1, 5, 600):
-        blocks = list(spinor_square._probe_blocks(sig, 6, n_probes, seed=17))
-        assert max(len(b) for b in blocks) <= block
-        assert np.array_equal(np.vstack(blocks), _per_probe_rows(sig, 6, n_probes, 17))
-
-
-def test_default_probe_count_is_one_block():
-    for sig in (Signature(4, 4), Signature(5, 3)):
-        assert len(list(spinor_square._probe_blocks(sig, 0, 10, seed=0))) == 1
-
-
-@pytest.mark.parametrize("block", [1, 5])
-def test_square_conditions_agree_across_block_sizes(paired, monkeypatch, block):
-    pr = paired[(3, 1)]
-    rng = make_rng(314)
-    alpha = square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha
-    bad = alpha + Multivector.basis(pr.rep.sig, (1,), 1e-3)
-    monkeypatch.setattr(spinor_square, "PROBE_BLOCK", block)
-    for candidate in (alpha, bad):
-        got = verify_square_conditions(pr, "minus", candidate, n_probes=9, seed=3)
-        want = slow_verify_square_conditions(pr, "minus", candidate, n_probes=9, seed=3)
-        assert (got.is_square, got.witness_found) == (want.is_square, want.witness_found)
-        assert abs(got.residual_sandwich - want.residual_sandwich) <= 1e-12
+    alpha = _variety_candidate(pr, tag, kind, np.random.default_rng(seed))
+    got = verify_square_conditions(pr, tag, alpha)
+    probed = slow_verify_square_conditions(pr, tag, alpha, n_probes=n_probes, seed=seed)
+    full = full_basis_verify_square_conditions(pr, tag, alpha)
+    assert got.is_square == probed.is_square == full.is_square
+    assert got.is_square == (kind in ("square", "zero"))
+    assert got.residual_symmetry == full.residual_symmetry
+    if got.is_square:
+        assert got.residual_rank_one <= 1e-12
+    # reconstruct shares the test, so it accepts exactly the squares
+    try:
+        reconstruct(pr, tag, alpha, tol=got.tol)
+        accepted = True
+    except ReconstructionError:
+        accepted = False
+    assert accepted == got.is_square
 
 
 def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
-    # the cost of the variety check must not grow by products per probe:
-    # every gather of a product or a Multiplier goes through right_matrix
+    # the variety check is a rank-one fit on quantize(alpha): it makes no
+    # product and no gather, and every gather of a product or a Multiplier
+    # goes through right_matrix
     pr = paired[(4, 4)]
     alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(315))).alpha
     counts = {"gathers": 0, "products": 0}
@@ -326,24 +330,37 @@ def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch
 
     monkeypatch.setattr(_kernels, "right_matrix", gather)
     monkeypatch.setattr(spinor_square, "geometric_product", product)
-    seen = []
-    for n_probes in (0, 50):
-        counts.update(gathers=0, products=0)
-        assert verify_square_conditions(pr, "minus", alpha, n_probes=n_probes).is_square
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[1]["gathers"] == 1 and seen[1]["products"] == 0
+    assert verify_square_conditions(pr, "minus", alpha).is_square
+    assert not verify_square_conditions(pr, "minus", alpha + Multivector.scalar(alpha.sig, 1e-3)).is_square
+    assert counts == {"gathers": 0, "products": 0}
 
 
 def test_negative_probe_count_is_rejected(paired):
+    # the check takes no probe count: a positional one is an error, not a tol
     pr = paired[(3, 1)]
-    with pytest.raises(ValueError, match="n_probes"):
-        verify_square_conditions(pr, "minus", Multivector.scalar(pr.rep.sig, 1.0), n_probes=-1)
+    one = Multivector.scalar(pr.rep.sig, 1.0)
+    with pytest.raises(TypeError):
+        verify_square_conditions(pr, "minus", one, -1)
+    with pytest.raises(TypeError):
+        verify_square_conditions(pr, "minus", one, n_probes=10)
+
+
+def test_seed_is_accepted_and_changes_nothing(paired):
+    pr = paired[(3, 1)]
+    alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(317))).alpha
+    base = verify_square_conditions(pr, "minus", alpha)
+    for seed in (None, 0, 12345):
+        rep = verify_square_conditions(pr, "minus", alpha, seed=seed)
+        assert (rep.is_square, rep.residual_symmetry, rep.residual_rank_one) == (
+            base.is_square,
+            base.residual_symmetry,
+            base.residual_rank_one,
+        )
 
 
 def test_verify_zero_alpha_is_square(paired):
     pr = paired[(1, 1)]
-    rep = verify_square_conditions(pr, "plus", Multivector.zero(pr.rep.sig), 3, seed=0)
+    rep = verify_square_conditions(pr, "plus", Multivector.zero(pr.rep.sig))
     assert rep.is_square
 
 
@@ -401,34 +418,58 @@ def test_check_admissible_accepts_squares(paired):
             rep = check_admissible(pr, s, E)
             assert rep.is_admissible
             assert rep.rank_witness == 1
-            assert rep.residual_idempotent <= 1e-9
+            assert rep.residual_rank_one <= 1e-9
             assert rep.residual_transpose <= 1e-9
-            assert rep.residual_sandwich <= 1e-9
 
 
 def test_check_admissible_rejects_identity(paired):
     pr = paired[(3, 1)]
     rep = check_admissible(pr, 1, np.eye(4))
     assert not rep.is_admissible
-    assert rep.residual_idempotent > 1.0
+    assert rep.residual_rank_one > 0.5
+
+
+def _probe_admissible(pr, tag, E, tol):
+    """Admissibility by the sandwich E A E = tr(E A) E on probes, one at a time.
+
+    The probes are the identity, ten random quantized polyforms and the
+    taming operator B^-T; one of them must see tr(E A) != 0.
+    """
+    B = pr.B(tag)
+    rng = make_rng(5, stream=97)
+    probes = [np.eye(pr.rep.N)]
+    probes += [quantize(pr.rep, random_multivector(pr.rep.sig, rng)) for _ in range(10)]
+    probes.append(np.linalg.inv(B).T)
+    Ehat = E / np.max(np.abs(E))
+    transpose = np.max(np.abs(np.linalg.solve(B, Ehat.T @ B) - pr.sigma(tag) * Ehat))
+    idempotent = np.max(np.abs(Ehat @ Ehat - np.trace(Ehat) * Ehat))
+    traces = [np.trace(Ehat @ A) for A in probes]
+    sandwich = max(np.max(np.abs(Ehat @ A @ Ehat - t * Ehat)) for A, t in zip(probes, traces))
+    witness = any(abs(t) > tol for t in traces)
+    return witness and max(transpose, idempotent, sandwich) <= tol
 
 
 def test_admissibility_matches_per_probe_loop(paired):
     for pq in [(3, 1), (2, 2), (4, 4)]:
         pr = paired[pq]
         rng = make_rng(316, stream=pq[0] * 10 + pq[1])
-        probes = default_probes(pr, "minus", seed=5)
-        good = quantize(pr.rep, square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha)
-        for E in (good, good + 1e-3 * rng.standard_normal(good.shape), np.eye(pr.rep.N)):
-            rep = admissibility_report(pr.Bminus, pr.sigma("minus"), E, probes)
-            Ehat = E / np.max(np.abs(E))
-            traces = [np.trace(Ehat @ A) for A in probes]
-            worst = max(np.max(np.abs(Ehat @ A @ Ehat - t * Ehat)) for A, t in zip(probes, traces))
-            assert abs(rep.residual_sandwich - worst) <= 1e-12
-            assert rep.is_admissible == (
-                any(abs(t) > rep.tol for t in traces)
-                and max(rep.residual_transpose, rep.residual_idempotent, worst) <= rep.tol
+        for tag in ("plus", "minus"):
+            B = pr.B(tag)
+            u, w, x = rng.standard_normal((3, pr.rep.N))
+            good = quantize(pr.rep, square(pr, tag, 1, Spinor(pr.rep, u)).alpha)
+            cases = (
+                good,
+                good + 1e-3 * rng.standard_normal(good.shape),
+                np.eye(pr.rep.N),
+                np.outer(u, w @ B),
+                np.outer(u, u @ B) + np.outer(x, x @ B),
             )
+            verdicts = []
+            for E in cases:
+                rep = admissibility_report(B, pr.sigma(tag), E)
+                assert rep.is_admissible == _probe_admissible(pr, tag, E, rep.tol)
+                verdicts.append(rep.is_admissible)
+            assert verdicts == [True, False, False, False, False]
 
 
 def test_split_plane_example_raw_pairing():
@@ -436,11 +477,10 @@ def test_split_plane_example_raw_pairing():
     # admissible square exactly when b^2 = -k1 k2
     B = np.diag([1.0, -1.0])
     good = np.array([[4.0, -2.0], [2.0, -1.0]])
-    probes = [np.eye(2), np.linalg.inv(B).T]
-    rep = admissibility_report(B, 1, good, probes, tol=1e-9)
+    rep = admissibility_report(B, 1, good, tol=1e-9)
     assert rep.is_admissible and rep.rank_witness == 1
     bad = np.array([[4.0, -2.0], [2.0, 1.0]])
-    rep_bad = admissibility_report(B, 1, bad, probes, tol=1e-9)
+    rep_bad = admissibility_report(B, 1, bad, tol=1e-9)
     assert not rep_bad.is_admissible
 
 
@@ -474,6 +514,29 @@ def test_check_chirality_needs_neutral_signature(paired):
     pr = paired[(3, 1)]
     with pytest.raises(ValueError):
         check_chirality(pr, Multivector.scalar(pr.rep.sig, 1.0), 1)
+
+
+def test_check_chirality_tests_nu_squared_on_every_supported_signature():
+    supported = [
+        Signature(p, d - p)
+        for d in range(1, MAX_DIM + 1)
+        for p in range(d + 1)
+        if Signature(p, d - p).supports_rep()
+    ]
+    assert len(supported) == 8
+    for sig in supported:
+        pr = build_pairings(build_rep(sig))
+        Gnu = quantize(pr.rep, Multivector.volume(sig))
+        nu_squared_is_one = np.array_equal(Gnu @ Gnu, np.eye(pr.rep.N))
+        assert nu_squared_is_one or np.array_equal(Gnu @ Gnu, -np.eye(pr.rep.N))
+        # for p - q in {0, 2}, nu^2 = +1 exactly on the neutral signatures
+        assert nu_squared_is_one == (sig.p == sig.q)
+        alpha = Multivector.scalar(sig, 1.0)
+        if nu_squared_is_one:
+            assert check_chirality(pr, alpha, 1) is False
+        else:
+            with pytest.raises(ValueError, match="nu\\^2 = -1"):
+                check_chirality(pr, alpha, 1)
 
 
 def test_constraint_transfer(paired):
