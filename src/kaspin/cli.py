@@ -67,10 +67,11 @@ def _require_trials(args):
 
 def _emit(report, args):
     text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    print(text)
+    # the file first: an unwritable path is exit 2 with nothing on stdout
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _reject_constant(token):
@@ -92,18 +93,27 @@ def _read_payload(args):
     return _loads(args.payload)
 
 
-def _signature_from(args, payload=None):
+def _payload_pairings(args):
+    """The payload, its signature (embedded p/q, else the flags) and the pairings built for it."""
+    payload = _read_payload(args)
     if isinstance(payload, dict) and "p" in payload and "q" in payload:
-        sig = Signature(int(payload["p"]), int(payload["q"]))
+        p, q = payload["p"], payload["q"]
+        # JSON integers only: int() would truncate 3.9 and take true or "3"
+        if type(p) is not int or type(q) is not int:
+            raise UsageError(f"payload p and q must be JSON integers, got {p!r} and {q!r}")
+        sig = Signature(p, q)
         if args.p is not None and (args.p, args.q) != (sig.p, sig.q):
             raise UsageError(
                 f"flags give signature ({args.p},{args.q}) "
                 f"but the payload carries ({sig.p},{sig.q})"
             )
-        return sig
-    if args.p is None or args.q is None:
+    elif args.p is None or args.q is None:
         raise UsageError("signature required: pass --p and --q or embed p/q in the payload")
-    return Signature(args.p, args.q)
+    else:
+        sig = Signature(args.p, args.q)
+    if not sig.supports_rep():
+        raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
+    return payload, sig, build_pairings(build_rep(sig))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +220,7 @@ def _polyform(payload):
 
 
 def _cmd_square(args):
-    payload = _read_payload(args)
-    sig = _signature_from(args, payload)
-    if not sig.supports_rep():
-        raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
-    pr = build_pairings(build_rep(sig))
+    payload, sig, pr = _payload_pairings(args)
     xi = Spinor(pr.rep, _spinor_components(payload))
     result = square(pr, args.pairing, args.kappa, xi)
     report = {
@@ -236,11 +242,7 @@ def _cmd_square(args):
 
 
 def _cmd_reconstruct(args):
-    payload = _read_payload(args)
-    sig = _signature_from(args, payload)
-    if not sig.supports_rep():
-        raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
-    pr = build_pairings(build_rep(sig))
+    payload, sig, pr = _payload_pairings(args)
     alpha = _polyform(payload)
     tol = _resolve_tol(args, 1e-8)
     report = {
@@ -271,11 +273,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_check_polyform(args):
-    payload = _read_payload(args)
-    sig = _signature_from(args, payload)
-    if not sig.supports_rep():
-        raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
-    pr = build_pairings(build_rep(sig))
+    payload, sig, pr = _payload_pairings(args)
     alpha = _polyform(payload)
     tol = _resolve_tol(args, 1e-8)
     conditions = verify_square_conditions(pr, args.pairing, alpha, tol=tol)

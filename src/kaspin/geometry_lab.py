@@ -1,8 +1,10 @@
 """Residual evaluators for Lorentzian metric families on explicit charts.
 
-A MetricChart carries the metric together with its first and second
-coordinate derivatives, either in closed form or as centered
-differences.  On top of it this module computes Christoffel symbols,
+Every chart and field hands out a jet: its value at the points together
+with its coordinate partials up to a given order, the closed forms it
+was given and centered differences (_fd_jet, one evaluation per
+distinct stencil point) for the rest.  A MetricChart's jet is
+(g, dg, d2g).  On top of it this module computes Christoffel symbols,
 curvature, covariant derivatives of one-form fields, and a chart-level
 Hodge dual, and uses them to score three first-order systems:
 
@@ -58,16 +60,23 @@ def _exp(v):
 
 
 def _pointwise(fn):
-    """Lift a callable of one point to (..., d) stacks, calling it point by point."""
+    """Lift a callable of one point to (..., d) stacks, calling it point by point.
+
+    A tuple result, such as a jet, is stacked part by part.
+    """
     if fn is None:
         return None
 
-    def lifted(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(fn(x), dtype=float)
-        values = np.stack([np.asarray(fn(p), dtype=float) for p in x.reshape(-1, x.shape[-1])])
+    def stacked(x, rows):
+        values = np.stack([np.asarray(row, dtype=float) for row in rows])
         return values.reshape(x.shape[:-1] + values.shape[1:])
+
+    def lifted(x, *args):
+        x = np.asarray(x, dtype=float)
+        rows = [fn(p, *args) for p in x.reshape(-1, x.shape[-1])]
+        if isinstance(rows[0], tuple):
+            return tuple(stacked(x, part) for part in zip(*rows))
+        return stacked(x, rows)
 
     return lifted
 
@@ -111,44 +120,52 @@ def _per_point(a, like):
     return a.reshape(a.shape + (1,) * (np.ndim(like) - a.ndim))
 
 
-def _fd_steps(x):
-    return _FD_SCALE * (1.0 + np.abs(x))
+def _fd_jet(f, x, order):
+    """f at x with its centered-difference partials up to order (0, 1 or 2).
 
-
-def _fd_at(f, x, h, *steps):
-    """f at x moved by sign * h[k] along each (k, sign) step: one call per stencil point."""
-    p = x.copy()
-    for k, sign in steps:
-        p[..., k] += sign * h[..., k]
-    return np.asarray(f(p), float)
-
-
-def _fd_jacobian(f, x):
-    """Centered differences; the axis after the point axes is the derivative direction."""
+    The derivative axes follow the point axes.  Each distinct stencil
+    point is evaluated once, by a call of f with x's own shape.
+    """
     x = np.asarray(x, dtype=float)
-    h = _fd_steps(x)
-    rows = []
-    for k in range(x.shape[-1]):
-        diff = _fd_at(f, x, h, (k, 1)) - _fd_at(f, x, h, (k, -1))
-        rows.append(diff / _per_point(2.0 * h[..., k], diff))
-    return np.stack(rows, axis=x.ndim - 1)
+    h = _FD_SCALE * (1.0 + np.abs(x))
+    memo = {}
 
+    def at(*steps):
+        """f at x moved by sign * h[k] along each (k, sign) step."""
+        if steps not in memo:
+            p = x.copy()
+            for k, sign in steps:
+                p[..., k] += sign * h[..., k]
+            memo[steps] = np.asarray(f(p), dtype=float)
+        return memo[steps]
 
-def _fd_second(f, x):
-    """Second partials; the two axes after the point axes are derivative directions."""
-    x = np.asarray(x, dtype=float)
-    h = _fd_steps(x)
-    f0 = np.asarray(f(x), dtype=float)
+    f0 = at()
     n = x.shape[-1]
-    at = functools.partial(_fd_at, f, x, h)
-    out = np.zeros((n, n) + f0.shape)
-    for m in range(n):
-        out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _per_point(_pow(h[..., m], 2), f0)
-        for k in range(m + 1, n):
-            corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
-            out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
-                4.0 * h[..., m] * h[..., k], f0)
-    return np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim))
+    jet = [f0]
+    if order >= 1:
+        rows = [(at((k, 1)) - at((k, -1))) / _per_point(2.0 * h[..., k], f0) for k in range(n)]
+        jet.append(np.stack(rows, axis=x.ndim - 1))
+    if order >= 2:
+        out = np.zeros((n, n) + f0.shape)
+        for m in range(n):
+            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _per_point(_pow(h[..., m], 2), f0)
+            for k in range(m + 1, n):
+                corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
+                out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
+                    4.0 * h[..., m] * h[..., k], f0)
+        jet.append(np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim)))
+    return tuple(jet)
+
+
+def _jet(x, order, value, *closed):
+    """value at x and its partials up to order: closed forms where given, else differences."""
+    x = np.asarray(x, dtype=float)
+    closed = closed[:order]
+    if all(d is not None for d in closed):
+        return tuple(np.asarray(f(x), dtype=float) for f in (value, *closed))
+    fd = _fd_jet(value, x, order)
+    return fd[:1] + tuple(fd[i] if d is None else np.asarray(d(x), dtype=float)
+                          for i, d in enumerate(closed, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +176,9 @@ class ScalarField:
     grad: Callable | None = None
     hess: Callable | None = None
 
-    def gradient(self, x):
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        return _fd_jacobian(self.value, np.asarray(x, dtype=float))
-
-    def hessian(self, x):
-        """Plain coordinate second partials, not the covariant Hessian."""
-        if self.hess is not None:
-            return np.asarray(self.hess(x), dtype=float)
-        return _fd_second(self.value, np.asarray(x, dtype=float))
+    def jet(self, x, order):
+        """(value, gradient[, Hessian]) at x; the Hessian of plain coordinate partials."""
+        return _jet(x, order, self.value, self.grad, self.hess)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,36 +188,46 @@ class OneFormField:
     value: Callable
     jac: Callable | None = None
 
-    def jacobian(self, x):
-        # J[i, j] = d_i omega_j
-        if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float)
-        return _fd_jacobian(self.value, np.asarray(x, dtype=float))
+    def jet(self, x):
+        # (omega, J) with J[i, j] = d_i omega_j
+        return _jet(x, 1, self.value, self.jac)
 
 
 @dataclass(frozen=True, eq=False)
 class MetricChart:
     """Pseudo-Riemannian metric on a coordinate chart.
 
-    g(x) is the component matrix, dg(x)[m] = d_m g and
-    d2g(x)[m, n] = d_m d_n g.  provenance records whether the
-    derivative callables are closed forms or centered differences of g;
-    in_domain, when given, restricts the chart to a coordinate region.
+    jet(x, order) gives the component matrix g followed, up to order,
+    by dg[m] = d_m g and d2g[m, n] = d_m d_n g.  provenance records
+    whether the derivatives are closed forms or centered differences of
+    g; in_domain, when given, restricts the chart to a coordinate region.
     """
 
-    g: Callable
-    dg: Callable
-    d2g: Callable
+    jet: Callable
     provenance: str = "analytic"
     in_domain: Callable | None = None
     dim: int = 4
 
     @classmethod
+    def closed(cls, g, dg, d2g, **kw):
+        """Chart of closed-form callables for g and its first and second partials."""
+        return cls(lambda x, order: _jet(x, order, g, dg, d2g), **kw)
+
+    @classmethod
     def from_callable(cls, g, in_domain=None, dim=4):
         """Chart of a one-point metric callable, derivatives by centered differences."""
         g = _pointwise(g)
-        return cls(g, lambda x: _fd_jacobian(g, x), lambda x: _fd_second(g, x),
-                   provenance="finite-difference", in_domain=_pointwise(in_domain), dim=dim)
+        return cls(lambda x, order: _fd_jet(g, x, order), provenance="finite-difference",
+                   in_domain=_pointwise(in_domain), dim=dim)
+
+    def g(self, x):
+        return self.jet(x, 0)[0]
+
+    def dg(self, x):
+        return self.jet(x, 1)[1]
+
+    def d2g(self, x):
+        return self.jet(x, 2)[2]
 
     def contains(self, x):
         """Whether every point of the stack x lies in the chart domain."""
@@ -218,52 +238,59 @@ def _braces(dg):
     return _t(dg, 1, 0, 2) + _t(dg, 1, 2, 0) - dg
 
 
-def christoffel(chart, x):
-    """Levi-Civita symbols, gamma[..., k, i, j] = Gamma^k_{ij}."""
+def _chart_jet(chart, x, order):
     x = np.asarray(x, dtype=float)
     if not chart.contains(x):
         raise ValueError("point lies outside the chart domain")
-    ginv = np.linalg.inv(chart.g(x))
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _braces(np.asarray(chart.dg(x), float)))
+    return chart.jet(x, order)
 
 
-def _christoffel_with_derivative(chart, x):
-    ginv = np.linalg.inv(chart.g(x))
-    dg = np.asarray(chart.dg(x), dtype=float)
-    d2g = np.asarray(chart.d2g(x), dtype=float)
+def _christoffel(jet):
+    """Gamma from a chart jet (g, dg, ...)."""
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(jet[0]), _braces(jet[1]))
+
+
+def christoffel(chart, x):
+    """Levi-Civita symbols, gamma[..., k, i, j] = Gamma^k_{ij}."""
+    return _christoffel(_chart_jet(chart, x, 1))
+
+
+def _riemann(jet):
+    """R^r_{smn} from a second-order chart jet (g, dg, d2g)."""
+    g, dg, d2g = jet
+    ginv = np.linalg.inv(g)
     braces = _braces(dg)
     dbraces = _t(d2g, 0, 2, 1, 3) + _t(d2g, 0, 2, 3, 1) - d2g
     dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
     gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, braces)
     dgamma = 0.5 * np.einsum("...mkl,...lij->...mkij", dginv, braces)
     dgamma += 0.5 * np.einsum("...kl,...mlij->...mkij", ginv, dbraces)
-    return gamma, dgamma
-
-
-def riemann(chart, x):
-    """Curvature tensor R[..., r, s, m, n] = R^r_{smn}, first index raised."""
-    x = np.asarray(x, dtype=float)
-    if not chart.contains(x):
-        raise ValueError("point lies outside the chart domain")
-    gamma, dgamma = _christoffel_with_derivative(chart, x)
     t = np.einsum("...mrns->...rsmn", dgamma)
     gg = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
     return t - _t(t, 0, 1, 3, 2) + gg - _t(gg, 0, 1, 3, 2)
 
 
+def riemann(chart, x):
+    """Curvature tensor R[..., r, s, m, n] = R^r_{smn}, first index raised."""
+    return _riemann(_chart_jet(chart, x, 2))
+
+
+def _ricci(jet):
+    return np.einsum("...rsrn->...sn", _riemann(jet))
+
+
 def ricci(chart, x):
-    return np.einsum("...rsrn->...sn", riemann(chart, x))
+    return _ricci(_chart_jet(chart, x, 2))
 
 
-def _nabla(gamma, omega, x):
-    w = np.asarray(omega.value(x), dtype=float)
-    return omega.jacobian(x) - np.einsum("...kij,...k->...ij", gamma, w)
+def _nabla(gamma, jet):
+    """nabla omega from the Christoffel symbols and the jet (omega, d omega)."""
+    return jet[1] - np.einsum("...kij,...k->...ij", gamma, jet[0])
 
 
 def covariant_derivative_oneform(chart, omega, x):
     """(nabla omega)[..., i, j] = d_i omega_j - Gamma^k_{ij} omega_k."""
-    x = np.asarray(x, dtype=float)
-    return _nabla(christoffel(chart, x), omega, x)
+    return _nabla(christoffel(chart, x), omega.jet(x))
 
 
 def _perm_sign(perm):
@@ -393,8 +420,8 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     x = np.asarray(x, dtype=float)
     g = chart.g(x)
     ginv = np.linalg.inv(g)
-    u = np.asarray(kd.u.value(x), dtype=float)
-    l = np.asarray(kd.l.value(x), dtype=float)
+    u_jet, l_jet = kd.u.jet(x), kd.l.jet(x)
+    u, l = u_jet[0], l_jet[0]
     if np.any(_max_abs(u, 1) <= 1e-12):
         raise ValueError("u vanishes at the sample point")
     violation = _parabolic_violation(ginv, u, l)
@@ -402,9 +429,8 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
         first = np.extract(violation > invariant_tol, violation)[0]
         raise ValueError(f"pair invariants violated by {first:.3e}")
     gamma = christoffel(chart, x)
-    nabla_u = _nabla(gamma, kd.u, x)
-    r_u = _max_abs(nabla_u - kd.lam * (_outer(u, l) - _outer(l, u)), 2)
-    defect = _nabla(gamma, kd.l, x) - kd.lam * (_outer(l, l) - g)
+    r_u = _max_abs(_nabla(gamma, u_jet) - kd.lam * (_outer(u, l) - _outer(l, u)), 2)
+    defect = _nabla(gamma, l_jet) - kd.lam * (_outer(l, l) - g)
     kappa_hat = _shift(kd.kappa, defect, u, x)
     r_l = _max_abs(defect - _outer(kappa_hat, u), 2)
     return KillingResiduals(r_u=r_u, r_l=r_l, kappa_hat=kappa_hat, parabolic=violation)
@@ -455,26 +481,24 @@ def walker_chart(wd):
     """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
     q2 = wd.q2
 
-    def assemble(x, derivs, f, k, q):
-        # f, k and q are the surface values, or their partials along the
-        # derivs leading surface axes; the v and u directions are flat
+    def jet(x, order):
+        # one jet each of F, K and q2; part n holds their partials along
+        # n leading surface axes, the v and u directions being flat
         s = _surface(x)
-        lead = (np.s_[2:],) * derivs
-        k = k(s)
-        return _embed(s, (4,) * (derivs + 2), (lead + (0, 0), f(s)), (lead + (0, 1), k),
-                      (lead + (1, 0), k), (lead + (np.s_[2:], np.s_[2:]), q(s)))
+        jets = zip(wd.F.jet(s, order), wd.K.jet(s, order), q2.jet(s, order))
+        out = []
+        for n, (f, k, q) in enumerate(jets):
+            lead = (np.s_[2:],) * n
+            out.append(_embed(s, (4,) * (n + 2), (lead + (0, 0), f), (lead + (0, 1), k),
+                              (lead + (1, 0), k), (lead + (np.s_[2:], np.s_[2:]), q)))
+        return tuple(out)
 
     closed_form = q2.provenance == "analytic" and all(
         d is not None for d in (wd.F.grad, wd.F.hess, wd.K.grad, wd.K.hess)
     )
     domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
-    return MetricChart(
-        g=lambda x: assemble(x, 0, wd.F.value, wd.K.value, q2.g),
-        dg=lambda x: assemble(x, 1, wd.F.gradient, wd.K.gradient, q2.dg),
-        d2g=lambda x: assemble(x, 2, wd.F.hessian, wd.K.hessian, q2.d2g),
-        provenance="analytic" if closed_form else "finite-difference",
-        in_domain=domain,
-    )
+    return MetricChart(jet, provenance="analytic" if closed_form else "finite-difference",
+                       in_domain=domain)
 
 
 def _surface(x):
@@ -482,21 +506,22 @@ def _surface(x):
     return np.asarray(x, dtype=float)[..., 2:]
 
 
-def _surface_hessian(q2, f, s):
-    gamma = christoffel(q2, s)
-    return f.hessian(s) - np.einsum("...kij,...k->...ij", gamma, f.gradient(s))
+def _surface_data(wd, s, f_order, k_order, q_order):
+    """What the profile equations share at the surface points s.
 
-
-def _profile_k(wd, s):
-    K = np.asarray(wd.K.value(s), dtype=float)
-    if np.any(np.abs(K) < 1e-12):
+    The jets of F, K and q2 to the given orders, K checked nowhere zero
+    and s checked inside the q2 domain, then q^-1, Gamma(q), the
+    pairing q^-1(dK, dF) and the gauge square F - q^-1(dK, dF)/(4 lam^2 K).
+    """
+    k = wd.K.jet(s, k_order)
+    if np.any(np.abs(k[0]) < 1e-12):
         raise ValueError("profile K must be nowhere zero")
-    return K
-
-
-def _gauge_square(wd, s, K, qinv):
-    pair_kf = _pair(wd.K.gradient(s), qinv, wd.F.gradient(s))
-    return np.asarray(wd.F.value(s), dtype=float) - pair_kf / (4.0 * wd.lam**2 * K), pair_kf
+    q = _chart_jet(wd.q2, s, q_order)
+    qinv = np.linalg.inv(q[0])
+    f = wd.F.jet(s, f_order)
+    pair_kf = _pair(k[1], qinv, f[1])
+    square = f[0] - pair_kf / (4.0 * wd.lam**2 * k[0])
+    return f, k, q, qinv, _christoffel(q), pair_kf, square
 
 
 def walker_residuals(wd, s):
@@ -511,34 +536,26 @@ def walker_residuals(wd, s):
     holding identically, so s_v is the one first-order residual.
     """
     s = np.asarray(s, dtype=float)
-    K = _profile_k(wd, s)
     lam = wd.lam
-    q = wd.q2.g(s)
-    qinv = np.linalg.inv(q)
-    d_k = wd.K.gradient(s)
-    hess_k = _surface_hessian(wd.q2, wd.K, s)
+    f, k, q, qinv, gamma, pair_kf, square = _surface_data(wd, s, 1, 2, 1)
+    K, d_k = k[0], k[1]
+    hess_k = _nabla(gamma, k[1:])
     k2 = K[..., None, None]
-    hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q, 2)
+    hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q[0], 2)
     lap_res = np.abs(np.trace(qinv @ hess_k, axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
-    square, pair_kf = _gauge_square(wd, s, K, qinv)
     if wd.s_frak is None:
         return WalkerResiduals(hess_res, lap_res, np.zeros_like(K), square < 0.0)
-    s_v = np.abs(pair_kf / (4.0 * lam * K) - lam * (wd.F.value(s) - _pow(wd.s_frak.value(s), 2)))
+    s_v = np.abs(pair_kf / (4.0 * lam * K) - lam * (f[0] - _pow(wd.s_frak.value(s), 2)))
     return WalkerResiduals(hess_res, lap_res, s_v, np.zeros(K.shape, dtype=bool))
 
 
 def einstein_residual(wd, s):
     """Einstein reduction: the F equation and Ric(q2) = -lam^2 q2."""
-    s = np.asarray(s, dtype=float)
-    K = _profile_k(wd, s)
     lam = wd.lam
-    q = wd.q2.g(s)
-    qinv = np.linalg.inv(q)
-    hess_f = _surface_hessian(wd.q2, wd.F, s)
-    pair_kf = _pair(wd.K.gradient(s), qinv, wd.F.gradient(s))
-    trace = np.trace(qinv @ hess_f, axis1=-2, axis2=-1)
-    f_res = np.abs(trace - pair_kf / K - 2.0 * lam**2 * wd.F.value(s))
-    ric_res = _max_abs(ricci(wd.q2, s) + lam**2 * q, 2)
+    f, k, q, qinv, gamma, pair_kf, _ = _surface_data(wd, s, 2, 1, 2)
+    trace = np.trace(qinv @ _nabla(gamma, f[1:]), axis1=-2, axis2=-1)
+    f_res = np.abs(trace - pair_kf / k[0] - 2.0 * lam**2 * f[0])
+    ric_res = _max_abs(_ricci(q) + lam**2 * q[0], 2)
     return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
 
 
@@ -551,23 +568,16 @@ def walker_killing_data(wd):
     pointwise fit.
     """
 
-    def gauge_component(s):
-        if wd.s_frak is not None:
-            return wd.s_frak.value(s)
-        K = np.asarray(wd.K.value(s), dtype=float)
-        qinv = np.linalg.inv(wd.q2.g(s))
-        square, _ = _gauge_square(wd, s, K, qinv)
-        return np.sqrt(np.maximum(square, 0.0))
-
     def l_val(x):
         s = _surface(x)
-        dk = -wd.K.gradient(s) / (2.0 * wd.lam * np.asarray(wd.K.value(s), dtype=float))[..., None]
-        return _embed(x, (4,), (0, gauge_component(s)), (np.s_[2:], dk))
+        _, k, _, _, _, _, square = _surface_data(wd, s, 1, 1, 1)
+        gauge = wd.s_frak.value(s) if wd.s_frak is not None else np.sqrt(np.maximum(square, 0.0))
+        return _embed(x, (4,), (0, gauge), (np.s_[2:], -k[1] / (2.0 * wd.lam * k[0])[..., None]))
 
     return KillingData(
         u=OneFormField(
             lambda x: _embed(x, (4,), (0, wd.K.value(_surface(x)))),
-            jac=lambda x: _embed(x, (4, 4), (np.s_[2:, 0], wd.K.gradient(_surface(x)))),
+            jac=lambda x: _embed(x, (4, 4), (np.s_[2:, 0], wd.K.jet(_surface(x), 1)[1])),
         ),
         l=OneFormField(l_val),
         lam=wd.lam,
@@ -587,9 +597,7 @@ class HeteroticConfig:
     varphi is the dilaton one-form (required closed), H the three-form
     flux as a covariant tensor callable (None for zero), FA the gauge
     curvature two-form callables and signs their coefficients in the
-    F wedge F source of the Bianchi identity.  chi_A, when given,
-    supplies the expected transverse factors of the splittings
-    F_A = u ^ chi_A instead of fitting them.
+    F wedge F source of the Bianchi identity.
     """
 
     chart: MetricChart
@@ -597,7 +605,6 @@ class HeteroticConfig:
     H: Callable | None = None
     FA: Sequence[Callable] = ()
     signs: Sequence[float] = ()
-    chi_A: Sequence[Callable] | None = None
 
 
 def _gaugino_fit(hc, ginv, u, x):
@@ -612,15 +619,9 @@ def _gaugino_fit(hc, ginv, u, x):
     design = cols @ null_basis
     # least squares by the pseudoinverse, with lstsq's default cut-off
     solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
-    for idx, curvature in enumerate(hc.FA):
-        target = np.asarray(curvature(x), dtype=float)
-        if hc.chi_A is not None:
-            chi = np.asarray(hc.chi_A[idx](x), dtype=float)
-            fit = _max_abs(target - _wedge_oneforms(u, chi), 2)
-            fit = np.maximum(fit, np.abs(_pair(chi, ginv, u)))
-        else:
-            target = target.reshape(flat)
-            fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
+    for curvature in hc.FA:
+        target = np.asarray(curvature(x), dtype=float).reshape(flat)
+        fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
         worst = np.maximum(worst, fit)
     return worst
 
@@ -636,7 +637,7 @@ def _coclosed_residual(hc, x):
         root = np.sqrt(np.abs(np.linalg.det(g)))
         return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
-    divergence = np.trace(_fd_jacobian(density, x), axis1=-2, axis2=-1)
+    divergence = np.trace(_fd_jet(density, x, 1)[1], axis1=-2, axis2=-1)
     return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
 
 
@@ -653,9 +654,8 @@ def heterotic_susy_residuals(hc, kd, x):
     chart = hc.chart
     g = chart.g(x)
     ginv = np.linalg.inv(g)
-    u = np.asarray(kd.u.value(x), dtype=float)
-    l = np.asarray(kd.l.value(x), dtype=float)
-    phi = np.asarray(hc.varphi.value(x), dtype=float)
+    u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
+    u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     if hc.H is None:
         rho = _zeros(x, 4)
     else:
@@ -680,12 +680,12 @@ def heterotic_susy_residuals(hc, kd, x):
     res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
     res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
     gamma = christoffel(chart, x)
-    res["grad_u"] = _max_abs(_nabla(gamma, kd.u, x) - 0.5 * _wedge_oneforms(u, phi), 2)
-    defect = _nabla(gamma, kd.l, x) - 0.5 * star(_wedge_oneforms(rho, l))
+    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
+    defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
     kappa = _shift(kd.kappa, defect, u, x)
     res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
     res["rho_coclosed"] = _coclosed_residual(hc, x)
-    jac = hc.varphi.jacobian(x)
+    jac = phi_jet[1]
     res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
     return res
 
@@ -696,7 +696,7 @@ def modified_bianchi_residual(hc, x):
     if hc.H is None:
         d_h = _zeros(x, 4, 4, 4, 4)
     else:
-        jac = _fd_jacobian(hc.H, x)
+        jac = _fd_jet(hc.H, x, 1)[1]
         d_h = jac - _t(jac, 1, 0, 2, 3) + _t(jac, 1, 2, 0, 3) - _t(jac, 1, 2, 3, 0)
     source = 0.0
     for sign, curvature in zip(hc.signs, hc.FA):
@@ -771,11 +771,11 @@ def _poincare_half_plane(lam):
     def conformal(s, factor, power):
         return factor * np.eye(2) / (lam**2 * _pow(s[..., 1], power))[..., None, None]
 
-    return MetricChart(
-        g=lambda s: np.eye(2) / _pow(lam * s[..., 1], 2)[..., None, None],
-        dg=lambda s: _embed(s, (2, 2, 2), (1, conformal(s, -2.0, 3))),
-        d2g=lambda s: _embed(s, (2, 2, 2, 2), ((1, 1), conformal(s, 6.0, 4))),
-        provenance="analytic", in_domain=lambda s: s[..., 1] > 0.0, dim=2,
+    return MetricChart.closed(
+        lambda s: np.eye(2) / _pow(lam * s[..., 1], 2)[..., None, None],
+        lambda s: _embed(s, (2, 2, 2), (1, conformal(s, -2.0, 3))),
+        lambda s: _embed(s, (2, 2, 2, 2), ((1, 1), conformal(s, 6.0, 4))),
+        in_domain=lambda s: s[..., 1] > 0.0, dim=2,
     )
 
 
@@ -798,11 +798,10 @@ def _constant(vector):
 def _preset_minkowski(params):
     _check_keys("minkowski", params, set())
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    chart = MetricChart(
-        g=lambda x: np.broadcast_to(eta, np.shape(x)[:-1] + (4, 4)).copy(),
-        dg=lambda x: _zeros(x, 4, 4, 4),
-        d2g=lambda x: _zeros(x, 4, 4, 4, 4),
-        provenance="analytic",
+    chart = MetricChart.closed(
+        lambda x: np.broadcast_to(eta, np.shape(x)[:-1] + (4, 4)).copy(),
+        lambda x: _zeros(x, 4, 4, 4),
+        lambda x: _zeros(x, 4, 4, 4, 4),
     )
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
     return Preset(
@@ -999,8 +998,7 @@ def _preset_walker_generic(params):
 
     q2 = params["q2"]
     if isinstance(q2, MetricChart):
-        lifted = {name: _pointwise(getattr(q2, name)) for name in ("g", "dg", "d2g", "in_domain")}
-        q2 = replace(q2, **lifted)
+        q2 = replace(q2, jet=_pointwise(q2.jet), in_domain=_pointwise(q2.in_domain))
     else:
         q2 = MetricChart.from_callable(q2, dim=2)
     s_frak = params.get("s_frak")
@@ -1043,11 +1041,10 @@ def _preset_ppwave(params):
         factor = 2.0 * amp * np.cos(v) + 4.0 * _pow(rate(v), 2)
         return _embed(x, (4, 4, 4, 4), (np.s_[0, 0, 2:, 2:], conformal(x, factor)))
 
-    chart = MetricChart(
-        g=lambda x: _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(x, 1.0))),
-        dg=lambda x: _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(x, 2.0 * rate(x[..., 0])))),
-        d2g=d2g,
-        provenance="analytic",
+    chart = MetricChart.closed(
+        lambda x: _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(x, 1.0))),
+        lambda x: _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(x, 2.0 * rate(x[..., 0])))),
+        d2g,
     )
     transverse = q0[:, 0] / math.sqrt(q0[0, 0])
 
@@ -1159,12 +1156,7 @@ def _perturbed(ps, amount):
         return replace(ps, walker=wd, chart=walker_chart(wd))
     factor = 1.0 + amount
     old = ps.chart
-    chart = replace(
-        old,
-        g=lambda x: factor * np.asarray(old.g(x), dtype=float),
-        dg=lambda x: factor * np.asarray(old.dg(x), dtype=float),
-        d2g=lambda x: factor * np.asarray(old.d2g(x), dtype=float),
-    )
+    chart = replace(old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order)))
     updates = {"chart": chart}
     if ps.heterotic is not None:
         updates["heterotic"] = replace(ps.heterotic, chart=chart)

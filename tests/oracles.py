@@ -7,9 +7,12 @@ test files were produced by these functions. The square-variety
 references test the sandwich identity, on seeded probes as
 verify_square_conditions did before its rank-one fit, and on every
 basis blade. The campaign reference scores one sample point at a time,
-as run_campaign did before it stacked its points.
+as run_campaign did before it stacked its points. The stencil reference
+takes centered differences one call per stencil point, as geometry_lab
+did before its jets evaluated each distinct point once.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -300,3 +303,57 @@ def slow_run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
         "verdict": verdict,
         "seed": int(seed),
     }
+
+
+# ---------------------------------------------------------------------------
+# centered differences, one call per stencil point
+# ---------------------------------------------------------------------------
+
+_FD_SCALE = 1e-5
+_pow = np.float_power
+
+
+def _per_point(a, like):
+    """Reshape point values a to broadcast against like, whose leading axes are the points."""
+    a = np.asarray(a)
+    return a.reshape(a.shape + (1,) * (np.ndim(like) - a.ndim))
+
+
+def _fd_steps(x):
+    return _FD_SCALE * (1.0 + np.abs(x))
+
+
+def _fd_at(f, x, h, *steps):
+    """f at x moved by sign * h[k] along each (k, sign) step: one call per stencil point."""
+    p = x.copy()
+    for k, sign in steps:
+        p[..., k] += sign * h[..., k]
+    return np.asarray(f(p), float)
+
+
+def _fd_jacobian(f, x):
+    """Centered differences; the axis after the point axes is the derivative direction."""
+    x = np.asarray(x, dtype=float)
+    h = _fd_steps(x)
+    rows = []
+    for k in range(x.shape[-1]):
+        diff = _fd_at(f, x, h, (k, 1)) - _fd_at(f, x, h, (k, -1))
+        rows.append(diff / _per_point(2.0 * h[..., k], diff))
+    return np.stack(rows, axis=x.ndim - 1)
+
+
+def _fd_second(f, x):
+    """Second partials; the two axes after the point axes are derivative directions."""
+    x = np.asarray(x, dtype=float)
+    h = _fd_steps(x)
+    f0 = np.asarray(f(x), dtype=float)
+    n = x.shape[-1]
+    at = functools.partial(_fd_at, f, x, h)
+    out = np.zeros((n, n) + f0.shape)
+    for m in range(n):
+        out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _per_point(_pow(h[..., m], 2), f0)
+        for k in range(m + 1, n):
+            corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
+            out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
+                4.0 * h[..., m] * h[..., k], f0)
+    return np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim))

@@ -65,7 +65,7 @@ def _surface_half_plane(lam):
         out[1, 1] = 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)
         return out
 
-    return MetricChart(g=g, dg=dg, d2g=d2g, in_domain=lambda s: s[1] > 0.0, dim=2)
+    return MetricChart.closed(g, dg, d2g, in_domain=lambda s: s[1] > 0.0, dim=2)
 
 
 def _surface_profile(c0):

@@ -164,13 +164,18 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
     assert [json.dumps(campaign(case), sort_keys=True) for case in cases] == want
 
 
-@pytest.mark.parametrize("check, per_point", [("einstein", 35), ("walker", 6)])
+@pytest.mark.parametrize("check, per_point", [
+    # each distinct stencil point once per jet: 1 + 2d^2 = 9 points at order 2, 5 at order 1
+    pytest.param("einstein", {"F": 19, "K": 15, "q2": 19}, id="einstein"),
+    pytest.param("walker", {"F": 5, "K": 9, "q2": 5}, id="walker"),
+])
 def test_walker_generic_callbacks_see_one_point(check, per_point):
     calls = []
     ps = build("walker-generic", calls)
     run_campaign(ps, check, n_points=POINTS, seed=3)
     assert calls and all(shape == (2,) for _, shape in calls)
-    assert sum(name == "q2" for name, _ in calls) == per_point * POINTS
+    for field, count in per_point.items():
+        assert sum(name == field for name, _ in calls) == count * POINTS, field
 
 
 def test_overflow_raises_and_the_error_state_is_restored():

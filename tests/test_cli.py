@@ -190,6 +190,18 @@ def test_non_finite_flags_exit_two(capsys, argv):
     assert_usage_error(*run_cli(capsys, *argv))
 
 
+@pytest.mark.parametrize("p, q", [("3.9", "1.2"), ("true", "1"), ('"3"', "1")])
+@pytest.mark.parametrize("command, body", [
+    ("square", '"components":[1,0,0,0]'),
+    ("reconstruct", '"coeffs":{"1":1.0}'),
+    ("check-polyform", '"coeffs":{"1":1.0}'),
+])
+def test_payload_signature_must_be_json_integers(capsys, command, body, p, q):
+    # int() used to run these as (3,1)
+    payload = f'{{"p":{p},"q":{q},{body}}}'
+    assert_usage_error(*run_cli(capsys, command, payload))
+
+
 def test_non_finite_env_tol_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("KASPIN_TOL", "nan")
     assert_usage_error(*run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}'))
@@ -445,6 +457,18 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert out_path.read_text() == out
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("square", '{"p":3,"q":1,"components":[1,0,0,0]}'),
+    ("check-metric", "--preset", "minkowski", "--check", "killing", "--trials", "5"),
+])
+def test_unwritable_out_path_exits_two_with_empty_stdout(capsys, tmp_path, argv):
+    # the report used to reach stdout before the write failed
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "report.json"))
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
 
 
 @pytest.mark.parametrize("argv", [

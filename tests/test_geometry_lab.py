@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kaspin import geometry_lab
 from kaspin.geometry_lab import (
     HeteroticConfig,
     KillingData,
@@ -272,6 +275,44 @@ def test_fd_derivatives_match_analytic():
 # ---------------------------------------------------------------------------
 
 
+# scalar-, vector- and matrix-valued functions of a (..., d) stack
+STENCIL_VALUES = {
+    "scalar": lambda x: np.sin(x[..., 0]) * np.exp(x[..., -1]) + x[..., 1] ** 3,
+    "vector": lambda x: np.stack(
+        [np.cos(x).sum(axis=-1), x[..., 0] * x[..., 1], np.exp(-x[..., -1] ** 2)], axis=-1),
+    "matrix": lambda x: np.sin(x[..., :2, None] * x[..., None, -2:]) / (2.0 + x[..., :1, None]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(STENCIL_VALUES)),
+    d=st.sampled_from([2, 4]),
+    n=st.integers(1, 6),
+    order=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_jet_equals_the_one_call_per_point_stencil(kind, d, n, order, seed):
+    from oracles import _fd_jacobian, _fd_second
+
+    value = STENCIL_VALUES[kind]
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
+    shapes = []
+
+    def f(p):
+        shapes.append(p.shape)
+        return value(p)
+
+    jet = geometry_lab._fd_jet(f, x, order)
+    # one call per distinct stencil point: 1 + 2d at order 1, 1 + 2d^2 at order 2
+    assert shapes == [x.shape] * (1 + 2 * d**order)
+    assert len(jet) == order + 1
+    assert np.array_equal(jet[0], value(x))
+    assert np.array_equal(jet[1], _fd_jacobian(value, x))
+    if order == 2:
+        assert np.array_equal(jet[2], _fd_second(value, x))
+
+
 def test_hodge_star_chart_matches_algebraic_on_flat_chart():
     mink = preset("minkowski")
     x = np.zeros(4)
@@ -435,12 +476,12 @@ def test_pfaffian_consistency_of_pair_derivatives():
 
 
 def poincare_surface(lam):
-    return MetricChart(
-        g=lambda s: np.eye(2) / (lam * s[1]) ** 2,
-        dg=lambda s: np.array(
+    return MetricChart.closed(
+        lambda s: np.eye(2) / (lam * s[1]) ** 2,
+        lambda s: np.array(
             [np.zeros((2, 2)), -2.0 * np.eye(2) / (lam**2 * s[1] ** 3)]
         ),
-        d2g=lambda s: np.array(
+        lambda s: np.array(
             [
                 [np.zeros((2, 2)), np.zeros((2, 2))],
                 [np.zeros((2, 2)), 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)],
