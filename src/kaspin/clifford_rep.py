@@ -9,7 +9,10 @@ tensoring with the (1, 1) block matrices.
 ``quantize`` sends a multivector to its representing endomorphism via
 the blade matrices Gamma_I = gamma_{i_1} @ ... @ gamma_{i_k} (ascending
 index order); ``dequantize`` inverts it through the trace pairing
-c_I = tr(Gamma_I^{-1} E) / N.
+c_I = tr(Gamma_I^{-1} E) / N.  Both read one cached float table whose
+rows are the flattened Gamma_I: quantize is coeffs @ table, and the
+trace pairing is applied as the one product table @ E^T flattened,
+followed by the per-blade inverse sign and 1/N.
 
 ``build_pairings`` constructs the two admissible bilinear pairings
 Bplus (adjoint type s = +1) and Bminus (s = -1) by group averaging over
@@ -53,22 +56,19 @@ class GammaRep:
 
     sig: Signature
     gammas: tuple = field(repr=False)
-    blades: np.ndarray = field(init=False, repr=False, compare=False)
-    # float64 (n_blades, N^2) rows of the blade matrices, shared by
-    # quantize and build_pairings so neither casts blades per call
+    # float64 (n_blades, N^2) rows of the blade matrices Gamma_I, shared
+    # by quantize, dequantize and build_pairings; the entries are exact
     blade_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.sig.n_blades
         N = self.gammas[0].shape[0]
-        blades = np.empty((n, N, N), dtype=np.int64)
-        blades[0] = np.eye(N, dtype=np.int64)
+        blades = np.empty((n, N, N))
+        blades[0] = np.eye(N)
         for mask in range(1, n):
             low = mask & -mask
             blades[mask] = self.gammas[low.bit_length() - 1] @ blades[mask ^ low]
-        blades.setflags(write=False)
-        object.__setattr__(self, "blades", blades)
-        table = blades.reshape(n, N * N).astype(np.float64)
+        table = blades.reshape(n, N * N)
         table.setflags(write=False)
         object.__setattr__(self, "blade_table", table)
 
@@ -130,7 +130,9 @@ def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     E = np.asarray(E, dtype=np.float64)
     if E.shape != (rep.N, rep.N):
         raise ValueError(f"expected a {rep.N}x{rep.N} matrix, got {E.shape}")
-    traces = np.einsum("kij,ji->k", rep.blades, E)
+    # row I of the table is Gamma_I flattened, so its dot with E^T
+    # flattened is tr(Gamma_I E): every trace in one product
+    traces = rep.blade_table @ E.T.ravel()
     coeffs = _inverse_trace_signs(rep.sig) * traces / rep.N
     return Multivector(rep.sig, coeffs)
 

@@ -418,7 +418,8 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     degenerate candidates anyway.
     """
     x = np.asarray(x, dtype=float)
-    g = chart.g(x)
+    jet = _chart_jet(chart, x, 1)
+    g = jet[0]
     ginv = np.linalg.inv(g)
     u_jet, l_jet = kd.u.jet(x), kd.l.jet(x)
     u, l = u_jet[0], l_jet[0]
@@ -428,7 +429,7 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     if np.any(violation > invariant_tol):
         first = np.extract(violation > invariant_tol, violation)[0]
         raise ValueError(f"pair invariants violated by {first:.3e}")
-    gamma = christoffel(chart, x)
+    gamma = _christoffel(jet)
     r_u = _max_abs(_nabla(gamma, u_jet) - kd.lam * (_outer(u, l) - _outer(l, u)), 2)
     defect = _nabla(gamma, l_jet) - kd.lam * (_outer(l, l) - g)
     kappa_hat = _shift(kd.kappa, defect, u, x)
@@ -652,8 +653,8 @@ def heterotic_susy_residuals(hc, kd, x):
     """
     x = np.asarray(x, dtype=float)
     chart = hc.chart
-    g = chart.g(x)
-    ginv = np.linalg.inv(g)
+    jet = _chart_jet(chart, x, 1)
+    ginv = np.linalg.inv(jet[0])
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     if hc.H is None:
@@ -679,7 +680,7 @@ def heterotic_susy_residuals(hc, kd, x):
     res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
     res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
     res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
-    gamma = christoffel(chart, x)
+    gamma = _christoffel(jet)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
     defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
     kappa = _shift(kd.kappa, defect, u, x)
@@ -1169,8 +1170,9 @@ def _score(ps, check, x):
         res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
         return {"killing.r_u": res.r_u, "killing.r_l": res.r_l, "killing.parabolic": res.parabolic}
     if check == "einstein":
-        g = ps.chart.g(x)
-        defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
+        jet = _chart_jet(ps.chart, x, 2)
+        g = jet[0]
+        defect = _ricci(jet) + 3.0 * ps.lam**2 * g
         out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(g, 2)}
         if ps.walker is not None:
             res = einstein_residual(ps.walker, x[..., 2:])

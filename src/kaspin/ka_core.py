@@ -114,13 +114,13 @@ class Multivector:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        # a private read-only copy: np.array copies by default
+        arr = np.array(self.coeffs, dtype=float)
         if arr.shape != (self.sig.n_blades,):
             raise ValueError(
                 f"expected {self.sig.n_blades} coefficients, got shape {arr.shape}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     # -- constructors -------------------------------------------------
@@ -171,7 +171,10 @@ class Multivector:
         return Multivector(self.sig, np.where(self.sig.tables().grade == k, self.coeffs, 0.0))
 
     def grades(self):
-        return np.unique(self.sig.tables().grade[self.coeffs != 0.0]).tolist()
+        # read off the grade table: np.unique would import numpy.ma on first use
+        grade = self.sig.tables().grade
+        present = np.bincount(grade[self.coeffs != 0.0], minlength=self.sig.d + 1)
+        return np.flatnonzero(present).tolist()
 
     @property
     def scalar_part(self):
@@ -182,7 +185,7 @@ class Multivector:
         return self.coeffs[1 << np.arange(self.sig.d)]
 
     def norm_inf(self):
-        return float(np.max(np.abs(self.coeffs)))
+        return float(abs(self.coeffs).max())
 
     def allclose(self, other, tol=1e-12):
         if self.sig != other.sig:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .ka_core import (
     FormMetric,
     Multivector,
     Signature,
-    contract,
     hodge_star,
     wedge,
 )
@@ -34,6 +34,7 @@ from .ka_core import (
 SIG_LORENTZ = Signature(3, 1)
 SIG_NEUTRAL = Signature(2, 2)
 DEFAULT_TOL = 1e-9
+_E4 = Multivector.basis(SIG_LORENTZ, (4,))  # the timelike covector of the gauge
 
 
 @lru_cache(maxsize=None)
@@ -42,13 +43,44 @@ def _metric(sig):
     return FormMetric.from_signature(sig)
 
 
+class _Grades(NamedTuple):
+    ones: np.ndarray  # the one-form masks 1, 2, 4, ..., in basis order
+    metric_ones: np.ndarray  # <e^i, e^i> at each one-form mask
+    # 0/1 weights keeping the coefficients outside grade 1, outside
+    # grades 1 and 2, and outside grade 2: the max-norm of a.coeffs * w
+    # is that of a minus its dropped grades, bit for bit, since c * 0 is
+    # nan exactly where c - c is
+    off_one: np.ndarray
+    off_one_two: np.ndarray
+    off_two: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _grades(sig) -> _Grades:
+    """Cached index and weight vectors of a signature's grades."""
+    tables = sig.tables()
+    grade = tables.grade
+    ones = np.flatnonzero(grade == 1)
+    vectors = _Grades(
+        ones,
+        tables.metric[ones],
+        (grade != 1).astype(float),
+        ((grade != 1) & (grade != 2)).astype(float),
+        (grade != 2).astype(float),
+    )
+    for arr in vectors:
+        arr.setflags(write=False)
+    return vectors
+
+
 def _h(a, b):
     """The induced metric of signature (3,1) on a pair of polyforms."""
     return _metric(SIG_LORENTZ).inner(a, b)
 
 
 def _is_one_form(a: Multivector, tol: float) -> bool:
-    return (a - a.grade(1)).norm_inf() <= tol * max(1.0, a.norm_inf())
+    size = abs(a.coeffs)
+    return (size * _grades(a.sig).off_one).max() <= tol * max(1.0, size.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,19 +91,21 @@ class ParabolicPair:
     l: Multivector
 
     def __post_init__(self):
-        if self.u.sig != SIG_LORENTZ or self.l.sig != SIG_LORENTZ:
+        u, l = self.u, self.l
+        if u.sig != SIG_LORENTZ or l.sig != SIG_LORENTZ:
             raise ValueError("parabolic pairs live in signature (3,1)")
         tol = DEFAULT_TOL
-        if not (_is_one_form(self.u, tol) and _is_one_form(self.l, tol)):
+        if not (_is_one_form(u, tol) and _is_one_form(l, tol)):
             raise ValueError("pair members must be one-forms")
-        scale = max(1.0, self.u.norm_inf(), self.l.norm_inf()) ** 2
-        if self.u.norm_inf() <= tol:
+        u_norm = u.norm_inf()
+        scale = max(1.0, u_norm, l.norm_inf()) ** 2
+        if u_norm <= tol:
             raise ValueError("u must be nonzero")
-        if abs(_h(self.u, self.u)) > tol * scale:
+        if abs(_h(u, u)) > tol * scale:
             raise ValueError("u must be null")
-        if abs(_h(self.l, self.l) - 1.0) > tol * scale:
+        if abs(_h(l, l) - 1.0) > tol * scale:
             raise ValueError("l must have unit norm")
-        if abs(_h(self.u, self.l)) > tol * scale:
+        if abs(_h(u, l)) > tol * scale:
             raise ValueError("u and l must be orthogonal")
 
     def to_json(self) -> str:
@@ -117,31 +151,42 @@ def polyform_to_pair(alpha: Multivector, tol: float = DEFAULT_TOL) -> ParabolicP
     """
     if alpha.sig != SIG_LORENTZ:
         raise ValueError("expected a multivector in signature (3,1)")
+    grades = _grades(SIG_LORENTZ)
+    ones = grades.ones
+    coeffs = alpha.coeffs
     scale = max(1.0, alpha.norm_inf())
-    u = alpha.grade(1)
-    omega = alpha.grade(2)
-    if (alpha - u - omega).norm_inf() > tol * scale:
+    if abs(coeffs * grades.off_one_two).max() > tol * scale:
         _reject("components outside grades 1 and 2")
-    if u.norm_inf() <= tol * scale:
+    u_comps = coeffs[ones]
+    if abs(u_comps).max() <= tol * scale:
         _reject("grade-1 part vanishes")
+    u = alpha.grade(1)
     if abs(_h(u, u)) > tol * scale * scale:
         _reject("grade-1 part is not null")
-    if omega.norm_inf() <= tol * scale:
+    omega = alpha.grade(2).coeffs
+    omega_norm = abs(omega).max()
+    if omega_norm <= tol * scale:
         _reject("grade-2 part vanishes, no unit transverse factor exists")
 
-    r = SIG_LORENTZ.blade_signs()[[1, 2, 4, 8]] * u.one_form_components()
-    pivot = int(np.argmax(np.abs(r)))
-    theta = Multivector.basis(SIG_LORENTZ, (pivot + 1,))
-    l0 = contract(theta, omega) * (1.0 / r[pivot])
-    if (wedge(u, l0) - omega).norm_inf() > tol * scale:
+    r = grades.metric_ones * u_comps
+    pivot = int(abs(r).argmax())
+    # contracting the basis covector e^m with the two-form omega reads one
+    # row of the product's sign table: (e^m <> omega)[i] = sign[m, i] omega[m ^ i]
+    m = ones[pivot]
+    l0 = np.zeros(len(coeffs))
+    l0[ones] = SIG_LORENTZ.tables().sign[m, ones] * omega[m ^ ones] * (1.0 / r[pivot])
+    if not np.isfinite(omega_norm):
+        # as a product the contraction meets every entry of omega, and
+        # 0 * inf and 0 * nan are nan in every component; keep that, so
+        # the pair's one-form check rejects it
+        l0[:] = np.nan
+    l0 = Multivector(SIG_LORENTZ, l0)
+    if abs(wedge(u, l0).coeffs - omega).max() > tol * scale:
         _reject("grade-2 part is not divisible by the grade-1 part")
     if abs(_h(l0, l0) - 1.0) > tol * max(1.0, scale):
         _reject("transverse factor is not of unit norm")
 
-    gauge = normalize_gauge(
-        ParabolicPair(u, l0), Multivector.basis(SIG_LORENTZ, (4,)), tol=tol
-    )
-    return gauge
+    return normalize_gauge(ParabolicPair(u, l0), _E4, tol=tol)
 
 
 def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str, tol: float = DEFAULT_TOL) -> bool:
@@ -171,8 +216,8 @@ def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str, tol: float = 
 
 def pair_to_flag(pp: ParabolicPair) -> DegenerateFlag:
     """The degenerate flag span(u) < span(u,l) < u-perp of a pair."""
-    r = SIG_LORENTZ.blade_signs()[[1, 2, 4, 8]] * pp.u.one_form_components()
-    pivot = int(np.argmax(np.abs(r)))
+    r = _grades(SIG_LORENTZ).metric_ones * pp.u.one_form_components()
+    pivot = int(abs(r).argmax())
     w3 = []
     for j in range(4):
         if j == pivot:
@@ -192,7 +237,7 @@ def normalize_gauge(pp: ParabolicPair, v: Multivector, tol: float = DEFAULT_TOL)
     if abs(huv) <= tol:
         raise ValueError("u is orthogonal to the gauge direction; bad input")
     f = -_h(pp.l, v) / huv
-    return ParabolicPair(pp.u, pp.l + f * pp.u)
+    return ParabolicPair(pp.u, Multivector(SIG_LORENTZ, pp.l.coeffs + pp.u.coeffs * float(f)))
 
 
 def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool:
@@ -204,9 +249,9 @@ def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool
     if alpha.sig != SIG_NEUTRAL:
         raise ValueError("expected a multivector in signature (2,2)")
     scale = max(1.0, alpha.norm_inf())
-    two = alpha.grade(2)
-    if (alpha - two).norm_inf() > tol * scale:
+    if abs(alpha.coeffs * _grades(SIG_NEUTRAL).off_two).max() > tol * scale:
         return False
+    two = alpha.grade(2)
     if (hodge_star(two) - two).norm_inf() > tol * scale:
         return False
     return abs(_metric(SIG_NEUTRAL).inner(two, two)) <= tol * scale * scale

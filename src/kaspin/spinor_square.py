@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford_rep import PairedRep, Spinor, dequantize, quantize, s_transpose
-from .ka_core import Multivector, geometric_product
+from .clifford_rep import PairedRep, Spinor, dequantize, quantize
+from .ka_core import Multivector, _involution_signs, geometric_product
 
 DEFAULT_TOL = 1e-9
 
@@ -82,15 +82,15 @@ def _rank_one_fit(B, E) -> _RankOneFit:
     for its largest-norm column eta, so the residual of that one fit
     decides membership. A zero E fits with residual 0.
     """
-    scale = float(np.max(np.abs(E)))
+    scale = float(abs(E).max())
     if scale == 0.0:
         return _RankOneFit(0.0, np.zeros(len(E)), 0.0, 0.0)
     # fit on unit max-norm so no product of entries over- or underflows
     Ehat = E / scale
-    eta = Ehat[:, int(np.argmax(np.linalg.norm(Ehat, axis=0)))]
-    model = np.outer(eta, eta @ B)
+    eta = Ehat[:, int(np.sqrt(np.add.reduce(Ehat * Ehat, 0)).argmax())]
+    model = eta[:, None] * (eta @ B)
     c = float(np.vdot(model, Ehat) / np.vdot(model, model))
-    return _RankOneFit(scale, eta, c, float(np.max(np.abs(Ehat - c * model))))
+    return _RankOneFit(scale, eta, c, float(abs(Ehat - c * model).max()))
 
 
 def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
@@ -99,7 +99,9 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     fit is the rank-one fit of E = quantize(alpha * 2^-shift). Scaling by
     an even power of two is exact, so E / max|E| keeps every bit while E
     cannot overflow, and sqrt(max|E|) splits off 2^(shift/2) exactly.
-    r_sym is the s-transpose residual of alpha at unit max-norm.
+    r_sym is the s-transpose residual of alpha at unit max-norm; the
+    s-transpose is tau for s = +1 and pi o tau for s = -1, a sign per
+    blade, so it is read off the cached sign vector.
     """
     norm = alpha.norm_inf()
     shift = 2 * (math.frexp(norm)[1] // 2)
@@ -107,8 +109,9 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     fit = _rank_one_fit(pr.B(pairing_tag), E)
     if norm == 0.0:
         return fit, shift, 0.0
-    ahat = alpha * (1.0 / norm)
-    r_sym = (s_transpose(pr, pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat).norm_inf()
+    ahat = alpha.coeffs * (1.0 / norm)
+    signs = _involution_signs(alpha.sig)[1 if pr.s(pairing_tag) == 1 else 2]
+    r_sym = float(abs(ahat * signs - pr.sigma(pairing_tag) * ahat).max())
     return fit, shift, r_sym
 
 

@@ -9,7 +9,14 @@ verify_square_conditions did before its rank-one fit, and on every
 basis blade. The campaign reference scores one sample point at a time,
 as run_campaign did before it stacked its points. The stencil reference
 takes centered differences one call per stencil point, as geometry_lab
-did before its jets evaluated each distinct point once.
+did before its jets evaluated each distinct point once. The
+representation references keep the int64 blade matrices and the einsum
+trace pairing that dequantize used before it became one product with
+the blade table; the square-test and lowdim references are the
+Multivector-arithmetic forms (the s-transpose residual, the rank-one
+fit through the numpy wrappers, and contract through two dense
+products) that the package used before it read coefficient arrays
+through cached sign and index vectors.
 """
 
 import functools
@@ -357,3 +364,228 @@ def _fd_second(f, x):
             out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
                 4.0 * h[..., m] * h[..., k], f0)
     return np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim))
+
+
+# ---------------------------------------------------------------------------
+# blade matrices and the einsum trace pairing
+# ---------------------------------------------------------------------------
+
+
+def blade_matrices(rep):
+    """int64 (n_blades, N, N) blade matrices Gamma_I, by the recursion over the lowest bit."""
+    n = rep.sig.n_blades
+    N = rep.N
+    blades = np.empty((n, N, N), dtype=np.int64)
+    blades[0] = np.eye(N, dtype=np.int64)
+    for mask in range(1, n):
+        low = mask & -mask
+        blades[mask] = rep.gammas[low.bit_length() - 1] @ blades[mask ^ low]
+    return blades
+
+
+def einsum_dequantize(rep, E):
+    """Unique multivector whose quantization is the given endomorphism."""
+    from kaspin.clifford_rep import _inverse_trace_signs
+    from kaspin.ka_core import Multivector
+
+    E = np.asarray(E, dtype=np.float64)
+    if E.shape != (rep.N, rep.N):
+        raise ValueError(f"expected a {rep.N}x{rep.N} matrix, got {E.shape}")
+    traces = np.einsum("kij,ji->k", blade_matrices(rep), E)
+    coeffs = _inverse_trace_signs(rep.sig) * traces / rep.N
+    return Multivector(rep.sig, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the square test by Multivector arithmetic
+# ---------------------------------------------------------------------------
+
+
+class _RankOneFit(NamedTuple):
+    scale: float
+    eta: np.ndarray
+    c: float
+    residual: float
+
+
+def _rank_one_fit(B, E):
+    scale = float(np.max(np.abs(E)))
+    if scale == 0.0:
+        return _RankOneFit(0.0, np.zeros(len(E)), 0.0, 0.0)
+    # fit on unit max-norm so no product of entries over- or underflows
+    Ehat = E / scale
+    eta = Ehat[:, int(np.argmax(np.linalg.norm(Ehat, axis=0)))]
+    model = np.outer(eta, eta @ B)
+    c = float(np.vdot(model, Ehat) / np.vdot(model, model))
+    return _RankOneFit(scale, eta, c, float(np.max(np.abs(Ehat - c * model))))
+
+
+def _square_test(pr, pairing_tag, alpha):
+    import math
+
+    from kaspin.clifford_rep import quantize, s_transpose
+    from kaspin.ka_core import Multivector
+
+    norm = float(np.max(np.abs(alpha.coeffs)))
+    shift = 2 * (math.frexp(norm)[1] // 2)
+    E = quantize(pr.rep, Multivector(alpha.sig, np.ldexp(alpha.coeffs, -shift)))
+    fit = _rank_one_fit(pr.B(pairing_tag), E)
+    if norm == 0.0:
+        return fit, shift, 0.0
+    ahat = alpha * (1.0 / norm)
+    r_sym = s_transpose(pr, pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat
+    return fit, shift, float(np.max(np.abs(r_sym.coeffs)))
+
+
+def multivector_verify_square_conditions(pr, pairing_tag, alpha, tol=1e-9):
+    """(is_square, residual_symmetry, residual_rank_one, tol), as the report was computed."""
+    fit, _, r_sym = _square_test(pr, pairing_tag, alpha)
+    ok = fit.scale == 0.0 or (fit.c != 0.0 and r_sym <= tol and fit.residual <= tol)
+    return ok, r_sym, fit.residual, tol
+
+
+def multivector_reconstruct(pr, pairing_tag, alpha, tol=1e-8):
+    """(spinor components, kappa, residual) of the reconstruction, or the error it raised."""
+    from kaspin.spinor_square import ReconstructionError
+
+    rep = pr.rep
+    fit, shift, r_sym = _square_test(pr, pairing_tag, alpha)
+    if fit.scale == 0.0:
+        return np.zeros(rep.N), 0, 0.0
+    if fit.c == 0.0:
+        raise ReconstructionError("polyform is not reconstructible: degenerate fit")
+    kappa = 1 if fit.c > 0 else -1
+    xi = np.sqrt(abs(fit.c)) * np.ldexp(np.sqrt(fit.scale), shift // 2) * fit.eta
+    if not fit.residual <= tol:
+        raise ReconstructionError(
+            f"polyform is not reconstructible: rank-one fit residual {fit.residual:.3e}"
+        )
+    if not r_sym <= tol:
+        raise ReconstructionError(
+            f"polyform is not reconstructible: symmetry residual {r_sym:.3e}"
+        )
+    return xi, kappa, fit.residual
+
+
+# ---------------------------------------------------------------------------
+# the (3,1) pair and (2,2) chiral forms by Multivector arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _lorentz():
+    from kaspin.ka_core import Signature
+
+    return Signature(3, 1)
+
+
+def _h(a, b):
+    from kaspin.ka_core import FormMetric
+
+    return FormMetric.from_signature(_lorentz()).inner(a, b)
+
+
+def _norm_inf(a):
+    return float(np.max(np.abs(a.coeffs)))
+
+
+def _is_one_form(a, tol):
+    return _norm_inf(a - a.grade(1)) <= tol * max(1.0, _norm_inf(a))
+
+
+def multivector_pair(u, l):
+    """(u, l) after the checks a parabolic pair makes on construction."""
+    if u.sig != _lorentz() or l.sig != _lorentz():
+        raise ValueError("parabolic pairs live in signature (3,1)")
+    tol = 1e-9
+    if not (_is_one_form(u, tol) and _is_one_form(l, tol)):
+        raise ValueError("pair members must be one-forms")
+    scale = max(1.0, _norm_inf(u), _norm_inf(l)) ** 2
+    if _norm_inf(u) <= tol:
+        raise ValueError("u must be nonzero")
+    if abs(_h(u, u)) > tol * scale:
+        raise ValueError("u must be null")
+    if abs(_h(l, l) - 1.0) > tol * scale:
+        raise ValueError("l must have unit norm")
+    if abs(_h(u, l)) > tol * scale:
+        raise ValueError("u and l must be orthogonal")
+    return u, l
+
+
+def _reject(reason):
+    raise ValueError(f"not a spinor square: {reason}")
+
+
+def multivector_polyform_to_pair(alpha, tol=1e-9):
+    """The parabolic pair (u, l) of a Lorentzian square, contracting by two dense products."""
+    from kaspin.ka_core import Multivector, contract, wedge
+
+    sig = _lorentz()
+    if alpha.sig != sig:
+        raise ValueError("expected a multivector in signature (3,1)")
+    scale = max(1.0, _norm_inf(alpha))
+    u = alpha.grade(1)
+    omega = alpha.grade(2)
+    if _norm_inf(alpha - u - omega) > tol * scale:
+        _reject("components outside grades 1 and 2")
+    if _norm_inf(u) <= tol * scale:
+        _reject("grade-1 part vanishes")
+    if abs(_h(u, u)) > tol * scale * scale:
+        _reject("grade-1 part is not null")
+    if _norm_inf(omega) <= tol * scale:
+        _reject("grade-2 part vanishes, no unit transverse factor exists")
+
+    r = sig.blade_signs()[[1, 2, 4, 8]] * u.one_form_components()
+    pivot = int(np.argmax(np.abs(r)))
+    theta = Multivector.basis(sig, (pivot + 1,))
+    l0 = contract(theta, omega) * (1.0 / r[pivot])
+    if _norm_inf(wedge(u, l0) - omega) > tol * scale:
+        _reject("grade-2 part is not divisible by the grade-1 part")
+    if abs(_h(l0, l0) - 1.0) > tol * max(1.0, scale):
+        _reject("transverse factor is not of unit norm")
+
+    u, l0 = multivector_pair(u, l0)
+    return multivector_normalize_gauge(u, l0, Multivector.basis(sig, (4,)), tol=tol)
+
+
+def multivector_normalize_gauge(u, l, v, tol=1e-9):
+    """Shift l along u so that it is orthogonal to the timelike unit v."""
+    if not _is_one_form(v, tol) or abs(_h(v, v) + 1.0) > tol:
+        raise ValueError("gauge direction must be a unit timelike one-form")
+    huv = _h(u, v)
+    if abs(huv) <= tol:
+        raise ValueError("u is orthogonal to the gauge direction; bad input")
+    f = -_h(l, v) / huv
+    return multivector_pair(u, l + f * u)
+
+
+def multivector_pair_to_flag(u, l):
+    """(W1, W2, W3) spans of the degenerate flag of a pair."""
+    from kaspin.ka_core import Multivector
+
+    r = _lorentz().blade_signs()[[1, 2, 4, 8]] * u.one_form_components()
+    pivot = int(np.argmax(np.abs(r)))
+    w3 = []
+    for j in range(4):
+        if j == pivot:
+            continue
+        comps = np.zeros(4)
+        comps[j] = 1.0
+        comps[pivot] = -r[j] / r[pivot]
+        w3.append(Multivector.covector(_lorentz(), comps))
+    return (u,), (u, l), tuple(w3)
+
+
+def multivector_check_22_chiral_square(alpha, tol=1e-9):
+    """Whether alpha is a self-dual two-form of zero norm in (2,2)."""
+    from kaspin.ka_core import FormMetric, Signature, hodge_star
+
+    sig = Signature(2, 2)
+    if alpha.sig != sig:
+        raise ValueError("expected a multivector in signature (2,2)")
+    scale = max(1.0, _norm_inf(alpha))
+    two = alpha.grade(2)
+    if _norm_inf(alpha - two) > tol * scale:
+        return False
+    if _norm_inf(hodge_star(two) - two) > tol * scale:
+        return False
+    return abs(FormMetric.from_signature(sig).inner(two, two)) <= tol * scale * scale

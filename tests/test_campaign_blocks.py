@@ -166,7 +166,7 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
 
 @pytest.mark.parametrize("check, per_point", [
     # each distinct stencil point once per jet: 1 + 2d^2 = 9 points at order 2, 5 at order 1
-    pytest.param("einstein", {"F": 19, "K": 15, "q2": 19}, id="einstein"),
+    pytest.param("einstein", {"F": 18, "K": 14, "q2": 18}, id="einstein"),
     pytest.param("walker", {"F": 5, "K": 9, "q2": 5}, id="walker"),
 ])
 def test_walker_generic_callbacks_see_one_point(check, per_point):

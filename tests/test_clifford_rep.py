@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaspin.clifford_rep import (
     PAIRING_SYMMETRY,
@@ -25,6 +27,8 @@ from kaspin.ka_core import (
     tau,
 )
 from kaspin.rng import make_rng, random_multivector
+
+from oracles import blade_matrices, einsum_dequantize
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -83,7 +87,7 @@ def test_anticommutation_exact(reps):
 
 def test_blade_matrices_linearly_independent(reps):
     for (p, q), rep in reps.items():
-        flat = rep.blades.reshape(rep.sig.n_blades, -1)
+        flat = blade_matrices(rep).reshape(rep.sig.n_blades, -1)
         assert np.linalg.matrix_rank(flat) == rep.sig.n_blades
 
 
@@ -118,7 +122,7 @@ def test_quantize_is_bit_identical_to_tensordot(reps):
             coeffs = rng.standard_normal(sig.n_blades) * 10.0 ** rng.integers(-8, 9)
             coeffs[rng.random(sig.n_blades) < 0.5] = 0.0
             got = quantize(rep, Multivector(sig, coeffs))
-            want = np.tensordot(coeffs, rep.blades, axes=(0, 0))
+            want = np.tensordot(coeffs, blade_matrices(rep), axes=(0, 0))
             assert got.dtype == want.dtype and np.array_equal(got, want), (p, q)
 
 
@@ -127,7 +131,7 @@ def test_blade_table_is_a_read_only_float_copy_of_the_blades(reps):
         n, N = rep.sig.n_blades, rep.N
         assert rep.blade_table.dtype == np.float64 and rep.blade_table.shape == (n, N * N)
         assert not rep.blade_table.flags.writeable
-        assert np.array_equal(rep.blade_table.reshape(n, N, N), rep.blades)
+        assert np.array_equal(rep.blade_table.reshape(n, N, N), blade_matrices(rep))
 
 
 def test_quantize_is_algebra_isomorphism(reps):
@@ -157,6 +161,31 @@ def test_dequantize_round_trips(reps):
         E = rng.standard_normal((rep.N, rep.N))
         again = quantize(rep, dequantize(rep, E))
         assert np.max(np.abs(again - E)) <= 1e-10 * max(1.0, np.max(np.abs(E)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pq=st.sampled_from(REP_SIGS),
+    exponent=st.integers(min_value=-300, max_value=300),
+    sparse=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dequantize_matches_the_einsum_trace_pairing(reps, pq, exponent, sparse, seed):
+    # one product with the blade table sums each trace in another order
+    # than the einsum: the same bits while N <= 4, a few ulps of max|E| above
+    rep = reps[pq]
+    N = rep.N
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((N, N)) * 10.0**exponent
+    if sparse:
+        E[rng.random((N, N)) < 0.5] = 0.0
+    got = dequantize(rep, E).coeffs
+    want = einsum_dequantize(rep, E).coeffs
+    if N <= 4:
+        assert got.tobytes() == want.tobytes()
+    else:
+        bound = 4 * N * np.finfo(float).eps * np.max(np.abs(E))
+        assert np.max(np.abs(got - want)) <= bound
 
 
 def test_dequantize_basis_cases(reps):

@@ -51,3 +51,19 @@ def test_chart_layer_loads_only_the_standard_library_numpy_and_kaspin():
         "print(sorted(tops - set(sys.stdlib_module_names) - {'numpy', 'kaspin'}))"
     )
     assert outside == "[]"
+
+
+def test_square_reconstruct_and_check_polyform_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 16 ms of a cold `kaspin square`
+    loaded = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from kaspin.cli import main\n"
+        "spinor = json.dumps({'p': 3, 'q': 1, 'components': [0.5, -1.0, 2.0, 0.25]})\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['square', spinor])]\n"
+        "    alpha = json.dumps(json.loads(out.getvalue())['alpha'])\n"
+        "    codes += [main([cmd, alpha]) for cmd in ('reconstruct', 'check-polyform')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    assert loaded == "[0, 0, 0] False"

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kaspin.clifford_rep import Spinor, build_pairings, build_rep
+from kaspin.clifford_rep import Spinor, build_pairings, build_rep, quantize
 from kaspin.ka_core import (
     FormMetric,
     Multivector,
@@ -25,6 +27,14 @@ from kaspin.lowdim import (
 )
 from kaspin.rng import make_rng, random_spinor
 from kaspin.spinor_square import reconstruct, square, verify_square_conditions
+
+from oracles import (
+    multivector_check_22_chiral_square,
+    multivector_normalize_gauge,
+    multivector_pair,
+    multivector_pair_to_flag,
+    multivector_polyform_to_pair,
+)
 
 SIG = Signature(3, 1)
 H = FormMetric.from_signature(SIG)
@@ -243,6 +253,13 @@ def test_normalize_gauge():
         normalize_gauge(pp, cov(1, 0, 0, 0))  # spacelike probe
 
 
+def test_normalize_gauge_rejects_a_direction_of_another_signature():
+    # a (2,2) one-form passes the one-form test; the metric then refuses it
+    v = Multivector.basis(Signature(2, 2), (4,))
+    with pytest.raises(ValueError, match="signature mismatch"):
+        normalize_gauge(base_pair(), v)
+
+
 # ---------------------------------------------------------------------------
 # split-plane and neutral-plane normal forms
 # ---------------------------------------------------------------------------
@@ -318,3 +335,137 @@ def test_22_chiral_spinor_squares():
         beta = square(pr, "plus", 1, pos).alpha
         assert beta.norm_inf() > 1e-6
         assert not check_22_chiral_square(beta)
+
+
+# ---------------------------------------------------------------------------
+# against the Multivector-arithmetic forms
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _bits(*forms):
+    return tuple(form.coeffs.tobytes() for form in forms)
+
+
+def _nonfinite(alpha, rng):
+    coeffs = alpha.coeffs.copy()
+    coeffs[rng.integers(len(coeffs))] = rng.choice([np.inf, -np.inf, np.nan])
+    return Multivector(alpha.sig, coeffs)
+
+
+def _candidate(pr, kind, exponent, rng):
+    """A chiral or Lorentzian square at 10^exponent, perturbed, random, or not finite."""
+    sig, N = pr.rep.sig, pr.rep.N
+    if kind == "random":
+        return Multivector(sig, rng.standard_normal(sig.n_blades) * 10.0 ** (3 * exponent))
+    xi = rng.standard_normal(N) * 10.0**exponent
+    if sig == SIG22:
+        # negative chirality: the plus-pairing squares are the self-dual null two-forms
+        nu = quantize(pr.rep, Multivector.volume(sig))
+        alpha = square(pr, "plus", 1, Spinor(pr.rep, 0.5 * (xi - nu @ xi))).alpha
+    else:
+        alpha = square(pr, "minus", int(rng.choice([-1, 1])), Spinor(pr.rep, xi)).alpha
+    if kind in ("perturbed", "nudged"):
+        # 1e-12 stays inside the tolerance of every check
+        size = 1e-6 if kind == "perturbed" else 1e-12
+        noise = rng.standard_normal(sig.n_blades)
+        alpha = alpha + (size * alpha.norm_inf() / np.max(np.abs(noise))) * Multivector(sig, noise)
+    if kind == "nonfinite":
+        alpha = _nonfinite(alpha, rng)
+    return alpha
+
+
+def _timelike_unit(rng, wobble):
+    space = 0.5 * rng.standard_normal(3)
+    return cov(*space, np.sqrt(1.0 + space @ space) + wobble)
+
+
+KINDS = ["square", "perturbed", "nudged", "random", "nonfinite"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    exponent=st.integers(min_value=-100, max_value=100),
+    wobble=st.sampled_from([0.0, 1e-12, 1e-3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pair_forms_are_bit_identical_to_their_multivector_forms(kind, exponent, wobble, seed):
+    rng = np.random.default_rng(seed)
+    alpha = _candidate(build_pairings(build_rep(SIG)), kind, exponent, rng)
+    v = _timelike_unit(rng, wobble)
+    with np.errstate(all="ignore"):
+        got = _outcome(polyform_to_pair, alpha)
+        want = _outcome(multivector_polyform_to_pair, alpha)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert _bits(got.u, got.l) == _bits(*want)
+        gauged = _outcome(normalize_gauge, got, v)
+        want_gauged = _outcome(multivector_normalize_gauge, *want, v)
+    if isinstance(want_gauged, str):
+        assert gauged == want_gauged
+    else:
+        assert _bits(gauged.u, gauged.l) == _bits(*want_gauged)
+    flag = pair_to_flag(got)
+    want_flag = multivector_pair_to_flag(*want)
+    assert _bits(*flag.W1, *flag.W2, *flag.W3) == _bits(*want_flag[0], *want_flag[1], *want_flag[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u_noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
+    l_noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
+    l_scale=st.sampled_from([1.0, 1.0 + 1e-12, 2.0]),
+    every_blade=st.booleans(),
+    poison=st.sampled_from([None, "u", "l"]),
+    blade=st.integers(min_value=0, max_value=15),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pair_checks_match_their_multivector_form(
+    u_noise, l_noise, l_scale, every_blade, poison, blade, bad, seed
+):
+    # noise on every blade crosses the one-form check, noise on the
+    # one-form part alone the null, unit and orthogonality checks; a
+    # non-finite coefficient, on a one-form blade too, must fail as before
+    rng = np.random.default_rng(seed)
+    pp = random_parabolic_pair(rng)
+    where = np.ones(16)
+    if not every_blade:
+        where = np.zeros(16)
+        where[[1, 2, 4, 8]] = 1.0
+    members = {
+        "u": pp.u.coeffs + u_noise * where * rng.standard_normal(16),
+        "l": l_scale * pp.l.coeffs + l_noise * where * rng.standard_normal(16),
+    }
+    if poison is not None:
+        members[poison][blade] = bad
+    u, l = Multivector(SIG, members["u"]), Multivector(SIG, members["l"])
+    with np.errstate(all="ignore"):
+        got = _outcome(ParabolicPair, u, l)
+        want = _outcome(multivector_pair, u, l)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _bits(got.u, got.l) == _bits(*want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_chiral_square_check_matches_its_multivector_form(kind, exponent, seed):
+    pr = build_pairings(build_rep(SIG22))
+    alpha = _candidate(pr, kind, exponent, np.random.default_rng(seed))
+    with np.errstate(all="ignore"):
+        assert check_22_chiral_square(alpha) == multivector_check_22_chiral_square(alpha)

@@ -29,7 +29,13 @@ from kaspin.spinor_square import (
     verify_square_conditions,
 )
 
-from oracles import full_basis_verify_square_conditions, slow_verify_square_conditions
+from oracles import (
+    blade_matrices,
+    full_basis_verify_square_conditions,
+    multivector_reconstruct,
+    multivector_verify_square_conditions,
+    slow_verify_square_conditions,
+)
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -205,7 +211,7 @@ def test_square_test_holds_near_the_float_range(paired, tag):
     factor = 1.5e308 / alpha.norm_inf()
     big = alpha * factor
     with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(np.tensordot(big.coeffs, pr.rep.blades, axes=(0, 0))))
+        assert not np.all(np.isfinite(np.tensordot(big.coeffs, blade_matrices(pr.rep), axes=(0, 0))))
     rep = verify_square_conditions(pr, tag, big)
     assert rep.is_square and rep.residual_rank_one <= 1e-12
     rec, ref = reconstruct(pr, tag, big), reconstruct(pr, tag, alpha)
@@ -308,6 +314,51 @@ def test_rank_one_verdict_matches_probe_and_full_basis_oracles(paired, case):
     except ReconstructionError:
         accepted = False
     assert accepted == got.is_square
+
+
+def _scaled_candidate(pr, tag, kind, exponent, rng):
+    """A square of a spinor at 10^exponent, one perturbed by 1e-6, or a random polyform at 10^(3 exponent)."""
+    sig = pr.rep.sig
+    if kind == "random":
+        return Multivector(sig, rng.standard_normal(sig.n_blades) * 10.0 ** (3 * exponent))
+    xi = Spinor(pr.rep, rng.standard_normal(pr.rep.N) * 10.0**exponent)
+    alpha = square(pr, tag, int(rng.choice([-1, 1])), xi).alpha
+    if kind == "perturbed":
+        noise = rng.standard_normal(sig.n_blades)
+        alpha = alpha + (1e-6 * alpha.norm_inf() / np.max(np.abs(noise))) * Multivector(sig, noise)
+    return alpha
+
+
+def _reconstruction(recon, pr, tag, alpha):
+    """(spinor bytes, kappa, residual) of a reconstruction, or its error message."""
+    try:
+        result = recon(pr, tag, alpha)
+    except ReconstructionError as exc:
+        return str(exc)
+    if not isinstance(result, tuple):
+        result = (result.spinor.components, result.kappa, result.residual)
+    xi, kappa, residual = result
+    return np.asarray(xi).tobytes(), kappa, residual
+
+
+@pytest.mark.parametrize("tag", ["plus", "minus"])
+@pytest.mark.parametrize("pq", REP_SIGS)
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["square", "perturbed", "random"]),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_square_test_is_bit_identical_to_its_multivector_form(paired, pq, tag, kind, exponent, seed):
+    # spinors at 1e-100..1e100, so squares at 1e-200..1e200; random
+    # polyforms at 1e-300..1e300
+    pr = paired[pq]
+    alpha = _scaled_candidate(pr, tag, kind, exponent, np.random.default_rng(seed))
+    got = verify_square_conditions(pr, tag, alpha)
+    want = multivector_verify_square_conditions(pr, tag, alpha)
+    assert (got.is_square, got.residual_symmetry, got.residual_rank_one, got.tol) == want
+    want = _reconstruction(multivector_reconstruct, pr, tag, alpha)
+    assert _reconstruction(reconstruct, pr, tag, alpha) == want
 
 
 def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
