@@ -2,15 +2,13 @@
 squaring/reconstruction, and chart-level Lorentzian residual checks."""
 
 from .ka_core import (
-    FormMetric,
     Multivector,
-    Multiplier,
     Signature,
     contract,
     geometric_product,
     hodge_star,
+    inner,
     ka_trace,
-    multiplier,
     pi,
     pi_tau,
     tau,
@@ -20,15 +18,13 @@ from .ka_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormMetric",
     "Multivector",
-    "Multiplier",
     "Signature",
     "contract",
     "geometric_product",
     "hodge_star",
+    "inner",
     "ka_trace",
-    "multiplier",
     "pi",
     "pi_tau",
     "tau",

@@ -12,7 +12,7 @@ tables are indexed by (I, K) with K the output blade, so the factor
 paired with e_I is e_{I xor K} and every product is one gather and one
 matrix-vector product: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K].
 The gathered matrix R_b[I, K] = sign(I, I xor K) b[I xor K] is the right
-action of b, so x @ R_b multiplies every row of a stack x by b at once.
+action of b, so a @ R_b multiplies every row of a stack a by b at once.
 """
 
 from functools import lru_cache
@@ -27,6 +27,9 @@ class ProductTables(NamedTuple):
     wedge_sign: np.ndarray  # same, zero where i and i^k overlap
     grade: np.ndarray  # (2^d,) number of covectors in each blade
     metric: np.ndarray  # (2^d,) <e_I, e_I>, the induced metric diagonal
+    pi: np.ndarray  # (2^d,) grade involution, (-1)^k on grade k
+    tau: np.ndarray  # (2^d,) reversion, (-1)^(k(k-1)/2)
+    pi_tau: np.ndarray  # (2^d,) pi o tau, (-1)^(k(k+1)/2)
 
 
 def _parity_sign(count):
@@ -53,26 +56,21 @@ def get_tables(p, q):
     # each repeated covector beyond the first p squares to -1
     sign = _parity_sign(swaps + grade[common >> p])
     metric = _parity_sign(grade[masks >> p])
-    tables = ProductTables(xor.astype(np.intp), sign, wedge_sign, grade.astype(np.int64), metric)
+    k = grade.astype(np.int64)
+    pi, tau = _parity_sign(k), _parity_sign(k * (k - 1) // 2)
+    tables = ProductTables(xor.astype(np.intp), sign, wedge_sign, k, metric, pi, tau, pi * tau)
     for arr in tables:
         arr.setflags(write=False)
     return tables
-
-
-def right_matrix(b, sign, xor):
-    """R[i, k] = sign[i, k] b[i ^ k], so (x @ R)[..., k] is the product x b.
-
-    Built in place: the returned array is the only 2^d x 2^d float array
-    the call allocates.
-    """
-    out = b[xor]
-    out *= sign
-    return out
 
 
 def product(a, b, sign, xor):
     """out[..., k] = sum_i a[..., i] sign[i, k] b[i ^ k], for either sign table.
 
     a may carry leading batch axes; each row is multiplied by the one b.
+    The gathered matrix is built in place, the only 2^d x 2^d float
+    array the call allocates.
     """
-    return a @ right_matrix(b, sign, xor)
+    right = b[xor]
+    right *= sign
+    return a @ right

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
+from . import _kernels
 from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep, quantize
-from .ka_core import Multivector, Signature, geometric_product, ka_trace, multiplier
+from .ka_core import Multivector, Signature, geometric_product, ka_trace
 from .rng import make_rng, random_multivector, random_spinor
 from .spinor_square import (
     ReconstructionError,
@@ -43,11 +43,7 @@ def _finite(name, values):
 
 
 def _resolve_tol(args, fallback):
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        env = os.environ.get("KASPIN_TOL")
-        tol = float(env) if env else fallback
+    tol = fallback if args.tol is None else args.tol
     if _finite("tol", tol) <= 0.0:
         raise UsageError("tol must be positive")
     return tol
@@ -156,16 +152,15 @@ def _cmd_verify_algebra(args):
         iso = max(iso, float(np.max(np.abs(eab - ea @ eb))))
         trace_err = max(trace_err, abs(ka_trace(a) - float(np.trace(ea))))
 
-    # e_i <> e_j + e_j <> e_i = 2 g_ij for every j at once, multiplying
-    # the stacked one-forms e_j by e_i on either side
-    metric = sig.blade_signs()
-    one_forms = np.eye(sig.n_blades)[1 << np.arange(sig.d)]
-    cliff = 0.0
-    for i in range(sig.d):
-        by_ei = multiplier(Multivector.basis(sig, (i + 1,)))
-        anti = by_ei.left(one_forms) + by_ei.right(one_forms)
-        anti[i, 0] -= 2.0 * metric[1 << i]
-        cliff = max(cliff, float(np.max(np.abs(anti))))
+    # e_i <> e_j + e_j <> e_i = 2 g_ij: one stacked product per i gives
+    # e_j <> e_i for every j, and the transpose adds e_i <> e_j
+    t = sig.tables()
+    ones = 1 << np.arange(sig.d)
+    one_forms = np.eye(sig.n_blades)[ones]
+    by_e = np.stack([_kernels.product(one_forms, e, t.sign, t.xor) for e in one_forms])
+    anti = by_e + by_e.transpose(1, 0, 2)
+    anti[range(sig.d), range(sig.d), 0] -= 2.0 * t.metric[ones]
+    cliff = float(np.max(np.abs(anti)))
 
     expected = PAIRING_SYMMETRY[(sig.d // 2) % 4]
     computed = tuple(_symmetry_sign(B) for B in (pr.Bplus, pr.Bminus))
@@ -362,7 +357,7 @@ def _build_parser():
 
     def tol_flag(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default from KASPIN_TOL, else per-command)")
+                       help="residual tolerance (default per command)")
 
     def trial_flags(p, trials_default):
         p.add_argument("--trials", type=int, default=trials_default,

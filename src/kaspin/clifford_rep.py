@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ka_core import Multivector, Signature, pi_tau, tau
+from .ka_core import Multivector, Signature
 
 # (sigma_plus, sigma_minus) keyed by k = d/2 mod 4
 PAIRING_SYMMETRY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
@@ -115,16 +115,6 @@ def quantize(rep: GammaRep, a: Multivector) -> np.ndarray:
     return (a.coeffs @ rep.blade_table).reshape(rep.N, rep.N)
 
 
-@lru_cache(maxsize=None)
-def _inverse_trace_signs(sig: Signature) -> np.ndarray:
-    # Gamma_I^{-1} = (-1)^{k(k-1)/2} * metric_I * Gamma_I for each blade
-    tables = sig.tables()
-    k = tables.grade
-    signs = (-1.0) ** (k * (k - 1) // 2) * tables.metric
-    signs.setflags(write=False)
-    return signs
-
-
 def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     """Unique multivector whose quantization is the given endomorphism."""
     E = np.asarray(E, dtype=np.float64)
@@ -133,7 +123,9 @@ def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     # row I of the table is Gamma_I flattened, so its dot with E^T
     # flattened is tr(Gamma_I E): every trace in one product
     traces = rep.blade_table @ E.T.ravel()
-    coeffs = _inverse_trace_signs(rep.sig) * traces / rep.N
+    # Gamma_I^{-1} = tau_I * metric_I * Gamma_I for each blade
+    t = rep.sig.tables()
+    coeffs = t.tau * t.metric * traces / rep.N
     return Multivector(rep.sig, coeffs)
 
 
@@ -206,9 +198,8 @@ def build_pairings(rep: GammaRep) -> PairedRep:
 
     # fix Bminus through the exact volume-blade relation
     Gnu = blades[n - 1]
-    d = sig.d
-    inv_coef = (-1.0) ** (d * (d - 1) // 2) * sig.blade_signs()[n - 1]
-    Bminus = (-1.0) ** (sig.q // 2) * Bplus @ (inv_coef * Gnu)
+    t = sig.tables()
+    Bminus = (-1.0) ** (sig.q // 2) * Bplus @ (t.tau[-1] * t.metric[-1] * Gnu)
 
     ratio = np.vdot(raw_minus, Bminus) / np.vdot(raw_minus, raw_minus)
     _require(
@@ -216,7 +207,7 @@ def build_pairings(rep: GammaRep) -> PairedRep:
         "Bminus not proportional to the averaged construction",
     )
 
-    sigma_plus, sigma_minus = PAIRING_SYMMETRY[(d // 2) % 4]
+    sigma_plus, sigma_minus = PAIRING_SYMMETRY[(sig.d // 2) % 4]
     _require(np.array_equal(Bplus.T, sigma_plus * Bplus), "Bplus symmetry type")
     _require(np.array_equal(Bminus.T, sigma_minus * Bminus), "Bminus symmetry type")
     _require(abs(np.linalg.det(Bplus)) > 1e-9, "Bplus nondegenerate")
@@ -237,17 +228,21 @@ def build_pairings(rep: GammaRep) -> PairedRep:
     return PairedRep(rep, Bplus, Bminus, sigma_plus, sigma_minus)
 
 
+def s_transpose_signs(sig: Signature, s: int) -> np.ndarray:
+    """Per-blade signs of the s-transpose: tau for s = +1, pi o tau for s = -1."""
+    if s not in (1, -1):
+        raise ValueError(f"adjoint type must be +1 or -1, got {s!r}")
+    t = sig.tables()
+    return t.tau if s == 1 else t.pi_tau
+
+
 def s_transpose(pr: PairedRep, s: int, a: Multivector) -> Multivector:
     """Algebra-side transpose matching matrix transposition under a pairing.
 
     For s = +1 this is the reversal tau, for s = -1 the composition
     pi o tau, so that Bs @ quantize(a) = quantize(s_transpose(a)).T @ Bs.
     """
-    if s == 1:
-        return tau(a)
-    if s == -1:
-        return pi_tau(a)
-    raise ValueError(f"adjoint type must be +1 or -1, got {s!r}")
+    return Multivector(a.sig, a.coeffs * s_transpose_signs(a.sig, s))
 
 
 @dataclass(frozen=True, eq=False)

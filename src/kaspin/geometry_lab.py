@@ -323,12 +323,15 @@ def hodge_star_chart(chart, x, omega):
     algebraic dual under the component dictionary coeff_{i<j<...} =
     T_{ij...}.  omega carries the point axes of x in front.
     """
-    x = np.asarray(x, dtype=float)
+    return _star(chart.g(np.asarray(x, dtype=float)), omega)
+
+
+def _star(g, omega):
+    """hodge_star_chart on the metric components g at the points."""
     omega = np.asarray(omega, dtype=float)
-    lead = x.shape[:-1]
+    lead = g.shape[:-2]
     k = omega.ndim - len(lead)
-    n = chart.dim
-    g = chart.g(x)
+    n = g.shape[-1]
     root = np.sqrt(np.abs(np.linalg.det(g)))
     eps = _levi_civita(n)
     if k == 0:
@@ -634,7 +637,7 @@ def _coclosed_residual(hc, x):
 
     def density(p):
         g = chart.g(p)
-        rho = hodge_star_chart(chart, p, np.asarray(hc.H(p), dtype=float))
+        rho = _star(g, hc.H(p))
         root = np.sqrt(np.abs(np.linalg.det(g)))
         return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
@@ -657,16 +660,12 @@ def heterotic_susy_residuals(hc, kd, x):
     ginv = np.linalg.inv(jet[0])
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
-    if hc.H is None:
-        rho = _zeros(x, 4)
-    else:
-        rho = hodge_star_chart(chart, x, np.asarray(hc.H(x), dtype=float))
+    rho = _zeros(x, 4) if hc.H is None else _star(jet[0], hc.H(x))
 
     def pairing(a, b):
         return _pair(a, ginv, b)
 
-    def star(omega):
-        return hodge_star_chart(chart, x, omega)
+    star = functools.partial(_star, jet[0])
 
     res = {}
     res["star_identity_u"] = _max_abs(_wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)), 2)

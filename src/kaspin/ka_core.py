@@ -18,7 +18,6 @@ immutable after construction and every operation is a pure function.
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,35 +55,12 @@ class Signature:
             raise ValueError(f"basis index {i} out of range 1..{self.d}")
         return 1.0 if i <= self.p else -1.0
 
-    def blade_signs(self):
-        """<e_I, e_I> for every mask I (the induced metric diagonal)."""
-        return self.tables().metric.copy()
-
     def supports_rep(self):
         """Whether the representation modules accept this signature."""
         return self.d % 2 == 0 and self.p - self.q in (0, 2)
 
     def tables(self):
         return _kernels.get_tables(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class FormMetric:
-    """Diagonal metric induced on basis monomials of the exterior algebra."""
-
-    sig: Signature
-    diag: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_signature(cls, sig):
-        diag = sig.blade_signs()
-        diag.flags.writeable = False
-        return cls(sig, diag)
-
-    def inner(self, a, b):
-        if a.sig != self.sig or b.sig != self.sig:
-            raise ValueError("signature mismatch")
-        return float(np.dot(a.coeffs * self.diag, b.coeffs))
 
 
 def _mask_key(mask):
@@ -253,31 +229,10 @@ def geometric_product(a, b):
     return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.sign, t.xor))
 
 
-@dataclass(frozen=True, eq=False)
-class Multiplier:
-    """Multiplication by one fixed multivector a, on stacks of coefficient rows.
-
-    right(x) is x <> a and left(x) is a <> x, row by row, for x of shape
-    (..., 2^d). Both share the one gathered matrix R with x @ R = x <> a:
-    the scalar part of x <> y is sum_I x_I g_I y_I, with g_I = e_I e_I =
-    +-1, and it makes left and right multiplication by a adjoint, so
-    a <> x is ((x * g) @ R.T) * g and no second 2^d x 2^d matrix is built.
-    """
-
-    R: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-
-    def right(self, x):
-        return x @ self.R
-
-    def left(self, x):
-        return ((x * self.g) @ self.R.T) * self.g
-
-
-def multiplier(a):
-    """The Multiplier of a: one gather of a through the product's sign table."""
-    t = a.sig.tables()
-    return Multiplier(_kernels.right_matrix(a.coeffs, t.sign, t.xor), t.sign[:, 0])
+def inner(a, b):
+    """The metric induced on forms: sum_I <e_I, e_I> a_I b_I."""
+    a._check(b)
+    return float(np.dot(a.coeffs * a.sig.tables().metric, b.coeffs))
 
 
 def contract(theta, a):
@@ -292,29 +247,19 @@ def contract(theta, a):
     return geometric_product(theta, a) - wedge(theta, a)
 
 
-@lru_cache(maxsize=None)
-def _involution_signs(sig):
-    """Per-blade signs of pi, tau and pi o tau, from the grade k."""
-    k = sig.tables().grade
-    signs = ((-1.0) ** k, (-1.0) ** (k * (k - 1) // 2), (-1.0) ** (k * (k + 1) // 2))
-    for arr in signs:
-        arr.setflags(write=False)
-    return signs
-
-
 def pi(a):
     """Grade involution: (-1)^k on grade k."""
-    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[0])
+    return Multivector(a.sig, a.coeffs * a.sig.tables().pi)
 
 
 def tau(a):
     """Reversion: (-1)^(k(k-1)/2) on grade k."""
-    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[1])
+    return Multivector(a.sig, a.coeffs * a.sig.tables().tau)
 
 
 def pi_tau(a):
     """The composite pi o tau: (-1)^(k(k+1)/2) on grade k."""
-    return Multivector(a.sig, a.coeffs * _involution_signs(a.sig)[2])
+    return Multivector(a.sig, a.coeffs * a.sig.tables().pi_tau)
 
 
 def ka_trace(a):

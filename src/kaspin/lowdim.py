@@ -23,24 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ka_core import (
-    FormMetric,
-    Multivector,
-    Signature,
-    hodge_star,
-    wedge,
-)
+from .ka_core import Multivector, Signature, hodge_star, inner, wedge
 
 SIG_LORENTZ = Signature(3, 1)
 SIG_NEUTRAL = Signature(2, 2)
 DEFAULT_TOL = 1e-9
 _E4 = Multivector.basis(SIG_LORENTZ, (4,))  # the timelike covector of the gauge
-
-
-@lru_cache(maxsize=None)
-def _metric(sig):
-    # built on first use, so importing the module builds no product tables
-    return FormMetric.from_signature(sig)
 
 
 class _Grades(NamedTuple):
@@ -75,7 +63,9 @@ def _grades(sig) -> _Grades:
 
 def _h(a, b):
     """The induced metric of signature (3,1) on a pair of polyforms."""
-    return _metric(SIG_LORENTZ).inner(a, b)
+    if a.sig != SIG_LORENTZ:
+        raise ValueError("signature mismatch")
+    return inner(a, b)
 
 
 def _is_one_form(a: Multivector, tol: float) -> bool:
@@ -254,7 +244,7 @@ def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool
     two = alpha.grade(2)
     if (hodge_star(two) - two).norm_inf() > tol * scale:
         return False
-    return abs(_metric(SIG_NEUTRAL).inner(two, two)) <= tol * scale * scale
+    return abs(inner(two, two)) <= tol * scale * scale
 
 
 def random_parabolic_pair(rng) -> ParabolicPair:

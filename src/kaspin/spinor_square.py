@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford_rep import PairedRep, Spinor, dequantize, quantize
-from .ka_core import Multivector, _involution_signs, geometric_product
+from .clifford_rep import PairedRep, Spinor, dequantize, quantize, s_transpose_signs
+from .ka_core import Multivector, geometric_product
 
 DEFAULT_TOL = 1e-9
 
@@ -100,8 +100,8 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     an even power of two is exact, so E / max|E| keeps every bit while E
     cannot overflow, and sqrt(max|E|) splits off 2^(shift/2) exactly.
     r_sym is the s-transpose residual of alpha at unit max-norm; the
-    s-transpose is tau for s = +1 and pi o tau for s = -1, a sign per
-    blade, so it is read off the cached sign vector.
+    s-transpose is a sign per blade, read off the signature's cached
+    sign vector by s_transpose_signs.
     """
     norm = alpha.norm_inf()
     shift = 2 * (math.frexp(norm)[1] // 2)
@@ -110,7 +110,7 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     if norm == 0.0:
         return fit, shift, 0.0
     ahat = alpha.coeffs * (1.0 / norm)
-    signs = _involution_signs(alpha.sig)[1 if pr.s(pairing_tag) == 1 else 2]
+    signs = s_transpose_signs(alpha.sig, pr.s(pairing_tag))
     r_sym = float(abs(ahat * signs - pr.sigma(pairing_tag) * ahat).max())
     return fit, shift, r_sym
 

@@ -199,19 +199,21 @@ def full_basis_verify_square_conditions(pr, pairing_tag, alpha, tol=1e-9):
     The sandwich alpha <> beta <> alpha = S(alpha <> beta) alpha is linear
     in beta, so the 2^d blades (1 among them, which gives idempotency)
     test it for every beta. Both products are taken for all blades at
-    once, as rows of the identity multiplied by alpha's Multiplier.
+    once, as stacked rows of the identity multiplied by alpha on the
+    right: the left product is alpha <> x = tau(tau(x) <> tau(alpha)).
     """
-    from kaspin.ka_core import multiplier
+    from kaspin import _kernels
 
     sig = pr.rep.sig
     scale = alpha.norm_inf()
     if scale == 0.0:
         return ProbeVerdict(True, 0.0, 0.0, 0.0, True)
     ahat = alpha * (1.0 / scale)
-    by_alpha = multiplier(ahat)
-    ab = by_alpha.left(np.eye(sig.n_blades))
+    t = sig.tables()
+    ab = _kernels.product(np.diag(t.tau), ahat.coeffs * t.tau, t.sign, t.xor) * t.tau
     traces = 2.0 ** (sig.d // 2) * ab[:, 0]
-    residuals = np.max(np.abs(by_alpha.right(ab) - np.outer(traces, ahat.coeffs)), axis=1)
+    aba = _kernels.product(ab, ahat.coeffs, t.sign, t.xor)
+    residuals = np.max(np.abs(aba - np.outer(traces, ahat.coeffs)), axis=1)
     r_sym = _symmetry_residual(pr, pairing_tag, ahat)
     witness = bool(np.any(np.abs(traces) > tol))
     ok = witness and max(r_sym, float(np.max(residuals))) <= tol
@@ -385,14 +387,14 @@ def blade_matrices(rep):
 
 def einsum_dequantize(rep, E):
     """Unique multivector whose quantization is the given endomorphism."""
-    from kaspin.clifford_rep import _inverse_trace_signs
     from kaspin.ka_core import Multivector
 
     E = np.asarray(E, dtype=np.float64)
     if E.shape != (rep.N, rep.N):
         raise ValueError(f"expected a {rep.N}x{rep.N} matrix, got {E.shape}")
     traces = np.einsum("kij,ji->k", blade_matrices(rep), E)
-    coeffs = _inverse_trace_signs(rep.sig) * traces / rep.N
+    t = rep.sig.tables()
+    coeffs = t.tau * t.metric * traces / rep.N
     return Multivector(rep.sig, coeffs)
 
 
@@ -479,9 +481,11 @@ def _lorentz():
 
 
 def _h(a, b):
-    from kaspin.ka_core import FormMetric
+    from kaspin.ka_core import inner
 
-    return FormMetric.from_signature(_lorentz()).inner(a, b)
+    if a.sig != _lorentz():
+        raise ValueError("signature mismatch")
+    return inner(a, b)
 
 
 def _norm_inf(a):
@@ -534,7 +538,7 @@ def multivector_polyform_to_pair(alpha, tol=1e-9):
     if _norm_inf(omega) <= tol * scale:
         _reject("grade-2 part vanishes, no unit transverse factor exists")
 
-    r = sig.blade_signs()[[1, 2, 4, 8]] * u.one_form_components()
+    r = sig.tables().metric[[1, 2, 4, 8]] * u.one_form_components()
     pivot = int(np.argmax(np.abs(r)))
     theta = Multivector.basis(sig, (pivot + 1,))
     l0 = contract(theta, omega) * (1.0 / r[pivot])
@@ -562,7 +566,7 @@ def multivector_pair_to_flag(u, l):
     """(W1, W2, W3) spans of the degenerate flag of a pair."""
     from kaspin.ka_core import Multivector
 
-    r = _lorentz().blade_signs()[[1, 2, 4, 8]] * u.one_form_components()
+    r = _lorentz().tables().metric[[1, 2, 4, 8]] * u.one_form_components()
     pivot = int(np.argmax(np.abs(r)))
     w3 = []
     for j in range(4):
@@ -577,7 +581,7 @@ def multivector_pair_to_flag(u, l):
 
 def multivector_check_22_chiral_square(alpha, tol=1e-9):
     """Whether alpha is a self-dual two-form of zero norm in (2,2)."""
-    from kaspin.ka_core import FormMetric, Signature, hodge_star
+    from kaspin.ka_core import Signature, hodge_star, inner
 
     sig = Signature(2, 2)
     if alpha.sig != sig:
@@ -588,4 +592,4 @@ def multivector_check_22_chiral_square(alpha, tol=1e-9):
         return False
     if _norm_inf(hodge_star(two) - two) > tol * scale:
         return False
-    return abs(FormMetric.from_signature(sig).inner(two, two)) <= tol * scale * scale
+    return abs(inner(two, two)) <= tol * scale * scale

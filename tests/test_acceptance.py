@@ -21,11 +21,11 @@ from kaspin.geometry_lab import (
     walker_residuals,
 )
 from kaspin.ka_core import (
-    FormMetric,
     Multivector,
     Signature,
     geometric_product,
     hodge_star,
+    inner,
     ka_trace,
 )
 from kaspin.lowdim import (
@@ -207,7 +207,6 @@ def test_acceptance_05_degree_filter():
 
 
 def test_acceptance_06_low_dimensional_normal_forms():
-    h31 = FormMetric.from_signature(SIG_LORENTZ)
     pr31 = _paired(3, 1)
     rng = make_rng(505, stream=31)
     worst_pair = 0.0
@@ -221,13 +220,12 @@ def test_acceptance_06_low_dimensional_normal_forms():
         decomposed += 1
         worst_pair = max(
             worst_pair,
-            abs(h31.inner(pp.u, pp.u)),
-            abs(h31.inner(pp.u, pp.l)),
-            abs(h31.inner(pp.l, pp.l) - 1.0),
+            abs(inner(pp.u, pp.u)),
+            abs(inner(pp.u, pp.l)),
+            abs(inner(pp.l, pp.l) - 1.0),
             (pair_to_polyform(pp) - alpha).norm_inf(),
         )
 
-    h22 = FormMetric.from_signature(SIG_NEUTRAL)
     pr22 = _paired(2, 2)
     gamma_nu = quantize(pr22.rep, Multivector.volume(SIG_NEUTRAL))
     rng22 = make_rng(505, stream=22)
@@ -240,7 +238,7 @@ def test_acceptance_06_low_dimensional_normal_forms():
         chiral_ok &= check_22_chiral_square(alpha, tol=1e-9)
         worst_chiral = max(
             worst_chiral,
-            abs(h22.inner(alpha, alpha)),
+            abs(inner(alpha, alpha)),
             (hodge_star(alpha) - alpha).norm_inf(),
         )
     ok = decomposed == 100 and worst_pair <= 1e-9 and chiral_ok and worst_chiral <= 1e-9

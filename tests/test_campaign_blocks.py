@@ -178,6 +178,22 @@ def test_walker_generic_callbacks_see_one_point(check, per_point):
         assert sum(name == field for name, _ in calls) == count * POINTS, field
 
 
+def test_a_heterotic_block_reads_one_chart_jet():
+    # the star identities take g from the order-1 jet the check already holds
+    ps = preset("heterotic-ppwave")
+    orders = []
+
+    def jet(x, order):
+        orders.append(order)
+        return ps.chart.jet(x, order)
+
+    chart = dataclasses.replace(ps.chart, jet=jet)
+    counted = dataclasses.replace(ps, chart=chart, heterotic=dataclasses.replace(ps.heterotic, chart=chart))
+    report = run_campaign(counted, "heterotic", n_points=POINTS, seed=3)
+    assert orders == [1]
+    assert report == run_campaign(ps, "heterotic", n_points=POINTS, seed=3)
+
+
 def test_overflow_raises_and_the_error_state_is_restored():
     before = np.geterr()
     # u ~ 1/(lam y)^2 ~ 1e300, so the invariants' scale u^2 overflows

@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,7 @@ import numpy as np
 import pytest
 
 import kaspin
-from kaspin import cli
-from kaspin.ka_core import Multiplier
+from kaspin import _kernels, cli
 
 REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
@@ -82,9 +83,15 @@ def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):
 
 
 def test_verify_algebra_clifford_relation_detects_a_wrong_left_action(capsys, monkeypatch):
-    # with the right product standing in for the left one, e_i e_j + e_j e_i
-    # becomes 2 e_j e_i, which is not 2 g_ij for i != j
-    monkeypatch.setattr(Multiplier, "left", Multiplier.right)
+    # with the wedge standing in for the product, e_i acts without its
+    # contraction, so e_i e_j + e_j e_i is 0 where it should be 2 g_ij
+    real_product = _kernels.product
+
+    def wedge_only(a, b, sign, xor):
+        masks = np.arange(len(b))
+        return real_product(a, b, np.where(masks[:, None] & xor, 0.0, sign), xor)
+
+    monkeypatch.setattr(_kernels, "product", wedge_only)
     code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--trials", "2")
     assert code == 1
     report = json.loads(out)
@@ -200,11 +207,6 @@ def test_payload_signature_must_be_json_integers(capsys, command, body, p, q):
     # int() used to run these as (3,1)
     payload = f'{{"p":{p},"q":{q},{body}}}'
     assert_usage_error(*run_cli(capsys, command, payload))
-
-
-def test_non_finite_env_tol_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("KASPIN_TOL", "nan")
-    assert_usage_error(*run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}'))
 
 
 @pytest.mark.parametrize("lam", ["1e-200", "7.3e-200", "1e-160", "1e200"])
@@ -433,19 +435,20 @@ def test_cli_argparse_errors_map_to_two(capsys):
     capsys.readouterr()
 
 
-def test_env_tol_default_and_flag_override(capsys, monkeypatch):
+def test_env_tol_default_and_flag_override(capsys):
+    # check-metric's own default tol is 1e-6; --tol is the one override
     argv = (
         "check-metric", "--preset", "ads4-deformed-poly", "--check", "einstein",
         "--perturb", "0.01", "--trials", "5",
     )
-    monkeypatch.setenv("KASPIN_TOL", "0.1")
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--tol", "0.1")
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
 
-    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-6")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "fail"
+    for tol in ((), ("--tol", "1e-6")):
+        code, out, _ = run_cli(capsys, *argv, *tol)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "fail"
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -487,3 +490,37 @@ def test_check_metric_overflow_is_an_input_error(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first fenced `lang` block under the README section `heading`."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def _no_constants(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+README_COMMANDS = [shlex.split(line)[1:] for line in readme_block("Command line", "sh").splitlines()
+                   if line.startswith("kaspin ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_commands_exit_zero_with_strict_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    json.loads(out, parse_constant=_no_constants)
+
+
+def test_readme_library_example_runs():
+    namespace = {}
+    exec(readme_block("Library example", "python"), namespace)
+    assert namespace["rec"].kappa == 1

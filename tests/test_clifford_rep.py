@@ -17,6 +17,7 @@ from kaspin.clifford_rep import (
     dequantize,
     quantize,
     s_transpose,
+    s_transpose_signs,
 )
 from kaspin.ka_core import (
     Multivector,
@@ -132,6 +133,16 @@ def test_blade_table_is_a_read_only_float_copy_of_the_blades(reps):
         assert rep.blade_table.dtype == np.float64 and rep.blade_table.shape == (n, N * N)
         assert not rep.blade_table.flags.writeable
         assert np.array_equal(rep.blade_table.reshape(n, N, N), blade_matrices(rep))
+
+
+def test_blade_inverse_is_the_blade_times_tau_and_metric(reps):
+    # the sign vector dequantize applies: Gamma_I^{-1} = tau_I metric_I Gamma_I
+    for rep in reps.values():
+        t = rep.sig.tables()
+        n, N = rep.sig.n_blades, rep.N
+        blades = rep.blade_table.reshape(n, N, N)
+        squares = (blades @ blades) * (t.tau * t.metric)[:, None, None]
+        assert np.array_equal(squares, np.broadcast_to(np.eye(N), (n, N, N))), rep.sig
 
 
 def test_quantize_is_algebra_isomorphism(reps):
@@ -288,6 +299,10 @@ def test_s_transpose_matches_involutions(paired):
     a = random_multivector(sig, rng)
     assert s_transpose(pr, 1, a).allclose(tau(a), tol=0.0)
     assert s_transpose(pr, -1, a).allclose(pi_tau(a), tol=0.0)
+    assert s_transpose_signs(sig, 1) is sig.tables().tau
+    assert s_transpose_signs(sig, -1) is sig.tables().pi_tau
+    with pytest.raises(ValueError, match="adjoint type"):
+        s_transpose_signs(sig, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, quantize
 from kaspin.ka_core import (
-    FormMetric,
     Multivector,
     Signature,
     hodge_star,
+    inner,
     wedge,
 )
 from kaspin.lowdim import (
@@ -37,7 +37,6 @@ from oracles import (
 )
 
 SIG = Signature(3, 1)
-H = FormMetric.from_signature(SIG)
 
 
 def cov(*comps):
@@ -69,9 +68,9 @@ def test_random_pairs_satisfy_invariants():
     rng = make_rng(401)
     for _ in range(100):
         pp = random_parabolic_pair(rng)
-        assert abs(H.inner(pp.u, pp.u)) <= 1e-12
-        assert abs(H.inner(pp.l, pp.l) - 1.0) <= 1e-12
-        assert abs(H.inner(pp.u, pp.l)) <= 1e-12
+        assert abs(inner(pp.u, pp.u)) <= 1e-12
+        assert abs(inner(pp.l, pp.l) - 1.0) <= 1e-12
+        assert abs(inner(pp.u, pp.l)) <= 1e-12
 
 
 def test_pair_json_round_trip():
@@ -211,10 +210,10 @@ def test_pair_to_flag_example_and_ranks():
     assert span_rank(list(flag.W3) + want) == 3
     # every W3 element is h*-orthogonal to u
     for w in flag.W3:
-        assert abs(H.inner(w, pp.u)) <= 1e-12
+        assert abs(inner(w, pp.u)) <= 1e-12
 
     def gram_rank(forms):
-        G = np.array([[H.inner(a, b) for b in forms] for a in forms])
+        G = np.array([[inner(a, b) for b in forms] for a in forms])
         return np.linalg.matrix_rank(G, tol=1e-9)
 
     assert gram_rank(flag.W1) == 0
@@ -244,7 +243,7 @@ def test_normalize_gauge():
 
     tilted = ParabolicPair(pp.u, cov(1, 1, 0, 1))
     fixed = normalize_gauge(tilted, v)
-    assert abs(H.inner(fixed.l, v)) <= 1e-12
+    assert abs(inner(fixed.l, v)) <= 1e-12
     assert fixed.l.allclose(cov(0, 1, 0, 0), tol=0.0)
     again = normalize_gauge(fixed, v)
     assert again.l.allclose(fixed.l, tol=0.0)
@@ -269,7 +268,6 @@ def test_split_plane_square_normal_form():
     # plus pairing in (1,1): alpha = alpha^0 + alpha^1 with
     # (alpha^0)^2 = h*(alpha^1, alpha^1)
     sig = Signature(1, 1)
-    h = FormMetric.from_signature(sig)
     pr = build_pairings(build_rep(sig))
     rng = make_rng(406)
     for _ in range(100):
@@ -277,7 +275,7 @@ def test_split_plane_square_normal_form():
         scale = max(1.0, alpha.norm_inf())
         assert alpha.grade(2).norm_inf() <= 1e-12 * scale
         a1 = alpha.grade(1)
-        assert abs(alpha.scalar_part**2 - h.inner(a1, a1)) <= 1e-9 * scale * scale
+        assert abs(alpha.scalar_part**2 - inner(a1, a1)) <= 1e-9 * scale * scale
 
 
 SIG22 = Signature(2, 2)
@@ -291,13 +289,12 @@ def sd_basis():
 
 
 def test_22_self_dual_basis_frozen():
-    h = FormMetric.from_signature(SIG22)
     u1, u2, u3 = sd_basis()
     for w in (u1, u2, u3):
         assert hodge_star(w).allclose(w, tol=0.0)
-    assert h.inner(u1, u1) == 2.0
-    assert h.inner(u2, u2) == -2.0
-    assert h.inner(u3, u3) == -2.0
+    assert inner(u1, u1) == 2.0
+    assert inner(u2, u2) == -2.0
+    assert inner(u3, u3) == -2.0
 
 
 def test_check_22_chiral_square_cases():
@@ -312,7 +309,7 @@ def test_check_22_chiral_square_cases():
         + Multivector.basis(SIG22, (1, 3))
         - Multivector.basis(SIG22, (2, 4))
     )
-    assert abs(FormMetric.from_signature(SIG22).inner(anti, anti)) == 0.0
+    assert abs(inner(anti, anti)) == 0.0
     assert not check_22_chiral_square(anti)
     with pytest.raises(ValueError):
         check_22_chiral_square(Multivector.scalar(SIG, 1.0))

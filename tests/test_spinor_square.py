@@ -9,10 +9,10 @@ from kaspin import _kernels, spinor_square
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, quantize
 from kaspin.ka_core import (
     MAX_DIM,
-    FormMetric,
     Multivector,
     Signature,
     geometric_product,
+    inner,
     ka_trace,
     wedge,
 )
@@ -105,8 +105,6 @@ def test_square_euclidean_plane_identities(paired):
     # 2*alpha = B(xi,xi) + B(gamma_i xi, xi) e^i, with the grade-1 norm tied
     # to the scalar part
     pr = paired[(2, 0)]
-    sig = pr.rep.sig
-    hstar = FormMetric.from_signature(sig)
     rng = make_rng(303)
     B = pr.Bplus
     for _ in range(20):
@@ -120,7 +118,7 @@ def test_square_euclidean_plane_identities(paired):
             assert abs(2 * res.alpha.coeffs[1 << (i - 1)] - bi) <= 1e-12 * max(1.0, abs(bi))
         assert res.alpha.grade(2).norm_inf() <= 1e-12
         a1 = res.alpha.grade(1)
-        lhs = 4 * hstar.inner(a1, a1)
+        lhs = 4 * inner(a1, a1)
         assert abs(lhs - b0 * b0) <= 1e-10 * max(1.0, b0 * b0)
 
 
@@ -128,8 +126,6 @@ def test_square_minkowski_normal_form_shape(paired):
     # minus pairing in (3,1): alpha = u + u /\ l, so grade 1 is null and
     # divides the grade-2 part
     pr = paired[(3, 1)]
-    sig = pr.rep.sig
-    hstar = FormMetric.from_signature(sig)
     rng = make_rng(304)
     for _ in range(30):
         res = square(pr, "minus", int(rng.choice([-1, 1])), random_spinor(pr.rep, rng))
@@ -138,7 +134,7 @@ def test_square_minkowski_normal_form_shape(paired):
         for k in (0, 3, 4):
             assert a.grade(k).norm_inf() <= 1e-12 * scale
         u = a.grade(1)
-        assert abs(hstar.inner(u, u)) <= 1e-9 * scale * scale
+        assert abs(inner(u, u)) <= 1e-9 * scale * scale
         assert wedge(u, a.grade(2)).norm_inf() <= 1e-9 * scale * scale
 
 
@@ -363,12 +359,11 @@ def test_square_test_is_bit_identical_to_its_multivector_form(paired, pq, tag, k
 
 def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
     # the variety check is a rank-one fit on quantize(alpha): it makes no
-    # product and no gather, and every gather of a product or a Multiplier
-    # goes through right_matrix
+    # product and no gather, and every gather goes through _kernels.product
     pr = paired[(4, 4)]
     alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(315))).alpha
     counts = {"gathers": 0, "products": 0}
-    real_gather = _kernels.right_matrix
+    real_gather = _kernels.product
     real_product = spinor_square.geometric_product
 
     def gather(*args):
@@ -379,7 +374,7 @@ def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch
         counts["products"] += 1
         return real_product(*args)
 
-    monkeypatch.setattr(_kernels, "right_matrix", gather)
+    monkeypatch.setattr(_kernels, "product", gather)
     monkeypatch.setattr(spinor_square, "geometric_product", product)
     assert verify_square_conditions(pr, "minus", alpha).is_square
     assert not verify_square_conditions(pr, "minus", alpha + Multivector.scalar(alpha.sig, 1e-3)).is_square
