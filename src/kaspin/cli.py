@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep, quantize
 from .ka_core import Multivector, Signature, geometric_product, ka_trace
-from .rng import make_rng, random_multivector, random_spinor
+from .rng import make_rng, random_multivector
 from .spinor_square import (
     ReconstructionError,
     reconstruct,
@@ -107,8 +107,6 @@ def _payload_pairings(args):
         raise UsageError("signature required: pass --p and --q or embed p/q in the payload")
     else:
         sig = Signature(args.p, args.q)
-    if not sig.supports_rep():
-        raise UsageError(f"signature ({sig.p},{sig.q}) has no real irreducible matrix model")
     return payload, sig, build_pairings(build_rep(sig))
 
 
@@ -126,14 +124,9 @@ def _symmetry_sign(B):
 
 def _cmd_verify_algebra(args):
     sig = Signature(args.p, args.q)
-    if not sig.supports_rep():
-        raise UsageError(
-            f"signature ({sig.p},{sig.q}) has no real irreducible matrix model; "
-            "need d even and p - q in {0, 2}"
-        )
+    rep = build_rep(sig)
     trials = _require_trials(args)
     tol = _resolve_tol(args, 1e-9)
-    rep = build_rep(sig)
     pr = build_pairings(rep)
     rng = make_rng(args.seed, stream=7)
 

@@ -206,7 +206,6 @@ class MetricChart:
     jet: Callable
     provenance: str = "analytic"
     in_domain: Callable | None = None
-    dim: int = 4
 
     @classmethod
     def closed(cls, g, dg, d2g, **kw):
@@ -214,11 +213,11 @@ class MetricChart:
         return cls(lambda x, order: _jet(x, order, g, dg, d2g), **kw)
 
     @classmethod
-    def from_callable(cls, g, in_domain=None, dim=4):
+    def from_callable(cls, g, in_domain=None):
         """Chart of a one-point metric callable, derivatives by centered differences."""
         g = _pointwise(g)
         return cls(lambda x, order: _fd_jet(g, x, order), provenance="finite-difference",
-                   in_domain=_pointwise(in_domain), dim=dim)
+                   in_domain=_pointwise(in_domain))
 
     def g(self, x):
         return self.jet(x, 0)[0]
@@ -775,7 +774,7 @@ def _poincare_half_plane(lam):
         lambda s: np.eye(2) / _pow(lam * s[..., 1], 2)[..., None, None],
         lambda s: _embed(s, (2, 2, 2), (1, conformal(s, -2.0, 3))),
         lambda s: _embed(s, (2, 2, 2, 2), ((1, 1), conformal(s, 6.0, 4))),
-        in_domain=lambda s: s[..., 1] > 0.0, dim=2,
+        in_domain=lambda s: s[..., 1] > 0.0,
     )
 
 
@@ -1000,7 +999,7 @@ def _preset_walker_generic(params):
     if isinstance(q2, MetricChart):
         q2 = replace(q2, jet=_pointwise(q2.jet), in_domain=_pointwise(q2.in_domain))
     else:
-        q2 = MetricChart.from_callable(q2, dim=2)
+        q2 = MetricChart.from_callable(q2)
     s_frak = params.get("s_frak")
     if s_frak is not None:
         s_frak = as_field(s_frak)

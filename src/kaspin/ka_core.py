@@ -49,12 +49,6 @@ class Signature:
     def n_blades(self):
         return 1 << self.d
 
-    def metric_sign(self, i):
-        """Square of the i-th basis covector (1-based)."""
-        if not 1 <= i <= self.d:
-            raise ValueError(f"basis index {i} out of range 1..{self.d}")
-        return 1.0 if i <= self.p else -1.0
-
     def supports_rep(self):
         """Whether the representation modules accept this signature."""
         return self.d % 2 == 0 and self.p - self.q in (0, 2)

@@ -8,6 +8,12 @@ degenerate flag span(u) < span(u, l) < u-perp, decides the three
 equivalence relations on pairs, and fixes the shift gauge against a
 timelike direction.
 
+Whether a polyform is a square is decided once, by the exact test
+spinor_square.verify_square_conditions on the minus pairing, and
+polyform_to_pair reads the pair off an accepted square.  Every other
+check compares a residual at unit max-norm against DEFAULT_TOL, so no
+verdict depends on the scale and no product over- or underflows.
+
 The orthonormal frame convention is e^1..e^3 spacelike with e^4
 timelike in (3,1), and e^3, e^4 timelike in (2,2), where squares of
 chiral spinors are exactly the self-dual or anti-self-dual two-forms of
@@ -17,60 +23,56 @@ zero norm.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from .clifford_rep import build_pairings, build_rep
 from .ka_core import Multivector, Signature, hodge_star, inner, wedge
+from .spinor_square import DEFAULT_TOL, verify_square_conditions
 
 SIG_LORENTZ = Signature(3, 1)
 SIG_NEUTRAL = Signature(2, 2)
-DEFAULT_TOL = 1e-9
 _E4 = Multivector.basis(SIG_LORENTZ, (4,))  # the timelike covector of the gauge
 
 
 class _Grades(NamedTuple):
     ones: np.ndarray  # the one-form masks 1, 2, 4, ..., in basis order
     metric_ones: np.ndarray  # <e^i, e^i> at each one-form mask
-    # 0/1 weights keeping the coefficients outside grade 1, outside
-    # grades 1 and 2, and outside grade 2: the max-norm of a.coeffs * w
-    # is that of a minus its dropped grades, bit for bit, since c * 0 is
-    # nan exactly where c - c is
-    off_one: np.ndarray
-    off_one_two: np.ndarray
-    off_two: np.ndarray
+    off_one: np.ndarray  # the masks outside grade 1
+    metric: np.ndarray  # <e_I, e_I> at every mask
 
 
 @lru_cache(maxsize=None)
 def _grades(sig) -> _Grades:
-    """Cached index and weight vectors of a signature's grades."""
+    """Cached index and metric vectors of a signature's grades."""
     tables = sig.tables()
-    grade = tables.grade
-    ones = np.flatnonzero(grade == 1)
-    vectors = _Grades(
-        ones,
-        tables.metric[ones],
-        (grade != 1).astype(float),
-        ((grade != 1) & (grade != 2)).astype(float),
-        (grade != 2).astype(float),
-    )
+    ones = np.flatnonzero(tables.grade == 1)
+    vectors = _Grades(ones, tables.metric[ones], np.flatnonzero(tables.grade != 1), tables.metric)
     for arr in vectors:
         arr.setflags(write=False)
     return vectors
 
 
-def _h(a, b):
-    """The induced metric of signature (3,1) on a pair of polyforms."""
-    if a.sig != SIG_LORENTZ:
-        raise ValueError("signature mismatch")
-    return inner(a, b)
+def _unit_gram(*forms) -> tuple | None:
+    """(G, inv) with G[i, j] = h(a_i, a_j) inv_i inv_j and inv_i = 1 / |a_i| (max-norm).
 
-
-def _is_one_form(a: Multivector, tol: float) -> bool:
-    size = abs(a.coeffs)
-    return (size * _grades(a.sig).off_one).max() <= tol * max(1.0, size.max())
+    So h(a, a) = c reads G[i, i] = c inv_i^2; a zero a_i has inv_i = inf. None
+    unless every a_i is finite with no part outside grade 1 at unit max-norm.
+    """
+    grades = _grades(SIG_LORENTZ)
+    coeffs = np.array([a.coeffs for a in forms])
+    size = abs(coeffs)
+    norms = size.max(axis=1).tolist()
+    off = size[:, grades.off_one].max(axis=1).tolist()
+    # a nan fails the bound, an inf the finite norm
+    if not all(o <= DEFAULT_TOL * n < math.inf for o, n in zip(off, norms)):
+        return None
+    hat = coeffs / np.array([[n or 1.0] for n in norms])
+    return (hat * grades.metric) @ hat.T, [1.0 / n if n else math.inf for n in norms]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +86,17 @@ class ParabolicPair:
         u, l = self.u, self.l
         if u.sig != SIG_LORENTZ or l.sig != SIG_LORENTZ:
             raise ValueError("parabolic pairs live in signature (3,1)")
-        tol = DEFAULT_TOL
-        if not (_is_one_form(u, tol) and _is_one_form(l, tol)):
+        unit = _unit_gram(u, l)
+        if unit is None:
             raise ValueError("pair members must be one-forms")
-        u_norm = u.norm_inf()
-        scale = max(1.0, u_norm, l.norm_inf()) ** 2
-        if u_norm <= tol:
+        G, (_, l_inv) = unit
+        if not u.coeffs.any():
             raise ValueError("u must be nonzero")
-        if abs(_h(u, u)) > tol * scale:
+        if abs(G[0, 0]) > DEFAULT_TOL:
             raise ValueError("u must be null")
-        if abs(_h(l, l) - 1.0) > tol * scale:
+        if abs(G[1, 1] - l_inv * l_inv) > DEFAULT_TOL:
             raise ValueError("l must have unit norm")
-        if abs(_h(u, l)) > tol * scale:
+        if abs(G[0, 1]) > DEFAULT_TOL:
             raise ValueError("u and l must be orthogonal")
 
     def to_json(self) -> str:
@@ -128,78 +129,61 @@ def pair_to_polyform(pp: ParabolicPair) -> Multivector:
     return pp.u + wedge(pp.u, pp.l)
 
 
-def _reject(reason: str):
-    raise ValueError(f"not a spinor square: {reason}")
+def polyform_to_pair(alpha: Multivector) -> ParabolicPair:
+    """Split a nonzero Lorentzian square into its parabolic pair.
 
-
-def polyform_to_pair(alpha: Multivector, tol: float = DEFAULT_TOL) -> ParabolicPair:
-    """Split a Lorentzian square into its parabolic pair.
-
-    u is the grade-1 part; l is extracted from the grade-2 part by
-    contracting with the basis covector seeing the largest metric
+    alpha is a square when verify_square_conditions accepts it under the
+    minus pairing. u is its grade-1 part; l is extracted from the grade-2
+    part by contracting with the basis covector seeing the largest metric
     component of u, then shifted into the gauge h*(l, e^4) = 0.
     """
     if alpha.sig != SIG_LORENTZ:
         raise ValueError("expected a multivector in signature (3,1)")
+    if not alpha.coeffs.any():
+        raise ValueError("the zero square has no parabolic pair")
+    report = verify_square_conditions(build_pairings(build_rep(SIG_LORENTZ)), "minus", alpha)
+    if not report.is_square:
+        raise ValueError(
+            f"not a spinor square: symmetry residual {report.residual_symmetry:.3e}, "
+            f"rank-one residual {report.residual_rank_one:.3e}"
+        )
     grades = _grades(SIG_LORENTZ)
     ones = grades.ones
-    coeffs = alpha.coeffs
-    scale = max(1.0, alpha.norm_inf())
-    if abs(coeffs * grades.off_one_two).max() > tol * scale:
-        _reject("components outside grades 1 and 2")
-    u_comps = coeffs[ones]
-    if abs(u_comps).max() <= tol * scale:
-        _reject("grade-1 part vanishes")
-    u = alpha.grade(1)
-    if abs(_h(u, u)) > tol * scale * scale:
-        _reject("grade-1 part is not null")
     omega = alpha.grade(2).coeffs
-    omega_norm = abs(omega).max()
-    if omega_norm <= tol * scale:
-        _reject("grade-2 part vanishes, no unit transverse factor exists")
-
-    r = grades.metric_ones * u_comps
+    r = grades.metric_ones * alpha.coeffs[ones]
     pivot = int(abs(r).argmax())
     # contracting the basis covector e^m with the two-form omega reads one
     # row of the product's sign table: (e^m <> omega)[i] = sign[m, i] omega[m ^ i]
     m = ones[pivot]
-    l0 = np.zeros(len(coeffs))
+    l0 = np.zeros(len(omega))
     l0[ones] = SIG_LORENTZ.tables().sign[m, ones] * omega[m ^ ones] * (1.0 / r[pivot])
-    if not np.isfinite(omega_norm):
-        # as a product the contraction meets every entry of omega, and
-        # 0 * inf and 0 * nan are nan in every component; keep that, so
-        # the pair's one-form check rejects it
-        l0[:] = np.nan
-    l0 = Multivector(SIG_LORENTZ, l0)
-    if abs(wedge(u, l0).coeffs - omega).max() > tol * scale:
-        _reject("grade-2 part is not divisible by the grade-1 part")
-    if abs(_h(l0, l0) - 1.0) > tol * max(1.0, scale):
-        _reject("transverse factor is not of unit norm")
-
-    return normalize_gauge(ParabolicPair(u, l0), _E4, tol=tol)
+    # e^4 is a unit timelike direction and the null u of a square has
+    # u_4 != 0, so normalize_gauge's checks hold: shift l at once
+    return _shifted(alpha.grade(1), Multivector(SIG_LORENTZ, l0), _E4)
 
 
-def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str, tol: float = DEFAULT_TOL) -> bool:
+def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str) -> bool:
     """Equivalence of pairs: strong (u up to sign), plain (u up to
     scale), or weak (additionally l up to sign), always modulo shifts
     l -> l + c u."""
     if mode not in ("weak", "plain", "strong"):
         raise ValueError(f"unknown equivalence mode {mode!r}")
-    ua = a.u.one_form_components()
-    ub = b.u.one_form_components()
+    ua, ub = a.u.one_form_components(), b.u.one_form_components()
     pivot = int(np.argmax(np.abs(ua)))
-    factor = ub[pivot] / ua[pivot]
-    if abs(factor) <= tol or np.max(np.abs(ub - factor * ua)) > tol * max(1.0, np.max(np.abs(ub))):
+    # u_a scaled to pivot entry 1, u_b to unit max-norm: no ratio of their scales can overflow
+    ref = ua[pivot]
+    ua = ua / ref
+    ub_hat = ub / np.max(np.abs(ub))
+    if np.max(np.abs(ub_hat - ub_hat[pivot] * ua)) > DEFAULT_TOL:
         return False
-    if mode == "strong" and min(abs(factor - 1.0), abs(factor + 1.0)) > tol:
+    # u_b = +-u_a exactly when their pivot entries agree in size
+    if mode == "strong" and abs(abs(ub[pivot]) - abs(ref)) > DEFAULT_TOL * abs(ref):
         return False
     etas = (1.0,) if mode in ("strong", "plain") else (1.0, -1.0)
-    la = a.l.one_form_components()
-    lb = b.l.one_form_components()
+    la, lb = a.l.one_form_components(), b.l.one_form_components()
     for eta in etas:
         diff = lb - eta * la
-        c = diff[pivot] / ua[pivot]
-        if np.max(np.abs(diff - c * ua)) <= tol * max(1.0, np.max(np.abs(lb))):
+        if np.max(np.abs(diff - diff[pivot] * ua)) <= DEFAULT_TOL * np.max(np.abs(lb)):
             return True
     return False
 
@@ -219,32 +203,46 @@ def pair_to_flag(pp: ParabolicPair) -> DegenerateFlag:
     return DegenerateFlag(W1=(pp.u,), W2=(pp.u, pp.l), W3=tuple(w3))
 
 
-def normalize_gauge(pp: ParabolicPair, v: Multivector, tol: float = DEFAULT_TOL) -> ParabolicPair:
+def normalize_gauge(pp: ParabolicPair, v: Multivector) -> ParabolicPair:
     """Shift l along u so that it is orthogonal to the timelike unit v."""
-    if not _is_one_form(v, tol) or abs(_h(v, v) + 1.0) > tol:
+    if v.sig != SIG_LORENTZ:
+        raise ValueError("signature mismatch")
+    unit = _unit_gram(pp.u, v)
+    if unit is None:
         raise ValueError("gauge direction must be a unit timelike one-form")
-    huv = _h(pp.u, v)
-    if abs(huv) <= tol:
+    G, (_, v_inv) = unit
+    if abs(G[1, 1] + v_inv * v_inv) > DEFAULT_TOL:
+        raise ValueError("gauge direction must be a unit timelike one-form")
+    if abs(G[0, 1]) <= DEFAULT_TOL:
         raise ValueError("u is orthogonal to the gauge direction; bad input")
-    f = -_h(pp.l, v) / huv
-    return ParabolicPair(pp.u, Multivector(SIG_LORENTZ, pp.l.coeffs + pp.u.coeffs * float(f)))
+    return _shifted(pp.u, pp.l, v)
 
 
-def check_22_chiral_square(alpha: Multivector, tol: float = DEFAULT_TOL) -> bool:
+def _shifted(u: Multivector, l: Multivector, v: Multivector) -> ParabolicPair:
+    """The pair (u, l + f u) with f such that h*(l + f u, v) = 0."""
+    f = -inner(l, v) / inner(u, v)
+    return ParabolicPair(u, Multivector(SIG_LORENTZ, l.coeffs + u.coeffs * float(f)))
+
+
+def check_22_chiral_square(alpha: Multivector) -> bool:
     """Whether alpha is a self-dual two-form of zero norm in (2,2).
 
     These are exactly the squares of negative-chirality spinors under
-    the plus pairing.
+    the plus pairing. Each condition is read at unit max-norm; a
+    non-finite alpha is none.
     """
     if alpha.sig != SIG_NEUTRAL:
         raise ValueError("expected a multivector in signature (2,2)")
-    scale = max(1.0, alpha.norm_inf())
-    if abs(alpha.coeffs * _grades(SIG_NEUTRAL).off_two).max() > tol * scale:
-        return False
-    two = alpha.grade(2)
-    if (hodge_star(two) - two).norm_inf() > tol * scale:
-        return False
-    return abs(inner(two, two)) <= tol * scale * scale
+    norm = alpha.norm_inf()
+    if not 0.0 < norm < math.inf:
+        return norm == 0.0
+    a = alpha.coeffs / norm
+    two = Multivector(SIG_NEUTRAL, a).grade(2)
+    return bool(
+        abs(a - two.coeffs).max() <= DEFAULT_TOL
+        and (hodge_star(two) - two).norm_inf() <= DEFAULT_TOL
+        and abs(inner(two, two)) <= DEFAULT_TOL
+    )
 
 
 def random_parabolic_pair(rng) -> ParabolicPair:

@@ -14,17 +14,17 @@ def make_rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def random_multivector(sig, rng, grade=None, scale=1.0):
+def random_multivector(sig, rng, grade=None):
     """Standard-normal coefficients, optionally restricted to one grade."""
     from .ka_core import Multivector
 
-    coeffs = rng.standard_normal(sig.n_blades) * scale
+    coeffs = rng.standard_normal(sig.n_blades)
     if grade is not None:
         coeffs[sig.tables().grade != grade] = 0.0
     return Multivector(sig, coeffs)
 
 
-def random_spinor(rep, rng, scale=1.0):
+def random_spinor(rep, rng):
     from .clifford_rep import Spinor
 
-    return Spinor(rep, rng.standard_normal(rep.N) * scale)
+    return Spinor(rep, rng.standard_normal(rep.N))

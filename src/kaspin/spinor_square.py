@@ -9,8 +9,8 @@ kappa * xi (x) xi^*, one fit that the inverse map shares), the inverse
 map recovering xi up to sign, chirality tests, and the transfer of
 linear spinor constraints to polyform equations.
 
-Residuals are reported on inputs normalized to unit max-norm, with an
-absolute tolerance of 1e-9 by default.
+Every check reads its input at unit max-norm and compares the residual
+against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
 """
 
 from __future__ import annotations
@@ -80,11 +80,9 @@ def _rank_one_fit(B, E) -> _RankOneFit:
 
     E is such a square exactly when it is a multiple of eta (x) (eta @ B)
     for its largest-norm column eta, so the residual of that one fit
-    decides membership. A zero E fits with residual 0.
+    decides membership. E is nonzero; its callers settle zero first.
     """
     scale = float(abs(E).max())
-    if scale == 0.0:
-        return _RankOneFit(0.0, np.zeros(len(E)), 0.0, 0.0)
     # fit on unit max-norm so no product of entries over- or underflows
     Ehat = E / scale
     eta = Ehat[:, int(np.sqrt(np.add.reduce(Ehat * Ehat, 0)).argmax())]
@@ -104,11 +102,13 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     sign vector by s_transpose_signs.
     """
     norm = alpha.norm_inf()
+    if not 0.0 < norm < math.inf:
+        # zero is the square of xi = 0; a non-finite alpha is none (quantize would meet 0 * inf)
+        r = 0.0 if norm == 0.0 else math.nan
+        return _RankOneFit(r, np.full(pr.rep.N, r), r, r), 0, r
     shift = 2 * (math.frexp(norm)[1] // 2)
     E = quantize(pr.rep, Multivector(alpha.sig, np.ldexp(alpha.coeffs, -shift)))
     fit = _rank_one_fit(pr.B(pairing_tag), E)
-    if norm == 0.0:
-        return fit, shift, 0.0
     ahat = alpha.coeffs * (1.0 / norm)
     signs = s_transpose_signs(alpha.sig, pr.s(pairing_tag))
     r_sym = float(abs(ahat * signs - pr.sigma(pairing_tag) * ahat).max())
@@ -137,9 +137,9 @@ def admissibility_report(B, sigma, E, tol=DEFAULT_TOL) -> AdmissibilityReport:
     to unit max-norm. The zero endomorphism is admissible.
     """
     E = np.asarray(E, dtype=np.float64)
-    fit = _rank_one_fit(B, E)
-    if fit.scale == 0.0:
+    if not E.any():
         return AdmissibilityReport(0.0, 0.0, 0, True, tol)
+    fit = _rank_one_fit(B, E)
     Ehat = E / fit.scale
     Et = np.linalg.solve(B, Ehat.T @ B)
     r_transpose = float(np.max(np.abs(Et - sigma * Ehat)))
@@ -183,7 +183,7 @@ def verify_square_conditions(
     """
     # seed is accepted and ignored: perfbench/wl_algebra.py still passes it
     fit, _, r_sym = _square_test(pr, pairing_tag, alpha)
-    # a zero fit coefficient is no spinor, whatever tol is; NaN rejects too
+    # a zero fit coefficient is no spinor, whatever tol is; NaN (non-finite alpha) rejects too
     ok = fit.scale == 0.0 or (fit.c != 0.0 and r_sym <= tol and fit.residual <= tol)
     return SquareConditionsReport(ok, r_sym, fit.residual, tol)
 
@@ -199,7 +199,8 @@ class ReconstructionResult:
     residual: float
 
 
-def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector, tol=1e-8) -> ReconstructionResult:
+def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector,
+                tol=DEFAULT_TOL) -> ReconstructionResult:
     """Recover the spinor (up to sign) whose square is alpha.
 
     Quantizes alpha, picks the basis column with the largest image as a
@@ -217,14 +218,9 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector, tol=1e-8) -
     kappa = 1 if fit.c > 0 else -1
     xi = np.sqrt(abs(fit.c)) * np.ldexp(np.sqrt(fit.scale), shift // 2) * fit.eta
     # a NaN residual must reject too, so test for acceptance
-    if not fit.residual <= tol:
-        raise ReconstructionError(
-            f"polyform is not reconstructible: rank-one fit residual {fit.residual:.3e}"
-        )
-    if not r_sym <= tol:
-        raise ReconstructionError(
-            f"polyform is not reconstructible: symmetry residual {r_sym:.3e}"
-        )
+    for name, r in (("rank-one fit", fit.residual), ("symmetry", r_sym)):
+        if not r <= tol:
+            raise ReconstructionError(f"polyform is not reconstructible: {name} residual {r:.3e}")
     return ReconstructionResult(Spinor(rep, xi), kappa, fit.residual)
 
 
@@ -234,7 +230,7 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector, tol=1e-8) -
 
 
 def check_chirality(pr: PairedRep, alpha: Multivector, mu: int, tol=DEFAULT_TOL) -> bool:
-    """Whether nu <> alpha = mu alpha, i.e. alpha squares a chiral spinor."""
+    """Whether nu <> alpha = mu alpha at unit max-norm, i.e. alpha squares a chiral spinor."""
     if mu not in (1, -1):
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
     sig = pr.rep.sig
@@ -246,9 +242,11 @@ def check_chirality(pr: PairedRep, alpha: Multivector, mu: int, tol=DEFAULT_TOL)
             f"chirality needs a signature with nu^2 = 1; ({sig.p},{sig.q}) has "
             f"nu^2 = {nu_squared:g}"
         )
-    scale = max(1.0, alpha.norm_inf())
-    dev = geometric_product(nu, alpha) - mu * alpha
-    return bool(dev.norm_inf() <= tol * scale)
+    norm = alpha.norm_inf()
+    if not 0.0 < norm < math.inf:
+        return norm == 0.0
+    ahat = Multivector(sig, alpha.coeffs / norm)
+    return bool((geometric_product(nu, ahat) - mu * ahat).norm_inf() <= tol)
 
 
 def constraint_transfer(pr: PairedRep, Q, alpha: Multivector) -> float:

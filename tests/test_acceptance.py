@@ -65,7 +65,7 @@ def _surface_half_plane(lam):
         out[1, 1] = 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)
         return out
 
-    return MetricChart.closed(g, dg, d2g, in_domain=lambda s: s[1] > 0.0, dim=2)
+    return MetricChart.closed(g, dg, d2g, in_domain=lambda s: s[1] > 0.0)
 
 
 def _surface_profile(c0):
@@ -214,7 +214,7 @@ def test_acceptance_06_low_dimensional_normal_forms():
     for _ in range(100):
         alpha = square(pr31, "minus", int(rng.choice([-1, 1])), random_spinor(pr31.rep, rng)).alpha
         try:
-            pp = polyform_to_pair(alpha, tol=1e-9)
+            pp = polyform_to_pair(alpha)
         except ValueError:
             continue
         decomposed += 1
@@ -235,7 +235,7 @@ def test_acceptance_06_low_dimensional_normal_forms():
         xi = random_spinor(pr22.rep, rng22)
         neg = Spinor(pr22.rep, 0.5 * (xi.components - gamma_nu @ xi.components))
         alpha = square(pr22, "plus", 1, neg).alpha
-        chiral_ok &= check_22_chiral_square(alpha, tol=1e-9)
+        chiral_ok &= check_22_chiral_square(alpha)
         worst_chiral = max(
             worst_chiral,
             abs(inner(alpha, alpha)),

@@ -57,11 +57,13 @@ def test_verify_algebra_covers_all_supported_signatures(capsys):
 
 
 def test_verify_algebra_unsupported_signature_exits_two(capsys):
-    for p, q in [(5, 0), (8, 0), (1, 3)]:
-        code, out, err = run_cli(capsys, "verify-algebra", "--p", str(p), "--q", str(q))
-        assert code == 2, (p, q)
-        assert out == ""
-        assert "error" in err
+    # build_rep raises the ValueError, which main maps to exit 2; square too
+    for p, q in [(3, 0), (5, 0), (8, 0), (1, 3)]:
+        for argv in (("verify-algebra",), ("square", "[1,0]")):
+            code, out, err = run_cli(capsys, *argv, "--p", str(p), "--q", str(q))
+            assert code == 2, (argv, p, q)
+            assert out == ""
+            assert err.startswith("error: ") and "no real irreducible matrix model" in err
 
 
 def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):

@@ -489,7 +489,6 @@ def poincare_surface(lam):
         ),
         provenance="analytic",
         in_domain=lambda s: s[1] > 0,
-        dim=2,
     )
 
 

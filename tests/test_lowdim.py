@@ -26,7 +26,13 @@ from kaspin.lowdim import (
     random_parabolic_pair,
 )
 from kaspin.rng import make_rng, random_spinor
-from kaspin.spinor_square import reconstruct, square, verify_square_conditions
+from kaspin.spinor_square import (
+    ReconstructionError,
+    check_chirality,
+    reconstruct,
+    square,
+    verify_square_conditions,
+)
 
 from oracles import (
     multivector_check_22_chiral_square,
@@ -133,7 +139,7 @@ def test_polyform_to_pair_rejections():
         polyform_to_pair(cov(1, 0, 0, 0) + wedge(cov(1, 0, 0, 0), pp.l))  # u not null
     with pytest.raises(ValueError):
         polyform_to_pair(pp.u + wedge(cov(0, 1, 0, 0), cov(0, 0, 1, 0)))  # not u /\ l
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero square has no parabolic pair"):
         polyform_to_pair(Multivector.zero(SIG))
 
 
@@ -316,9 +322,6 @@ def test_check_22_chiral_square_cases():
 
 
 def test_22_chiral_spinor_squares():
-    from kaspin.clifford_rep import quantize
-    from kaspin.spinor_square import check_chirality
-
     pr = build_pairings(build_rep(SIG22))
     Gnu = quantize(pr.rep, Multivector.volume(SIG22))
     rng = make_rng(407)
@@ -387,6 +390,16 @@ def _timelike_unit(rng, wobble):
 KINDS = ["square", "perturbed", "nudged", "random", "nonfinite"]
 
 
+def _old_floor_holds(alpha):
+    """Whether the Multivector forms' floor max(1, |alpha|) read alpha at its scale.
+
+    Below unit scale the floor made every tolerance absolute, so squares
+    were rejected and perturbed or random polyforms accepted; above about
+    1e154 its square overflowed; a non-finite alpha made it infinite.
+    """
+    return 1.0 <= alpha.norm_inf() <= 1e150
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -395,17 +408,22 @@ KINDS = ["square", "perturbed", "nudged", "random", "nonfinite"]
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_pair_forms_are_bit_identical_to_their_multivector_forms(kind, exponent, wobble, seed):
+    # the verdict is the exact test's, which the Multivector form shares
+    # wherever its floor held; a rejection now reports the test's
+    # residuals, not the first of five failed checks, so messages differ
     rng = np.random.default_rng(seed)
     alpha = _candidate(build_pairings(build_rep(SIG)), kind, exponent, rng)
     v = _timelike_unit(rng, wobble)
+    got = _outcome(polyform_to_pair, alpha)
     with np.errstate(all="ignore"):
-        got = _outcome(polyform_to_pair, alpha)
         want = _outcome(multivector_polyform_to_pair, alpha)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert _bits(got.u, got.l) == _bits(*want)
-        gauged = _outcome(normalize_gauge, got, v)
+    if _old_floor_holds(alpha):
+        assert isinstance(got, str) == isinstance(want, str)
+    if isinstance(got, str) or isinstance(want, str):
+        return
+    assert _bits(got.u, got.l) == _bits(*want)
+    gauged = _outcome(normalize_gauge, got, v)
+    with np.errstate(all="ignore"):
         want_gauged = _outcome(multivector_normalize_gauge, *want, v)
     if isinstance(want_gauged, str):
         assert gauged == want_gauged
@@ -416,10 +434,30 @@ def test_pair_forms_are_bit_identical_to_their_multivector_forms(kind, exponent,
     assert _bits(*flag.W1, *flag.W2, *flag.W3) == _bits(*want_flag[0], *want_flag[1], *want_flag[2])
 
 
+def _noisy_pair(rng, u_noise, l_noise, l_scale, every_blade):
+    """Coefficients of a random pair with noise on every blade or on the one-forms only."""
+    pp = random_parabolic_pair(rng)
+    where = np.ones(16)
+    if not every_blade:
+        where = np.zeros(16)
+        where[[1, 2, 4, 8]] = 1.0
+    return {
+        "u": pp.u.coeffs + u_noise * where * rng.standard_normal(16),
+        "l": l_scale * pp.l.coeffs + l_noise * where * rng.standard_normal(16),
+    }
+
+
+def _verdict(outcome):
+    return outcome if isinstance(outcome, str) else "accepted"
+
+
+NOISE = [0.0, 1e-12, 1e-8, 1e-3]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    u_noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
-    l_noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
+    u_noise=st.sampled_from(NOISE),
+    l_noise=st.sampled_from(NOISE),
     l_scale=st.sampled_from([1.0, 1.0 + 1e-12, 2.0]),
     every_blade=st.booleans(),
     poison=st.sampled_from([None, "u", "l"]),
@@ -432,27 +470,41 @@ def test_pair_checks_match_their_multivector_form(
 ):
     # noise on every blade crosses the one-form check, noise on the
     # one-form part alone the null, unit and orthogonality checks; a
-    # non-finite coefficient, on a one-form blade too, must fail as before
-    rng = np.random.default_rng(seed)
-    pp = random_parabolic_pair(rng)
-    where = np.ones(16)
-    if not every_blade:
-        where = np.zeros(16)
-        where[[1, 2, 4, 8]] = 1.0
-    members = {
-        "u": pp.u.coeffs + u_noise * where * rng.standard_normal(16),
-        "l": l_scale * pp.l.coeffs + l_noise * where * rng.standard_normal(16),
-    }
+    # non-finite coefficient must fail
+    members = _noisy_pair(np.random.default_rng(seed), u_noise, l_noise, l_scale, every_blade)
     if poison is not None:
         members[poison][blade] = bad
     u, l = Multivector(SIG, members["u"]), Multivector(SIG, members["l"])
+    got = _outcome(ParabolicPair, u, l)
     with np.errstate(all="ignore"):
-        got = _outcome(ParabolicPair, u, l)
         want = _outcome(multivector_pair, u, l)
-    if isinstance(want, str):
-        assert got == want
-    else:
+    if poison is not None and np.isinf(bad) and blade not in (1, 2, 4, 8):
+        # the old floor tol * max(1, |u|, |l|) was infinite and let every check pass
+        assert got == "ValueError: pair members must be one-forms"
+    elif 1e-8 not in (u_noise, l_noise):
+        # at 1e-8 a residual lies near tol, where the verdict turns on the
+        # floor; test_pair_checks_do_not_depend_on_the_scale_of_u pins it
+        assert _verdict(got) == _verdict(want)
+    if not (isinstance(got, str) or isinstance(want, str)):
         assert _bits(got.u, got.l) == _bits(*want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    u_noise=st.sampled_from(NOISE),
+    l_noise=st.sampled_from(NOISE),
+    every_blade=st.booleans(),
+    k=st.integers(min_value=-900, max_value=900),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pair_checks_do_not_depend_on_the_scale_of_u(u_noise, l_noise, every_blade, k, seed):
+    # every check reads u at unit max-norm, and scaling by 2^k is exact,
+    # so the verdict and message are the same at every scale of u
+    members = _noisy_pair(np.random.default_rng(seed), u_noise, l_noise, 1.0, every_blade)
+    l = Multivector(SIG, members["l"])
+    base = _outcome(ParabolicPair, Multivector(SIG, members["u"]), l)
+    scaled = _outcome(ParabolicPair, Multivector(SIG, np.ldexp(members["u"], k)), l)
+    assert _verdict(scaled) == _verdict(base)
 
 
 @settings(max_examples=100, deadline=None)
@@ -464,5 +516,121 @@ def test_pair_checks_match_their_multivector_form(
 def test_chiral_square_check_matches_its_multivector_form(kind, exponent, seed):
     pr = build_pairings(build_rep(SIG22))
     alpha = _candidate(pr, kind, exponent, np.random.default_rng(seed))
+    got = check_22_chiral_square(alpha)
     with np.errstate(all="ignore"):
-        assert check_22_chiral_square(alpha) == multivector_check_22_chiral_square(alpha)
+        want = multivector_check_22_chiral_square(alpha)
+    if _old_floor_holds(alpha):
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
+# one verdict at every scale
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS + ["zero"]),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pair_verdict_is_the_exact_square_test_at_every_scale(kind, exponent, seed):
+    # spinors at 1e-100..1e100; no OverflowError and no numpy warning may
+    # occur, so only ValueError is caught and no errstate is set
+    pr = build_pairings(build_rep(SIG))
+    if kind == "zero":
+        alpha = Multivector.zero(SIG)
+    else:
+        alpha = _candidate(pr, kind, exponent, np.random.default_rng(seed))
+    try:
+        pp = polyform_to_pair(alpha)
+    except ValueError:
+        pp = None
+    is_square = verify_square_conditions(pr, "minus", alpha).is_square
+    assert (pp is not None) == (is_square and kind != "zero")
+    if kind in ("square", "nudged"):
+        assert pp is not None
+        back = pair_to_polyform(pp)
+        assert (back - alpha).norm_inf() <= 1e-9 * alpha.norm_inf()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    exponent=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_chiral_checks_hold_at_every_scale(kind, exponent, seed):
+    # negative-chirality plus squares (nudged by 1e-12 too) pass both
+    # checks; 1e-6-perturbed squares, random polyforms at 1e-300..1e300
+    # and non-finite input fail both
+    pr = build_pairings(build_rep(SIG22))
+    alpha = _candidate(pr, kind, exponent, np.random.default_rng(seed))
+    chiral = kind in ("square", "nudged")
+    assert check_22_chiral_square(alpha) is chiral
+    assert check_chirality(pr, alpha, -1) is chiral
+
+
+# ---------------------------------------------------------------------------
+# regressions of the old max(1, |x|) floor
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e78])
+def test_squares_below_unit_and_near_the_float_range_have_pairs(scale):
+    # at 1e-5 the grade-1 part (max-norm 5.1e-11) was called vanishing; at
+    # 1e78 squaring max(1, |u|, |l|) as a Python float raised OverflowError
+    pr = build_pairings(build_rep(SIG))
+    xi = Spinor(pr.rep, np.array([0.3, -1.1, 0.7, 0.5]) * scale)
+    alpha = square(pr, "minus", 1, xi).alpha
+    pp = polyform_to_pair(alpha)
+    assert (pair_to_polyform(pp) - alpha).norm_inf() <= 1e-12 * alpha.norm_inf()
+    assert pp.u.allclose(alpha.grade(1), tol=0.0)
+    assert abs(pp.l.one_form_components()[3]) <= 1e-12  # the gauge h*(l, e^4) = 0
+
+
+def test_a_spacelike_u_is_not_null_at_any_scale():
+    # h(u, u) = 1e-10 once passed as null; the exact test rejects its polyform
+    with pytest.raises(ValueError, match="u must be null"):
+        ParabolicPair(cov(1e-5, 0, 0, 0), cov(0, 1, 0, 0))
+    pr = build_pairings(build_rep(SIG))
+    alpha = cov(1e-5, 0, 0, 0) + wedge(cov(1e-5, 0, 0, 0), cov(0, 1, 0, 0))
+    assert not verify_square_conditions(pr, "minus", alpha).is_square
+
+
+def test_a_small_random_22_polyform_is_not_chiral():
+    # at 1e-12 every residual fell below the absolute floor tol * 1
+    pr = build_pairings(build_rep(SIG22))
+    alpha = Multivector(SIG22, make_rng(408).standard_normal(16) * 1e-12)
+    assert not verify_square_conditions(pr, "plus", alpha).is_square
+    assert not check_22_chiral_square(alpha)
+    assert not check_chirality(pr, alpha, -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("blade", [0, 3, 5, 15])
+def test_non_finite_polyforms_are_no_squares(bad, blade):
+    # an inf once reached quantize, whose 0 * inf raised a RuntimeWarning;
+    # the old pair path accepted an inf outside grades 1 and 2
+    pr = build_pairings(build_rep(SIG))
+    coeffs = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(409))).alpha.coeffs.copy()
+    coeffs[blade] = bad
+    alpha = Multivector(SIG, coeffs)
+    assert not verify_square_conditions(pr, "minus", alpha).is_square
+    with pytest.raises(ReconstructionError):
+        reconstruct(pr, "minus", alpha)
+    with pytest.raises(ValueError, match="not a spinor square"):
+        polyform_to_pair(alpha)
+
+
+def test_pair_equivalence_does_not_depend_on_the_scale_of_u():
+    # the old check called a pair whose u was 1e-10 times another's
+    # inequivalent, since the factor fell below the absolute tol
+    pp = base_pair()
+    for factor in (1e-10, 2.0**-900, 2.0**900):
+        scaled = ParabolicPair(factor * pp.u, pp.l)
+        assert pair_equivalent(pp, scaled, "plain")
+        assert pair_equivalent(scaled, pp, "plain")
+        assert not pair_equivalent(pp, scaled, "strong")
+    tiny = ParabolicPair(1e-10 * pp.u, pp.l)
+    assert pair_equivalent(tiny, ParabolicPair(-tiny.u, pp.l + 3.0 * pp.u), "strong")

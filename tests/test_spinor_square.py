@@ -1,5 +1,7 @@
 """Squaring map, admissibility, and reconstruction tests."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from kaspin.ka_core import (
 )
 from kaspin.rng import make_rng, random_multivector, random_spinor
 from kaspin.spinor_square import (
+    DEFAULT_TOL,
     ReconstructionError,
     allowed_grades,
     admissibility_report,
@@ -183,6 +186,27 @@ def test_reconstruct_rejects_huge_non_square(paired):
     alpha = Multivector.from_json('{"p":3,"q":1,"coeffs":{"1":1e300,"1,4":1e300}}')
     with pytest.raises(ReconstructionError):
         reconstruct(pr, "minus", alpha)
+
+
+def test_reconstruct_and_verify_share_one_default_tol(paired):
+    # a square plus a small multiple of another keeps the symmetry and
+    # leaves a rank-one residual linear in the weight; weigh it into
+    # (1e-9, 1e-8], where reconstruct's old default 1e-8 accepted what
+    # verify_square_conditions at its default rejected
+    pr = paired[(3, 1)]
+    rng = make_rng(319)
+    a, b = (square(pr, "minus", 1, random_spinor(pr.rep, rng)).alpha for _ in range(2))
+    probe = verify_square_conditions(pr, "minus", a + 1e-6 * b).residual_rank_one
+    alpha = a + (3e-9 / probe * 1e-6) * b
+    report = verify_square_conditions(pr, "minus", alpha)
+    assert 1e-9 < report.residual_rank_one <= 1e-8
+    assert report.residual_symmetry <= 1e-12
+    assert not report.is_square
+    with pytest.raises(ReconstructionError, match="rank-one fit residual"):
+        reconstruct(pr, "minus", alpha)
+    # at tol = 1e-8 both accept it
+    assert verify_square_conditions(pr, "minus", alpha, tol=1e-8).is_square
+    assert reconstruct(pr, "minus", alpha, tol=1e-8).kappa == 1
 
 
 @pytest.mark.parametrize("tag", ["plus", "minus"])
@@ -353,7 +377,8 @@ def test_square_test_is_bit_identical_to_its_multivector_form(paired, pq, tag, k
     got = verify_square_conditions(pr, tag, alpha)
     want = multivector_verify_square_conditions(pr, tag, alpha)
     assert (got.is_square, got.residual_symmetry, got.residual_rank_one, got.tol) == want
-    want = _reconstruction(multivector_reconstruct, pr, tag, alpha)
+    # the Multivector form keeps the old default tol=1e-8: compare at the one default
+    want = _reconstruction(partial(multivector_reconstruct, tol=DEFAULT_TOL), pr, tag, alpha)
     assert _reconstruction(reconstruct, pr, tag, alpha) == want
 
 
