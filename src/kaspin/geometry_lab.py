@@ -19,12 +19,16 @@ Hodge dual, and uses them to score three first-order systems:
   three-form flux, and gauge curvature two-forms to the pair (u, l),
   plus the flux Bianchi identity with its F wedge F source.
 
-Wedges of one-forms are stored as fully antisymmetrized covariant
-tensors without the 1/k! normalization, so (a ^ b)_{ij} = a_i b_j -
-a_j b_i.  Named presets supply closed-form charts for the constant
-curvature half-space model, its two deformation families over the
-hyperbolic half-plane, and a plane-fronted heterotic background, each
-with the field data needed by the residual campaigns.
+One-form fields keep their d components; wedges, fluxes, gauge
+curvatures and Hodge duals are (..., 16) coefficient stacks over the
+coordinate coframe, bitmask-indexed as Multivector.coeffs (bit i is
+dx^i), and wedge through the (4, 0) sign table of the product kernel,
+the wedge sign being the same for every metric.
+
+Named presets supply closed-form charts for the constant curvature
+half-space model, its two deformation families over the hyperbolic
+half-plane, and a plane-fronted heterotic background, each with the
+field data needed by the residual campaigns.
 
 Points are stacks: every chart, field and residual function takes x
 of shape (..., d), the leading axes indexing sample points, and a
@@ -37,12 +41,13 @@ callbacks, which therefore always see one point).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import _kernels
 
 _FD_SCALE = 1e-5
 POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
@@ -292,76 +297,66 @@ def covariant_derivative_oneform(chart, omega, x):
     return _nabla(christoffel(chart, x), omega.jet(x))
 
 
-def _perm_sign(perm):
-    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-    return -1 if inversions % 2 else 1
+_COFRAME = 1 << np.arange(4)  # the masks of dx^0, ..., dx^3
 
 
-@functools.cache
-def _levi_civita(n):
-    eps = np.zeros((n,) * n)
-    for perm in itertools.permutations(range(n)):
-        eps[perm] = _perm_sign(perm)
-    return eps
+def _wedge(a, b):
+    """a ^ b for coefficient stacks: out[K] = sum_I a[I] wedge_sign[I, K] b[I xor K]."""
+    # the wedge sign does not depend on the metric: one table serves every chart
+    t = _kernels.get_tables(4, 0)
+    return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign, b[..., t.xor])
 
 
-_RAISE = {
-    1: "...Aa,...a->...A",
-    2: "...Aa,...Bb,...ab->...AB",
-    3: "...Aa,...Bb,...Cc,...abc->...ABC",
-    4: "...Aa,...Bb,...Cc,...Dd,...abcd->...ABCD",
-}
-
-
-def hodge_star_chart(chart, x, omega):
-    """Hodge dual of a degree-k alternating covariant tensor at x.
-
-    Contracts the raised tensor with the permutation symbol normalized
-    to +1 on the chart coordinate order, weighted by the metric volume
-    sqrt(|det g|)/k!, so on an orthonormal chart it matches the
-    algebraic dual under the component dictionary coeff_{i<j<...} =
-    T_{ij...}.  omega carries the point axes of x in front.
-    """
-    return _star(chart.g(np.asarray(x, dtype=float)), omega)
-
-
-def _star(g, omega):
-    """hodge_star_chart on the metric components g at the points."""
-    omega = np.asarray(omega, dtype=float)
-    lead = g.shape[:-2]
-    k = omega.ndim - len(lead)
-    n = g.shape[-1]
-    root = np.sqrt(np.abs(np.linalg.det(g)))
-    eps = _levi_civita(n)
-    if k == 0:
-        return np.reshape(root * omega, lead + (1,) * n) * eps
-    ginv = np.linalg.inv(g)
-    raised = np.einsum(_RAISE[k], *([ginv] * k + [omega]))
-    dual = (raised.reshape(lead + (1, n**k)) @ eps.reshape(n**k, -1)).reshape(lead + (n,) * (n - k))
-    return _per_point(root / math.factorial(k), dual) * dual
-
-
-def _wedge_oneforms(*forms):
-    """Wedge of one-forms as a tensor, no 1/k! factor."""
-    forms = [np.asarray(f, dtype=float) for f in forms]
-    out = 0.0
-    for perm in itertools.permutations(range(len(forms))):
-        term = np.array(1.0)
-        for j, p in enumerate(perm):
-            f = forms[p]
-            term = term[..., None] * f.reshape(f.shape[:-1] + (1,) * j + f.shape[-1:])
-        out = out + _perm_sign(perm) * term
+def _one(omega):
+    """The coefficient stack of the one-form with components omega (..., 4)."""
+    out = _zeros(omega, 16)
+    out[..., _COFRAME] = omega
     return out
 
 
-def _wedge_two_forms(a, b):
-    # det convention: antisymmetrize the outer product over S4 and
-    # divide by 2!2! for the two-form factors
-    t = np.einsum("...ij,...kl->...ijkl", a, b)
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(4)):
-        out += _perm_sign(perm) * _t(t, *perm)
-    return out / 4.0
+def _two_tensor(c):
+    """The antisymmetric T[..., i, j] of the two-form stack c = sum_{i<j} T_ij dx^i ^ dx^j."""
+    pairs = _COFRAME[:, None] | _COFRAME
+    # dx^i ^ dx^j is sign * dx^{pairs[i, j]}; i = j gives no two-form
+    sign = _kernels.get_tables(4, 0).wedge_sign[_COFRAME[:, None], pairs] * (1.0 - np.eye(4))
+    return c[..., pairs] * sign
+
+
+def _hodge(g):
+    """The Hodge dual at the points of g, as a map of coefficient stacks.
+
+    Built once from g: indices are raised through the exterior powers
+    of g^-1 (the raised dx^I is the wedge of the g^-1 columns in I), and
+    the dual of dx^I is sqrt|det g| * wedge_sign[I, 15] dx^(I^c), the
+    orientation being dx^0 ^ ... ^ dx^3.
+    """
+    t = _kernels.get_tables(4, 0)
+    ginv = np.linalg.inv(g)
+    # raised[..., I, :] is the raised dx^I, built up grade by grade from
+    # the lowest covector of I and the already raised rest
+    raised = np.zeros(g.shape[:-2] + (16, 16))
+    raised[..., 0, 0] = 1.0
+    for k in range(1, 5):
+        masks = np.flatnonzero(t.grade == k)
+        low = masks & -masks
+        columns = np.swapaxes(ginv[..., :, np.log2(low).astype(int)], -1, -2)
+        raised[..., masks, :] = _wedge(_one(columns), raised[..., masks ^ low, :])
+    complement = 15 ^ np.arange(16)
+    root = np.sqrt(np.abs(np.linalg.det(g)))
+    dual = (root[..., None, None] * t.wedge_sign[complement, 15][:, None]) * np.swapaxes(
+        raised[..., complement], -1, -2)
+    return lambda form: (dual @ np.asarray(form, dtype=float)[..., None])[..., 0]
+
+
+def hodge_star_chart(chart, x, omega):
+    """Hodge dual at x of the form omega, a (..., 16) coefficient stack.
+
+    omega and the result are stored over the coordinate coframe,
+    bitmask-indexed as Multivector.coeffs (bit i is dx^i), with the point
+    axes of x in front.  The orientation is dx^0 ^ ... ^ dx^3, so on an
+    orthonormal chart of signature (3, 1) this is ka_core.hodge_star.
+    """
+    return _hodge(chart.g(np.asarray(x, dtype=float)))(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +593,11 @@ class HeteroticConfig:
     """Background fields entering the supersymmetry relations.
 
     varphi is the dilaton one-form (required closed), H the three-form
-    flux as a covariant tensor callable (None for zero), FA the gauge
-    curvature two-form callables and signs their coefficients in the
-    F wedge F source of the Bianchi identity.
+    flux callable (None for zero), FA the gauge curvature two-form
+    callables and signs their coefficients in the F wedge F source of
+    the Bianchi identity.  H and each FA return (..., 16) coefficient
+    stacks over the coordinate coframe, as hodge_star_chart takes them;
+    ka_core.wedge of covectors builds such forms.
     """
 
     chart: MetricChart
@@ -617,13 +614,13 @@ def _gaugino_fit(hc, ginv, u, x):
     c = (ginv @ u[..., :, None])[..., 0]
     _, _, vt = np.linalg.svd(c[..., None, :])
     null_basis = _t(vt[..., 1:, :], 1, 0)
-    flat = u.shape[:-1] + (16,)
-    cols = np.stack([_wedge_oneforms(u, e).reshape(flat) for e in np.eye(4)], axis=-1)
+    # column j is u ^ dx^j
+    cols = _t(_wedge(_one(u)[..., None, :], _one(np.eye(4))), 1, 0)
     design = cols @ null_basis
     # least squares by the pseudoinverse, with lstsq's default cut-off
     solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
     for curvature in hc.FA:
-        target = np.asarray(curvature(x), dtype=float).reshape(flat)
+        target = np.asarray(curvature(x), dtype=float)
         fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
         worst = np.maximum(worst, fit)
     return worst
@@ -636,7 +633,7 @@ def _coclosed_residual(hc, x):
 
     def density(p):
         g = chart.g(p)
-        rho = _star(g, hc.H(p))
+        rho = _hodge(g)(hc.H(p))[..., _COFRAME]
         root = np.sqrt(np.abs(np.linalg.det(g)))
         return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
@@ -657,30 +654,30 @@ def heterotic_susy_residuals(hc, kd, x):
     chart = hc.chart
     jet = _chart_jet(chart, x, 1)
     ginv = np.linalg.inv(jet[0])
+    star = _hodge(jet[0])
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
-    rho = _zeros(x, 4) if hc.H is None else _star(jet[0], hc.H(x))
+    rho = _zeros(x, 4) if hc.H is None else star(hc.H(x))[..., _COFRAME]
+    u_f, l_f, phi_f, rho_f = _one(u), _one(l), _one(phi), _one(rho)
 
     def pairing(a, b):
         return _pair(a, ginv, b)
 
-    star = functools.partial(_star, jet[0])
-
     res = {}
-    res["star_identity_u"] = _max_abs(_wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)), 2)
+    res["star_identity_u"] = _max_abs(_wedge(phi_f, u_f) - star(_wedge(rho_f, u_f)), 1)
     res["star_identity_ul"] = _max_abs(
-        _wedge_oneforms(phi, u, l) + pairing(rho, l)[..., None, None, None] * star(u), 3
+        _wedge(_wedge(phi_f, u_f), l_f) + pairing(rho, l)[..., None] * star(u_f), 1
     )
     res["star_identity_l"] = _max_abs(
-        star(_wedge_oneforms(l, u, rho)) + pairing(phi, l)[..., None] * u, 1
+        star(_wedge(_wedge(l_f, u_f), rho_f)) + pairing(phi, l)[..., None] * u_f, 1
     )
     res["u_phi_orthogonal"] = np.abs(pairing(u, phi))
     res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
     res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
     res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
     gamma = _christoffel(jet)
-    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
-    defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
+    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * (_outer(u, phi) - _outer(phi, u)), 2)
+    defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho_f, l_f)))
     kappa = _shift(kd.kappa, defect, u, x)
     res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
     res["rho_coclosed"] = _coclosed_residual(hc, x)
@@ -692,16 +689,15 @@ def heterotic_susy_residuals(hc, kd, x):
 def modified_bianchi_residual(hc, x):
     """Max norm of dH - sum_a signs_a * F_a ^ F_a at x, dH by differences."""
     x = np.asarray(x, dtype=float)
-    if hc.H is None:
-        d_h = _zeros(x, 4, 4, 4, 4)
-    else:
-        jac = _fd_jet(hc.H, x, 1)[1]
-        d_h = jac - _t(jac, 1, 0, 2, 3) + _t(jac, 1, 2, 0, 3) - _t(jac, 1, 2, 3, 0)
+    d_h = _zeros(x, 16)
+    if hc.H is not None:
+        # dH = sum_i dx^i ^ d_i H
+        d_h = _wedge(_one(np.eye(4)), _fd_jet(hc.H, x, 1)[1]).sum(axis=-2)
     source = 0.0
     for sign, curvature in zip(hc.signs, hc.FA):
         two_form = np.asarray(curvature(x), dtype=float)
-        source = source + sign * _wedge_two_forms(two_form, two_form)
-    return _max_abs(d_h - source, 4)
+        source = source + sign * _wedge(two_form, two_form)
+    return _max_abs(d_h - source, 1)
 
 
 # ---------------------------------------------------------------------------

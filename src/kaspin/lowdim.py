@@ -244,15 +244,3 @@ def check_22_chiral_square(alpha: Multivector) -> bool:
         and abs(inner(two, two)) <= DEFAULT_TOL
     )
 
-
-def random_parabolic_pair(rng) -> ParabolicPair:
-    """Sample a pair by rotating a spacelike frame, with u = e_time + n."""
-    R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    l_space, n_space = R[:, 0], R[:, 1]
-    u = np.append(n_space, 1.0)
-    u *= rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-1.0, 1.0))
-    c = rng.uniform(-1.0, 1.0)
-    l = np.append(l_space, 0.0) + c * u
-    return ParabolicPair(
-        Multivector.covector(SIG_LORENTZ, u), Multivector.covector(SIG_LORENTZ, l)
-    )

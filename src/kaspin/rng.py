@@ -23,8 +23,3 @@ def random_multivector(sig, rng, grade=None):
         coeffs[sig.tables().grade != grade] = 0.0
     return Multivector(sig, coeffs)
 
-
-def random_spinor(rep, rng):
-    from .clifford_rep import Spinor
-
-    return Spinor(rep, rng.standard_normal(rep.N))

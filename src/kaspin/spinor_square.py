@@ -107,9 +107,12 @@ def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
         r = 0.0 if norm == 0.0 else math.nan
         return _RankOneFit(r, np.full(pr.rep.N, r), r, r), 0, r
     shift = 2 * (math.frexp(norm)[1] // 2)
-    E = quantize(pr.rep, Multivector(alpha.sig, np.ldexp(alpha.coeffs, -shift)))
+    scaled = np.ldexp(alpha.coeffs, -shift)
+    E = quantize(pr.rep, Multivector(alpha.sig, scaled))
     fit = _rank_one_fit(pr.B(pairing_tag), E)
-    ahat = alpha.coeffs * (1.0 / norm)
+    # 1 / norm is inf below norm ~ 5.6e-309 and subnormal above ~ 4.5e307;
+    # the scaled max-norm lies in [0.5, 2), where the reciprocal never is
+    ahat = scaled * (1.0 / math.ldexp(norm, -shift))
     signs = s_transpose_signs(alpha.sig, pr.s(pairing_tag))
     r_sym = float(abs(ahat * signs - pr.sigma(pairing_tag) * ahat).max())
     return fit, shift, r_sym

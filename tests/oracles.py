@@ -16,10 +16,16 @@ the blade table; the square-test and lowdim references are the
 Multivector-arithmetic forms (the s-transpose residual, the rank-one
 fit through the numpy wrappers, and contract through two dense
 products) that the package used before it read coefficient arrays
-through cached sign and index vectors.
+through cached sign and index vectors. The form references hold the
+chart layer's former tensor calculus: forms as alternating covariant
+tensors without the 1/k! factor, the Hodge dual by the permutation
+symbol, and the heterotic and Bianchi residuals evaluated with them.
+The samplers at the end draw the tests' random spinors and pairs.
 """
 
 import functools
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -593,3 +599,228 @@ def multivector_check_22_chiral_square(alpha, tol=1e-9):
     if _norm_inf(hodge_star(two) - two) > tol * scale:
         return False
     return abs(inner(two, two)) <= tol * scale * scale
+
+
+# ---------------------------------------------------------------------------
+# forms as alternating tensors
+# ---------------------------------------------------------------------------
+
+
+def _t(a, *perm):
+    """Transpose the trailing len(perm) axes of a; the point axes stay in front."""
+    lead = a.ndim - len(perm)
+    return a.transpose(*range(lead), *(lead + p for p in perm))
+
+
+def _perm_sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@functools.cache
+def _levi_civita(n):
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = _perm_sign(perm)
+    return eps
+
+
+_RAISE = {
+    1: "...Aa,...a->...A",
+    2: "...Aa,...Bb,...ab->...AB",
+    3: "...Aa,...Bb,...Cc,...abc->...ABC",
+    4: "...Aa,...Bb,...Cc,...Dd,...abcd->...ABCD",
+}
+
+
+def _star(g, omega):
+    """hodge_star_chart on the metric components g at the points."""
+    omega = np.asarray(omega, dtype=float)
+    lead = g.shape[:-2]
+    k = omega.ndim - len(lead)
+    n = g.shape[-1]
+    root = np.sqrt(np.abs(np.linalg.det(g)))
+    eps = _levi_civita(n)
+    if k == 0:
+        return np.reshape(root * omega, lead + (1,) * n) * eps
+    ginv = np.linalg.inv(g)
+    raised = np.einsum(_RAISE[k], *([ginv] * k + [omega]))
+    dual = (raised.reshape(lead + (1, n**k)) @ eps.reshape(n**k, -1)).reshape(lead + (n,) * (n - k))
+    return _per_point(root / math.factorial(k), dual) * dual
+
+
+def _wedge_oneforms(*forms):
+    """Wedge of one-forms as a tensor, no 1/k! factor."""
+    forms = [np.asarray(f, dtype=float) for f in forms]
+    out = 0.0
+    for perm in itertools.permutations(range(len(forms))):
+        term = np.array(1.0)
+        for j, p in enumerate(perm):
+            f = forms[p]
+            term = term[..., None] * f.reshape(f.shape[:-1] + (1,) * j + f.shape[-1:])
+        out = out + _perm_sign(perm) * term
+    return out
+
+
+def _wedge_two_forms(a, b):
+    # det convention: antisymmetrize the outer product over S4 and
+    # divide by 2!2! for the two-form factors
+    t = np.einsum("...ij,...kl->...ijkl", a, b)
+    out = np.zeros_like(t)
+    for perm in itertools.permutations(range(4)):
+        out += _perm_sign(perm) * _t(t, *perm)
+    return out / 4.0
+
+
+def tensor_from_stack(c, k):
+    """The degree-k part of a (..., 16) coefficient stack as an alternating tensor, no 1/k!."""
+    c = np.asarray(c, dtype=float)
+    if k == 0:
+        return c[..., 0]
+    out = np.zeros(c.shape[:-1] + (4,) * k)
+    for idx in itertools.combinations(range(4), k):
+        coeff = c[..., sum(1 << i for i in idx)].reshape(c.shape[:-1] + (1,) * k)
+        out = out + coeff * _wedge_oneforms(*(np.eye(4)[i] for i in idx))
+    return out
+
+
+def stack_from_tensor(tensor, k):
+    """The (..., 16) coefficient stack of an degree-k tensor, coeff_{i<j<...} = T_{ij...}."""
+    tensor = np.asarray(tensor, dtype=float)
+    lead = tensor.shape[:tensor.ndim - k]
+    out = np.zeros(lead + (16,))
+    for idx in itertools.combinations(range(4), k):
+        out[..., sum(1 << i for i in idx)] = tensor[(Ellipsis, *idx)]
+    return out
+
+
+def _tensor_flux(hc, x):
+    return tensor_from_stack(hc.H(x), 3)
+
+
+def _tensor_gaugino_fit(hc, ginv, u, x):
+    from kaspin.geometry_lab import _max_abs
+
+    worst = np.zeros(u.shape[:-1])
+    if not hc.FA:
+        return worst
+    c = (ginv @ u[..., :, None])[..., 0]
+    _, _, vt = np.linalg.svd(c[..., None, :])
+    null_basis = _t(vt[..., 1:, :], 1, 0)
+    flat = u.shape[:-1] + (16,)
+    cols = np.stack([_wedge_oneforms(u, e).reshape(flat) for e in np.eye(4)], axis=-1)
+    design = cols @ null_basis
+    # least squares by the pseudoinverse, with lstsq's default cut-off
+    solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
+    for curvature in hc.FA:
+        target = tensor_from_stack(curvature(x), 2).reshape(flat)
+        fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
+        worst = np.maximum(worst, fit)
+    return worst
+
+
+def _tensor_coclosed_residual(hc, x):
+    from kaspin.geometry_lab import _zeros
+
+    if hc.H is None:
+        return _zeros(x)
+    chart = hc.chart
+
+    def density(p):
+        g = chart.g(p)
+        rho = _star(g, _tensor_flux(hc, p))
+        root = np.sqrt(np.abs(np.linalg.det(g)))
+        return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
+
+    divergence = np.trace(_fd_jacobian(density, x), axis1=-2, axis2=-1)
+    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
+
+
+def tensor_heterotic_residuals(hc, kd, x):
+    """geometry_lab.heterotic_susy_residuals with every form an alternating tensor.
+
+    The evaluation before the chart layer stored forms as coefficient
+    stacks; H and FA of hc are read as stacks and expanded to tensors.
+    """
+    from kaspin.geometry_lab import (
+        _chart_jet, _christoffel, _max_abs, _nabla, _pair, _shift, _zeros,
+    )
+
+    x = np.asarray(x, dtype=float)
+    chart = hc.chart
+    jet = _chart_jet(chart, x, 1)
+    ginv = np.linalg.inv(jet[0])
+    u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
+    u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
+    rho = _zeros(x, 4) if hc.H is None else _star(jet[0], _tensor_flux(hc, x))
+
+    def pairing(a, b):
+        return _pair(a, ginv, b)
+
+    star = functools.partial(_star, jet[0])
+
+    res = {}
+    res["star_identity_u"] = _max_abs(_wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)), 2)
+    res["star_identity_ul"] = _max_abs(
+        _wedge_oneforms(phi, u, l) + pairing(rho, l)[..., None, None, None] * star(u), 3
+    )
+    res["star_identity_l"] = _max_abs(
+        star(_wedge_oneforms(l, u, rho)) + pairing(phi, l)[..., None] * u, 1
+    )
+    res["u_phi_orthogonal"] = np.abs(pairing(u, phi))
+    res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
+    res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
+    res["gaugino_fit"] = _tensor_gaugino_fit(hc, ginv, u, x)
+    gamma = _christoffel(jet)
+    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
+    defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
+    kappa = _shift(kd.kappa, defect, u, x)
+    res["grad_l"] = _max_abs(defect - (kappa[..., :, None] * u[..., None, :]), 2)
+    res["rho_coclosed"] = _tensor_coclosed_residual(hc, x)
+    jac = phi_jet[1]
+    res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
+    return res
+
+
+def tensor_bianchi_residual(hc, x):
+    """geometry_lab.modified_bianchi_residual with every form an alternating tensor."""
+    from kaspin.geometry_lab import _max_abs, _zeros
+
+    x = np.asarray(x, dtype=float)
+    if hc.H is None:
+        d_h = _zeros(x, 4, 4, 4, 4)
+    else:
+        jac = _fd_jacobian(functools.partial(_tensor_flux, hc), x)
+        d_h = jac - _t(jac, 1, 0, 2, 3) + _t(jac, 1, 2, 0, 3) - _t(jac, 1, 2, 3, 0)
+    source = 0.0
+    for sign, curvature in zip(hc.signs, hc.FA):
+        two_form = tensor_from_stack(curvature(x), 2)
+        source = source + sign * _wedge_two_forms(two_form, two_form)
+    return _max_abs(d_h - source, 4)
+
+
+# ---------------------------------------------------------------------------
+# samplers
+# ---------------------------------------------------------------------------
+
+
+def random_spinor(rep, rng):
+    from kaspin.clifford_rep import Spinor
+
+    return Spinor(rep, rng.standard_normal(rep.N))
+
+
+def random_parabolic_pair(rng):
+    """Sample a pair by rotating a spacelike frame, with u = e_time + n."""
+    from kaspin.ka_core import Multivector
+    from kaspin.lowdim import SIG_LORENTZ, ParabolicPair
+
+    R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    l_space, n_space = R[:, 0], R[:, 1]
+    u = np.append(n_space, 1.0)
+    u *= rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-1.0, 1.0))
+    c = rng.uniform(-1.0, 1.0)
+    l = np.append(l_space, 0.0) + c * u
+    return ParabolicPair(
+        Multivector.covector(SIG_LORENTZ, u), Multivector.covector(SIG_LORENTZ, l)
+    )

@@ -225,9 +225,9 @@ def layer_calls(ps):
         "christoffel": lambda x: christoffel(chart, x),
         "riemann": lambda x: riemann(chart, x),
         "ricci": lambda x: ricci(chart, x),
-        "star0": lambda x: hodge_star_chart(chart, x, x[..., 0]),
-        "star1": lambda x: hodge_star_chart(chart, x, x),
-        "star2": lambda x: hodge_star_chart(chart, x, x[..., :, None] * x[..., None, ::-1]),
+        # a polyform with parts of every degree
+        "star": lambda x: hodge_star_chart(
+            chart, x, np.concatenate([x, x**2, np.sin(x), x[..., ::-1]], axis=-1)),
     }
     if ps.killing is not None:
         calls["nabla_l"] = lambda x: covariant_derivative_oneform(chart, ps.killing.l, x)

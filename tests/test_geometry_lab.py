@@ -1,6 +1,6 @@
 """Chart geometry: curvature, chart Hodge star, Killing/Walker/heterotic residuals."""
 
-import itertools
+import dataclasses
 import json
 
 import numpy as np
@@ -65,39 +65,12 @@ def fd_jacobian(f, x, h=1e-6):
     return np.stack(rows)
 
 
-def perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def wedge_tensor(*one_forms):
-    k = len(one_forms)
-    out = np.zeros((4,) * k)
-    for perm in itertools.permutations(range(k)):
-        term = np.array(1.0)
-        for p in perm:
-            term = np.multiply.outer(term, one_forms[p])
-        out += perm_sign(perm) * term
-    return out
-
-
-def mv_from_tensor(tensor, k):
-    coeffs = np.zeros(16)
-    if k == 0:
-        coeffs[0] = float(tensor)
-    else:
-        for idx in itertools.combinations(range(4), k):
-            mask = sum(1 << i for i in idx)
-            coeffs[mask] = tensor[idx]
-    return Multivector(SIG, coeffs)
-
-
-def basis_covectors(idx):
-    return [np.eye(4)[i] for i in idx]
+def form(*one_forms):
+    """Coefficient stack of the wedge of constant one-forms, built with ka_core.wedge."""
+    out = Multivector.scalar(SIG, 1.0)
+    for omega in one_forms:
+        out = wedge(out, Multivector.covector(SIG, omega))
+    return out.coeffs
 
 
 def half_plane_profile(c0):
@@ -314,19 +287,16 @@ def test_fd_jet_equals_the_one_call_per_point_stencil(kind, d, n, order, seed):
 
 
 def test_hodge_star_chart_matches_algebraic_on_flat_chart():
+    # bit for bit at every degree, on the basis forms and on stacked polyforms
     mink = preset("minkowski")
-    x = np.zeros(4)
-    for k in range(5):
-        for idx in itertools.combinations(range(4), k):
-            mono = Multivector.basis(SIG, tuple(i + 1 for i in idx))
-            expected = hodge_star(mono)
-            if k == 0:
-                tensor = np.array(1.0)
-            else:
-                tensor = wedge_tensor(*basis_covectors(idx))
-            starred = hodge_star_chart(mink.chart, x, tensor)
-            got = mv_from_tensor(np.asarray(starred), 4 - k)
-            assert got.allclose(expected, tol=1e-12)
+    for mask in range(16):
+        mono = np.eye(16)[mask]
+        expected = hodge_star(Multivector(SIG, mono)).coeffs
+        assert np.array_equal(hodge_star_chart(mink.chart, np.zeros(4), mono), expected)
+    rng = make_rng(19, stream=3)
+    x, forms = rng.standard_normal((5, 4)), rng.standard_normal((5, 16))
+    expected = [hodge_star(Multivector(SIG, c)).coeffs for c in forms]
+    assert np.array_equal(hodge_star_chart(mink.chart, x, forms), expected)
 
 
 def test_hodge_star_chart_composition_random_two_forms():
@@ -336,12 +306,34 @@ def test_hodge_star_chart_composition_random_two_forms():
     for _ in range(20):
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
-        tensor = wedge_tensor(a, b)
-        chart_star = hodge_star_chart(mink.chart, x, tensor)
         mv = wedge(Multivector.covector(SIG, a), Multivector.covector(SIG, b))
-        algebraic = hodge_star(mv)
-        got = mv_from_tensor(chart_star, 2)
-        assert got.allclose(algebraic, tol=1e-12)
+        assert np.array_equal(hodge_star_chart(mink.chart, x, mv.coeffs), hodge_star(mv).coeffs)
+
+
+def lorentzian_metrics(rng, n):
+    """n metrics A eta A^T with the singular values of A in [0.5, 2], so cond(g) <= 16."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 4, 4)))
+    a = q * rng.uniform(0.5, 2.0, size=(n, 1, 4))
+    return a @ np.diag([1.0, 1.0, 1.0, -1.0]) @ np.swapaxes(a, -1, -2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_chart_star_matches_the_tensor_oracle_and_squares_to_a_sign(k, n, seed):
+    from oracles import _star, stack_from_tensor, tensor_from_stack
+
+    rng = np.random.default_rng(seed)
+    g = lorentzian_metrics(rng, n)
+    chart = MetricChart(lambda x, order: (g,))
+    x = rng.standard_normal((n, 4))
+    omega = rng.standard_normal((n, 16)) * (SIG.tables().grade == k)
+    starred = hodge_star_chart(chart, x, omega)
+    want = stack_from_tensor(_star(g, tensor_from_stack(omega, k)), 4 - k)
+    assert np.max(np.abs(starred - want)) <= 1e-12 * np.max(np.abs(want))
+    # ** = (-1)^(k(4-k)) sign(det g) = -(-1)^k on a Lorentzian chart
+    twice = hodge_star_chart(chart, x, starred)
+    sign = (-1.0) ** (k * (4 - k)) * np.sign(np.linalg.det(g))[:, None]
+    assert np.max(np.abs(twice - sign * omega)) <= 1e-12 * np.max(np.abs(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +742,14 @@ def test_heterotic_gaugino_decomposition():
         chart=mink.chart,
         varphi=OneFormField(lambda x: np.zeros(4)),
         H=None,
-        FA=(lambda x: wedge_tensor(u, chi0),),
+        FA=(lambda x: form(u, chi0),),
         signs=(1,),
     )
     bad = HeteroticConfig(
         chart=mink.chart,
         varphi=OneFormField(lambda x: np.zeros(4)),
         H=None,
-        FA=(lambda x: wedge_tensor(np.eye(4)[1], np.eye(4)[2]),),
+        FA=(lambda x: form(np.eye(4)[1], np.eye(4)[2]),),
         signs=(1,),
     )
     x = np.zeros(4)
@@ -773,7 +765,7 @@ def test_modified_bianchi_detects_nonclosed_flux():
     mink = preset("minkowski")
 
     def three_form(x):
-        return x[0] * wedge_tensor(np.eye(4)[1], np.eye(4)[2], np.eye(4)[3])
+        return x[0] * form(np.eye(4)[1], np.eye(4)[2], np.eye(4)[3])
 
     hc = HeteroticConfig(
         chart=mink.chart,
@@ -784,6 +776,58 @@ def test_modified_bianchi_detects_nonclosed_flux():
     )
     res = modified_bianchi_residual(hc, np.array([0.3, 0.2, -0.5, 0.9]))
     assert abs(res - 1.0) <= 1e-6
+
+
+def ppwave_with_flux():
+    """heterotic-ppwave with a flux H = h(v, u, y) * (dv^dx^dy + ...) and two gauge curvatures.
+
+    No preset carries a flux or gauge field; this one runs the flux dual
+    rho, its coclosedness, the star identities with rho != 0, the
+    gaugino fit (one curvature splits through u, one does not) and the
+    F ^ F source of the Bianchi identity, none of which vanishes.
+    """
+    ps = preset("heterotic-ppwave", {"amp": 0.3, "q0": [[2.0, 0.3], [0.3, 1.0]]})
+    dv, du, dx, dy = np.eye(4)
+    flux = form(dv, dx, dy) + 0.5 * form(du, dx, dy) - 0.3 * form(dv, du, dy)
+    split = form(dv, 0.4 * dx - 0.7 * dy)
+    mixed = form(dv, du) + form(dx, dy)
+
+    def h(x):
+        return (0.4 + 0.3 * np.sin(x[..., 0]) + 0.2 * x[..., 1] * x[..., 3])[..., None]
+
+    hc = dataclasses.replace(
+        ps.heterotic, H=lambda x: h(x) * flux,
+        FA=(lambda x: np.cos(x[..., 2:3]) * split, lambda x: (1.0 + x[..., 3:]) * mixed),
+        signs=(1.0, -0.5),
+    )
+    return hc, ps.killing
+
+
+def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
+    from oracles import tensor_bianchi_residual, tensor_heterotic_residuals
+
+    hc, kd = ppwave_with_flux()
+    x = make_rng(37, stream=5).uniform(-2.0, 2.0, size=(6, 4))
+    got, want = heterotic_susy_residuals(hc, kd, x), tensor_heterotic_residuals(hc, kd, x)
+    got["bianchi"] = modified_bianchi_residual(hc, x)
+    want["bianchi"] = tensor_bianchi_residual(hc, x)
+    assert list(got) == list(want)
+    for name in got:
+        tol = 1e-12 * np.maximum(np.abs(want[name]), 1.0)
+        if name == "rho_coclosed":
+            # a centered difference of the density with step h ~ _FD_SCALE:
+            # rounding-level differences of the density move it by ~ eps / h
+            tol += 8.0 * np.finfo(float).eps / geometry_lab._FD_SCALE
+        assert np.all(np.abs(got[name] - want[name]) <= tol), name
+    # the flux and gauge terms are live: each of these reads well above rounding
+    for name in ("star_identity_u", "star_identity_ul", "star_identity_l", "u_rho_orthogonal",
+                 "rho_phi_orthogonal", "gaugino_fit", "grad_l", "rho_coclosed", "bianchi"):
+        assert np.min(got[name]) > 1e-6, name
+    # and the stacked evaluation equals the point-by-point one
+    rows = [heterotic_susy_residuals(hc, kd, p) | {"bianchi": modified_bianchi_residual(hc, p)}
+            for p in x]
+    for name, value in got.items():
+        assert np.array_equal(value, [row[name] for row in rows]), name
 
 
 # ---------------------------------------------------------------------------

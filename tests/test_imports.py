@@ -34,8 +34,9 @@ def test_cli_imports_the_chart_layer_only_for_check_metric():
 
 
 def test_importing_lowdim_builds_no_product_tables():
+    # nor does importing the chart layer, which reads the (4,0) table when it wedges
     cached = fresh_python(
-        "import kaspin.lowdim\n"
+        "import kaspin.lowdim, kaspin.geometry_lab\n"
         "from kaspin import _kernels\n"
         "print(_kernels.get_tables.cache_info().currsize)"
     )

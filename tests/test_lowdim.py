@@ -23,9 +23,8 @@ from kaspin.lowdim import (
     pair_to_flag,
     pair_to_polyform,
     polyform_to_pair,
-    random_parabolic_pair,
 )
-from kaspin.rng import make_rng, random_spinor
+from kaspin.rng import make_rng
 from kaspin.spinor_square import (
     ReconstructionError,
     check_chirality,
@@ -40,6 +39,8 @@ from oracles import (
     multivector_pair,
     multivector_pair_to_flag,
     multivector_polyform_to_pair,
+    random_parabolic_pair,
+    random_spinor,
 )
 
 SIG = Signature(3, 1)

@@ -1,5 +1,6 @@
 """Squaring map, admissibility, and reconstruction tests."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,7 @@ from kaspin.ka_core import (
     ka_trace,
     wedge,
 )
-from kaspin.rng import make_rng, random_multivector, random_spinor
+from kaspin.rng import make_rng, random_multivector
 from kaspin.spinor_square import (
     DEFAULT_TOL,
     ReconstructionError,
@@ -37,6 +38,7 @@ from oracles import (
     full_basis_verify_square_conditions,
     multivector_reconstruct,
     multivector_verify_square_conditions,
+    random_spinor,
     slow_verify_square_conditions,
 )
 
@@ -238,6 +240,33 @@ def test_square_test_holds_near_the_float_range(paired, tag):
     assert rec.kappa == ref.kappa == -1
     want = ref.spinor.components * np.sqrt(factor)
     assert np.max(np.abs(rec.spinor.components - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_square_below_the_normal_range_is_accepted_without_a_warning(paired):
+    # at max-norm 4.4e-311, 1 / norm is inf; zero coefficients once became nan
+    pr = paired[(3, 1)]
+    alpha = square(pr, "minus", 1, Spinor(pr.rep, np.array([0.3, -1.1, 0.7, 0.5]))).alpha
+    tiny = Multivector(alpha.sig, np.ldexp(alpha.coeffs, -1030))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_square_conditions(pr, "minus", tiny)
+        assert rep.is_square and rep.residual_symmetry == 0.0
+        assert reconstruct(pr, "minus", tiny).kappa == 1
+
+
+@pytest.mark.parametrize("tag", ["plus", "minus"])
+def test_square_test_is_exact_where_the_reciprocal_norm_is_subnormal(paired, tag):
+    # above a max-norm of about 4.5e307, 1 / norm is subnormal and drops
+    # bits; rescaling by a power of two must leave both residuals as they are
+    pr = paired[(3, 1)]
+    rng = np.random.default_rng(1)
+    for top in (5.2e307, *rng.uniform(4.6e307, 1.7e308, size=9)):
+        c = rng.standard_normal(16)
+        c *= top / 2.0**1022 / np.max(np.abs(c))
+        small, big = (verify_square_conditions(pr, tag, Multivector(pr.rep.sig, v))
+                      for v in (c, np.ldexp(c, 1022)))
+        assert (big.residual_symmetry, big.residual_rank_one) == (
+            small.residual_symmetry, small.residual_rank_one)
 
 
 # ---------------------------------------------------------------------------
