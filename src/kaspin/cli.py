@@ -193,16 +193,31 @@ def _cmd_verify_algebra(args):
 # ---------------------------------------------------------------------------
 
 
+def _number(name, value):
+    """A JSON number as a float; true, strings and null are not numbers."""
+    if type(value) not in (int, float):
+        raise UsageError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _spinor_components(payload):
     if isinstance(payload, dict):
         payload = payload.get("components")
     if not isinstance(payload, list):
         raise UsageError("spinor payload must be a component list or carry 'components'")
-    return _finite("spinor components", np.asarray([float(v) for v in payload]))
+    return _finite("spinor components",
+                   np.asarray([_number("spinor component", v) for v in payload]))
 
 
-def _polyform(payload):
-    alpha = Multivector.from_json(payload)
+def _polyform(payload, sig):
+    """The polyform of a {"coeffs": {key: number}} payload, at the resolved signature."""
+    if not isinstance(payload, dict):
+        raise UsageError("polyform payload must be a JSON object")
+    coeffs = payload.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise UsageError("polyform coeffs must be a JSON object")
+    coeffs = {key: _number(f"coefficient {key!r}", value) for key, value in coeffs.items()}
+    alpha = Multivector.from_json({"p": sig.p, "q": sig.q, "coeffs": coeffs})
     _finite("polyform coefficients", alpha.coeffs)
     return alpha
 
@@ -231,7 +246,7 @@ def _cmd_square(args):
 
 def _cmd_reconstruct(args):
     payload, sig, pr = _payload_pairings(args)
-    alpha = _polyform(payload)
+    alpha = _polyform(payload, sig)
     tol = _resolve_tol(args, 1e-8)
     report = {
         "command": "reconstruct",
@@ -262,7 +277,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_check_polyform(args):
     payload, sig, pr = _payload_pairings(args)
-    alpha = _polyform(payload)
+    alpha = _polyform(payload, sig)
     tol = _resolve_tol(args, 1e-8)
     conditions = verify_square_conditions(pr, args.pairing, alpha, tol=tol)
     report = {

@@ -418,10 +418,12 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     jet = _chart_jet(chart, x, 1)
     g = jet[0]
     ginv = np.linalg.inv(g)
-    u_jet, l_jet = kd.u.jet(x), kd.l.jet(x)
-    u, l = u_jet[0], l_jet[0]
+    u_jet = kd.u.jet(x)
+    u = u_jet[0]
     if np.any(_max_abs(u, 1) <= 1e-12):
         raise ValueError("u vanishes at the sample point")
+    l_jet = kd.l.jet(x)
+    l = l_jet[0]
     violation = _parabolic_violation(ginv, u, l)
     if np.any(violation > invariant_tol):
         first = np.extract(violation > invariant_tol, violation)[0]
@@ -445,7 +447,8 @@ class WalkerData:
 
     F and K are profile functions of the surface point, q2 the surface
     metric, and s_frak the optional v-component of l in the gauge where
-    the shift one-form is d(s_frak)/K.
+    the shift one-form is d(s_frak)/K.  walker_killing_data builds the
+    chart's pair u = K dv, l = s_frak dv - dK/(2 lam K) from it.
     """
 
     F: ScalarField
@@ -558,28 +561,47 @@ def einstein_residual(wd, s):
 
 
 def walker_killing_data(wd):
-    """Pair of one-form fields induced on the assembled chart.
+    """The pair (u, l) and shift kappa of the surface data, on the assembled chart.
 
-    u = K dv, and l carries the gauge component s_frak along dv with
-    -dK/(2 lam K) along the surface; without s_frak the gauge component
-    is the nonnegative root of the gauge square.  kappa is left to the
-    pointwise fit.
+    u = K dv and l = s_frak dv - dK/(2 lam K).  With s_frak given, l
+    reads only the 1-jets of K and s_frak, its Jacobian is closed form
+    from K's 2-jet and s_frak's 1-jet, d_i l_v = d_i s_frak and
+    d_i l_a = (d_i K d_a K / K - d_i d_a K)/(2 lam K), and kappa is
+    d(s_frak)/K on the surface components.  Without s_frak the gauge
+    component is the nonnegative root of the gauge square, l is
+    differenced and kappa is left to the pointwise fit.
     """
+    lam, s_frak = wd.lam, wd.s_frak
 
     def l_val(x):
         s = _surface(x)
-        _, k, _, _, _, _, square = _surface_data(wd, s, 1, 1, 1)
-        gauge = wd.s_frak.value(s) if wd.s_frak is not None else np.sqrt(np.maximum(square, 0.0))
-        return _embed(x, (4,), (0, gauge), (np.s_[2:], -k[1] / (2.0 * wd.lam * k[0])[..., None]))
+        if s_frak is None:
+            _, k, _, _, _, _, square = _surface_data(wd, s, 1, 1, 1)
+            gauge = np.sqrt(np.maximum(square, 0.0))
+        else:
+            k, gauge = wd.K.jet(s, 1), s_frak.value(s)
+        return _embed(x, (4,), (0, gauge), (np.s_[2:], -k[1] / (2.0 * lam * k[0])[..., None]))
 
+    def l_jac(x):
+        s = _surface(x)
+        k = wd.K.jet(s, 2)
+        K = k[0][..., None]
+        d_surface = (_outer(k[1] / K, k[1]) - k[2]) / (2.0 * lam * K[..., None])
+        return _embed(x, (4, 4), (np.s_[2:, 0], s_frak.jet(s, 1)[1]), (np.s_[2:, 2:], d_surface))
+
+    def kappa_val(x):
+        s = _surface(x)
+        return _embed(x, (4,), (np.s_[2:], s_frak.jet(s, 1)[1] / wd.K.value(s)[..., None]))
+
+    gauged = s_frak is not None
     return KillingData(
         u=OneFormField(
             lambda x: _embed(x, (4,), (0, wd.K.value(_surface(x)))),
             jac=lambda x: _embed(x, (4, 4), (np.s_[2:, 0], wd.K.jet(_surface(x), 1)[1])),
         ),
-        l=OneFormField(l_val),
-        lam=wd.lam,
-        kappa=None,
+        l=OneFormField(l_val, jac=l_jac if gauged else None),
+        lam=lam,
+        kappa=OneFormField(kappa_val) if gauged else None,
     )
 
 
@@ -626,7 +648,11 @@ def _gaugino_fit(hc, ginv, u, x):
     return worst
 
 
-def _coclosed_residual(hc, x):
+def _coclosed_residual(hc, x, g):
+    """|div rho| at x, from differences of the density sqrt|det g| g^-1 rho.
+
+    g is the metric at x, from the jet the caller already holds.
+    """
     if hc.H is None:
         return _zeros(x)
     chart = hc.chart
@@ -638,7 +664,7 @@ def _coclosed_residual(hc, x):
         return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
     divergence = np.trace(_fd_jet(density, x, 1)[1], axis1=-2, axis2=-1)
-    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
+    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(g)))
 
 
 def heterotic_susy_residuals(hc, kd, x):
@@ -680,7 +706,7 @@ def heterotic_susy_residuals(hc, kd, x):
     defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho_f, l_f)))
     kappa = _shift(kd.kappa, defect, u, x)
     res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
-    res["rho_coclosed"] = _coclosed_residual(hc, x)
+    res["rho_coclosed"] = _coclosed_residual(hc, x, jet[0])
     jac = phi_jet[1]
     res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
     return res
@@ -813,22 +839,9 @@ def _preset_ads4(params):
         F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
         s_frak=_ZERO_SURFACE,
     )
-
-    kd = KillingData(
-        u=OneFormField(
-            lambda x: _embed(x, (4,), (0, 1.0 / _pow(lam * x[..., 3], 2))),
-            jac=lambda x: _embed(x, (4, 4), ((3, 0), -2.0 / (lam**2 * _pow(x[..., 3], 3)))),
-        ),
-        l=OneFormField(
-            lambda x: _embed(x, (4,), (3, 1.0 / (lam * x[..., 3]))),
-            jac=lambda x: _embed(x, (4, 4), ((3, 3), -1.0 / (lam * _pow(x[..., 3], 2)))),
-        ),
-        lam=lam,
-        kappa=_constant([0.0, 0.0, 0.0, 0.0]),
-    )
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
-        sample_box=_BOX_HALF, killing=kd, walker=wd,
+        sample_box=_BOX_HALF, killing=walker_killing_data(wd), walker=wd,
     )
 
 
@@ -870,33 +883,10 @@ def _preset_poly(params):
         F=profile_f, K=_inverse_square_profile(0.5),
         q2=_poincare_half_plane(lam), lam=lam, s_frak=s_field,
     )
-
-    kd = None
-    if gated:
-        def l_val(x):
-            return _embed(x, (4,), (0, gauge_val(x[..., 2:])), (3, 1.0 / (lam * x[..., 3])))
-
-        def l_jac(x):
-            return _embed(x, (4, 4), (np.s_[2:, 0], gauge_grad(x[..., 2:])),
-                          ((3, 3), -1.0 / (lam * _pow(x[..., 3], 2))))
-
-        def kappa_val(x):
-            # shift gauge: kappa = d(s_frak)/K with K = 1/(2 y^2)
-            shift = (2.0 * _pow(x[..., 3], 2))[..., None] * gauge_grad(x[..., 2:])
-            return _embed(x, (4,), (np.s_[2:], shift))
-
-        kd = KillingData(
-            u=OneFormField(
-                lambda x: _embed(x, (4,), (0, 0.5 / _pow(x[..., 3], 2))),
-                jac=lambda x: _embed(x, (4, 4), ((3, 0), -1.0 / _pow(x[..., 3], 3))),
-            ),
-            l=OneFormField(l_val, jac=l_jac),
-            lam=lam,
-            kappa=OneFormField(kappa_val),
-        )
     return Preset(
         name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
-        chart=walker_chart(wd), lam=lam, sample_box=box, killing=kd, walker=wd,
+        chart=walker_chart(wd), lam=lam, sample_box=box,
+        killing=walker_killing_data(wd) if gated else None, walker=wd,
     )
 
 
@@ -1217,8 +1207,6 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
         ps = _perturbed(ps, perturb)
     lower, upper = np.asarray(ps.sample_box, dtype=float).T
     pts = _halton(n_points, seed) * (upper - lower) + lower
-    if lower[3] > 0.0:
-        pts[:, 3] = np.maximum(pts[:, 3], 0.05)
 
     blocks: dict[str, list[np.ndarray]] = {}
     with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -283,7 +283,14 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
         call()
 
 
+def golden_entry(report):
+    """The fields of a report that the golden test compares: worst points are left out."""
+    residuals = {name: {"max": res["max"], "mean": res["mean"]}
+                 for name, res in report["residuals"].items()}
+    return dict(report, residuals=residuals)
+
+
 if __name__ == "__main__":
-    json.dump({key: campaign(case) for key, case in golden_cases()}, sys.stdout,
+    json.dump({key: golden_entry(campaign(case)) for key, case in golden_cases()}, sys.stdout,
               indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -211,6 +211,35 @@ def test_payload_signature_must_be_json_integers(capsys, command, body, p, q):
     assert_usage_error(*run_cli(capsys, command, payload))
 
 
+@pytest.mark.parametrize("argv, same_as", [
+    # malformed payloads: one error line, exit 2, nothing on stdout
+    pytest.param(("reconstruct", '{"p":3,"q":1,"coeffs":[1,2]}'), None, id="coeffs-list"),
+    pytest.param(("reconstruct", '{"p":3,"q":1,"coeffs":{"1":null}}'), None, id="null-coeff"),
+    pytest.param(("reconstruct", "[1,2]", "--p", "3", "--q", "1"), None, id="list-polyform"),
+    pytest.param(("check-polyform", '"1"', "--p", "3", "--q", "1"), None, id="string-polyform"),
+    pytest.param(("check-polyform", '{"coeffs":{"1":1}}'), None, id="no-signature"),
+    # true and strings are not numbers, as coefficients or as components
+    pytest.param(("reconstruct", '{"p":3,"q":1,"coeffs":{"1":true}}'), None, id="true-coeff"),
+    pytest.param(("check-polyform", '{"p":3,"q":1,"coeffs":{"1":"1"}}'), None,
+                 id="string-coeff"),
+    pytest.param(("square", "[true,0,0,0]", "--p", "3", "--q", "1"), None, id="true-component"),
+    pytest.param(("square", '{"p":3,"q":1,"components":["1",0,0,0]}'), None,
+                 id="string-component"),
+    # a polyform payload takes its signature from the flags, as a spinor payload does
+    pytest.param(("check-polyform", '{"coeffs":{"1":1}}', "--p", "3", "--q", "1"),
+                 ("check-polyform", '{"p":3,"q":1,"coeffs":{"1":1}}'), id="check-flags"),
+    pytest.param(("reconstruct", '{"coeffs":{"1":1,"1,2":-1}}', "--p", "2", "--q", "2"),
+                 ("reconstruct", '{"p":2,"q":2,"coeffs":{"1":1,"1,2":-1}}'),
+                 id="reconstruct-flags"),
+])
+def test_payloads_are_parsed_strictly(capsys, argv, same_as):
+    got = run_cli(capsys, *argv)
+    if same_as is None:
+        assert_usage_error(*got)
+    else:
+        assert got == run_cli(capsys, *same_as) and got[0] == 0
+
+
 @pytest.mark.parametrize("lam", ["1e-200", "7.3e-200", "1e-160", "1e200"])
 def test_out_of_range_lambda_exits_two(capsys, lam):
     # 1e-200 used to die in 1.0 / lam**2 with a ZeroDivisionError and exit 1

@@ -575,16 +575,71 @@ def test_einstein_residual_families():
 
 
 def test_walker_to_killing_transfer():
-    # Pairs assembled from the surface data satisfy the chart-level system.
+    # Pairs assembled from the surface data satisfy the chart-level system:
+    # in the s_frak gauge, and without s_frak, where l is differenced and
+    # kappa fitted.
     ads = preset("ads4", {"lam": 1.1})
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
-    for ps in (ads, poly):
-        kd = walker_killing_data(ps.walker)
-        chart = walker_chart(ps.walker)
+    for wd in (ads.walker, poly.walker, dataclasses.replace(poly.walker, s_frak=None)):
+        kd = walker_killing_data(wd)
+        assert (kd.l.jac is None) == (kd.kappa is None) == (wd.s_frak is None)
+        chart = walker_chart(wd)
         for x in halfplane_points(4, 20):
             res = killing_pair_residual(chart, kd, x)
             assert res.r_u <= 1e-5
             assert res.r_l <= 1e-5
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def gated_poly_coefficients(draw):
+    """a of ads4-deformed-poly inside the domain where it carries pair data.
+
+    The gauge square 1.5 a3 y (a1 + a2 x) must stay at least 0.05 * 1.5 a3 y
+    on the sample box |x| <= 1.5: a3 >= 0 and a1 - 1.5 |a2| >= 0.05, here
+    with a margin for the rounding of a1.
+    """
+    a2 = draw(st.floats(-2.0, 2.0))
+    a1 = 0.051 + 1.5 * abs(a2) + draw(st.floats(0.0, 3.0))
+    return a1, a2, draw(st.floats(0.0, 2.0)), draw(st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(1e-2, 1e2), a=gated_poly_coefficients(), seed=st.integers(0, 2**32 - 1))
+def test_walker_killing_data_closed_forms(lam, a, seed):
+    lower, upper = np.asarray(preset("ads4-deformed-poly").sample_box).T
+    x = np.random.default_rng(seed).uniform(lower, upper, size=(3, 4))
+    v, yy = x[:, 2], x[:, 3]
+
+    poly = preset("ads4-deformed-poly", {"lam": lam, "a": a})
+    kd = walker_killing_data(poly.walker)
+    # the closed-form Jacobian of l against centred differences of its value
+    for p, jac in zip(x, kd.l.jac(x)):
+        fd = fd_jacobian(kd.l.value, p)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd))), p
+    # kappa = d(s_frak)/K, with s_frak = sqrt(1.5 a3 y (a1 + a2 x)) and K = 1/(2 y^2)
+    a1, a2, a3, _ = a
+    linear = a1 + a2 * v
+    gauge = np.sqrt(1.5 * a3 * yy * linear)
+    d_gauge = np.stack([gauge * a2 / (2.0 * linear), gauge / (2.0 * yy)], axis=-1)
+    kappa = kd.kappa.value(x)
+    assert np.all(kappa[:, :2] == 0.0)
+    np.testing.assert_allclose(kappa[:, 2:], 2.0 * yy[:, None] ** 2 * d_gauge,
+                               rtol=8 * EPS, atol=0.0)
+
+    # ads4: u = dv/(lam y)^2 and l = dy/(lam y), kappa = 0, to a few ulps
+    kd = preset("ads4", {"lam": lam}).killing
+    u, l, ju, jl = kd.u.value(x), kd.l.value(x), kd.u.jac(x), kd.l.jac(x)
+    assert np.all(u[:, 1:] == 0.0) and np.all(l[:, :3] == 0.0)
+    assert np.all(kd.kappa.value(x) == 0.0)
+    np.testing.assert_allclose(u[:, 0], 1.0 / (lam * yy) ** 2, rtol=4 * EPS, atol=0.0)
+    np.testing.assert_allclose(l[:, 3], 1.0 / (lam * yy), rtol=4 * EPS, atol=0.0)
+    # the Jacobian's d_y l_y = (K'^2/K - K'')/(2 lam K) cancels 4 against 6 parts
+    np.testing.assert_allclose(ju[:, 3, 0], -2.0 / (lam**2 * yy**3), rtol=8 * EPS, atol=0.0)
+    np.testing.assert_allclose(jl[:, 3, 3], -1.0 / (lam * yy**2), rtol=16 * EPS, atol=0.0)
+    assert np.count_nonzero(ju) == ju.shape[0] and np.count_nonzero(jl) == jl.shape[0]
 
 
 def test_ricci_matches_product_structure_component_formulas():
@@ -828,6 +883,25 @@ def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
             for p in x]
     for name, value in got.items():
         assert np.array_equal(value, [row[name] for row in rows]), name
+
+
+def test_a_flux_block_reads_the_chart_once_per_stencil_point():
+    # the block's order-1 jet, then the 1 + 2d = 9 points of the flux
+    # density's centred differences; sqrt|det g| at x comes from the block's jet
+    hc, kd = ppwave_with_flux()
+    orders = []
+
+    def jet(x, order):
+        orders.append(order)
+        return hc.chart.jet(x, order)
+
+    counted = dataclasses.replace(hc, chart=dataclasses.replace(hc.chart, jet=jet))
+    x = make_rng(41, stream=5).uniform(-2.0, 2.0, size=(5, 4))
+    got = heterotic_susy_residuals(counted, kd, x)
+    assert orders == [1] + [0] * 9
+    want = heterotic_susy_residuals(hc, kd, x)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
 
 
 # ---------------------------------------------------------------------------
