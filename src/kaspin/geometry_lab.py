@@ -1,41 +1,37 @@
 """Residual evaluators for Lorentzian metric families on explicit charts.
 
-Every chart and field hands out a jet: its value at the points together
-with its coordinate partials up to a given order, the closed forms it
-was given and centered differences (_fd_jet, one evaluation per
-distinct stencil point) for the rest.  A MetricChart's jet is
-(g, dg, d2g).  On top of it this module computes Christoffel symbols,
-curvature, covariant derivatives of one-form fields, and a chart-level
-Hodge dual, and uses them to score three first-order systems:
+Every chart and field hands out a jet: its value at the points with its
+coordinate partials up to a given order, from the closed forms it was
+given and centered differences (_fd_jet, one evaluation per distinct
+stencil point) for the rest.  A MetricChart's jet is (g, dg, d2g).  On
+it this module computes Christoffel symbols, curvature, covariant
+derivatives of one-form fields and a chart-level Hodge dual, and scores
+three first-order systems:
 
 * parabolic Killing pairs: a nowhere-zero null one-form u and a unit
   spacelike l orthogonal to it, with nabla u = lam*(u (x) l - l (x) u)
-  and nabla l = kappa (x) u + lam*(l (x) l - g) for some shift
-  one-form kappa;
-* the reduction of that system to a surface triple (F, K, q2) for
-  charts of the form F dv^2 + 2 K dv du + q2, together with the
-  Einstein reduction of the same family;
+  and nabla l = kappa (x) u + lam*(l (x) l - g) for some one-form kappa;
+* their reduction to a surface triple (F, K, q2) for charts
+  F dv^2 + 2 K dv du + q2, with the Einstein reduction of that family;
 * the heterotic supersymmetry relations tying a dilaton one-form, a
-  three-form flux, and gauge curvature two-forms to the pair (u, l),
-  plus the flux Bianchi identity with its F wedge F source.
+  three-form flux and gauge curvature two-forms to the pair (u, l),
+  and the flux Bianchi identity with its F wedge F source.
 
-One-form fields keep their d components; wedges, fluxes, gauge
-curvatures and Hodge duals are (..., 16) coefficient stacks over the
-coordinate coframe, bitmask-indexed as Multivector.coeffs (bit i is
-dx^i), and wedge through the (4, 0) sign table of the product kernel,
-the wedge sign being the same for every metric.
+One-form fields keep their d components; other forms are (..., 16)
+coefficient stacks over the coordinate coframe, bitmask-indexed as
+Multivector.coeffs (bit i is dx^i), wedged through the metric-free
+(4, 0) sign table.  Named presets supply closed-form charts for the
+constant curvature half-space model, its two deformation families over
+the hyperbolic half-plane and a plane-fronted heterotic background.
 
-Named presets supply closed-form charts for the constant curvature
-half-space model, its two deformation families over the hyperbolic
-half-plane, and a plane-fronted heterotic background, each with the
-field data needed by the residual campaigns.
-
-Points are stacks: every chart, field and residual function takes x
-of shape (..., d), the leading axes indexing sample points, and a
-single point is the stack shape ().  Callables attached to the data
-take such stacks too; _pointwise lifts a one-point callable (the
-walker-generic preset and MetricChart.from_callable apply it to user
-callbacks, which therefore always see one point).
+Points are stacks: charts, fields and residuals take x of shape
+(..., d), the leading axes indexing sample points; one point is the
+stack shape ().  _pointwise lifts a one-point callable (user callbacks
+of walker-generic and MetricChart.from_callable, which thus see one
+point).  A campaign block reads each field once: g^-1 and q^-1 are
+inverted once, and a surface preset's F, K, q2 and s_frak are evaluated
+once, to the highest order the check needs, for its chart, profile and
+pair layers (_chart_jet).
 """
 
 from __future__ import annotations
@@ -202,10 +198,9 @@ class OneFormField:
 class MetricChart:
     """Pseudo-Riemannian metric on a coordinate chart.
 
-    jet(x, order) gives the component matrix g followed, up to order,
-    by dg[m] = d_m g and d2g[m, n] = d_m d_n g.  provenance records
-    whether the derivatives are closed forms or centered differences of
-    g; in_domain, when given, restricts the chart to a coordinate region.
+    jet(x, order) gives g followed, up to order, by dg[m] = d_m g and
+    d2g[m, n] = d_m d_n g.  provenance records whether the derivatives are
+    closed forms or differences; in_domain restricts the chart, if given.
     """
 
     jet: Callable
@@ -242,27 +237,32 @@ def _braces(dg):
     return _t(dg, 1, 0, 2) + _t(dg, 1, 2, 0) - dg
 
 
-def _chart_jet(chart, x, order):
+def _chart_jet(chart, x, order, walker=None, k_order=0):
+    """The chart's jet to order at x, checked inside its domain, and g^-1.
+
+    With walker given, chart is walker_chart(walker), built from one read
+    of F, q2 (to order) and K (to k_order), and those three jets follow.
+    """
     x = np.asarray(x, dtype=float)
     if not chart.contains(x):
         raise ValueError("point lies outside the chart domain")
-    return chart.jet(x, order)
+    jets = (chart.jet(x, order),) if walker is None else _walker_jets(walker, x, order, k_order)
+    return (jets[0], np.linalg.inv(jets[0][0])) + jets[1:]
 
 
-def _christoffel(jet):
-    """Gamma from a chart jet (g, dg, ...)."""
-    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(jet[0]), _braces(jet[1]))
+def _christoffel(jet, ginv):
+    """Gamma from a chart jet (g, dg, ...) and g^-1."""
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _braces(jet[1]))
 
 
 def christoffel(chart, x):
     """Levi-Civita symbols, gamma[..., k, i, j] = Gamma^k_{ij}."""
-    return _christoffel(_chart_jet(chart, x, 1))
+    return _christoffel(*_chart_jet(chart, x, 1))
 
 
-def _riemann(jet):
-    """R^r_{smn} from a second-order chart jet (g, dg, d2g)."""
-    g, dg, d2g = jet
-    ginv = np.linalg.inv(g)
+def _riemann(jet, ginv):
+    """R^r_{smn} from a second-order chart jet (g, dg, d2g) and g^-1."""
+    _, dg, d2g = jet
     braces = _braces(dg)
     dbraces = _t(d2g, 0, 2, 1, 3) + _t(d2g, 0, 2, 3, 1) - d2g
     dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
@@ -276,15 +276,15 @@ def _riemann(jet):
 
 def riemann(chart, x):
     """Curvature tensor R[..., r, s, m, n] = R^r_{smn}, first index raised."""
-    return _riemann(_chart_jet(chart, x, 2))
+    return _riemann(*_chart_jet(chart, x, 2))
 
 
-def _ricci(jet):
-    return np.einsum("...rsrn->...sn", _riemann(jet))
+def _ricci(jet, ginv):
+    return np.einsum("...rsrn->...sn", _riemann(jet, ginv))
 
 
 def ricci(chart, x):
-    return _ricci(_chart_jet(chart, x, 2))
+    return _ricci(*_chart_jet(chart, x, 2))
 
 
 def _nabla(gamma, jet):
@@ -301,10 +301,15 @@ _COFRAME = 1 << np.arange(4)  # the masks of dx^0, ..., dx^3
 
 
 def _wedge(a, b):
-    """a ^ b for coefficient stacks: out[K] = sum_I a[I] wedge_sign[I, K] b[I xor K]."""
+    """a ^ b for coefficient stacks: out[K] = sum_I a[I] wedge_sign[I, K] b[I xor K].
+
+    A left factor of 4 components is a one-form, and only its coframe
+    rows I = dx^0, ..., dx^3 are gathered.
+    """
     # the wedge sign does not depend on the metric: one table serves every chart
     t = _kernels.get_tables(4, 0)
-    return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign, b[..., t.xor])
+    rows = _COFRAME if a.shape[-1] == 4 else np.s_[:]
+    return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign[rows], b[..., t.xor[rows]])
 
 
 def _one(omega):
@@ -322,16 +327,14 @@ def _two_tensor(c):
     return c[..., pairs] * sign
 
 
-def _hodge(g):
+def _hodge(g, ginv):
     """The Hodge dual at the points of g, as a map of coefficient stacks.
 
-    Built once from g: indices are raised through the exterior powers
-    of g^-1 (the raised dx^I is the wedge of the g^-1 columns in I), and
-    the dual of dx^I is sqrt|det g| * wedge_sign[I, 15] dx^(I^c), the
-    orientation being dx^0 ^ ... ^ dx^3.
+    Built once from g and g^-1: the raised dx^I is the wedge of the g^-1
+    columns in I, and the dual of dx^I is sqrt|det g| wedge_sign[I, 15]
+    dx^(I^c), the orientation being dx^0 ^ ... ^ dx^3.
     """
     t = _kernels.get_tables(4, 0)
-    ginv = np.linalg.inv(g)
     # raised[..., I, :] is the raised dx^I, built up grade by grade from
     # the lowest covector of I and the already raised rest
     raised = np.zeros(g.shape[:-2] + (16, 16))
@@ -340,7 +343,7 @@ def _hodge(g):
         masks = np.flatnonzero(t.grade == k)
         low = masks & -masks
         columns = np.swapaxes(ginv[..., :, np.log2(low).astype(int)], -1, -2)
-        raised[..., masks, :] = _wedge(_one(columns), raised[..., masks ^ low, :])
+        raised[..., masks, :] = _wedge(columns, raised[..., masks ^ low, :])
     complement = 15 ^ np.arange(16)
     root = np.sqrt(np.abs(np.linalg.det(g)))
     dual = (root[..., None, None] * t.wedge_sign[complement, 15][:, None]) * np.swapaxes(
@@ -349,14 +352,13 @@ def _hodge(g):
 
 
 def hodge_star_chart(chart, x, omega):
-    """Hodge dual at x of the form omega, a (..., 16) coefficient stack.
+    """Hodge dual at x of omega, a (..., 16) coefficient stack over the coordinate coframe.
 
-    omega and the result are stored over the coordinate coframe,
-    bitmask-indexed as Multivector.coeffs (bit i is dx^i), with the point
-    axes of x in front.  The orientation is dx^0 ^ ... ^ dx^3, so on an
-    orthonormal chart of signature (3, 1) this is ka_core.hodge_star.
+    The point axes of x come first.  The orientation is dx^0 ^ ... ^ dx^3,
+    so on an orthonormal chart of signature (3, 1) this is ka_core.hodge_star.
     """
-    return _hodge(chart.g(np.asarray(x, dtype=float)))(omega)
+    g = chart.g(np.asarray(x, dtype=float))
+    return _hodge(g, np.linalg.inv(g))(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +370,8 @@ def hodge_star_chart(chart, x, omega):
 class KillingData:
     """Candidate pair of one-form fields with rate lam.
 
-    u must be nowhere-zero null, l unit spacelike and orthogonal to u,
-    pointwise.  kappa is the shift one-form of the l equation; when
-    absent it is fitted at each sample point.
+    u must be nowhere-zero null, l unit spacelike and orthogonal to u.
+    kappa is the shift one-form of the l equation, fitted if absent.
     """
 
     u: OneFormField
@@ -381,10 +382,7 @@ class KillingData:
 
 @dataclass(frozen=True, eq=False)
 class KillingResiduals:
-    """Residuals, one value (one-form for kappa_hat) per point.
-
-    parabolic is the scaled violation of the pair invariants.
-    """
+    """Residuals per point (kappa_hat a one-form); parabolic scores the pair invariants."""
 
     r_u: float | np.ndarray
     r_l: float | np.ndarray
@@ -408,30 +406,30 @@ def _shift(kappa, defect, u, x):
 def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     """Residuals of the pair system at x.
 
-    r_u scores nabla u = lam*(u (x) l - l (x) u) and r_l scores
-    nabla l = kappa (x) u + lam*(l (x) l - g), with kappa taken from kd
-    or fitted by projecting each row of the defect onto u.  Pointwise
-    pair invariants beyond invariant_tol raise; pass inf to score
-    degenerate candidates anyway.
+    r_u scores nabla u = lam*(u (x) l - l (x) u) and r_l scores nabla l =
+    kappa (x) u + lam*(l (x) l - g), kappa from kd or fitted by projecting
+    each defect row onto u.  Pair invariants beyond invariant_tol raise;
+    pass inf to score degenerate candidates anyway.
     """
     x = np.asarray(x, dtype=float)
-    jet = _chart_jet(chart, x, 1)
-    g = jet[0]
-    ginv = np.linalg.inv(g)
-    u_jet = kd.u.jet(x)
-    u = u_jet[0]
+    jet, ginv = _chart_jet(chart, x, 1)
+    return _pair_residuals(jet, ginv, kd.u.jet(x), kd.l.jet(x), kd.lam,
+                           lambda defect, u: _shift(kd.kappa, defect, u, x), invariant_tol)
+
+
+def _pair_residuals(jet, ginv, u_jet, l_jet, lam, shift, invariant_tol):
+    """killing_pair_residual from the chart jet, g^-1, the u and l jets and shift(defect, u)."""
+    g, u, l = jet[0], u_jet[0], l_jet[0]
     if np.any(_max_abs(u, 1) <= 1e-12):
         raise ValueError("u vanishes at the sample point")
-    l_jet = kd.l.jet(x)
-    l = l_jet[0]
     violation = _parabolic_violation(ginv, u, l)
     if np.any(violation > invariant_tol):
         first = np.extract(violation > invariant_tol, violation)[0]
         raise ValueError(f"pair invariants violated by {first:.3e}")
-    gamma = _christoffel(jet)
-    r_u = _max_abs(_nabla(gamma, u_jet) - kd.lam * (_outer(u, l) - _outer(l, u)), 2)
-    defect = _nabla(gamma, l_jet) - kd.lam * (_outer(l, l) - g)
-    kappa_hat = _shift(kd.kappa, defect, u, x)
+    gamma = _christoffel(jet, ginv)
+    r_u = _max_abs(_nabla(gamma, u_jet) - lam * (_outer(u, l) - _outer(l, u)), 2)
+    defect = _nabla(gamma, l_jet) - lam * (_outer(l, l) - g)
+    kappa_hat = shift(defect, u)
     r_l = _max_abs(defect - _outer(kappa_hat, u), 2)
     return KillingResiduals(r_u=r_u, r_l=r_l, kappa_hat=kappa_hat, parabolic=violation)
 
@@ -445,10 +443,9 @@ def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
 class WalkerData:
     """Surface data for the chart F dv^2 + 2 K dv du + q2.
 
-    F and K are profile functions of the surface point, q2 the surface
-    metric, and s_frak the optional v-component of l in the gauge where
-    the shift one-form is d(s_frak)/K.  walker_killing_data builds the
-    chart's pair u = K dv, l = s_frak dv - dK/(2 lam K) from it.
+    F and K are profiles of the surface point, q2 the surface metric and
+    s_frak the optional v-component of l in the gauge where the shift is
+    d(s_frak)/K; walker_chart and walker_killing_data build from it.
     """
 
     F: ScalarField
@@ -481,25 +478,25 @@ class EinsteinResiduals:
 def walker_chart(wd):
     """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
     q2 = wd.q2
-
-    def jet(x, order):
-        # one jet each of F, K and q2; part n holds their partials along
-        # n leading surface axes, the v and u directions being flat
-        s = _surface(x)
-        jets = zip(wd.F.jet(s, order), wd.K.jet(s, order), q2.jet(s, order))
-        out = []
-        for n, (f, k, q) in enumerate(jets):
-            lead = (np.s_[2:],) * n
-            out.append(_embed(s, (4,) * (n + 2), (lead + (0, 0), f), (lead + (0, 1), k),
-                              (lead + (1, 0), k), (lead + (np.s_[2:], np.s_[2:]), q)))
-        return tuple(out)
-
-    closed_form = q2.provenance == "analytic" and all(
-        d is not None for d in (wd.F.grad, wd.F.hess, wd.K.grad, wd.K.hess)
-    )
+    closed_form = q2.provenance == "analytic" and None not in (
+        wd.F.grad, wd.F.hess, wd.K.grad, wd.K.hess)
     domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
-    return MetricChart(jet, provenance="analytic" if closed_form else "finite-difference",
+    return MetricChart(lambda x, order: _walker_jets(wd, x, order, order)[0],
+                       provenance="analytic" if closed_form else "finite-difference",
                        in_domain=domain)
+
+
+def _walker_jets(wd, x, order, k_order):
+    """The chart jet to order at chart points x and the F, K (to k_order) and q2 jets it reads."""
+    s = _surface(x)
+    f, k, q = wd.F.jet(s, order), wd.K.jet(s, max(order, k_order)), wd.q2.jet(s, order)
+    out = []
+    for n in range(order + 1):
+        # part n holds the partials along n leading surface axes; v and u are flat
+        lead = (np.s_[2:],) * n
+        out.append(_embed(s, (4,) * (n + 2), (lead + (0, 0), f[n]), (lead + (0, 1), k[n]),
+                          (lead + (1, 0), k[n]), (lead + (np.s_[2:], np.s_[2:]), q[n])))
+    return tuple(out), f, k, q
 
 
 def _surface(x):
@@ -507,38 +504,33 @@ def _surface(x):
     return np.asarray(x, dtype=float)[..., 2:]
 
 
-def _surface_data(wd, s, f_order, k_order, q_order):
-    """What the profile equations share at the surface points s.
-
-    The jets of F, K and q2 to the given orders, K checked nowhere zero
-    and s checked inside the q2 domain, then q^-1, Gamma(q), the
-    pairing q^-1(dK, dF) and the gauge square F - q^-1(dK, dF)/(4 lam^2 K).
-    """
-    k = wd.K.jet(s, k_order)
+def _nonzero(k):
     if np.any(np.abs(k[0]) < 1e-12):
         raise ValueError("profile K must be nowhere zero")
-    q = _chart_jet(wd.q2, s, q_order)
-    qinv = np.linalg.inv(q[0])
-    f = wd.F.jet(s, f_order)
+    return k
+
+
+def _surface_data(wd, f, k, q, qinv):
+    """Gamma(q), the pairing q^-1(dK, dF) and the gauge square F - q^-1(dK, dF)/(4 lam^2 K)."""
     pair_kf = _pair(k[1], qinv, f[1])
     square = f[0] - pair_kf / (4.0 * wd.lam**2 * k[0])
-    return f, k, q, qinv, _christoffel(q), pair_kf, square
+    return _christoffel(q, qinv), pair_kf, square
 
 
 def walker_residuals(wd, s):
     """Profile equations of the pair system at a surface point.
 
-    hessian and laplacian score the second-order K equations.  The
-    gauge square F - q*(dK, dF)/(4 lam^2 K) fixes s_frak up to sign;
-    when it is negative and no s_frak is supplied the configuration is
-    flagged rather than failed, and the first-order compatibility
-    residuals are skipped.  With s_frak supplied only the v-direction
-    equation is nontrivial in this gauge, the u and surface directions
-    holding identically, so s_v is the one first-order residual.
+    hessian and laplacian score the second-order K equations.  The gauge
+    square fixes s_frak up to sign; without s_frak a negative square is
+    flagged rather than failed and the first-order residuals are skipped.
+    With s_frak only the v-direction equation is nontrivial in this
+    gauge, so s_v is the one first-order residual.
     """
     s = np.asarray(s, dtype=float)
     lam = wd.lam
-    f, k, q, qinv, gamma, pair_kf, square = _surface_data(wd, s, 1, 2, 1)
+    # K first, checked nowhere zero, then q2 in its domain, then F
+    k, (q, qinv), f = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1), wd.F.jet(s, 1)
+    gamma, pair_kf, square = _surface_data(wd, f, k, q, qinv)
     K, d_k = k[0], k[1]
     hess_k = _nabla(gamma, k[1:])
     k2 = K[..., None, None]
@@ -552,56 +544,57 @@ def walker_residuals(wd, s):
 
 def einstein_residual(wd, s):
     """Einstein reduction: the F equation and Ric(q2) = -lam^2 q2."""
-    lam = wd.lam
-    f, k, q, qinv, gamma, pair_kf, _ = _surface_data(wd, s, 2, 1, 2)
+    k, (q, qinv) = _nonzero(wd.K.jet(s, 1)), _chart_jet(wd.q2, s, 2)
+    return _einstein(wd, wd.F.jet(s, 2), k, q, qinv)
+
+
+def _einstein(wd, f, k, q, qinv):
+    """einstein_residual from the F, K and q2 jets (to orders 2, 1 and 2) and q^-1."""
+    gamma, pair_kf, _ = _surface_data(wd, f, k, q, qinv)
     trace = np.trace(qinv @ _nabla(gamma, f[1:]), axis1=-2, axis2=-1)
-    f_res = np.abs(trace - pair_kf / k[0] - 2.0 * lam**2 * f[0])
-    ric_res = _max_abs(_ricci(q) + lam**2 * q[0], 2)
+    f_res = np.abs(trace - pair_kf / k[0] - 2.0 * wd.lam**2 * f[0])
+    ric_res = _max_abs(_ricci(q, qinv) + wd.lam**2 * q[0], 2)
     return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
 
 
-def walker_killing_data(wd):
-    """The pair (u, l) and shift kappa of the surface data, on the assembled chart.
+def _surface_pair(lam, x, k, sf):
+    """(u, du), (l, dl) and kappa at chart points x, from the 2-jet k of K and 1-jet sf of s_frak.
 
-    u = K dv and l = s_frak dv - dK/(2 lam K).  With s_frak given, l
-    reads only the 1-jets of K and s_frak, its Jacobian is closed form
-    from K's 2-jet and s_frak's 1-jet, d_i l_v = d_i s_frak and
-    d_i l_a = (d_i K d_a K / K - d_i d_a K)/(2 lam K), and kappa is
-    d(s_frak)/K on the surface components.  Without s_frak the gauge
-    component is the nonnegative root of the gauge square, l is
-    differenced and kappa is left to the pointwise fit.
+    u = K dv, l = s_frak dv - dK/(2 lam K), d_i l_v = d_i s_frak, d_i l_a =
+    (d_i K d_a K / K - d_i d_a K)/(2 lam K) with K's gradient never
+    squared, and kappa = d(s_frak)/K on the surface components.
+    """
+    K = k[0][..., None]
+    d_surface = (_outer(k[1] / K, k[1]) - k[2]) / (2.0 * lam * K[..., None])
+    u = (_embed(x, (4,), (0, k[0])), _embed(x, (4, 4), (np.s_[2:, 0], k[1])))
+    l = (_embed(x, (4,), (0, sf[0]), (np.s_[2:], -k[1] / (2.0 * lam * K))),
+         _embed(x, (4, 4), (np.s_[2:, 0], sf[1]), (np.s_[2:, 2:], d_surface)))
+    return u, l, _embed(x, (4,), (np.s_[2:], sf[1] / K))
+
+
+def walker_killing_data(wd):
+    """The pair (u, l) and shift kappa of the surface data (_surface_pair), on the assembled chart.
+
+    With s_frak given, the pair reads only the 2-jet of K and the 1-jet
+    of s_frak.  Without it the gauge component is the nonnegative root of
+    the gauge square, l is differenced and kappa is left to the fit.
     """
     lam, s_frak = wd.lam, wd.s_frak
 
-    def l_val(x):
+    def pair(x):
         s = _surface(x)
-        if s_frak is None:
-            _, k, _, _, _, _, square = _surface_data(wd, s, 1, 1, 1)
-            gauge = np.sqrt(np.maximum(square, 0.0))
-        else:
-            k, gauge = wd.K.jet(s, 1), s_frak.value(s)
-        return _embed(x, (4,), (0, gauge), (np.s_[2:], -k[1] / (2.0 * lam * k[0])[..., None]))
-
-    def l_jac(x):
-        s = _surface(x)
-        k = wd.K.jet(s, 2)
-        K = k[0][..., None]
-        d_surface = (_outer(k[1] / K, k[1]) - k[2]) / (2.0 * lam * K[..., None])
-        return _embed(x, (4, 4), (np.s_[2:, 0], s_frak.jet(s, 1)[1]), (np.s_[2:, 2:], d_surface))
-
-    def kappa_val(x):
-        s = _surface(x)
-        return _embed(x, (4,), (np.s_[2:], s_frak.jet(s, 1)[1] / wd.K.value(s)[..., None]))
+        if s_frak is not None:
+            return _surface_pair(lam, x, wd.K.jet(s, 2), s_frak.jet(s, 1))
+        k, (q, qinv), f = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1), wd.F.jet(s, 1)
+        gauge = np.sqrt(np.maximum(_surface_data(wd, f, k, q, qinv)[2], 0.0))
+        return _surface_pair(lam, x, k, (gauge, _zeros(s, 2)))
 
     gauged = s_frak is not None
     return KillingData(
-        u=OneFormField(
-            lambda x: _embed(x, (4,), (0, wd.K.value(_surface(x)))),
-            jac=lambda x: _embed(x, (4, 4), (np.s_[2:, 0], wd.K.jet(_surface(x), 1)[1])),
-        ),
-        l=OneFormField(l_val, jac=l_jac if gauged else None),
+        u=OneFormField(lambda x: pair(x)[0][0], jac=lambda x: pair(x)[0][1]),
+        l=OneFormField(lambda x: pair(x)[1][0], jac=(lambda x: pair(x)[1][1]) if gauged else None),
         lam=lam,
-        kappa=OneFormField(kappa_val) if gauged else None,
+        kappa=OneFormField(lambda x: pair(x)[2]) if gauged else None,
     )
 
 
@@ -615,11 +608,9 @@ class HeteroticConfig:
     """Background fields entering the supersymmetry relations.
 
     varphi is the dilaton one-form (required closed), H the three-form
-    flux callable (None for zero), FA the gauge curvature two-form
-    callables and signs their coefficients in the F wedge F source of
-    the Bianchi identity.  H and each FA return (..., 16) coefficient
-    stacks over the coordinate coframe, as hodge_star_chart takes them;
-    ka_core.wedge of covectors builds such forms.
+    flux (None for zero), FA the gauge curvatures and signs their
+    coefficients in the F wedge F source of the Bianchi identity.  H and
+    each FA are callables returning (..., 16) coefficient stacks.
     """
 
     chart: MetricChart
@@ -637,7 +628,7 @@ def _gaugino_fit(hc, ginv, u, x):
     _, _, vt = np.linalg.svd(c[..., None, :])
     null_basis = _t(vt[..., 1:, :], 1, 0)
     # column j is u ^ dx^j
-    cols = _t(_wedge(_one(u)[..., None, :], _one(np.eye(4))), 1, 0)
+    cols = _t(_wedge(u[..., None, :], _one(np.eye(4))), 1, 0)
     design = cols @ null_basis
     # least squares by the pseudoinverse, with lstsq's default cut-off
     solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
@@ -649,19 +640,17 @@ def _gaugino_fit(hc, ginv, u, x):
 
 
 def _coclosed_residual(hc, x, g):
-    """|div rho| at x, from differences of the density sqrt|det g| g^-1 rho.
-
-    g is the metric at x, from the jet the caller already holds.
-    """
+    """|div rho| at x from differences of sqrt|det g| g^-1 rho; g is the metric at x."""
     if hc.H is None:
         return _zeros(x)
     chart = hc.chart
 
     def density(p):
         g = chart.g(p)
-        rho = _hodge(g)(hc.H(p))[..., _COFRAME]
+        ginv = np.linalg.inv(g)
+        rho = _hodge(g, ginv)(hc.H(p))[..., _COFRAME]
         root = np.sqrt(np.abs(np.linalg.det(g)))
-        return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
+        return root[..., None] * (ginv @ rho[..., None])[..., 0]
 
     divergence = np.trace(_fd_jet(density, x, 1)[1], axis1=-2, axis2=-1)
     return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(g)))
@@ -670,40 +659,34 @@ def _coclosed_residual(hc, x, g):
 def heterotic_susy_residuals(hc, kd, x):
     """All supersymmetry relations at x, as an ordered name -> value map.
 
-    rho is the one-form dual of the flux.  The three star identities,
-    the three pairings, the gaugino splitting, both derivative
-    equations (with the shift one-form taken from kd or fitted), the
-    coclosedness of rho, and closedness of the dilaton one-form are
-    each scored in the max norm.
+    rho is the one-form dual of the flux.  The star identities, pairings,
+    gaugino splitting, both derivative equations (the shift from kd or
+    fitted), coclosedness of rho and closedness of the dilaton one-form
+    are each scored in the max norm.
     """
     x = np.asarray(x, dtype=float)
     chart = hc.chart
-    jet = _chart_jet(chart, x, 1)
-    ginv = np.linalg.inv(jet[0])
-    star = _hodge(jet[0])
+    jet, ginv = _chart_jet(chart, x, 1)
+    star = _hodge(jet[0], ginv)
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     rho = _zeros(x, 4) if hc.H is None else star(hc.H(x))[..., _COFRAME]
-    u_f, l_f, phi_f, rho_f = _one(u), _one(l), _one(phi), _one(rho)
-
-    def pairing(a, b):
-        return _pair(a, ginv, b)
-
+    u_f, l_f = _one(u), _one(l)
     res = {}
-    res["star_identity_u"] = _max_abs(_wedge(phi_f, u_f) - star(_wedge(rho_f, u_f)), 1)
+    res["star_identity_u"] = _max_abs(_wedge(phi, u_f) - star(_wedge(rho, u_f)), 1)
     res["star_identity_ul"] = _max_abs(
-        _wedge(_wedge(phi_f, u_f), l_f) + pairing(rho, l)[..., None] * star(u_f), 1
+        _wedge(_wedge(phi, u_f), l_f) + _pair(rho, ginv, l)[..., None] * star(u_f), 1
     )
     res["star_identity_l"] = _max_abs(
-        star(_wedge(_wedge(l_f, u_f), rho_f)) + pairing(phi, l)[..., None] * u_f, 1
+        star(_wedge(_wedge(l, u_f), _one(rho))) + _pair(phi, ginv, l)[..., None] * u_f, 1
     )
-    res["u_phi_orthogonal"] = np.abs(pairing(u, phi))
-    res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
-    res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
+    res["u_phi_orthogonal"] = np.abs(_pair(u, ginv, phi))
+    res["u_rho_orthogonal"] = np.abs(_pair(u, ginv, rho))
+    res["rho_phi_orthogonal"] = np.abs(_pair(rho, ginv, phi))
     res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
-    gamma = _christoffel(jet)
+    gamma = _christoffel(jet, ginv)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * (_outer(u, phi) - _outer(phi, u)), 2)
-    defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho_f, l_f)))
+    defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho, l_f)))
     kappa = _shift(kd.kappa, defect, u, x)
     res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
     res["rho_coclosed"] = _coclosed_residual(hc, x, jet[0])
@@ -718,7 +701,7 @@ def modified_bianchi_residual(hc, x):
     d_h = _zeros(x, 16)
     if hc.H is not None:
         # dH = sum_i dx^i ^ d_i H
-        d_h = _wedge(_one(np.eye(4)), _fd_jet(hc.H, x, 1)[1]).sum(axis=-2)
+        d_h = _wedge(np.eye(4), _fd_jet(hc.H, x, 1)[1]).sum(axis=-2)
     source = 0.0
     for sign, curvature in zip(hc.signs, hc.FA):
         two_form = np.asarray(curvature(x), dtype=float)
@@ -741,7 +724,7 @@ class Preset:
     lam: float
     sample_box: tuple
     killing: KillingData | None = None
-    walker: WalkerData | None = None
+    walker: WalkerData | None = None  # chart, killing: its walker_chart, walker_killing_data
     heterotic: HeteroticConfig | None = None
 
 
@@ -825,20 +808,16 @@ def _preset_minkowski(params):
         lambda x: _zeros(x, 4, 4, 4, 4),
     )
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
-    return Preset(
-        name="minkowski", params={}, chart=chart, lam=0.0,
-        sample_box=_BOX_FLAT, killing=kd,
-    )
+    return Preset(name="minkowski", params={}, chart=chart, lam=0.0, sample_box=_BOX_FLAT,
+                  killing=kd)
 
 
 def _preset_ads4(params):
     _check_keys("ads4", params, {"lam"})
     lam = _rate(params)
     profile = _inverse_square_profile(1.0 / lam**2)
-    wd = WalkerData(
-        F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
-        s_frak=_ZERO_SURFACE,
-    )
+    wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
+                    s_frak=_ZERO_SURFACE)
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
         sample_box=_BOX_HALF, killing=walker_killing_data(wd), walker=wd,
@@ -879,10 +858,8 @@ def _preset_poly(params):
         return np.stack([sv * a2 / (2.0 * linear(s[..., 0])), sv / (2.0 * s[..., 1])], axis=-1)
 
     s_field = ScalarField(value=gauge_val, grad=gauge_grad) if gated else None
-    wd = WalkerData(
-        F=profile_f, K=_inverse_square_profile(0.5),
-        q2=_poincare_half_plane(lam), lam=lam, s_frak=s_field,
-    )
+    wd = WalkerData(F=profile_f, K=_inverse_square_profile(0.5), q2=_poincare_half_plane(lam),
+                    lam=lam, s_frak=s_field)
     return Preset(
         name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
         chart=walker_chart(wd), lam=lam, sample_box=box,
@@ -989,10 +966,8 @@ def _preset_walker_generic(params):
     s_frak = params.get("s_frak")
     if s_frak is not None:
         s_frak = as_field(s_frak)
-    wd = WalkerData(
-        F=as_field(params["F"]), K=as_field(params["K"]),
-        q2=q2, lam=lam, s_frak=s_frak,
-    )
+    wd = WalkerData(F=as_field(params["F"]), K=as_field(params["K"]), q2=q2, lam=lam,
+                    s_frak=s_frak)
     return Preset(
         name="walker-generic", params={"lam": lam}, chart=walker_chart(wd),
         lam=lam, sample_box=_BOX_HALF, walker=wd,
@@ -1091,7 +1066,7 @@ _CHECKS = ("killing", "einstein", "walker", "heterotic", "bianchi")
 
 @functools.cache
 def _halton_constants(base):
-    """Per-base constants of _halton: place count, digit rows, place values, weights."""
+    """Per-base constants of _halton: digit rows, place values, weights."""
     places = math.ceil(54 / math.log2(base)) - 1
     # weights by repeated division, as SciPy accumulates them
     weights = np.empty(places)
@@ -1101,34 +1076,46 @@ def _halton_constants(base):
     rows, place_values = np.tile(np.arange(base), (places, 1)), base ** np.arange(places)
     for shared in (rows, place_values, weights):
         shared.flags.writeable = False  # every call reads the same arrays
-    return places, rows, place_values, weights
+    return rows, place_values, weights
+
+
+_HALTON_DIGITS = {}  # base -> _halton_digits of the first points, grown to the largest seen
+
+
+def _halton_digits(base, start, stop):
+    """Flat indices place * base + digit of the points start..stop-1 into the digit rows."""
+    table = _HALTON_DIGITS.get(base, ())
+    if start or stop > len(table):
+        powers = _halton_constants(base)[1]
+        table = np.arange(powers.size) * base + np.arange(start, stop)[:, None] // powers % base
+        if start:
+            return table
+        table.flags.writeable = False  # every later call reads it
+        _HALTON_DIGITS[base] = table
+    return table[:stop]
 
 
 def _halton(n, seed):
     """n points of the scrambled Halton sequence in [0, 1)^4, bases 2, 3, 5, 7.
 
-    Owen's randomized Halton (arXiv 1706.02808) as SciPy implements it:
-    the same points, bit for bit, as SciPy's
-    ``qmc.Halton(d=4, scramble=True, seed=seed).random(n)``.
-    Each base shuffles one permutation of its digits per base-b place,
-    down to the places a double can still resolve, and point i sums the
-    permuted digits of i weighted by base^-(place + 1), place by place.
+    Owen's randomized Halton (arXiv 1706.02808), bit for bit as SciPy's
+    ``qmc.Halton(d=4, scramble=True, seed=seed).random(n)``: each base
+    shuffles its digits per place, down to the places a double resolves,
+    and point i sums its permuted digits weighted by base^-(place + 1).
+    A call draws the seeded permutations and reads the kept digit table.
     """
     rng = np.random.default_rng(seed)
     bases = (2, 3, 5, 7)
-    perms = [rng.permuted(_halton_constants(base)[1], axis=1) for base in bases]
+    perms = [rng.permuted(_halton_constants(base)[0], axis=1) for base in bases]
     out = np.empty((n, 4))
-    # the (points, places) digit arrays are built a block at a time, so
+    # the (points, places) digit arrays are read a block at a time, so
     # their size does not grow with n
     for start in range(0, n, HALTON_BLOCK):
-        index = np.arange(start, min(start + HALTON_BLOCK, n))[:, None]
+        stop = min(start + HALTON_BLOCK, n)
         for col, base in enumerate(bases):
-            places, _, place_values, weights = _halton_constants(base)
-            digits = index // place_values % base
+            digits = perms[col].ravel()[_halton_digits(base, start, stop)]
             # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
-            out[start:start + len(index), col] = np.cumsum(
-                perms[col][np.arange(places), digits] * weights, axis=1
-            )[:, -1]
+            out[start:stop, col] = np.cumsum(digits * _halton_constants(base)[2], axis=1)[:, -1]
     return out
 
 
@@ -1138,7 +1125,8 @@ def _perturbed(ps, amount):
     if ps.walker is not None:
         base = ps.walker.F
         wd = replace(ps.walker, F=replace(base, value=lambda s: base.value(s) + amount))
-        return replace(ps, walker=wd, chart=walker_chart(wd))
+        return replace(ps, walker=wd, chart=walker_chart(wd),
+                       killing=ps.killing and walker_killing_data(wd))
     factor = 1.0 + amount
     old = ps.chart
     chart = replace(old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order)))
@@ -1149,17 +1137,29 @@ def _perturbed(ps, amount):
 
 
 def _score(ps, check, x):
-    """Residual name -> one value per point of the stack x."""
+    """Residual name -> one value per point of the stack x.
+
+    A surface preset's chart and pair are its surface data's, so its
+    killing and einstein blocks read F, K, q2 and s_frak once and pass
+    the jets down.
+    """
+    wd = ps.walker
     if check == "killing":
-        res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
+        if wd is None or wd.s_frak is None:
+            res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
+        else:
+            jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
+            u_jet, l_jet, kappa = _surface_pair(wd.lam, x, k, wd.s_frak.jet(_surface(x), 1))
+            res = _pair_residuals(jet, ginv, u_jet, l_jet, wd.lam, lambda *_: kappa, np.inf)
         return {"killing.r_u": res.r_u, "killing.r_l": res.r_l, "killing.parabolic": res.parabolic}
     if check == "einstein":
-        jet = _chart_jet(ps.chart, x, 2)
+        jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
         g = jet[0]
-        defect = _ricci(jet) + 3.0 * ps.lam**2 * g
+        defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * g
         out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(g, 2)}
-        if ps.walker is not None:
-            res = einstein_residual(ps.walker, x[..., 2:])
+        if wd is not None:
+            f, k, q = surface
+            res = _einstein(wd, f, _nonzero(k), q, np.linalg.inv(q[0]))
             out["einstein.f_equation"] = res.f_equation
             out["einstein.ricci_q"] = res.ricci_q
         return out
@@ -1185,12 +1185,11 @@ def _summary(vals, pts):
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """Score one residual family at quasi-random points of the sample box.
 
-    Returns a JSON-ready report with per-residual max, mean and the
-    sample point of the max, and a verdict of "pass" when every max is
-    within tol.  perturb biases the preset before sampling, as a
-    detection control.  Points are scored in stacked blocks of
-    POINT_BLOCK; overflow, division by zero or an invalid operation
-    raises FloatingPointError rather than scoring inf or nan.
+    Returns a JSON-ready report with per-residual max, mean and sample
+    point of the max, and verdict "pass" when every max is within tol.
+    perturb biases the preset first, as a detection control.  Points are
+    scored in blocks of POINT_BLOCK; overflow, division by zero or an
+    invalid operation raises FloatingPointError, never scoring inf or nan.
     """
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")

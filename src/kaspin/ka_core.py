@@ -63,17 +63,15 @@ def _mask_key(mask):
 
 
 def _key_mask(key, d):
-    if key == "":
-        return 0
-    mask = 0
-    prev = 0
-    for part in key.split(","):
-        i = int(part)
-        if i <= prev or not 1 <= i <= d:
-            raise ValueError(f"bad basis key {key!r} for d={d}")
-        mask |= 1 << (i - 1)
-        prev = i
-    return mask
+    """The blade mask of a basis key, accepted only as _mask_key spells it."""
+    index = {str(i + 1): i for i in range(d)}
+    parts = key.split(",") if key else []
+    if all(part in index for part in parts):
+        mask = sum(1 << index[part] for part in parts)
+        # one spelling per blade: ascending, no repeats, no signs, spaces or zeros
+        if _mask_key(mask) == key:
+            return mask
+    raise ValueError(f"bad basis key {key!r} for d={d}")
 
 
 @dataclass(frozen=True)

@@ -748,8 +748,7 @@ def tensor_heterotic_residuals(hc, kd, x):
 
     x = np.asarray(x, dtype=float)
     chart = hc.chart
-    jet = _chart_jet(chart, x, 1)
-    ginv = np.linalg.inv(jet[0])
+    jet, ginv = _chart_jet(chart, x, 1)
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     rho = _zeros(x, 4) if hc.H is None else _star(jet[0], _tensor_flux(hc, x))
@@ -771,7 +770,7 @@ def tensor_heterotic_residuals(hc, kd, x):
     res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
     res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
     res["gaugino_fit"] = _tensor_gaugino_fit(hc, ginv, u, x)
-    gamma = _christoffel(jet)
+    gamma = _christoffel(jet, ginv)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
     defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
     kappa = _shift(kd.kappa, defect, u, x)

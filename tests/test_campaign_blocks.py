@@ -166,7 +166,8 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
 
 @pytest.mark.parametrize("check, per_point", [
     # each distinct stencil point once per jet: 1 + 2d^2 = 9 points at order 2, 5 at order 1
-    pytest.param("einstein", {"F": 18, "K": 14, "q2": 18}, id="einstein"),
+    # the einstein block reads each field once, at order 2, for the chart and the profiles
+    pytest.param("einstein", {"F": 9, "K": 9, "q2": 9}, id="einstein"),
     pytest.param("walker", {"F": 5, "K": 9, "q2": 5}, id="walker"),
 ])
 def test_walker_generic_callbacks_see_one_point(check, per_point):
@@ -176,6 +177,82 @@ def test_walker_generic_callbacks_see_one_point(check, per_point):
     assert calls and all(shape == (2,) for _, shape in calls)
     for field, count in per_point.items():
         assert sum(name == field for name, _ in calls) == count * POINTS, field
+
+
+def counted_surface_preset(ps, counts):
+    """ps with its F, K, q2 and s_frak wrapped to count their value reads in counts."""
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    wd = ps.walker
+    fields = {name: dataclasses.replace(field, value=counted(name, field.value))
+              for name, field in (("F", wd.F), ("K", wd.K), ("s_frak", wd.s_frak)) if field}
+    wd = dataclasses.replace(wd, q2=dataclasses.replace(wd.q2, jet=counted("q2", wd.q2.jet)),
+                             **fields)
+    pair = geometry_lab.walker_killing_data(wd) if ps.killing else None
+    return dataclasses.replace(ps, walker=wd, chart=geometry_lab.walker_chart(wd), killing=pair)
+
+
+@pytest.mark.parametrize("block", [POINTS, 7])
+@pytest.mark.parametrize("name, check", [
+    (name, check) for name in ("ads4", "ads4-deformed-poly", "ads4-deformed-bessel")
+    for check in CHECKS[name]
+])
+def test_a_block_reads_each_closed_form_field_once(monkeypatch, name, check, block):
+    # the chart, profile and pair layers share one read of every field
+    ps = preset(name)
+    counts = dict.fromkeys(("F", "K", "q2", "s_frak"), 0)
+    counted = counted_surface_preset(ps, counts)
+    monkeypatch.setattr(geometry_lab, "POINT_BLOCK", block)
+    for perturb in PERTURBS:
+        report = run_campaign(counted, check, n_points=POINTS, seed=3, perturb=perturb)
+        assert report == run_campaign(ps, check, n_points=POINTS, seed=3, perturb=perturb)
+    blocks = len(PERTURBS) * -(-POINTS // block)
+    read = {"F", "K", "q2"} | ({"s_frak"} if check != "einstein" and ps.walker.s_frak else set())
+    assert counts == {field: blocks if field in read else 0 for field in counts}, counts
+
+
+def direct_layer_digest():
+    """A digest of direct layer calls on fresh ads4 data, for comparing processes."""
+    import hashlib
+
+    ads = preset("ads4")
+    pts = geometry_lab._halton(5, 2) * 2.0 + np.array([-1.0, -1.0, -1.0, 0.5])
+    values = [
+        ricci(ads.chart, pts), christoffel(ads.chart, pts),
+        *_as_arrays(killing_pair_residual(ads.chart, ads.killing, pts, np.inf)),
+        *_as_arrays(walker_residuals(ads.walker, pts[..., 2:])),
+        *_as_arrays(einstein_residual(ads.walker, pts[..., 2:])),
+        json.dumps(run_campaign(ads, "killing", n_points=5, seed=1)).encode(),
+    ]
+    return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in values)).hexdigest()
+
+
+def test_a_raising_block_leaves_nothing_behind_for_direct_calls():
+    import os
+    import subprocess
+
+    def boom(s):
+        raise RuntimeError("boom")
+
+    # every check reads K's Hessian after its value and gradient, partway through a block
+    ads = preset("ads4")
+    wd = dataclasses.replace(ads.walker, K=dataclasses.replace(ads.walker.K, hess=boom))
+    broken = dataclasses.replace(ads, walker=wd, chart=geometry_lab.walker_chart(wd),
+                                 killing=geometry_lab.walker_killing_data(wd))
+    for check in ("killing", "einstein", "walker"):
+        with pytest.raises(RuntimeError, match="boom"):
+            run_campaign(broken, check, n_points=POINTS, seed=3)
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import test_campaign_blocks as t; print(t.direct_layer_digest())"],
+        capture_output=True, text=True, env=env, check=True).stdout.strip()
+    assert direct_layer_digest() == fresh
 
 
 def test_a_heterotic_block_reads_one_chart_jet():

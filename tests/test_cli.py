@@ -240,6 +240,16 @@ def test_payloads_are_parsed_strictly(capsys, argv, same_as):
         assert got == run_cli(capsys, *same_as) and got[0] == 0
 
 
+@pytest.mark.parametrize("coeffs", [
+    # two spellings of e^1 used to overwrite each other, scoring only the last
+    '{" 1":1,"+1":-1,"1":0.5}',
+    '{" 1":1}', '{"+1":1}', '{"01":1}', '{"1, 4":1}', '{"4,1":1}', '{"1,1":1}', '{"1,":1}',
+])
+@pytest.mark.parametrize("command", ["check-polyform", "reconstruct"])
+def test_polyform_basis_keys_must_be_canonical(capsys, command, coeffs):
+    assert_usage_error(*run_cli(capsys, command, f'{{"p":3,"q":1,"coeffs":{coeffs}}}'))
+
+
 @pytest.mark.parametrize("lam", ["1e-200", "7.3e-200", "1e-160", "1e200"])
 def test_out_of_range_lambda_exits_two(capsys, lam):
     # 1e-200 used to die in 1.0 / lam**2 with a ZeroDivisionError and exit 1

@@ -1003,6 +1003,23 @@ def test_halton_memory_is_flat_in_the_point_count():
     assert peak < 10e6, peak
 
 
+def test_halton_digit_table_is_bounded_and_grows_to_the_largest_n(monkeypatch):
+    from kaspin import geometry_lab
+
+    monkeypatch.setattr(geometry_lab, "_HALTON_DIGITS", {})
+    tables = geometry_lab._HALTON_DIGITS
+    first = _halton(5, 0)
+    # a 5-point campaign expands only its own 5 points
+    assert sorted(tables) == [2, 3, 5, 7] and {len(t) for t in tables.values()} == {5}
+    _halton(20, 1)
+    _halton(3, 2)
+    assert {len(t) for t in tables.values()} == {20}
+    _halton(100_000, 1)
+    assert {len(t) for t in tables.values()} == {geometry_lab.HALTON_BLOCK}
+    assert not any(t.flags.writeable for t in tables.values())
+    assert np.array_equal(_halton(5, 0), first)
+
+
 def test_spherical_bessel_closed_form_matches_scipy():
     from scipy import special
 

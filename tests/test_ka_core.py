@@ -423,6 +423,24 @@ def test_json_rejects_bad_keys():
         Multivector.from_json('{"p": 3, "q": 1, "coeffs": {"5": 1.0}}')
 
 
+# each blade has one spelling, the one to_json writes; int() used to accept the rest
+NONCANONICAL_KEYS = [" 1", "1 ", "+1", "01", "1, 4", "4,1", "1,1", "1,", ",", "1,,4", "\u0661", "1_0"]
+
+
+@pytest.mark.parametrize("key", NONCANONICAL_KEYS)
+def test_json_rejects_noncanonical_keys(key):
+    with pytest.raises(ValueError, match="bad basis key"):
+        Multivector.from_json(json.dumps({"p": 3, "q": 1, "coeffs": {key: 1.0}}))
+
+
+def test_json_keys_round_trip_every_blade():
+    from kaspin.ka_core import MAX_DIM, _key_mask, _mask_key
+
+    for d in range(MAX_DIM + 1):
+        for mask in range(1 << d):
+            assert _key_mask(_mask_key(mask), d) == mask
+
+
 def test_operations_keep_coefficients_finite():
     sig = Signature(4, 4)
     rng = make_rng(113)
