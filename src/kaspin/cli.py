@@ -311,7 +311,7 @@ def _comma_floats(text):
 
 
 def _cmd_check_metric(args):
-    from .geometry_lab import preset, run_campaign
+    from .geometry_lab import preset, require_check, run_campaign
 
     params = {}
     if args.params:
@@ -331,6 +331,9 @@ def _cmd_check_metric(args):
     tol = _resolve_tol(args, 1e-6)
     n_points = _require_trials(args)
     ps = preset(args.preset, params)
+    # every check is tested against the preset's data before any campaign runs
+    for check in checks:
+        require_check(ps, check)
     reports = []
     for check in checks:
         report = run_campaign(
@@ -410,7 +413,9 @@ def _build_parser():
     cm.add_argument("--c", type=float, default=None)
     cm.add_argument("--check", default="einstein",
                     help="comma list: killing,einstein,walker,heterotic,bianchi")
-    cm.add_argument("--perturb", type=float, default=0.0)
+    cm.add_argument("--perturb", type=float, default=0.0,
+                    help="detection control: add AMOUNT to K on surface presets, "
+                         "else rescale the metric by 1 + AMOUNT")
     trial_flags(cm, 20)
     tol_flag(cm)
     out_flag(cm)

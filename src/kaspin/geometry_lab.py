@@ -29,9 +29,9 @@ Points are stacks: charts, fields and residuals take x of shape
 stack shape ().  _pointwise lifts a one-point callable (user callbacks
 of walker-generic and MetricChart.from_callable, which thus see one
 point).  A campaign block reads each field once: g^-1 and q^-1 are
-inverted once, and a surface preset's F, K, q2 and s_frak are evaluated
-once, to the highest order the check needs, for its chart, profile and
-pair layers (_chart_jet).
+inverted once, and a surface preset's F, K and q2 are evaluated once,
+to the highest order the check needs, for its chart, profile and pair
+layers (_chart_jet).
 """
 
 from __future__ import annotations
@@ -357,8 +357,8 @@ def hodge_star_chart(chart, x, omega):
     The point axes of x come first.  The orientation is dx^0 ^ ... ^ dx^3,
     so on an orthonormal chart of signature (3, 1) this is ka_core.hodge_star.
     """
-    g = chart.g(np.asarray(x, dtype=float))
-    return _hodge(g, np.linalg.inv(g))(omega)
+    jet, ginv = _chart_jet(chart, x, 0)
+    return _hodge(jet[0], ginv)(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +371,21 @@ class KillingData:
     """Candidate pair of one-form fields with rate lam.
 
     u must be nowhere-zero null, l unit spacelike and orthogonal to u.
-    kappa is the shift one-form of the l equation, fitted if absent.
+    The system fixes l only up to l + f*u: both equations and the
+    invariants are unchanged by that shift.
     """
 
     u: OneFormField
     l: OneFormField
     lam: float
-    kappa: OneFormField | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class KillingResiduals:
-    """Residuals per point (kappa_hat a one-form); parabolic scores the pair invariants."""
+    """Residuals per point; parabolic scores the pair invariants."""
 
     r_u: float | np.ndarray
     r_l: float | np.ndarray
-    kappa_hat: np.ndarray
     parabolic: float | np.ndarray
 
 
@@ -396,29 +395,28 @@ def _parabolic_violation(ginv, u, l):
     return np.maximum(np.maximum(np.abs(uu), np.abs(ll - 1.0)), np.abs(ul)) / scale
 
 
-def _shift(kappa, defect, u, x):
-    """The shift one-form: kappa's value, or each defect row projected onto u."""
-    if kappa is not None:
-        return np.asarray(kappa.value(x), dtype=float)
-    return (defect @ u[..., :, None])[..., 0] / (u[..., None, :] @ u[..., :, None])[..., 0]
+def _rows_along(defect, u):
+    """max_ijk |D_ij u_k - D_ik u_j| / max|u|: 0 exactly when every row D_i. is a multiple of u."""
+    rows = defect[..., :, :, None] * u[..., None, None, :]
+    return _max_abs(rows - _t(rows, 0, 2, 1), 3) / _max_abs(u, 1)
 
 
 def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
     """Residuals of the pair system at x.
 
-    r_u scores nabla u = lam*(u (x) l - l (x) u) and r_l scores nabla l =
-    kappa (x) u + lam*(l (x) l - g), kappa from kd or fitted by projecting
-    each defect row onto u.  Pair invariants beyond invariant_tol raise;
+    r_u scores nabla u = lam*(u (x) l - l (x) u).  r_l scores nabla l =
+    kappa (x) u + lam*(l (x) l - g) for some one-form kappa: every row of
+    the defect nabla l - lam*(l (x) l - g) must be a multiple of u, so no
+    kappa is fitted or given.  Pair invariants beyond invariant_tol raise;
     pass inf to score degenerate candidates anyway.
     """
     x = np.asarray(x, dtype=float)
     jet, ginv = _chart_jet(chart, x, 1)
-    return _pair_residuals(jet, ginv, kd.u.jet(x), kd.l.jet(x), kd.lam,
-                           lambda defect, u: _shift(kd.kappa, defect, u, x), invariant_tol)
+    return _pair_residuals(jet, ginv, kd.u.jet(x), kd.l.jet(x), kd.lam, invariant_tol)
 
 
-def _pair_residuals(jet, ginv, u_jet, l_jet, lam, shift, invariant_tol):
-    """killing_pair_residual from the chart jet, g^-1, the u and l jets and shift(defect, u)."""
+def _pair_residuals(jet, ginv, u_jet, l_jet, lam, invariant_tol):
+    """killing_pair_residual from the chart jet, g^-1 and the u and l jets."""
     g, u, l = jet[0], u_jet[0], l_jet[0]
     if np.any(_max_abs(u, 1) <= 1e-12):
         raise ValueError("u vanishes at the sample point")
@@ -428,10 +426,8 @@ def _pair_residuals(jet, ginv, u_jet, l_jet, lam, shift, invariant_tol):
         raise ValueError(f"pair invariants violated by {first:.3e}")
     gamma = _christoffel(jet, ginv)
     r_u = _max_abs(_nabla(gamma, u_jet) - lam * (_outer(u, l) - _outer(l, u)), 2)
-    defect = _nabla(gamma, l_jet) - lam * (_outer(l, l) - g)
-    kappa_hat = shift(defect, u)
-    r_l = _max_abs(defect - _outer(kappa_hat, u), 2)
-    return KillingResiduals(r_u=r_u, r_l=r_l, kappa_hat=kappa_hat, parabolic=violation)
+    r_l = _rows_along(_nabla(gamma, l_jet) - lam * (_outer(l, l) - g), u)
+    return KillingResiduals(r_u=r_u, r_l=r_l, parabolic=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +440,8 @@ class WalkerData:
     """Surface data for the chart F dv^2 + 2 K dv du + q2.
 
     F and K are profiles of the surface point, q2 the surface metric and
-    s_frak the optional v-component of l in the gauge where the shift is
-    d(s_frak)/K; walker_chart and walker_killing_data build from it.
+    s_frak an optional root of the gauge square, which walker_residuals
+    scores as s_v; walker_chart and walker_killing_data build from it.
     """
 
     F: ScalarField
@@ -557,44 +553,34 @@ def _einstein(wd, f, k, q, qinv):
     return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
 
 
-def _surface_pair(lam, x, k, sf):
-    """(u, du), (l, dl) and kappa at chart points x, from the 2-jet k of K and 1-jet sf of s_frak.
+def _surface_pair(lam, x, k):
+    """(u, du) and (l, dl) at chart points x from the 2-jet k of K.
 
-    u = K dv, l = s_frak dv - dK/(2 lam K), d_i l_v = d_i s_frak, d_i l_a =
-    (d_i K d_a K / K - d_i d_a K)/(2 lam K) with K's gradient never
-    squared, and kappa = d(s_frak)/K on the surface components.
+    u = K dv and l = -dK/(2 lam K), whose Jacobian d_i l_a =
+    (d_i K d_a K / K - d_i d_a K)/(2 lam K) never squares K's gradient.
     """
     K = k[0][..., None]
     d_surface = (_outer(k[1] / K, k[1]) - k[2]) / (2.0 * lam * K[..., None])
     u = (_embed(x, (4,), (0, k[0])), _embed(x, (4, 4), (np.s_[2:, 0], k[1])))
-    l = (_embed(x, (4,), (0, sf[0]), (np.s_[2:], -k[1] / (2.0 * lam * K))),
-         _embed(x, (4, 4), (np.s_[2:, 0], sf[1]), (np.s_[2:, 2:], d_surface)))
-    return u, l, _embed(x, (4,), (np.s_[2:], sf[1] / K))
+    l = (_embed(x, (4,), (np.s_[2:], -k[1] / (2.0 * lam * K))),
+         _embed(x, (4, 4), (np.s_[2:, 2:], d_surface)))
+    return u, l
 
 
 def walker_killing_data(wd):
-    """The pair (u, l) and shift kappa of the surface data (_surface_pair), on the assembled chart.
+    """The pair (u, l) of the surface data (_surface_pair) on the assembled chart.
 
-    With s_frak given, the pair reads only the 2-jet of K and the 1-jet
-    of s_frak.  Without it the gauge component is the nonnegative root of
-    the gauge square, l is differenced and kappa is left to the fit.
+    It reads only the 2-jet of K.  l's dv-component is gauge: u is K dv,
+    and l + f*u solves the same system for any f, so it is left 0.
     """
-    lam, s_frak = wd.lam, wd.s_frak
 
     def pair(x):
-        s = _surface(x)
-        if s_frak is not None:
-            return _surface_pair(lam, x, wd.K.jet(s, 2), s_frak.jet(s, 1))
-        k, (q, qinv), f = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1), wd.F.jet(s, 1)
-        gauge = np.sqrt(np.maximum(_surface_data(wd, f, k, q, qinv)[2], 0.0))
-        return _surface_pair(lam, x, k, (gauge, _zeros(s, 2)))
+        return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))
 
-    gauged = s_frak is not None
     return KillingData(
         u=OneFormField(lambda x: pair(x)[0][0], jac=lambda x: pair(x)[0][1]),
-        l=OneFormField(lambda x: pair(x)[1][0], jac=(lambda x: pair(x)[1][1]) if gauged else None),
-        lam=lam,
-        kappa=OneFormField(lambda x: pair(x)[2]) if gauged else None,
+        l=OneFormField(lambda x: pair(x)[1][0], jac=lambda x: pair(x)[1][1]),
+        lam=wd.lam,
     )
 
 
@@ -660,9 +646,9 @@ def heterotic_susy_residuals(hc, kd, x):
     """All supersymmetry relations at x, as an ordered name -> value map.
 
     rho is the one-form dual of the flux.  The star identities, pairings,
-    gaugino splitting, both derivative equations (the shift from kd or
-    fitted), coclosedness of rho and closedness of the dilaton one-form
-    are each scored in the max norm.
+    gaugino splitting, both derivative equations (grad_l up to some
+    kappa (x) u, as killing's r_l), coclosedness of rho and closedness of
+    the dilaton one-form are each scored in the max norm.
     """
     x = np.asarray(x, dtype=float)
     chart = hc.chart
@@ -687,8 +673,7 @@ def heterotic_susy_residuals(hc, kd, x):
     gamma = _christoffel(jet, ginv)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * (_outer(u, phi) - _outer(phi, u)), 2)
     defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho, l_f)))
-    kappa = _shift(kd.kappa, defect, u, x)
-    res["grad_l"] = _max_abs(defect - _outer(kappa, u), 2)
+    res["grad_l"] = _rows_along(defect, u)
     res["rho_coclosed"] = _coclosed_residual(hc, x, jet[0])
     jac = phi_jet[1]
     res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
@@ -791,9 +776,6 @@ def _inverse_square_profile(c0):
     )
 
 
-_ZERO_SURFACE = ScalarField(lambda s: _zeros(s), lambda s: _zeros(s, 2), lambda s: _zeros(s, 2, 2))
-
-
 def _constant(vector):
     """One-form field with the same components at every point."""
     return OneFormField(lambda x: _embed(x, (4,), (slice(None), vector)), lambda x: _zeros(x, 4, 4))
@@ -817,7 +799,7 @@ def _preset_ads4(params):
     lam = _rate(params)
     profile = _inverse_square_profile(1.0 / lam**2)
     wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
-                    s_frak=_ZERO_SURFACE)
+                    s_frak=ScalarField(_zeros))
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
         sample_box=_BOX_HALF, killing=walker_killing_data(wd), walker=wd,
@@ -853,11 +835,7 @@ def _preset_poly(params):
     def gauge_val(s):
         return np.sqrt(1.5 * a3 * s[..., 1] * linear(s[..., 0]))
 
-    def gauge_grad(s):
-        sv = gauge_val(s)
-        return np.stack([sv * a2 / (2.0 * linear(s[..., 0])), sv / (2.0 * s[..., 1])], axis=-1)
-
-    s_field = ScalarField(value=gauge_val, grad=gauge_grad) if gated else None
+    s_field = ScalarField(value=gauge_val) if gated else None
     wd = WalkerData(F=profile_f, K=_inverse_square_profile(0.5), q2=_poincare_half_plane(lam),
                     lam=lam, s_frak=s_field)
     return Preset(
@@ -1120,11 +1098,12 @@ def _halton(n, seed):
 
 
 def _perturbed(ps, amount):
-    # surface presets take the bump on the F profile (and hence the
-    # chart), anything else a uniform rescaling of the metric
+    # surface presets take the bump on the K profile (and hence the chart
+    # and the pair), anything else a uniform rescaling of the metric; a
+    # bump of F alone would move only the gauge of l
     if ps.walker is not None:
-        base = ps.walker.F
-        wd = replace(ps.walker, F=replace(base, value=lambda s: base.value(s) + amount))
+        base = ps.walker.K
+        wd = replace(ps.walker, K=replace(base, value=lambda s: base.value(s) + amount))
         return replace(ps, walker=wd, chart=walker_chart(wd),
                        killing=ps.killing and walker_killing_data(wd))
     factor = 1.0 + amount
@@ -1140,17 +1119,16 @@ def _score(ps, check, x):
     """Residual name -> one value per point of the stack x.
 
     A surface preset's chart and pair are its surface data's, so its
-    killing and einstein blocks read F, K, q2 and s_frak once and pass
-    the jets down.
+    killing and einstein blocks read F, K and q2 once and pass the jets
+    down.
     """
     wd = ps.walker
     if check == "killing":
-        if wd is None or wd.s_frak is None:
+        if wd is None:
             res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
         else:
             jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
-            u_jet, l_jet, kappa = _surface_pair(wd.lam, x, k, wd.s_frak.jet(_surface(x), 1))
-            res = _pair_residuals(jet, ginv, u_jet, l_jet, wd.lam, lambda *_: kappa, np.inf)
+            res = _pair_residuals(jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam, np.inf)
         return {"killing.r_u": res.r_u, "killing.r_l": res.r_l, "killing.parabolic": res.parabolic}
     if check == "einstein":
         jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
@@ -1182,15 +1160,8 @@ def _summary(vals, pts):
     return {"max": listed[worst], "mean": mean, "worst_point": pts[worst].tolist()}
 
 
-def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
-    """Score one residual family at quasi-random points of the sample box.
-
-    Returns a JSON-ready report with per-residual max, mean and sample
-    point of the max, and verdict "pass" when every max is within tol.
-    perturb biases the preset first, as a detection control.  Points are
-    scored in blocks of POINT_BLOCK; overflow, division by zero or an
-    invalid operation raises FloatingPointError, never scoring inf or nan.
-    """
+def require_check(ps, check):
+    """Raise ValueError unless check is known and ps carries the data it scores."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
     if check == "killing" and ps.killing is None:
@@ -1201,6 +1172,19 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
         raise ValueError(f"preset {ps.name} carries no heterotic data")
     if check == "bianchi" and ps.heterotic is None:
         raise ValueError(f"preset {ps.name} carries no heterotic data")
+
+
+def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
+    """Score one residual family at quasi-random points of the sample box.
+
+    Returns a JSON-ready report with per-residual max, mean and sample
+    point of the max, and verdict "pass" when every max is within tol.
+    perturb biases the preset first, as a detection control: K + perturb
+    on a surface preset, the metric times 1 + perturb elsewhere.  Points are
+    scored in blocks of POINT_BLOCK; overflow, division by zero or an
+    invalid operation raises FloatingPointError, never scoring inf or nan.
+    """
+    require_check(ps, check)
     perturb = _finite("perturb", perturb)
     if perturb:
         ps = _perturbed(ps, perturb)

@@ -280,18 +280,9 @@ def slow_point_residuals(ps, check, x):
 
 def slow_run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """geometry_lab.run_campaign as one point at a time, without worst points."""
-    from kaspin.geometry_lab import _CHECKS, _finite, _halton, _perturbed
+    from kaspin.geometry_lab import _finite, _halton, _perturbed, require_check
 
-    if check not in _CHECKS:
-        raise ValueError(f"unknown check {check!r}")
-    if check == "killing" and ps.killing is None:
-        raise ValueError(f"preset {ps.name} carries no pair data")
-    if check == "walker" and ps.walker is None:
-        raise ValueError(f"preset {ps.name} carries no surface data")
-    if check == "heterotic" and (ps.heterotic is None or ps.killing is None):
-        raise ValueError(f"preset {ps.name} carries no heterotic data")
-    if check == "bianchi" and ps.heterotic is None:
-        raise ValueError(f"preset {ps.name} carries no heterotic data")
+    require_check(ps, check)
     perturb = _finite("perturb", perturb)
     if perturb:
         ps = _perturbed(ps, perturb)
@@ -743,7 +734,7 @@ def tensor_heterotic_residuals(hc, kd, x):
     stacks; H and FA of hc are read as stacks and expanded to tensors.
     """
     from kaspin.geometry_lab import (
-        _chart_jet, _christoffel, _max_abs, _nabla, _pair, _shift, _zeros,
+        _chart_jet, _christoffel, _max_abs, _nabla, _pair, _zeros,
     )
 
     x = np.asarray(x, dtype=float)
@@ -773,8 +764,9 @@ def tensor_heterotic_residuals(hc, kd, x):
     gamma = _christoffel(jet, ginv)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
     defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
-    kappa = _shift(kd.kappa, defect, u, x)
-    res["grad_l"] = _max_abs(defect - (kappa[..., :, None] * u[..., None, :]), 2)
+    # defect = kappa (x) u for some kappa: each row wedged with u vanishes
+    rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
+    res["grad_l"] = _max_abs(rows_wedge_u, 3) / _max_abs(u, 1)
     res["rho_coclosed"] = _tensor_coclosed_residual(hc, x)
     jac = phi_jet[1]
     res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)

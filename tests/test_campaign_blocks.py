@@ -211,7 +211,8 @@ def test_a_block_reads_each_closed_form_field_once(monkeypatch, name, check, blo
         report = run_campaign(counted, check, n_points=POINTS, seed=3, perturb=perturb)
         assert report == run_campaign(ps, check, n_points=POINTS, seed=3, perturb=perturb)
     blocks = len(PERTURBS) * -(-POINTS // block)
-    read = {"F", "K", "q2"} | ({"s_frak"} if check != "einstein" and ps.walker.s_frak else set())
+    # the pair reads K alone; only the walker check reads s_frak
+    read = {"F", "K", "q2"} | ({"s_frak"} if check == "walker" and ps.walker.s_frak else set())
     assert counts == {field: blocks if field in read else 0 for field in counts}, counts
 
 

@@ -469,6 +469,24 @@ def test_check_metric_usage_errors(capsys):
         assert "error" in err
 
 
+def test_check_metric_tests_every_check_before_any_campaign(capsys, monkeypatch):
+    from kaspin import geometry_lab
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(geometry_lab, "run_campaign", unreachable)
+    for checks, missing in [("killing,einstein,heterotic", "heterotic"),
+                            ("einstein,walker,bianchi", "heterotic"),
+                            ("einstein,susy", None)]:
+        code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4", "--check", checks)
+        assert code == 2
+        assert out == ""
+        want = ("error: unknown check 'susy'" if missing is None
+                else f"error: preset ads4 carries no {missing} data")
+        assert err.splitlines() == [want]
+
+
 def test_cli_argparse_errors_map_to_two(capsys):
     assert cli.main(["check-metric", "--preset", "ads4", "--a", "1,zz"]) == 2
     assert cli.main(["no-such-command"]) == 2
@@ -478,9 +496,10 @@ def test_cli_argparse_errors_map_to_two(capsys):
 
 def test_env_tol_default_and_flag_override(capsys):
     # check-metric's own default tol is 1e-6; --tol is the one override
+    # (K + 1e-4 reads about 5e-3 here: above 1e-6, below 0.1)
     argv = (
         "check-metric", "--preset", "ads4-deformed-poly", "--check", "einstein",
-        "--perturb", "0.01", "--trials", "5",
+        "--perturb", "1e-4", "--trials", "5",
     )
     code, out, _ = run_cli(capsys, *argv, "--tol", "0.1")
     assert code == 0

@@ -175,6 +175,18 @@ def test_christoffel_symmetry_and_domain():
         christoffel(ads.chart, np.array([0.0, 0.0, 0.0, -1.0]))
 
 
+def test_hodge_star_chart_checks_the_chart_domain():
+    # as every other chart layer does, before any chart callback runs
+    ads = preset("ads4")
+    omega = form([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="point lies outside the chart domain"):
+        hodge_star_chart(ads.chart, [0, 0, 0, -1], omega)
+    pts = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
+    with pytest.raises(ValueError, match="point lies outside the chart domain"):
+        hodge_star_chart(ads.chart, pts, omega)
+    assert np.all(np.isfinite(hodge_star_chart(ads.chart, pts[:1], omega)))
+
+
 def test_conformal_christoffel_oracle():
     # The horospheric chart is exp(2*w)*ETA with w = -log(lam*y), so its
     # Christoffel symbols have the conformal closed form
@@ -389,21 +401,12 @@ def test_killing_pair_residual_on_presets():
             res = killing_pair_residual(ads.chart, ads.killing, x)
             assert res.r_u <= 1e-8
             assert res.r_l <= 1e-8
-            assert np.max(np.abs(res.kappa_hat)) <= 1e-8
 
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     for x in halfplane_points(6, 13):
         res = killing_pair_residual(poly.chart, poly.killing, x)
         assert res.r_u <= 1e-8
         assert res.r_l <= 1e-8
-        # fitted shift one-form must match the supplied analytic one
-        analytic = poly.killing.kappa.value(x)
-        fitted = killing_pair_residual(
-            poly.chart,
-            KillingData(poly.killing.u, poly.killing.l, poly.killing.lam),
-            x,
-        )
-        assert np.max(np.abs(fitted.kappa_hat - analytic)) <= 1e-6
 
 
 def test_killing_pair_flat_parallel_case():
@@ -437,29 +440,41 @@ def test_killing_pair_invariants_and_sensitivity():
 
 
 def test_pfaffian_consistency_of_pair_derivatives():
-    # Antisymmetrizing the pair equations: du = 2*lam*(u (x) l - l (x) u)
-    # and dl = kappa (x) u - u (x) kappa.
+    # Antisymmetrizing the pair equations: du = 2*lam*(u (x) l - l (x) u),
+    # and dl = kappa ^ u for some kappa, that is dl ^ u = 0.  Both hold in
+    # every gauge l + f*u, where dl is no longer zero on the surface pairs.
+    def exterior(field, x):
+        jac = fd_jacobian(field, x)
+        return jac - jac.T
+
+    def dl_wedge_u(l_value, u, x):
+        dl = exterior(l_value, x)
+        cyclic = (np.einsum("ij,k->ijk", dl, u) + np.einsum("jk,i->ijk", dl, u)
+                  + np.einsum("ki,j->ijk", dl, u))
+        return np.max(np.abs(cyclic)) / max(1.0, np.max(np.abs(dl)) * np.max(np.abs(u)))
+
+    def regauged(kd):
+        return lambda x: kd.l.value(x) + (x[1] + np.sin(x[2]) * x[3]) * kd.u.value(x)
+
     for name, params in [
         ("ads4", {"lam": 0.9}),
         ("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.3, 0.4, 0.2)}),
+        ("heterotic-ppwave", {"amp": 0.4}),
     ]:
-        ps = preset(name, params)
-        kd = ps.killing
+        kd = preset(name, params).killing
         for x in halfplane_points(4, 15):
             u = kd.u.value(x)
-            l = kd.l.value(x)
-            du = fd_jacobian(kd.u.value, x)
-            du = du - du.T
-            target = 2.0 * kd.lam * (np.outer(u, l) - np.outer(l, u))
-            assert np.max(np.abs(du - target)) <= 1e-5 * max(1.0, np.max(np.abs(du)))
+            for l_value in (kd.l.value, regauged(kd)):
+                du = exterior(kd.u.value, x)
+                target = 2.0 * kd.lam * (np.outer(u, l_value(x)) - np.outer(l_value(x), u))
+                assert np.max(np.abs(du - target)) <= 1e-5 * max(1.0, np.max(np.abs(du)))
+                assert dl_wedge_u(l_value, u, x) <= 1e-5, (name, x)
 
-            kap = kd.kappa.value(x)
-            dl = fd_jacobian(kd.l.value, x)
-            dl = dl - dl.T
-            target_l = np.outer(kap, u) - np.outer(u, kap)
-            assert np.max(np.abs(dl - target_l)) <= 1e-5 * max(
-                1.0, np.max(np.abs(dl))
-            )
+    # a partner that is not a gauge of l breaks it
+    kd = preset("ads4").killing
+    x = np.array([0.2, -0.4, 0.3, 1.1])
+    assert dl_wedge_u(lambda p: kd.l.value(p) + np.array([0.0, 0.0, p[3], 0.0]),
+                      kd.u.value(x), x) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -575,19 +590,24 @@ def test_einstein_residual_families():
 
 
 def test_walker_to_killing_transfer():
-    # Pairs assembled from the surface data satisfy the chart-level system:
-    # in the s_frak gauge, and without s_frak, where l is differenced and
-    # kappa fitted.
+    # Pairs assembled from the surface data satisfy the chart-level system.
+    # The pair reads K alone: F is free and s_frak is not read, so a
+    # generic, differenced F and no s_frak give the same u and l.
     ads = preset("ads4", {"lam": 1.1})
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
-    for wd in (ads.walker, poly.walker, dataclasses.replace(poly.walker, s_frak=None)):
+    generic = dataclasses.replace(poly.walker, s_frak=None,
+                                  F=ScalarField(lambda s: np.exp(s[..., 0]) * s[..., 1] ** 3))
+    x = halfplane_points(4, 20)
+    for wd in (ads.walker, poly.walker, generic):
         kd = walker_killing_data(wd)
-        assert (kd.l.jac is None) == (kd.kappa is None) == (wd.s_frak is None)
-        chart = walker_chart(wd)
-        for x in halfplane_points(4, 20):
-            res = killing_pair_residual(chart, kd, x)
-            assert res.r_u <= 1e-5
-            assert res.r_l <= 1e-5
+        assert kd.u.jac is not None and kd.l.jac is not None
+        res = killing_pair_residual(walker_chart(wd), kd, x)
+        assert np.max(res.r_u) <= 1e-12
+        assert np.max(res.r_l) <= 1e-12
+    for field in ("u", "l"):
+        want = getattr(poly.killing, field).jet(x)
+        for got, part in zip(getattr(walker_killing_data(generic), field).jet(x), want):
+            assert np.array_equal(got, part)
 
 
 EPS = np.finfo(float).eps
@@ -611,7 +631,7 @@ def gated_poly_coefficients(draw):
 def test_walker_killing_data_closed_forms(lam, a, seed):
     lower, upper = np.asarray(preset("ads4-deformed-poly").sample_box).T
     x = np.random.default_rng(seed).uniform(lower, upper, size=(3, 4))
-    v, yy = x[:, 2], x[:, 3]
+    yy = x[:, 3]
 
     poly = preset("ads4-deformed-poly", {"lam": lam, "a": a})
     kd = walker_killing_data(poly.walker)
@@ -619,27 +639,89 @@ def test_walker_killing_data_closed_forms(lam, a, seed):
     for p, jac in zip(x, kd.l.jac(x)):
         fd = fd_jacobian(kd.l.value, p)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd))), p
-    # kappa = d(s_frak)/K, with s_frak = sqrt(1.5 a3 y (a1 + a2 x)) and K = 1/(2 y^2)
-    a1, a2, a3, _ = a
-    linear = a1 + a2 * v
-    gauge = np.sqrt(1.5 * a3 * yy * linear)
-    d_gauge = np.stack([gauge * a2 / (2.0 * linear), gauge / (2.0 * yy)], axis=-1)
-    kappa = kd.kappa.value(x)
-    assert np.all(kappa[:, :2] == 0.0)
-    np.testing.assert_allclose(kappa[:, 2:], 2.0 * yy[:, None] ** 2 * d_gauge,
-                               rtol=8 * EPS, atol=0.0)
+    # u = K dv and l = -dK/(2 lam K) = dy/(lam y), with K = 1/(2 y^2): no dv part
+    u, l = kd.u.value(x), kd.l.value(x)
+    assert np.all(u[:, 1:] == 0.0) and np.all(l[:, :3] == 0.0)
+    np.testing.assert_allclose(u[:, 0], 0.5 / yy**2, rtol=4 * EPS, atol=0.0)
+    np.testing.assert_allclose(l[:, 3], 1.0 / (lam * yy), rtol=4 * EPS, atol=0.0)
 
-    # ads4: u = dv/(lam y)^2 and l = dy/(lam y), kappa = 0, to a few ulps
+    # ads4: u = dv/(lam y)^2 and l = dy/(lam y), to a few ulps
     kd = preset("ads4", {"lam": lam}).killing
     u, l, ju, jl = kd.u.value(x), kd.l.value(x), kd.u.jac(x), kd.l.jac(x)
     assert np.all(u[:, 1:] == 0.0) and np.all(l[:, :3] == 0.0)
-    assert np.all(kd.kappa.value(x) == 0.0)
     np.testing.assert_allclose(u[:, 0], 1.0 / (lam * yy) ** 2, rtol=4 * EPS, atol=0.0)
     np.testing.assert_allclose(l[:, 3], 1.0 / (lam * yy), rtol=4 * EPS, atol=0.0)
     # the Jacobian's d_y l_y = (K'^2/K - K'')/(2 lam K) cancels 4 against 6 parts
     np.testing.assert_allclose(ju[:, 3, 0], -2.0 / (lam**2 * yy**3), rtol=8 * EPS, atol=0.0)
     np.testing.assert_allclose(jl[:, 3, 3], -1.0 / (lam * yy**2), rtol=16 * EPS, atol=0.0)
     assert np.count_nonzero(ju) == ju.shape[0] and np.count_nonzero(jl) == jl.shape[0]
+
+
+@st.composite
+def gauge_shifts(draw):
+    """(f, df) of a constant or linear scalar f(x) = b + w . x on the chart."""
+    b = draw(st.floats(-3.0, 3.0))
+    w = np.zeros(4)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)))
+    return (lambda x: b + x @ w), (lambda x: np.broadcast_to(w, np.shape(x)))
+
+
+def regauged_pair(kd, f, df):
+    """The pair (u, l + f*u): dl becomes dl + df (x) u + f*du."""
+    def jet(x):
+        (u, du), (l, dl), fx = kd.u.jet(x), kd.l.jet(x), f(x)[..., None]
+        return l + fx * u, dl + df(x)[..., :, None] * u[..., None, :] + fx[..., None] * du
+
+    return KillingData(kd.u, OneFormField(lambda x: jet(x)[0], jac=lambda x: jet(x)[1]), kd.lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["minkowski", "ads4", "ads4-deformed-poly", "heterotic-ppwave"]),
+       perturb=st.sampled_from([0.0, 0.1]), shift=gauge_shifts(),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pair_residuals_are_invariant_under_the_gauge_of_l(name, perturb, shift, n, seed):
+    # r_u and r_l see l only up to l + f*u; perturbed presets give r_l
+    # far from zero, so its invariance there is a real test
+    ps = preset(name)
+    if perturb:
+        ps = geometry_lab._perturbed(ps, perturb)
+    lower, upper = np.asarray(ps.sample_box).T
+    x = np.random.default_rng(seed).uniform(lower, upper, size=(n, 4))
+    kd = ps.killing
+    shifted = regauged_pair(kd, *shift)
+    base = killing_pair_residual(ps.chart, kd, x, invariant_tol=np.inf)
+    moved = killing_pair_residual(ps.chart, shifted, x, invariant_tol=np.inf)
+    # the residuals are differences of terms no larger than these, per point
+    lam, g, u, l = kd.lam, ps.chart.g(x), kd.u.value(x), shifted.l.value(x)
+    nabla_u = covariant_derivative_oneform(ps.chart, kd.u, x)
+    nabla_l = covariant_derivative_oneform(ps.chart, shifted.l, x)
+
+    def big(a):
+        return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+
+    scale_u = big(nabla_u) + abs(lam) * big(u) * big(l)
+    scale_l = big(nabla_l) + abs(lam) * (big(l) ** 2 + big(g))
+    assert np.all(np.abs(moved.r_u - base.r_u) <= 8 * EPS * scale_u)
+    assert np.all(np.abs(moved.r_l - base.r_l) <= 8 * EPS * scale_l)
+
+
+@pytest.mark.parametrize("name", ["ads4", "ads4-deformed-poly"])
+@pytest.mark.parametrize("bump", [0.1, -0.1])
+def test_a_bump_of_f_is_gauge_for_killing(name, bump):
+    # F + c shifts only the gauge of l, so the pair system still holds;
+    # scoring against a pinned shift one-form read r_l = 0.100 here
+    ps = preset(name)
+    base = ps.walker.F
+    wd = dataclasses.replace(ps.walker,
+                             F=dataclasses.replace(base, value=lambda s: base.value(s) + bump))
+    bumped = dataclasses.replace(ps, walker=wd, chart=walker_chart(wd),
+                                 killing=walker_killing_data(wd))
+    report = run_campaign(bumped, "killing", n_points=50, seed=3)
+    assert report["verdict"] == "pass"
+    assert report["residuals"]["killing.r_l"]["max"] <= 1e-13
+    # the same bump of K is a genuine control
+    assert run_campaign(ps, "killing", n_points=50, seed=3, perturb=bump)["verdict"] == "fail"
 
 
 def test_ricci_matches_product_structure_component_formulas():
@@ -939,6 +1021,11 @@ def test_run_campaign_perturbation_sensitivity():
     mink = preset("minkowski")
     assert run_campaign(mink, "killing", seed=5)["verdict"] == "pass"
     assert run_campaign(mink, "killing", seed=5, perturb=0.01)["verdict"] == "fail"
+
+    # on a surface preset the bump is K + 0.01, which breaks u, l and the profile
+    for check in ("killing", "walker"):
+        assert run_campaign(poly, check, seed=5)["verdict"] == "pass"
+        assert run_campaign(poly, check, seed=5, perturb=0.01)["verdict"] == "fail"
 
 
 def test_run_campaign_rejects_missing_data():
