@@ -14,10 +14,12 @@ rows are the flattened Gamma_I: quantize is coeffs @ table, and the
 trace pairing is applied as the one product table @ E^T flattened,
 followed by the per-blade inverse sign and 1/N.
 
-``build_pairings`` constructs the two admissible bilinear pairings
-Bplus (adjoint type s = +1) and Bminus (s = -1) by group averaging over
-the 2^(d+1) signed blade matrices and multiplying by the volume blade
-of the definite or negative-definite factor.  Both are normalized so
+``build_pairings`` reads the two admissible bilinear pairings Bplus
+(adjoint type s = +1) and Bminus (s = -1) off the blade table: the
+blade matrices are signed permutations, so the invariant inner product
+(the group average of Gamma_I^T Gamma_I) is the identity, and each
+pairing is the volume blade of the definite or negative-definite
+factor.  Both are normalized so
 that Bplus = (-1)^floor(q/2) * Bminus @ gamma(nu) holds exactly, with
 the largest-magnitude entry of Bplus equal to +1.  All invariants
 (symmetry types, adjoint identities, nondegeneracy) are verified at
@@ -176,22 +178,17 @@ def _require(cond: bool, what: str):
 def build_pairings(rep: GammaRep) -> PairedRep:
     """Construct and verify the two admissible pairings of a representation.
 
-    The auxiliary invariant inner product is the average of Gamma_I^T
-    Gamma_I over all blades (the sign pairs of the full signed group
-    cancel).  Multiplying by the volume blade of the plus or minus
-    factor, according to the parity of p, yields the two pairings.
+    The blade matrices are orthogonal, so the invariant inner product
+    is the identity and the pairings are the volume blades of the plus
+    and minus factors, assigned according to the parity of p.
     """
     sig = rep.sig
     n = sig.n_blades
     blades = rep.blade_table.reshape(n, rep.N, rep.N)
-    M = np.einsum("kji,kjl->il", blades, blades) / n
 
     nu_plus_mask = (1 << sig.p) - 1
-    nu_minus_mask = (n - 1) ^ nu_plus_mask
-    if sig.p % 2 == 1:
-        raw_plus, raw_minus = M @ blades[nu_plus_mask], M @ blades[nu_minus_mask]
-    else:
-        raw_plus, raw_minus = M @ blades[nu_minus_mask], M @ blades[nu_plus_mask]
+    nu_plus, nu_minus = blades[nu_plus_mask], blades[(n - 1) ^ nu_plus_mask]
+    raw_plus, raw_minus = (nu_plus, nu_minus) if sig.p % 2 == 1 else (nu_minus, nu_plus)
 
     # scale so the largest-magnitude entry of Bplus is exactly +1
     Bplus = raw_plus / raw_plus.flat[np.abs(raw_plus).argmax()]
@@ -204,7 +201,7 @@ def build_pairings(rep: GammaRep) -> PairedRep:
     ratio = np.vdot(raw_minus, Bminus) / np.vdot(raw_minus, raw_minus)
     _require(
         abs(ratio) > 1e-12 and np.allclose(Bminus, ratio * raw_minus, atol=1e-12),
-        "Bminus not proportional to the averaged construction",
+        "Bminus not proportional to the other volume blade",
     )
 
     sigma_plus, sigma_minus = PAIRING_SYMMETRY[(sig.d // 2) % 4]

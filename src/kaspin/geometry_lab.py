@@ -828,20 +828,17 @@ def _preset_poly(params):
         hess=f_hess,
     )
     box = _BOX_DEFORMED
-    # the gauge square is 1.5*a3*y*(a1 + a2*x); attach pair data only
-    # when it stays safely positive on the sample box
-    gated = a3 >= 0.0 and min(linear(box[2][0]), linear(box[2][1])) >= 0.05
-
-    def gauge_val(s):
-        return np.sqrt(1.5 * a3 * s[..., 1] * linear(s[..., 0]))
-
-    s_field = ScalarField(value=gauge_val) if gated else None
+    # the gauge square is 1.5*a3*y*(a1 + a2*x); its root is attached only
+    # where it stays safely positive on the sample box (the pair needs none)
+    s_field = None
+    if a3 >= 0.0 and min(linear(box[2][0]), linear(box[2][1])) >= 0.05:
+        s_field = ScalarField(lambda s: np.sqrt(1.5 * a3 * s[..., 1] * linear(s[..., 0])))
     wd = WalkerData(F=profile_f, K=_inverse_square_profile(0.5), q2=_poincare_half_plane(lam),
                     lam=lam, s_frak=s_field)
     return Preset(
         name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
         chart=walker_chart(wd), lam=lam, sample_box=box,
-        killing=walker_killing_data(wd) if gated else None, walker=wd,
+        killing=walker_killing_data(wd), walker=wd,
     )
 
 

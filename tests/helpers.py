@@ -1,12 +1,17 @@
-"""Deterministic randomness for test and CLI campaigns.
+"""Inputs shared by the tests: the supported signatures and seeded samplers.
 
-All campaigns draw from the Philox4x64-10 counter-based generator
-keyed by (seed, stream). The algorithm is fixed (not "whatever the
-default generator happens to be") so that a recorded seed reproduces
-the same sample sequence everywhere.
+The samplers draw from the Philox4x64-10 counter-based generator keyed
+by (seed, stream). The algorithm is fixed (not "whatever the default
+generator happens to be") so that a recorded seed reproduces the same
+sample sequence everywhere.
 """
 
 import numpy as np
+
+from kaspin.ka_core import Multivector
+
+# every signature build_rep accepts: d even, p - q in {0, 2}, d <= 8
+REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
 
 def make_rng(seed, stream=0):
@@ -16,10 +21,7 @@ def make_rng(seed, stream=0):
 
 def random_multivector(sig, rng, grade=None):
     """Standard-normal coefficients, optionally restricted to one grade."""
-    from .ka_core import Multivector
-
     coeffs = rng.standard_normal(sig.n_blades)
     if grade is not None:
         coeffs[sig.tables().grade != grade] = 0.0
     return Multivector(sig, coeffs)
-

@@ -12,11 +12,12 @@ takes centered differences one call per stencil point, as geometry_lab
 did before its jets evaluated each distinct point once. The
 representation references keep the int64 blade matrices and the einsum
 trace pairing that dequantize used before it became one product with
-the blade table; the square-test and lowdim references are the
-Multivector-arithmetic forms (the s-transpose residual, the rank-one
-fit through the numpy wrappers, and contract through two dense
-products) that the package used before it read coefficient arrays
-through cached sign and index vectors. The form references hold the
+the blade table, and the group-averaged pairings that build_pairings
+built before it read them off the volume blades; the square-test and
+lowdim references are the Multivector-arithmetic forms (the
+s-transpose residual, the rank-one fit through the numpy wrappers, and
+contract through two dense products) that the package used before it
+read coefficient arrays through cached sign and index vectors. The form references hold the
 chart layer's former tensor calculus: forms as alternating covariant
 tensors without the 1/k! factor, the Hodge dual by the permutation
 symbol, and the heterotic and Bianchi residuals evaluated with them.
@@ -163,7 +164,7 @@ def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, t
     monomial at alpha's largest coefficient, on alpha at unit max-norm.
     """
     from kaspin.ka_core import Multivector, geometric_product, ka_trace
-    from kaspin.rng import make_rng, random_multivector
+    from helpers import make_rng, random_multivector
 
     sig = pr.rep.sig
     scale = alpha.norm_inf()
@@ -366,7 +367,7 @@ def _fd_second(f, x):
 
 
 # ---------------------------------------------------------------------------
-# blade matrices and the einsum trace pairing
+# blade matrices, the einsum trace pairing and the averaged pairings
 # ---------------------------------------------------------------------------
 
 
@@ -393,6 +394,27 @@ def einsum_dequantize(rep, E):
     t = rep.sig.tables()
     coeffs = t.tau * t.metric * traces / rep.N
     return Multivector(rep.sig, coeffs)
+
+
+def averaged_pairings(rep):
+    """(Bplus, Bminus) by group averaging, the construction build_pairings used before.
+
+    The invariant inner product M is the mean of Gamma_I^T Gamma_I over
+    all blades; the raw plus pairing is M times the volume blade of the
+    plus or minus factor (by the parity of p), scaled so its largest
+    entry is +1, and Bminus follows from the volume-blade relation.
+    """
+    sig = rep.sig
+    n = sig.n_blades
+    blades = rep.blade_table.reshape(n, rep.N, rep.N)
+    M = np.einsum("kji,kjl->il", blades, blades) / n
+    nu_plus_mask = (1 << sig.p) - 1
+    nu_mask = nu_plus_mask if sig.p % 2 == 1 else (n - 1) ^ nu_plus_mask
+    raw_plus = M @ blades[nu_mask]
+    Bplus = raw_plus / raw_plus.flat[np.abs(raw_plus).argmax()]
+    t = sig.tables()
+    Bminus = (-1.0) ** (sig.q // 2) * Bplus @ (t.tau[-1] * t.metric[-1] * blades[n - 1])
+    return Bplus, Bminus
 
 
 # ---------------------------------------------------------------------------

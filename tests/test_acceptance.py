@@ -35,12 +35,11 @@ from kaspin.lowdim import (
     pair_to_polyform,
     polyform_to_pair,
 )
-from kaspin.rng import make_rng, random_multivector
 from kaspin.spinor_square import allowed_grades, reconstruct, square, verify_square_conditions
 
+from helpers import REP_SIGS, make_rng, random_multivector
 from oracles import random_spinor
 
-REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 PAIRING_TABLE = {1: (1, -1), 2: (-1, -1), 3: (-1, 1), 0: (1, 1)}
 
 

@@ -16,7 +16,7 @@ import pytest
 import kaspin
 from kaspin import _kernels, cli
 
-REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
+from helpers import REP_SIGS
 
 
 def run_cli(capsys, *argv):
@@ -52,8 +52,47 @@ def test_verify_algebra_covers_all_supported_signatures(capsys):
         assert code == 0, (p, q)
         report = json.loads(out)
         assert report["verdict"] == "pass"
-        # e_i e_j + e_j e_i = 2 g_ij is exact in every entry
-        assert report["checks"]["clifford_relation"]["max"] == 0.0
+        # every identity is checked on exact signs, so each residual is exactly 0
+        for name in ("associativity", "clifford_relation", "isomorphism", "trace"):
+            assert report["checks"][name]["max"] == 0.0, (p, q, name)
+
+
+def test_verify_algebra_output_does_not_depend_on_trials_or_seed(capsys):
+    outputs = {
+        run_cli(capsys, "verify-algebra", "--p", "4", "--q", "4", *flags)[1]
+        for flags in ((), ("--trials", "2", "--seed", "7"), ("--trials", "500", "--seed", "0"),
+                      ("--seed", str(2**64 - 1)))
+    }
+    assert len(outputs) == 1
+    report = json.loads(outputs.pop())
+    assert "trials" not in report and "seed" not in report
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_algebra_seed_out_of_range_exits_two(capsys, seed):
+    assert_usage_error(*run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--seed", seed))
+
+
+def test_verify_algebra_planted_sign_flip_fails_associativity(capsys, monkeypatch):
+    # e_12 e_23 = e_13 at (3,1); flipping that one sign breaks associativity
+    # alone: the flipped row is not a generator's, so the Clifford relation
+    # and Gamma_i Gamma_J still hold
+    real_get_tables = _kernels.get_tables
+
+    def flipped(p, q):
+        t = real_get_tables(p, q)
+        sign = t.sign.copy()
+        sign[0b0011, 0b0101] *= -1.0
+        return t._replace(sign=sign)
+
+    monkeypatch.setattr(_kernels, "get_tables", flipped)
+    code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["checks"]["associativity"] == {"max": 2.0, "pass": False}
+    for name in ("clifford_relation", "isomorphism", "trace", "pairing_table"):
+        assert report["checks"][name]["pass"], name
 
 
 def test_verify_algebra_unsupported_signature_exits_two(capsys):
@@ -307,14 +346,15 @@ def test_trials_cap_bounds(capsys):
     ],
 )
 def test_huge_trials_exit_two_before_any_work(capsys, monkeypatch, argv, trials):
-    # every path that would size its work by --trials fails the test if
-    # reached (check-polyform takes no --trials: it has no probes to count)
+    # the work of each command fails the test if reached: a campaign is
+    # sized by --trials, and verify-algebra only range-checks it
+    # (check-polyform takes no --trials: it has no probes to count)
     from kaspin import geometry_lab
 
     def reached(*args, **kwargs):
         raise AssertionError("work started before --trials was checked")
 
-    monkeypatch.setattr(cli, "make_rng", reached)
+    monkeypatch.setattr(cli, "_generator_residuals", reached)
     monkeypatch.setattr(geometry_lab, "run_campaign", reached)
     assert_usage_error(*run_cli(capsys, *argv, "--trials", trials))
 
@@ -413,6 +453,17 @@ def test_check_metric_single_check_is_object(capsys):
     assert isinstance(report, dict)
     assert report["verdict"] == "pass"
     assert report["params"]["a"] == [1.0, 0.5, 0.2, 0.1]
+
+
+@pytest.mark.parametrize("a", ["1,1,1,1", "1,0.5,-0.2,0.1", "0,1,1,1"])
+def test_check_metric_poly_carries_its_pair_for_every_a(capsys, a):
+    # the pair needs no gauge square, so killing runs where s_frak is not
+    # attached; these a used to exit 2 with "carries no pair data"
+    code, out, err = run_cli(
+        capsys, "check-metric", "--preset", "ads4-deformed-poly", "--a", a, "--check", "killing",
+    )
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "pass"
 
 
 def test_check_metric_perturbation_is_detected(capsys):

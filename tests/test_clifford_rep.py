@@ -27,11 +27,9 @@ from kaspin.ka_core import (
     pi_tau,
     tau,
 )
-from kaspin.rng import make_rng, random_multivector
 
-from oracles import blade_matrices, einsum_dequantize
-
-REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
+from helpers import REP_SIGS, make_rng, random_multivector
+from oracles import averaged_pairings, blade_matrices, einsum_dequantize
 
 # (sigma_plus, sigma_minus) frozen from the k = d/2 mod 4 symmetry table
 EXPECTED_SYMMETRY = {
@@ -219,6 +217,15 @@ def test_symmetry_table(paired):
         assert (pr.sigma_plus, pr.sigma_minus) == EXPECTED_SYMMETRY[pq]
         np.testing.assert_array_equal(pr.Bplus.T, pr.sigma_plus * pr.Bplus)
         np.testing.assert_array_equal(pr.Bminus.T, pr.sigma_minus * pr.Bminus)
+
+
+def test_pairings_match_the_averaged_construction_bit_for_bit(paired):
+    # the blade matrices are orthogonal, so the group average is the identity
+    # and reading B off the volume blades changes no value and no sign of zero
+    for pq, pr in paired.items():
+        for got, want in zip((pr.Bplus, pr.Bminus), averaged_pairings(pr.rep)):
+            np.testing.assert_array_equal(got, want, err_msg=str(pq))
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=str(pq))
 
 
 def test_pairings_nondegenerate_and_normalized(paired):

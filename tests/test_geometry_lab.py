@@ -35,7 +35,8 @@ from kaspin.geometry_lab import (
     _spherical_bessel_1,
 )
 from kaspin.ka_core import Multivector, Signature, hodge_star, wedge
-from kaspin.rng import make_rng
+
+from helpers import make_rng
 
 SIG = Signature(3, 1)
 
@@ -615,7 +616,7 @@ EPS = np.finfo(float).eps
 
 @st.composite
 def gated_poly_coefficients(draw):
-    """a of ads4-deformed-poly inside the domain where it carries pair data.
+    """a of ads4-deformed-poly inside the domain where it carries the gauge root s_frak.
 
     The gauge square 1.5 a3 y (a1 + a2 x) must stay at least 0.05 * 1.5 a3 y
     on the sample box |x| <= 1.5: a3 >= 0 and a1 - 1.5 |a2| >= 0.05, here

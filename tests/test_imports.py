@@ -1,4 +1,7 @@
-"""What importing the package costs: no scipy, no product tables, no chart layer for the CLI."""
+"""What importing the package costs.
+
+No scipy, no numpy.random, no product tables, and no chart layer for the CLI.
+"""
 
 import os
 import subprocess
@@ -68,3 +71,17 @@ def test_square_reconstruct_and_check_polyform_do_not_import_numpy_ma():
         "print(codes, 'numpy.ma' in sys.modules)"
     )
     assert loaded == "[0, 0, 0] False"
+
+
+def test_verify_algebra_and_square_draw_nothing_at_random():
+    # both are exact, so neither pays for importing numpy.random (about 16 ms cold)
+    loaded = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from kaspin.cli import main\n"
+        "spinor = json.dumps({'p': 4, 'q': 4, 'components': [1.0] + [0.0] * 15})\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['verify-algebra', '--p', '4', '--q', '4']), main(['square', spinor])]\n"
+        "print(codes, sorted(m for m in ('numpy.random', 'kaspin.rng') if m in sys.modules))"
+    )
+    assert loaded == "[0, 0] []"

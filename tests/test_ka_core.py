@@ -22,8 +22,8 @@ from kaspin.ka_core import (
     tau,
     wedge,
 )
-from kaspin.rng import make_rng, random_multivector
 
+from helpers import REP_SIGS, make_rng, random_multivector
 from oracles import (
     blade_product,
     blade_wedge,
@@ -33,10 +33,6 @@ from oracles import (
     slow_geometric_product,
     slow_wedge,
 )
-
-# Signatures supported by the representation modules; ka_core itself
-# only requires 1 <= d <= 8.
-REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
 
 def _mv(p, q, coeffs):

@@ -24,7 +24,6 @@ from kaspin.lowdim import (
     pair_to_polyform,
     polyform_to_pair,
 )
-from kaspin.rng import make_rng
 from kaspin.spinor_square import (
     ReconstructionError,
     check_chirality,
@@ -33,6 +32,7 @@ from kaspin.spinor_square import (
     verify_square_conditions,
 )
 
+from helpers import make_rng
 from oracles import (
     multivector_check_22_chiral_square,
     multivector_normalize_gauge,

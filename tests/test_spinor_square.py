@@ -19,7 +19,6 @@ from kaspin.ka_core import (
     ka_trace,
     wedge,
 )
-from kaspin.rng import make_rng, random_multivector
 from kaspin.spinor_square import (
     DEFAULT_TOL,
     ReconstructionError,
@@ -33,6 +32,7 @@ from kaspin.spinor_square import (
     verify_square_conditions,
 )
 
+from helpers import REP_SIGS, make_rng, random_multivector
 from oracles import (
     blade_matrices,
     full_basis_verify_square_conditions,
@@ -41,8 +41,6 @@ from oracles import (
     random_spinor,
     slow_verify_square_conditions,
 )
-
-REP_SIGS = [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2), (3, 3), (4, 4), (5, 3)]
 
 # grade sets surviving the sign criterion, worked out by hand from
 # (-1)^{k(1-s)/2} (-1)^{k(k-1)/2} = sigma with the symmetry table
