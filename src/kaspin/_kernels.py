@@ -1,4 +1,4 @@
-"""Bitmask sign tables and the dense product kernel.
+"""Bitmask sign tables and the dense product kernels.
 
 A basis subset I of {1..d} is a bitmask; the product of two basis
 blades is e_I e_J = sign(I, J) * e_{I xor J}, where sign(I, J) counts
@@ -7,18 +7,40 @@ and multiplies in the squares of the repeated covectors. The tables
 are exact (entries in {-1, 0, +1}), so float coefficients inherit no
 rounding from the structure constants.
 
-This is the only module that reads signs off bitmasks. The square
-tables are indexed by (I, K) with K the output blade, so the factor
-paired with e_I is e_{I xor K} and every product is one gather and one
-matrix-vector product: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K].
-The gathered matrix R_b[I, K] = sign(I, I xor K) b[I xor K] is the right
-action of b, so a @ R_b multiplies every row of a stack a by b at once.
+This is the only module that reads signs off bitmasks; everything else
+here is sliced from the tables of `get_tables`. The square tables are
+indexed by (I, K) with K the output blade, so the factor paired with e_I
+is e_{I xor K}: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K]. Two
+kernels compute that sum, and `multiply` picks one from what the call
+shows:
+
+* `product`, the flat kernel: one 2^d x 2^d gather of the right action
+  R_b[I, K] = sign(I, I xor K) b[I xor K] and one matrix product, so
+  a @ R_b multiplies every row of a stack a by b at once. It serves
+  d < SPLIT_MIN_DIM and stacked left operands.
+* `split_product`, the split kernel, for one left operand at
+  d >= SPLIT_MIN_DIM. With I = (I_hi, I_lo) split into its high h and low
+  L = ceil(d/2) bits, the algebra is the graded tensor product
+  Cl(lo) (x) Cl(hi):
+
+      e_I e_J = s_lo(I_lo, J_lo) s_hi(I_hi, J_hi) (-1)^(|I_hi| |J_lo|) e_{I xor J}
+
+  for either table. Since |J_lo| = |I_lo| + |K_lo| mod 2, the graded
+  sign splits into a twist of a's row I_hi and one of the output column
+  K_lo. The kernel makes one 2^L x 2^d signed gather of b, one
+  2^h x 2^L by 2^L x 2^d matrix product, one gather of 2^d rows of
+  length 2^L and one signed sum over I_hi: 8 192 gathered entries at
+  d = 8 against the flat kernel's 65 536.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+# the smallest d at which the split kernel beats the flat one for a
+# single left operand (timings in README, "The product kernels")
+SPLIT_MIN_DIM = 7
 
 
 class ProductTables(NamedTuple):
@@ -30,6 +52,20 @@ class ProductTables(NamedTuple):
     pi: np.ndarray  # (2^d,) grade involution, (-1)^k on grade k
     tau: np.ndarray  # (2^d,) reversion, (-1)^(k(k-1)/2)
     pi_tau: np.ndarray  # (2^d,) pi o tau, (-1)^(k(k+1)/2)
+
+
+class SplitPlan(NamedTuple):
+    # (2^L, 2^d) index into [b, -b, 0]: at [i_lo, (j_hi, k_lo)] it picks
+    # s_lo(i_lo, i_lo ^ k_lo) b[(j_hi, i_lo ^ k_lo)]
+    gather: np.ndarray
+    twist: np.ndarray  # (2^h, 2^L) (-1)^(|i_hi| |i_lo|), applied to a
+    rows: np.ndarray  # (2^h * 2^h,) at (i_hi, k_hi), the row (i_hi, i_hi ^ k_hi)
+    outer: np.ndarray  # (2^h, 2^h, 2^L) s_hi(i_hi, i_hi ^ k_hi) (-1)^(|i_hi| |k_lo|)
+
+
+class VolumeSigns(NamedTuple):
+    left: np.ndarray  # nu <> a = left * a[::-1]
+    star: np.ndarray  # tau(a) <> nu = star * a[::-1]
 
 
 def _parity_sign(count):
@@ -74,3 +110,77 @@ def product(a, b, sign, xor):
     right = b[xor]
     right *= sign
     return a @ right
+
+
+@lru_cache(maxsize=None)
+def split_plan(p, q, table):
+    """The split kernel's index and sign arrays for get_tables(p, q).<table>.
+
+    s_lo is the table's top-left 2^L x 2^L block and s_hi its block on
+    the masks with no low bit; the graded sign reads off the pi table.
+    """
+    t = get_tables(p, q)
+    sign = getattr(t, table)
+    d = p + q
+    low = (d + 1) // 2
+    nl, nh, n = 1 << low, 1 << (d - low), 1 << d
+    hi = np.arange(nh)
+    high_masks = hi << low
+    s_lo = sign[:nl, :nl]
+    # [i, j_hi, k]: entry (j_hi, i ^ k) of b, of -b where s_lo is -1, or the 0 past both
+    gather = (n * (s_lo < 0))[:, None, :] + (hi * nl)[None, :, None] + t.xor[:nl, :nl][:, None, :]
+    gather = np.where((s_lo == 0)[:, None, :], 2 * n, gather).reshape(nl, n)
+    graded = np.where(t.grade[high_masks, None] % 2 == 1, t.pi[:nl], 1.0)
+    rows = (hi[:, None] * nh + t.xor[:nh, :nh]).ravel()
+    s_hi = sign[np.ix_(high_masks, high_masks)]
+    plan = SplitPlan(gather, graded, rows, s_hi[:, :, None] * graded[:, None, :])
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def split_product(a, b, plan):
+    """The sum `product` computes, through the graded split of the blade basis.
+
+    a may carry leading batch axes, as for `product`; `multiply` sends
+    it only single left operands, where it is the faster kernel.
+    """
+    nh, nl = plan.twist.shape
+    batch = a.shape[:-1]
+    signed = np.concatenate((b, -b, [0.0]))
+    # by_hi[..., i_hi, (j_hi, k_lo)]: the low factor's sum over i_lo, for every pair
+    # (i_hi, j_hi); the high factor needs only j_hi = i_hi ^ k_hi of them
+    by_hi = (a.reshape(*batch, nh, nl) * plan.twist) @ signed[plan.gather]
+    paired = np.take(by_hi.reshape(*batch, nh * nh, nl), plan.rows, axis=-2)
+    paired = paired.reshape(*batch, nh, nh, nl)
+    paired *= plan.outer
+    return paired.sum(axis=-3).reshape(a.shape)
+
+
+def multiply(a, b, p, q, table):
+    """out[..., k] = sum_i a[..., i] table[i, k] b[i ^ k] at signature (p, q).
+
+    table is "sign" for the geometric product, "wedge_sign" for the
+    wedge. One left operand at d >= SPLIT_MIN_DIM takes the split
+    kernel; smaller d and stacked left operands take the flat one.
+    """
+    if a.ndim == 1 and p + q >= SPLIT_MIN_DIM:
+        return split_product(a, b, split_plan(p, q, table))
+    t = get_tables(p, q)
+    return product(a, b, getattr(t, table), t.xor)
+
+
+@lru_cache(maxsize=None)
+def volume_signs(p, q):
+    """Products with the volume blade nu as signed reversals of a.
+
+    nu <> a has a[full ^ k] = a[::-1][k] at k with sign(full, k);
+    tau(a) <> nu has it with tau(full ^ k) sign(full ^ k, k).
+    """
+    t = get_tables(p, q)
+    full = (1 << (p + q)) - 1
+    masks = np.arange(full + 1)
+    signs = VolumeSigns(t.sign[full], t.tau[::-1] * t.sign[full ^ masks, masks])
+    for arr in signs:
+        arr.setflags(write=False)
+    return signs

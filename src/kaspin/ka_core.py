@@ -210,15 +210,13 @@ class Multivector:
 def wedge(a, b):
     """Exterior product."""
     a._check(b)
-    t = a.sig.tables()
-    return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.wedge_sign, t.xor))
+    return Multivector(a.sig, _kernels.multiply(a.coeffs, b.coeffs, a.sig.p, a.sig.q, "wedge_sign"))
 
 
 def geometric_product(a, b):
     """The quantized (Clifford) product on the exterior algebra."""
     a._check(b)
-    t = a.sig.tables()
-    return Multivector(a.sig, _kernels.product(a.coeffs, b.coeffs, t.sign, t.xor))
+    return Multivector(a.sig, _kernels.multiply(a.coeffs, b.coeffs, a.sig.p, a.sig.q, "sign"))
 
 
 def inner(a, b):
@@ -261,8 +259,13 @@ def ka_trace(a):
     return float(2 ** (a.sig.d // 2) * a.coeffs[0])
 
 
+def volume_product(a):
+    """nu <> a with nu = e^1 ^ ... ^ e^d, a signed reversal of the coefficients."""
+    return Multivector(a.sig, _kernels.volume_signs(a.sig.p, a.sig.q).left * a.coeffs[::-1])
+
+
 def hodge_star(a):
     """Hodge dual, *a := tau(a) <> nu with nu = e^1 ^ ... ^ e^d."""
     if a.sig.d % 2:
         raise ValueError("hodge_star is provided for even dimension only")
-    return geometric_product(tau(a), Multivector.volume(a.sig))
+    return Multivector(a.sig, _kernels.volume_signs(a.sig.p, a.sig.q).star * a.coeffs[::-1])

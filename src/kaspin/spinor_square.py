@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford_rep import PairedRep, Spinor, dequantize, quantize, s_transpose_signs
-from .ka_core import Multivector, geometric_product
+from .ka_core import Multivector, geometric_product, volume_product
 
 DEFAULT_TOL = 1e-9
 
@@ -237,9 +237,8 @@ def check_chirality(pr: PairedRep, alpha: Multivector, mu: int, tol=DEFAULT_TOL)
     if mu not in (1, -1):
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
     sig = pr.rep.sig
-    nu = Multivector.volume(sig)
     # nu^2 is the scalar +1 or -1
-    nu_squared = geometric_product(nu, nu).scalar_part
+    nu_squared = volume_product(Multivector.volume(sig)).scalar_part
     if nu_squared != 1.0:
         raise ValueError(
             f"chirality needs a signature with nu^2 = 1; ({sig.p},{sig.q}) has "
@@ -249,7 +248,7 @@ def check_chirality(pr: PairedRep, alpha: Multivector, mu: int, tol=DEFAULT_TOL)
     if not 0.0 < norm < math.inf:
         return norm == 0.0
     ahat = Multivector(sig, alpha.coeffs / norm)
-    return bool((geometric_product(nu, ahat) - mu * ahat).norm_inf() <= tol)
+    return bool((volume_product(ahat) - mu * ahat).norm_inf() <= tol)
 
 
 def constraint_transfer(pr: PairedRep, Q, alpha: Multivector) -> float:

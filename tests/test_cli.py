@@ -95,6 +95,34 @@ def test_verify_algebra_planted_sign_flip_fails_associativity(capsys, monkeypatc
         assert report["checks"][name]["pass"], name
 
 
+def test_verify_algebra_checks_the_split_plan_and_names_the_kernel(capsys):
+    for p, q in REP_SIGS:
+        report = json.loads(run_cli(capsys, "verify-algebra", "--p", str(p), "--q", str(q))[1])
+        assert report["checks"]["split_factorization"] == {"max": 0.0, "pass": True}, (p, q)
+        assert report["product_kernel"] == ("split" if p + q >= 7 else "flat"), (p, q)
+
+
+def test_verify_algebra_planted_split_plan_flip_fails(capsys, monkeypatch):
+    # one flipped high-factor sign leaves the flat table, and so every other
+    # check, intact; only the split kernel that single (4,4) products take is wrong
+    real_split_plan = _kernels.split_plan
+
+    def flipped(p, q, table):
+        plan = real_split_plan(p, q, table)
+        outer = plan.outer.copy()
+        outer[3, 5, 6] *= -1.0
+        return plan._replace(outer=outer)
+
+    monkeypatch.setattr(_kernels, "split_plan", flipped)
+    code, out, _ = run_cli(capsys, "verify-algebra", "--p", "4", "--q", "4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["checks"]["split_factorization"] == {"max": 2.0, "pass": False}
+    for name in ("associativity", "clifford_relation", "isomorphism", "trace", "pairing_table"):
+        assert report["checks"][name]["pass"], name
+
+
 def test_verify_algebra_unsupported_signature_exits_two(capsys):
     # build_rep raises the ValueError, which main maps to exit 2; square too
     for p, q in [(3, 0), (5, 0), (8, 0), (1, 3)]:

@@ -46,6 +46,24 @@ def test_importing_lowdim_builds_no_product_tables():
     assert cached == "0"
 
 
+def test_import_and_a_cold_square_build_no_split_plan():
+    # the split kernel's plan is built on the first single product at d >= 7,
+    # which neither importing kaspin nor squaring a spinor makes
+    cached = fresh_python(
+        "import contextlib, io, json\n"
+        "import kaspin\n"
+        "from kaspin import _kernels\n"
+        "from kaspin.cli import main\n"
+        "after_import = _kernels.split_plan.cache_info().currsize\n"
+        "spinor = json.dumps([1.0] + [0.0] * 15)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['square', spinor, '--p', '4', '--q', '4'])\n"
+        "print(after_import, code, _kernels.split_plan.cache_info().currsize)"
+    )
+    assert cached == "0 0 0"
+
+
 def test_chart_layer_loads_only_the_standard_library_numpy_and_kaspin():
     outside = fresh_python(
         "import sys\n"

@@ -20,6 +20,7 @@ from kaspin.ka_core import (
     pi,
     pi_tau,
     tau,
+    volume_product,
     wedge,
 )
 
@@ -130,7 +131,9 @@ def test_products_match_slow_oracle(case):
     np.testing.assert_allclose(got, slow_wedge(p, q, a, b), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (2, 1), (3, 1), (2, 2), (4, 4), (5, 3)])
+@pytest.mark.parametrize(
+    "p,q", [(2, 0), (1, 1), (2, 1), (3, 1), (2, 2), (4, 3), (4, 4), (5, 3), (8, 0), (0, 8)]
+)
 def test_stacked_operands_give_row_wise_products(p, q):
     sig = Signature(p, q)
     t = sig.tables()
@@ -143,6 +146,96 @@ def test_stacked_operands_give_row_wise_products(p, q):
         xm = Multivector(sig, x)
         np.testing.assert_allclose(stacked_gp[k], geometric_product(xm, a).coeffs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked_wedge[k], wedge(xm, a).coeffs, rtol=0, atol=1e-12)
+
+
+ALL_SIGS_UP_TO_8 = [(p, d - p) for d in range(1, 9) for p in range(d + 1)]
+SPLIT_SIGS = [(p, q) for p, q in ALL_SIGS_UP_TO_8 if p + q >= _kernels.SPLIT_MIN_DIM]
+TABLES = ("sign", "wedge_sign")
+
+
+@st.composite
+def _sparse_split_operands(draw):
+    # the oracle multiplies blade by blade, so the operands stay sparse
+    p, q = draw(st.sampled_from(SPLIT_SIGS))
+    n = 1 << (p + q)
+    sparse = st.dictionaries(st.integers(0, n - 1), st.floats(-1e3, 1e3, allow_nan=False),
+                             max_size=8)
+    a, b = np.zeros(n), np.zeros(n)
+    for out, entries in ((a, draw(sparse)), (b, draw(sparse))):
+        out[list(entries)] = list(entries.values())
+    return p, q, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_split_operands())
+def test_split_kernel_matches_slow_oracle(case):
+    p, q, a, b = case
+    atol = 1e-13 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)))
+    for table, oracle in (("sign", slow_geometric_product), ("wedge_sign", slow_wedge)):
+        got = _kernels.split_product(a, b, _kernels.split_plan(p, q, table))
+        np.testing.assert_allclose(got, oracle(p, q, a, b), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("p,q", ALL_SIGS_UP_TO_8)
+def test_forced_split_kernel_matches_flat_kernel(p, q):
+    # d = 1 has no high bits: the split is Cl(lo) alone
+    t = _kernels.get_tables(p, q)
+    rng = make_rng(116, stream=p * 10 + q)
+    a, b = rng.standard_normal((2, t.xor.shape[0]))
+    rows = rng.standard_normal((3, t.xor.shape[0]))
+    for table in TABLES:
+        plan = _kernels.split_plan(p, q, table)
+        for left in (a, rows):
+            want = _kernels.product(left, b, getattr(t, table), t.xor)
+            np.testing.assert_allclose(_kernels.split_product(left, b, plan), want, rtol=0,
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("p,q", [(4, 3), (0, 7), (4, 4), (0, 8)])
+def test_generator_times_blade_is_bit_identical_in_both_kernels(p, q):
+    # exact sign products: every output is a sign, 0.0 or -0.0, in both kernels
+    t = _kernels.get_tables(p, q)
+    blades = np.eye(t.xor.shape[0])
+    for table in TABLES:
+        plan = _kernels.split_plan(p, q, table)
+        for i in range(p + q):
+            for blade in blades:
+                split = _kernels.split_product(blades[1 << i], blade, plan)
+                flat = _kernels.product(blades[1 << i], blade, getattr(t, table), t.xor)
+                assert split.tobytes() == flat.tobytes(), (table, i)
+
+
+def test_multiply_takes_the_split_kernel_for_one_left_operand_from_d7(monkeypatch):
+    taken = []
+
+    def counted(name, real):
+        def kernel(*args):
+            taken.append(name)
+            return real(*args)
+        return kernel
+
+    for name in ("product", "split_product"):
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+    for p, q in [(3, 3), (4, 3), (4, 4)]:
+        sig = Signature(p, q)
+        a = Multivector.scalar(sig, 2.0)
+        geometric_product(a, a)
+        wedge(a, a)
+        _kernels.multiply(np.eye(sig.n_blades)[:2], a.coeffs, p, q, "sign")
+    assert taken == ["product"] * 3 + (["split_product"] * 2 + ["product"]) * 2
+
+
+@pytest.mark.parametrize("p,q", ALL_SIGS_UP_TO_8)
+def test_volume_products_equal_the_flat_kernel(p, q):
+    # nu <> a and *a read one cached sign vector; the values are the dense product's
+    sig = Signature(p, q)
+    t = sig.tables()
+    a = random_multivector(sig, make_rng(117, stream=p * 10 + q))
+    nu = Multivector.volume(sig).coeffs
+    assert np.array_equal(volume_product(a).coeffs, _kernels.product(nu, a.coeffs, t.sign, t.xor))
+    if sig.d % 2 == 0:
+        want = _kernels.product(tau(a).coeffs, nu, t.sign, t.xor)
+        assert np.array_equal(hodge_star(a).coeffs, want)
 
 
 # ---------------------------------------------------------------------------

@@ -412,21 +412,24 @@ def test_square_test_is_bit_identical_to_its_multivector_form(paired, pq, tag, k
 def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
     # the variety check is a rank-one fit on quantize(alpha): it makes no
     # product and no gather, and every gather goes through _kernels.product
+    # or, for one left operand at d >= 7, _kernels.split_product
     pr = paired[(4, 4)]
     alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(315))).alpha
     counts = {"gathers": 0, "products": 0}
-    real_gather = _kernels.product
     real_product = spinor_square.geometric_product
 
-    def gather(*args):
-        counts["gathers"] += 1
-        return real_gather(*args)
+    def counted(real):
+        def gather(*args):
+            counts["gathers"] += 1
+            return real(*args)
+        return gather
 
     def product(*args):
         counts["products"] += 1
         return real_product(*args)
 
-    monkeypatch.setattr(_kernels, "product", gather)
+    for kernel in ("product", "split_product"):
+        monkeypatch.setattr(_kernels, kernel, counted(getattr(_kernels, kernel)))
     monkeypatch.setattr(spinor_square, "geometric_product", product)
     assert verify_square_conditions(pr, "minus", alpha).is_square
     assert not verify_square_conditions(pr, "minus", alpha + Multivector.scalar(alpha.sig, 1e-3)).is_square
