@@ -11,26 +11,23 @@ This is the only module that reads signs off bitmasks; everything else
 here is sliced from the tables of `get_tables`. The square tables are
 indexed by (I, K) with K the output blade, so the factor paired with e_I
 is e_{I xor K}: out[K] = sum_I a[I] sign(I, I xor K) b[I xor K]. Two
-kernels compute that sum, and `multiply` picks one from what the call
-shows:
+kernels compute that sum, and `multiply` picks one by d alone
+(`kernel_name`); both multiply every row of a stacked left operand:
 
 * `product`, the flat kernel: one 2^d x 2^d gather of the right action
   R_b[I, K] = sign(I, I xor K) b[I xor K] and one matrix product, so
   a @ R_b multiplies every row of a stack a by b at once. It serves
-  d < SPLIT_MIN_DIM and stacked left operands.
-* `split_product`, the split kernel, for one left operand at
-  d >= SPLIT_MIN_DIM. With I = (I_hi, I_lo) split into its high h and low
-  L = ceil(d/2) bits, the algebra is the graded tensor product
-  Cl(lo) (x) Cl(hi):
+  d < SPLIT_MIN_DIM.
+* `split_product`, the split kernel, for d >= SPLIT_MIN_DIM: with I split
+  into its high h and low L = ceil(d/2) bits, the algebra is the graded
+  tensor product Cl(lo) (x) Cl(hi), and for either table
 
       e_I e_J = s_lo(I_lo, J_lo) s_hi(I_hi, J_hi) (-1)^(|I_hi| |J_lo|) e_{I xor J}
 
-  for either table. Since |J_lo| = |I_lo| + |K_lo| mod 2, the graded
-  sign splits into a twist of a's row I_hi and one of the output column
-  K_lo. The kernel makes one 2^L x 2^d signed gather of b, one
-  2^h x 2^L by 2^L x 2^d matrix product, one gather of 2^d rows of
-  length 2^L and one signed sum over I_hi: 8 192 gathered entries at
-  d = 8 against the flat kernel's 65 536.
+  Since |J_lo| = |I_lo| + |K_lo| mod 2, the graded sign splits into a
+  twist of a's row I_hi and one of the output column K_lo. It gathers
+  8 192 entries at d = 8 against the flat kernel's 65 536 (README, "The
+  product kernels", lists its steps).
 """
 
 from functools import lru_cache
@@ -38,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the smallest d at which the split kernel beats the flat one for a
-# single left operand (timings in README, "The product kernels")
+# the smallest d at which the split kernel beats the flat one, for a
+# single left operand and for stacks (timings in README, "The product kernels")
 SPLIT_MIN_DIM = 7
 
 
@@ -142,8 +139,7 @@ def split_plan(p, q, table):
 def split_product(a, b, plan):
     """The sum `product` computes, through the graded split of the blade basis.
 
-    a may carry leading batch axes, as for `product`; `multiply` sends
-    it only single left operands, where it is the faster kernel.
+    a may carry leading batch axes, as for `product`.
     """
     nh, nl = plan.twist.shape
     batch = a.shape[:-1]
@@ -157,14 +153,18 @@ def split_product(a, b, plan):
     return paired.sum(axis=-3).reshape(a.shape)
 
 
+def kernel_name(d):
+    """The kernel `multiply` takes at dimension d: "split" from SPLIT_MIN_DIM on, else "flat"."""
+    return "split" if d >= SPLIT_MIN_DIM else "flat"
+
+
 def multiply(a, b, p, q, table):
     """out[..., k] = sum_i a[..., i] table[i, k] b[i ^ k] at signature (p, q).
 
     table is "sign" for the geometric product, "wedge_sign" for the
-    wedge. One left operand at d >= SPLIT_MIN_DIM takes the split
-    kernel; smaller d and stacked left operands take the flat one.
+    wedge; a may carry leading batch axes. The kernel is kernel_name(p + q).
     """
-    if a.ndim == 1 and p + q >= SPLIT_MIN_DIM:
+    if kernel_name(p + q) == "split":
         return split_product(a, b, split_plan(p, q, table))
     t = get_tables(p, q)
     return product(a, b, getattr(t, table), t.xor)

@@ -189,7 +189,7 @@ def _cmd_verify_algebra(args):
     t = sig.tables()
     ones = 1 << np.arange(sig.d)
     one_forms = np.eye(sig.n_blades)[ones]
-    by_e = np.stack([_kernels.product(one_forms, e, t.sign, t.xor) for e in one_forms])
+    by_e = np.stack([_kernels.multiply(one_forms, e, sig.p, sig.q, "sign") for e in one_forms])
     anti = by_e + by_e.transpose(1, 0, 2)
     anti[range(sig.d), range(sig.d), 0] -= 2.0 * t.metric[ones]
     cliff = float(np.max(np.abs(anti)))
@@ -212,8 +212,8 @@ def _cmd_verify_algebra(args):
     verdict = "pass" if all(c["pass"] for c in checks.values()) else "fail"
     report = {
         "command": "verify-algebra",
-        # the kernel a single geometric product or wedge takes at this signature
-        "product_kernel": "split" if sig.d >= _kernels.SPLIT_MIN_DIM else "flat",
+        # the kernel every geometric product and wedge takes at this signature
+        "product_kernel": _kernels.kernel_name(sig.d),
         "signature": [sig.p, sig.q],
         "tol": tol,
         "checks": checks,

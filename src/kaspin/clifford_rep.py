@@ -143,13 +143,11 @@ class PairedRep:
 
     def _pairing(self, tag: str) -> tuple:
         """(B, sigma, s) of the pairing named by tag."""
-        pairings = {
-            "plus": (self.Bplus, self.sigma_plus, 1),
-            "minus": (self.Bminus, self.sigma_minus, -1),
-        }
-        if tag not in pairings:
-            raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
-        return pairings[tag]
+        if tag == "plus":
+            return self.Bplus, self.sigma_plus, 1
+        if tag == "minus":
+            return self.Bminus, self.sigma_minus, -1
+        raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
 
     def B(self, tag: str) -> np.ndarray:
         return self._pairing(tag)[0]

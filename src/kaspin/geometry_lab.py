@@ -8,9 +8,9 @@ it this module computes Christoffel symbols, curvature, covariant
 derivatives of one-form fields and a chart-level Hodge dual, and scores
 three first-order systems:
 
-* parabolic Killing pairs: a nowhere-zero null one-form u and a unit
-  spacelike l orthogonal to it, with nabla u = lam*(u (x) l - l (x) u)
-  and nabla l = kappa (x) u + lam*(l (x) l - g) for some one-form kappa;
+* parabolic Killing pairs (u, l), as the paper poses them: alpha = u + u ^ l
+  in an orthonormal coframe must be a spinor square and solve nabla_X alpha
+  = (lam/2)(X <> alpha - alpha <> X) in the Kaehler-Atiyah algebra;
 * their reduction to a surface triple (F, K, q2) for charts
   F dv^2 + 2 K dv du + q2, with the Einstein reduction of that family;
 * the heterotic supersymmetry relations tying a dilaton one-form, a
@@ -24,14 +24,11 @@ Multivector.coeffs (bit i is dx^i), wedged through the metric-free
 constant curvature half-space model, its two deformation families over
 the hyperbolic half-plane and a plane-fronted heterotic background.
 
-Points are stacks: charts, fields and residuals take x of shape
-(..., d), the leading axes indexing sample points; one point is the
-stack shape ().  _pointwise lifts a one-point callable (user callbacks
-of walker-generic and MetricChart.from_callable, which thus see one
-point).  A campaign block reads each field once: g^-1 and q^-1 are
-inverted once, and a surface preset's F, K and q2 are evaluated once,
-to the highest order the check needs, for its chart, profile and pair
-layers (_chart_jet).
+Points are stacks: charts, fields and residuals take x of shape (..., d),
+the leading axes indexing sample points; one point is the stack shape ().
+_pointwise lifts a one-point callable (the user callbacks).  A campaign
+block reads each field once, to the highest order its check needs
+(_chart_jet), and inverts g and q2 once.
 """
 
 from __future__ import annotations
@@ -44,6 +41,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
+from .clifford_rep import build_pairings, build_rep
+from .ka_core import Signature
+from .spinor_square import square_test
 
 _FD_SCALE = 1e-5
 POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
@@ -370,9 +370,8 @@ def hodge_star_chart(chart, x, omega):
 class KillingData:
     """Candidate pair of one-form fields with rate lam.
 
-    u must be nowhere-zero null, l unit spacelike and orthogonal to u.
-    The system fixes l only up to l + f*u: both equations and the
-    invariants are unchanged by that shift.
+    u must be nowhere-zero null, l unit spacelike and orthogonal to u; l is
+    fixed only up to l + f*u, which leaves u + u ^ l unchanged.
     """
 
     u: OneFormField
@@ -382,52 +381,85 @@ class KillingData:
 
 @dataclass(frozen=True, eq=False)
 class KillingResiduals:
-    """Residuals per point; parabolic scores the pair invariants."""
+    """Residuals per point: square tests alpha = u + u ^ l, ka its Kaehler-Atiyah equation."""
 
-    r_u: float | np.ndarray
-    r_l: float | np.ndarray
-    parabolic: float | np.ndarray
-
-
-def _parabolic_violation(ginv, u, l):
-    scale = _pow(np.maximum(np.maximum(1.0, _max_abs(u, 1)), _max_abs(l, 1)), 2)
-    uu, ll, ul = _pair(u, ginv, u), _pair(l, ginv, l), _pair(u, ginv, l)
-    return np.maximum(np.maximum(np.abs(uu), np.abs(ll - 1.0)), np.abs(ul)) / scale
+    square: float | np.ndarray
+    ka: float | np.ndarray
 
 
-def _rows_along(defect, u):
-    """max_ijk |D_ij u_k - D_ik u_j| / max|u|: 0 exactly when every row D_i. is a multiple of u."""
-    rows = defect[..., :, :, None] * u[..., None, None, :]
-    return _max_abs(rows - _t(rows, 0, 2, 1), 3) / _max_abs(u, 1)
+_LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
+_TIME_LAST = np.array([1, 2, 3, 0])  # eigh's ascending order, its one negative eigenvalue last
+_LO, _HI = np.triu_indices(4, 1)
+# [u, m flattened] @ _POLYFORM = u + sum_ab m_ab e^a ^ e^b, each entry one exact sum of two terms
+_POLYFORM = np.zeros((20, 16))
+_POLYFORM[range(4), _COFRAME] = 1.0
+_POLYFORM[4 + 4 * _LO + _HI, (1 << _LO) | (1 << _HI)] = 1.0
+_POLYFORM[4 + 4 * _HI + _LO, (1 << _LO) | (1 << _HI)] = -1.0
 
 
-def killing_pair_residual(chart, kd, x, invariant_tol=1e-6):
-    """Residuals of the pair system at x.
+def _coframe(g):
+    """(E, E^-1) with g = E^T diag(1, 1, 1, -1) E: eigh(g), its one negative eigenvalue last."""
+    w, v = np.linalg.eigh(g)
+    if (w[..., 0] >= 0.0).any() or (w[..., 1] <= 0.0).any():
+        raise ValueError("eigh(g) finds no Lorentzian coframe at the sample point")
+    root, v = np.sqrt(np.abs(w[..., _TIME_LAST])), v[..., _TIME_LAST]
+    return _t(v, 1, 0) * root[..., :, None], v / root[..., None, :]
 
-    r_u scores nabla u = lam*(u (x) l - l (x) u).  r_l scores nabla l =
-    kappa (x) u + lam*(l (x) l - g) for some one-form kappa: every row of
-    the defect nabla l - lam*(l (x) l - g) must be a multiple of u, so no
-    kappa is fitted or given.  Pair invariants beyond invariant_tol raise;
-    pass inf to score degenerate candidates anyway.
+
+def _polyform(one, two):
+    """one + sum_ab two_ab e^a ^ e^b in Signature(3, 1): a ^ b is the antisymmetric _outer(a, b)."""
+    return np.concatenate((one, two.reshape(two.shape[:-2] + (16,))), axis=-1) @ _POLYFORM
+
+
+@functools.cache
+def _commutator_rows():
+    """(C, rows) with X <> a - a <> X = X @ (C * a[..., rows]) for one-forms X.
+
+    a <> X is tau(X <> tau(a)), so both products gather the coframe rows.
+    """
+    t = _LORENTZ.tables()
+    rows = t.xor[_COFRAME]
+    return t.sign[_COFRAME] * (1.0 - t.tau * t.tau[rows]), rows
+
+
+def _ka_defect(jet, ginv, u_jet, l_jet, lam):
+    """(alpha, D, E, size): a = u + u ^ l and its KA defect in the orthonormal coframe E, over size.
+
+    size = max|a| (1 where a = 0), alpha = a / size and D[..., i, :] =
+    (nabla_i a - (lam/2)(X_i <> a - a <> X_i)) / size, X_i dual to d/dx^i.
+    """
+    frame, inverse = _coframe(jet[0])
+    gamma = _christoffel(jet, ginv)
+    u, l = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (u_jet[0], l_jet[0]))
+    du, dl = (_nabla(gamma, omega) @ inverse for omega in (u_jet, l_jet))
+    x = jet[0] @ inverse  # row i is X_i
+    alpha = _polyform(u, _outer(u, l))
+    size = _max_abs(alpha, 1)
+    size = np.where(size == 0.0, 1.0, size)
+    d_alpha = _polyform(du, _outer(du, l[..., None, :]) + _outer(u[..., None, :], dl))
+    table, rows = _commutator_rows()
+    alpha = alpha / size[..., None]
+    defect = d_alpha / size[..., None, None] - (0.5 * lam) * x @ (table * alpha[..., rows])
+    return alpha, defect, frame, size
+
+
+def killing_pair_residual(chart, kd, x):
+    """Residuals of the pair system at x, on alpha = u + u ^ l in an orthonormal coframe.
+
+    square is the minus-pairing square test's worst residual (1 where alpha
+    = 0), ka the defect of nabla_X alpha = (lam/2)(X <> alpha - alpha <> X)
+    over max|alpha| (README, "How campaigns are scored").
     """
     x = np.asarray(x, dtype=float)
-    jet, ginv = _chart_jet(chart, x, 1)
-    return _pair_residuals(jet, ginv, kd.u.jet(x), kd.l.jet(x), kd.lam, invariant_tol)
+    return _pair_residuals(*_chart_jet(chart, x, 1), kd.u.jet(x), kd.l.jet(x), kd.lam)
 
 
-def _pair_residuals(jet, ginv, u_jet, l_jet, lam, invariant_tol):
+def _pair_residuals(jet, ginv, u_jet, l_jet, lam):
     """killing_pair_residual from the chart jet, g^-1 and the u and l jets."""
-    g, u, l = jet[0], u_jet[0], l_jet[0]
-    if np.any(_max_abs(u, 1) <= 1e-12):
-        raise ValueError("u vanishes at the sample point")
-    violation = _parabolic_violation(ginv, u, l)
-    if np.any(violation > invariant_tol):
-        first = np.extract(violation > invariant_tol, violation)[0]
-        raise ValueError(f"pair invariants violated by {first:.3e}")
-    gamma = _christoffel(jet, ginv)
-    r_u = _max_abs(_nabla(gamma, u_jet) - lam * (_outer(u, l) - _outer(l, u)), 2)
-    r_l = _rows_along(_nabla(gamma, l_jet) - lam * (_outer(l, l) - g), u)
-    return KillingResiduals(r_u=r_u, r_l=r_l, parabolic=violation)
+    alpha, defect, _, _ = _ka_defect(jet, ginv, u_jet, l_jet, lam)
+    fit, _, r_sym = square_test(build_pairings(build_rep(_LORENTZ)), "minus", alpha.reshape(-1, 16))
+    square = np.where(fit.scale == 0.0, 1.0, np.maximum(r_sym, fit.residual))
+    return KillingResiduals(square=square.reshape(alpha.shape[:-1]), ka=_max_abs(defect, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +469,12 @@ def _pair_residuals(jet, ginv, u_jet, l_jet, lam, invariant_tol):
 
 @dataclass(frozen=True, eq=False)
 class WalkerData:
-    """Surface data for the chart F dv^2 + 2 K dv du + q2.
-
-    F and K are profiles of the surface point, q2 the surface metric and
-    s_frak an optional root of the gauge square, which walker_residuals
-    scores as s_v; walker_chart and walker_killing_data build from it.
-    """
+    """Surface data for the chart F dv^2 + 2 K dv du + q2: profiles F, K and the metric q2."""
 
     F: ScalarField
     K: ScalarField
     q2: MetricChart
     lam: float
-    s_frak: ScalarField | None = None
 
     def __post_init__(self):
         if self.lam == 0.0:
@@ -457,12 +483,10 @@ class WalkerData:
 
 @dataclass(frozen=True, eq=False)
 class WalkerResiduals:
-    """Residuals and the imaginary-gauge flag, one value per point."""
+    """Residuals of the second-order K equations, one value per point."""
 
     hessian: float | np.ndarray
     laplacian: float | np.ndarray
-    s_v: float | np.ndarray
-    gauge_imaginary: bool | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,8 +520,7 @@ def _walker_jets(wd, x, order, k_order):
 
 
 def _surface(x):
-    """The surface coordinates (x, y) of chart points (v, u, x, y)."""
-    return np.asarray(x, dtype=float)[..., 2:]
+    return np.asarray(x, dtype=float)[..., 2:]  # (x, y) of chart points (v, u, x, y)
 
 
 def _nonzero(k):
@@ -506,36 +529,18 @@ def _nonzero(k):
     return k
 
 
-def _surface_data(wd, f, k, q, qinv):
-    """Gamma(q), the pairing q^-1(dK, dF) and the gauge square F - q^-1(dK, dF)/(4 lam^2 K)."""
-    pair_kf = _pair(k[1], qinv, f[1])
-    square = f[0] - pair_kf / (4.0 * wd.lam**2 * k[0])
-    return _christoffel(q, qinv), pair_kf, square
-
-
 def walker_residuals(wd, s):
-    """Profile equations of the pair system at a surface point.
-
-    hessian and laplacian score the second-order K equations.  The gauge
-    square fixes s_frak up to sign; without s_frak a negative square is
-    flagged rather than failed and the first-order residuals are skipped.
-    With s_frak only the v-direction equation is nontrivial in this
-    gauge, so s_v is the one first-order residual.
-    """
+    """The second-order K equations of the pair system at a surface point; F is free."""
     s = np.asarray(s, dtype=float)
     lam = wd.lam
-    # K first, checked nowhere zero, then q2 in its domain, then F
-    k, (q, qinv), f = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1), wd.F.jet(s, 1)
-    gamma, pair_kf, square = _surface_data(wd, f, k, q, qinv)
+    # K first, checked nowhere zero, then q2 in its domain
+    k, (q, qinv) = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1)
     K, d_k = k[0], k[1]
-    hess_k = _nabla(gamma, k[1:])
+    hess_k = _nabla(_christoffel(q, qinv), k[1:])
     k2 = K[..., None, None]
     hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q[0], 2)
     lap_res = np.abs(np.trace(qinv @ hess_k, axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
-    if wd.s_frak is None:
-        return WalkerResiduals(hess_res, lap_res, np.zeros_like(K), square < 0.0)
-    s_v = np.abs(pair_kf / (4.0 * lam * K) - lam * (f[0] - _pow(wd.s_frak.value(s), 2)))
-    return WalkerResiduals(hess_res, lap_res, s_v, np.zeros(K.shape, dtype=bool))
+    return WalkerResiduals(hess_res, lap_res)
 
 
 def einstein_residual(wd, s):
@@ -546,8 +551,8 @@ def einstein_residual(wd, s):
 
 def _einstein(wd, f, k, q, qinv):
     """einstein_residual from the F, K and q2 jets (to orders 2, 1 and 2) and q^-1."""
-    gamma, pair_kf, _ = _surface_data(wd, f, k, q, qinv)
-    trace = np.trace(qinv @ _nabla(gamma, f[1:]), axis1=-2, axis2=-1)
+    pair_kf = _pair(k[1], qinv, f[1])
+    trace = np.trace(qinv @ _nabla(_christoffel(q, qinv), f[1:]), axis1=-2, axis2=-1)
     f_res = np.abs(trace - pair_kf / k[0] - 2.0 * wd.lam**2 * f[0])
     ric_res = _max_abs(_ricci(q, qinv) + wd.lam**2 * q[0], 2)
     return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
@@ -568,20 +573,13 @@ def _surface_pair(lam, x, k):
 
 
 def walker_killing_data(wd):
-    """The pair (u, l) of the surface data (_surface_pair) on the assembled chart.
-
-    It reads only the 2-jet of K.  l's dv-component is gauge: u is K dv,
-    and l + f*u solves the same system for any f, so it is left 0.
-    """
+    """The pair (u, l) of _surface_pair, from K's 2-jet alone, on the assembled chart."""
 
     def pair(x):
         return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))
 
-    return KillingData(
-        u=OneFormField(lambda x: pair(x)[0][0], jac=lambda x: pair(x)[0][1]),
-        l=OneFormField(lambda x: pair(x)[1][0], jac=lambda x: pair(x)[1][1]),
-        lam=wd.lam,
-    )
+    return KillingData(OneFormField(lambda x: pair(x)[0][0], jac=lambda x: pair(x)[0][1]),
+                       OneFormField(lambda x: pair(x)[1][0], jac=lambda x: pair(x)[1][1]), wd.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +602,12 @@ class HeteroticConfig:
     H: Callable | None = None
     FA: Sequence[Callable] = ()
     signs: Sequence[float] = ()
+
+
+def _rows_along(defect, u):
+    """max_ijk |D_ij u_k - D_ik u_j| / max|u|: 0 exactly when every row D_i. is a multiple of u."""
+    rows = defect[..., :, :, None] * u[..., None, None, :]
+    return _max_abs(rows - _t(rows, 0, 2, 1), 3) / _max_abs(u, 1)
 
 
 def _gaugino_fit(hc, ginv, u, x):
@@ -647,7 +651,7 @@ def heterotic_susy_residuals(hc, kd, x):
 
     rho is the one-form dual of the flux.  The star identities, pairings,
     gaugino splitting, both derivative equations (grad_l up to some
-    kappa (x) u, as killing's r_l), coclosedness of rho and closedness of
+    kappa (x) u, by _rows_along), coclosedness of rho and closedness of
     the dilaton one-form are each scored in the max norm.
     """
     x = np.asarray(x, dtype=float)
@@ -798,8 +802,7 @@ def _preset_ads4(params):
     _check_keys("ads4", params, {"lam"})
     lam = _rate(params)
     profile = _inverse_square_profile(1.0 / lam**2)
-    wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam,
-                    s_frak=ScalarField(_zeros))
+    wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam)
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
         sample_box=_BOX_HALF, killing=walker_killing_data(wd), walker=wd,
@@ -827,17 +830,11 @@ def _preset_poly(params):
         ], axis=-1),
         hess=f_hess,
     )
-    box = _BOX_DEFORMED
-    # the gauge square is 1.5*a3*y*(a1 + a2*x); its root is attached only
-    # where it stays safely positive on the sample box (the pair needs none)
-    s_field = None
-    if a3 >= 0.0 and min(linear(box[2][0]), linear(box[2][1])) >= 0.05:
-        s_field = ScalarField(lambda s: np.sqrt(1.5 * a3 * s[..., 1] * linear(s[..., 0])))
     wd = WalkerData(F=profile_f, K=_inverse_square_profile(0.5), q2=_poincare_half_plane(lam),
-                    lam=lam, s_frak=s_field)
+                    lam=lam)
     return Preset(
         name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
-        chart=walker_chart(wd), lam=lam, sample_box=box,
+        chart=walker_chart(wd), lam=lam, sample_box=_BOX_DEFORMED,
         killing=walker_killing_data(wd), walker=wd,
     )
 
@@ -919,6 +916,7 @@ def _preset_bessel(params):
 
 
 def _preset_walker_generic(params):
+    # s_frak, a gauge root no check reads any more, is accepted and ignored for older callers
     _check_keys("walker-generic", params, {"lam", "F", "K", "q2", "s_frak"})
     lam = _rate(params)
     if not all(key in params for key in ("F", "K", "q2")):
@@ -938,11 +936,7 @@ def _preset_walker_generic(params):
         q2 = replace(q2, jet=_pointwise(q2.jet), in_domain=_pointwise(q2.in_domain))
     else:
         q2 = MetricChart.from_callable(q2)
-    s_frak = params.get("s_frak")
-    if s_frak is not None:
-        s_frak = as_field(s_frak)
-    wd = WalkerData(F=as_field(params["F"]), K=as_field(params["K"]), q2=q2, lam=lam,
-                    s_frak=s_frak)
+    wd = WalkerData(F=as_field(params["F"]), K=as_field(params["K"]), q2=q2, lam=lam)
     return Preset(
         name="walker-generic", params={"lam": lam}, chart=walker_chart(wd),
         lam=lam, sample_box=_BOX_HALF, walker=wd,
@@ -1037,6 +1031,10 @@ def preset(name, params=None):
 # ---------------------------------------------------------------------------
 
 _CHECKS = ("killing", "einstein", "walker", "heterotic", "bianchi")
+# check -> (the data it scores, the preset fields that carry them)
+_NEEDS = {"killing": ("pair", ("killing",)), "walker": ("surface", ("walker",)),
+          "heterotic": ("heterotic", ("heterotic", "killing")),
+          "bianchi": ("heterotic", ("heterotic",))}
 
 
 @functools.cache
@@ -1095,9 +1093,7 @@ def _halton(n, seed):
 
 
 def _perturbed(ps, amount):
-    # surface presets take the bump on the K profile (and hence the chart
-    # and the pair), anything else a uniform rescaling of the metric; a
-    # bump of F alone would move only the gauge of l
+    # a bump of F alone would move only the gauge of l, so surface presets bump K
     if ps.walker is not None:
         base = ps.walker.K
         wd = replace(ps.walker, K=replace(base, value=lambda s: base.value(s) + amount))
@@ -1115,32 +1111,28 @@ def _perturbed(ps, amount):
 def _score(ps, check, x):
     """Residual name -> one value per point of the stack x.
 
-    A surface preset's chart and pair are its surface data's, so its
-    killing and einstein blocks read F, K and q2 once and pass the jets
-    down.
+    On a surface preset the killing and einstein blocks read F, K and q2 once.
     """
     wd = ps.walker
     if check == "killing":
         if wd is None:
-            res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
+            res = killing_pair_residual(ps.chart, ps.killing, x)
         else:
             jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
-            res = _pair_residuals(jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam, np.inf)
-        return {"killing.r_u": res.r_u, "killing.r_l": res.r_l, "killing.parabolic": res.parabolic}
+            res = _pair_residuals(jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam)
+        return {"killing.square": res.square, "killing.ka": res.ka}
     if check == "einstein":
         jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
-        g = jet[0]
-        defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * g
-        out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(g, 2)}
+        defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * jet[0]
+        out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
         if wd is not None:
             f, k, q = surface
             res = _einstein(wd, f, _nonzero(k), q, np.linalg.inv(q[0]))
-            out["einstein.f_equation"] = res.f_equation
-            out["einstein.ricci_q"] = res.ricci_q
+            out.update({"einstein.f_equation": res.f_equation, "einstein.ricci_q": res.ricci_q})
         return out
     if check == "walker":
         res = walker_residuals(ps.walker, x[..., 2:])
-        return {f"walker.{name}": getattr(res, name) for name in ("hessian", "laplacian", "s_v")}
+        return {"walker.hessian": res.hessian, "walker.laplacian": res.laplacian}
     if check == "heterotic":
         res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
         out = {f"heterotic.{name}": value for name, value in res.items()}
@@ -1161,14 +1153,9 @@ def require_check(ps, check):
     """Raise ValueError unless check is known and ps carries the data it scores."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    if check == "killing" and ps.killing is None:
-        raise ValueError(f"preset {ps.name} carries no pair data")
-    if check == "walker" and ps.walker is None:
-        raise ValueError(f"preset {ps.name} carries no surface data")
-    if check == "heterotic" and (ps.heterotic is None or ps.killing is None):
-        raise ValueError(f"preset {ps.name} carries no heterotic data")
-    if check == "bianchi" and ps.heterotic is None:
-        raise ValueError(f"preset {ps.name} carries no heterotic data")
+    data, needs = _NEEDS.get(check, (None, ()))
+    if any(getattr(ps, field) is None for field in needs):
+        raise ValueError(f"preset {ps.name} carries no {data} data")
 
 
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):

@@ -5,9 +5,9 @@ E = kappa * xi (x) xi^*, where xi^* = B(-, xi) is the metric dual under
 an admissible pairing.  Dequantizing E gives the polyform square alpha.
 This module implements the squaring map, the exact characterization of
 its image (transpose symmetry, and quantize(alpha) of the rank-one form
-kappa * xi (x) xi^*, one fit that the inverse map shares), the inverse
-map recovering xi up to sign, chirality tests, and the transfer of
-linear spinor constraints to polyform equations.
+kappa * xi (x) xi^*: square_test, over a stack of polyforms, whose fit
+the inverse map shares), the inverse map recovering xi up to sign,
+chirality tests, and the transfer of linear spinor constraints.
 
 Every check reads its input at unit max-norm and compares the residual
 against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford_rep import PairedRep, Spinor, dequantize, quantize, s_transpose_signs
+from .clifford_rep import PairedRep, Spinor, dequantize, s_transpose_signs
 from .ka_core import Multivector, geometric_product, volume_product
 
 DEFAULT_TOL = 1e-9
@@ -64,58 +64,72 @@ def square(pr: PairedRep, pairing_tag: str, kappa: int, xi: Spinor) -> SquareRes
 
 
 # ---------------------------------------------------------------------------
-# the rank-one test
+# the square test, over a stack of polyforms
 # ---------------------------------------------------------------------------
 
 
-class _RankOneFit(NamedTuple):
-    scale: float  # max |E|; the fit is made on E / scale
+class _RankOneFit(NamedTuple):  # one entry per endomorphism E of a stack
+    scale: np.ndarray  # max |E|; the fit is made on E / scale
     eta: np.ndarray  # the largest-norm column of E / scale
-    c: float  # E / scale is fitted by c * eta (x) (eta @ B)
-    residual: float  # max |E / scale - c * eta (x) (eta @ B)|
+    c: np.ndarray  # E / scale is fitted by c * eta (x) (eta @ B)
+    residual: np.ndarray  # max |E / scale - c * eta (x) (eta @ B)|
+
+
+# a[k] . b[k] for each row k, by the BLAS dot np.vdot makes for a lone row (numpy < 2: matmul's)
+_dot = getattr(np, "vecdot", lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0])
 
 
 def _rank_one_fit(B, E) -> _RankOneFit:
-    """Fit E against the rank-one model kappa * xi (x) xi^* of a pairing B.
+    """Fit each flattened E of an (n, N * N) stack against the rank-one model kappa * xi (x) xi^*.
 
     E is such a square exactly when it is a multiple of eta (x) (eta @ B)
-    for its largest-norm column eta, so the residual of that one fit
-    decides membership. E is nonzero; its callers settle zero first.
+    for its largest-norm column eta. No E is zero; callers settle zero first.
     """
-    scale = float(abs(E).max())
+    n, N = len(E), len(B)
+    scale = abs(E).max(axis=1)
     # fit on unit max-norm so no product of entries over- or underflows
-    Ehat = E / scale
-    eta = Ehat[:, int(np.sqrt(np.add.reduce(Ehat * Ehat, 0)).argmax())]
-    model = eta[:, None] * (eta @ B)
-    c = float(np.vdot(model, Ehat) / np.vdot(model, model))
-    return _RankOneFit(scale, eta, c, float(abs(Ehat - c * model).max()))
+    Ehat = E / scale[:, None]
+    matrices = Ehat.reshape(n, N, N)
+    eta = matrices[np.arange(n), :, np.sqrt(np.add.reduce(matrices * matrices, 1)).argmax(axis=1)]
+    # B is a signed permutation, so each entry of eta @ B is one exact product
+    model = (eta[:, :, None] * (eta @ B)[:, None, :]).reshape(n, N * N)
+    c = _dot(model, Ehat) / _dot(model, model)
+    return _RankOneFit(scale, eta, c, abs(Ehat - c[:, None] * model).max(axis=1))
 
 
-def _square_test(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
-    """(fit, shift, r_sym): the two conditions of the square variety on alpha.
+def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
+    """(fit, shift, r_sym): both square conditions on each row of an (n, 2^d) coefficient stack.
 
-    fit is the rank-one fit of E = quantize(alpha * 2^-shift). Scaling by
-    an even power of two is exact, so E / max|E| keeps every bit while E
-    cannot overflow, and sqrt(max|E|) splits off 2^(shift/2) exactly.
-    r_sym is the s-transpose residual of alpha at unit max-norm; the
-    s-transpose is a sign per blade, read off the signature's cached
-    sign vector by s_transpose_signs.
+    fit is the rank-one fit of E = quantize(alpha * 2^-shift): an even power
+    of two keeps every bit while E cannot overflow, and sqrt(max|E|) splits
+    off 2^(shift/2) exactly. r_sym is the s-transpose residual at unit
+    max-norm. A zero row reads 0 throughout (the square of xi = 0), a
+    non-finite one nan (quantize would meet 0 * inf).
     """
-    norm = alpha.norm_inf()
-    if not 0.0 < norm < math.inf:
-        # zero is the square of xi = 0; a non-finite alpha is none (quantize would meet 0 * inf)
-        r = 0.0 if norm == 0.0 else math.nan
-        return _RankOneFit(r, np.full(pr.rep.N, r), r, r), 0, r
-    shift = 2 * (math.frexp(norm)[1] // 2)
-    scaled = np.ldexp(alpha.coeffs, -shift)
-    E = quantize(pr.rep, Multivector(alpha.sig, scaled))
-    fit = _rank_one_fit(pr.B(pairing_tag), E)
+    norm = size = abs(coeffs).max(axis=1)
+    if odd := not all(0.0 < v < math.inf for v in size.tolist()):
+        regular = np.isfinite(size) & (size > 0.0)
+        # the scalar 1 stands in for the other rows; their entries are overwritten below
+        coeffs = np.where(regular[:, None], coeffs, np.eye(1, coeffs.shape[1]))
+        norm = np.where(regular, size, 1.0)
+    # minus the even exponent at or below each norm's, as C ints (ldexp casts int64 ones slowly)
+    lower = -(np.frexp(norm)[1] & -2)
+    scaled = np.ldexp(coeffs, lower[:, None])
+    # quantize, one vector-matrix product per row, as for a lone row: no row depends on the others
+    fit = _rank_one_fit(pr.B(pairing_tag), (scaled[:, None, :] @ pr.rep.blade_table)[:, 0])
     # 1 / norm is inf below norm ~ 5.6e-309 and subnormal above ~ 4.5e307;
     # the scaled max-norm lies in [0.5, 2), where the reciprocal never is
-    ahat = scaled * (1.0 / math.ldexp(norm, -shift))
-    signs = s_transpose_signs(alpha.sig, pr.s(pairing_tag))
-    r_sym = float(abs(ahat * signs - pr.sigma(pairing_tag) * ahat).max())
-    return fit, shift, r_sym
+    recip = 1.0 / np.ldexp(norm, lower)
+    # ahat * sign - sigma * ahat (ahat = scaled * recip) is 0 or 2 ahat: exactly ahat * (sign -
+    # sigma), and as rounding is monotone its max is max|scaled * (sign - sigma)| * recip
+    weight = s_transpose_signs(pr.rep.sig, pr.s(pairing_tag)) - pr.sigma(pairing_tag)
+    r_sym = abs(scaled * weight).max(axis=1) * recip
+    if odd:
+        r = np.where(size[~regular] == 0.0, 0.0, math.nan)
+        for part in (fit.scale, fit.c, fit.residual, r_sym):
+            part[~regular] = r
+        fit.eta[~regular] = r[:, None]
+    return fit, -lower, r_sym
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +156,14 @@ def admissibility_report(B, sigma, E, tol=DEFAULT_TOL) -> AdmissibilityReport:
     E = np.asarray(E, dtype=np.float64)
     if not E.any():
         return AdmissibilityReport(0.0, 0.0, 0, True, tol)
-    fit = _rank_one_fit(B, E)
-    Ehat = E / fit.scale
+    fit = _rank_one_fit(B, E.reshape(1, -1))
+    Ehat = E / fit.scale[0]
     Et = np.linalg.solve(B, Ehat.T @ B)
     r_transpose = float(np.max(np.abs(Et - sigma * Ehat)))
     rank = int(np.linalg.matrix_rank(Ehat, tol=1e-9))
-    ok = fit.c != 0.0 and r_transpose <= tol and fit.residual <= tol
-    return AdmissibilityReport(r_transpose, fit.residual, rank, ok, tol)
+    residual = float(fit.residual[0])
+    ok = fit.c[0] != 0.0 and r_transpose <= tol and residual <= tol
+    return AdmissibilityReport(r_transpose, residual, rank, bool(ok), tol)
 
 
 def check_admissible(pr: PairedRep, s: int, E, tol=DEFAULT_TOL):
@@ -175,20 +190,19 @@ class SquareConditionsReport:
 def verify_square_conditions(
     pr: PairedRep, pairing_tag: str, alpha: Multivector, *, tol=DEFAULT_TOL, seed=None
 ) -> SquareConditionsReport:
-    """Check the two conditions characterizing polyform squares.
+    """Check the two conditions characterizing polyform squares: square_test on alpha alone.
 
-    (i) the s-transpose fixes alpha up to the symmetry sign sigma, on
-    alpha scaled to unit max-norm, and (ii) E = quantize(alpha) is the
-    rank-one endomorphism kappa * xi (x) xi^*, by the fit reconstruct
-    makes. alpha is a square when both residuals are at most tol, which
-    is when reconstruct accepts it at the same tol. The test is exact:
-    it needs no probes and no seed.
+    (i) the s-transpose fixes alpha up to the symmetry sign sigma, at unit
+    max-norm, and (ii) E = quantize(alpha) is the rank-one endomorphism
+    kappa * xi (x) xi^*. alpha is a square when both residuals are at most
+    tol, exactly when reconstruct accepts it at the same tol. No probes, no seed.
     """
     # seed is accepted and ignored: perfbench/wl_algebra.py still passes it
-    fit, _, r_sym = _square_test(pr, pairing_tag, alpha)
+    fit, _, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
+    scale, c, residual, r_sym = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
     # a zero fit coefficient is no spinor, whatever tol is; NaN (non-finite alpha) rejects too
-    ok = fit.scale == 0.0 or (fit.c != 0.0 and r_sym <= tol and fit.residual <= tol)
-    return SquareConditionsReport(ok, r_sym, fit.residual, tol)
+    ok = scale == 0.0 or (c != 0.0 and r_sym <= tol and residual <= tol)
+    return SquareConditionsReport(ok, r_sym, residual, tol)
 
 
 class ReconstructionError(ValueError):
@@ -206,25 +220,25 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector,
                 tol=DEFAULT_TOL) -> ReconstructionResult:
     """Recover the spinor (up to sign) whose square is alpha.
 
-    Quantizes alpha, picks the basis column with the largest image as a
-    direction, and fits the single remaining scale against the rank-one
-    model kappa * xi (x) xi^*.  alpha is accepted when it passes
-    verify_square_conditions at the same tol.  The sign pair {xi, -xi}
-    maps to the same alpha, so the returned representative is arbitrary.
+    The largest-norm column of quantize(alpha) is its direction, and the
+    rank-one fit of square_test its scale and kappa. alpha is accepted when
+    verify_square_conditions accepts it at the same tol; xi and -xi square
+    to the same alpha, so the returned representative is arbitrary.
     """
     rep = pr.rep
-    fit, shift, r_sym = _square_test(pr, pairing_tag, alpha)
-    if fit.scale == 0.0:
+    fit, shift, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
+    scale, c, residual, r_sym = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
+    if scale == 0.0:
         return ReconstructionResult(Spinor(rep, np.zeros(rep.N)), 0, 0.0)
-    if fit.c == 0.0:
+    if c == 0.0:
         raise ReconstructionError("polyform is not reconstructible: degenerate fit")
-    kappa = 1 if fit.c > 0 else -1
-    xi = np.sqrt(abs(fit.c)) * np.ldexp(np.sqrt(fit.scale), shift // 2) * fit.eta
+    kappa = 1 if c > 0 else -1
+    xi = np.sqrt(abs(c)) * np.ldexp(np.sqrt(scale), shift[0] // 2) * fit.eta[0]
     # a NaN residual must reject too, so test for acceptance
-    for name, r in (("rank-one fit", fit.residual), ("symmetry", r_sym)):
+    for name, r in (("rank-one fit", residual), ("symmetry", r_sym)):
         if not r <= tol:
             raise ReconstructionError(f"polyform is not reconstructible: {name} residual {r:.3e}")
-    return ReconstructionResult(Spinor(rep, xi), kappa, fit.residual)
+    return ReconstructionResult(Spinor(rep, xi), kappa, residual)
 
 
 # ---------------------------------------------------------------------------

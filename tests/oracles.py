@@ -20,7 +20,9 @@ contract through two dense products) that the package used before it
 read coefficient arrays through cached sign and index vectors. The form references hold the
 chart layer's former tensor calculus: forms as alternating covariant
 tensors without the 1/k! factor, the Hodge dual by the permutation
-symbol, and the heterotic and Bianchi residuals evaluated with them.
+symbol, the heterotic and Bianchi residuals evaluated with them, and
+the Killing pair system scored as tensors, before it was scored on the
+polyform u + u ^ l.
 The samplers at the end draw the tests' random spinors and pairs.
 """
 
@@ -234,7 +236,6 @@ def slow_point_residuals(ps, check, x):
     returning its records.
     """
     from kaspin.geometry_lab import (
-        _parabolic_violation,
         einstein_residual,
         heterotic_susy_residuals,
         killing_pair_residual,
@@ -249,13 +250,9 @@ def slow_point_residuals(ps, check, x):
         values[name] = float(value)
 
     if check == "killing":
-        res = killing_pair_residual(ps.chart, ps.killing, x, invariant_tol=np.inf)
-        record("killing.r_u", res.r_u)
-        record("killing.r_l", res.r_l)
-        ginv = np.linalg.inv(ps.chart.g(x))
-        u = np.asarray(ps.killing.u.value(x), dtype=float)
-        l = np.asarray(ps.killing.l.value(x), dtype=float)
-        record("killing.parabolic", _parabolic_violation(ginv, u, l))
+        res = killing_pair_residual(ps.chart, ps.killing, x)
+        record("killing.square", res.square)
+        record("killing.ka", res.ka)
     elif check == "einstein":
         g = ps.chart.g(x)
         defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
@@ -268,7 +265,6 @@ def slow_point_residuals(ps, check, x):
         res = walker_residuals(ps.walker, x[2:])
         record("walker.hessian", res.hessian)
         record("walker.laplacian", res.laplacian)
-        record("walker.s_v", res.s_v)
     elif check == "heterotic":
         res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
         for name, value in res.items():
@@ -810,6 +806,42 @@ def tensor_bianchi_residual(hc, x):
         two_form = tensor_from_stack(curvature(x), 2)
         source = source + sign * _wedge_two_forms(two_form, two_form)
     return _max_abs(d_h - source, 4)
+
+
+class TensorKillingResiduals(NamedTuple):
+    d_u: np.ndarray  # nabla_i u_j - lam (u_i l_j - l_i u_j), per point
+    r_u: np.ndarray  # max |d_u|
+    r_l: np.ndarray  # how far the rows of nabla l - lam (l (x) l - g) are from multiples of u
+    parabolic: np.ndarray  # the pair invariants, floored at max(1, |u|, |l|)^2
+
+
+def tensor_killing_residuals(chart, kd, x):
+    """The pair system scored as tensors, as killing_pair_residual did before it scored alpha.
+
+    r_u tests nabla u = lam (u (x) l - l (x) u) and r_l nabla l = kappa (x)
+    u + lam (l (x) l - g) for some kappa (each defect row wedged with u
+    vanishes). parabolic is max(|<u,u>|, |<l,l> - 1|, |<u,l>|) over
+    max(1, |u|, |l|)^2, the floored invariant rule that let a spacelike
+    u = 1e-4 dx^0 pass.
+    """
+    from kaspin.geometry_lab import covariant_derivative_oneform
+
+    x = np.asarray(x, dtype=float)
+    g = chart.g(x)
+    ginv = np.linalg.inv(g)
+    lam, u, l = kd.lam, kd.u.value(x), kd.l.value(x)
+    d_u = covariant_derivative_oneform(chart, kd.u, x) - lam * _wedge_oneforms(u, l)
+    defect = covariant_derivative_oneform(chart, kd.l, x) - lam * (l[..., :, None] * l[..., None, :] - g)
+    rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
+    r_l = np.max(np.abs(rows_wedge_u), axis=(-3, -2, -1)) / np.max(np.abs(u), axis=-1)
+
+    def pair(a, b):
+        return np.einsum("...i,...ij,...j->...", a, ginv, b)
+
+    size = np.maximum(1.0, np.maximum(np.max(np.abs(u), axis=-1), np.max(np.abs(l), axis=-1)))
+    invariants = np.maximum(np.maximum(np.abs(pair(u, u)), np.abs(pair(l, l) - 1.0)),
+                            np.abs(pair(u, l)))
+    return TensorKillingResiduals(d_u, np.max(np.abs(d_u), axis=(-2, -1)), r_l, invariants / size**2)
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ def test_acceptance_08_deformed_families_and_sensitivity():
             e = einstein_residual(wd, s)
             worst_einstein = max(worst_einstein, e.f_equation, e.ricci_q)
             w = walker_residuals(wd, s)
-            worst_walker = max(worst_walker, w.hessian, w.laplacian, w.s_v)
+            worst_walker = max(worst_walker, w.hessian, w.laplacian)
 
     for _ in range(3):
         params = {

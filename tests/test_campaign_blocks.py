@@ -51,7 +51,7 @@ POINTS = 20
 
 
 def ads4_callbacks(calls=None):
-    """Exact AdS4 at lam = 1 as one-point callbacks: F = K = 1/y^2, q2 = delta/y^2, s_frak = 0.
+    """Exact AdS4 at lam = 1 as one-point callbacks: F = K = 1/y^2, q2 = delta/y^2.
 
     When calls is a list, every callback appends (its name, the shape of its argument).
     """
@@ -71,7 +71,6 @@ def ads4_callbacks(calls=None):
         "F": logged("F", profile),
         "K": logged("K", profile),
         "q2": logged("q2", lambda s: np.eye(2) / s[1] ** 2),
-        "s_frak": logged("s_frak", lambda s: 0.0),
     }
 
 
@@ -168,7 +167,8 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
     # each distinct stencil point once per jet: 1 + 2d^2 = 9 points at order 2, 5 at order 1
     # the einstein block reads each field once, at order 2, for the chart and the profiles
     pytest.param("einstein", {"F": 9, "K": 9, "q2": 9}, id="einstein"),
-    pytest.param("walker", {"F": 5, "K": 9, "q2": 5}, id="walker"),
+    # the walker check reads K and q2 alone
+    pytest.param("walker", {"F": 0, "K": 9, "q2": 5}, id="walker"),
 ])
 def test_walker_generic_callbacks_see_one_point(check, per_point):
     calls = []
@@ -179,8 +179,18 @@ def test_walker_generic_callbacks_see_one_point(check, per_point):
         assert sum(name == field for name, _ in calls) == count * POINTS, field
 
 
+def test_walker_generic_accepts_and_ignores_a_gauge_root():
+    # no check reads s_frak any more; callers that still pass it get the same reports
+    calls = []
+    params = dict(ads4_callbacks(), s_frak=lambda s: calls.append(s) or 0.0)
+    with_root, without = preset("walker-generic", params), build("walker-generic")
+    for check in ("einstein", "walker"):
+        assert run_campaign(with_root, check, n_points=5) == run_campaign(without, check, n_points=5)
+    assert calls == []
+
+
 def counted_surface_preset(ps, counts):
-    """ps with its F, K, q2 and s_frak wrapped to count their value reads in counts."""
+    """ps with its F, K and q2 wrapped to count their value reads in counts."""
     def counted(name, fn):
         def wrapped(*args):
             counts[name] += 1
@@ -189,7 +199,7 @@ def counted_surface_preset(ps, counts):
 
     wd = ps.walker
     fields = {name: dataclasses.replace(field, value=counted(name, field.value))
-              for name, field in (("F", wd.F), ("K", wd.K), ("s_frak", wd.s_frak)) if field}
+              for name, field in (("F", wd.F), ("K", wd.K))}
     wd = dataclasses.replace(wd, q2=dataclasses.replace(wd.q2, jet=counted("q2", wd.q2.jet)),
                              **fields)
     pair = geometry_lab.walker_killing_data(wd) if ps.killing else None
@@ -204,15 +214,15 @@ def counted_surface_preset(ps, counts):
 def test_a_block_reads_each_closed_form_field_once(monkeypatch, name, check, block):
     # the chart, profile and pair layers share one read of every field
     ps = preset(name)
-    counts = dict.fromkeys(("F", "K", "q2", "s_frak"), 0)
+    counts = dict.fromkeys(("F", "K", "q2"), 0)
     counted = counted_surface_preset(ps, counts)
     monkeypatch.setattr(geometry_lab, "POINT_BLOCK", block)
     for perturb in PERTURBS:
         report = run_campaign(counted, check, n_points=POINTS, seed=3, perturb=perturb)
         assert report == run_campaign(ps, check, n_points=POINTS, seed=3, perturb=perturb)
     blocks = len(PERTURBS) * -(-POINTS // block)
-    # the pair reads K alone; only the walker check reads s_frak
-    read = {"F", "K", "q2"} | ({"s_frak"} if check == "walker" and ps.walker.s_frak else set())
+    # the walker check reads no F; every other check reads each field once per block
+    read = {"K", "q2"} if check == "walker" else {"F", "K", "q2"}
     assert counts == {field: blocks if field in read else 0 for field in counts}, counts
 
 
@@ -224,7 +234,7 @@ def direct_layer_digest():
     pts = geometry_lab._halton(5, 2) * 2.0 + np.array([-1.0, -1.0, -1.0, 0.5])
     values = [
         ricci(ads.chart, pts), christoffel(ads.chart, pts),
-        *_as_arrays(killing_pair_residual(ads.chart, ads.killing, pts, np.inf)),
+        *_as_arrays(killing_pair_residual(ads.chart, ads.killing, pts)),
         *_as_arrays(walker_residuals(ads.walker, pts[..., 2:])),
         *_as_arrays(einstein_residual(ads.walker, pts[..., 2:])),
         json.dumps(run_campaign(ads, "killing", n_points=5, seed=1)).encode(),
@@ -274,9 +284,9 @@ def test_a_heterotic_block_reads_one_chart_jet():
 
 def test_overflow_raises_and_the_error_state_is_restored():
     before = np.geterr()
-    # u ~ 1/(lam y)^2 ~ 1e300, so the invariants' scale u^2 overflows
+    # K ~ 1/(lam y)^2 ~ 1e300, so the walker check's dK (x) dK overflows
     with pytest.raises(FloatingPointError, match="overflow"):
-        run_campaign(preset("ads4", {"lam": 1e-150}), "killing", n_points=3)
+        run_campaign(preset("ads4", {"lam": 1e-150}), "walker", n_points=3)
     assert np.geterr() == before
 
 
@@ -309,7 +319,7 @@ def layer_calls(ps):
     }
     if ps.killing is not None:
         calls["nabla_l"] = lambda x: covariant_derivative_oneform(chart, ps.killing.l, x)
-        calls["killing"] = lambda x: killing_pair_residual(chart, ps.killing, x, np.inf)
+        calls["killing"] = lambda x: killing_pair_residual(chart, ps.killing, x)
     if ps.walker is not None:
         calls["walker"] = lambda x: walker_residuals(ps.walker, x[..., 2:])
         calls["einstein"] = lambda x: einstein_residual(ps.walker, x[..., 2:])
@@ -341,7 +351,7 @@ def test_stacked_layer_calls_equal_row_by_row_calls(name, perturb, seed, n):
 
 @pytest.mark.parametrize("layer, message", [
     ("christoffel", "outside the chart domain"),
-    ("killing", "u vanishes"),
+    ("killing", "no Lorentzian coframe"),
     ("walker", "nowhere zero"),
 ])
 def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
@@ -351,9 +361,13 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
         pts[1, 3] = -1.0
         call = lambda: christoffel(ads.chart, pts)  # noqa: E731
     elif layer == "killing":
-        kd = dataclasses.replace(ads.killing, u=geometry_lab.OneFormField(
-            lambda x: ads.killing.u.value(x) * (x[..., 3:] != 1.5)))
-        call = lambda: killing_pair_residual(ads.chart, kd, pts, np.inf)  # noqa: E731
+        # the metric flips its sign at y = 1.5: no orthonormal (3, 1) coframe exists there
+        def jet(x, order):
+            g, *rest = ads.chart.jet(x, order)
+            return (g * np.where(x[..., 3] == 1.5, -1.0, 1.0)[..., None, None], *rest)
+
+        chart = dataclasses.replace(ads.chart, jet=jet)
+        call = lambda: killing_pair_residual(chart, ads.killing, pts)  # noqa: E731
     else:
         wd = dataclasses.replace(ads.walker, K=geometry_lab.ScalarField(lambda s: s[..., 1] - 1.5))
         call = lambda: walker_residuals(wd, pts[..., 2:])  # noqa: E731

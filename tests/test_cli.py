@@ -615,8 +615,10 @@ def test_unwritable_out_path_exits_two_with_empty_stdout(capsys, tmp_path, argv)
 
 @pytest.mark.parametrize("argv", [
     ("--preset", "ads4-deformed-bessel", "--c", "1000"),
-    ("--preset", "ads4", "--lambda", "1e-150", "--check", "killing"),
-    ("--preset", "ads4", "--lambda", "1e150", "--check", "killing"),
+    # K ~ 1e300, so dK (x) dK overflows (killing and einstein give verdicts here)
+    ("--preset", "ads4", "--lambda", "1e-150", "--check", "walker"),
+    # e^(c x) ~ 1e260 in F, and the F equation meets inf - inf
+    ("--preset", "ads4-deformed-bessel", "--c", "400"),
 ])
 def test_check_metric_overflow_is_an_input_error(argv):
     # a fresh interpreter, so a warning or traceback would reach stderr as users see it
@@ -629,6 +631,25 @@ def test_check_metric_overflow_is_an_input_error(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, verdicts", [
+    # the tensor rule failed these exact pairs: r_u read 3.05e-5 and 64
+    (("--lambda", "1e-5", "--check", "killing"), ["pass"]),
+    (("--lambda", "1e-8", "--check", "killing"), ["pass"]),
+    # an absolute floor on u exited 2 here with "u vanishes at the sample point"
+    (("--lambda", "1e6", "--check", "killing"), ["pass"]),
+    (("--lambda", "1e150", "--check", "killing"), ["pass"]),
+    # the floored invariants overflowed here in float_power
+    (("--lambda", "1e-150", "--check", "einstein,killing"), ["pass", "pass"]),
+])
+def test_check_metric_killing_gives_verdicts_at_every_scale(capsys, argv, verdicts):
+    code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4", *argv)
+    assert code == 0, err
+    reports = json.loads(out, parse_constant=_no_constants)
+    reports = reports if isinstance(reports, list) else [reports]
+    assert [report["verdict"] for report in reports] == verdicts
+    assert set(reports[-1]["residuals"]) == {"killing.square", "killing.ka"}
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,21 @@ def test_cli_imports_the_chart_layer_only_for_check_metric():
 
 
 def test_importing_lowdim_builds_no_product_tables():
-    # nor does importing the chart layer, which reads the (4,0) table when it wedges
+    # nor does importing the chart layer, which reads the (4,0) table when it wedges,
+    # and builds the (3,1) representation and pairings on its first killing block
     cached = fresh_python(
         "import kaspin.lowdim, kaspin.geometry_lab\n"
-        "from kaspin import _kernels\n"
-        "print(_kernels.get_tables.cache_info().currsize)"
+        "from kaspin import _kernels, clifford_rep\n"
+        "sizes = lambda: [f.cache_info().currsize for f in (\n"
+        "    _kernels.get_tables, clifford_rep.build_rep, clifford_rep.build_pairings)]\n"
+        "after_import = sizes()\n"
+        "ps = kaspin.geometry_lab.preset('ads4')\n"
+        "kaspin.geometry_lab.run_campaign(ps, 'einstein', n_points=2)\n"
+        "after_einstein = sizes()[1:]\n"
+        "kaspin.geometry_lab.run_campaign(ps, 'killing', n_points=2)\n"
+        "print(after_import, after_einstein, sizes()[1:])"
     )
-    assert cached == "0"
+    assert cached == "[0, 0, 0] [0, 0] [1, 1]"
 
 
 def test_import_and_a_cold_square_build_no_split_plan():
