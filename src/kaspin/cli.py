@@ -16,7 +16,9 @@ only verify-algebra property failures exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -480,5 +482,27 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The process entry of `kaspin` and `python -m kaspin.cli`: main(), then exit.
+
+    Once stdout and stderr are flushed the verdict is delivered, so the
+    process leaves through os._exit and skips finalising numpy and every
+    module (about 28 ms of a cold run). A stdout that cannot take the report
+    (closed, or a broken pipe) makes the run exit 2, as an OSError in main does.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with no fd 1
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        if code != 2:  # else main has already reported the error
+            code = 2
+            with contextlib.suppress(OSError, ValueError):
+                print(f"error: {exc}", file=sys.stderr)
+    with contextlib.suppress(OSError, ValueError, AttributeError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,12 +29,11 @@ construction time; a failure is a construction bug, not user error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .ka_core import Multivector, Signature
+from .ka_core import Multivector, Signature, _Frozen, _set
 
 # (sigma_plus, sigma_minus) keyed by k = d/2 mod 4
 PAIRING_SYMMETRY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
@@ -52,27 +51,30 @@ def _extend(gammas, p):
     return plus + minus
 
 
-@dataclass(frozen=True, eq=False)
-class GammaRep:
-    """Irreducible real representation: gamma matrices plus blade cache."""
+class GammaRep(_Frozen):
+    """Irreducible real representation: gamma matrices plus blade cache.
 
-    sig: Signature
-    gammas: tuple = field(repr=False)
-    # float64 (n_blades, N^2) rows of the blade matrices Gamma_I, shared
-    # by quantize, dequantize and build_pairings; the entries are exact
-    blade_table: np.ndarray = field(init=False, repr=False, compare=False)
+    Equal and hashed by identity: build_pairings caches on the instance.
+    """
 
-    def __post_init__(self):
-        n = self.sig.n_blades
-        N = self.gammas[0].shape[0]
+    __slots__ = ("sig", "gammas", "blade_table")
+    _shown = ("sig",)
+
+    def __init__(self, sig: Signature, gammas: tuple):
+        n = sig.n_blades
+        N = gammas[0].shape[0]
         blades = np.empty((n, N, N))
         blades[0] = np.eye(N)
         for mask in range(1, n):
             low = mask & -mask
-            blades[mask] = self.gammas[low.bit_length() - 1] @ blades[mask ^ low]
+            blades[mask] = gammas[low.bit_length() - 1] @ blades[mask ^ low]
+        # float64 (n_blades, N^2) rows of the blade matrices Gamma_I, shared
+        # by quantize, dequantize and build_pairings; the entries are exact
         table = blades.reshape(n, N * N)
         table.setflags(write=False)
-        object.__setattr__(self, "blade_table", table)
+        _set(self, "sig", sig)
+        _set(self, "gammas", gammas)
+        _set(self, "blade_table", table)
 
     @property
     def N(self):
@@ -131,32 +133,46 @@ def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     return Multivector(rep.sig, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class PairedRep:
-    """Representation together with its two admissible pairings."""
+class PairedRep(_Frozen):
+    """Representation together with its two admissible pairings.
 
-    rep: GammaRep
-    Bplus: np.ndarray = field(repr=False)
-    Bminus: np.ndarray = field(repr=False)
-    sigma_plus: int
-    sigma_minus: int
+    Equal and hashed by identity, like its rep.
+    """
 
-    def _pairing(self, tag: str) -> tuple:
-        """(B, sigma, s) of the pairing named by tag."""
-        if tag == "plus":
-            return self.Bplus, self.sigma_plus, 1
-        if tag == "minus":
-            return self.Bminus, self.sigma_minus, -1
-        raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'")
+    __slots__ = ("rep", "Bplus", "Bminus", "sigma_plus", "sigma_minus", "_pairings")
+    _shown = ("rep", "sigma_plus", "sigma_minus")
+
+    def __init__(self, rep: GammaRep, Bplus: np.ndarray, Bminus: np.ndarray,
+                 sigma_plus: int, sigma_minus: int):
+        _set(self, "rep", rep)
+        _set(self, "Bplus", Bplus)
+        _set(self, "Bminus", Bminus)
+        _set(self, "sigma_plus", sigma_plus)
+        _set(self, "sigma_minus", sigma_minus)
+        pairings = {}
+        for tag, B, sigma, s in (("plus", Bplus, sigma_plus, 1),
+                                 ("minus", Bminus, sigma_minus, -1)):
+            # square_test's per-blade weight of the s-transpose residual, made once here
+            weight = s_transpose_signs(rep.sig, s) - sigma
+            weight.setflags(write=False)
+            pairings[tag] = (B, sigma, s, weight)
+        _set(self, "_pairings", pairings)
+
+    def pairing(self, tag: str) -> tuple:
+        """(B, sigma, s, weight) of the pairing named by tag, weight = s-transpose signs - sigma."""
+        try:
+            return self._pairings[tag]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'") from None
 
     def B(self, tag: str) -> np.ndarray:
-        return self._pairing(tag)[0]
+        return self.pairing(tag)[0]
 
     def sigma(self, tag: str) -> int:
-        return self._pairing(tag)[1]
+        return self.pairing(tag)[1]
 
     def s(self, tag: str) -> int:
-        return self._pairing(tag)[2]
+        return self.pairing(tag)[2]
 
     def to_json(self) -> str:
         payload = json.loads(self.rep.to_json())
@@ -240,18 +256,17 @@ def s_transpose(pr: PairedRep, s: int, a: Multivector) -> Multivector:
     return Multivector(a.sig, a.coeffs * s_transpose_signs(a.sig, s))
 
 
-@dataclass(frozen=True, eq=False)
-class Spinor:
-    """Element of the module a representation acts on."""
+class Spinor(_Frozen):
+    """Element of the module a representation acts on; equal by identity."""
 
-    rep: GammaRep
-    components: np.ndarray
+    __slots__ = ("rep", "components")
+    _shown = ("rep", "components")
 
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=np.float64).copy()
-        if comps.shape != (self.rep.N,):
-            raise ValueError(
-                f"spinor must have {self.rep.N} components, got shape {comps.shape}"
-            )
+    def __init__(self, rep: GammaRep, components):
+        # a private read-only copy
+        comps = np.array(components, dtype=np.float64)
+        if comps.shape != (rep.N,):
+            raise ValueError(f"spinor must have {rep.N} components, got shape {comps.shape}")
         comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
+        _set(self, "rep", rep)
+        _set(self, "components", comps)

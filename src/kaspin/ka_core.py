@@ -17,7 +17,7 @@ immutable after construction and every operation is a pure function.
 """
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,21 +25,57 @@ from . import _kernels
 
 MAX_DIM = 8
 
+# sets a slot of a _Frozen value, once, from its __init__
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class Signature:
-    """Counts of +1 and -1 directions of the quadratic space."""
 
+class _Frozen:
+    """Base of the immutable value classes: plain __slots__ classes, set once in __init__.
+
+    A dataclass would generate the same methods with exec in every process
+    that imports it, about 1 ms each; these are written once here.
+    """
+
+    __slots__ = ()
+    _shown = ()  # the slots repr shows
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class _SignatureFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+
+class Signature(_SignatureFields):
+    """Counts of +1 and -1 directions of the quadratic space.
+
+    A (p, q) tuple, so signatures compare, order and hash by value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
-        if self.d < 1:
+        if p + q < 1:
             raise ValueError("dimension must be at least 1")
-        if self.d > MAX_DIM:
+        if p + q > MAX_DIM:
             raise ValueError(f"dense storage is capped at d <= {MAX_DIM}")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would bypass __new__'s checks
+        return cls(*iterable)
 
     @property
     def d(self):
@@ -74,22 +110,20 @@ def _key_mask(key, d):
     raise ValueError(f"bad basis key {key!r} for d={d}")
 
 
-@dataclass(frozen=True)
-class Multivector:
+class Multivector(_Frozen):
     """Dense element of the exterior algebra over a fixed signature."""
 
-    sig: Signature
-    coeffs: np.ndarray = field(repr=False)
+    __slots__ = ("sig", "coeffs")
+    _shown = ("sig",)
 
-    def __post_init__(self):
+    def __init__(self, sig, coeffs):
         # a private read-only copy: np.array copies by default
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.shape != (self.sig.n_blades,):
-            raise ValueError(
-                f"expected {self.sig.n_blades} coefficients, got shape {arr.shape}"
-            )
+        arr = np.array(coeffs, dtype=float)
+        if arr.shape != (sig.n_blades,):
+            raise ValueError(f"expected {sig.n_blades} coefficients, got shape {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        _set(self, "sig", sig)
+        _set(self, "coeffs", arr)
 
     # -- constructors -------------------------------------------------
 

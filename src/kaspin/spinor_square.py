@@ -16,12 +16,11 @@ against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .clifford_rep import PairedRep, Spinor, dequantize, s_transpose_signs
+from .clifford_rep import PairedRep, Spinor, dequantize
 from .ka_core import Multivector, geometric_product, volume_product
 
 DEFAULT_TOL = 1e-9
@@ -37,8 +36,7 @@ def allowed_grades(d: int, sigma: int, s: int) -> tuple:
     return tuple(kept)
 
 
-@dataclass(frozen=True, eq=False)
-class SquareResult:
+class SquareResult(NamedTuple):
     alpha: Multivector
     kappa: int
     pairing_tag: str
@@ -52,15 +50,9 @@ def square(pr: PairedRep, pairing_tag: str, kappa: int, xi: Spinor) -> SquareRes
         raise ValueError(f"kappa must be +1 or -1, got {kappa!r}")
     if xi.rep is not pr.rep and xi.rep.sig != pr.rep.sig:
         raise ValueError("spinor belongs to a different representation")
-    B = pr.B(pairing_tag)
+    B, sigma, s, _ = pr.pairing(pairing_tag)
     E = kappa * np.outer(xi.components, xi.components @ B)
-    return SquareResult(
-        alpha=dequantize(pr.rep, E),
-        kappa=kappa,
-        pairing_tag=pairing_tag,
-        s=pr.s(pairing_tag),
-        sigma=pr.sigma(pairing_tag),
-    )
+    return SquareResult(dequantize(pr.rep, E), kappa, pairing_tag, s, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +107,14 @@ def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
     # minus the even exponent at or below each norm's, as C ints (ldexp casts int64 ones slowly)
     lower = -(np.frexp(norm)[1] & -2)
     scaled = np.ldexp(coeffs, lower[:, None])
+    B, _, _, weight = pr.pairing(pairing_tag)
     # quantize, one vector-matrix product per row, as for a lone row: no row depends on the others
-    fit = _rank_one_fit(pr.B(pairing_tag), (scaled[:, None, :] @ pr.rep.blade_table)[:, 0])
+    fit = _rank_one_fit(B, (scaled[:, None, :] @ pr.rep.blade_table)[:, 0])
     # 1 / norm is inf below norm ~ 5.6e-309 and subnormal above ~ 4.5e307;
     # the scaled max-norm lies in [0.5, 2), where the reciprocal never is
     recip = 1.0 / np.ldexp(norm, lower)
     # ahat * sign - sigma * ahat (ahat = scaled * recip) is 0 or 2 ahat: exactly ahat * (sign -
-    # sigma), and as rounding is monotone its max is max|scaled * (sign - sigma)| * recip
-    weight = s_transpose_signs(pr.rep.sig, pr.s(pairing_tag)) - pr.sigma(pairing_tag)
+    # sigma), and as rounding is monotone its max is max|scaled * weight| * recip
     r_sym = abs(scaled * weight).max(axis=1) * recip
     if odd:
         r = np.where(size[~regular] == 0.0, 0.0, math.nan)
@@ -137,8 +129,7 @@ def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     residual_transpose: float
     residual_rank_one: float
     rank_witness: int
@@ -179,8 +170,7 @@ def check_admissible(pr: PairedRep, s: int, E, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SquareConditionsReport:
+class SquareConditionsReport(NamedTuple):
     is_square: bool
     residual_symmetry: float
     residual_rank_one: float
@@ -209,8 +199,7 @@ class ReconstructionError(ValueError):
     """Raised when a polyform is not the square of any spinor."""
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     spinor: Spinor
     kappa: int
     residual: float

@@ -1,7 +1,6 @@
 """Command line interface: reports, exit codes, determinism."""
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -15,6 +14,7 @@ import pytest
 
 import kaspin
 from kaspin import _kernels, cli
+from kaspin.clifford_rep import PairedRep
 
 from helpers import REP_SIGS
 
@@ -140,7 +140,7 @@ def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):
 
     def broken_pairings(rep):
         pr = real_build_pairings(rep)
-        return dataclasses.replace(pr, Bplus=np.triu(pr.Bplus))
+        return PairedRep(pr.rep, np.triu(pr.Bplus), pr.Bminus, pr.sigma_plus, pr.sigma_minus)
 
     monkeypatch.setattr(cli, "build_pairings", broken_pairings)
     code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--trials", "5")
@@ -329,7 +329,7 @@ def test_non_finite_report_is_never_printed(capsys, monkeypatch):
     real = cli.verify_square_conditions
 
     def nan_residual(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), residual_rank_one=float("nan"))
+        return real(*args, **kwargs)._replace(residual_rank_one=float("nan"))
 
     monkeypatch.setattr(cli, "verify_square_conditions", nan_residual)
     code, out, err = run_cli(capsys, "check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}')
@@ -684,3 +684,76 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(readme_block("Library example", "python"), namespace)
     assert namespace["rec"].kappa == 1
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m kaspin.cli` runs cli.run, which flushes and
+# leaves through os._exit, so nothing may depend on interpreter teardown
+# ---------------------------------------------------------------------------
+
+
+def run_process(*argv, **kwargs):
+    """A fresh `python -m kaspin.cli` process on this checkout; kwargs go to subprocess.run.
+
+    Its stdout is block-buffered, as a user's is, so a report still in the buffer at exit shows.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(kaspin.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "kaspin.cli", *argv], env=env, **kwargs)
+
+
+# 240 campaigns of one point: an 84 KB report, more than a pipe holds
+MANY_CHECKS = ",".join(["killing"] * 240)
+
+
+@pytest.mark.parametrize("argv, code, err_lines", [
+    # a negative verdict is a successful run
+    (("check-polyform", '{"p":3,"q":1,"coeffs":{"1":1.0,"2":1.0}}'), 0, 1),
+    (("square", "[1,0,0,0]"), 2, 1),
+    (("check-metric", "--preset", "ads4", "--check", "killing,einstein,walker", "--trials", "5"),
+     0, 3),
+    (("check-metric", "--preset", "minkowski", "--check", MANY_CHECKS, "--trials", "1"), 0, 240),
+], ids=["negative-verdict", "usage-error", "multi-check", "large-report"])
+def test_a_process_delivers_what_main_reports(capsys, tmp_path, argv, code, err_lines):
+    if argv[0] == "check-metric":
+        out_path = tmp_path / "report.json"
+        argv += ("--out", str(out_path))
+    proc = run_process(*argv, capture_output=True)
+    want_code, want_out, want_err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        want_code, want_out.encode(), want_err)
+    assert want_code == code
+    assert len(want_err.splitlines()) == err_lines and "Traceback" not in want_err
+    if code == 0:
+        json.loads(proc.stdout, parse_constant=_no_constants)
+    else:
+        assert proc.stdout == b"" and want_err.startswith("error: signature required")
+    if argv[0] == "check-metric":
+        assert out_path.read_bytes() == proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("square", "[1,0,0,0]", "--p", "3", "--q", "1"),
+    ("check-metric", "--preset", "minkowski", "--check", MANY_CHECKS, "--trials", "1"),
+], ids=["buffered-report", "report-larger-than-a-pipe"])
+def test_a_process_whose_reader_is_gone_exits_two_with_a_one_line_error(argv):
+    # the read end is closed before the child starts, so every write to stdout breaks the pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: [Errno 32] Broken pipe"]
+
+
+def test_a_process_started_without_stdout_still_exits_zero():
+    # Python sets sys.stdout to None when fd 1 is closed at start; print then writes nothing
+    proc = run_process("square", "[1,0,0,0]", "--p", "3", "--q", "1",
+                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0
+    assert proc.stderr.decode() == "square (3,1)/minus: grades [1, 2]\n"

@@ -111,3 +111,20 @@ def test_verify_algebra_and_square_draw_nothing_at_random():
         "print(codes, sorted(m for m in ('numpy.random', 'kaspin.rng') if m in sys.modules))"
     )
     assert loaded == "[0, 0] []"
+
+
+def test_cli_and_a_cold_square_generate_no_dataclass_code():
+    # a @dataclass execs its generated methods in every process, about 1 ms a class,
+    # and numpy never imports dataclasses: the value types every subcommand uses are
+    # __slots__ classes and NamedTuples
+    loaded = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import kaspin.cli\n"
+        "after_import = 'dataclasses' in sys.modules\n"
+        "spinor = json.dumps({'p': 3, 'q': 1, 'components': [0.5, -1.0, 2.0, 0.25]})\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = kaspin.cli.main(['square', spinor])\n"
+        "print(after_import, code, 'dataclasses' in sys.modules)"
+    )
+    assert loaded == "False 0 False"

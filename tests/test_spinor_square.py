@@ -22,6 +22,7 @@ from kaspin.ka_core import (
 from kaspin.spinor_square import (
     DEFAULT_TOL,
     ReconstructionError,
+    ReconstructionResult,
     allowed_grades,
     admissibility_report,
     check_admissible,
@@ -382,7 +383,7 @@ def _reconstruction(recon, pr, tag, alpha):
         result = recon(pr, tag, alpha)
     except ReconstructionError as exc:
         return str(exc)
-    if not isinstance(result, tuple):
+    if isinstance(result, ReconstructionResult):
         result = (result.spinor.components, result.kappa, result.residual)
     xi, kappa, residual = result
     return np.asarray(xi).tobytes(), kappa, residual
