@@ -13,9 +13,10 @@ three first-order systems:
   = (lam/2)(X <> alpha - alpha <> X) in the Kaehler-Atiyah algebra;
 * their reduction to a surface triple (F, K, q2) for charts
   F dv^2 + 2 K dv du + q2, with the Einstein reduction of that family;
-* the heterotic supersymmetry relations tying a dilaton one-form, a
-  three-form flux and gauge curvature two-forms to the pair (u, l),
-  and the flux Bianchi identity with its F wedge F source.
+* the heterotic system on the same alpha and frame: nabla_X alpha = -1/4
+  (i_X H <> alpha - alpha <> i_X H), (phi - H) <> alpha = 0 and F_a <> alpha
+  = 0 for a dilaton one-form phi, a flux three-form H and gauge curvatures
+  F_a, and the flux Bianchi identity with its F wedge F source.
 
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
@@ -312,13 +313,6 @@ def _wedge(a, b):
     return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign[rows], b[..., t.xor[rows]])
 
 
-def _one(omega):
-    """The coefficient stack of the one-form with components omega (..., 4)."""
-    out = _zeros(omega, 16)
-    out[..., _COFRAME] = omega
-    return out
-
-
 def _two_tensor(c):
     """The antisymmetric T[..., i, j] of the two-form stack c = sum_{i<j} T_ij dx^i ^ dx^j."""
     pairs = _COFRAME[:, None] | _COFRAME
@@ -411,36 +405,64 @@ def _polyform(one, two):
     return np.concatenate((one, two.reshape(two.shape[:-2] + (16,))), axis=-1) @ _POLYFORM
 
 
-@functools.cache
-def _commutator_rows():
-    """(C, rows) with X <> a - a <> X = X @ (C * a[..., rows]) for one-forms X.
+_TWO = (1 << _LO) | (1 << _HI)  # the masks of e^a ^ e^b, a < b, in _LO, _HI order
+_THREE = 15 ^ _COFRAME  # the masks of the duals of e^1, ..., e^4
 
-    a <> X is tau(X <> tau(a)), so both products gather the coframe rows.
+
+@functools.cache
+def _commutator_rows(grade):
+    """(C, rows) with A <> a - a <> A = A @ (C * a[..., rows]) for A of grade 1 or 2.
+
+    A holds the coefficients of the masks _COFRAME or _TWO.  Row J of C is
+    sign[J, K] - sign[J ^ K, K]: e_J <> e_(J ^ K) less e_(J ^ K) <> e_J.
     """
     t = _LORENTZ.tables()
-    rows = t.xor[_COFRAME]
-    return t.sign[_COFRAME] * (1.0 - t.tau * t.tau[rows]), rows
+    masks = _COFRAME if grade == 1 else _TWO
+    rows = t.xor[masks]
+    return t.sign[masks] - t.sign[rows, np.arange(16)], rows
 
 
-def _ka_defect(jet, ginv, u_jet, l_jet, lam):
-    """(alpha, D, E, size): a = u + u ^ l and its KA defect in the orthonormal coframe E, over size.
+def _product(a, b, masks):
+    """a <> b in Signature(3, 1), a given by its coefficients of the masks."""
+    t = _LORENTZ.tables()
+    return np.einsum("...i,ik,...ik->...k", a, t.sign[masks], b[..., t.xor[masks]])
 
-    size = max|a| (1 where a = 0), alpha = a / size and D[..., i, :] =
-    (nabla_i a - (lam/2)(X_i <> a - a <> X_i)) / size, X_i dual to d/dx^i.
+
+def _pair_frame(jet, ginv, u_jet, l_jet):
+    """(E, E^-1, X, alpha, D, size): the pair (u, l) in the orthonormal coframe E of eigh(g).
+
+    g = E^T diag(1, 1, 1, -1) E, and a one-form's frame components are
+    omega @ E^-1; row i of X is the one-form dual to d/dx^i.  size = max|u
+    + u ^ l| (1 where it vanishes), alpha = (u + u ^ l) / size and row i of
+    D is nabla_i (u + u ^ l) / size.
     """
     frame, inverse = _coframe(jet[0])
     gamma = _christoffel(jet, ginv)
     u, l = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (u_jet[0], l_jet[0]))
     du, dl = (_nabla(gamma, omega) @ inverse for omega in (u_jet, l_jet))
-    x = jet[0] @ inverse  # row i is X_i
     alpha = _polyform(u, _outer(u, l))
     size = _max_abs(alpha, 1)
     size = np.where(size == 0.0, 1.0, size)
     d_alpha = _polyform(du, _outer(du, l[..., None, :]) + _outer(u[..., None, :], dl))
-    table, rows = _commutator_rows()
-    alpha = alpha / size[..., None]
-    defect = d_alpha / size[..., None, None] - (0.5 * lam) * x @ (table * alpha[..., rows])
-    return alpha, defect, frame, size
+    return (frame, inverse, jet[0] @ inverse, alpha / size[..., None],
+            d_alpha / size[..., None, None], size)
+
+
+def _ka_defect(alpha, d_alpha, connection, grade):
+    """Row i is d_alpha[i] - (A_i <> alpha - alpha <> A_i), A_i = connection[..., i, :].
+
+    A_i is a form of the given grade (1 or 2), held as the coefficients of
+    _commutator_rows' masks.
+    """
+    table, rows = _commutator_rows(grade)
+    return d_alpha - connection @ (table * alpha[..., rows])
+
+
+def _square_residual(alpha):
+    """The minus-pairing square test's worst residual per row of alpha, 1 where alpha = 0."""
+    fit, _, r_sym = square_test(build_pairings(build_rep(_LORENTZ)), "minus", alpha.reshape(-1, 16))
+    square = np.where(fit.scale == 0.0, 1.0, np.maximum(r_sym, fit.residual))
+    return square.reshape(alpha.shape[:-1])
 
 
 def killing_pair_residual(chart, kd, x):
@@ -456,10 +478,9 @@ def killing_pair_residual(chart, kd, x):
 
 def _pair_residuals(jet, ginv, u_jet, l_jet, lam):
     """killing_pair_residual from the chart jet, g^-1 and the u and l jets."""
-    alpha, defect, _, _ = _ka_defect(jet, ginv, u_jet, l_jet, lam)
-    fit, _, r_sym = square_test(build_pairings(build_rep(_LORENTZ)), "minus", alpha.reshape(-1, 16))
-    square = np.where(fit.scale == 0.0, 1.0, np.maximum(r_sym, fit.residual))
-    return KillingResiduals(square=square.reshape(alpha.shape[:-1]), ka=_max_abs(defect, 2))
+    _, _, x, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
+    defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * x, 1)
+    return KillingResiduals(square=_square_residual(alpha), ka=_max_abs(defect, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -604,98 +625,68 @@ class HeteroticConfig:
     signs: Sequence[float] = ()
 
 
-def _rows_along(defect, u):
-    """max_ijk |D_ij u_k - D_ik u_j| / max|u|: 0 exactly when every row D_i. is a multiple of u."""
-    rows = defect[..., :, :, None] * u[..., None, None, :]
-    return _max_abs(rows - _t(rows, 0, 2, 1), 3) / _max_abs(u, 1)
-
-
-def _gaugino_fit(hc, ginv, u, x):
-    worst = np.zeros(u.shape[:-1])
-    if not hc.FA:
-        return worst
-    c = (ginv @ u[..., :, None])[..., 0]
-    _, _, vt = np.linalg.svd(c[..., None, :])
-    null_basis = _t(vt[..., 1:, :], 1, 0)
-    # column j is u ^ dx^j
-    cols = _t(_wedge(u[..., None, :], _one(np.eye(4))), 1, 0)
-    design = cols @ null_basis
-    # least squares by the pseudoinverse, with lstsq's default cut-off
-    solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
-    for curvature in hc.FA:
-        target = np.asarray(curvature(x), dtype=float)
-        fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
-        worst = np.maximum(worst, fit)
-    return worst
-
-
-def _coclosed_residual(hc, x, g):
-    """|div rho| at x from differences of sqrt|det g| g^-1 rho; g is the metric at x."""
+def _flux(hc, x):
+    """(H, dH) at x as coefficient stacks, dH = sum_i dx^i ^ d_i H by differences; 0 without H."""
     if hc.H is None:
-        return _zeros(x)
-    chart = hc.chart
+        return _zeros(x, 16), _zeros(x, 16)
+    h, dh = _fd_jet(hc.H, x, 1)
+    return h, _wedge(np.eye(4), dh).sum(axis=-2)
 
-    def density(p):
-        g = chart.g(p)
-        ginv = np.linalg.inv(g)
-        rho = _hodge(g, ginv)(hc.H(p))[..., _COFRAME]
-        root = np.sqrt(np.abs(np.linalg.det(g)))
-        return root[..., None] * (ginv @ rho[..., None])[..., 0]
 
-    divergence = np.trace(_fd_jet(density, x, 1)[1], axis1=-2, axis2=-1)
-    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(g)))
+def _bianchi(hc, d_h, curvatures):
+    """max |dH - sum_a signs_a * F_a ^ F_a|, from dH and the curvature stacks F_a."""
+    source = 0.0
+    for sign, two_form in zip(hc.signs, curvatures):
+        source = source + sign * _wedge(two_form, two_form)
+    return _max_abs(d_h - source, 1)
 
 
 def heterotic_susy_residuals(hc, kd, x):
-    """All supersymmetry relations at x, as an ordered name -> value map.
+    """The heterotic system on alpha = u + u ^ l at x, as an ordered name -> value map.
 
-    rho is the one-form dual of the flux.  The star identities, pairings,
-    gaugino splitting, both derivative equations (grad_l up to some
-    kappa (x) u, by _rows_along), coclosedness of rho and closedness of
-    the dilaton one-form are each scored in the max norm.
+    In the orthonormal coframe of the killing check, with H = *rho and
+    rho = *H: square is its square test; gravitino the defect of nabla_X
+    alpha = -1/4 (i_X H <> alpha - alpha <> i_X H), dilatino (phi - H) <>
+    alpha and gaugino the worst F_a <> alpha, each over max|alpha|.
+    rho_coclosed is |*dH| = |div rho|, dphi_closed the antisymmetric part
+    of d phi's Jacobian and bianchi modified_bianchi_residual, from the
+    one difference jet of H (README, "How campaigns are scored").
     """
     x = np.asarray(x, dtype=float)
-    chart = hc.chart
-    jet, ginv = _chart_jet(chart, x, 1)
-    star = _hodge(jet[0], ginv)
-    u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
-    u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
-    rho = _zeros(x, 4) if hc.H is None else star(hc.H(x))[..., _COFRAME]
-    u_f, l_f = _one(u), _one(l)
-    res = {}
-    res["star_identity_u"] = _max_abs(_wedge(phi, u_f) - star(_wedge(rho, u_f)), 1)
-    res["star_identity_ul"] = _max_abs(
-        _wedge(_wedge(phi, u_f), l_f) + _pair(rho, ginv, l)[..., None] * star(u_f), 1
-    )
-    res["star_identity_l"] = _max_abs(
-        star(_wedge(_wedge(l, u_f), _one(rho))) + _pair(phi, ginv, l)[..., None] * u_f, 1
-    )
-    res["u_phi_orthogonal"] = np.abs(_pair(u, ginv, phi))
-    res["u_rho_orthogonal"] = np.abs(_pair(u, ginv, rho))
-    res["rho_phi_orthogonal"] = np.abs(_pair(rho, ginv, phi))
-    res["gaugino_fit"] = _gaugino_fit(hc, ginv, u, x)
-    gamma = _christoffel(jet, ginv)
-    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * (_outer(u, phi) - _outer(phi, u)), 2)
-    defect = _nabla(gamma, l_jet) - 0.5 * _two_tensor(star(_wedge(rho, l_f)))
-    res["grad_l"] = _rows_along(defect, u)
-    res["rho_coclosed"] = _coclosed_residual(hc, x, jet[0])
+    jet, ginv = _chart_jet(hc.chart, x, 1)
+    frame, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, kd.u.jet(x), kd.l.jet(x))
+    phi_jet, (h, d_h) = hc.varphi.jet(x), _flux(hc, x)
+    rho = _zeros(x, 4) if hc.H is None else _hodge(jet[0], ginv)(h)[..., _COFRAME]
+    rho, phi = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (rho, phi_jet[0]))
+    # dx^0 ^ ... ^ dx^3 is e^1 ^ ... ^ e^4 / det E, so H = *rho in the frame carries sign(det E)
+    volume = np.linalg.det(frame)
+    flux = _zeros(x, 16)
+    flux[..., _THREE] = _kernels.volume_signs(3, 1).star[_THREE] * np.sign(volume)[..., None] * rho
+    curvatures = [np.asarray(curvature(x), dtype=float) for curvature in hc.FA]
+    gaugino = _zeros(x)
+    for two_form in curvatures:
+        tensor = _t(inverse, 1, 0) @ _two_tensor(two_form) @ inverse
+        gaugino = np.maximum(gaugino, _max_abs(_product(tensor[..., _LO, _HI], alpha, _TWO), 1))
+    # A_i = -1/4 i_(X_i) H, the grade-2 part of X_i <> H
+    connection = -0.25 * _product(dual, flux[..., None, :], _COFRAME)[..., _TWO]
     jac = phi_jet[1]
-    res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
-    return res
+    return {
+        "square": _square_residual(alpha),
+        "gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, 2), 2),
+        "dilatino": _max_abs(_product(phi, alpha, _COFRAME)
+                             - _product(flux[..., _THREE], alpha, _THREE), 1),
+        "gaugino": gaugino,
+        "rho_coclosed": np.abs(d_h[..., 15]) / np.abs(volume),
+        "dphi_closed": _max_abs(jac - _t(jac, 1, 0), 2),
+        "bianchi": _bianchi(hc, d_h, curvatures),
+    }
 
 
 def modified_bianchi_residual(hc, x):
     """Max norm of dH - sum_a signs_a * F_a ^ F_a at x, dH by differences."""
     x = np.asarray(x, dtype=float)
-    d_h = _zeros(x, 16)
-    if hc.H is not None:
-        # dH = sum_i dx^i ^ d_i H
-        d_h = _wedge(np.eye(4), _fd_jet(hc.H, x, 1)[1]).sum(axis=-2)
-    source = 0.0
-    for sign, curvature in zip(hc.signs, hc.FA):
-        two_form = np.asarray(curvature(x), dtype=float)
-        source = source + sign * _wedge(two_form, two_form)
-    return _max_abs(d_h - source, 1)
+    curvatures = [np.asarray(curvature(x), dtype=float) for curvature in hc.FA]
+    return _bianchi(hc, _flux(hc, x)[1], curvatures)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,9 +1126,7 @@ def _score(ps, check, x):
         return {"walker.hessian": res.hessian, "walker.laplacian": res.laplacian}
     if check == "heterotic":
         res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
-        out = {f"heterotic.{name}": value for name, value in res.items()}
-        out["heterotic.bianchi"] = modified_bianchi_residual(ps.heterotic, x)
-        return out
+        return {f"heterotic.{name}": value for name, value in res.items()}
     return {"bianchi.modified": modified_bianchi_residual(ps.heterotic, x)}
 
 

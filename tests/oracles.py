@@ -269,7 +269,6 @@ def slow_point_residuals(ps, check, x):
         res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
         for name, value in res.items():
             record(f"heterotic.{name}", value)
-        record("heterotic.bianchi", modified_bianchi_residual(ps.heterotic, x))
     else:
         record("bianchi.modified", modified_bianchi_residual(ps.heterotic, x))
     return values
@@ -745,15 +744,37 @@ def _tensor_coclosed_residual(hc, x):
     return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
 
 
-def tensor_heterotic_residuals(hc, kd, x):
-    """geometry_lab.heterotic_susy_residuals with every form an alternating tensor.
+def tensor_algebraic_relations(g, u, l, phi, rho):
+    """The five algebraic heterotic relations as tensors, zero where they hold.
 
-    The evaluation before the chart layer stored forms as coefficient
-    stacks; H and FA of hc are read as stacks and expanded to tensors.
+    (star_identity_u, star_identity_ul, star_identity_l, u_phi_orthogonal,
+    u_rho_orthogonal) on the metric components g at the points; on the
+    set where they vanish, <rho, phi> vanishes too.
     """
-    from kaspin.geometry_lab import (
-        _chart_jet, _christoffel, _max_abs, _nabla, _pair, _zeros,
+    from kaspin.geometry_lab import _pair
+
+    ginv = np.linalg.inv(g)
+    star = functools.partial(_star, g)
+    return (
+        _wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)),
+        _wedge_oneforms(phi, u, l) + _pair(rho, ginv, l)[..., None, None, None] * star(u),
+        star(_wedge_oneforms(l, u, rho)) + _pair(phi, ginv, l)[..., None] * u,
+        _pair(u, ginv, phi),
+        _pair(u, ginv, rho),
     )
+
+
+def tensor_heterotic_residuals(hc, kd, x):
+    """The heterotic supersymmetry relations with every form an alternating tensor.
+
+    geometry_lab scored these before it scored the polyform u + u ^ l; H
+    and FA of hc are read as stacks and expanded to tensors. grad_l's rho
+    term is -1/2 *(rho ^ l): with the former +1/2 the pair fitted no spin
+    lift of the torsion connection, while -1/2 is nabla_X alpha = -1/4
+    (i_X H <> alpha - alpha <> i_X H) with H = *rho (README, "How
+    campaigns are scored").
+    """
+    from kaspin.geometry_lab import _chart_jet, _christoffel, _max_abs, _nabla, _pair, _zeros
 
     x = np.asarray(x, dtype=float)
     chart = hc.chart
@@ -761,27 +782,19 @@ def tensor_heterotic_residuals(hc, kd, x):
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     rho = _zeros(x, 4) if hc.H is None else _star(jet[0], _tensor_flux(hc, x))
-
-    def pairing(a, b):
-        return _pair(a, ginv, b)
-
-    star = functools.partial(_star, jet[0])
+    star_u, star_ul, star_l, u_phi, u_rho = tensor_algebraic_relations(jet[0], u, l, phi, rho)
 
     res = {}
-    res["star_identity_u"] = _max_abs(_wedge_oneforms(phi, u) - star(_wedge_oneforms(rho, u)), 2)
-    res["star_identity_ul"] = _max_abs(
-        _wedge_oneforms(phi, u, l) + pairing(rho, l)[..., None, None, None] * star(u), 3
-    )
-    res["star_identity_l"] = _max_abs(
-        star(_wedge_oneforms(l, u, rho)) + pairing(phi, l)[..., None] * u, 1
-    )
-    res["u_phi_orthogonal"] = np.abs(pairing(u, phi))
-    res["u_rho_orthogonal"] = np.abs(pairing(u, rho))
-    res["rho_phi_orthogonal"] = np.abs(pairing(rho, phi))
+    res["star_identity_u"] = _max_abs(star_u, 2)
+    res["star_identity_ul"] = _max_abs(star_ul, 3)
+    res["star_identity_l"] = _max_abs(star_l, 1)
+    res["u_phi_orthogonal"] = np.abs(u_phi)
+    res["u_rho_orthogonal"] = np.abs(u_rho)
+    res["rho_phi_orthogonal"] = np.abs(_pair(rho, ginv, phi))
     res["gaugino_fit"] = _tensor_gaugino_fit(hc, ginv, u, x)
     gamma = _christoffel(jet, ginv)
     res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
-    defect = _nabla(gamma, l_jet) - 0.5 * star(_wedge_oneforms(rho, l))
+    defect = _nabla(gamma, l_jet) + 0.5 * _star(jet[0], _wedge_oneforms(rho, l))
     # defect = kappa (x) u for some kappa: each row wedged with u vanishes
     rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
     res["grad_l"] = _max_abs(rows_wedge_u, 3) / _max_abs(u, 1)

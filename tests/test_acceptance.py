@@ -376,15 +376,18 @@ def test_acceptance_10_heterotic_ppwave():
     }
     ps = preset("heterotic-ppwave", params)
     report = run_campaign(ps, "heterotic", n_points=20, seed=13, tol=1e-6)
-    # ten system relations, plus the closed-dilaton hypothesis and the
-    # Bianchi identity as separate entries
+    # the square test, the three Kaehler-Atiyah relations and the coclosed
+    # flux dual, plus the closed-dilaton hypothesis and the Bianchi identity
+    # as separate entries
     names = {
         k for k in report["residuals"]
         if k not in ("heterotic.bianchi", "heterotic.dphi_closed")
     }
+    relations = {"square", "gravitino", "dilatino", "gaugino", "rho_coclosed"}
     worst = max(r["max"] for r in report["residuals"].values())
     bianchi = report["residuals"]["heterotic.bianchi"]["max"]
-    ok = report["verdict"] == "pass" and len(names) == 10 and worst <= 1e-6
+    ok = (report["verdict"] == "pass" and names == {f"heterotic.{n}" for n in relations}
+          and worst <= 1e-6)
     _verdict(
         10,
         ok,

@@ -267,7 +267,7 @@ def test_a_raising_block_leaves_nothing_behind_for_direct_calls():
 
 
 def test_a_heterotic_block_reads_one_chart_jet():
-    # the star identities take g from the order-1 jet the check already holds
+    # the coframe, rho = *H and rho_coclosed all take g from the block's one order-1 jet
     ps = preset("heterotic-ppwave")
     orders = []
 

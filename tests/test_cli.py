@@ -517,6 +517,18 @@ def test_check_metric_heterotic_and_bianchi(capsys):
     assert reports[1]["residuals"]["bianchi.modified"]["max"] <= 1e-9
 
 
+def test_check_metric_heterotic_reports_seven_residuals(capsys):
+    code, out, _ = run_cli(
+        capsys, "check-metric", "--preset", "heterotic-ppwave", "--check", "heterotic",
+        "--trials", "4",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert list(report["residuals"]) == [f"heterotic.{name}" for name in (
+        "bianchi", "dilatino", "dphi_closed", "gaugino", "gravitino", "rho_coclosed", "square")]
+
+
 def test_check_metric_params_json_merge(capsys):
     # explicit flags win over the --params blob
     code, out, _ = run_cli(
