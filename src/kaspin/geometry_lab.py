@@ -6,17 +6,22 @@ given and centered differences (_fd_jet, one evaluation per distinct
 stencil point) for the rest.  A MetricChart's jet is (g, dg, d2g).  On
 it this module computes Christoffel symbols, curvature, covariant
 derivatives of one-form fields and a chart-level Hodge dual, and scores
-three first-order systems:
+a Preset (a chart with the field data its checks read) on five checks:
 
-* parabolic Killing pairs (u, l), as the paper poses them: alpha = u + u ^ l
+* killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
   = (lam/2)(X <> alpha - alpha <> X) in the Kaehler-Atiyah algebra;
-* their reduction to a surface triple (F, K, q2) for charts
-  F dv^2 + 2 K dv du + q2, with the Einstein reduction of that family;
-* the heterotic system on the same alpha and frame: nabla_X alpha = -1/4
-  (i_X H <> alpha - alpha <> i_X H), (phi - H) <> alpha = 0 and F_a <> alpha
-  = 0 for a dilaton one-form phi, a flux three-form H and gauge curvatures
-  F_a, and the flux Bianchi identity with its F wedge F source.
+* einstein and walker: Ric = -3 lam^2 g, and on charts F dv^2 + 2 K dv du
+  + q2 the Einstein reduction of that family and the profile equations of K;
+* heterotic: the same alpha and frame with nabla_X alpha = -1/4 (i_X H <>
+  alpha - alpha <> i_X H), (phi - H) <> alpha = 0 and F_a <> alpha = 0 for
+  a dilaton one-form phi, a flux three-form H and gauge curvatures F_a;
+  bianchi: the flux Bianchi identity with its F wedge F source.
+
+Each check is one evaluator (ps, x) -> {report key: per-point values} in
+_CHECKS, with the preset data it reads; score(ps, check, x) is the one
+entry.  The pair is Preset.killing where one is given; a surface preset
+stores none and derives u = K dv and l = -dK/(2 lam K) from its K.
 
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -373,14 +379,6 @@ class KillingData:
     lam: float
 
 
-@dataclass(frozen=True, eq=False)
-class KillingResiduals:
-    """Residuals per point: square tests alpha = u + u ^ l, ka its Kaehler-Atiyah equation."""
-
-    square: float | np.ndarray
-    ka: float | np.ndarray
-
-
 _LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
 _TIME_LAST = np.array([1, 2, 3, 0])  # eigh's ascending order, its one negative eigenvalue last
 _LO, _HI = np.triu_indices(4, 1)
@@ -465,22 +463,31 @@ def _square_residual(alpha):
     return square.reshape(alpha.shape[:-1])
 
 
-def killing_pair_residual(chart, kd, x):
-    """Residuals of the pair system at x, on alpha = u + u ^ l in an orthonormal coframe.
+def _pair_jets(ps, x):
+    """The order-1 chart jet at x, g^-1, the u and l jets of ps's pair and its lam.
+
+    The pair is ps.killing where one is given; a surface preset without one
+    has u = K dv and l = -dK/(2 lam K) from the block's one read of K.
+    """
+    kd = ps.killing
+    if kd is not None:
+        return (*_chart_jet(ps.chart, x, 1), kd.u.jet(x), kd.l.jet(x), kd.lam)
+    wd = ps.walker
+    jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
+    return (jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam)
+
+
+def _score_killing(ps, x):
+    """The pair system on alpha = u + u ^ l in an orthonormal coframe.
 
     square is the minus-pairing square test's worst residual (1 where alpha
     = 0), ka the defect of nabla_X alpha = (lam/2)(X <> alpha - alpha <> X)
     over max|alpha| (README, "How campaigns are scored").
     """
-    x = np.asarray(x, dtype=float)
-    return _pair_residuals(*_chart_jet(chart, x, 1), kd.u.jet(x), kd.l.jet(x), kd.lam)
-
-
-def _pair_residuals(jet, ginv, u_jet, l_jet, lam):
-    """killing_pair_residual from the chart jet, g^-1 and the u and l jets."""
-    _, _, x, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
-    defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * x, 1)
-    return KillingResiduals(square=_square_residual(alpha), ka=_max_abs(defect, 2))
+    *jets, lam = _pair_jets(ps, x)
+    _, _, dual, alpha, d_alpha, _ = _pair_frame(*jets)
+    defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * dual, 1)
+    return {"killing.square": _square_residual(alpha), "killing.ka": _max_abs(defect, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +507,6 @@ class WalkerData:
     def __post_init__(self):
         if self.lam == 0.0:
             raise ValueError("lam must be nonzero")
-
-
-@dataclass(frozen=True, eq=False)
-class WalkerResiduals:
-    """Residuals of the second-order K equations, one value per point."""
-
-    hessian: float | np.ndarray
-    laplacian: float | np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EinsteinResiduals:
-    f_equation: float | np.ndarray
-    ricci_q: float | np.ndarray
 
 
 def walker_chart(wd):
@@ -550,9 +543,9 @@ def _nonzero(k):
     return k
 
 
-def walker_residuals(wd, s):
-    """The second-order K equations of the pair system at a surface point; F is free."""
-    s = np.asarray(s, dtype=float)
+def _score_walker(ps, x):
+    """The second-order K equations of the pair system at the surface points of x; F is free."""
+    wd, s = ps.walker, _surface(x)
     lam = wd.lam
     # K first, checked nowhere zero, then q2 in its domain
     k, (q, qinv) = _nonzero(wd.K.jet(s, 2)), _chart_jet(wd.q2, s, 1)
@@ -561,22 +554,23 @@ def walker_residuals(wd, s):
     k2 = K[..., None, None]
     hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q[0], 2)
     lap_res = np.abs(np.trace(qinv @ hess_k, axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
-    return WalkerResiduals(hess_res, lap_res)
+    return {"walker.hessian": hess_res, "walker.laplacian": lap_res}
 
 
-def einstein_residual(wd, s):
-    """Einstein reduction: the F equation and Ric(q2) = -lam^2 q2."""
-    k, (q, qinv) = _nonzero(wd.K.jet(s, 1)), _chart_jet(wd.q2, s, 2)
-    return _einstein(wd, wd.F.jet(s, 2), k, q, qinv)
-
-
-def _einstein(wd, f, k, q, qinv):
-    """einstein_residual from the F, K and q2 jets (to orders 2, 1 and 2) and q^-1."""
-    pair_kf = _pair(k[1], qinv, f[1])
-    trace = np.trace(qinv @ _nabla(_christoffel(q, qinv), f[1:]), axis1=-2, axis2=-1)
-    f_res = np.abs(trace - pair_kf / k[0] - 2.0 * wd.lam**2 * f[0])
-    ric_res = _max_abs(_ricci(q, qinv) + wd.lam**2 * q[0], 2)
-    return EinsteinResiduals(f_equation=f_res, ricci_q=ric_res)
+def _score_einstein(ps, x):
+    """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2."""
+    wd = ps.walker
+    jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
+    defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * jet[0]
+    out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
+    if wd is not None:
+        f, k, q = surface
+        k, qinv = _nonzero(k), np.linalg.inv(q[0])
+        trace = np.trace(qinv @ _nabla(_christoffel(q, qinv), f[1:]), axis1=-2, axis2=-1)
+        out["einstein.f_equation"] = np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
+                                            - 2.0 * wd.lam**2 * f[0])
+        out["einstein.ricci_q"] = _max_abs(_ricci(q, qinv) + wd.lam**2 * q[0], 2)
+    return out
 
 
 def _surface_pair(lam, x, k):
@@ -610,7 +604,7 @@ def walker_killing_data(wd):
 
 @dataclass(frozen=True, eq=False)
 class HeteroticConfig:
-    """Background fields entering the supersymmetry relations.
+    """Background fields entering the supersymmetry relations, on the preset's chart.
 
     varphi is the dilaton one-form (required closed), H the three-form
     flux (None for zero), FA the gauge curvatures and signs their
@@ -618,7 +612,6 @@ class HeteroticConfig:
     each FA are callables returning (..., 16) coefficient stacks.
     """
 
-    chart: MetricChart
     varphi: OneFormField
     H: Callable | None = None
     FA: Sequence[Callable] = ()
@@ -641,20 +634,20 @@ def _bianchi(hc, d_h, curvatures):
     return _max_abs(d_h - source, 1)
 
 
-def heterotic_susy_residuals(hc, kd, x):
-    """The heterotic system on alpha = u + u ^ l at x, as an ordered name -> value map.
+def _score_heterotic(ps, x):
+    """The heterotic system on the pair's alpha = u + u ^ l at x.
 
     In the orthonormal coframe of the killing check, with H = *rho and
     rho = *H: square is its square test; gravitino the defect of nabla_X
     alpha = -1/4 (i_X H <> alpha - alpha <> i_X H), dilatino (phi - H) <>
     alpha and gaugino the worst F_a <> alpha, each over max|alpha|.
     rho_coclosed is |*dH| = |div rho|, dphi_closed the antisymmetric part
-    of d phi's Jacobian and bianchi modified_bianchi_residual, from the
+    of d phi's Jacobian and bianchi the bianchi check's residual, from the
     one difference jet of H (README, "How campaigns are scored").
     """
-    x = np.asarray(x, dtype=float)
-    jet, ginv = _chart_jet(hc.chart, x, 1)
-    frame, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, kd.u.jet(x), kd.l.jet(x))
+    hc = ps.heterotic
+    jet, ginv, u_jet, l_jet, _ = _pair_jets(ps, x)
+    frame, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
     phi_jet, (h, d_h) = hc.varphi.jet(x), _flux(hc, x)
     rho = _zeros(x, 4) if hc.H is None else _hodge(jet[0], ginv)(h)[..., _COFRAME]
     rho, phi = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (rho, phi_jet[0]))
@@ -671,22 +664,22 @@ def heterotic_susy_residuals(hc, kd, x):
     connection = -0.25 * _product(dual, flux[..., None, :], _COFRAME)[..., _TWO]
     jac = phi_jet[1]
     return {
-        "square": _square_residual(alpha),
-        "gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, 2), 2),
-        "dilatino": _max_abs(_product(phi, alpha, _COFRAME)
-                             - _product(flux[..., _THREE], alpha, _THREE), 1),
-        "gaugino": gaugino,
-        "rho_coclosed": np.abs(d_h[..., 15]) / np.abs(volume),
-        "dphi_closed": _max_abs(jac - _t(jac, 1, 0), 2),
-        "bianchi": _bianchi(hc, d_h, curvatures),
+        "heterotic.square": _square_residual(alpha),
+        "heterotic.gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, 2), 2),
+        "heterotic.dilatino": _max_abs(_product(phi, alpha, _COFRAME)
+                                       - _product(flux[..., _THREE], alpha, _THREE), 1),
+        "heterotic.gaugino": gaugino,
+        "heterotic.rho_coclosed": np.abs(d_h[..., 15]) / np.abs(volume),
+        "heterotic.dphi_closed": _max_abs(jac - _t(jac, 1, 0), 2),
+        "heterotic.bianchi": _bianchi(hc, d_h, curvatures),
     }
 
 
-def modified_bianchi_residual(hc, x):
+def _score_bianchi(ps, x):
     """Max norm of dH - sum_a signs_a * F_a ^ F_a at x, dH by differences."""
-    x = np.asarray(x, dtype=float)
+    hc = ps.heterotic
     curvatures = [np.asarray(curvature(x), dtype=float) for curvature in hc.FA]
-    return _bianchi(hc, _flux(hc, x)[1], curvatures)
+    return {"bianchi.modified": _bianchi(hc, _flux(hc, x)[1], curvatures)}
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +696,8 @@ class Preset:
     chart: MetricChart
     lam: float
     sample_box: tuple
-    killing: KillingData | None = None
-    walker: WalkerData | None = None  # chart, killing: its walker_chart, walker_killing_data
+    killing: KillingData | None = None  # a pair written by hand; a surface preset derives its own
+    walker: WalkerData | None = None  # chart: its walker_chart
     heterotic: HeteroticConfig | None = None
 
 
@@ -720,6 +713,9 @@ def _check_keys(name, params, allowed):
 
 
 def _finite(name, value):
+    """value as a finite float; true, strings, lists and None are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
@@ -742,11 +738,14 @@ def _rate(params):
     return lam
 
 
-def _coefficients(params, default):
-    a = tuple(_finite("a", v) for v in params.get("a", default))
-    if len(a) != 4:
-        raise ValueError("a must have four entries")
-    return a
+def _numbers(name, value, *shape):
+    """value as nested tuples of finite floats: lists or tuples of numbers, of the given shape."""
+    if not shape:
+        return _finite(name, value)
+    if not isinstance(value, (list, tuple)) or len(value) != shape[0]:
+        kind = "numbers" if len(shape) == 1 else "lists"
+        raise ValueError(f"{name} must be a list of {shape[0]} {kind}, got {value!r}")
+    return tuple(_numbers(name, v, *shape[1:]) for v in value)
 
 
 def _poincare_half_plane(lam):
@@ -796,14 +795,14 @@ def _preset_ads4(params):
     wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam)
     return Preset(
         name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
-        sample_box=_BOX_HALF, killing=walker_killing_data(wd), walker=wd,
+        sample_box=_BOX_HALF, walker=wd,
     )
 
 
 def _preset_poly(params):
     _check_keys("ads4-deformed-poly", params, {"lam", "a"})
     lam = _rate(params)
-    a1, a2, a3, a4 = _coefficients(params, (1.0, 0.5, 0.2, 0.1))
+    a1, a2, a3, a4 = _numbers("a", params.get("a", (1.0, 0.5, 0.2, 0.1)), 4)
 
     def linear(x_coord):
         return a1 + a2 * x_coord
@@ -825,8 +824,7 @@ def _preset_poly(params):
                     lam=lam)
     return Preset(
         name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
-        chart=walker_chart(wd), lam=lam, sample_box=_BOX_DEFORMED,
-        killing=walker_killing_data(wd), walker=wd,
+        chart=walker_chart(wd), lam=lam, sample_box=_BOX_DEFORMED, walker=wd,
     )
 
 
@@ -863,7 +861,7 @@ def _preset_bessel(params):
     _check_keys("ads4-deformed-bessel", params, {"lam", "c", "a"})
     lam = _rate(params)
     c = _positive("c", params.get("c", 2.0))
-    a1, a2, a3, a4 = _coefficients(params, (1.0, 1.0, 1.0, 0.0))
+    a1, a2, a3, a4 = _numbers("a", params.get("a", (1.0, 1.0, 1.0, 0.0)), 4)
 
     def radial(z):
         j1, j1p, y1, y1p = _spherical_bessel_1(z)
@@ -937,14 +935,12 @@ def _preset_walker_generic(params):
 def _preset_ppwave(params):
     _check_keys("heterotic-ppwave", params, {"amp", "q0", "omega"})
     amp = _finite("amp", params.get("amp", 0.3))
-    q0 = np.asarray(params.get("q0", np.eye(2)), dtype=float)
-    if q0.shape != (2, 2) or not np.all(np.isfinite(q0)) or np.max(np.abs(q0 - q0.T)) > 1e-12:
+    q0 = np.array(_numbers("q0", params.get("q0", ((1.0, 0.0), (0.0, 1.0))), 2, 2))
+    if np.max(np.abs(q0 - q0.T)) > 1e-12:
         raise ValueError("q0 must be a symmetric 2x2 matrix")
     if q0[0, 0] <= 0.0 or np.linalg.det(q0) <= 0.0:
         raise ValueError("q0 must be positive definite")
-    omega = tuple(_finite("omega", w) for w in params.get("omega", (0.5, 0.3, 0.0)))
-    if len(omega) != 3:
-        raise ValueError("omega must have three coefficients")
+    omega = _numbers("omega", params.get("omega", (0.5, 0.3, 0.0)), 3)
 
     def phase(v):
         return amp * (1.0 - np.cos(v))
@@ -989,7 +985,6 @@ def _preset_ppwave(params):
         return _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * x[..., 0]))
 
     hc = HeteroticConfig(
-        chart=chart,
         varphi=OneFormField(dilaton_val, jac=dilaton_jac),
         H=None, FA=(), signs=(),
     )
@@ -1021,11 +1016,18 @@ def preset(name, params=None):
 # campaigns
 # ---------------------------------------------------------------------------
 
-_CHECKS = ("killing", "einstein", "walker", "heterotic", "bianchi")
-# check -> (the data it scores, the preset fields that carry them)
-_NEEDS = {"killing": ("pair", ("killing",)), "walker": ("surface", ("walker",)),
-          "heterotic": ("heterotic", ("heterotic", "killing")),
-          "bianchi": ("heterotic", ("heterotic",))}
+# the data a check reads: (its name, the preset fields any one of which carries it)
+_PAIR = ("pair", ("killing", "walker"))
+_SURFACE = ("surface", ("walker",))
+_BACKGROUND = ("heterotic", ("heterotic",))
+# check -> (its evaluator (ps, x) -> {report key: one value per point}, the data it reads)
+_CHECKS = {
+    "killing": (_score_killing, (_PAIR,)),
+    "einstein": (_score_einstein, ()),
+    "walker": (_score_walker, (_SURFACE,)),
+    "heterotic": (_score_heterotic, (_BACKGROUND, _PAIR)),
+    "bianchi": (_score_bianchi, (_BACKGROUND,)),
+}
 
 
 @functools.cache
@@ -1088,46 +1090,11 @@ def _perturbed(ps, amount):
     if ps.walker is not None:
         base = ps.walker.K
         wd = replace(ps.walker, K=replace(base, value=lambda s: base.value(s) + amount))
-        return replace(ps, walker=wd, chart=walker_chart(wd),
-                       killing=ps.killing and walker_killing_data(wd))
+        return replace(ps, walker=wd, chart=walker_chart(wd))
     factor = 1.0 + amount
     old = ps.chart
-    chart = replace(old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order)))
-    updates = {"chart": chart}
-    if ps.heterotic is not None:
-        updates["heterotic"] = replace(ps.heterotic, chart=chart)
-    return replace(ps, **updates)
-
-
-def _score(ps, check, x):
-    """Residual name -> one value per point of the stack x.
-
-    On a surface preset the killing and einstein blocks read F, K and q2 once.
-    """
-    wd = ps.walker
-    if check == "killing":
-        if wd is None:
-            res = killing_pair_residual(ps.chart, ps.killing, x)
-        else:
-            jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
-            res = _pair_residuals(jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam)
-        return {"killing.square": res.square, "killing.ka": res.ka}
-    if check == "einstein":
-        jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
-        defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * jet[0]
-        out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
-        if wd is not None:
-            f, k, q = surface
-            res = _einstein(wd, f, _nonzero(k), q, np.linalg.inv(q[0]))
-            out.update({"einstein.f_equation": res.f_equation, "einstein.ricci_q": res.ricci_q})
-        return out
-    if check == "walker":
-        res = walker_residuals(ps.walker, x[..., 2:])
-        return {"walker.hessian": res.hessian, "walker.laplacian": res.laplacian}
-    if check == "heterotic":
-        res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
-        return {f"heterotic.{name}": value for name, value in res.items()}
-    return {"bianchi.modified": modified_bianchi_residual(ps.heterotic, x)}
+    return replace(ps, chart=replace(
+        old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order))))
 
 
 def _summary(vals, pts):
@@ -1142,9 +1109,19 @@ def require_check(ps, check):
     """Raise ValueError unless check is known and ps carries the data it scores."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    data, needs = _NEEDS.get(check, (None, ()))
-    if any(getattr(ps, field) is None for field in needs):
-        raise ValueError(f"preset {ps.name} carries no {data} data")
+    for data, fields in _CHECKS[check][1]:
+        if all(getattr(ps, field) is None for field in fields):
+            raise ValueError(f"preset {ps.name} carries no {data} data")
+
+
+def score(ps, check, x):
+    """The residuals of check at the chart points x of ps: report key -> one value per point.
+
+    x is a (..., 4) stack, one point being the stack shape ().  Raises
+    ValueError, as require_check does, for a check ps cannot be scored on.
+    """
+    require_check(ps, check)
+    return _CHECKS[check][0](ps, np.asarray(x, dtype=float))
 
 
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
@@ -1168,7 +1145,7 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for start in range(0, n_points, POINT_BLOCK):
             x = pts[start:start + POINT_BLOCK]
-            for name, value in _score(ps, check, x).items():
+            for name, value in score(ps, check, x).items():
                 blocks.setdefault(name, []).append(np.broadcast_to(value, x.shape[:-1]))
 
     residuals = {name: _summary(np.concatenate(parts), pts) for name, parts in blocks.items()}

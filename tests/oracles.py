@@ -26,6 +26,7 @@ polyform u + u ^ l.
 The samplers at the end draw the tests' random spinors and pairs.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -232,46 +233,15 @@ def full_basis_verify_square_conditions(pr, pairing_tag, alpha, tol=1e-9):
 def slow_point_residuals(ps, check, x):
     """The residuals of one campaign check at the single point x, name -> float.
 
-    The body of run_campaign's former per-point loop, verbatim but for
-    returning its records.
+    geometry_lab.score at one point.  On a surface preset the pair is the
+    explicit walker_killing_data of its K, scored as a hand-written pair
+    is, not from the block's fused read of F, K and q2.
     """
-    from kaspin.geometry_lab import (
-        einstein_residual,
-        heterotic_susy_residuals,
-        killing_pair_residual,
-        modified_bianchi_residual,
-        ricci,
-        walker_residuals,
-    )
+    from kaspin.geometry_lab import score, walker_killing_data
 
-    values = {}
-
-    def record(name, value):
-        values[name] = float(value)
-
-    if check == "killing":
-        res = killing_pair_residual(ps.chart, ps.killing, x)
-        record("killing.square", res.square)
-        record("killing.ka", res.ka)
-    elif check == "einstein":
-        g = ps.chart.g(x)
-        defect = ricci(ps.chart, x) + 3.0 * ps.lam**2 * g
-        record("einstein.chart", np.max(np.abs(defect)) / np.max(np.abs(g)))
-        if ps.walker is not None:
-            res = einstein_residual(ps.walker, x[2:])
-            record("einstein.f_equation", res.f_equation)
-            record("einstein.ricci_q", res.ricci_q)
-    elif check == "walker":
-        res = walker_residuals(ps.walker, x[2:])
-        record("walker.hessian", res.hessian)
-        record("walker.laplacian", res.laplacian)
-    elif check == "heterotic":
-        res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
-        for name, value in res.items():
-            record(f"heterotic.{name}", value)
-    else:
-        record("bianchi.modified", modified_bianchi_residual(ps.heterotic, x))
-    return values
+    if ps.killing is None and ps.walker is not None:
+        ps = dataclasses.replace(ps, killing=walker_killing_data(ps.walker))
+    return {name: float(value) for name, value in score(ps, check, x).items()}
 
 
 def slow_run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
@@ -727,12 +697,11 @@ def _tensor_gaugino_fit(hc, ginv, u, x):
     return worst
 
 
-def _tensor_coclosed_residual(hc, x):
+def _tensor_coclosed_residual(chart, hc, x):
     from kaspin.geometry_lab import _zeros
 
     if hc.H is None:
         return _zeros(x)
-    chart = hc.chart
 
     def density(p):
         g = chart.g(p)
@@ -764,20 +733,20 @@ def tensor_algebraic_relations(g, u, l, phi, rho):
     )
 
 
-def tensor_heterotic_residuals(hc, kd, x):
-    """The heterotic supersymmetry relations with every form an alternating tensor.
+def tensor_heterotic_residuals(ps, x):
+    """The heterotic relations of the preset ps with every form an alternating tensor.
 
-    geometry_lab scored these before it scored the polyform u + u ^ l; H
-    and FA of hc are read as stacks and expanded to tensors. grad_l's rho
-    term is -1/2 *(rho ^ l): with the former +1/2 the pair fitted no spin
-    lift of the torsion connection, while -1/2 is nabla_X alpha = -1/4
-    (i_X H <> alpha - alpha <> i_X H) with H = *rho (README, "How
-    campaigns are scored").
+    geometry_lab scored these before it scored the polyform u + u ^ l, on
+    the pair ps.killing and the background ps.heterotic; H and FA are read
+    as stacks and expanded to tensors. grad_l's rho term is -1/2 *(rho ^
+    l): with the former +1/2 the pair fitted no spin lift of the torsion
+    connection, while -1/2 is nabla_X alpha = -1/4 (i_X H <> alpha - alpha
+    <> i_X H) with H = *rho (README, "How campaigns are scored").
     """
     from kaspin.geometry_lab import _chart_jet, _christoffel, _max_abs, _nabla, _pair, _zeros
 
     x = np.asarray(x, dtype=float)
-    chart = hc.chart
+    chart, hc, kd = ps.chart, ps.heterotic, ps.killing
     jet, ginv = _chart_jet(chart, x, 1)
     u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
@@ -798,14 +767,14 @@ def tensor_heterotic_residuals(hc, kd, x):
     # defect = kappa (x) u for some kappa: each row wedged with u vanishes
     rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
     res["grad_l"] = _max_abs(rows_wedge_u, 3) / _max_abs(u, 1)
-    res["rho_coclosed"] = _tensor_coclosed_residual(hc, x)
+    res["rho_coclosed"] = _tensor_coclosed_residual(chart, hc, x)
     jac = phi_jet[1]
     res["dphi_closed"] = _max_abs(jac - _t(jac, 1, 0), 2)
     return res
 
 
 def tensor_bianchi_residual(hc, x):
-    """geometry_lab.modified_bianchi_residual with every form an alternating tensor."""
+    """geometry_lab's bianchi check with every form an alternating tensor."""
     from kaspin.geometry_lab import _max_abs, _zeros
 
     x = np.asarray(x, dtype=float)
@@ -829,7 +798,7 @@ class TensorKillingResiduals(NamedTuple):
 
 
 def tensor_killing_residuals(chart, kd, x):
-    """The pair system scored as tensors, as killing_pair_residual did before it scored alpha.
+    """The pair system scored as tensors, as the killing check did before it scored alpha.
 
     r_u tests nabla u = lam (u (x) l - l (x) u) and r_l nabla l = kappa (x)
     u + lam (l (x) l - g) for some kappa (each defect row wedged with u

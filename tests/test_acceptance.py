@@ -14,11 +14,9 @@ from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, q
 from kaspin.geometry_lab import (
     MetricChart,
     ScalarField,
-    WalkerData,
-    einstein_residual,
     preset,
     run_campaign,
-    walker_residuals,
+    score,
 )
 from kaspin.ka_core import (
     Multivector,
@@ -77,10 +75,11 @@ def _surface_profile(c0):
     )
 
 
-def _surface_points(rng, n, y_lo, y_hi):
-    pts = np.empty((n, 2))
-    pts[:, 0] = rng.uniform(-1.5, 1.5, size=n)
-    pts[:, 1] = rng.uniform(y_lo, y_hi, size=n)
+def _points_over_surface(rng, n, y_lo, y_hi):
+    """n chart points (0, 0, x, y) with x uniform in [-1.5, 1.5] and y in [y_lo, y_hi]."""
+    pts = np.zeros((n, 4))
+    pts[:, 2] = rng.uniform(-1.5, 1.5, size=n)
+    pts[:, 3] = rng.uniform(y_lo, y_hi, size=n)
     return pts
 
 
@@ -275,13 +274,12 @@ def test_acceptance_08_deformed_families_and_sensitivity():
     worst_einstein = 0.0
     worst_walker = 0.0
 
-    def score(wd, pts):
+    def record(ps, pts):
         nonlocal worst_einstein, worst_walker
-        for s in pts:
-            e = einstein_residual(wd, s)
-            worst_einstein = max(worst_einstein, e.f_equation, e.ricci_q)
-            w = walker_residuals(wd, s)
-            worst_walker = max(worst_walker, w.hessian, w.laplacian)
+        for x in pts:
+            e = score(ps, "einstein", x)
+            worst_einstein = max(worst_einstein, e["einstein.f_equation"], e["einstein.ricci_q"])
+            worst_walker = max(worst_walker, *score(ps, "walker", x).values())
 
     for _ in range(3):
         params = {
@@ -293,7 +291,7 @@ def test_acceptance_08_deformed_families_and_sensitivity():
                 float(rng.uniform(-0.5, 0.5)),
             ],
         }
-        score(preset("ads4-deformed-poly", params).walker, _surface_points(rng, 20, 0.1, 5.0))
+        record(preset("ads4-deformed-poly", params), _points_over_surface(rng, 20, 0.1, 5.0))
     for _ in range(3):
         params = {
             "lam": float(rng.uniform(0.5, 1.5)),
@@ -305,7 +303,7 @@ def test_acceptance_08_deformed_families_and_sensitivity():
                 float(rng.uniform(-1.0, 1.0)),
             ],
         }
-        score(preset("ads4-deformed-bessel", params).walker, _surface_points(rng, 20, 0.1, 5.0))
+        record(preset("ads4-deformed-bessel", params), _points_over_surface(rng, 20, 0.1, 5.0))
 
     # control: a profile solving neither deformation family must pass the
     # eigenfunction equations on K while breaking the F equation
@@ -320,13 +318,13 @@ def test_acceptance_08_deformed_families_and_sensitivity():
     control = preset(
         "walker-generic",
         {"lam": 1.0, "F": bad_f, "K": _surface_profile(0.5), "q2": _surface_half_plane(1.0)},
-    ).walker
+    )
     control_walker = 0.0
     control_einstein = 0.0
-    for s in _surface_points(rng, 20, 0.1, 5.0):
-        w = walker_residuals(control, s)
-        control_walker = max(control_walker, w.hessian, w.laplacian)
-        control_einstein = max(control_einstein, einstein_residual(control, s).f_equation)
+    for x in _points_over_surface(rng, 20, 0.1, 5.0):
+        control_walker = max(control_walker, *score(control, "walker", x).values())
+        e = score(control, "einstein", x)
+        control_einstein = max(control_einstein, e["einstein.f_equation"])
 
     ok = (
         worst_einstein <= 1e-5
@@ -349,15 +347,12 @@ def test_acceptance_09_profile_eigenfunction_identity():
     for _ in range(20):
         lam = float(rng.uniform(0.5, 2.0))
         c0 = float(rng.uniform(0.5, 2.0))
-        wd = WalkerData(
-            F=ScalarField(lambda s: 0.0),
-            K=_surface_profile(c0),
-            q2=_surface_half_plane(lam),
-            lam=lam,
-        )
-        s = _surface_points(rng, 1, 0.3, 3.0)[0]
-        res = walker_residuals(wd, s)
-        worst = max(worst, res.hessian, res.laplacian)
+        ps = preset("walker-generic", {
+            "lam": lam, "F": ScalarField(lambda s: 0.0), "K": _surface_profile(c0),
+            "q2": _surface_half_plane(lam),
+        })
+        x = _points_over_surface(rng, 1, 0.3, 3.0)[0]
+        worst = max(worst, *score(ps, "walker", x).values())
     ok = worst <= 1e-8
     _verdict(
         9,

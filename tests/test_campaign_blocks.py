@@ -9,7 +9,9 @@ perturbed, seeds 3 and 11, 20 points).  Regenerate it with
 against the checkout whose reports are the reference.
 """
 
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,16 +25,14 @@ from kaspin import geometry_lab
 from kaspin.geometry_lab import (
     christoffel,
     covariant_derivative_oneform,
-    einstein_residual,
-    heterotic_susy_residuals,
     hodge_star_chart,
-    killing_pair_residual,
-    modified_bianchi_residual,
     preset,
+    require_check,
     ricci,
     riemann,
     run_campaign,
-    walker_residuals,
+    score,
+    walker_killing_data,
 )
 
 FIXTURE = Path(__file__).parent / "data" / "campaign_reports.json"
@@ -202,8 +202,7 @@ def counted_surface_preset(ps, counts):
               for name, field in (("F", wd.F), ("K", wd.K))}
     wd = dataclasses.replace(wd, q2=dataclasses.replace(wd.q2, jet=counted("q2", wd.q2.jet)),
                              **fields)
-    pair = geometry_lab.walker_killing_data(wd) if ps.killing else None
-    return dataclasses.replace(ps, walker=wd, chart=geometry_lab.walker_chart(wd), killing=pair)
+    return dataclasses.replace(ps, walker=wd, chart=geometry_lab.walker_chart(wd))
 
 
 @pytest.mark.parametrize("block", [POINTS, 7])
@@ -234,9 +233,8 @@ def direct_layer_digest():
     pts = geometry_lab._halton(5, 2) * 2.0 + np.array([-1.0, -1.0, -1.0, 0.5])
     values = [
         ricci(ads.chart, pts), christoffel(ads.chart, pts),
-        *_as_arrays(killing_pair_residual(ads.chart, ads.killing, pts)),
-        *_as_arrays(walker_residuals(ads.walker, pts[..., 2:])),
-        *_as_arrays(einstein_residual(ads.walker, pts[..., 2:])),
+        *(value for check in ("killing", "walker", "einstein")
+          for value in score(ads, check, pts).values()),
         json.dumps(run_campaign(ads, "killing", n_points=5, seed=1)).encode(),
     ]
     return hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in values)).hexdigest()
@@ -252,8 +250,7 @@ def test_a_raising_block_leaves_nothing_behind_for_direct_calls():
     # every check reads K's Hessian after its value and gradient, partway through a block
     ads = preset("ads4")
     wd = dataclasses.replace(ads.walker, K=dataclasses.replace(ads.walker.K, hess=boom))
-    broken = dataclasses.replace(ads, walker=wd, chart=geometry_lab.walker_chart(wd),
-                                 killing=geometry_lab.walker_killing_data(wd))
+    broken = dataclasses.replace(ads, walker=wd, chart=geometry_lab.walker_chart(wd))
     for check in ("killing", "einstein", "walker"):
         with pytest.raises(RuntimeError, match="boom"):
             run_campaign(broken, check, n_points=POINTS, seed=3)
@@ -275,8 +272,7 @@ def test_a_heterotic_block_reads_one_chart_jet():
         orders.append(order)
         return ps.chart.jet(x, order)
 
-    chart = dataclasses.replace(ps.chart, jet=jet)
-    counted = dataclasses.replace(ps, chart=chart, heterotic=dataclasses.replace(ps.heterotic, chart=chart))
+    counted = dataclasses.replace(ps, chart=dataclasses.replace(ps.chart, jet=jet))
     report = run_campaign(counted, "heterotic", n_points=POINTS, seed=3)
     assert orders == [1]
     assert report == run_campaign(ps, "heterotic", n_points=POINTS, seed=3)
@@ -296,15 +292,13 @@ def test_overflow_raises_and_the_error_state_is_restored():
 
 
 def _as_arrays(result):
-    if dataclasses.is_dataclass(result):
-        return [np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result)]
     if isinstance(result, dict):
         return [np.asarray(v) for v in result.values()]
     return [np.asarray(result)]
 
 
 def layer_calls(ps):
-    """Name -> callable of a (..., 4) stack of chart points, for the layers ps carries."""
+    """Name -> callable of a (..., 4) stack of chart points, for each layer and check ps carries."""
     chart = ps.chart
     calls = {
         "g": chart.g,
@@ -317,15 +311,13 @@ def layer_calls(ps):
         "star": lambda x: hodge_star_chart(
             chart, x, np.concatenate([x, x**2, np.sin(x), x[..., ::-1]], axis=-1)),
     }
-    if ps.killing is not None:
-        calls["nabla_l"] = lambda x: covariant_derivative_oneform(chart, ps.killing.l, x)
-        calls["killing"] = lambda x: killing_pair_residual(chart, ps.killing, x)
-    if ps.walker is not None:
-        calls["walker"] = lambda x: walker_residuals(ps.walker, x[..., 2:])
-        calls["einstein"] = lambda x: einstein_residual(ps.walker, x[..., 2:])
-    if ps.heterotic is not None:
-        calls["heterotic"] = lambda x: heterotic_susy_residuals(ps.heterotic, ps.killing, x)
-        calls["bianchi"] = lambda x: modified_bianchi_residual(ps.heterotic, x)
+    pair = ps.killing if ps.walker is None else walker_killing_data(ps.walker)
+    if pair is not None:
+        calls["nabla_l"] = lambda x: covariant_derivative_oneform(chart, pair.l, x)
+    for check in geometry_lab._CHECKS:
+        with contextlib.suppress(ValueError):
+            require_check(ps, check)
+            calls[check] = functools.partial(score, ps, check)
     return calls
 
 
@@ -366,11 +358,13 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
             g, *rest = ads.chart.jet(x, order)
             return (g * np.where(x[..., 3] == 1.5, -1.0, 1.0)[..., None, None], *rest)
 
-        chart = dataclasses.replace(ads.chart, jet=jet)
-        call = lambda: killing_pair_residual(chart, ads.killing, pts)  # noqa: E731
+        # the pair is given, so the block reads the chart's own jet
+        flipped = dataclasses.replace(ads, chart=dataclasses.replace(ads.chart, jet=jet),
+                                      killing=walker_killing_data(ads.walker))
+        call = lambda: score(flipped, "killing", pts)  # noqa: E731
     else:
         wd = dataclasses.replace(ads.walker, K=geometry_lab.ScalarField(lambda s: s[..., 1] - 1.5))
-        call = lambda: walker_residuals(wd, pts[..., 2:])  # noqa: E731
+        call = lambda: score(dataclasses.replace(ads, walker=wd), "walker", pts)  # noqa: E731
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -544,7 +544,7 @@ def test_check_metric_usage_errors(capsys):
     cases = [
         ("check-metric", "--preset", "nope"),
         ("check-metric", "--preset", "ads4", "--check", "susy"),
-        ("check-metric", "--preset", "ads4-deformed-bessel", "--check", "killing"),
+        ("check-metric", "--preset", "minkowski", "--check", "heterotic"),
         ("check-metric", "--preset", "walker-generic"),
         ("check-metric", "--preset", "minkowski", "--check", "walker"),
         ("check-metric", "--preset", "ads4", "--params", "[1,2]"),
@@ -553,11 +553,34 @@ def test_check_metric_usage_errors(capsys):
         ("check-metric", "--preset", "ads4", "--lambda", "0"),
         ("check-metric", "--preset", "ads4", "--tol", "-1"),
     ]
+    # preset parameters are JSON numbers (or lists of them): no traceback, and
+    # no silent coercion of "1234", true or "2"
+    for name, params in [
+        ("ads4-deformed-poly", '{"a": null}'),
+        ("ads4-deformed-poly", '{"a": 5}'),
+        ("ads4-deformed-poly", '{"a": [1, 2, 3, {}]}'),
+        ("ads4-deformed-poly", '{"a": "1234"}'),
+        ("ads4-deformed-poly", '{"lam": [1]}'),
+        ("ads4-deformed-poly", '{"lam": true}'),
+        ("ads4-deformed-poly", '{"lam": "2"}'),
+        ("ads4-deformed-bessel", '{"c": null}'),
+        ("heterotic-ppwave", '{"omega": null}'),
+        ("heterotic-ppwave", '{"q0": [[1, 0], [0, "1"]]}'),
+    ]:
+        cases.append(("check-metric", "--preset", name, "--params", params))
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "error" in err
+
+
+def test_check_help_names_exactly_the_checks_of_the_table():
+    from kaspin import geometry_lab
+
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    check = next(a for a in sub.choices["check-metric"]._actions if a.dest == "check")
+    assert check.help == "comma list: " + ",".join(geometry_lab._CHECKS)
 
 
 def test_check_metric_tests_every_check_before_any_campaign(capsys, monkeypatch):

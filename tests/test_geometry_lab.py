@@ -14,22 +14,19 @@ from kaspin.geometry_lab import (
     KillingData,
     MetricChart,
     OneFormField,
+    Preset,
     ScalarField,
     WalkerData,
     christoffel,
     covariant_derivative_oneform,
-    einstein_residual,
-    heterotic_susy_residuals,
     hodge_star_chart,
-    killing_pair_residual,
-    modified_bianchi_residual,
     preset,
     ricci,
     riemann,
     run_campaign,
+    score,
     walker_chart,
     walker_killing_data,
-    walker_residuals,
     _J1_SERIES_CUTOFF,
     _halton,
     _spherical_bessel_1,
@@ -49,6 +46,26 @@ ALGEBRAIC = ("star_identity_u", "star_identity_ul", "star_identity_l", "u_phi_or
 ETA = np.array(
     [[1.0, 1.0, 0, 0], [1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
 )
+
+
+def scored(ps, check, x):
+    """score's residuals of check at x, keyed by their names within the check."""
+    return {key.split(".", 1)[1]: value for key, value in score(ps, check, x).items()}
+
+
+def pair_of(ps):
+    """The pair the killing check scores on ps: the given one, else the one its K derives."""
+    return ps.killing if ps.killing is not None else walker_killing_data(ps.walker)
+
+
+def on_surface(wd):
+    """ads4 with the surface data wd in place of its own."""
+    return dataclasses.replace(preset("ads4"), walker=wd, chart=walker_chart(wd), lam=wd.lam)
+
+
+def chart_point(s):
+    """The chart point (0, 0, s) over the surface point s."""
+    return np.concatenate([[0.0, 0.0], s])
 
 
 def halfplane_points(n, seed, y_lo=0.4, y_hi=2.5):
@@ -152,6 +169,10 @@ def test_preset_validation_errors():
         ("heterotic-ppwave", {"amp": float("nan")}),
         ("heterotic-ppwave", {"omega": (0.5, float("inf"), 0.0)}),
         ("heterotic-ppwave", {"q0": [[1.0, 0.0], [0.0, float("nan")]]}),
+        # not numbers: no coercion of true or "1234", no TypeError from None
+        ("ads4", {"lam": True}),
+        ("ads4-deformed-poly", {"a": "1234"}),
+        ("heterotic-ppwave", {"q0": [[1.0, 0.0], [0.0, None]]}),
     ],
 )
 def test_preset_rejects_non_finite_and_out_of_range_parameters(name, params):
@@ -383,7 +404,7 @@ def test_covariant_derivative_of_gradient_is_symmetric():
 
 def test_killing_one_form_split_on_ads4():
     ads = preset("ads4", {"lam": 0.7})
-    u_field = ads.killing.u
+    u_field = pair_of(ads).u
     for x in halfplane_points(4, 10):
         nabla = covariant_derivative_oneform(ads.chart, u_field, x)
         scale = max(1.0, np.max(np.abs(nabla)))
@@ -405,44 +426,44 @@ def test_killing_pair_residual_on_presets():
     for lam in (0.5, 1.0, 2.0):
         ads = preset("ads4", {"lam": lam})
         for x in halfplane_points(6, 12):
-            res = killing_pair_residual(ads.chart, ads.killing, x)
-            assert res.square <= 1e-14
-            assert res.ka <= 1e-14
+            res = scored(ads, "killing", x)
+            assert res["square"] <= 1e-14
+            assert res["ka"] <= 1e-14
 
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     for x in halfplane_points(6, 13):
-        res = killing_pair_residual(poly.chart, poly.killing, x)
-        assert res.square <= 1e-14
-        assert res.ka <= 1e-14
+        res = scored(poly, "killing", x)
+        assert res["square"] <= 1e-14
+        assert res["ka"] <= 1e-14
 
 
 def test_killing_pair_flat_parallel_case():
     mink = preset("minkowski")
     for x in halfplane_points(3, 14):
-        res = killing_pair_residual(mink.chart, mink.killing, x)
-        assert res.square == 0.0
-        assert res.ka == 0.0
+        res = scored(mink, "killing", x)
+        assert res["square"] == 0.0
+        assert res["ka"] == 0.0
 
 
 def test_killing_pair_invariants_and_sensitivity():
     ads = preset("ads4", {"lam": 1.0})
+    pair = pair_of(ads)
     x = np.array([0.2, -0.4, 0.3, 1.1])
 
     # l no longer unit: alpha is no square, and nabla(u ^ l) is 1.1 lam X ^ u
-    bad_l = OneFormField(lambda p: 1.1 * ads.killing.l.value(p))
-    res = killing_pair_residual(ads.chart, KillingData(ads.killing.u, bad_l, 1.0), x)
-    assert res.square > 1e-3 and res.ka > 1e-3
+    bad_l = OneFormField(lambda p: 1.1 * pair.l.value(p))
+    res = scored(dataclasses.replace(ads, killing=KillingData(pair.u, bad_l, 1.0)), "killing", x)
+    assert res["square"] > 1e-3 and res["ka"] > 1e-3
 
     # a parabolic pair, but the wrong partner: a rotated spacelike direction
     def tilted(p):
         y = p[3]
         return np.array([0.0, 0.0, 0.6 / y, 0.8 / y])
 
-    res = killing_pair_residual(
-        ads.chart, KillingData(ads.killing.u, OneFormField(tilted), 1.0), x
-    )
-    assert res.square <= 1e-14
-    assert res.ka > 1e-3
+    tilted_pair = KillingData(pair.u, OneFormField(tilted), 1.0)
+    res = scored(dataclasses.replace(ads, killing=tilted_pair), "killing", x)
+    assert res["square"] <= 1e-14
+    assert res["ka"] > 1e-3
 
 
 def constant_one_form(vector):
@@ -468,7 +489,8 @@ def test_a_spacelike_u_fails_killing():
 def test_a_vanishing_u_is_a_fail_not_an_error():
     # u is exactly zero where x^0 < 0: alpha = 0 there squares only the zero spinor
     ads = preset("ads4")
-    u = ads.killing.u
+    pair = pair_of(ads)
+    u = pair.u
 
     def value(x):
         return u.value(x) * (x[..., :1] >= 0.0)
@@ -476,16 +498,16 @@ def test_a_vanishing_u_is_a_fail_not_an_error():
     def jac(x):
         return u.jac(x) * (x[..., None, :1] >= 0.0)
 
-    kd = dataclasses.replace(ads.killing, u=OneFormField(value, jac))
+    kd = dataclasses.replace(pair, u=OneFormField(value, jac))
     x = halfplane_points(8, 27)
-    res = killing_pair_residual(ads.chart, kd, x)
+    # the check scores the pair it is given, not the one the surface data derive
+    ps = dataclasses.replace(ads, killing=kd)
+    res = scored(ps, "killing", x)
     gone = x[:, 0] < 0.0
     assert gone.any() and not gone.all()
-    assert np.all(res.square[gone] == 1.0) and np.all(res.square[~gone] <= 1e-14)
-    assert np.all(np.isfinite(res.ka))
-    # the campaign scores the pair it is given, not the surface data's
-    report = run_campaign(dataclasses.replace(ads, killing=kd, walker=None), "killing",
-                          n_points=20, seed=3)
+    assert np.all(res["square"][gone] == 1.0) and np.all(res["square"][~gone] <= 1e-14)
+    assert np.all(np.isfinite(res["ka"]))
+    report = run_campaign(ps, "killing", n_points=20, seed=3)
     assert report["verdict"] == "fail"
     assert report["residuals"]["killing.square"]["max"] == 1.0
     json.dumps(report, allow_nan=False)
@@ -496,8 +518,7 @@ def bumped_f(ps, bump):
     base = ps.walker.F
     wd = dataclasses.replace(ps.walker,
                              F=dataclasses.replace(base, value=lambda s: base.value(s) + bump))
-    return dataclasses.replace(ps, walker=wd, chart=walker_chart(wd),
-                               killing=walker_killing_data(wd))
+    return dataclasses.replace(ps, walker=wd, chart=walker_chart(wd))
 
 
 @settings(max_examples=30, deadline=None)
@@ -534,12 +555,13 @@ def test_ka_grade_one_defect_is_the_tensor_r_u_defect():
         cases.append((geometry_lab._perturbed(ps, perturb) if perturb else ps, False))
     # K bumps leave the u equation exact; a stretched l breaks it
     ads = preset("ads4")
-    stretched = OneFormField(lambda p: 1.1 * ads.killing.l.value(p), lambda p: 1.1 * ads.killing.l.jac(p))
-    cases.append((dataclasses.replace(ads, killing=KillingData(ads.killing.u, stretched, 1.0)), True))
+    pair = pair_of(ads)
+    stretched = OneFormField(lambda p: 1.1 * pair.l.value(p), lambda p: 1.1 * pair.l.jac(p))
+    cases.append((dataclasses.replace(ads, killing=KillingData(pair.u, stretched, 1.0)), True))
     for ps, broken in cases:
         lower, upper = np.asarray(ps.sample_box).T
         x = make_rng(29, stream=3).uniform(lower, upper, size=(12, 4))
-        kd = ps.killing
+        kd = pair_of(ps)
         jet, ginv = geometry_lab._chart_jet(ps.chart, x, 1)
         frame, _, dual, alpha, d_alpha, size = geometry_lab._pair_frame(
             jet, ginv, kd.u.jet(x), kd.l.jet(x))
@@ -578,7 +600,7 @@ def test_pfaffian_consistency_of_pair_derivatives():
         ("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.3, 0.4, 0.2)}),
         ("heterotic-ppwave", {"amp": 0.4}),
     ]:
-        kd = preset(name, params).killing
+        kd = pair_of(preset(name, params))
         for x in halfplane_points(4, 15):
             u = kd.u.value(x)
             for l_value in (kd.l.value, regauged(kd)):
@@ -588,7 +610,7 @@ def test_pfaffian_consistency_of_pair_derivatives():
                 assert dl_wedge_u(l_value, u, x) <= 1e-5, (name, x)
 
     # a partner that is not a gauge of l breaks it
-    kd = preset("ads4").killing
+    kd = pair_of(preset("ads4"))
     x = np.array([0.2, -0.4, 0.3, 1.1])
     assert dl_wedge_u(lambda p: kd.l.value(p) + np.array([0.0, 0.0, p[3], 0.0]),
                       kd.u.value(x), x) > 1e-3
@@ -626,21 +648,21 @@ def test_walker_residuals_half_plane_profiles():
             lam=lam,
         )
         for s in halfplane_points(5, 16)[:, 2:]:
-            res = walker_residuals(wd, s)
-            assert res.hessian <= 1e-8
-            assert res.laplacian <= 1e-8
+            res = scored(on_surface(wd), "walker", chart_point(s))
+            assert res["hessian"] <= 1e-8
+            assert res["laplacian"] <= 1e-8
 
 
 def test_walker_residuals_on_presets_and_flag():
     ads = preset("ads4", {"lam": 1.2})
     for s in halfplane_points(5, 17)[:, 2:]:
-        res = walker_residuals(ads.walker, s)
-        assert max(res.hessian, res.laplacian) <= 1e-10
+        res = scored(ads, "walker", chart_point(s))
+        assert max(res.values()) <= 1e-10
 
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     for s in halfplane_points(5, 18)[:, 2:]:
-        res = walker_residuals(poly.walker, s)
-        assert max(res.hessian, res.laplacian) <= 1e-8
+        res = scored(poly, "walker", chart_point(s))
+        assert max(res.values()) <= 1e-8
 
     # the profile equations read K alone: an F with no real gauge root changes nothing
     wd = WalkerData(
@@ -649,8 +671,8 @@ def test_walker_residuals_on_presets_and_flag():
         q2=poincare_surface(1.0),
         lam=1.0,
     )
-    res = walker_residuals(wd, np.array([0.3, 1.4]))
-    assert res.hessian <= 1e-8 and res.laplacian <= 1e-8
+    res = scored(on_surface(wd), "walker", chart_point([0.3, 1.4]))
+    assert res["hessian"] <= 1e-8 and res["laplacian"] <= 1e-8
 
 
 def test_walker_residuals_reject_bad_profiles():
@@ -661,8 +683,8 @@ def test_walker_residuals_reject_bad_profiles():
         q2=poincare_surface(lam),
         lam=lam,
     )
-    res = walker_residuals(wd, np.array([0.1, 1.0]))
-    assert res.laplacian > 1.0
+    res = scored(on_surface(wd), "walker", chart_point([0.1, 1.0]))
+    assert res["laplacian"] > 1.0
 
     vanishing = WalkerData(
         F=ScalarField(lambda s: 0.0),
@@ -671,23 +693,23 @@ def test_walker_residuals_reject_bad_profiles():
         lam=lam,
     )
     with pytest.raises(ValueError):
-        walker_residuals(vanishing, np.array([0.0, 1.0]))
+        score(on_surface(vanishing), "walker", chart_point([0.0, 1.0]))
 
 
 def test_einstein_residual_families():
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     for s in halfplane_points(5, 19)[:, 2:]:
-        res = einstein_residual(poly.walker, s)
-        assert res.f_equation <= 1e-8
-        assert res.ricci_q <= 1e-8
+        res = scored(poly, "einstein", chart_point(s))
+        assert res["f_equation"] <= 1e-8
+        assert res["ricci_q"] <= 1e-8
 
     bes = preset("ads4-deformed-bessel", {"lam": 1.0, "c": 2.0, "a": (1.0, 1.0, 1.0, 0.0)})
     rng = make_rng(23, stream=5)
     for _ in range(20):
         s = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0.1, 5.0)])
-        res = einstein_residual(bes.walker, s)
-        assert res.f_equation <= 1e-6
-        assert res.ricci_q <= 1e-8
+        res = scored(bes, "einstein", chart_point(s))
+        assert res["f_equation"] <= 1e-6
+        assert res["ricci_q"] <= 1e-8
 
     # generic profile keeps the Killing system but breaks the Einstein one
     lam = 1.0
@@ -697,10 +719,9 @@ def test_einstein_residual_families():
         q2=poincare_surface(lam),
         lam=lam,
     )
-    s = np.array([0.4, 1.2])
-    assert walker_residuals(generic, s).hessian <= 1e-8
-    assert walker_residuals(generic, s).laplacian <= 1e-8
-    assert einstein_residual(generic, s).f_equation > 1e-2
+    x = chart_point([0.4, 1.2])
+    assert max(scored(on_surface(generic), "walker", x).values()) <= 1e-8
+    assert scored(on_surface(generic), "einstein", x)["f_equation"] > 1e-2
 
 
 def test_walker_to_killing_transfer():
@@ -715,11 +736,11 @@ def test_walker_to_killing_transfer():
     for wd in (ads.walker, poly.walker, generic):
         kd = walker_killing_data(wd)
         assert kd.u.jac is not None and kd.l.jac is not None
-        res = killing_pair_residual(walker_chart(wd), kd, x)
-        assert np.max(res.square) <= 1e-14
-        assert np.max(res.ka) <= 1e-14
+        res = scored(dataclasses.replace(on_surface(wd), killing=kd), "killing", x)
+        assert np.max(res["square"]) <= 1e-14
+        assert np.max(res["ka"]) <= 1e-14
     for field in ("u", "l"):
-        want = getattr(poly.killing, field).jet(x)
+        want = getattr(walker_killing_data(poly.walker), field).jet(x)
         for got, part in zip(getattr(walker_killing_data(generic), field).jet(x), want):
             assert np.array_equal(got, part)
 
@@ -748,7 +769,7 @@ def test_walker_killing_data_closed_forms(lam, a, seed):
     np.testing.assert_allclose(l[:, 3], 1.0 / (lam * yy), rtol=4 * EPS, atol=0.0)
 
     # ads4: u = dv/(lam y)^2 and l = dy/(lam y), to a few ulps
-    kd = preset("ads4", {"lam": lam}).killing
+    kd = pair_of(preset("ads4", {"lam": lam}))
     u, l, ju, jl = kd.u.value(x), kd.l.value(x), kd.u.jac(x), kd.l.jac(x)
     assert np.all(u[:, 1:] == 0.0) and np.all(l[:, :3] == 0.0)
     np.testing.assert_allclose(u[:, 0], 1.0 / (lam * yy) ** 2, rtol=4 * EPS, atol=0.0)
@@ -791,13 +812,13 @@ def test_pair_residuals_are_invariant_under_the_gauge_of_l(name, perturb, shift,
     lower, upper = np.asarray(ps.sample_box).T
     x = np.random.default_rng(seed).uniform(lower, upper, size=(n, 4))
     f, df = shift
-    base = killing_pair_residual(ps.chart, ps.killing, x)
-    moved = killing_pair_residual(ps.chart, regauged_pair(ps.killing, f, df), x)
+    kd = pair_of(ps)
+    base = scored(dataclasses.replace(ps, killing=kd), "killing", x)
+    moved = scored(dataclasses.replace(ps, killing=regauged_pair(kd, f, df)), "killing", x)
     # the shift enters the products of alpha and its derivative once, with size |f| + |df|
     size = 1.0 + np.abs(f(x)) + np.max(np.abs(df(x)), axis=-1)
-    for name in ("square", "ka"):
-        want = getattr(base, name)
-        assert np.all(np.abs(getattr(moved, name) - want) <= 32 * EPS * size * (1.0 + want)), name
+    for name, want in base.items():
+        assert np.all(np.abs(moved[name] - want) <= 32 * EPS * size * (1.0 + want)), name
 
 
 @pytest.mark.parametrize("name", ["ads4", "ads4-deformed-poly"])
@@ -809,13 +830,38 @@ def test_a_bump_of_f_is_gauge_for_killing(name, bump):
     base = ps.walker.F
     wd = dataclasses.replace(ps.walker,
                              F=dataclasses.replace(base, value=lambda s: base.value(s) + bump))
-    bumped = dataclasses.replace(ps, walker=wd, chart=walker_chart(wd),
-                                 killing=walker_killing_data(wd))
+    bumped = dataclasses.replace(ps, walker=wd, chart=walker_chart(wd))
     report = run_campaign(bumped, "killing", n_points=50, seed=3)
     assert report["verdict"] == "pass"
     assert max(res["max"] for res in report["residuals"].values()) <= 1e-14
     # the same bump of K is a genuine control
     assert run_campaign(ps, "killing", n_points=50, seed=3, perturb=bump)["verdict"] == "fail"
+
+
+def test_a_given_pair_is_scored_on_a_surface_preset():
+    # a preset that carries both a pair and surface data scores the pair:
+    # l = dx is no partner of u = K dv on ads4, where the derived l is dy/(lam y)
+    ads = preset("ads4")
+    kd = KillingData(pair_of(ads).u, constant_one_form([0.0, 0.0, 1.0, 0.0]), 1.0)
+    ps = dataclasses.replace(ads, killing=kd)
+    report = run_campaign(ps, "killing")
+    assert report["verdict"] == "fail"
+    assert report["residuals"]["killing.ka"]["max"] > 1.0
+    # and score reads the same values at the campaign's points
+    lower, upper = np.asarray(ps.sample_box).T
+    values = score(ps, "killing", _halton(20, 0) * (upper - lower) + lower)
+    for name, res in report["residuals"].items():
+        assert (values[name].max(), sum(values[name].tolist()) / 20) == (res["max"], res["mean"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("bump", [0.0, 0.05, 0.2])
+def test_bessel_killing_scores_the_pair_its_k_derives(bump, seed):
+    # the preset stores no pair; u = K dv and l = -dK/(2 lam K) come from its K
+    ps = preset("ads4-deformed-bessel")
+    assert ps.killing is None
+    report = run_campaign(ps, "killing", seed=seed, perturb=bump)
+    assert report["verdict"] == ("fail" if bump else "pass"), report["residuals"]
 
 
 def test_ricci_matches_product_structure_component_formulas():
@@ -923,10 +969,10 @@ def test_heterotic_ppwave_all_residuals():
     rng = make_rng(31, stream=4)
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=4)
-        res = heterotic_susy_residuals(ps.heterotic, ps.killing, x)
+        res = scored(ps, "heterotic", x)
         assert list(res) == list(HETEROTIC_RESIDUALS)
         assert max(res.values()) <= 1e-6
-        assert res["bianchi"] == modified_bianchi_residual(ps.heterotic, x) <= 1e-9
+        assert res["bianchi"] == scored(ps, "bianchi", x)["modified"] <= 1e-9
 
     # dropping the conformal factor from l leaves it short of unit length
     q0 = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -934,28 +980,22 @@ def test_heterotic_ppwave_all_residuals():
     bad_l = OneFormField(lambda p: np.array([0.0, 0.0, l0[0], l0[1]]))
     bad = KillingData(ps.killing.u, bad_l, 0.0)
     x = np.array([0.9, 0.1, -0.4, 0.7])
-    res = heterotic_susy_residuals(ps.heterotic, bad, x)
+    res = scored(dataclasses.replace(ps, killing=bad), "heterotic", x)
     assert res["square"] > 1e-3 and res["gravitino"] > 1e-3
     # and the unit l without its v-derivative breaks the gravitino equation alone
     frozen_l = OneFormField(ps.killing.l.value, lambda p: np.zeros((4, 4)))
     frozen = KillingData(ps.killing.u, frozen_l, 0.0)
-    res = heterotic_susy_residuals(ps.heterotic, frozen, x)
+    res = scored(dataclasses.replace(ps, killing=frozen), "heterotic", x)
     assert res["square"] <= 1e-12 and res["gravitino"] > 1e-3
 
 
 def test_heterotic_flat_trivial_configuration():
     mink = preset("minkowski")
-    hc = HeteroticConfig(
-        chart=mink.chart,
-        varphi=OneFormField(lambda x: np.zeros(4)),
-        H=None,
-        FA=(),
-        signs=(),
-    )
+    hc = HeteroticConfig(varphi=OneFormField(lambda x: np.zeros(4)), H=None, FA=(), signs=())
+    ps = dataclasses.replace(mink, heterotic=hc)
     for x in halfplane_points(3, 25):
-        res = heterotic_susy_residuals(hc, mink.killing, x)
-        assert max(res.values()) <= 1e-9
-        assert modified_bianchi_residual(hc, x) <= 1e-12
+        assert max(scored(ps, "heterotic", x).values()) <= 1e-9
+        assert scored(ps, "bianchi", x)["modified"] <= 1e-12
 
 
 def test_heterotic_gaugino_decomposition():
@@ -963,26 +1003,23 @@ def test_heterotic_gaugino_decomposition():
     u = np.array([1.0, 0.0, 0.0, 1.0])
     chi0 = np.array([0.0, 0.3, 0.5, 0.0])
     good = HeteroticConfig(
-        chart=mink.chart,
         varphi=OneFormField(lambda x: np.zeros(4)),
         H=None,
         FA=(lambda x: form(u, chi0),),
         signs=(1,),
     )
     bad = HeteroticConfig(
-        chart=mink.chart,
         varphi=OneFormField(lambda x: np.zeros(4)),
         H=None,
         FA=(lambda x: form(np.eye(4)[1], np.eye(4)[2]),),
         signs=(1,),
     )
     x = np.zeros(4)
-    res_good = heterotic_susy_residuals(good, mink.killing, x)
-    assert res_good["gaugino"] <= 1e-12
-    res_bad = heterotic_susy_residuals(bad, mink.killing, x)
-    assert res_bad["gaugino"] > 0.1
+    good, bad = (dataclasses.replace(mink, heterotic=hc) for hc in (good, bad))
+    assert scored(good, "heterotic", x)["gaugino"] <= 1e-12
+    assert scored(bad, "heterotic", x)["gaugino"] > 0.1
     # curvature of the split form wedges to zero against itself
-    assert modified_bianchi_residual(good, x) <= 1e-12
+    assert scored(good, "bianchi", x)["modified"] <= 1e-12
 
 
 def test_modified_bianchi_detects_nonclosed_flux():
@@ -991,15 +1028,9 @@ def test_modified_bianchi_detects_nonclosed_flux():
     def three_form(x):
         return x[0] * form(np.eye(4)[1], np.eye(4)[2], np.eye(4)[3])
 
-    hc = HeteroticConfig(
-        chart=mink.chart,
-        varphi=OneFormField(lambda x: np.zeros(4)),
-        H=three_form,
-        FA=(),
-        signs=(),
-    )
-    res = modified_bianchi_residual(hc, np.array([0.3, 0.2, -0.5, 0.9]))
-    assert abs(res - 1.0) <= 1e-6
+    hc = HeteroticConfig(varphi=OneFormField(lambda x: np.zeros(4)), H=three_form, FA=(), signs=())
+    res = score(dataclasses.replace(mink, heterotic=hc), "bianchi", np.array([0.3, 0.2, -0.5, 0.9]))
+    assert abs(res["bianchi.modified"] - 1.0) <= 1e-6
 
 
 def ppwave_with_flux():
@@ -1024,16 +1055,16 @@ def ppwave_with_flux():
         FA=(lambda x: np.cos(x[..., 2:3]) * split, lambda x: (1.0 + x[..., 3:]) * mixed),
         signs=(1.0, -0.5),
     )
-    return hc, ps.killing
+    return dataclasses.replace(ps, heterotic=hc)
 
 
 def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
     from oracles import tensor_bianchi_residual, tensor_heterotic_residuals
 
-    hc, kd = ppwave_with_flux()
+    ps = ppwave_with_flux()
     x = make_rng(37, stream=5).uniform(-2.0, 2.0, size=(6, 4))
-    got, want = heterotic_susy_residuals(hc, kd, x), tensor_heterotic_residuals(hc, kd, x)
-    want["bianchi"] = tensor_bianchi_residual(hc, x)
+    got, want = scored(ps, "heterotic", x), tensor_heterotic_residuals(ps, x)
+    want["bianchi"] = tensor_bianchi_residual(ps.heterotic, x)
     assert list(got) == list(HETEROTIC_RESIDUALS)
     for name in ("rho_coclosed", "dphi_closed", "bianchi"):
         tol = 1e-12 * np.maximum(np.abs(want[name]), 1.0)
@@ -1052,7 +1083,7 @@ def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
         assert np.min(got[name]) > 1e-6, name
         assert np.min(np.max([want[r] for r in relations], axis=0)) > 1e-6, name
     # and the stacked evaluation equals the point-by-point one
-    rows = [heterotic_susy_residuals(hc, kd, p) for p in x]
+    rows = [scored(ps, "heterotic", p) for p in x]
     for name, value in got.items():
         assert np.array_equal(value, [row[name] for row in rows]), name
 
@@ -1060,18 +1091,18 @@ def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
 def test_a_flux_block_reads_the_chart_once_per_stencil_point():
     # the block's order-1 jet alone: rho_coclosed is |*dH|, from the one
     # difference jet of H that the Bianchi residual reads as well
-    hc, kd = ppwave_with_flux()
+    ps = ppwave_with_flux()
     orders = []
 
     def jet(x, order):
         orders.append(order)
-        return hc.chart.jet(x, order)
+        return ps.chart.jet(x, order)
 
-    counted = dataclasses.replace(hc, chart=dataclasses.replace(hc.chart, jet=jet))
+    counted = dataclasses.replace(ps, chart=dataclasses.replace(ps.chart, jet=jet))
     x = make_rng(41, stream=5).uniform(-2.0, 2.0, size=(5, 4))
-    got = heterotic_susy_residuals(counted, kd, x)
+    got = scored(counted, "heterotic", x)
     assert orders == [1]
-    want = heterotic_susy_residuals(hc, kd, x)
+    want = scored(ps, "heterotic", x)
     for name, value in want.items():
         assert np.array_equal(got[name], value), name
 
@@ -1089,16 +1120,17 @@ def pointwise_field(value, jac):
 
 
 def heterotic_background(g, u, l, phi, H=None, FA=(), u_jac=0.0, l_jac=0.0, phi_jac=0.0):
-    """(hc, kd) on the constant chart g; H and each FA are (16,) stacks or callables of x."""
+    """A preset of this background on the constant chart g; H and FA are (16,) stacks or callables."""
     def stack(f):
         return f if callable(f) else (lambda x: np.broadcast_to(f, np.shape(x)[:-1] + (16,)).copy())
 
     def jet(value, jac):
         return pointwise_field(value, np.broadcast_to(jac, (4, 4)))
 
-    hc = HeteroticConfig(constant_chart(g), jet(phi, phi_jac), None if H is None else stack(H),
+    hc = HeteroticConfig(jet(phi, phi_jac), None if H is None else stack(H),
                          tuple(stack(F) for F in FA), (1.0, -0.5)[:len(FA)])
-    return hc, KillingData(jet(u, u_jac), jet(l, l_jac), 0.0)
+    return Preset("constant", {}, constant_chart(g), 0.0, ((-1.0, 1.0),) * 4,
+                  killing=KillingData(jet(u, u_jac), jet(l, l_jac), 0.0), heterotic=hc)
 
 
 def frame_form(c, k, inverse):
@@ -1144,8 +1176,8 @@ def test_heterotic_ka_relations_hold_exactly_where_the_tensor_relations_do(seed)
         return hodge_star_chart(chart, x, form(rho))
 
     def residuals(phi, rho, **kw):
-        hc, kd = heterotic_background(g, u, l, phi, flux(rho), **kw)
-        return heterotic_susy_residuals(hc, kd, x), tensor_heterotic_residuals(hc, kd, x)
+        ps = heterotic_background(g, u, l, phi, flux(rho), **kw)
+        return scored(ps, "heterotic", x), tensor_heterotic_residuals(ps, x)
 
     # dilatino: the tensor relations and (phi - H) <> alpha, with H = *rho,
     # are linear in (phi, rho) and have one kernel
@@ -1221,8 +1253,8 @@ def test_heterotic_residuals_are_invariant_under_a_coordinate_reflection(seed, a
         return heterotic_background(m[:, None] * g * m, u * m, l * m, phi * m, affine(flux, m),
                                     tuple(affine(c, m) for c in gauge), *map(pulled, jacs))
 
-    base = heterotic_susy_residuals(*background(np.ones(4)), x)
-    mirrored = heterotic_susy_residuals(*background(flip), flip * x)
+    base = scored(background(np.ones(4)), "heterotic", x)
+    mirrored = scored(background(flip), "heterotic", flip * x)
     for name, value in base.items():
         assert abs(mirrored[name] - value) <= 1e-10 * max(1.0, value), name
     assert base["dilatino"] > 1e-6 and base["gravitino"] > 1e-6 and base["rho_coclosed"] > 1e-6
@@ -1279,9 +1311,8 @@ def test_run_campaign_perturbation_sensitivity():
 
 
 def test_run_campaign_rejects_missing_data():
-    bes = preset("ads4-deformed-bessel", {"lam": 1.0, "c": 2.0, "a": (1.0, 1.0, 1.0, 0.0)})
-    with pytest.raises(ValueError):
-        run_campaign(bes, "killing")
+    with pytest.raises(ValueError, match="carries no surface data"):
+        run_campaign(preset("heterotic-ppwave"), "walker")
     mink = preset("minkowski")
     with pytest.raises(ValueError):
         run_campaign(mink, "walker")
