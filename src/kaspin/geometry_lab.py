@@ -4,9 +4,9 @@ Every chart and field hands out a jet: its value at the points with its
 coordinate partials up to a given order, from the closed forms it was
 given and centered differences (_fd_jet, one evaluation per distinct
 stencil point) for the rest.  A MetricChart's jet is (g, dg, d2g).  On
-it this module computes Christoffel symbols, curvature, covariant
-derivatives of one-form fields and a chart-level Hodge dual, and scores
-a Preset (a chart with the field data its checks read) on five checks:
+it this module computes Christoffel symbols, the Ricci tensor (directly,
+without the Riemann tensor), covariant derivatives of one-form fields
+and a chart-level Hodge dual, and scores a Preset on five checks:
 
 * killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
@@ -240,10 +240,6 @@ class MetricChart:
         return self.in_domain is None or bool(np.all(self.in_domain(x)))
 
 
-def _braces(dg):
-    return _t(dg, 1, 0, 2) + _t(dg, 1, 2, 0) - dg
-
-
 def _chart_jet(chart, x, order, walker=None, k_order=0):
     """The chart's jet to order at x, checked inside its domain, and g^-1.
 
@@ -257,51 +253,49 @@ def _chart_jet(chart, x, order, walker=None, k_order=0):
     return (jets[0], np.linalg.inv(jets[0][0])) + jets[1:]
 
 
+def _matrix(a, axes, rows):
+    """a with its last `axes` axes reshaped to (rows, -1); the point axes stay in front."""
+    return a.reshape(a.shape[:a.ndim - axes] + (rows, -1))
+
+
 def _christoffel(jet, ginv):
-    """Gamma from a chart jet (g, dg, ...) and g^-1."""
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _braces(jet[1]))
-
-
-def christoffel(chart, x):
-    """Levi-Civita symbols, gamma[..., k, i, j] = Gamma^k_{ij}."""
-    return _christoffel(*_chart_jet(chart, x, 1))
-
-
-def _riemann(jet, ginv):
-    """R^r_{smn} from a second-order chart jet (g, dg, d2g) and g^-1."""
-    _, dg, d2g = jet
-    braces = _braces(dg)
-    dbraces = _t(d2g, 0, 2, 1, 3) + _t(d2g, 0, 2, 3, 1) - d2g
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, braces)
-    dgamma = 0.5 * np.einsum("...mkl,...lij->...mkij", dginv, braces)
-    dgamma += 0.5 * np.einsum("...kl,...mlij->...mkij", ginv, dbraces)
-    t = np.einsum("...mrns->...rsmn", dgamma)
-    gg = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
-    return t - _t(t, 0, 1, 3, 2) + gg - _t(gg, 0, 1, 3, 2)
-
-
-def riemann(chart, x):
-    """Curvature tensor R[..., r, s, m, n] = R^r_{smn}, first index raised."""
-    return _riemann(*_chart_jet(chart, x, 2))
+    """Gamma[..., k, i, j] = Gamma^k_ij: g^-1 times the braces d_i g_lj + d_j g_li - d_l g_ij."""
+    braces = _t(jet[1], 1, 0, 2) + _t(jet[1], 1, 2, 0) - jet[1]
+    return 0.5 * (ginv @ _matrix(braces, 3, braces.shape[-1])).reshape(braces.shape)
 
 
 def _ricci(jet, ginv):
-    return np.einsum("...rsrn->...sn", _riemann(jet, ginv))
+    """Ric_sn = d_r Gamma^r_ns - d_n Gamma^r_rs + Gamma^r_rl Gamma^l_ns - Gamma^r_nl Gamma^l_rs.
 
-
-def ricci(chart, x):
-    return _ricci(*_chart_jet(chart, x, 2))
+    From a chart jet (g, dg, d2g), d2g symmetric in its derivative axes,
+    and g^-1, one product per term and no Riemann tensor.  With B the
+    braces (Gamma = g^-1 B / 2) and m_s = g^-1 d_s g (tr m_s = 2 Gamma^r_rs):
+    d_r Gamma^r_ns = g^rl d_r B_lns / 2 - c_b Gamma^b_ns with c_b = g^ra
+    d_r g_ab, as d_r g^-1 = -g^-1 d_r g g^-1, and d_n Gamma^r_rs =
+    (tr(g^-1 d_n d_s g) - tr(m_n m_s)) / 2.
+    """
+    _, dg, d2g = jet
+    d = dg.shape[-1]
+    gamma = _christoffel(jet, ginv)
+    row = _matrix(ginv, 2, 1)  # g^rl as one row over (rl)
+    m = ginv[..., None, :, :] @ dg
+    # Gamma^r_rl Gamma^l_ns - c_b Gamma^b_ns: one row times Gamma
+    linear = (0.5 * np.trace(m, axis1=-2, axis2=-1)[..., None, :]
+              - row @ _matrix(dg, 3, d * d)) @ _matrix(gamma, 3, d)
+    # p_ns = g^rl d_n d_r g_ls; 2 g^rl d_r B_lns = p_ns + p_sn - g^rl d_r d_l g_ns
+    p = (row[..., None, :, :] @ _matrix(d2g, 3, d * d))[..., 0, :]
+    second = _matrix(d2g, 4, d * d)  # traces: g^rl d_r d_l g_ns + tr(g^-1 d_n d_s g)
+    traces = row @ second + _t(second @ _matrix(ginv, 2, d * d), 1, 0)
+    squares = _matrix(m, 3, d) @ _t(_matrix(_t(m, 0, 2, 1), 3, d), 1, 0)  # tr(m_n m_s)
+    swapped = _t(gamma, 1, 0, 2)  # Gamma^r_nl Gamma^l_rs is swapped times swapped
+    quadratic = _matrix(swapped, 3, d) @ _matrix(swapped, 3, d * d)
+    return _matrix(linear - 0.5 * traces, 2, d) - quadratic + 0.5 * (p + _t(p, 1, 0) + squares)
 
 
 def _nabla(gamma, jet):
-    """nabla omega from the Christoffel symbols and the jet (omega, d omega)."""
-    return jet[1] - np.einsum("...kij,...k->...ij", gamma, jet[0])
-
-
-def covariant_derivative_oneform(chart, omega, x):
-    """(nabla omega)[..., i, j] = d_i omega_j - Gamma^k_{ij} omega_k."""
-    return _nabla(christoffel(chart, x), omega.jet(x))
+    """(nabla omega)[..., i, j] = d_i omega_j - Gamma^k_ij omega_k from the jet (omega, d omega)."""
+    lowered = jet[0][..., None, :] @ _matrix(gamma, 3, gamma.shape[-1])
+    return jet[1] - _matrix(lowered, 2, gamma.shape[-1])
 
 
 _COFRAME = 1 << np.arange(4)  # the masks of dx^0, ..., dx^3
@@ -560,16 +554,17 @@ def _score_walker(ps, x):
 def _score_einstein(ps, x):
     """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2."""
     wd = ps.walker
+    lam = ps.lam if wd is None else wd.lam  # a surface chart is built from its walker data's lam
     jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
-    defect = _ricci(jet, ginv) + 3.0 * ps.lam**2 * jet[0]
+    defect = _ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
     if wd is not None:
         f, k, q = surface
         k, qinv = _nonzero(k), np.linalg.inv(q[0])
         trace = np.trace(qinv @ _nabla(_christoffel(q, qinv), f[1:]), axis1=-2, axis2=-1)
         out["einstein.f_equation"] = np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
-                                            - 2.0 * wd.lam**2 * f[0])
-        out["einstein.ricci_q"] = _max_abs(_ricci(q, qinv) + wd.lam**2 * q[0], 2)
+                                            - 2.0 * lam**2 * f[0])
+        out["einstein.ricci_q"] = _max_abs(_ricci(q, qinv) + lam**2 * q[0], 2)
     return out
 
 
@@ -861,6 +856,10 @@ def _preset_bessel(params):
     _check_keys("ads4-deformed-bessel", params, {"lam", "c", "a"})
     lam = _rate(params)
     c = _positive("c", params.get("c", 2.0))
+    limit = math.log(np.finfo(float).max) / 3.0  # curvature squares F ~ exp(c |x|), |x| <= 1.5
+    if c > limit:
+        raise ValueError(f"c {c!r} is out of range: exp(c * x) overflows once squared on the "
+                         f"sample box |x| <= 1.5; c must be at most {limit:.2f}")
     a1, a2, a3, a4 = _numbers("a", params.get("a", (1.0, 1.0, 1.0, 0.0)), 4)
 
     def radial(z):

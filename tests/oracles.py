@@ -22,7 +22,10 @@ chart layer's former tensor calculus: forms as alternating covariant
 tensors without the 1/k! factor, the Hodge dual by the permutation
 symbol, the heterotic and Bianchi residuals evaluated with them, and
 the Killing pair system scored as tensors, before it was scored on the
-polyform u + u ^ l.
+polyform u + u ^ l. The curvature reference builds the full Riemann
+tensor by einsum and traces it, as geometry_lab did before it took
+Ricci by one direct contraction, with the einsum Christoffel symbols
+and covariant derivative of that time.
 The samplers at the end draw the tests' random spinors and pairs.
 """
 
@@ -579,15 +582,65 @@ def multivector_check_22_chiral_square(alpha, tol=1e-9):
     return abs(inner(two, two)) <= tol * scale * scale
 
 
-# ---------------------------------------------------------------------------
-# forms as alternating tensors
-# ---------------------------------------------------------------------------
-
-
 def _t(a, *perm):
     """Transpose the trailing len(perm) axes of a; the point axes stay in front."""
     lead = a.ndim - len(perm)
     return a.transpose(*range(lead), *(lead + p for p in perm))
+
+
+# ---------------------------------------------------------------------------
+# curvature through the full Riemann tensor
+# ---------------------------------------------------------------------------
+
+
+def _braces(dg):
+    return _t(dg, 1, 0, 2) + _t(dg, 1, 2, 0) - dg
+
+
+def christoffel(jet, ginv):
+    """Gamma[..., k, i, j] = Gamma^k_ij from a chart jet (g, dg, ...) and g^-1, by einsum."""
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _braces(jet[1]))
+
+
+def nabla(gamma, jet):
+    """(nabla omega)[..., i, j] = d_i omega_j - Gamma^k_ij omega_k from the jet (omega, d omega)."""
+    return jet[1] - np.einsum("...kij,...k->...ij", gamma, jet[0])
+
+
+def riemann(jet, ginv):
+    """R[..., r, s, m, n] = R^r_smn from a second-order chart jet (g, dg, d2g) and g^-1.
+
+    R^r_smn = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns -
+    Gamma^r_nl Gamma^l_ms, with d_m Gamma from d_m g^-1 = -g^-1 d_m g g^-1
+    and the derivatives of the braces.
+    """
+    _, dg, d2g = jet
+    braces = _braces(dg)
+    dbraces = _t(d2g, 0, 2, 1, 3) + _t(d2g, 0, 2, 3, 1) - d2g
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    gamma = christoffel(jet, ginv)
+    dgamma = 0.5 * np.einsum("...mkl,...lij->...mkij", dginv, braces)
+    dgamma += 0.5 * np.einsum("...kl,...mlij->...mkij", ginv, dbraces)
+    t = np.einsum("...mrns->...rsmn", dgamma)
+    gg = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    return t - _t(t, 0, 1, 3, 2) + gg - _t(gg, 0, 1, 3, 2)
+
+
+def ricci(jet, ginv):
+    """Ric_sn = R^r_srn, the trace of riemann."""
+    return np.einsum("...rsrn->...sn", riemann(jet, ginv))
+
+
+def on_chart(kernel, chart, x, order):
+    """kernel(jet, g^-1) with the chart's jet to order at x, checked inside the chart domain."""
+    from kaspin.geometry_lab import _chart_jet
+
+    return kernel(*_chart_jet(chart, x, order))
+
+
+# ---------------------------------------------------------------------------
+# forms as alternating tensors
+# ---------------------------------------------------------------------------
 
 
 def _perm_sign(perm):
@@ -743,7 +796,7 @@ def tensor_heterotic_residuals(ps, x):
     connection, while -1/2 is nabla_X alpha = -1/4 (i_X H <> alpha - alpha
     <> i_X H) with H = *rho (README, "How campaigns are scored").
     """
-    from kaspin.geometry_lab import _chart_jet, _christoffel, _max_abs, _nabla, _pair, _zeros
+    from kaspin.geometry_lab import _chart_jet, _max_abs, _pair, _zeros
 
     x = np.asarray(x, dtype=float)
     chart, hc, kd = ps.chart, ps.heterotic, ps.killing
@@ -761,9 +814,9 @@ def tensor_heterotic_residuals(ps, x):
     res["u_rho_orthogonal"] = np.abs(u_rho)
     res["rho_phi_orthogonal"] = np.abs(_pair(rho, ginv, phi))
     res["gaugino_fit"] = _tensor_gaugino_fit(hc, ginv, u, x)
-    gamma = _christoffel(jet, ginv)
-    res["grad_u"] = _max_abs(_nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
-    defect = _nabla(gamma, l_jet) + 0.5 * _star(jet[0], _wedge_oneforms(rho, l))
+    gamma = christoffel(jet, ginv)
+    res["grad_u"] = _max_abs(nabla(gamma, u_jet) - 0.5 * _wedge_oneforms(u, phi), 2)
+    defect = nabla(gamma, l_jet) + 0.5 * _star(jet[0], _wedge_oneforms(rho, l))
     # defect = kappa (x) u for some kappa: each row wedged with u vanishes
     rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
     res["grad_l"] = _max_abs(rows_wedge_u, 3) / _max_abs(u, 1)
@@ -806,14 +859,13 @@ def tensor_killing_residuals(chart, kd, x):
     max(1, |u|, |l|)^2, the floored invariant rule that let a spacelike
     u = 1e-4 dx^0 pass.
     """
-    from kaspin.geometry_lab import covariant_derivative_oneform
-
     x = np.asarray(x, dtype=float)
+    gamma = on_chart(christoffel, chart, x, 1)
     g = chart.g(x)
     ginv = np.linalg.inv(g)
     lam, u, l = kd.lam, kd.u.value(x), kd.l.value(x)
-    d_u = covariant_derivative_oneform(chart, kd.u, x) - lam * _wedge_oneforms(u, l)
-    defect = covariant_derivative_oneform(chart, kd.l, x) - lam * (l[..., :, None] * l[..., None, :] - g)
+    d_u = nabla(gamma, kd.u.jet(x)) - lam * _wedge_oneforms(u, l)
+    defect = nabla(gamma, kd.l.jet(x)) - lam * (l[..., :, None] * l[..., None, :] - g)
     rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
     r_l = np.max(np.abs(rows_wedge_u), axis=(-3, -2, -1)) / np.max(np.abs(u), axis=-1)
 

@@ -652,7 +652,7 @@ def test_unwritable_out_path_exits_two_with_empty_stdout(capsys, tmp_path, argv)
     ("--preset", "ads4-deformed-bessel", "--c", "1000"),
     # K ~ 1e300, so dK (x) dK overflows (killing and einstein give verdicts here)
     ("--preset", "ads4", "--lambda", "1e-150", "--check", "walker"),
-    # e^(c x) ~ 1e260 in F, and the F equation meets inf - inf
+    # e^(c x) ~ 1e260 in F, whose square the curvature terms reach
     ("--preset", "ads4-deformed-bessel", "--c", "400"),
 ])
 def test_check_metric_overflow_is_an_input_error(argv):
@@ -666,6 +666,17 @@ def test_check_metric_overflow_is_an_input_error(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
+
+
+def test_check_metric_bessel_overflow_says_exp_of_c_x_overflows(capsys):
+    # libm's bare "math range error" was the whole message
+    code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4-deformed-bessel",
+                             "--c", "1000", "--check", "einstein")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: c 1000.0 is out of range: exp(c * x) overflows once squared on the sample box "
+        "|x| <= 1.5; c must be at most 236.59"]
 
 
 @pytest.mark.parametrize("argv, verdicts", [
