@@ -371,6 +371,10 @@ def _cmd_check_metric(args):
     checks = [part.strip() for part in args.check.split(",") if part.strip()]
     if not checks:
         raise UsageError("--check must name at least one residual family")
+    # the reports carry no check name, so a repeated check would print two identical reports
+    repeated = sorted({check for check in checks if checks.count(check) > 1})
+    if repeated:
+        raise UsageError(f"--check names {', '.join(repeated)} more than once")
     tol = _resolve_tol(args, 1e-6)
     n_points = _require_trials(args)
     ps = preset(args.preset, params)

@@ -70,13 +70,13 @@ def _exp(v):
 def _pointwise(fn):
     """Lift a callable of one point to (..., d) stacks, calling it point by point.
 
-    A tuple result, such as a jet, is stacked part by part.
+    The rows become one array, or, for a tuple result such as a jet, one per part.
     """
     if fn is None:
         return None
 
     def stacked(x, rows):
-        values = np.stack([np.asarray(row, dtype=float) for row in rows])
+        values = np.array(rows, dtype=float)  # rows of different shapes raise ValueError
         return values.reshape(x.shape[:-1] + values.shape[1:])
 
     def lifted(x, *args):
@@ -97,8 +97,8 @@ def _embed(x, shape, *entries):
     """Arrays of the given shape per point of x, zero but for the (index, value) entries."""
     out = _zeros(x, *shape)
     for index, value in entries:
-        index = np.index_exp[index]
-        out[(Ellipsis, *index) + np.index_exp[:] * (len(shape) - len(index))] = value
+        index = index if isinstance(index, tuple) else (index,)
+        out[(Ellipsis, *index) + (slice(None),) * (len(shape) - len(index))] = value
     return out
 
 
@@ -110,7 +110,7 @@ def _t(a, *perm):
 
 def _max_abs(a, axes):
     """max |a| over the last `axes` (component) axes: one value per point."""
-    return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+    return np.abs(a).max(axis=tuple(range(-axes, 0)))
 
 
 def _outer(a, b):
@@ -120,12 +120,6 @@ def _outer(a, b):
 def _pair(a, ginv, b):
     """a @ ginv @ b at every point."""
     return ((a[..., None, :] @ ginv) @ b[..., :, None])[..., 0, 0]
-
-
-def _per_point(a, like):
-    """Reshape point values a to broadcast against like, whose leading axes are the points."""
-    a = np.asarray(a)
-    return a.reshape(a.shape + (1,) * (np.ndim(like) - a.ndim))
 
 
 def _fd_jet(f, x, order):
@@ -148,20 +142,23 @@ def _fd_jet(f, x, order):
         return memo[steps]
 
     f0 = at()
-    n = x.shape[-1]
+    n, lead = x.shape[-1], (slice(None),) * (x.ndim - 1)
+    hk = h.reshape(x.shape + (1,) * (f0.ndim - x.ndim + 1))  # h, to broadcast against f's values
     jet = [f0]
     if order >= 1:
-        rows = [(at((k, 1)) - at((k, -1))) / _per_point(2.0 * h[..., k], f0) for k in range(n)]
-        jet.append(np.stack(rows, axis=x.ndim - 1))
+        d1 = np.empty(x.shape + f0.shape[x.ndim - 1:])
+        for k in range(n):
+            d1[lead + (k,)] = (at((k, 1)) - at((k, -1))) / (2.0 * hk[lead + (k,)])
+        jet.append(d1)
     if order >= 2:
         out = np.zeros((n, n) + f0.shape)
         for m in range(n):
-            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _per_point(_pow(h[..., m], 2), f0)
+            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _pow(hk[lead + (m,)], 2)
             for k in range(m + 1, n):
                 corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
-                out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / _per_point(
-                    4.0 * h[..., m] * h[..., k], f0)
-        jet.append(np.moveaxis(out, (0, 1), (x.ndim - 1, x.ndim)))
+                out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / (
+                    4.0 * hk[lead + (m,)] * hk[lead + (k,)])
+        jet.append(out.transpose(*range(2, x.ndim + 1), 0, 1, *range(x.ndim + 1, out.ndim)))
     return tuple(jet)
 
 
@@ -237,7 +234,7 @@ class MetricChart:
 
     def contains(self, x):
         """Whether every point of the stack x lies in the chart domain."""
-        return self.in_domain is None or bool(np.all(self.in_domain(x)))
+        return self.in_domain is None or bool(np.asarray(self.in_domain(x)).all())
 
 
 def _chart_jet(chart, x, order, walker=None, k_order=0):
@@ -280,7 +277,7 @@ def _ricci(jet, ginv):
     row = _matrix(ginv, 2, 1)  # g^rl as one row over (rl)
     m = ginv[..., None, :, :] @ dg
     # Gamma^r_rl Gamma^l_ns - c_b Gamma^b_ns: one row times Gamma
-    linear = (0.5 * np.trace(m, axis1=-2, axis2=-1)[..., None, :]
+    linear = (0.5 * m.trace(axis1=-2, axis2=-1)[..., None, :]
               - row @ _matrix(dg, 3, d * d)) @ _matrix(gamma, 3, d)
     # p_ns = g^rl d_n d_r g_ls; 2 g^rl d_r B_lns = p_ns + p_sn - g^rl d_r d_l g_ns
     p = (row[..., None, :, :] @ _matrix(d2g, 3, d * d))[..., 0, :]
@@ -532,7 +529,7 @@ def _surface(x):
 
 
 def _nonzero(k):
-    if np.any(np.abs(k[0]) < 1e-12):
+    if (np.abs(k[0]) < 1e-12).any():
         raise ValueError("profile K must be nowhere zero")
     return k
 
@@ -547,7 +544,7 @@ def _score_walker(ps, x):
     hess_k = _nabla(_christoffel(q, qinv), k[1:])
     k2 = K[..., None, None]
     hess_res = _max_abs(hess_k - _outer(d_k, d_k) / (2.0 * k2) - 2.0 * lam**2 * k2 * q[0], 2)
-    lap_res = np.abs(np.trace(qinv @ hess_k, axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
+    lap_res = np.abs((qinv @ hess_k).trace(axis1=-2, axis2=-1) - 6.0 * lam**2 * K)
     return {"walker.hessian": hess_res, "walker.laplacian": lap_res}
 
 
@@ -561,7 +558,7 @@ def _score_einstein(ps, x):
     if wd is not None:
         f, k, q = surface
         k, qinv = _nonzero(k), np.linalg.inv(q[0])
-        trace = np.trace(qinv @ _nabla(_christoffel(q, qinv), f[1:]), axis1=-2, axis2=-1)
+        trace = (qinv @ _nabla(_christoffel(q, qinv), f[1:])).trace(axis1=-2, axis2=-1)
         out["einstein.f_equation"] = np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
                                             - 2.0 * lam**2 * f[0])
         out["einstein.ricci_q"] = _max_abs(_ricci(q, qinv) + lam**2 * q[0], 2)
@@ -773,11 +770,8 @@ def _constant(vector):
 def _preset_minkowski(params):
     _check_keys("minkowski", params, set())
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    chart = MetricChart.closed(
-        lambda x: np.broadcast_to(eta, np.shape(x)[:-1] + (4, 4)).copy(),
-        lambda x: _zeros(x, 4, 4, 4),
-        lambda x: _zeros(x, 4, 4, 4, 4),
-    )
+    chart = MetricChart.closed(lambda x: _zeros(x, 4, 4) + eta, lambda x: _zeros(x, 4, 4, 4),
+                               lambda x: _zeros(x, 4, 4, 4, 4))
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
     return Preset(name="minkowski", params={}, chart=chart, lam=0.0, sample_box=_BOX_FLAT,
                   killing=kd)
@@ -1030,34 +1024,46 @@ _CHECKS = {
 
 
 @functools.cache
-def _halton_constants(base):
-    """Per-base constants of _halton: digit rows, place values, weights."""
-    places = math.ceil(54 / math.log2(base)) - 1
-    # weights by repeated division, as SciPy accumulates them
-    weights = np.empty(places)
-    weights[0] = 1.0 / base
-    for j in range(1, places):
-        weights[j] = weights[j - 1] / base
-    rows, place_values = np.tile(np.arange(base), (places, 1)), base ** np.arange(places)
-    for shared in (rows, place_values, weights):
+def _halton_constants():
+    """(rows, weights): the (places, base) digit rows of bases 2, 3, 5, 7, and the weight
+    base^-(place + 1) of each entry of the rows concatenated, then 0.0 for a padding digit.
+    Base b keeps the ceil(54 / log2 b) - 1 places a double resolves.
+    """
+    rows, weights = [], []
+    for base in (2, 3, 5, 7):
+        row = [1.0 / base]  # by repeated division, as SciPy accumulates the weights
+        while len(row) < math.ceil(54 / math.log2(base)) - 1:
+            row.append(row[-1] / base)
+        rows.append(np.tile(np.arange(base), (len(row), 1)))
+        weights += [w for w in row for _ in range(base)]
+    weights = np.array(weights + [0.0])
+    for shared in (*rows, weights):
         shared.flags.writeable = False  # every call reads the same arrays
-    return rows, place_values, weights
+    return rows, weights
 
 
-_HALTON_DIGITS = {}  # base -> _halton_digits of the first points, grown to the largest seen
+_HALTON_DIGITS = np.zeros((53, 0, 4), np.uint16)  # _halton_digits(0, n), n the largest yet
 
 
-def _halton_digits(base, start, stop):
-    """Flat indices place * base + digit of the points start..stop-1 into the digit rows."""
-    table = _HALTON_DIGITS.get(base, ())
-    if start or stop > len(table):
-        powers = _halton_constants(base)[1]
-        table = np.arange(powers.size) * base + np.arange(start, stop)[:, None] // powers % base
+def _halton_digits(start, stop):
+    """(places, points, bases) indices of the points start..stop-1 into _halton's digits:
+    digit i // b^j % b of point i at place j of base b is entry j b + digit of b's row,
+    and the places past a base's own read the padding digit.
+    """
+    global _HALTON_DIGITS
+    if start or stop > _HALTON_DIGITS.shape[1]:
+        rows, weights = _halton_constants()
+        pad, first, points = weights.size - 1, 0, np.arange(start, stop)
+        table = np.full((len(rows[0]), stop - start, len(rows)), pad, np.min_scalar_type(pad))
+        for col, row in enumerate(rows):
+            place, base = np.arange(len(row))[:, None], row.shape[1]
+            table[:len(row), :, col] = first + base * place + points // base**place % base
+            first += row.size
         if start:
             return table
         table.flags.writeable = False  # every later call reads it
-        _HALTON_DIGITS[base] = table
-    return table[:stop]
+        _HALTON_DIGITS = table
+    return _HALTON_DIGITS[:, :stop]
 
 
 def _halton(n, seed):
@@ -1067,20 +1073,18 @@ def _halton(n, seed):
     ``qmc.Halton(d=4, scramble=True, seed=seed).random(n)``: each base
     shuffles its digits per place, down to the places a double resolves,
     and point i sums its permuted digits weighted by base^-(place + 1).
-    A call draws the seeded permutations and reads the kept digit table.
+    A call weights the seeded permutations once and gathers every digit at once.
     """
     rng = np.random.default_rng(seed)
-    bases = (2, 3, 5, 7)
-    perms = [rng.permuted(_halton_constants(base)[0], axis=1) for base in bases]
+    rows, weights = _halton_constants()
+    perms = [rng.permuted(row, axis=1) for row in rows]
+    digits = np.concatenate([*perms, [0]], axis=None) * weights  # the padding digit 0 last
     out = np.empty((n, 4))
-    # the (points, places) digit arrays are read a block at a time, so
-    # their size does not grow with n
-    for start in range(0, n, HALTON_BLOCK):
+    for start in range(0, n, HALTON_BLOCK):  # a block at a time, so memory is flat in n
         stop = min(start + HALTON_BLOCK, n)
-        for col, base in enumerate(bases):
-            digits = perms[col].ravel()[_halton_digits(base, start, stop)]
-            # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
-            out[start:stop, col] = np.cumsum(digits * _halton_constants(base)[2], axis=1)[:, -1]
+        # a sum along the slow (places) axis adds one term at a time, left to right as
+        # SciPy's cumsum, so no point moves in its last bit; padded places add 0.0
+        digits.take(_halton_digits(start, stop)).sum(axis=0, out=out[start:stop])
     return out
 
 
@@ -1091,6 +1095,8 @@ def _perturbed(ps, amount):
         wd = replace(ps.walker, K=replace(base, value=lambda s: base.value(s) + amount))
         return replace(ps, walker=wd, chart=walker_chart(wd))
     factor = 1.0 + amount
+    if factor <= 0.0:
+        raise ValueError(f"perturb {amount!r} rescales the metric by 1 + perturb = {factor!r} <= 0")
     old = ps.chart
     return replace(ps, chart=replace(
         old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order))))
@@ -1098,8 +1104,7 @@ def _perturbed(ps, amount):
 
 def _summary(vals, pts):
     # the mean is a left-to-right sum, as when the points were scored one by one
-    listed = vals.tolist()
-    worst = int(np.argmax(vals))
+    listed, worst = vals.tolist(), int(vals.argmax())
     mean = sum(listed) / len(listed)
     return {"max": listed[worst], "mean": mean, "worst_point": pts[worst].tolist()}
 
@@ -1144,16 +1149,10 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for start in range(0, n_points, POINT_BLOCK):
             x = pts[start:start + POINT_BLOCK]
-            for name, value in score(ps, check, x).items():
-                blocks.setdefault(name, []).append(np.broadcast_to(value, x.shape[:-1]))
+            for name, value in _CHECKS[check][0](ps, x).items():
+                blocks.setdefault(name, []).append(value)
 
     residuals = {name: _summary(np.concatenate(parts), pts) for name, parts in blocks.items()}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
-    return {
-        "preset": ps.name,
-        "params": ps.params,
-        "points": int(n_points),
-        "residuals": residuals,
-        "verdict": verdict,
-        "seed": int(seed),
-    }
+    return {"preset": ps.name, "params": ps.params, "points": int(n_points),
+            "residuals": residuals, "verdict": verdict, "seed": int(seed)}

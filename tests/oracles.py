@@ -25,7 +25,11 @@ the Killing pair system scored as tensors, before it was scored on the
 polyform u + u ^ l. The curvature reference builds the full Riemann
 tensor by einsum and traces it, as geometry_lab did before it took
 Ricci by one direct contraction, with the einsum Christoffel symbols
-and covariant derivative of that time.
+and covariant derivative of that time. The lifting, embedding and
+Halton references are geometry_lab's former per-call forms: callbacks
+lifted row by row through np.stack, entries placed through
+np.index_exp, and the Halton draw summed base by base with a cumsum
+over a per-base digit table.
 The samplers at the end draw the tests' random spinors and pairs.
 """
 
@@ -876,6 +880,93 @@ def tensor_killing_residuals(chart, kd, x):
     invariants = np.maximum(np.maximum(np.abs(pair(u, u)), np.abs(pair(l, l) - 1.0)),
                             np.abs(pair(u, l)))
     return TensorKillingResiduals(d_u, np.max(np.abs(d_u), axis=(-2, -1)), r_l, invariants / size**2)
+
+
+# ---------------------------------------------------------------------------
+# callback lifting, embedding and the Halton draw, per row and per base
+# ---------------------------------------------------------------------------
+
+
+def pointwise(fn):
+    """Lift a callable of one point to (..., d) stacks, calling it point by point.
+
+    A tuple result, such as a jet, is stacked part by part.
+    """
+    if fn is None:
+        return None
+
+    def stacked(x, rows):
+        values = np.stack([np.asarray(row, dtype=float) for row in rows])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+
+    def lifted(x, *args):
+        x = np.asarray(x, dtype=float)
+        rows = [fn(p, *args) for p in x.reshape(-1, x.shape[-1])]
+        if isinstance(rows[0], tuple):
+            return tuple(stacked(x, part) for part in zip(*rows))
+        return stacked(x, rows)
+
+    return lifted
+
+
+def embed(x, shape, *entries):
+    """Arrays of the given shape per point of x, zero but for the (index, value) entries."""
+    out = np.zeros(np.shape(x)[:-1] + shape)
+    for index, value in entries:
+        index = np.index_exp[index]
+        out[(Ellipsis, *index) + np.index_exp[:] * (len(shape) - len(index))] = value
+    return out
+
+
+HALTON_BLOCK = 1024  # sample points whose digits halton expands at once
+
+
+@functools.cache
+def halton_constants(base):
+    """Per-base constants of halton: digit rows, place values, weights."""
+    places = math.ceil(54 / math.log2(base)) - 1
+    # weights by repeated division, as SciPy accumulates them
+    weights = np.empty(places)
+    weights[0] = 1.0 / base
+    for j in range(1, places):
+        weights[j] = weights[j - 1] / base
+    rows, place_values = np.tile(np.arange(base), (places, 1)), base ** np.arange(places)
+    for shared in (rows, place_values, weights):
+        shared.flags.writeable = False  # every call reads the same arrays
+    return rows, place_values, weights
+
+
+_HALTON_DIGITS = {}  # base -> halton_digits of the first points, grown to the largest seen
+
+
+def halton_digits(base, start, stop):
+    """Flat indices place * base + digit of the points start..stop-1 into the digit rows."""
+    table = _HALTON_DIGITS.get(base, ())
+    if start or stop > len(table):
+        powers = halton_constants(base)[1]
+        table = np.arange(powers.size) * base + np.arange(start, stop)[:, None] // powers % base
+        if start:
+            return table
+        table.flags.writeable = False  # every later call reads it
+        _HALTON_DIGITS[base] = table
+    return table[:stop]
+
+
+def halton(n, seed):
+    """n points of the scrambled Halton sequence in [0, 1)^4, bases 2, 3, 5, 7, base by base."""
+    rng = np.random.default_rng(seed)
+    bases = (2, 3, 5, 7)
+    perms = [rng.permuted(halton_constants(base)[0], axis=1) for base in bases]
+    out = np.empty((n, 4))
+    # the (points, places) digit arrays are read a block at a time, so
+    # their size does not grow with n
+    for start in range(0, n, HALTON_BLOCK):
+        stop = min(start + HALTON_BLOCK, n)
+        for col, base in enumerate(bases):
+            digits = perms[col].ravel()[halton_digits(base, start, stop)]
+            # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
+            out[start:stop, col] = np.cumsum(digits * halton_constants(base)[2], axis=1)[:, -1]
+    return out
 
 
 # ---------------------------------------------------------------------------

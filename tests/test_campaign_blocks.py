@@ -367,6 +367,155 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
         call()
 
 
+# ---------------------------------------------------------------------------
+# the fixed per-call work: lifting, embedding, the Halton draw, the evaluator contract
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want):
+    """Whether got and want are equal arrays, or tuples of them, bit for bit."""
+    got, want = (g if isinstance(g, tuple) else (g,) for g in (got, want))
+    return len(got) == len(want) and all(
+        type(a) is type(b) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape
+        and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+# component shapes of a one-point callback result: a number, a vector, a matrix, a 3-tensor
+PARTS = st.lists(st.sampled_from([(), (2,), (4,), (2, 2), (4, 4), (2, 2, 2)]), min_size=1,
+                 max_size=3)
+
+
+def one_point_callback(parts, as_tuple, as_lists, seed):
+    """A callback of one point whose result has the component shapes parts: a tuple of
+    them, or the one part itself; arrays or nested lists, a number as a float."""
+    weights = [np.random.default_rng([seed, i]).standard_normal(shape)
+               for i, shape in enumerate(parts)]
+
+    def fn(p):
+        values = [np.asarray(w * np.sin(p).sum()) for w in weights]
+        values = [v.tolist() if as_lists or v.ndim == 0 else v for v in values]
+        return tuple(values) if as_tuple else values[0]
+
+    return fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 4]), lead=st.sampled_from([(), (1,)]), n=st.integers(1, 7),
+       parts=PARTS, as_tuple=st.booleans(), as_lists=st.booleans(), seed=st.integers(0, 2**16))
+def test_one_array_lifting_is_bit_identical_to_stacking_rows(d, lead, n, parts, as_tuple,
+                                                              as_lists, seed):
+    from oracles import pointwise
+
+    parts = parts if as_tuple else parts[:1]
+    fn = one_point_callback(parts, as_tuple, as_lists, seed)
+    x = np.random.default_rng(seed).uniform(0.5, 2.0, size=lead + (n, d))
+    assert same_bits(geometry_lab._pointwise(fn)(x), pointwise(fn)(x))
+    assert same_bits(geometry_lab._pointwise(fn)(x[0]), pointwise(fn)(x[0]))
+
+
+@pytest.mark.parametrize("as_tuple", [False, True])
+def test_a_ragged_callback_result_raises(as_tuple):
+    from oracles import pointwise
+
+    # the second point returns one component fewer than the first
+    def ragged(p):
+        value = np.ones(3 if p[0] < 0.5 else 2)
+        return (1.0, value) if as_tuple else value
+
+    x = np.array([[0.0, 1.0], [1.0, 1.0]])
+    for lift in (geometry_lab._pointwise, pointwise):
+        with pytest.raises(ValueError):
+            lift(ragged)(x)
+
+
+# the kinds of index _embed's callers pass, on surface (d = 2) and chart (d = 4) tensors
+EMBED_INDICES = {
+    2: [1, (0, 1), (1, 1), np.s_[1:], np.s_[:], np.s_[0, 1:]],
+    4: [0, (1, 0), np.s_[2:], np.s_[2:, 0], np.s_[2:, 2:], np.s_[0, 2:, 2:], slice(None)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 4]), rank=st.integers(1, 3), n=st.integers(1, 7),
+       picks=st.lists(st.integers(0, 6), min_size=1, max_size=4), scalar=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_embedding_by_plain_tuples_is_bit_identical_to_index_exp(d, rank, n, picks, scalar, seed):
+    from oracles import embed
+
+    rng = np.random.default_rng(seed)
+    shape = (d,) * rank
+    indices = [i for i in EMBED_INDICES[d] if len(i if isinstance(i, tuple) else (i,)) <= rank]
+    entries = []
+    for pick in picks:
+        index = indices[pick % len(indices)]
+        # the values of one point fill what the index leaves of a tensor of the given shape
+        rest = np.zeros(shape)[index].shape
+        value = rng.standard_normal() if scalar else rng.standard_normal((n,) + rest)
+        entries.append((index, value))
+    x = rng.standard_normal((n, d))
+    assert same_bits(geometry_lab._embed(x, shape, *entries), embed(x, shape, *entries))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([1, 5, 20, 257, 2 * geometry_lab.HALTON_BLOCK + 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_gather_halton_is_bit_identical_to_the_per_base_draw(n, seed):
+    from oracles import halton
+
+    assert same_bits(geometry_lab._halton(n, seed), halton(n, seed))
+
+
+@pytest.mark.parametrize("points", [1, 7])
+@pytest.mark.parametrize("perturb", PERTURBS)
+def test_every_evaluator_returns_one_value_per_point(points, perturb):
+    # run_campaign concatenates what the evaluators return as they are
+    scored = set()
+    for name in CHECKS:
+        ps = build(name)
+        if perturb:
+            ps = geometry_lab._perturbed(ps, perturb)
+        lower, upper = np.asarray(ps.sample_box).T
+        x = np.random.default_rng(points).uniform(lower, upper, size=(points, 4))
+        for check, (evaluate, _) in geometry_lab._CHECKS.items():
+            with contextlib.suppress(ValueError):
+                require_check(ps, check)
+                for key, value in evaluate(ps, x).items():
+                    assert type(value) is np.ndarray and value.shape == (points,), (name, key)
+                scored.add(check)
+    assert scored == set(geometry_lab._CHECKS)
+
+
+def test_a_campaign_calls_no_stack_broadcast_or_index_exp(monkeypatch):
+    from oracles import embed, pointwise
+
+    counts = dict.fromkeys(("stack", "broadcast_to", "index_exp"), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    class CountedIndexExp:
+        def __getitem__(self, item, real=np.index_exp):
+            counts["index_exp"] += 1
+            return real[item]
+
+    monkeypatch.setattr(np, "stack", counted("stack", np.stack))
+    monkeypatch.setattr(np, "broadcast_to", counted("broadcast_to", np.broadcast_to))
+    monkeypatch.setattr(np, "index_exp", CountedIndexExp())
+    # the finite-difference chart lifts every callback; ads4 and minkowski embed and broadcast
+    for name, check in [("walker-generic", "einstein"), ("walker-generic", "walker"),
+                        ("ads4", "killing"), ("ads4", "einstein"), ("minkowski", "einstein")]:
+        for perturb in PERTURBS:
+            run_campaign(build(name), check, n_points=POINTS, seed=3, perturb=perturb)
+    assert counts == {"stack": 0, "broadcast_to": 0, "index_exp": 0}
+    # the former per-row lifting and index_exp embedding make the calls these counters see
+    pointwise(lambda p: p)(np.ones((2, 2)))
+    embed(np.ones((2, 2)), (2,), (0, 1.0))
+    assert counts["stack"] == 1 and counts["index_exp"] == 2
+
+
 def golden_entry(report):
     """The fields of a report that the golden test compares: worst points are left out."""
     residuals = {name: {"max": res["max"], "mean": res["mean"]}

@@ -575,6 +575,41 @@ def test_check_metric_usage_errors(capsys):
         assert "error" in err
 
 
+def test_check_metric_rejects_a_repeated_check_before_any_campaign(capsys, monkeypatch):
+    from kaspin import geometry_lab
+
+    # the reports carry no check name: a repeat would print two identical reports
+    ran = []
+    monkeypatch.setattr(geometry_lab, "run_campaign", lambda *args, **kwargs: ran.append(args))
+    for checks in ("einstein,einstein", "killing,einstein,killing", "einstein, einstein"):
+        code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4", "--check", checks)
+        assert_usage_error(code, out, err)
+        assert "more than once" in err, checks
+    assert ran == []
+
+
+@pytest.mark.parametrize("name", ["minkowski", "heterotic-ppwave"])
+@pytest.mark.parametrize("perturb", ["-1", "-2"])
+def test_check_metric_rejects_a_rescale_that_is_not_positive(capsys, name, perturb):
+    # no bare "Singular matrix" at -1, and no einstein pass on the sign-flipped metric at -2
+    code, out, err = run_cli(capsys, "check-metric", "--preset", name,
+                             "--check", "einstein,killing", f"--perturb={perturb}", "--trials", "3")
+    assert_usage_error(code, out, err)
+    assert "rescales the metric by 1 + perturb" in err
+
+
+def test_check_metric_scores_a_rescale_above_zero_and_any_surface_bump(capsys):
+    for name in ("minkowski", "heterotic-ppwave"):
+        code, out, _ = run_cli(capsys, "check-metric", "--preset", name, "--check", "killing",
+                               "--perturb=-0.999", "--trials", "3")
+        assert code == 0 and json.loads(out)["verdict"] == "fail", name
+    # a surface preset bumps K rather than rescaling the metric
+    for perturb in ("-1", "-2", "-0.999"):
+        code, out, _ = run_cli(capsys, "check-metric", "--preset", "ads4", "--check", "einstein",
+                               f"--perturb={perturb}", "--trials", "3")
+        assert code == 0 and json.loads(out)["verdict"] == "fail", perturb
+
+
 def test_check_help_names_exactly_the_checks_of_the_table():
     from kaspin import geometry_lab
 
@@ -738,18 +773,26 @@ def test_readme_library_example_runs():
 # ---------------------------------------------------------------------------
 
 
-def run_process(*argv, **kwargs):
+def run_process(*argv, entry=("-m", "kaspin.cli"), **kwargs):
     """A fresh `python -m kaspin.cli` process on this checkout; kwargs go to subprocess.run.
 
     Its stdout is block-buffered, as a user's is, so a report still in the buffer at exit shows.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(kaspin.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "kaspin.cli", *argv], env=env, **kwargs)
+    return subprocess.run([sys.executable, *entry, *argv], env=env, **kwargs)
 
 
-# 240 campaigns of one point: an 84 KB report, more than a pipe holds
-MANY_CHECKS = ",".join(["killing"] * 240)
+# --check names each check once, so no invocation reports more than a pipe holds (64 KB); a
+# campaign report padded by 90 KB stands in for one, in a process entered as cli.run() is
+PADDED = ("-c", "from kaspin import cli, geometry_lab as g; run = g.run_campaign; "
+          "g.run_campaign = lambda *a, **k: dict(run(*a, **k), padding='x' * 90_000); cli.run()")
+LARGE = ("check-metric", "--preset", "minkowski", "--check", "killing", "--trials", "1")
+
+
+def padded(run_campaign):
+    """run_campaign with its reports padded as the PADDED process pads them."""
+    return lambda *args, **kwargs: dict(run_campaign(*args, **kwargs), padding="x" * 90_000)
 
 
 @pytest.mark.parametrize("argv, code, err_lines", [
@@ -758,14 +801,21 @@ MANY_CHECKS = ",".join(["killing"] * 240)
     (("square", "[1,0,0,0]"), 2, 1),
     (("check-metric", "--preset", "ads4", "--check", "killing,einstein,walker", "--trials", "5"),
      0, 3),
-    (("check-metric", "--preset", "minkowski", "--check", MANY_CHECKS, "--trials", "1"), 0, 240),
+    (LARGE, 0, 1),
 ], ids=["negative-verdict", "usage-error", "multi-check", "large-report"])
-def test_a_process_delivers_what_main_reports(capsys, tmp_path, argv, code, err_lines):
+def test_a_process_delivers_what_main_reports(capsys, monkeypatch, tmp_path, argv, code,
+                                              err_lines):
+    from kaspin import geometry_lab
+
     if argv[0] == "check-metric":
         out_path = tmp_path / "report.json"
         argv += ("--out", str(out_path))
-    proc = run_process(*argv, capture_output=True)
+    large = argv[:len(LARGE)] == LARGE
+    if large:
+        monkeypatch.setattr(geometry_lab, "run_campaign", padded(geometry_lab.run_campaign))
+    proc = run_process(*argv, entry=PADDED if large else ("-m", "kaspin.cli"), capture_output=True)
     want_code, want_out, want_err = run_cli(capsys, *argv)
+    assert not large or len(proc.stdout) > 2**16
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
         want_code, want_out.encode(), want_err)
     assert want_code == code
@@ -778,16 +828,16 @@ def test_a_process_delivers_what_main_reports(capsys, tmp_path, argv, code, err_
         assert out_path.read_bytes() == proc.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ("square", "[1,0,0,0]", "--p", "3", "--q", "1"),
-    ("check-metric", "--preset", "minkowski", "--check", MANY_CHECKS, "--trials", "1"),
+@pytest.mark.parametrize("argv, entry", [
+    (("square", "[1,0,0,0]", "--p", "3", "--q", "1"), ("-m", "kaspin.cli")),
+    (LARGE, PADDED),
 ], ids=["buffered-report", "report-larger-than-a-pipe"])
-def test_a_process_whose_reader_is_gone_exits_two_with_a_one_line_error(argv):
+def test_a_process_whose_reader_is_gone_exits_two_with_a_one_line_error(argv, entry):
     # the read end is closed before the child starts, so every write to stdout breaks the pipe
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_process(*argv, stdout=write_end, stderr=subprocess.PIPE)
+        proc = run_process(*argv, entry=entry, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     err = proc.stderr.decode()

@@ -1393,6 +1393,28 @@ def test_run_campaign_rejects_non_finite_perturb(perturb):
         run_campaign(preset("ads4"), "einstein", n_points=2, perturb=perturb)
 
 
+@pytest.mark.parametrize("name", ["minkowski", "heterotic-ppwave"])
+@pytest.mark.parametrize("perturb", [-1.0, -2.0])
+def test_run_campaign_rejects_a_rescale_that_is_not_positive(name, perturb):
+    # 1 + perturb = 0 makes g singular, and < 0 flips its signature
+    ps = preset(name)
+    for check in ("killing", "einstein"):
+        with pytest.raises(ValueError, match=r"rescales the metric by 1 \+ perturb = -?[01]\.0"):
+            run_campaign(ps, check, n_points=2, perturb=perturb)
+
+
+def test_a_rescale_just_above_zero_and_a_surface_bump_are_scored():
+    # 1 + perturb = 0.001 still rescales the metric
+    for name in ("minkowski", "heterotic-ppwave"):
+        report = run_campaign(preset(name), "killing", n_points=3, perturb=-0.999)
+        assert report["verdict"] == "fail", name
+    # a surface preset bumps K, not the metric: any finite amount is a control
+    for perturb in (-1.0, -2.0, -0.999):
+        for check in ("einstein", "walker"):
+            report = run_campaign(preset("ads4"), check, n_points=3, perturb=perturb)
+            assert report["verdict"] == "fail", (perturb, check)
+
+
 def test_halton_matches_scipy_bit_for_bit():
     from scipy.stats import qmc
 
@@ -1431,17 +1453,23 @@ def test_halton_memory_is_flat_in_the_point_count():
 def test_halton_digit_table_is_bounded_and_grows_to_the_largest_n(monkeypatch):
     from kaspin import geometry_lab
 
-    monkeypatch.setattr(geometry_lab, "_HALTON_DIGITS", {})
-    tables = geometry_lab._HALTON_DIGITS
+    def points():
+        # the one table holds (places, points, bases): 53 places of bases 2, 3, 5 and 7
+        table = geometry_lab._HALTON_DIGITS
+        assert table.shape[::2] == (53, 4) and not table.flags.writeable
+        return table.shape[1]
+
+    monkeypatch.setattr(geometry_lab, "_HALTON_DIGITS", geometry_lab._HALTON_DIGITS[:, :0])
     first = _halton(5, 0)
     # a 5-point campaign expands only its own 5 points
-    assert sorted(tables) == [2, 3, 5, 7] and {len(t) for t in tables.values()} == {5}
+    assert points() == 5
     _halton(20, 1)
     _halton(3, 2)
-    assert {len(t) for t in tables.values()} == {20}
+    assert points() == 20
     _halton(100_000, 1)
-    assert {len(t) for t in tables.values()} == {geometry_lab.HALTON_BLOCK}
-    assert not any(t.flags.writeable for t in tables.values())
+    assert points() == geometry_lab.HALTON_BLOCK
+    # the 2 * 53 + 3 * 34 + 5 * 23 + 7 * 19 digits and one padding digit: 16 bits index them
+    assert geometry_lab._HALTON_DIGITS.dtype == np.uint16
     assert np.array_equal(_halton(5, 0), first)
 
 
