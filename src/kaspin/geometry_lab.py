@@ -2,11 +2,10 @@
 
 Every chart and field hands out a jet: its value at the points with its
 coordinate partials up to a given order, from the closed forms it was
-given and centered differences (_fd_jet, one evaluation per distinct
-stencil point) for the rest.  A MetricChart's jet is (g, dg, d2g).  On
-it this module computes Christoffel symbols, the Ricci tensor (directly,
-without the Riemann tensor), covariant derivatives of one-form fields
-and a chart-level Hodge dual, and scores a Preset on five checks:
+given and _callable_jet for the rest.  A MetricChart's jet is (g, dg,
+d2g).  On it this module computes Christoffel symbols, the Ricci tensor
+(directly, without the Riemann tensor), covariant derivatives of one-form
+fields and a chart-level Hodge dual, and scores a Preset on five checks:
 
 * killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
@@ -32,9 +31,13 @@ the hyperbolic half-plane and a plane-fronted heterotic background.
 
 Points are stacks: charts, fields and residuals take x of shape (..., d),
 the leading axes indexing sample points; one point is the stack shape ().
-_pointwise lifts a one-point callable (the user callbacks).  A campaign
-block reads each field once, to the highest order its check needs
-(_chart_jet), and inverts g and q2 once.
+_pointwise lifts a one-point callable (the user callbacks) to stacks;
+where its derivatives are needed, _callable_jet takes exact jets from
+one call per block on a _jets.JetPoint, or, for a callback the jet
+cannot serve, centered differences (_fd_jet, one call per distinct
+stencil point and sample point).  A campaign block reads each field
+once, to the highest order its check needs (_chart_jet), and inverts g
+and q2 once.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ def _pointwise(fn):
     """Lift a callable of one point to (..., d) stacks, calling it point by point.
 
     The rows become one array, or, for a tuple result such as a jet, one per part.
+    The lifted callable keeps fn as its one_point, which _callable_jet calls
+    on a whole block at once.
     """
     if fn is None:
         return None
@@ -86,6 +91,7 @@ def _pointwise(fn):
             return tuple(stacked(x, part) for part in zip(*rows))
         return stacked(x, rows)
 
+    lifted.one_point = fn
     return lifted
 
 
@@ -162,13 +168,27 @@ def _fd_jet(f, x, order):
     return tuple(jet)
 
 
+def _callable_jet(f, x, order):
+    """f at x with its partials up to order: exact jets where f is a lifted one-point
+    callable that _jets can serve (tried on every block; imported on first use), else
+    _fd_jet's differences, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if hasattr(f, "one_point"):
+        from . import _jets
+
+        jet = _jets.jet(f.one_point, x, order)
+        if jet is not None:
+            return jet
+    return _fd_jet(f, x, order)
+
+
 def _jet(x, order, value, *closed):
-    """value at x and its partials up to order: closed forms where given, else differences."""
+    """value at x and its partials up to order: closed forms where given, else _callable_jet's."""
     x = np.asarray(x, dtype=float)
     closed = closed[:order]
     if all(d is not None for d in closed):
         return tuple(np.asarray(f(x), dtype=float) for f in (value, *closed))
-    fd = _fd_jet(value, x, order)
+    fd = _callable_jet(value, x, order)
     return fd[:1] + tuple(fd[i] if d is None else np.asarray(d(x), dtype=float)
                           for i, d in enumerate(closed, 1))
 
@@ -188,13 +208,21 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class OneFormField:
-    """One-form with components in chart order; jac rows are directions."""
+    """One-form with components in chart order; jac rows are directions.
+
+    joint, where given, returns (omega, J) in one call, for a field whose
+    value and Jacobian share their work; jet then calls it alone.
+    """
 
     value: Callable
     jac: Callable | None = None
+    joint: Callable | None = None
 
     def jet(self, x):
         # (omega, J) with J[i, j] = d_i omega_j
+        if self.joint is not None:
+            return tuple(np.asarray(part, dtype=float)
+                         for part in self.joint(np.asarray(x, dtype=float)))
         return _jet(x, 1, self.value, self.jac)
 
 
@@ -204,7 +232,8 @@ class MetricChart:
 
     jet(x, order) gives g followed, up to order, by dg[m] = d_m g and
     d2g[m, n] = d_m d_n g.  provenance records whether the derivatives are
-    closed forms or differences; in_domain restricts the chart, if given.
+    closed forms ("analytic") or a callable's (_callable_jet: jets or
+    differences, "finite-difference"); in_domain restricts the chart, if given.
     """
 
     jet: Callable
@@ -218,9 +247,10 @@ class MetricChart:
 
     @classmethod
     def from_callable(cls, g, in_domain=None):
-        """Chart of a one-point metric callable, derivatives by centered differences."""
+        """Chart of a one-point metric callable: exact jets where g's arithmetic allows,
+        else centered differences (_callable_jet)."""
         g = _pointwise(g)
-        return cls(lambda x, order: _fd_jet(g, x, order), provenance="finite-difference",
+        return cls(lambda x, order: _callable_jet(g, x, order), provenance="finite-difference",
                    in_domain=_pointwise(in_domain))
 
     def g(self, x):
@@ -580,13 +610,18 @@ def _surface_pair(lam, x, k):
 
 
 def walker_killing_data(wd):
-    """The pair (u, l) of _surface_pair, from K's 2-jet alone, on the assembled chart."""
+    """The pair (u, l) of _surface_pair, from K's 2-jet alone, on the assembled chart.
 
-    def pair(x):
-        return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))
+    Each field's jet reads K once, for its value and Jacobian together.
+    """
 
-    return KillingData(OneFormField(lambda x: pair(x)[0][0], jac=lambda x: pair(x)[0][1]),
-                       OneFormField(lambda x: pair(x)[1][0], jac=lambda x: pair(x)[1][1]), wd.lam)
+    def field(which):
+        def joint(x):
+            return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))[which]
+
+        return OneFormField(lambda x: joint(x)[0], jac=lambda x: joint(x)[1], joint=joint)
+
+    return KillingData(field(0), field(1), wd.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +747,13 @@ def _finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
+
+
+def _count(name, value):
+    """value as a positive int; bools, floats and strings are not counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _positive(name, value):
@@ -1092,7 +1134,14 @@ def _perturbed(ps, amount):
     # a bump of F alone would move only the gauge of l, so surface presets bump K
     if ps.walker is not None:
         base = ps.walker.K
-        wd = replace(ps.walker, K=replace(base, value=lambda s: base.value(s) + amount))
+
+        def bumped(s):
+            return base.value(s) + amount
+
+        if hasattr(base.value, "one_point"):
+            # a callback's jet: value + amount, the same derivatives
+            bumped.one_point = lambda s: base.value.one_point(s) + amount
+        wd = replace(ps.walker, K=replace(base, value=bumped))
         return replace(ps, walker=wd, chart=walker_chart(wd))
     factor = 1.0 + amount
     if factor <= 0.0:
@@ -1131,15 +1180,16 @@ def score(ps, check, x):
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """Score one residual family at quasi-random points of the sample box.
 
-    Returns a JSON-ready report with per-residual max, mean and sample
-    point of the max, and verdict "pass" when every max is within tol.
+    n_points must be a positive integer (ValueError otherwise).  Returns a
+    JSON-ready report with per-residual max, mean and sample point of the
+    max, and verdict "pass" when every max is within tol.
     perturb biases the preset first, as a detection control: K + perturb
     on a surface preset, the metric times 1 + perturb elsewhere.  Points are
     scored in blocks of POINT_BLOCK; overflow, division by zero or an
     invalid operation raises FloatingPointError, never scoring inf or nan.
     """
     require_check(ps, check)
-    perturb = _finite("perturb", perturb)
+    n_points, perturb = _count("n_points", n_points), _finite("perturb", perturb)
     if perturb:
         ps = _perturbed(ps, perturb)
     lower, upper = np.asarray(ps.sample_box, dtype=float).T
@@ -1154,5 +1204,5 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
 
     residuals = {name: _summary(np.concatenate(parts), pts) for name, parts in blocks.items()}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
-    return {"preset": ps.name, "params": ps.params, "points": int(n_points),
+    return {"preset": ps.name, "params": ps.params, "points": n_points,
             "residuals": residuals, "verdict": verdict, "seed": int(seed)}

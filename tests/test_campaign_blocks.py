@@ -47,10 +47,12 @@ PERTURBS = (0.0, 0.1)
 POINTS = 20
 
 
-def ads4_callbacks(calls=None):
+def ads4_callbacks(calls=None, opaque=False):
     """Exact AdS4 at lam = 1 as one-point callbacks: F = K = 1/y^2, q2 = delta/y^2.
 
     When calls is a list, every callback appends (its name, the shape of its argument).
+    opaque callbacks read y through float(), which a jet point refuses, so their
+    derivatives come from differences.
     """
 
     def logged(name, fn):
@@ -60,19 +62,22 @@ def ads4_callbacks(calls=None):
             return fn(s)
         return callback
 
+    def y(s):
+        return float(s[1]) if opaque else s[1]
+
     def profile(s):
-        return 1.0 / s[1] ** 2
+        return 1.0 / y(s) ** 2
 
     return {
         "lam": 1.0,
         "F": logged("F", profile),
         "K": logged("K", profile),
-        "q2": logged("q2", lambda s: np.eye(2) / s[1] ** 2),
+        "q2": logged("q2", lambda s: np.eye(2) / y(s) ** 2),
     }
 
 
-def build(name, calls=None):
-    return preset(name, ads4_callbacks(calls) if name == "walker-generic" else None)
+def build(name, calls=None, opaque=False):
+    return preset(name, ads4_callbacks(calls, opaque) if name == "walker-generic" else None)
 
 
 def golden_cases():
@@ -160,20 +165,50 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
     assert [json.dumps(campaign(case), sort_keys=True) for case in cases] == want
 
 
-@pytest.mark.parametrize("check, per_point", [
-    # each distinct stencil point once per jet: 1 + 2d^2 = 9 points at order 2, 5 at order 1
+@pytest.mark.parametrize("check, orders", [
     # the einstein block reads each field once, at order 2, for the chart and the profiles
-    pytest.param("einstein", {"F": 9, "K": 9, "q2": 9}, id="einstein"),
-    # the walker check reads K and q2 alone
-    pytest.param("walker", {"F": 0, "K": 9, "q2": 5}, id="walker"),
+    pytest.param("einstein", {"F": 2, "K": 2, "q2": 2}, id="einstein"),
+    # the walker check reads K to order 2 and q2 to order 1 alone
+    pytest.param("walker", {"K": 2, "q2": 1}, id="walker"),
 ])
-def test_walker_generic_callbacks_see_one_point(check, per_point):
-    calls = []
-    ps = build("walker-generic", calls)
-    run_campaign(ps, check, n_points=POINTS, seed=3)
-    assert calls and all(shape == (2,) for _, shape in calls)
-    for field, count in per_point.items():
-        assert sum(name == field for name, _ in calls) == count * POINTS, field
+def test_walker_generic_callbacks_see_one_point(check, orders):
+    # every callback is called once per field and block on a jet point of shape (2,); an
+    # opaque one then once per distinct stencil point of every sample point: 1 + 2d^2 = 9
+    # at order 2 and 1 + 2d = 5 at order 1
+    stencil = {1: 5, 2: 9}
+    for opaque in (False, True):
+        calls = []
+        run_campaign(build("walker-generic", calls, opaque), check, n_points=POINTS, seed=3)
+        assert calls and all(shape == (2,) for _, shape in calls)
+        for field in ("F", "K", "q2"):
+            want = 0 if field not in orders else 1 + opaque * stencil[orders[field]] * POINTS
+            assert sum(name == field for name, _ in calls) == want, (field, opaque)
+
+
+@pytest.mark.parametrize("check", CHECKS["walker-generic"])
+def test_exact_callbacks_pass_near_eps_and_their_controls_fail(check):
+    # exact jets: the one-step differences failed einstein and walker here at about 1e-6
+    for seed in SEEDS:
+        report = run_campaign(build("walker-generic"), check, n_points=POINTS, seed=seed)
+        assert report["verdict"] == "pass", report
+        assert max(res["max"] for res in report["residuals"].values()) <= 1e-12, report
+        perturbed = run_campaign(build("walker-generic"), check, n_points=POINTS, seed=seed,
+                                 perturb=0.1)
+        assert perturbed["verdict"] == "fail", perturbed
+
+
+def test_an_opaque_callback_gets_the_difference_jets_bit_for_bit(monkeypatch):
+    # a campaign on opaque callbacks equals one whose jet path is switched off
+    from kaspin import _jets
+
+    def reports():
+        return [json.dumps(run_campaign(build("walker-generic", opaque=True), check,
+                                        n_points=POINTS, seed=3, perturb=perturb))
+                for check in CHECKS["walker-generic"] for perturb in PERTURBS]
+
+    tried = reports()
+    monkeypatch.setattr(_jets, "jet", lambda fn, x, order: None)
+    assert tried == reports()
 
 
 def test_walker_generic_accepts_and_ignores_a_gauge_root():
@@ -200,6 +235,18 @@ def counted_surface_preset(ps, counts):
     wd = dataclasses.replace(wd, q2=dataclasses.replace(wd.q2, jet=counted("q2", wd.q2.jet)),
                              **fields)
     return dataclasses.replace(ps, walker=wd, chart=geometry_lab.walker_chart(wd))
+
+
+def test_walker_killing_data_reads_k_once_per_field_jet():
+    counts = dict.fromkeys(("F", "K", "q2"), 0)
+    wd = counted_surface_preset(preset("ads4"), counts).walker
+    kd = walker_killing_data(wd)
+    x = geometry_lab._halton(5, 1) * 2.0 + np.array([-1.0, -1.0, -1.0, 0.5])
+    (u, du), (l, dl) = kd.u.jet(x), kd.l.jet(x)
+    assert counts == {"F": 0, "K": 2, "q2": 0}
+    # the same values as the separate value and jac reads
+    for got, want in zip((u, du, l, dl), (kd.u.value(x), kd.u.jac(x), kd.l.value(x), kd.l.jac(x))):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("block", [POINTS, 7])

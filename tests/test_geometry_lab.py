@@ -1393,6 +1393,19 @@ def test_run_campaign_rejects_non_finite_perturb(perturb):
         run_campaign(preset("ads4"), "einstein", n_points=2, perturb=perturb)
 
 
+@pytest.mark.parametrize("n_points", [0, -3, 2.5, 20.0, True, "20", None])
+def test_run_campaign_rejects_a_point_count_that_is_not_a_positive_integer(n_points):
+    # 0 returned a vacuous pass, -3 failed inside the sampler and 2.5 with a TypeError
+    with pytest.raises(ValueError, match="n_points must be a positive integer"):
+        run_campaign(preset("ads4"), "einstein", n_points=n_points)
+
+
+def test_run_campaign_takes_any_positive_integer_point_count():
+    want = run_campaign(preset("ads4"), "einstein", n_points=3)
+    assert run_campaign(preset("ads4"), "einstein", n_points=np.int64(3)) == want
+    assert want["points"] == 3 and type(want["points"]) is int
+
+
 @pytest.mark.parametrize("name", ["minkowski", "heterotic-ppwave"])
 @pytest.mark.parametrize("perturb", [-1.0, -2.0])
 def test_run_campaign_rejects_a_rescale_that_is_not_positive(name, perturb):

@@ -1,6 +1,7 @@
 """What importing the package costs.
 
-No scipy, no numpy.random, no product tables, and no chart layer for the CLI.
+No scipy, no numpy.random, no product tables, no chart layer for the CLI,
+and no jet module where no callback is scored.
 """
 
 import os
@@ -128,3 +129,33 @@ def test_cli_and_a_cold_square_generate_no_dataclass_code():
         "print(after_import, code, 'dataclasses' in sys.modules)"
     )
     assert loaded == "False 0 False"
+
+
+def test_named_presets_and_payload_commands_never_import_the_jet_module():
+    # kaspin._jets serves walker-generic callbacks alone, so a cold check-metric on a
+    # named preset compiles none of it
+    loaded = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from kaspin.cli import main\n"
+        "spinor = json.dumps({'p': 3, 'q': 1, 'components': [0.5, -1.0, 2.0, 0.25]})\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['square', spinor])]\n"
+        "    alpha = json.dumps(json.loads(out.getvalue())['alpha'])\n"
+        "    codes += [main([cmd, alpha]) for cmd in ('reconstruct', 'check-polyform')]\n"
+        "    codes.append(main(['verify-algebra', '--p', '3', '--q', '1']))\n"
+        "    for name in ('minkowski', 'ads4', 'ads4-deformed-poly', 'ads4-deformed-bessel',\n"
+        "                 'heterotic-ppwave'):\n"
+        "        for perturb in ('0', '0.1'):\n"
+        "            codes.append(main(['check-metric', '--preset', name, '--perturb', perturb,\n"
+        "                               '--check', 'killing,einstein', '--trials', '3']))\n"
+        "before = 'kaspin._jets' in sys.modules\n"
+        "import numpy as np\n"
+        "from kaspin.geometry_lab import preset, run_campaign\n"
+        "profile = lambda s: 1.0 / s[1] ** 2\n"
+        "callbacks = {'F': profile, 'K': profile, 'q2': lambda s: np.eye(2) * profile(s)}\n"
+        "run_campaign(preset('walker-generic', callbacks), 'walker', n_points=2)\n"
+        "print(sorted(set(codes)), before, 'kaspin._jets' in sys.modules)"
+    )
+    # a walker-generic campaign is what loads it
+    assert loaded == "[0] False True"

@@ -1,0 +1,183 @@
+"""Exact jets of one-point callbacks against differences, closed forms and the fallback."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kaspin import _jets, geometry_lab
+from kaspin.geometry_lab import preset
+
+EPS = np.finfo(float).eps
+
+
+def same_bits(got, want):
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# random ufunc expressions against centered differences
+# ---------------------------------------------------------------------------
+
+# each builds a bounded, smooth function of its operands on [-1.5, 1.5]^d
+UNARY = {
+    "neg": lambda a: -a,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": lambda a: np.exp(np.sin(a)),
+    "sqrt": lambda a: np.sqrt(2.0 + np.cos(a)),
+    "log": lambda a: np.log(2.0 + np.sin(a)),
+    "square": lambda a: np.square(np.sin(a)),
+    "cube": lambda a: (1.5 + np.sin(a)) ** 3,
+    "inverse": lambda a: (1.5 + np.cos(a)) ** -2,
+    "root": lambda a: (1.5 + np.sin(a)) ** 0.5,
+}
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / (2.5 + np.cos(b)),
+    "rdiv": lambda a, b: 1.5 / (2.5 + np.sin(a * b)),
+}
+
+
+def expressions(d):
+    leaves = st.one_of(st.tuples(st.just("x"), st.integers(0, d - 1)),
+                       st.tuples(st.just("c"), st.floats(-2.0, 2.0)))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.sampled_from(sorted(UNARY)), inner),
+        st.tuples(st.sampled_from(sorted(BINARY)), inner, inner)), max_leaves=6)
+
+
+def evaluate(tree, s):
+    """The expression at the one point s: a point array or a jet point."""
+    op, *args = tree
+    if op == "x":
+        return s[args[0]]
+    if op == "c":
+        return args[0]
+    if op in UNARY:
+        return UNARY[op](evaluate(args[0], s))
+    return BINARY[op](evaluate(args[0], s), evaluate(args[1], s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 4]), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_jets_of_ufunc_expressions_match_differences(data, d, n, seed):
+    tree = data.draw(expressions(d))
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
+
+    def fn(s):
+        return evaluate(tree, s) + 0.0 * s[0]  # a constant expression still varies with s
+
+    jet = _jets.jet(fn, x, 2)
+    fd = geometry_lab._fd_jet(geometry_lab._pointwise(fn), x, 2)
+    assert jet is not None and [a.shape for a in jet] == [a.shape for a in fd]
+    np.testing.assert_allclose(jet[0], fd[0], rtol=64 * EPS, atol=64 * EPS)
+    # differences with h = 1e-5 (1 + |x|): roundoff eps |f| / h and eps |f| / h^2, truncation
+    # h^2 |f'''| / 6 and h^2 |f''''| / 12, over these bounded, smooth expressions
+    scale = 1.0 + max(np.max(np.abs(part)) for part in jet)
+    assert np.max(np.abs(jet[1] - fd[1])) <= 1e-7 * scale
+    assert np.max(np.abs(jet[2] - fd[2])) <= 1e-4 * scale
+    # the Hessian is symmetric bit for bit, as differences give it
+    assert np.array_equal(jet[2], np.swapaxes(jet[2], -1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(1e-2, 1e2), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_jets_of_the_ads4_callbacks_are_its_closed_forms(lam, n, seed):
+    ps = preset("ads4", {"lam": lam})
+    s = np.random.default_rng(seed).uniform((-1.5, 0.3), (1.5, 3.0), size=(n, 2))
+    c0 = 1.0 / lam**2
+    for fn, field in ((lambda p: c0 / p[1] ** 2, ps.walker.K),
+                      (lambda p: np.eye(2) / (lam * p[1]) ** 2, ps.walker.q2)):
+        for got, want in zip(_jets.jet(fn, s, 2), field.jet(s, 2)):
+            # a few ulp, and exactly zero where the closed form is
+            np.testing.assert_allclose(got, want, rtol=16 * EPS, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), order=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_one_point_is_its_row_of_the_block(n, order, seed):
+    def fn(s):
+        return np.exp(np.sin(s[0])) * np.eye(2) / (1.5 + s[1] ** 2) - np.sqrt(2.0 + np.cos(s[1]))
+
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, 2))
+    block = _jets.jet(fn, x, order)
+    assert len(block) == order + 1
+    for i in range(n):
+        assert same_bits(_jets.jet(fn, x[i], order), tuple(part[i] for part in block))
+
+
+# ---------------------------------------------------------------------------
+# the jet point and the fallback
+# ---------------------------------------------------------------------------
+
+
+def test_a_jet_point_looks_like_one_point():
+    x = np.array([[0.5, 1.0, 2.0], [1.5, 0.25, -1.0]])
+    seen = []
+
+    def fn(s):
+        seen.append((len(s), s.shape, len(list(s))))
+        with pytest.raises(TypeError):
+            np.asarray(s)
+        return sum(s)
+
+    value, grad = _jets.jet(fn, x, 1)
+    assert seen == [(3, (3,), 3)]
+    assert np.array_equal(value, x.sum(axis=-1)) and np.array_equal(grad, np.ones((2, 3)))
+
+
+def test_a_constant_result_has_zero_derivatives():
+    x = np.ones((4, 2))
+    value, grad, hess = _jets.jet(lambda s: np.diag([1.0, -1.0]), x, 2)
+    assert np.array_equal(value, np.broadcast_to(np.diag([1.0, -1.0]), (4, 2, 2)))
+    assert not grad.any() and not hess.any()
+    assert grad.shape == (4, 2, 2, 2) and hess.shape == (4, 2, 2, 2, 2)
+
+
+def branching(s):
+    return s[1] ** 2 if s[1] > 0 else -s[1]
+
+
+OPAQUE = {
+    "math.exp": lambda s: math.exp(s[0]) * s[1],
+    "a branch on a value": branching,
+    "np.asarray": lambda s: np.asarray(s) ** 2,
+    "an array of jets": lambda s: np.array([[s[0], 0.0], [0.0, s[1]]]),
+    "float()": lambda s: float(s[1]) ** 3,
+    "an attribute": lambda s: s.sum(),
+    "a list result": lambda s: [s[0] * s[1], 1.0],
+    "a jet exponent": lambda s: s[0] ** s[1],
+    "an unserved ufunc": lambda s: np.tanh(s[0]),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(OPAQUE))
+def test_opaque_callables_fall_back_to_differences_bit_for_bit(name, order):
+    fn = OPAQUE[name]
+    lifted = geometry_lab._pointwise(fn)
+    x = np.random.default_rng(7).uniform(0.5, 1.5, size=(5, 2))
+    assert _jets.jet(fn, x, order) is None
+    assert same_bits(geometry_lab._callable_jet(lifted, x, order),
+                     geometry_lab._fd_jet(lifted, x, order))
+
+
+def test_other_exceptions_propagate():
+    def boom(s):
+        raise RuntimeError("boom")
+
+    def domain(s):
+        return np.sqrt(s[0])
+
+    with pytest.raises(RuntimeError, match="boom"):
+        geometry_lab._callable_jet(geometry_lab._pointwise(boom), np.ones((3, 2)), 2)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        geometry_lab._callable_jet(geometry_lab._pointwise(domain), -np.ones((3, 2)), 1)
