@@ -1,11 +1,11 @@
 """Residual evaluators for Lorentzian metric families on explicit charts.
 
-Every chart and field hands out a jet: its value at the points with its
-coordinate partials up to a given order, from the closed forms it was
-given and _callable_jet for the rest.  A MetricChart's jet is (g, dg,
-d2g).  On it this module computes Christoffel symbols, the Ricci tensor
-(directly, without the Riemann tensor), covariant derivatives of one-form
-fields and a chart-level Hodge dual, and scores a Preset on five checks:
+Every chart, profile and one-form is a Field, which hands out a jet: its
+value at the points with its coordinate partials up to a given order.
+A chart's jet is (g, dg, d2g).  On it this module computes Christoffel
+symbols, the Ricci tensor (directly, without the Riemann tensor),
+covariant derivatives of one-form fields and a chart-level Hodge dual,
+and scores a Preset on five checks:
 
 * killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
@@ -20,7 +20,8 @@ fields and a chart-level Hodge dual, and scores a Preset on five checks:
 Each check is one evaluator (ps, x) -> {report key: per-point values} in
 _CHECKS, with the preset data it reads; score(ps, check, x) is the one
 entry.  The pair is Preset.killing where one is given; a surface preset
-stores none and derives u = K dv and l = -dK/(2 lam K) from its K.
+stores none and derives u = K dv and l = -dK/(2 lam K) from its K, and
+its chart and lam from its surface data.
 
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
@@ -29,20 +30,22 @@ Multivector.coeffs (bit i is dx^i), wedged through the metric-free
 constant curvature half-space model, its two deformation families over
 the hyperbolic half-plane and a plane-fronted heterotic background.
 
-Points are stacks: charts, fields and residuals take x of shape (..., d),
-the leading axes indexing sample points; one point is the stack shape ().
-_pointwise lifts a one-point callable (the user callbacks) to stacks;
-where its derivatives are needed, _callable_jet takes exact jets from
-one call per block on a _jets.JetPoint, or, for a callback the jet
-cannot serve, centered differences (_fd_jet, one call per distinct
-stencil point and sample point).  A campaign block reads each field
-once, to the highest order its check needs (_chart_jet), and inverts g
-and q2 once.
+Points are stacks: fields and residuals take x of shape (..., d), the
+leading axes indexing sample points; one point is the stack shape ().
+A Field is built one of two ways.  The presets write each field as one
+jet function of stacks (_closed) that computes its shared terms once and
+each partial only when the order asks for it.  Field.from_callable
+serves a one-point callable (the user callbacks): exact jets from one
+call per block on a _jets.JetPoint, or, for a callback the jet cannot
+serve, centered differences (_fd_jet, one call per distinct stencil
+point and sample point).  A campaign block reads each field once, to the
+highest order its check needs (_chart_jet), and inverts g and q2 once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -74,8 +77,6 @@ def _pointwise(fn):
     """Lift a callable of one point to (..., d) stacks, calling it point by point.
 
     The rows become one array, or, for a tuple result such as a jet, one per part.
-    The lifted callable keeps fn as its one_point, which _callable_jet calls
-    on a whole block at once.
     """
     if fn is None:
         return None
@@ -91,7 +92,6 @@ def _pointwise(fn):
             return tuple(stacked(x, part) for part in zip(*rows))
         return stacked(x, rows)
 
-    lifted.one_point = fn
     return lifted
 
 
@@ -168,72 +168,27 @@ def _fd_jet(f, x, order):
     return tuple(jet)
 
 
-def _callable_jet(f, x, order):
-    """f at x with its partials up to order: exact jets where f is a lifted one-point
-    callable that _jets can serve (tried on every block; imported on first use), else
-    _fd_jet's differences, bit for bit."""
-    x = np.asarray(x, dtype=float)
-    if hasattr(f, "one_point"):
-        from . import _jets
+def _closed(parts):
+    """The jet function of closed forms: parts(x) yields the value at the (..., d) stack x,
+    then its partials, each computed only when the order asks for it."""
 
-        jet = _jets.jet(f.one_point, x, order)
-        if jet is not None:
-            return jet
-    return _fd_jet(f, x, order)
+    def jet(x, order):
+        return tuple(itertools.islice(parts(np.asarray(x, dtype=float)), order + 1))
 
-
-def _jet(x, order, value, *closed):
-    """value at x and its partials up to order: closed forms where given, else _callable_jet's."""
-    x = np.asarray(x, dtype=float)
-    closed = closed[:order]
-    if all(d is not None for d in closed):
-        return tuple(np.asarray(f(x), dtype=float) for f in (value, *closed))
-    fd = _callable_jet(value, x, order)
-    return fd[:1] + tuple(fd[i] if d is None else np.asarray(d(x), dtype=float)
-                          for i, d in enumerate(closed, 1))
+    return jet
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Scalar function of a chart point, with optional closed-form partials."""
+class Field:
+    """A chart, profile or one-form on a coordinate chart, handed out as jets.
 
-    value: Callable
-    grad: Callable | None = None
-    hess: Callable | None = None
-
-    def jet(self, x, order):
-        """(value, gradient[, Hessian]) at x; the Hessian of plain coordinate partials."""
-        return _jet(x, order, self.value, self.grad, self.hess)
-
-
-@dataclass(frozen=True, eq=False)
-class OneFormField:
-    """One-form with components in chart order; jac rows are directions.
-
-    joint, where given, returns (omega, J) in one call, for a field whose
-    value and Jacobian share their work; jet then calls it alone.
-    """
-
-    value: Callable
-    jac: Callable | None = None
-    joint: Callable | None = None
-
-    def jet(self, x):
-        # (omega, J) with J[i, j] = d_i omega_j
-        if self.joint is not None:
-            return tuple(np.asarray(part, dtype=float)
-                         for part in self.joint(np.asarray(x, dtype=float)))
-        return _jet(x, 1, self.value, self.jac)
-
-
-@dataclass(frozen=True, eq=False)
-class MetricChart:
-    """Pseudo-Riemannian metric on a coordinate chart.
-
-    jet(x, order) gives g followed, up to order, by dg[m] = d_m g and
-    d2g[m, n] = d_m d_n g.  provenance records whether the derivatives are
-    closed forms ("analytic") or a callable's (_callable_jet: jets or
-    differences, "finite-difference"); in_domain restricts the chart, if given.
+    jet(x, order) gives the value at the (..., d) stack x followed by its
+    partials up to order, the derivative axes after the point axes: a
+    chart's jet is (g, dg, d2g) with dg[m] = d_m g and d2g[m, n] = d_m d_n
+    g, a one-form's (omega, J) with J[i, j] = d_i omega_j.  provenance
+    records whether the partials are closed forms ("analytic") or a
+    callable's (from_callable: jets or differences, "finite-difference");
+    in_domain restricts the field, if given.
     """
 
     jet: Callable
@@ -241,29 +196,27 @@ class MetricChart:
     in_domain: Callable | None = None
 
     @classmethod
-    def closed(cls, g, dg, d2g, **kw):
-        """Chart of closed-form callables for g and its first and second partials."""
-        return cls(lambda x, order: _jet(x, order, g, dg, d2g), **kw)
+    def from_callable(cls, fn, in_domain=None):
+        """Field of a one-point callable: exact jets from one call per block where fn's
+        arithmetic allows (kaspin._jets, imported on first use and tried on every block),
+        else _fd_jet's centered differences, bit for bit."""
+        lifted = _pointwise(fn)
 
-    @classmethod
-    def from_callable(cls, g, in_domain=None):
-        """Chart of a one-point metric callable: exact jets where g's arithmetic allows,
-        else centered differences (_callable_jet)."""
-        g = _pointwise(g)
-        return cls(lambda x, order: _callable_jet(g, x, order), provenance="finite-difference",
-                   in_domain=_pointwise(in_domain))
+        def jet(x, order):
+            from . import _jets
 
-    def g(self, x):
+            x = np.asarray(x, dtype=float)
+            exact = _jets.jet(fn, x, order)
+            return _fd_jet(lifted, x, order) if exact is None else exact
+
+        return cls(jet, provenance="finite-difference", in_domain=_pointwise(in_domain))
+
+    def value(self, x):
+        """The value part of the jet at x."""
         return self.jet(x, 0)[0]
 
-    def dg(self, x):
-        return self.jet(x, 1)[1]
-
-    def d2g(self, x):
-        return self.jet(x, 2)[2]
-
     def contains(self, x):
-        """Whether every point of the stack x lies in the chart domain."""
+        """Whether every point of the stack x lies in the field's domain."""
         return self.in_domain is None or bool(np.asarray(self.in_domain(x)).all())
 
 
@@ -395,8 +348,8 @@ class KillingData:
     fixed only up to l + f*u, which leaves u + u ^ l unchanged.
     """
 
-    u: OneFormField
-    l: OneFormField
+    u: Field
+    l: Field
     lam: float
 
 
@@ -492,7 +445,7 @@ def _pair_jets(ps, x):
     """
     kd = ps.killing
     if kd is not None:
-        return (*_chart_jet(ps.chart, x, 1), kd.u.jet(x), kd.l.jet(x), kd.lam)
+        return (*_chart_jet(ps.chart, x, 1), kd.u.jet(x, 1), kd.l.jet(x, 1), kd.lam)
     wd = ps.walker
     jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
     return (jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam)
@@ -520,9 +473,9 @@ def _score_killing(ps, x):
 class WalkerData:
     """Surface data for the chart F dv^2 + 2 K dv du + q2: profiles F, K and the metric q2."""
 
-    F: ScalarField
-    K: ScalarField
-    q2: MetricChart
+    F: Field
+    K: Field
+    q2: Field
     lam: float
 
     def __post_init__(self):
@@ -531,14 +484,15 @@ class WalkerData:
 
 
 def walker_chart(wd):
-    """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
+    """Assemble the four-dimensional chart; coordinates (v, u, x, y).
+
+    Its partials are analytic where those of F, K and q2 all are.
+    """
     q2 = wd.q2
-    closed_form = q2.provenance == "analytic" and None not in (
-        wd.F.grad, wd.F.hess, wd.K.grad, wd.K.hess)
+    analytic = all(field.provenance == "analytic" for field in (wd.F, wd.K, q2))
     domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
-    return MetricChart(lambda x, order: _walker_jets(wd, x, order, order)[0],
-                       provenance="analytic" if closed_form else "finite-difference",
-                       in_domain=domain)
+    return Field(lambda x, order: _walker_jets(wd, x, order, order)[0],
+                 provenance="analytic" if analytic else "finite-difference", in_domain=domain)
 
 
 def _walker_jets(wd, x, order, k_order):
@@ -580,8 +534,7 @@ def _score_walker(ps, x):
 
 def _score_einstein(ps, x):
     """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2."""
-    wd = ps.walker
-    lam = ps.lam if wd is None else wd.lam  # a surface chart is built from its walker data's lam
+    wd, lam = ps.walker, ps.lam
     jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
     defect = _ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
@@ -616,10 +569,10 @@ def walker_killing_data(wd):
     """
 
     def field(which):
-        def joint(x):
-            return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))[which]
+        def jet(x, order):
+            return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))[which][:order + 1]
 
-        return OneFormField(lambda x: joint(x)[0], jac=lambda x: joint(x)[1], joint=joint)
+        return Field(jet, provenance=wd.K.provenance)
 
     return KillingData(field(0), field(1), wd.lam)
 
@@ -639,7 +592,7 @@ class HeteroticConfig:
     each FA are callables returning (..., 16) coefficient stacks.
     """
 
-    varphi: OneFormField
+    varphi: Field
     H: Callable | None = None
     FA: Sequence[Callable] = ()
     signs: Sequence[float] = ()
@@ -675,7 +628,7 @@ def _score_heterotic(ps, x):
     hc = ps.heterotic
     jet, ginv, u_jet, l_jet, _ = _pair_jets(ps, x)
     frame, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
-    phi_jet, (h, d_h) = hc.varphi.jet(x), _flux(hc, x)
+    phi_jet, (h, d_h) = hc.varphi.jet(x, 1), _flux(hc, x)
     rho = _zeros(x, 4) if hc.H is None else _hodge(jet[0], ginv)(h)[..., _COFRAME]
     rho, phi = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (rho, phi_jet[0]))
     # dx^0 ^ ... ^ dx^3 is e^1 ^ ... ^ e^4 / det E, so H = *rho in the frame carries sign(det E)
@@ -716,16 +669,26 @@ def _score_bianchi(ps, x):
 
 @dataclass(frozen=True, eq=False)
 class Preset:
-    """Named chart family with the field data its campaigns need."""
+    """Named chart family with the field data its campaigns need.
+
+    A surface preset's chart and lam are its walker data's, walker_chart(walker)
+    and walker.lam, derived at every construction: a copy with other walker
+    data (dataclasses.replace) scores that data's chart and lam.
+    """
 
     name: str
     params: dict
-    chart: MetricChart
-    lam: float
     sample_box: tuple
+    chart: Field | None = None
+    lam: float = 0.0
     killing: KillingData | None = None  # a pair written by hand; a surface preset derives its own
-    walker: WalkerData | None = None  # chart: its walker_chart
+    walker: WalkerData | None = None
     heterotic: HeteroticConfig | None = None
+
+    def __post_init__(self):
+        if self.walker is not None:
+            object.__setattr__(self, "chart", walker_chart(self.walker))
+            object.__setattr__(self, "lam", self.walker.lam)
 
 
 _BOX_FLAT = ((-2.0, 2.0),) * 4
@@ -785,37 +748,54 @@ def _numbers(name, value, *shape):
 def _poincare_half_plane(lam):
     """Hyperbolic half-plane metric delta/(lam*y)^2 with closed derivatives."""
 
-    def conformal(s, factor, power):
-        return factor * np.eye(2) / (lam**2 * _pow(s[..., 1], power))[..., None, None]
+    @_closed
+    def metric(s):
+        y = s[..., 1]
 
-    return MetricChart.closed(
-        lambda s: np.eye(2) / _pow(lam * s[..., 1], 2)[..., None, None],
-        lambda s: _embed(s, (2, 2, 2), (1, conformal(s, -2.0, 3))),
-        lambda s: _embed(s, (2, 2, 2, 2), ((1, 1), conformal(s, 6.0, 4))),
-        in_domain=lambda s: s[..., 1] > 0.0,
-    )
+        def conformal(factor, power):
+            return factor * np.eye(2) / (lam**2 * _pow(y, power))[..., None, None]
+
+        yield np.eye(2) / _pow(lam * y, 2)[..., None, None]
+        yield _embed(s, (2, 2, 2), (1, conformal(-2.0, 3)))
+        yield _embed(s, (2, 2, 2, 2), ((1, 1), conformal(6.0, 4)))
+
+    return Field(metric, in_domain=lambda s: s[..., 1] > 0.0)
 
 
 def _inverse_square_profile(c0):
-    return ScalarField(
-        value=lambda s: c0 / _pow(s[..., 1], 2),
-        grad=lambda s: _embed(s, (2,), (1, -2.0 * c0 / _pow(s[..., 1], 3))),
-        hess=lambda s: _embed(s, (2, 2), ((1, 1), 6.0 * c0 / _pow(s[..., 1], 4))),
-    )
+    @_closed
+    def profile(s):
+        y = s[..., 1]
+        yield c0 / _pow(y, 2)
+        yield _embed(s, (2,), (1, -2.0 * c0 / _pow(y, 3)))
+        yield _embed(s, (2, 2), ((1, 1), 6.0 * c0 / _pow(y, 4)))
+
+    return Field(profile)
 
 
 def _constant(vector):
     """One-form field with the same components at every point."""
-    return OneFormField(lambda x: _embed(x, (4,), (slice(None), vector)), lambda x: _zeros(x, 4, 4))
+
+    @_closed
+    def one_form(x):
+        yield _embed(x, (4,), (slice(None), vector))
+        yield _zeros(x, 4, 4)
+
+    return Field(one_form)
 
 
 def _preset_minkowski(params):
     _check_keys("minkowski", params, set())
     eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    chart = MetricChart.closed(lambda x: _zeros(x, 4, 4) + eta, lambda x: _zeros(x, 4, 4, 4),
-                               lambda x: _zeros(x, 4, 4, 4, 4))
+
+    @_closed
+    def metric(x):
+        yield _zeros(x, 4, 4) + eta
+        yield _zeros(x, 4, 4, 4)
+        yield _zeros(x, 4, 4, 4, 4)
+
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
-    return Preset(name="minkowski", params={}, chart=chart, lam=0.0, sample_box=_BOX_FLAT,
+    return Preset(name="minkowski", params={}, sample_box=_BOX_FLAT, chart=Field(metric),
                   killing=kd)
 
 
@@ -824,10 +804,7 @@ def _preset_ads4(params):
     lam = _rate(params)
     profile = _inverse_square_profile(1.0 / lam**2)
     wd = WalkerData(F=profile, K=profile, q2=_poincare_half_plane(lam), lam=lam)
-    return Preset(
-        name="ads4", params={"lam": lam}, chart=walker_chart(wd), lam=lam,
-        sample_box=_BOX_HALF, walker=wd,
-    )
+    return Preset(name="ads4", params={"lam": lam}, sample_box=_BOX_HALF, walker=wd)
 
 
 def _preset_poly(params):
@@ -835,28 +812,23 @@ def _preset_poly(params):
     lam = _rate(params)
     a1, a2, a3, a4 = _numbers("a", params.get("a", (1.0, 0.5, 0.2, 0.1)), 4)
 
-    def linear(x_coord):
-        return a1 + a2 * x_coord
+    @_closed
+    def profile_f(s):
+        # F = linear(x) * rest(y)
+        y = s[..., 1]
+        linear = a1 + a2 * s[..., 0]
+        rest = a3 * y + a4 / _pow(y, 2)
+        yield linear * rest
+        slope = a3 - 2.0 * a4 / _pow(y, 3)  # d rest / dy
+        yield _embed(s, (2,), (0, a2 * rest), (1, linear * slope))
+        cross = a2 * slope
+        yield _embed(s, (2, 2), ((0, 1), cross), ((1, 0), cross),
+                     ((1, 1), linear * 6.0 * a4 / _pow(y, 4)))
 
-    def f_hess(s):
-        cross = a2 * (a3 - 2.0 * a4 / _pow(s[..., 1], 3))
-        return _embed(s, (2, 2), ((0, 1), cross), ((1, 0), cross),
-                      ((1, 1), linear(s[..., 0]) * 6.0 * a4 / _pow(s[..., 1], 4)))
-
-    profile_f = ScalarField(
-        value=lambda s: linear(s[..., 0]) * (a3 * s[..., 1] + a4 / _pow(s[..., 1], 2)),
-        grad=lambda s: np.stack([
-            a2 * (a3 * s[..., 1] + a4 / _pow(s[..., 1], 2)),
-            linear(s[..., 0]) * (a3 - 2.0 * a4 / _pow(s[..., 1], 3)),
-        ], axis=-1),
-        hess=f_hess,
-    )
-    wd = WalkerData(F=profile_f, K=_inverse_square_profile(0.5), q2=_poincare_half_plane(lam),
-                    lam=lam)
-    return Preset(
-        name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
-        chart=walker_chart(wd), lam=lam, sample_box=_BOX_DEFORMED, walker=wd,
-    )
+    wd = WalkerData(F=Field(profile_f), K=_inverse_square_profile(0.5),
+                    q2=_poincare_half_plane(lam), lam=lam)
+    return Preset(name="ads4-deformed-poly", params={"lam": lam, "a": [a1, a2, a3, a4]},
+                  sample_box=_BOX_DEFORMED, walker=wd)
 
 
 # Taylor coefficients of j1(z) / z in powers of z^2:
@@ -898,45 +870,29 @@ def _preset_bessel(params):
                          f"sample box |x| <= 1.5; c must be at most {limit:.2f}")
     a1, a2, a3, a4 = _numbers("a", params.get("a", (1.0, 1.0, 1.0, 0.0)), 4)
 
-    def radial(z):
+    @_closed
+    def profile_f(s):
+        # F = even(x) * h(c y): the radial factor h and its z-derivatives, and the split
+        # exponentials even and odd = d even / (c dx)
+        z = c * s[..., 1]
         j1, j1p, y1, y1p = _spherical_bessel_1(z)
         h = a3 * y1 + a4 * j1
         hp = a3 * y1p + a4 * j1p
+        grow = a1 * _exp(c * s[..., 0])
+        decay = a2 * _exp(-c * s[..., 0])
+        even, odd = grow + decay, grow - decay
+        yield even * h
+        yield _embed(s, (2,), (0, c * odd * h), (1, c * even * hp))
         # order-one spherical equation gives the second derivative
         hpp = -(2.0 / z) * hp - (1.0 - 2.0 / _pow(z, 2)) * h
-        return h, hp, hpp
-
-    def split(x_coord):
-        grow = a1 * _exp(c * x_coord)
-        decay = a2 * _exp(-c * x_coord)
-        return grow + decay, grow - decay
-
-    def f_val(s):
-        h, _, _ = radial(c * s[..., 1])
-        return split(s[..., 0])[0] * h
-
-    def f_grad(s):
-        even, odd = split(s[..., 0])
-        h, hp, _ = radial(c * s[..., 1])
-        return np.stack([c * odd * h, c * even * hp], axis=-1)
-
-    def f_hess(s):
-        even, odd = split(s[..., 0])
-        h, hp, hpp = radial(c * s[..., 1])
         cross = c**2 * odd * hp
-        return _embed(s, (2, 2), ((0, 0), c**2 * even * h), ((0, 1), cross), ((1, 0), cross),
-                      ((1, 1), c**2 * even * hpp))
+        yield _embed(s, (2, 2), ((0, 0), c**2 * even * h), ((0, 1), cross), ((1, 0), cross),
+                     ((1, 1), c**2 * even * hpp))
 
-    wd = WalkerData(
-        F=ScalarField(value=f_val, grad=f_grad, hess=f_hess),
-        K=_inverse_square_profile(0.5),
-        q2=_poincare_half_plane(lam), lam=lam,
-    )
-    return Preset(
-        name="ads4-deformed-bessel",
-        params={"lam": lam, "c": c, "a": [a1, a2, a3, a4]},
-        chart=walker_chart(wd), lam=lam, sample_box=_BOX_DEFORMED, walker=wd,
-    )
+    wd = WalkerData(F=Field(profile_f), K=_inverse_square_profile(0.5),
+                    q2=_poincare_half_plane(lam), lam=lam)
+    return Preset(name="ads4-deformed-bessel", params={"lam": lam, "c": c, "a": [a1, a2, a3, a4]},
+                  sample_box=_BOX_DEFORMED, walker=wd)
 
 
 def _preset_walker_generic(params):
@@ -949,22 +905,14 @@ def _preset_walker_generic(params):
             "it cannot be built from serialized parameters"
         )
 
-    # callbacks take one surface point; lift them to stacks point by point
-    def as_field(obj):
-        if isinstance(obj, ScalarField):
-            return ScalarField(_pointwise(obj.value), _pointwise(obj.grad), _pointwise(obj.hess))
-        return ScalarField(_pointwise(obj))
+    # each callback takes one surface point: a plain callable, or a Field whose jet does
+    def lifted(obj):
+        if isinstance(obj, Field):
+            return replace(obj, jet=_pointwise(obj.jet), in_domain=_pointwise(obj.in_domain))
+        return Field.from_callable(obj)
 
-    q2 = params["q2"]
-    if isinstance(q2, MetricChart):
-        q2 = replace(q2, jet=_pointwise(q2.jet), in_domain=_pointwise(q2.in_domain))
-    else:
-        q2 = MetricChart.from_callable(q2)
-    wd = WalkerData(F=as_field(params["F"]), K=as_field(params["K"]), q2=q2, lam=lam)
-    return Preset(
-        name="walker-generic", params={"lam": lam}, chart=walker_chart(wd),
-        lam=lam, sample_box=_BOX_HALF, walker=wd,
-    )
+    wd = WalkerData(F=lifted(params["F"]), K=lifted(params["K"]), q2=lifted(params["q2"]), lam=lam)
+    return Preset(name="walker-generic", params={"lam": lam}, sample_box=_BOX_HALF, walker=wd)
 
 
 def _preset_ppwave(params):
@@ -980,53 +928,42 @@ def _preset_ppwave(params):
     def phase(v):
         return amp * (1.0 - np.cos(v))
 
-    def rate(v):
-        return amp * np.sin(v)
-
-    def conformal(x, factor):
-        """factor(v) * exp(2 phase(v)) * q0 in the transverse block, per point."""
-        return (factor * _exp(2.0 * phase(x[..., 0])))[..., None, None] * q0
-
-    def d2g(x):
+    @_closed
+    def metric(x):
         v = x[..., 0]
-        factor = 2.0 * amp * np.cos(v) + 4.0 * _pow(rate(v), 2)
-        return _embed(x, (4, 4, 4, 4), (np.s_[0, 0, 2:, 2:], conformal(x, factor)))
+        rate = amp * np.sin(v)  # d phase / dv
+        stretch = _exp(2.0 * phase(v))  # the transverse block is exp(2 phase(v)) q0
 
-    chart = MetricChart.closed(
-        lambda x: _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(x, 1.0))),
-        lambda x: _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(x, 2.0 * rate(x[..., 0])))),
-        d2g,
-    )
+        def conformal(factor):
+            """factor * exp(2 phase(v)) * q0 in the transverse block, per point."""
+            return (factor * stretch)[..., None, None] * q0
+
+        yield _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(1.0)))
+        yield _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(2.0 * rate)))
+        factor = 2.0 * amp * np.cos(v) + 4.0 * _pow(rate, 2)
+        yield _embed(x, (4, 4, 4, 4), (np.s_[0, 0, 2:, 2:], conformal(factor)))
+
     transverse = q0[:, 0] / math.sqrt(q0[0, 0])
 
-    def l_jac(x):
+    @_closed
+    def partner(x):
         v = x[..., 0]
-        return _embed(x, (4, 4), (np.s_[0, 2:], (rate(v) * _exp(phase(v)))[..., None] * transverse))
+        root = _exp(phase(v))
+        yield _embed(x, (4,), (np.s_[2:], root[..., None] * transverse))
+        yield _embed(x, (4, 4), (np.s_[0, 2:], (amp * np.sin(v) * root)[..., None] * transverse))
 
-    kd = KillingData(
-        u=_constant([1.0, 0.0, 0.0, 0.0]),
-        l=OneFormField(
-            lambda x: _embed(x, (4,), (np.s_[2:], _exp(phase(x[..., 0]))[..., None] * transverse)),
-            jac=l_jac,
-        ),
-        lam=0.0,
-    )
-
-    def dilaton_val(x):
+    @_closed
+    def dilaton(x):
         v = x[..., 0]
-        return _embed(x, (4,), (0, omega[0] + omega[1] * v + omega[2] * _pow(v, 2)))
+        yield _embed(x, (4,), (0, omega[0] + omega[1] * v + omega[2] * _pow(v, 2)))
+        yield _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * v))
 
-    def dilaton_jac(x):
-        return _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * x[..., 0]))
-
-    hc = HeteroticConfig(
-        varphi=OneFormField(dilaton_val, jac=dilaton_jac),
-        H=None, FA=(), signs=(),
-    )
+    kd = KillingData(u=_constant([1.0, 0.0, 0.0, 0.0]), l=Field(partner), lam=0.0)
+    hc = HeteroticConfig(varphi=Field(dilaton), H=None, FA=(), signs=())
     return Preset(
         name="heterotic-ppwave",
         params={"amp": amp, "q0": q0.tolist(), "omega": list(omega)},
-        chart=chart, lam=0.0, sample_box=_BOX_FLAT, killing=kd, heterotic=hc,
+        sample_box=_BOX_FLAT, chart=Field(metric), killing=kd, heterotic=hc,
     )
 
 
@@ -1135,14 +1072,11 @@ def _perturbed(ps, amount):
     if ps.walker is not None:
         base = ps.walker.K
 
-        def bumped(s):
-            return base.value(s) + amount
+        def bumped(s, order):
+            k = base.jet(s, order)
+            return (k[0] + amount,) + k[1:]  # value + amount, the same derivatives
 
-        if hasattr(base.value, "one_point"):
-            # a callback's jet: value + amount, the same derivatives
-            bumped.one_point = lambda s: base.value.one_point(s) + amount
-        wd = replace(ps.walker, K=replace(base, value=bumped))
-        return replace(ps, walker=wd, chart=walker_chart(wd))
+        return replace(ps, walker=replace(ps.walker, K=replace(base, jet=bumped)))
     factor = 1.0 + amount
     if factor <= 0.0:
         raise ValueError(f"perturb {amount!r} rescales the metric by 1 + perturb = {factor!r} <= 0")
@@ -1180,7 +1114,8 @@ def score(ps, check, x):
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """Score one residual family at quasi-random points of the sample box.
 
-    n_points must be a positive integer (ValueError otherwise).  Returns a
+    n_points must be a positive integer, seed a non-negative integer and
+    tol a positive finite number (ValueError otherwise).  Returns a
     JSON-ready report with per-residual max, mean and sample point of the
     max, and verdict "pass" when every max is within tol.
     perturb biases the preset first, as a detection control: K + perturb
@@ -1190,6 +1125,9 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     """
     require_check(ps, check)
     n_points, perturb = _count("n_points", n_points), _finite("perturb", perturb)
+    tol = _positive("tol", tol)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if perturb:
         ps = _perturbed(ps, perturb)
     lower, upper = np.asarray(ps.sample_box, dtype=float).T

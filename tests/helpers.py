@@ -1,4 +1,4 @@
-"""Inputs shared by the tests: the supported signatures and seeded samplers.
+"""Inputs shared by the tests: the supported signatures, seeded samplers and fields.
 
 The samplers draw from the Philox4x64-10 counter-based generator keyed
 by (seed, stream). The algorithm is fixed (not "whatever the default
@@ -8,6 +8,7 @@ sample sequence everywhere.
 
 import numpy as np
 
+from kaspin.geometry_lab import Field
 from kaspin.ka_core import Multivector
 
 # every signature build_rep accepts: d even, p - q in {0, 2}, d <= 8
@@ -25,3 +26,9 @@ def random_multivector(sig, rng, grade=None):
     if grade is not None:
         coeffs[sig.tables().grade != grade] = 0.0
     return Multivector(sig, coeffs)
+
+
+def closed_field(*parts, **kwargs):
+    """A Field whose jet is parts (its value, then its partials) evaluated at x, one call each."""
+    return Field(lambda x, order: tuple(np.asarray(part(x), dtype=float) for part in parts[:order + 1]),
+                 **kwargs)

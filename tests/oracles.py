@@ -761,13 +761,13 @@ def _tensor_coclosed_residual(chart, hc, x):
         return _zeros(x)
 
     def density(p):
-        g = chart.g(p)
+        g = chart.value(p)
         rho = _star(g, _tensor_flux(hc, p))
         root = np.sqrt(np.abs(np.linalg.det(g)))
         return root[..., None] * (np.linalg.inv(g) @ rho[..., None])[..., 0]
 
     divergence = np.trace(_fd_jacobian(density, x), axis1=-2, axis2=-1)
-    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.g(x))))
+    return np.abs(divergence) / np.sqrt(np.abs(np.linalg.det(chart.value(x))))
 
 
 def tensor_algebraic_relations(g, u, l, phi, rho):
@@ -805,7 +805,7 @@ def tensor_heterotic_residuals(ps, x):
     x = np.asarray(x, dtype=float)
     chart, hc, kd = ps.chart, ps.heterotic, ps.killing
     jet, ginv = _chart_jet(chart, x, 1)
-    u_jet, l_jet, phi_jet = kd.u.jet(x), kd.l.jet(x), hc.varphi.jet(x)
+    u_jet, l_jet, phi_jet = kd.u.jet(x, 1), kd.l.jet(x, 1), hc.varphi.jet(x, 1)
     u, l, phi = u_jet[0], l_jet[0], phi_jet[0]
     rho = _zeros(x, 4) if hc.H is None else _star(jet[0], _tensor_flux(hc, x))
     star_u, star_ul, star_l, u_phi, u_rho = tensor_algebraic_relations(jet[0], u, l, phi, rho)
@@ -865,11 +865,11 @@ def tensor_killing_residuals(chart, kd, x):
     """
     x = np.asarray(x, dtype=float)
     gamma = on_chart(christoffel, chart, x, 1)
-    g = chart.g(x)
+    g = chart.value(x)
     ginv = np.linalg.inv(g)
     lam, u, l = kd.lam, kd.u.value(x), kd.l.value(x)
-    d_u = nabla(gamma, kd.u.jet(x)) - lam * _wedge_oneforms(u, l)
-    defect = nabla(gamma, kd.l.jet(x)) - lam * (l[..., :, None] * l[..., None, :] - g)
+    d_u = nabla(gamma, kd.u.jet(x, 1)) - lam * _wedge_oneforms(u, l)
+    defect = nabla(gamma, kd.l.jet(x, 1)) - lam * (l[..., :, None] * l[..., None, :] - g)
     rows_wedge_u = _wedge_oneforms(defect, u[..., None, :])
     r_l = np.max(np.abs(rows_wedge_u), axis=(-3, -2, -1)) / np.max(np.abs(u), axis=-1)
 

@@ -11,13 +11,7 @@ import numpy as np
 
 from kaspin import cli
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, quantize
-from kaspin.geometry_lab import (
-    MetricChart,
-    ScalarField,
-    preset,
-    run_campaign,
-    score,
-)
+from kaspin.geometry_lab import preset, run_campaign, score
 from kaspin.ka_core import (
     Multivector,
     Signature,
@@ -35,7 +29,7 @@ from kaspin.lowdim import (
 )
 from kaspin.spinor_square import allowed_grades, reconstruct, square, verify_square_conditions
 
-from helpers import REP_SIGS, make_rng, random_multivector
+from helpers import REP_SIGS, closed_field, make_rng, random_multivector
 from oracles import random_spinor
 
 PAIRING_TABLE = {1: (1, -1), 2: (-1, -1), 3: (-1, 1), 0: (1, 1)}
@@ -64,14 +58,14 @@ def _surface_half_plane(lam):
         out[1, 1] = 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)
         return out
 
-    return MetricChart.closed(g, dg, d2g, in_domain=lambda s: s[1] > 0.0)
+    return closed_field(g, dg, d2g, in_domain=lambda s: s[1] > 0.0)
 
 
 def _surface_profile(c0):
-    return ScalarField(
-        value=lambda s: c0 / s[1] ** 2,
-        grad=lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
-        hess=lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
+    return closed_field(
+        lambda s: c0 / s[1] ** 2,
+        lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
+        lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
     )
 
 
@@ -307,10 +301,10 @@ def test_acceptance_08_deformed_families_and_sensitivity():
 
     # control: a profile solving neither deformation family must pass the
     # eigenfunction equations on K while breaking the F equation
-    bad_f = ScalarField(
-        value=lambda s: math.exp(s[0]) * s[1] ** 3,
-        grad=lambda s: np.array([math.exp(s[0]) * s[1] ** 3, 3.0 * math.exp(s[0]) * s[1] ** 2]),
-        hess=lambda s: np.array([
+    bad_f = closed_field(
+        lambda s: math.exp(s[0]) * s[1] ** 3,
+        lambda s: np.array([math.exp(s[0]) * s[1] ** 3, 3.0 * math.exp(s[0]) * s[1] ** 2]),
+        lambda s: np.array([
             [math.exp(s[0]) * s[1] ** 3, 3.0 * math.exp(s[0]) * s[1] ** 2],
             [3.0 * math.exp(s[0]) * s[1] ** 2, 6.0 * math.exp(s[0]) * s[1]],
         ]),
@@ -348,7 +342,7 @@ def test_acceptance_09_profile_eigenfunction_identity():
         lam = float(rng.uniform(0.5, 2.0))
         c0 = float(rng.uniform(0.5, 2.0))
         ps = preset("walker-generic", {
-            "lam": lam, "F": ScalarField(lambda s: 0.0), "K": _surface_profile(c0),
+            "lam": lam, "F": lambda s: 0.0, "K": _surface_profile(c0),
             "q2": _surface_half_plane(lam),
         })
         x = _points_over_surface(rng, 1, 0.3, 3.0)[0]

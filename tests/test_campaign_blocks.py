@@ -221,20 +221,19 @@ def test_walker_generic_accepts_and_ignores_a_gauge_root():
     assert calls == []
 
 
-def counted_surface_preset(ps, counts):
-    """ps with its F, K and q2 wrapped to count their value reads in counts."""
-    def counted(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+def counted(field, counts, name):
+    """field with its jet wrapped to count its reads in counts[name]."""
+    def jet(*args):
+        counts[name] += 1
+        return field.jet(*args)
 
-    wd = ps.walker
-    fields = {name: dataclasses.replace(field, value=counted(name, field.value))
-              for name, field in (("F", wd.F), ("K", wd.K))}
-    wd = dataclasses.replace(wd, q2=dataclasses.replace(wd.q2, jet=counted("q2", wd.q2.jet)),
-                             **fields)
-    return dataclasses.replace(ps, walker=wd, chart=geometry_lab.walker_chart(wd))
+    return dataclasses.replace(field, jet=jet)
+
+
+def counted_surface_preset(ps, counts):
+    """ps with its F, K and q2 wrapped to count their jet reads in counts; the chart follows."""
+    fields = {name: counted(getattr(ps.walker, name), counts, name) for name in ("F", "K", "q2")}
+    return dataclasses.replace(ps, walker=dataclasses.replace(ps.walker, **fields))
 
 
 def test_walker_killing_data_reads_k_once_per_field_jet():
@@ -242,10 +241,10 @@ def test_walker_killing_data_reads_k_once_per_field_jet():
     wd = counted_surface_preset(preset("ads4"), counts).walker
     kd = walker_killing_data(wd)
     x = geometry_lab._halton(5, 1) * 2.0 + np.array([-1.0, -1.0, -1.0, 0.5])
-    (u, du), (l, dl) = kd.u.jet(x), kd.l.jet(x)
+    (u, du), (l, dl) = kd.u.jet(x, 1), kd.l.jet(x, 1)
     assert counts == {"F": 0, "K": 2, "q2": 0}
-    # the same values as the separate value and jac reads
-    for got, want in zip((u, du, l, dl), (kd.u.value(x), kd.u.jac(x), kd.l.value(x), kd.l.jac(x))):
+    # a value read is the value part of the same jet
+    for got, want in zip((u, l), (kd.u.value(x), kd.l.value(x))):
         assert same_bits(got, want)
 
 
@@ -266,6 +265,28 @@ def test_a_block_reads_each_closed_form_field_once(monkeypatch, name, check, blo
     blocks = len(PERTURBS) * -(-POINTS // block)
     # the walker check reads no F; every other check reads each field once per block
     read = {"K", "q2"} if check == "walker" else {"F", "K", "q2"}
+    assert counts == {field: blocks if field in read else 0 for field in counts}, counts
+
+
+@pytest.mark.parametrize("block", [POINTS, 7])
+@pytest.mark.parametrize("check", CHECKS["heterotic-ppwave"])
+def test_a_ppwave_block_reads_each_field_once(monkeypatch, check, block):
+    # the chart, the pair and the dilaton: each check reads what it needs once per block
+    ps = preset("heterotic-ppwave")
+    counts = dict.fromkeys(("chart", "u", "l", "varphi"), 0)
+    pair = dataclasses.replace(ps.killing, u=counted(ps.killing.u, counts, "u"),
+                               l=counted(ps.killing.l, counts, "l"))
+    background = dataclasses.replace(ps.heterotic,
+                                     varphi=counted(ps.heterotic.varphi, counts, "varphi"))
+    read_counted = dataclasses.replace(ps, chart=counted(ps.chart, counts, "chart"), killing=pair,
+                                       heterotic=background)
+    monkeypatch.setattr(geometry_lab, "POINT_BLOCK", block)
+    for perturb in PERTURBS:
+        report = run_campaign(read_counted, check, n_points=POINTS, seed=3, perturb=perturb)
+        assert report == run_campaign(ps, check, n_points=POINTS, seed=3, perturb=perturb)
+    blocks = len(PERTURBS) * -(-POINTS // block)
+    read = {"killing": {"chart", "u", "l"}, "einstein": {"chart"},
+            "heterotic": {"chart", "u", "l", "varphi"}, "bianchi": set()}[check]
     assert counts == {field: blocks if field in read else 0 for field in counts}, counts
 
 
@@ -292,10 +313,17 @@ def test_a_raising_block_leaves_nothing_behind_for_direct_calls():
     def boom(s):
         raise RuntimeError("boom")
 
-    # every check reads K's Hessian after its value and gradient, partway through a block
+    # every check reads K's jet to order 2, which raises after its value part is computed,
+    # partway through a block
     ads = preset("ads4")
-    wd = dataclasses.replace(ads.walker, K=dataclasses.replace(ads.walker.K, hess=boom))
-    broken = dataclasses.replace(ads, walker=wd, chart=geometry_lab.walker_chart(wd))
+    K = ads.walker.K
+
+    def jet(s, order):
+        K.jet(s, 0)
+        return boom(s)
+
+    broken = dataclasses.replace(ads, walker=dataclasses.replace(
+        ads.walker, K=dataclasses.replace(K, jet=jet)))
     for check in ("killing", "einstein", "walker"):
         with pytest.raises(RuntimeError, match="boom"):
             run_campaign(broken, check, n_points=POINTS, seed=3)
@@ -346,9 +374,9 @@ def layer_calls(ps):
     """Name -> callable of a (..., 4) stack of chart points, for each layer and check ps carries."""
     chart = ps.chart
     calls = {
-        "g": chart.g,
-        "dg": chart.dg,
-        "d2g": chart.d2g,
+        "g": chart.value,
+        "dg": lambda x: chart.jet(x, 1)[1],
+        "d2g": lambda x: chart.jet(x, 2)[2],
         "christoffel": lambda x: on_chart(geometry_lab._christoffel, chart, x, 1),
         "ricci": lambda x: on_chart(geometry_lab._ricci, chart, x, 2),
         # a polyform with parts of every degree
@@ -358,7 +386,7 @@ def layer_calls(ps):
     pair = ps.killing if ps.walker is None else walker_killing_data(ps.walker)
     if pair is not None:
         calls["nabla_l"] = lambda x: geometry_lab._nabla(
-            on_chart(geometry_lab._christoffel, chart, x, 1), pair.l.jet(x))
+            on_chart(geometry_lab._christoffel, chart, x, 1), pair.l.jet(x, 1))
     for check in geometry_lab._CHECKS:
         with contextlib.suppress(ValueError):
             require_check(ps, check)
@@ -403,12 +431,12 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
             g, *rest = ads.chart.jet(x, order)
             return (g * np.where(x[..., 3] == 1.5, -1.0, 1.0)[..., None, None], *rest)
 
-        # the pair is given, so the block reads the chart's own jet
+        # the pair is given and the surface data are gone, so the block reads this chart's jet
         flipped = dataclasses.replace(ads, chart=dataclasses.replace(ads.chart, jet=jet),
-                                      killing=walker_killing_data(ads.walker))
+                                      killing=walker_killing_data(ads.walker), walker=None)
         call = lambda: score(flipped, "killing", pts)  # noqa: E731
     else:
-        wd = dataclasses.replace(ads.walker, K=geometry_lab.ScalarField(lambda s: s[..., 1] - 1.5))
+        wd = dataclasses.replace(ads.walker, K=geometry_lab.Field.from_callable(lambda s: s[1] - 1.5))
         call = lambda: score(dataclasses.replace(ads, walker=wd), "walker", pts)  # noqa: E731
     with pytest.raises(ValueError, match=message):
         call()

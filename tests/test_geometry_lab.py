@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 
 from kaspin import geometry_lab
 from kaspin.geometry_lab import (
+    Field,
     HeteroticConfig,
     KillingData,
-    MetricChart,
-    OneFormField,
     Preset,
-    ScalarField,
     WalkerData,
     hodge_star_chart,
     preset,
     run_campaign,
     score,
-    walker_chart,
     walker_killing_data,
     _J1_SERIES_CUTOFF,
     _halton,
@@ -29,7 +26,7 @@ from kaspin.geometry_lab import (
 )
 from kaspin.ka_core import Multivector, Signature, geometric_product, hodge_star, wedge
 
-from helpers import make_rng
+from helpers import closed_field, make_rng
 from oracles import on_chart
 
 SIG = Signature(3, 1)
@@ -56,8 +53,8 @@ def pair_of(ps):
 
 
 def on_surface(wd):
-    """ads4 with the surface data wd in place of its own."""
-    return dataclasses.replace(preset("ads4"), walker=wd, chart=walker_chart(wd))
+    """ads4 with the surface data wd in place of its own, and so with wd's chart and lam."""
+    return dataclasses.replace(preset("ads4"), walker=wd)
 
 
 def christoffel(chart, x):
@@ -72,7 +69,7 @@ def ricci(chart, x):
 
 def covariant_derivative(chart, field, x):
     """geometry_lab's nabla omega, [..., i, j] = d_i omega_j - Gamma^k_ij omega_k, of a field."""
-    return geometry_lab._nabla(christoffel(chart, x), field.jet(x))
+    return geometry_lab._nabla(christoffel(chart, x), field.jet(x, 1))
 
 
 def chart_point(s):
@@ -110,10 +107,10 @@ def form(*one_forms):
 
 def half_plane_profile(c0):
     # c0 / y^2 with closed-form derivatives, as a surface scalar field
-    return ScalarField(
-        value=lambda s: c0 / s[1] ** 2,
-        grad=lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
-        hess=lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
+    return closed_field(
+        lambda s: c0 / s[1] ** 2,
+        lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
+        lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
     )
 
 
@@ -125,12 +122,12 @@ def half_plane_profile(c0):
 def test_preset_chart_values_frozen():
     mink = preset("minkowski")
     np.testing.assert_array_equal(
-        mink.chart.g(np.zeros(4)), np.diag([1.0, 1.0, 1.0, -1.0])
+        mink.chart.value(np.zeros(4)), np.diag([1.0, 1.0, 1.0, -1.0])
     )
 
     ads = preset("ads4", {"lam": 1.0})
     np.testing.assert_allclose(
-        ads.chart.g(np.array([0.0, 0.0, 0.0, 1.0])), ETA, atol=1e-15
+        ads.chart.value(np.array([0.0, 0.0, 0.0, 1.0])), ETA, atol=1e-15
     )
 
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
@@ -138,12 +135,12 @@ def test_preset_chart_values_frozen():
         [[0.3, 0.5, 0, 0], [0.5, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
     )
     np.testing.assert_allclose(
-        poly.chart.g(np.array([0.0, 0.0, 0.0, 1.0])), want, atol=1e-15
+        poly.chart.value(np.array([0.0, 0.0, 0.0, 1.0])), want, atol=1e-15
     )
 
     # Bessel profile wired through the chart: check against explicit trig form.
     bes = preset("ads4-deformed-bessel", {"lam": 1.0, "c": 2.0, "a": (1.0, 1.0, 1.0, 0.0)})
-    g = bes.chart.g(np.array([0.0, 0.0, 0.0, 1.0]))
+    g = bes.chart.value(np.array([0.0, 0.0, 0.0, 1.0]))
     by2 = -np.cos(2.0) / 4.0 - np.sin(2.0) / 2.0
     assert abs(g[0, 0] - 2.0 * by2) <= 1e-12
     assert abs(g[0, 1] - 0.5) <= 1e-15
@@ -258,8 +255,7 @@ def test_metric_compatibility_and_bianchi():
     ]
     for chart in charts:
         for x in halfplane_points(4, 5):
-            g = chart.g(x)
-            dg = chart.dg(x)
+            g, dg = chart.jet(x, 1)
             gamma = christoffel(chart, x)
             nabla_g = (
                 dg
@@ -273,11 +269,6 @@ def test_metric_compatibility_and_bianchi():
             assert np.max(np.abs(riem + riem.transpose(0, 1, 3, 2))) <= 1e-12 * scale
             cyclic = riem + riem.transpose(0, 2, 3, 1) + riem.transpose(0, 3, 1, 2)
             assert np.max(np.abs(cyclic)) <= 1e-9 * scale
-
-
-def field_jet(field, x, order):
-    """field's jet to order at x; a one-form field hands out its first-order jet alone."""
-    return field.jet(x) if isinstance(field, OneFormField) else field.jet(x, order)
 
 
 def preset_fields(ps):
@@ -307,13 +298,13 @@ def test_fd_derivatives_match_analytic():
         assert ps.chart.provenance == want, name
         for field_name, (field, order, surface) in preset_fields(ps).items():
             points = x[:, 2:] if surface else x
-            jet = field_jet(field, points, order)
-            fd = geometry_lab._fd_jet(lambda p: field_jet(field, p, 0)[0], points, order)
+            jet = field.jet(points, order)
+            fd = geometry_lab._fd_jet(field.value, points, order)
             assert len(jet) == len(fd) == order + 1, (name, field_name)
             for k in range(1, order + 1):
                 norm = max(1.0, np.max(np.abs(jet[k])))
                 assert np.max(np.abs(fd[k] - jet[k])) <= 1e-5 * norm, (name, field_name, k)
-        fd_chart = MetricChart.from_callable(ps.chart.g, in_domain=ps.chart.in_domain)
+        fd_chart = Field.from_callable(ps.chart.value, in_domain=ps.chart.in_domain)
         assert fd_chart.provenance == "finite-difference"
         ric_ref = ricci(ps.chart, x)
         ric_fd = ricci(fd_chart, x)
@@ -401,7 +392,7 @@ def test_chart_star_matches_the_tensor_oracle_and_squares_to_a_sign(k, n, seed):
 
     rng = np.random.default_rng(seed)
     g = lorentzian_metrics(rng, n)
-    chart = MetricChart(lambda x, order: (g,))
+    chart = Field(lambda x, order: (g,))
     x = rng.standard_normal((n, 4))
     omega = rng.standard_normal((n, 16)) * (SIG.tables().grade == k)
     starred = hodge_star_chart(chart, x, omega)
@@ -420,7 +411,7 @@ def test_chart_star_matches_the_tensor_oracle_and_squares_to_a_sign(k, n, seed):
 
 def test_covariant_derivative_flat_constant_field_vanishes():
     mink = preset("minkowski")
-    field = OneFormField(lambda x: np.array([1.0, 2.0, -3.0, 0.5]))
+    field = Field.from_callable(lambda x: np.array([1.0, 2.0, -3.0, 0.5]))
     for x in halfplane_points(3, 8):
         nabla = covariant_derivative(mink.chart, field, x)
         assert np.max(np.abs(nabla)) <= 1e-9
@@ -434,7 +425,7 @@ def test_covariant_derivative_of_gradient_is_symmetric():
             [np.cos(x[0]), x[3], -np.sin(x[2]) * x[3], x[1] + np.cos(x[2])]
         )
 
-    field = OneFormField(grad_f)
+    field = Field.from_callable(grad_f)
     for x in halfplane_points(4, 9):
         nabla = covariant_derivative(ads.chart, field, x)
         assert np.max(np.abs(nabla - nabla.T)) <= 1e-6
@@ -489,7 +480,7 @@ def test_killing_pair_invariants_and_sensitivity():
     x = np.array([0.2, -0.4, 0.3, 1.1])
 
     # l no longer unit: alpha is no square, and nabla(u ^ l) is 1.1 lam X ^ u
-    bad_l = OneFormField(lambda p: 1.1 * pair.l.value(p))
+    bad_l = Field.from_callable(lambda p: 1.1 * pair.l.value(p))
     res = scored(dataclasses.replace(ads, killing=KillingData(pair.u, bad_l, 1.0)), "killing", x)
     assert res["square"] > 1e-3 and res["ka"] > 1e-3
 
@@ -498,15 +489,15 @@ def test_killing_pair_invariants_and_sensitivity():
         y = p[3]
         return np.array([0.0, 0.0, 0.6 / y, 0.8 / y])
 
-    tilted_pair = KillingData(pair.u, OneFormField(tilted), 1.0)
+    tilted_pair = KillingData(pair.u, Field.from_callable(tilted), 1.0)
     res = scored(dataclasses.replace(ads, killing=tilted_pair), "killing", x)
     assert res["square"] <= 1e-14
     assert res["ka"] > 1e-3
 
 
 def constant_one_form(vector):
-    return OneFormField(lambda x: np.broadcast_to(np.asarray(vector, dtype=float), np.shape(x)),
-                        jac=lambda x: np.zeros(np.shape(x)[:-1] + (4, 4)))
+    return closed_field(lambda x: np.broadcast_to(np.asarray(vector, dtype=float), np.shape(x)),
+                        lambda x: np.zeros(np.shape(x)[:-1] + (4, 4)))
 
 
 def test_a_spacelike_u_fails_killing():
@@ -534,9 +525,9 @@ def test_a_vanishing_u_is_a_fail_not_an_error():
         return u.value(x) * (x[..., :1] >= 0.0)
 
     def jac(x):
-        return u.jac(x) * (x[..., None, :1] >= 0.0)
+        return u.jet(x, 1)[1] * (x[..., None, :1] >= 0.0)
 
-    kd = dataclasses.replace(pair, u=OneFormField(value, jac))
+    kd = dataclasses.replace(pair, u=closed_field(value, jac))
     x = halfplane_points(8, 27)
     # the check scores the pair it is given, not the one the surface data derive
     ps = dataclasses.replace(ads, killing=kd)
@@ -551,12 +542,18 @@ def test_a_vanishing_u_is_a_fail_not_an_error():
     json.dumps(report, allow_nan=False)
 
 
+def bumped(field, bump):
+    """field + bump: its value moves, its partials stay."""
+    def jet(x, order):
+        parts = field.jet(x, order)
+        return (parts[0] + bump,) + parts[1:]
+
+    return dataclasses.replace(field, jet=jet)
+
+
 def bumped_f(ps, bump):
     """The surface preset ps with F + bump: the chart moves, and l only by a gauge shift."""
-    base = ps.walker.F
-    wd = dataclasses.replace(ps.walker,
-                             F=dataclasses.replace(base, value=lambda s: base.value(s) + bump))
-    return dataclasses.replace(ps, walker=wd, chart=walker_chart(wd))
+    return dataclasses.replace(ps, walker=dataclasses.replace(ps.walker, F=bumped(ps.walker.F, bump)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -594,7 +591,7 @@ def test_ka_grade_one_defect_is_the_tensor_r_u_defect():
     # K bumps leave the u equation exact; a stretched l breaks it
     ads = preset("ads4")
     pair = pair_of(ads)
-    stretched = OneFormField(lambda p: 1.1 * pair.l.value(p), lambda p: 1.1 * pair.l.jac(p))
+    stretched = closed_field(lambda p: 1.1 * pair.l.value(p), lambda p: 1.1 * pair.l.jet(p, 1)[1])
     cases.append((dataclasses.replace(ads, killing=KillingData(pair.u, stretched, 1.0)), True))
     for ps, broken in cases:
         lower, upper = np.asarray(ps.sample_box).T
@@ -602,7 +599,7 @@ def test_ka_grade_one_defect_is_the_tensor_r_u_defect():
         kd = pair_of(ps)
         jet, ginv = geometry_lab._chart_jet(ps.chart, x, 1)
         frame, _, dual, alpha, d_alpha, size = geometry_lab._pair_frame(
-            jet, ginv, kd.u.jet(x), kd.l.jet(x))
+            jet, ginv, kd.u.jet(x, 1), kd.l.jet(x, 1))
         defect = geometry_lab._ka_defect(alpha, d_alpha, (0.5 * kd.lam) * dual, 1)
         got = (defect[..., geometry_lab._COFRAME] @ frame) * size[:, None, None]
         want = tensor_killing_residuals(ps.chart, kd, x).d_u
@@ -660,7 +657,7 @@ def test_pfaffian_consistency_of_pair_derivatives():
 
 
 def poincare_surface(lam):
-    return MetricChart.closed(
+    return closed_field(
         lambda s: np.eye(2) / (lam * s[1]) ** 2,
         lambda s: np.array(
             [np.zeros((2, 2)), -2.0 * np.eye(2) / (lam**2 * s[1] ** 3)]
@@ -680,7 +677,7 @@ def test_walker_residuals_half_plane_profiles():
     lam = 0.7
     for c0 in (1.0, 2.0, -0.5):
         wd = WalkerData(
-            F=ScalarField(lambda s: 0.0),
+            F=Field.from_callable(lambda s: 0.0),
             K=half_plane_profile(c0),
             q2=poincare_surface(lam),
             lam=lam,
@@ -704,7 +701,7 @@ def test_walker_residuals_on_presets_and_flag():
 
     # the profile equations read K alone: an F with no real gauge root changes nothing
     wd = WalkerData(
-        F=ScalarField(lambda s: -s[1]),
+        F=Field.from_callable(lambda s: -s[1]),
         K=half_plane_profile(0.5),
         q2=poincare_surface(1.0),
         lam=1.0,
@@ -716,8 +713,8 @@ def test_walker_residuals_on_presets_and_flag():
 def test_walker_residuals_reject_bad_profiles():
     lam = 1.0
     wd = WalkerData(
-        F=ScalarField(lambda s: 0.0),
-        K=ScalarField(lambda s: 1.0),
+        F=Field.from_callable(lambda s: 0.0),
+        K=Field.from_callable(lambda s: 1.0),
         q2=poincare_surface(lam),
         lam=lam,
     )
@@ -725,8 +722,8 @@ def test_walker_residuals_reject_bad_profiles():
     assert res["laplacian"] > 1.0
 
     vanishing = WalkerData(
-        F=ScalarField(lambda s: 0.0),
-        K=ScalarField(lambda s: s[0]),
+        F=Field.from_callable(lambda s: 0.0),
+        K=Field.from_callable(lambda s: s[0]),
         q2=poincare_surface(lam),
         lam=lam,
     )
@@ -752,7 +749,7 @@ def test_einstein_residual_families():
     # generic profile keeps the Killing system but breaks the Einstein one
     lam = 1.0
     generic = WalkerData(
-        F=ScalarField(lambda s: np.exp(s[0]) * s[1] ** 3),
+        F=Field.from_callable(lambda s: np.exp(s[0]) * s[1] ** 3),
         K=half_plane_profile(0.5),
         q2=poincare_surface(lam),
         lam=lam,
@@ -763,13 +760,27 @@ def test_einstein_residual_families():
 
 
 def test_einstein_reads_lam_from_the_surface_data():
-    # the chart and profiles of lam = 0.7 on a preset whose own lam stays 1: einstein.chart
-    # read the stale Preset.lam and failed with 1.53 beside f_equation 8.9e-15
+    # the surface data of lam = 0.7 on a copy of the lam = 1 preset: einstein.chart once
+    # read the copied Preset.lam and failed with 1.53 beside f_equation 8.9e-15
     ps = on_surface(preset("ads4", {"lam": 0.7}).walker)
-    assert ps.lam == 1.0
+    assert ps.lam == 0.7
     report = run_campaign(ps, "einstein", n_points=20, seed=0)
     assert report["verdict"] == "pass", report["residuals"]
     assert max(res["max"] for res in report["residuals"].values()) <= 1e-12
+
+
+def test_a_copy_with_other_surface_data_scores_their_chart_and_lam():
+    # replace(ps, walker=wd) with no chart of its own: the copy once kept ps's chart and lam
+    ads, other = preset("ads4"), preset("ads4", {"lam": 0.7})
+    ps = dataclasses.replace(ads, walker=other.walker)
+    assert ps.lam == other.lam == 0.7
+    x = halfplane_points(4, 3)
+    for got, want in zip(ps.chart.jet(x, 2), other.chart.jet(x, 2)):
+        assert np.array_equal(got, want)
+    for check in ("killing", "einstein", "walker"):
+        got, want = run_campaign(ps, check), run_campaign(other, check)
+        assert (got["verdict"], got["residuals"]) == (want["verdict"], want["residuals"]), check
+        assert got["verdict"] == "pass"
 
 
 def test_walker_to_killing_transfer():
@@ -779,17 +790,17 @@ def test_walker_to_killing_transfer():
     ads = preset("ads4", {"lam": 1.1})
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     generic = dataclasses.replace(poly.walker,
-                                  F=ScalarField(lambda s: np.exp(s[..., 0]) * s[..., 1] ** 3))
+                                  F=Field.from_callable(lambda s: np.exp(s[..., 0]) * s[..., 1] ** 3))
     x = halfplane_points(4, 20)
     for wd in (ads.walker, poly.walker, generic):
         kd = walker_killing_data(wd)
-        assert kd.u.jac is not None and kd.l.jac is not None
+        assert kd.u.provenance == kd.l.provenance == "analytic"
         res = scored(dataclasses.replace(on_surface(wd), killing=kd), "killing", x)
         assert np.max(res["square"]) <= 1e-14
         assert np.max(res["ka"]) <= 1e-14
     for field in ("u", "l"):
-        want = getattr(walker_killing_data(poly.walker), field).jet(x)
-        for got, part in zip(getattr(walker_killing_data(generic), field).jet(x), want):
+        want = getattr(walker_killing_data(poly.walker), field).jet(x, 1)
+        for got, part in zip(getattr(walker_killing_data(generic), field).jet(x, 1), want):
             assert np.array_equal(got, part)
 
 
@@ -807,7 +818,7 @@ def test_walker_killing_data_closed_forms(lam, a, seed):
     poly = preset("ads4-deformed-poly", {"lam": lam, "a": a})
     kd = walker_killing_data(poly.walker)
     # the closed-form Jacobian of l against centred differences of its value
-    for p, jac in zip(x, kd.l.jac(x)):
+    for p, jac in zip(x, kd.l.jet(x, 1)[1]):
         fd = fd_jacobian(kd.l.value, p)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd))), p
     # u = K dv and l = -dK/(2 lam K) = dy/(lam y), with K = 1/(2 y^2): no dv part
@@ -818,7 +829,7 @@ def test_walker_killing_data_closed_forms(lam, a, seed):
 
     # ads4: u = dv/(lam y)^2 and l = dy/(lam y), to a few ulps
     kd = pair_of(preset("ads4", {"lam": lam}))
-    u, l, ju, jl = kd.u.value(x), kd.l.value(x), kd.u.jac(x), kd.l.jac(x)
+    (u, ju), (l, jl) = kd.u.jet(x, 1), kd.l.jet(x, 1)
     assert np.all(u[:, 1:] == 0.0) and np.all(l[:, :3] == 0.0)
     np.testing.assert_allclose(u[:, 0], 1.0 / (lam * yy) ** 2, rtol=4 * EPS, atol=0.0)
     np.testing.assert_allclose(l[:, 3], 1.0 / (lam * yy), rtol=4 * EPS, atol=0.0)
@@ -840,11 +851,11 @@ def gauge_shifts(draw):
 
 def regauged_pair(kd, f, df):
     """The pair (u, l + f*u): dl becomes dl + df (x) u + f*du."""
-    def jet(x):
-        (u, du), (l, dl), fx = kd.u.jet(x), kd.l.jet(x), f(x)[..., None]
-        return l + fx * u, dl + df(x)[..., :, None] * u[..., None, :] + fx[..., None] * du
+    def jet(x, order):
+        (u, du), (l, dl), fx = kd.u.jet(x, 1), kd.l.jet(x, 1), f(x)[..., None]
+        return (l + fx * u, dl + df(x)[..., :, None] * u[..., None, :] + fx[..., None] * du)[:order + 1]
 
-    return KillingData(kd.u, OneFormField(lambda x: jet(x)[0], jac=lambda x: jet(x)[1]), kd.lam)
+    return KillingData(kd.u, Field(jet), kd.lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -875,11 +886,7 @@ def test_a_bump_of_f_is_gauge_for_killing(name, bump):
     # F + c shifts only the gauge of l, so the pair system still holds
     # (scoring against a pinned shift one-form once read 0.100 here)
     ps = preset(name)
-    base = ps.walker.F
-    wd = dataclasses.replace(ps.walker,
-                             F=dataclasses.replace(base, value=lambda s: base.value(s) + bump))
-    bumped = dataclasses.replace(ps, walker=wd, chart=walker_chart(wd))
-    report = run_campaign(bumped, "killing", n_points=50, seed=3)
+    report = run_campaign(bumped_f(ps, bump), "killing", n_points=50, seed=3)
     assert report["verdict"] == "pass"
     assert max(res["max"] for res in report["residuals"].values()) <= 1e-14
     # the same bump of K is a genuine control
@@ -997,7 +1004,7 @@ def test_einstein_property_of_chart_families():
     for lam in (0.5, 1.0, 2.0):
         ads = preset("ads4", {"lam": lam})
         for x in halfplane_points(5, 22):
-            g = ads.chart.g(x)
+            g = ads.chart.value(x)
             ric = ricci(ads.chart, x)
             rel = np.max(np.abs(ric + 3 * lam**2 * g)) / np.max(np.abs(g))
             assert rel <= 1e-6
@@ -1008,7 +1015,7 @@ def test_einstein_property_of_chart_families():
     ]:
         ps = preset(name, params)
         for x in halfplane_points(5, 23):
-            g = ps.chart.g(x)
+            g = ps.chart.value(x)
             ric = ricci(ps.chart, x)
             rel = np.max(np.abs(ric + 3 * g)) / np.max(np.abs(g))
             assert rel <= 1e-8
@@ -1030,8 +1037,8 @@ def test_deformed_family_at_zero_matches_base_chart():
         ]
     )
     for x in halfplane_points(5, 24):
-        pulled_back = jac.T @ ads.chart.g(x) @ jac
-        np.testing.assert_allclose(pulled_back, poly.chart.g(x), atol=1e-13)
+        pulled_back = jac.T @ ads.chart.value(x) @ jac
+        np.testing.assert_allclose(pulled_back, poly.chart.value(x), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,13 +1062,13 @@ def test_heterotic_ppwave_all_residuals():
     # dropping the conformal factor from l leaves it short of unit length
     q0 = np.array([[2.0, 0.3], [0.3, 1.0]])
     l0 = q0[:, 0] / np.sqrt(q0[0, 0])
-    bad_l = OneFormField(lambda p: np.array([0.0, 0.0, l0[0], l0[1]]))
+    bad_l = Field.from_callable(lambda p: np.array([0.0, 0.0, l0[0], l0[1]]))
     bad = KillingData(ps.killing.u, bad_l, 0.0)
     x = np.array([0.9, 0.1, -0.4, 0.7])
     res = scored(dataclasses.replace(ps, killing=bad), "heterotic", x)
     assert res["square"] > 1e-3 and res["gravitino"] > 1e-3
     # and the unit l without its v-derivative breaks the gravitino equation alone
-    frozen_l = OneFormField(ps.killing.l.value, lambda p: np.zeros((4, 4)))
+    frozen_l = closed_field(ps.killing.l.value, lambda p: np.zeros((4, 4)))
     frozen = KillingData(ps.killing.u, frozen_l, 0.0)
     res = scored(dataclasses.replace(ps, killing=frozen), "heterotic", x)
     assert res["square"] <= 1e-12 and res["gravitino"] > 1e-3
@@ -1069,7 +1076,7 @@ def test_heterotic_ppwave_all_residuals():
 
 def test_heterotic_flat_trivial_configuration():
     mink = preset("minkowski")
-    hc = HeteroticConfig(varphi=OneFormField(lambda x: np.zeros(4)), H=None, FA=(), signs=())
+    hc = HeteroticConfig(varphi=Field.from_callable(lambda x: np.zeros(4)), H=None, FA=(), signs=())
     ps = dataclasses.replace(mink, heterotic=hc)
     for x in halfplane_points(3, 25):
         assert max(scored(ps, "heterotic", x).values()) <= 1e-9
@@ -1081,13 +1088,13 @@ def test_heterotic_gaugino_decomposition():
     u = np.array([1.0, 0.0, 0.0, 1.0])
     chi0 = np.array([0.0, 0.3, 0.5, 0.0])
     good = HeteroticConfig(
-        varphi=OneFormField(lambda x: np.zeros(4)),
+        varphi=Field.from_callable(lambda x: np.zeros(4)),
         H=None,
         FA=(lambda x: form(u, chi0),),
         signs=(1,),
     )
     bad = HeteroticConfig(
-        varphi=OneFormField(lambda x: np.zeros(4)),
+        varphi=Field.from_callable(lambda x: np.zeros(4)),
         H=None,
         FA=(lambda x: form(np.eye(4)[1], np.eye(4)[2]),),
         signs=(1,),
@@ -1106,7 +1113,7 @@ def test_modified_bianchi_detects_nonclosed_flux():
     def three_form(x):
         return x[0] * form(np.eye(4)[1], np.eye(4)[2], np.eye(4)[3])
 
-    hc = HeteroticConfig(varphi=OneFormField(lambda x: np.zeros(4)), H=three_form, FA=(), signs=())
+    hc = HeteroticConfig(varphi=Field.from_callable(lambda x: np.zeros(4)), H=three_form, FA=(), signs=())
     res = score(dataclasses.replace(mink, heterotic=hc), "bianchi", np.array([0.3, 0.2, -0.5, 0.9]))
     assert abs(res["bianchi.modified"] - 1.0) <= 1e-6
 
@@ -1186,15 +1193,15 @@ def test_a_flux_block_reads_the_chart_once_per_stencil_point():
 
 
 def constant_chart(g):
-    return MetricChart.closed(lambda x: np.broadcast_to(g, np.shape(x)[:-1] + (4, 4)).copy(),
-                              lambda x: np.zeros(np.shape(x)[:-1] + (4, 4, 4)),
-                              lambda x: np.zeros(np.shape(x)[:-1] + (4, 4, 4, 4)))
+    return closed_field(lambda x: np.broadcast_to(g, np.shape(x)[:-1] + (4, 4)).copy(),
+                        lambda x: np.zeros(np.shape(x)[:-1] + (4, 4, 4)),
+                        lambda x: np.zeros(np.shape(x)[:-1] + (4, 4, 4, 4)))
 
 
 def pointwise_field(value, jac):
     """A one-form field reading value and the Jacobian jac at every point: a jet, not a field."""
-    return OneFormField(lambda x: np.broadcast_to(value, np.shape(x)).copy(),
-                        jac=lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (4, 4)).copy())
+    return closed_field(lambda x: np.broadcast_to(value, np.shape(x)).copy(),
+                        lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (4, 4)).copy())
 
 
 def heterotic_background(g, u, l, phi, H=None, FA=(), u_jac=0.0, l_jac=0.0, phi_jac=0.0):
@@ -1207,7 +1214,7 @@ def heterotic_background(g, u, l, phi, H=None, FA=(), u_jac=0.0, l_jac=0.0, phi_
 
     hc = HeteroticConfig(jet(phi, phi_jac), None if H is None else stack(H),
                          tuple(stack(F) for F in FA), (1.0, -0.5)[:len(FA)])
-    return Preset("constant", {}, constant_chart(g), 0.0, ((-1.0, 1.0),) * 4,
+    return Preset("constant", {}, ((-1.0, 1.0),) * 4, constant_chart(g), 0.0,
                   killing=KillingData(jet(u, u_jac), jet(l, l_jac), 0.0), heterotic=hc)
 
 
@@ -1421,10 +1428,30 @@ def test_run_campaign_rejects_a_point_count_that_is_not_a_positive_integer(n_poi
         run_campaign(preset("ads4"), "einstein", n_points=n_points)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # nan and -1 failed exact AdS4, inf passed anything
+    ({"tol": float("nan")}, "tol must be finite"),
+    ({"tol": float("inf")}, "tol must be finite"),
+    ({"tol": -1.0}, "tol must be positive"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": "1e-6"}, "tol must be a number"),
+    # 1.5 raised TypeError inside the sampler, and True scored seed 1
+    ({"seed": 1.5}, "seed must be a non-negative integer"),
+    ({"seed": True}, "seed must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": "3"}, "seed must be a non-negative integer"),
+])
+def test_run_campaign_rejects_a_tol_or_seed_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_campaign(preset("ads4"), "einstein", n_points=2, **kwargs)
+
+
 def test_run_campaign_takes_any_positive_integer_point_count():
     want = run_campaign(preset("ads4"), "einstein", n_points=3)
     assert run_campaign(preset("ads4"), "einstein", n_points=np.int64(3)) == want
     assert want["points"] == 3 and type(want["points"]) is int
+    # numpy integers and a seed of 0 are valid too
+    assert run_campaign(preset("ads4"), "einstein", n_points=3, seed=np.uint8(0)) == want
 
 
 @pytest.mark.parametrize("name", ["minkowski", "heterotic-ppwave"])

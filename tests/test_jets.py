@@ -163,11 +163,10 @@ OPAQUE = {
 @pytest.mark.parametrize("name", sorted(OPAQUE))
 def test_opaque_callables_fall_back_to_differences_bit_for_bit(name, order):
     fn = OPAQUE[name]
-    lifted = geometry_lab._pointwise(fn)
     x = np.random.default_rng(7).uniform(0.5, 1.5, size=(5, 2))
     assert _jets.jet(fn, x, order) is None
-    assert same_bits(geometry_lab._callable_jet(lifted, x, order),
-                     geometry_lab._fd_jet(lifted, x, order))
+    assert same_bits(geometry_lab.Field.from_callable(fn).jet(x, order),
+                     geometry_lab._fd_jet(geometry_lab._pointwise(fn), x, order))
 
 
 def test_other_exceptions_propagate():
@@ -178,6 +177,6 @@ def test_other_exceptions_propagate():
         return np.sqrt(s[0])
 
     with pytest.raises(RuntimeError, match="boom"):
-        geometry_lab._callable_jet(geometry_lab._pointwise(boom), np.ones((3, 2)), 2)
+        geometry_lab.Field.from_callable(boom).jet(np.ones((3, 2)), 2)
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        geometry_lab._callable_jet(geometry_lab._pointwise(domain), -np.ones((3, 2)), 1)
+        geometry_lab.Field.from_callable(domain).jet(-np.ones((3, 2)), 1)
