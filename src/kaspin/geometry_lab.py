@@ -932,7 +932,7 @@ def _preset_ppwave(params):
     def metric(x):
         v = x[..., 0]
         rate = amp * np.sin(v)  # d phase / dv
-        stretch = _exp(2.0 * phase(v))  # the transverse block is exp(2 phase(v)) q0
+        stretch = _exp(2.0 * phase(v))
 
         def conformal(factor):
             """factor * exp(2 phase(v)) * q0 in the transverse block, per point."""
