@@ -21,7 +21,7 @@ Each check is one evaluator (ps, x) -> {report key: per-point values} in
 _CHECKS, with the preset data it reads; score(ps, check, x) is the one
 entry.  The pair is Preset.killing where one is given; a surface preset
 stores none and derives u = K dv and l = -dK/(2 lam K) from its K, and
-its chart and lam from its surface data.
+its chart from its surface data, whose lam einstein reads.
 
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
@@ -533,8 +533,12 @@ def _score_walker(ps, x):
 
 
 def _score_einstein(ps, x):
-    """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2."""
-    wd, lam = ps.walker, ps.lam
+    """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2.
+
+    lam is the walker data's on a surface preset and 0 (Ricci-flat) on any other.
+    """
+    wd = ps.walker
+    lam = 0.0 if wd is None else wd.lam
     jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
     defect = _ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
@@ -667,20 +671,20 @@ def _score_bianchi(ps, x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Preset:
-    """Named chart family with the field data its campaigns need.
+    """Named chart family with the field data its campaigns need; fields by keyword only.
 
-    A surface preset's chart and lam are its walker data's, walker_chart(walker)
-    and walker.lam, derived at every construction: a copy with other walker
-    data (dataclasses.replace) scores that data's chart and lam.
+    A preset with walker data is a surface preset: its chart is walker_chart(walker),
+    derived at every construction and replacing any chart passed beside it, so a
+    copy with other walker data (dataclasses.replace) scores that data's chart.
+    Any other preset needs its chart.
     """
 
     name: str
     params: dict
     sample_box: tuple
     chart: Field | None = None
-    lam: float = 0.0
     killing: KillingData | None = None  # a pair written by hand; a surface preset derives its own
     walker: WalkerData | None = None
     heterotic: HeteroticConfig | None = None
@@ -688,7 +692,8 @@ class Preset:
     def __post_init__(self):
         if self.walker is not None:
             object.__setattr__(self, "chart", walker_chart(self.walker))
-            object.__setattr__(self, "lam", self.walker.lam)
+        elif self.chart is None:
+            raise ValueError("a preset needs a chart or walker data")
 
 
 _BOX_FLAT = ((-2.0, 2.0),) * 4

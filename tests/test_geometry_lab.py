@@ -193,7 +193,7 @@ def test_preset_rejects_non_finite_and_out_of_range_parameters(name, params):
 
 def test_preset_accepts_small_and_large_finite_lambda():
     for lam in (1e-100, 1e100):
-        assert preset("ads4", {"lam": lam}).lam == lam
+        assert preset("ads4", {"lam": lam}).walker.lam == lam
     assert preset("ads4-deformed-bessel", {"c": 236.5}).params["c"] == 236.5
 
 
@@ -302,13 +302,17 @@ def test_fd_derivatives_match_analytic():
             fd = geometry_lab._fd_jet(field.value, points, order)
             assert len(jet) == len(fd) == order + 1, (name, field_name)
             for k in range(1, order + 1):
-                norm = max(1.0, np.max(np.abs(jet[k])))
-                assert np.max(np.abs(fd[k] - jet[k])) <= 1e-5 * norm, (name, field_name, k)
+                assert within(fd[k], jet[k], 1e-5), (name, field_name, k)
         fd_chart = Field.from_callable(ps.chart.value, in_domain=ps.chart.in_domain)
         assert fd_chart.provenance == "finite-difference"
-        ric_ref = ricci(ps.chart, x)
-        ric_fd = ricci(fd_chart, x)
-        assert np.max(np.abs(ric_fd - ric_ref)) <= 1e-4 * max(1.0, np.max(np.abs(ric_ref))), name
+        assert within(ricci(fd_chart, x), ricci(ps.chart, x), 1e-4), name
+
+
+def within(got, want, rtol):
+    """|got - want| <= rtol * max(1, |want|) at every point, each point on its own largest |want|."""
+    n = len(want)
+    err = np.abs(got - want).reshape(n, -1).max(axis=1)
+    return bool((err <= rtol * np.maximum(1.0, np.abs(want).reshape(n, -1).max(axis=1))).all())
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +765,9 @@ def test_einstein_residual_families():
 
 def test_einstein_reads_lam_from_the_surface_data():
     # the surface data of lam = 0.7 on a copy of the lam = 1 preset: einstein.chart once
-    # read the copied Preset.lam and failed with 1.53 beside f_equation 8.9e-15
+    # read a copied Preset.lam and failed with 1.53 beside f_equation 8.9e-15
     ps = on_surface(preset("ads4", {"lam": 0.7}).walker)
-    assert ps.lam == 0.7
+    assert ps.walker.lam == 0.7
     report = run_campaign(ps, "einstein", n_points=20, seed=0)
     assert report["verdict"] == "pass", report["residuals"]
     assert max(res["max"] for res in report["residuals"].values()) <= 1e-12
@@ -773,7 +777,7 @@ def test_a_copy_with_other_surface_data_scores_their_chart_and_lam():
     # replace(ps, walker=wd) with no chart of its own: the copy once kept ps's chart and lam
     ads, other = preset("ads4"), preset("ads4", {"lam": 0.7})
     ps = dataclasses.replace(ads, walker=other.walker)
-    assert ps.lam == other.lam == 0.7
+    assert ps.walker.lam == 0.7
     x = halfplane_points(4, 3)
     for got, want in zip(ps.chart.jet(x, 2), other.chart.jet(x, 2)):
         assert np.array_equal(got, want)
@@ -781,6 +785,20 @@ def test_a_copy_with_other_surface_data_scores_their_chart_and_lam():
         got, want = run_campaign(ps, check), run_campaign(other, check)
         assert (got["verdict"], got["residuals"]) == (want["verdict"], want["residuals"]), check
         assert got["verdict"] == "pass"
+
+
+def test_a_preset_needs_a_chart_or_walker_data_and_takes_its_fields_by_keyword():
+    ads, flat = preset("ads4"), preset("minkowski")
+    with pytest.raises(ValueError, match="chart or walker"):
+        Preset(name="empty", params={}, sample_box=ads.sample_box)
+    # a chart passed beside walker data is replaced by the walker data's own
+    ps = Preset(name="ads4", params={}, sample_box=ads.sample_box, chart=flat.chart, walker=ads.walker)
+    x = halfplane_points(4, 3)
+    for got, want in zip(ps.chart.jet(x, 2), ads.chart.jet(x, 2)):
+        assert np.array_equal(got, want)
+    # the order (name, params, chart, lam, sample_box) of earlier versions binds nothing
+    with pytest.raises(TypeError):
+        Preset("minkowski", {}, flat.chart, 0.0, flat.sample_box)
 
 
 def test_walker_to_killing_transfer():
@@ -1214,7 +1232,7 @@ def heterotic_background(g, u, l, phi, H=None, FA=(), u_jac=0.0, l_jac=0.0, phi_
 
     hc = HeteroticConfig(jet(phi, phi_jac), None if H is None else stack(H),
                          tuple(stack(F) for F in FA), (1.0, -0.5)[:len(FA)])
-    return Preset("constant", {}, ((-1.0, 1.0),) * 4, constant_chart(g), 0.0,
+    return Preset(name="constant", params={}, sample_box=((-1.0, 1.0),) * 4, chart=constant_chart(g),
                   killing=KillingData(jet(u, u_jac), jet(l, l_jac), 0.0), heterotic=hc)
 
 
