@@ -1,11 +1,11 @@
 """Residual evaluators for Lorentzian metric families on explicit charts.
 
-Every chart, profile and one-form is a Field, which hands out a jet: its
-value at the points with its coordinate partials up to a given order.
-A chart's jet is (g, dg, d2g).  On it this module computes Christoffel
-symbols, the Ricci tensor (directly, without the Riemann tensor),
-covariant derivatives of one-form fields and a chart-level Hodge dual,
-and scores a Preset on five checks:
+Every chart, profile, one-form and background form is a Field, which
+hands out a jet: its value at the points with its coordinate partials up
+to a given order.  A chart's jet is (g, dg, d2g).  On it this module
+computes Christoffel symbols, the Ricci tensor (directly, without the
+Riemann tensor) and covariant derivatives of one-form fields, and scores
+a Preset on five checks:
 
 * killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
@@ -26,9 +26,11 @@ its chart from its surface data, whose lam einstein reads.
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
 Multivector.coeffs (bit i is dx^i), wedged through the metric-free
-(4, 0) sign table.  Named presets supply closed-form charts for the
-constant curvature half-space model, its two deformation families over
-the hyperbolic half-plane and a plane-fronted heterotic background.
+(4, 0) sign table and read into an orthonormal coframe E through one
+map, the exterior powers of E^-1 (_exterior).  Named presets supply
+closed-form charts for the constant curvature half-space model, its two
+deformation families over the hyperbolic half-plane and a plane-fronted
+heterotic background.
 
 Points are stacks: fields and residuals take x of shape (..., d), the
 leading axes indexing sample points; one point is the stack shape ().
@@ -49,7 +51,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -293,46 +295,21 @@ def _wedge(a, b):
     return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign[rows], b[..., t.xor[rows]])
 
 
-def _two_tensor(c):
-    """The antisymmetric T[..., i, j] of the two-form stack c = sum_{i<j} T_ij dx^i ^ dx^j."""
-    pairs = _COFRAME[:, None] | _COFRAME
-    # dx^i ^ dx^j is sign * dx^{pairs[i, j]}; i = j gives no two-form
-    sign = _kernels.get_tables(4, 0).wedge_sign[_COFRAME[:, None], pairs] * (1.0 - np.eye(4))
-    return c[..., pairs] * sign
+def _exterior(m):
+    """The exterior powers of the (..., 4, 4) matrices m as one (..., 16, 16) map of stacks.
 
-
-def _hodge(g, ginv):
-    """The Hodge dual at the points of g, as a map of coefficient stacks.
-
-    Built once from g and g^-1: the raised dx^I is the wedge of the g^-1
-    columns in I, and the dual of dx^I is sqrt|det g| wedge_sign[I, 15]
-    dx^(I^c), the orientation being dx^0 ^ ... ^ dx^3.
+    Row I is the wedge of the rows of m that I names, so with dx^i = sum_a
+    m[i, a] e^a, c @ _exterior(m) is the stack c over dx^I rewritten over e^J.
     """
     t = _kernels.get_tables(4, 0)
-    # raised[..., I, :] is the raised dx^I, built up grade by grade from
-    # the lowest covector of I and the already raised rest
-    raised = np.zeros(g.shape[:-2] + (16, 16))
-    raised[..., 0, 0] = 1.0
+    # built up grade by grade from the lowest row of I and the already built rest
+    out = np.zeros(m.shape[:-2] + (16, 16))
+    out[..., 0, 0] = 1.0
     for k in range(1, 5):
         masks = np.flatnonzero(t.grade == k)
         low = masks & -masks
-        columns = np.swapaxes(ginv[..., :, np.log2(low).astype(int)], -1, -2)
-        raised[..., masks, :] = _wedge(columns, raised[..., masks ^ low, :])
-    complement = 15 ^ np.arange(16)
-    root = np.sqrt(np.abs(np.linalg.det(g)))
-    dual = (root[..., None, None] * t.wedge_sign[complement, 15][:, None]) * np.swapaxes(
-        raised[..., complement], -1, -2)
-    return lambda form: (dual @ np.asarray(form, dtype=float)[..., None])[..., 0]
-
-
-def hodge_star_chart(chart, x, omega):
-    """Hodge dual at x of omega, a (..., 16) coefficient stack over the coordinate coframe.
-
-    The point axes of x come first.  The orientation is dx^0 ^ ... ^ dx^3,
-    so on an orthonormal chart of signature (3, 1) this is ka_core.hodge_star.
-    """
-    jet, ginv = _chart_jet(chart, x, 0)
-    return _hodge(jet[0], ginv)(omega)
+        out[..., masks, :] = _wedge(m[..., np.log2(low).astype(int), :], out[..., masks ^ low, :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -591,59 +568,62 @@ class HeteroticConfig:
     """Background fields entering the supersymmetry relations, on the preset's chart.
 
     varphi is the dilaton one-form (required closed), H the three-form
-    flux (None for zero), FA the gauge curvatures and signs their
-    coefficients in the F wedge F source of the Bianchi identity.  H and
-    each FA are callables returning (..., 16) coefficient stacks.
+    flux (None for zero) and gauge the (sign_a, F_a) pairs of the gauge
+    curvatures F_a and their coefficients in the F wedge F source of the
+    Bianchi identity.  H and each F_a are Fields of (..., 16) coefficient
+    stacks.
     """
 
     varphi: Field
-    H: Callable | None = None
-    FA: Sequence[Callable] = ()
-    signs: Sequence[float] = ()
+    H: Field | None = None
+    gauge: tuple = ()
 
 
 def _flux(hc, x):
-    """(H, dH) at x as coefficient stacks, dH = sum_i dx^i ^ d_i H by differences; 0 without H."""
+    """(H, dH) at x as coefficient stacks, dH = sum_i dx^i ^ d_i H from H's 1-jet; 0 without H."""
     if hc.H is None:
         return _zeros(x, 16), _zeros(x, 16)
-    h, dh = _fd_jet(hc.H, x, 1)
+    h, dh = hc.H.jet(x, 1)
     return h, _wedge(np.eye(4), dh).sum(axis=-2)
 
 
-def _bianchi(hc, d_h, curvatures):
-    """max |dH - sum_a signs_a * F_a ^ F_a|, from dH and the curvature stacks F_a."""
+def _bianchi(d_h, gauge):
+    """max |dH - sum_a sign_a * F_a ^ F_a|, from dH and the (sign_a, F_a stack) pairs."""
     source = 0.0
-    for sign, two_form in zip(hc.signs, curvatures):
+    for sign, two_form in gauge:
         source = source + sign * _wedge(two_form, two_form)
     return _max_abs(d_h - source, 1)
+
+
+def _gauge(hc, x):
+    """(sign_a, F_a at x) for each gauge curvature."""
+    return [(sign, field.value(x)) for sign, field in hc.gauge]
 
 
 def _score_heterotic(ps, x):
     """The heterotic system on the pair's alpha = u + u ^ l at x.
 
-    In the orthonormal coframe of the killing check, with H = *rho and
-    rho = *H: square is its square test; gravitino the defect of nabla_X
-    alpha = -1/4 (i_X H <> alpha - alpha <> i_X H), dilatino (phi - H) <>
-    alpha and gaugino the worst F_a <> alpha, each over max|alpha|.
-    rho_coclosed is |*dH| = |div rho|, dphi_closed the antisymmetric part
-    of d phi's Jacobian and bianchi the bianchi check's residual, from the
-    one difference jet of H (README, "How campaigns are scored").
+    In the orthonormal coframe of the killing check, where H, dH and the
+    F_a are read through _exterior(E^-1): square is its square test;
+    gravitino the defect of nabla_X alpha = -1/4 (i_X H <> alpha - alpha <>
+    i_X H), dilatino (phi - H) <> alpha and gaugino the worst F_a <> alpha,
+    each over max|alpha|.  rho_coclosed is |*dH| = |div *H|, the e^1234
+    coefficient of dH, dphi_closed the antisymmetric part of d phi's
+    Jacobian and bianchi the bianchi check's residual, both flux residuals
+    from the one 1-jet of H (README, "How campaigns are scored").
     """
     hc = ps.heterotic
     jet, ginv, u_jet, l_jet, _ = _pair_jets(ps, x)
-    frame, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
-    phi_jet, (h, d_h) = hc.varphi.jet(x, 1), _flux(hc, x)
-    rho = _zeros(x, 4) if hc.H is None else _hodge(jet[0], ginv)(h)[..., _COFRAME]
-    rho, phi = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (rho, phi_jet[0]))
-    # dx^0 ^ ... ^ dx^3 is e^1 ^ ... ^ e^4 / det E, so H = *rho in the frame carries sign(det E)
-    volume = np.linalg.det(frame)
-    flux = _zeros(x, 16)
-    flux[..., _THREE] = _kernels.volume_signs(3, 1).star[_THREE] * np.sign(volume)[..., None] * rho
-    curvatures = [np.asarray(curvature(x), dtype=float) for curvature in hc.FA]
-    gaugino = _zeros(x)
-    for two_form in curvatures:
-        tensor = _t(inverse, 1, 0) @ _two_tensor(two_form) @ inverse
-        gaugino = np.maximum(gaugino, _max_abs(_product(tensor[..., _LO, _HI], alpha, _TWO), 1))
+    _, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
+    phi_jet, (h, d_h), gauge = hc.varphi.jet(x, 1), _flux(hc, x), _gauge(hc, x)
+    phi = (phi_jet[0][..., None, :] @ inverse)[..., 0, :]
+    flux, gaugino, coclosed = _zeros(x, 16), _zeros(x), _zeros(x)
+    if hc.H is not None or gauge:
+        # row I of _exterior(E^-1) is dx^I in the coframe
+        forms = np.stack([h, d_h, *(two_form for _, two_form in gauge)], axis=-2) @ _exterior(inverse)
+        flux[..., _THREE], coclosed = forms[..., 0, _THREE], np.abs(forms[..., 1, 15])
+        gaugino = np.abs(_product(forms[..., 2:, _TWO], alpha[..., None, :], _TWO)).max(
+            axis=(-2, -1), initial=0.0)
     # A_i = -1/4 i_(X_i) H, the grade-2 part of X_i <> H
     connection = -0.25 * _product(dual, flux[..., None, :], _COFRAME)[..., _TWO]
     jac = phi_jet[1]
@@ -653,17 +633,16 @@ def _score_heterotic(ps, x):
         "heterotic.dilatino": _max_abs(_product(phi, alpha, _COFRAME)
                                        - _product(flux[..., _THREE], alpha, _THREE), 1),
         "heterotic.gaugino": gaugino,
-        "heterotic.rho_coclosed": np.abs(d_h[..., 15]) / np.abs(volume),
+        "heterotic.rho_coclosed": coclosed,  # |(dH)_0123 det E^-1|
         "heterotic.dphi_closed": _max_abs(jac - _t(jac, 1, 0), 2),
-        "heterotic.bianchi": _bianchi(hc, d_h, curvatures),
+        "heterotic.bianchi": _bianchi(d_h, gauge),
     }
 
 
 def _score_bianchi(ps, x):
-    """Max norm of dH - sum_a signs_a * F_a ^ F_a at x, dH by differences."""
+    """Max norm of dH - sum_a sign_a * F_a ^ F_a at x, dH from H's 1-jet."""
     hc = ps.heterotic
-    curvatures = [np.asarray(curvature(x), dtype=float) for curvature in hc.FA]
-    return {"bianchi.modified": _bianchi(hc, _flux(hc, x)[1], curvatures)}
+    return {"bianchi.modified": _bianchi(_flux(hc, x)[1], _gauge(hc, x))}
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +943,7 @@ def _preset_ppwave(params):
         yield _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * v))
 
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 0.0]), l=Field(partner), lam=0.0)
-    hc = HeteroticConfig(varphi=Field(dilaton), H=None, FA=(), signs=())
+    hc = HeteroticConfig(varphi=Field(dilaton))
     return Preset(
         name="heterotic-ppwave",
         params={"amp": amp, "q0": q0.tolist(), "omega": list(omega)},

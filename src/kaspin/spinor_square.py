@@ -7,7 +7,7 @@ This module implements the squaring map, the exact characterization of
 its image (transpose symmetry, and quantize(alpha) of the rank-one form
 kappa * xi (x) xi^*: square_test, over a stack of polyforms, whose fit
 the inverse map shares), the inverse map recovering xi up to sign,
-chirality tests, and the transfer of linear spinor constraints.
+and chirality tests.
 
 Every check reads its input at unit max-norm and compares the residual
 against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford_rep import PairedRep, Spinor, dequantize
-from .ka_core import Multivector, geometric_product, volume_product
+from .ka_core import Multivector, volume_product
 
 DEFAULT_TOL = 1e-9
 
@@ -231,7 +231,7 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector,
 
 
 # ---------------------------------------------------------------------------
-# chirality and constraint transfer
+# chirality
 # ---------------------------------------------------------------------------
 
 
@@ -252,14 +252,3 @@ def check_chirality(pr: PairedRep, alpha: Multivector, mu: int, tol=DEFAULT_TOL)
         return norm == 0.0
     ahat = Multivector(sig, alpha.coeffs / norm)
     return bool((volume_product(ahat) - mu * ahat).norm_inf() <= tol)
-
-
-def constraint_transfer(pr: PairedRep, Q, alpha: Multivector) -> float:
-    """Residual of the polyform image of a linear spinor constraint.
-
-    For alpha the square of xi, dequantize(Q) <> alpha vanishes exactly
-    when Q xi = 0, so the returned max-norm measures violation of the
-    constraint by the underlying spinor.
-    """
-    qhat = dequantize(pr.rep, np.asarray(Q, dtype=np.float64))
-    return geometric_product(qhat, alpha).norm_inf()

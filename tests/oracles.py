@@ -669,7 +669,10 @@ _RAISE = {
 
 
 def _star(g, omega):
-    """hodge_star_chart on the metric components g at the points."""
+    """The Hodge dual of the alternating tensor omega on the metric g at the points.
+
+    The orientation is dx^0 ^ ... ^ dx^(n - 1).
+    """
     omega = np.asarray(omega, dtype=float)
     lead = g.shape[:-2]
     k = omega.ndim - len(lead)
@@ -730,14 +733,14 @@ def stack_from_tensor(tensor, k):
 
 
 def _tensor_flux(hc, x):
-    return tensor_from_stack(hc.H(x), 3)
+    return tensor_from_stack(hc.H.value(x), 3)
 
 
 def _tensor_gaugino_fit(hc, ginv, u, x):
     from kaspin.geometry_lab import _max_abs
 
     worst = np.zeros(u.shape[:-1])
-    if not hc.FA:
+    if not hc.gauge:
         return worst
     c = (ginv @ u[..., :, None])[..., 0]
     _, _, vt = np.linalg.svd(c[..., None, :])
@@ -747,8 +750,8 @@ def _tensor_gaugino_fit(hc, ginv, u, x):
     design = cols @ null_basis
     # least squares by the pseudoinverse, with lstsq's default cut-off
     solve = np.linalg.pinv(design, rcond=16 * np.finfo(float).eps)
-    for curvature in hc.FA:
-        target = tensor_from_stack(curvature(x), 2).reshape(flat)
+    for _, curvature in hc.gauge:
+        target = tensor_from_stack(curvature.value(x), 2).reshape(flat)
         fit = _max_abs((design @ (solve @ target[..., None]))[..., 0] - target, 1)
         worst = np.maximum(worst, fit)
     return worst
@@ -794,8 +797,8 @@ def tensor_heterotic_residuals(ps, x):
     """The heterotic relations of the preset ps with every form an alternating tensor.
 
     geometry_lab scored these before it scored the polyform u + u ^ l, on
-    the pair ps.killing and the background ps.heterotic; H and FA are read
-    as stacks and expanded to tensors. grad_l's rho term is -1/2 *(rho ^
+    the pair ps.killing and the background ps.heterotic; H and the gauge
+    curvatures are read as stacks and expanded to tensors. grad_l's rho term is -1/2 *(rho ^
     l): with the former +1/2 the pair fitted no spin lift of the torsion
     connection, while -1/2 is nabla_X alpha = -1/4 (i_X H <> alpha - alpha
     <> i_X H) with H = *rho (README, "How campaigns are scored").
@@ -831,18 +834,22 @@ def tensor_heterotic_residuals(ps, x):
 
 
 def tensor_bianchi_residual(hc, x):
-    """geometry_lab's bianchi check with every form an alternating tensor."""
+    """geometry_lab's bianchi check with every form an alternating tensor.
+
+    The partials d_i H come from H's own jet, as the check reads them; dH
+    is their antisymmetrization as tensors.
+    """
     from kaspin.geometry_lab import _max_abs, _zeros
 
     x = np.asarray(x, dtype=float)
     if hc.H is None:
         d_h = _zeros(x, 4, 4, 4, 4)
     else:
-        jac = _fd_jacobian(functools.partial(_tensor_flux, hc), x)
+        jac = tensor_from_stack(hc.H.jet(x, 1)[1], 3)
         d_h = jac - _t(jac, 1, 0, 2, 3) + _t(jac, 1, 2, 0, 3) - _t(jac, 1, 2, 3, 0)
     source = 0.0
-    for sign, curvature in zip(hc.signs, hc.FA):
-        two_form = tensor_from_stack(curvature(x), 2)
+    for sign, curvature in hc.gauge:
+        two_form = tensor_from_stack(curvature.value(x), 2)
         source = source + sign * _wedge_two_forms(two_form, two_form)
     return _max_abs(d_h - source, 4)
 

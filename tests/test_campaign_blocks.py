@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from kaspin import geometry_lab
 from kaspin.geometry_lab import (
-    hodge_star_chart,
     preset,
     require_check,
     run_campaign,
@@ -337,7 +336,8 @@ def test_a_raising_block_leaves_nothing_behind_for_direct_calls():
 
 
 def test_a_heterotic_block_reads_one_chart_jet():
-    # the coframe, rho = *H and rho_coclosed all take g from the block's one order-1 jet
+    # the coframe, the background forms read into it and rho_coclosed all take g from the
+    # block's one order-1 jet
     ps = preset("heterotic-ppwave")
     orders = []
 
@@ -370,6 +370,13 @@ def _as_arrays(result):
     return [np.asarray(result)]
 
 
+def polyform_in_coframe(chart, x):
+    """A polyform with parts of every degree over dx^i, read into the orthonormal coframe at x."""
+    c = np.concatenate([x, x**2, np.sin(x), x[..., ::-1]], axis=-1)
+    _, inverse = geometry_lab._coframe(chart.value(x))
+    return (c[..., None, :] @ geometry_lab._exterior(inverse))[..., 0, :]
+
+
 def layer_calls(ps):
     """Name -> callable of a (..., 4) stack of chart points, for each layer and check ps carries."""
     chart = ps.chart
@@ -379,9 +386,7 @@ def layer_calls(ps):
         "d2g": lambda x: chart.jet(x, 2)[2],
         "christoffel": lambda x: on_chart(geometry_lab._christoffel, chart, x, 1),
         "ricci": lambda x: on_chart(geometry_lab._ricci, chart, x, 2),
-        # a polyform with parts of every degree
-        "star": lambda x: hodge_star_chart(
-            chart, x, np.concatenate([x, x**2, np.sin(x), x[..., ::-1]], axis=-1)),
+        "coframe": functools.partial(polyform_in_coframe, chart),
     }
     pair = ps.killing if ps.walker is None else walker_killing_data(ps.walker)
     if pair is not None:

@@ -133,7 +133,7 @@ def test_cli_and_a_cold_square_generate_no_dataclass_code():
 
 def test_named_presets_and_payload_commands_never_import_the_jet_module():
     # kaspin._jets serves walker-generic callbacks alone, so a cold check-metric on a
-    # named preset compiles none of it
+    # named preset compiles none of it, heterotic background Fields included
     loaded = fresh_python(
         "import contextlib, io, json, sys\n"
         "from kaspin.cli import main\n"
@@ -149,6 +149,8 @@ def test_named_presets_and_payload_commands_never_import_the_jet_module():
         "        for perturb in ('0', '0.1'):\n"
         "            codes.append(main(['check-metric', '--preset', name, '--perturb', perturb,\n"
         "                               '--check', 'killing,einstein', '--trials', '3']))\n"
+        "    codes.append(main(['check-metric', '--preset', 'heterotic-ppwave',\n"
+        "                       '--check', 'heterotic,bianchi', '--trials', '3']))\n"
         "before = 'kaspin._jets' in sys.modules\n"
         "import numpy as np\n"
         "from kaspin.geometry_lab import preset, run_campaign\n"
