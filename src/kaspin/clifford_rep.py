@@ -247,7 +247,7 @@ def s_transpose_signs(sig: Signature, s: int) -> np.ndarray:
     return t.tau if s == 1 else t.pi_tau
 
 
-def s_transpose(pr: PairedRep, s: int, a: Multivector) -> Multivector:
+def s_transpose(s: int, a: Multivector) -> Multivector:
     """Algebra-side transpose matching matrix transposition under a pairing.
 
     For s = +1 this is the reversal tau, for s = -1 the composition

@@ -5,9 +5,11 @@ E = kappa * xi (x) xi^*, where xi^* = B(-, xi) is the metric dual under
 an admissible pairing.  Dequantizing E gives the polyform square alpha.
 This module implements the squaring map, the exact characterization of
 its image (transpose symmetry, and quantize(alpha) of the rank-one form
-kappa * xi (x) xi^*: square_test, over a stack of polyforms, whose fit
-the inverse map shares), the inverse map recovering xi up to sign,
-and chirality tests.
+kappa * xi (x) xi^*) as one test, square_test, over a stack of
+polyforms, the inverse map recovering xi up to sign from the same fit,
+and chirality tests. An endomorphism E is tested as the polyform
+dequantize(E) (check_admissible), and the grades a square can carry are
+those where the pairing's s-transpose weight vanishes (allowed_grades).
 
 Every check reads its input at unit max-norm and compares the residual
 against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
@@ -26,14 +28,10 @@ from .ka_core import Multivector, volume_product
 DEFAULT_TOL = 1e-9
 
 
-def allowed_grades(d: int, sigma: int, s: int) -> tuple:
-    """Grades that can appear in a square for a pairing of type (sigma, s)."""
-    kept = []
-    for k in range(d + 1):
-        sign = (-1) ** (k * (1 - s) // 2) * (-1) ** (k * (k - 1) // 2)
-        if sign == sigma:
-            kept.append(k)
-    return tuple(kept)
+def allowed_grades(pr: PairedRep, pairing_tag: str) -> tuple:
+    """Grades that can appear in a square: where the s-transpose sign is the symmetry sign sigma."""
+    weight = pr.pairing(pairing_tag)[3]
+    return tuple(sorted(set(pr.rep.sig.tables().grade[weight == 0.0].tolist())))
 
 
 class SquareResult(NamedTuple):
@@ -125,47 +123,6 @@ def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# admissibility of endomorphisms
-# ---------------------------------------------------------------------------
-
-
-class AdmissibilityReport(NamedTuple):
-    residual_transpose: float
-    residual_rank_one: float
-    rank_witness: int
-    is_admissible: bool
-    tol: float
-
-
-def admissibility_report(B, sigma, E, tol=DEFAULT_TOL) -> AdmissibilityReport:
-    """Test E against the characterization of squares for a pairing matrix B.
-
-    The conditions are E^t = sigma E with E^t = B^{-1} E^T B, and that
-    E is the rank-one endomorphism kappa * xi (x) xi^*, both on E scaled
-    to unit max-norm. The zero endomorphism is admissible.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    if not E.any():
-        return AdmissibilityReport(0.0, 0.0, 0, True, tol)
-    fit = _rank_one_fit(B, E.reshape(1, -1))
-    Ehat = E / fit.scale[0]
-    Et = np.linalg.solve(B, Ehat.T @ B)
-    r_transpose = float(np.max(np.abs(Et - sigma * Ehat)))
-    rank = int(np.linalg.matrix_rank(Ehat, tol=1e-9))
-    residual = float(fit.residual[0])
-    ok = fit.c[0] != 0.0 and r_transpose <= tol and residual <= tol
-    return AdmissibilityReport(r_transpose, residual, rank, bool(ok), tol)
-
-
-def check_admissible(pr: PairedRep, s: int, E, tol=DEFAULT_TOL):
-    """Admissibility of an endomorphism under the pairing of adjoint type s."""
-    tag = {1: "plus", -1: "minus"}.get(s)
-    if tag is None:
-        raise ValueError(f"adjoint type must be +1 or -1, got {s!r}")
-    return admissibility_report(pr.B(tag), pr.sigma(tag), E, tol=tol)
-
-
-# ---------------------------------------------------------------------------
 # square conditions and reconstruction
 # ---------------------------------------------------------------------------
 
@@ -193,6 +150,17 @@ def verify_square_conditions(
     # a zero fit coefficient is no spinor, whatever tol is; NaN (non-finite alpha) rejects too
     ok = scale == 0.0 or (c != 0.0 and r_sym <= tol and residual <= tol)
     return SquareConditionsReport(ok, r_sym, residual, tol)
+
+
+def check_admissible(pr: PairedRep, pairing_tag: str, E, tol=DEFAULT_TOL) -> SquareConditionsReport:
+    """Whether the endomorphism E is a square kappa * xi (x) xi^*, by verify_square_conditions.
+
+    E is read as the polyform dequantize(E), whose quantization is E itself.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    # a non-finite entry reads NaN, which square_test rejects; dequantize would meet 0 * inf
+    alpha = dequantize(pr.rep, np.where(np.isfinite(E), E, math.nan))
+    return verify_square_conditions(pr, pairing_tag, alpha, tol=tol)
 
 
 class ReconstructionError(ValueError):

@@ -162,7 +162,7 @@ class ProbeVerdict(NamedTuple):
 def _symmetry_residual(pr, pairing_tag, ahat):
     from kaspin.clifford_rep import s_transpose
 
-    return (s_transpose(pr, pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat).norm_inf()
+    return (s_transpose(pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat).norm_inf()
 
 
 def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, tol=1e-9):
@@ -426,7 +426,7 @@ def _square_test(pr, pairing_tag, alpha):
     if norm == 0.0:
         return fit, shift, 0.0
     ahat = alpha * (1.0 / norm)
-    r_sym = s_transpose(pr, pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat
+    r_sym = s_transpose(pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat
     return fit, shift, float(np.max(np.abs(r_sym.coeffs)))
 
 

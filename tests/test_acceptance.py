@@ -184,7 +184,7 @@ def test_acceptance_05_degree_filter():
         pr = _paired(p, q)
         rng = make_rng(404, stream=16 * p + q)
         for tag in ("plus", "minus"):
-            allowed = set(allowed_grades(d, pr.sigma(tag), pr.s(tag)))
+            allowed = set(allowed_grades(pr, tag))
             combos += 1
             for _ in range(100):
                 alpha = square(pr, tag, int(rng.choice([-1, 1])), random_spinor(pr.rep, rng)).alpha

@@ -254,7 +254,7 @@ def test_adjoint_identity_all_monomials(paired):
                 coeffs[mask] = 1.0
                 blade = Multivector(sig, coeffs)
                 G = quantize(rep, blade)
-                Gt = quantize(rep, s_transpose(pr, s, blade))
+                Gt = quantize(rep, s_transpose(s, blade))
                 assert np.max(np.abs(B @ G - Gt.T @ B)) <= 1e-12
 
 
@@ -286,8 +286,8 @@ def test_s_transpose_values_and_matrix_identity(paired):
     sig = pr.rep.sig
     e12 = Multivector.basis(sig, (1, 2))
     e1 = Multivector.basis(sig, (1,))
-    assert s_transpose(pr, 1, e12).allclose(-1.0 * e12, tol=0.0)
-    assert s_transpose(pr, -1, e1).allclose(-1.0 * e1, tol=0.0)
+    assert s_transpose(1, e12).allclose(-1.0 * e12, tol=0.0)
+    assert s_transpose(-1, e1).allclose(-1.0 * e1, tol=0.0)
     rng = make_rng(203)
     for tag in ("plus", "minus"):
         B = pr.B(tag)
@@ -295,7 +295,7 @@ def test_s_transpose_values_and_matrix_identity(paired):
         for _ in range(20):
             a = random_multivector(sig, rng)
             lhs = np.linalg.solve(B, quantize(pr.rep, a).T @ B)
-            rhs = quantize(pr.rep, s_transpose(pr, s, a))
+            rhs = quantize(pr.rep, s_transpose(s, a))
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -304,8 +304,8 @@ def test_s_transpose_matches_involutions(paired):
     sig = pr.rep.sig
     rng = make_rng(204)
     a = random_multivector(sig, rng)
-    assert s_transpose(pr, 1, a).allclose(tau(a), tol=0.0)
-    assert s_transpose(pr, -1, a).allclose(pi_tau(a), tol=0.0)
+    assert s_transpose(1, a).allclose(tau(a), tol=0.0)
+    assert s_transpose(-1, a).allclose(pi_tau(a), tol=0.0)
     assert s_transpose_signs(sig, 1) is sig.tables().tau
     assert s_transpose_signs(sig, -1) is sig.tables().pi_tau
     with pytest.raises(ValueError, match="adjoint type"):

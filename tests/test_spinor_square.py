@@ -24,7 +24,6 @@ from kaspin.spinor_square import (
     ReconstructionError,
     ReconstructionResult,
     allowed_grades,
-    admissibility_report,
     check_admissible,
     check_chirality,
     reconstruct,
@@ -63,10 +62,8 @@ def paired():
 
 def test_allowed_grades_frozen_table(paired):
     for (p, q), pr in paired.items():
-        d = p + q
         for tag in ("plus", "minus"):
-            got = allowed_grades(d, pr.sigma(tag), pr.s(tag))
-            assert got == EXPECTED_GRADES[(d, tag)]
+            assert allowed_grades(pr, tag) == EXPECTED_GRADES[(p + q, tag)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +92,7 @@ def test_square_degree_filter(paired):
         d = p + q
         rng = make_rng(302, stream=p * 10 + q)
         for tag in ("plus", "minus"):
-            allowed = set(allowed_grades(d, pr.sigma(tag), pr.s(tag)))
+            allowed = set(allowed_grades(pr, tag))
             for _ in range(20):
                 res = square(pr, tag, int(rng.choice([-1, 1])), random_spinor(pr.rep, rng))
                 scale = max(1.0, res.alpha.norm_inf())
@@ -514,20 +511,37 @@ def test_check_admissible_accepts_squares(paired):
     for pq in [(3, 1), (2, 2)]:
         pr = paired[pq]
         rng = make_rng(311, stream=pq[0] * 10 + pq[1])
-        for tag, s in (("plus", 1), ("minus", -1)):
+        for tag in ("plus", "minus"):
             E = quantize(pr.rep, square(pr, tag, 1, random_spinor(pr.rep, rng)).alpha)
-            rep = check_admissible(pr, s, E)
-            assert rep.is_admissible
-            assert rep.rank_witness == 1
+            rep = check_admissible(pr, tag, E)
+            assert rep.is_square
             assert rep.residual_rank_one <= 1e-9
-            assert rep.residual_transpose <= 1e-9
+            assert rep.residual_symmetry <= 1e-9
 
 
 def test_check_admissible_rejects_identity(paired):
     pr = paired[(3, 1)]
-    rep = check_admissible(pr, 1, np.eye(4))
-    assert not rep.is_admissible
+    rep = check_admissible(pr, "plus", np.eye(4))
+    assert not rep.is_square
     assert rep.residual_rank_one > 0.5
+
+
+def test_check_admissible_rejects_non_finite_endomorphisms_without_raising(paired):
+    # each of these once raised LinAlgError (SVD did not converge) instead of failing
+    for pq in [(3, 1), (4, 4)]:
+        pr = paired[pq]
+        N = pr.rep.N
+        one_inf = np.ones((N, N))
+        one_inf[0, 1] = np.inf
+        for tag in ("plus", "minus"):
+            for E in (np.full((N, N), np.nan), np.full((N, N), np.inf), one_inf):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rep = check_admissible(pr, tag, E)
+                assert rep.is_square is False
+                assert np.isnan(rep.residual_symmetry) and np.isnan(rep.residual_rank_one)
+            with pytest.raises(ValueError, match="expected a"):
+                check_admissible(pr, tag, np.full((N, N + 1), np.nan))
 
 
 def _probe_admissible(pr, tag, E, tol):
@@ -551,7 +565,7 @@ def _probe_admissible(pr, tag, E, tol):
 
 
 def test_admissibility_matches_per_probe_loop(paired):
-    for pq in [(3, 1), (2, 2), (4, 4)]:
+    for pq in REP_SIGS:
         pr = paired[pq]
         rng = make_rng(316, stream=pq[0] * 10 + pq[1])
         for tag in ("plus", "minus"):
@@ -565,30 +579,35 @@ def test_admissibility_matches_per_probe_loop(paired):
                 np.outer(u, w @ B),
                 np.outer(u, u @ B) + np.outer(x, x @ B),
             )
-            verdicts = []
-            for E in cases:
-                rep = admissibility_report(B, pr.sigma(tag), E)
-                assert rep.is_admissible == _probe_admissible(pr, tag, E, rep.tol)
-                verdicts.append(rep.is_admissible)
-            assert verdicts == [True, False, False, False, False]
+            # a power-of-two scale is exact, so neither verdict may move with it
+            for scale in (1.0, 2.0**600, 2.0**-600):
+                verdicts = []
+                for E in cases:
+                    rep = check_admissible(pr, tag, scale * E)
+                    assert rep.is_square == _probe_admissible(pr, tag, scale * E, rep.tol)
+                    verdicts.append(rep.is_square)
+                assert verdicts == [True, False, False, False, False], (pq, tag, scale)
 
 
-def test_split_plane_example_raw_pairing():
-    # with respect to B = diag(1, -1), E = [[k1, -b], [b, k2]] is an
-    # admissible square exactly when b^2 = -k1 k2
-    B = np.diag([1.0, -1.0])
-    good = np.array([[4.0, -2.0], [2.0, -1.0]])
-    rep = admissibility_report(B, 1, good, tol=1e-9)
-    assert rep.is_admissible and rep.rank_witness == 1
-    bad = np.array([[4.0, -2.0], [2.0, 1.0]])
-    rep_bad = admissibility_report(B, 1, bad, tol=1e-9)
-    assert not rep_bad.is_admissible
+def test_split_plane_example_raw_pairing(paired):
+    # Cl(1,1)'s plus pairing is B = [[0, 1], [1, 0]] with sigma = +1; with respect to it
+    # E = [[a, b], [c, a]] is a square kappa * xi (x) (xi @ B) exactly when b c = a^2
+    pr = paired[(1, 1)]
+    B = pr.B("plus")
+    assert np.array_equal(B, [[0.0, 1.0], [1.0, 0.0]]) and pr.sigma("plus") == 1
+    xi = np.array([2.0, 1.0])
+    good = -1.0 * np.outer(xi, xi @ B)  # [[-2, -4], [-1, -2]]
+    rep = check_admissible(pr, "plus", good)
+    assert rep.is_square and rep.residual_rank_one == 0.0 and rep.residual_symmetry == 0.0
+    bad = good.copy()
+    bad[1, 0] = -2.0  # b c = 8, a^2 = 4
+    assert not check_admissible(pr, "plus", bad).is_square
 
 
 def test_zero_endomorphism_admissible(paired):
     pr = paired[(2, 2)]
-    rep = check_admissible(pr, 1, np.zeros((4, 4)))
-    assert rep.is_admissible and rep.rank_witness == 0
+    rep = check_admissible(pr, "plus", np.zeros((4, 4)))
+    assert rep.is_square and rep.residual_rank_one == 0.0 and rep.residual_symmetry == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from kaspin.clifford_rep import (
 )
 from kaspin.ka_core import Multivector, Signature
 from kaspin.spinor_square import (
-    admissibility_report,
     reconstruct,
     square,
     verify_square_conditions,
@@ -41,12 +40,11 @@ def values():
         "SquareResult": result,
         "SquareConditionsReport": verify_square_conditions(pr, "minus", result.alpha),
         "ReconstructionResult": reconstruct(pr, "minus", result.alpha),
-        "AdmissibilityReport": admissibility_report(pr.Bplus, pr.sigma_plus, np.eye(4)),
     }
 
 
 TYPES = ["Signature", "Multivector", "GammaRep", "PairedRep", "Spinor", "SquareResult",
-         "SquareConditionsReport", "ReconstructionResult", "AdmissibilityReport"]
+         "SquareConditionsReport", "ReconstructionResult"]
 
 
 @pytest.mark.parametrize("name", TYPES)
