@@ -76,23 +76,15 @@ def _exp(v):
 
 
 def _pointwise(fn):
-    """Lift a callable of one point to (..., d) stacks, calling it point by point.
-
-    The rows become one array, or, for a tuple result such as a jet, one per part.
-    """
+    """Lift a callable of one point that returns one array to (..., d) stacks, point by point."""
     if fn is None:
         return None
 
-    def stacked(x, rows):
-        values = np.array(rows, dtype=float)  # rows of different shapes raise ValueError
-        return values.reshape(x.shape[:-1] + values.shape[1:])
-
-    def lifted(x, *args):
+    def lifted(x):
         x = np.asarray(x, dtype=float)
-        rows = [fn(p, *args) for p in x.reshape(-1, x.shape[-1])]
-        if isinstance(rows[0], tuple):
-            return tuple(stacked(x, part) for part in zip(*rows))
-        return stacked(x, rows)
+        # rows of different shapes raise ValueError
+        values = np.array([fn(p) for p in x.reshape(-1, x.shape[-1])], dtype=float)
+        return values.reshape(x.shape[:-1] + values.shape[1:])
 
     return lifted
 
@@ -187,14 +179,11 @@ class Field:
     jet(x, order) gives the value at the (..., d) stack x followed by its
     partials up to order, the derivative axes after the point axes: a
     chart's jet is (g, dg, d2g) with dg[m] = d_m g and d2g[m, n] = d_m d_n
-    g, a one-form's (omega, J) with J[i, j] = d_i omega_j.  provenance
-    records whether the partials are closed forms ("analytic") or a
-    callable's (from_callable: jets or differences, "finite-difference");
-    in_domain restricts the field, if given.
+    g, a one-form's (omega, J) with J[i, j] = d_i omega_j.  in_domain, if
+    given, restricts the field: it maps the stack x to one bool per point.
     """
 
     jet: Callable
-    provenance: str = "analytic"
     in_domain: Callable | None = None
 
     @classmethod
@@ -211,7 +200,7 @@ class Field:
             exact = _jets.jet(fn, x, order)
             return _fd_jet(lifted, x, order) if exact is None else exact
 
-        return cls(jet, provenance="finite-difference", in_domain=_pointwise(in_domain))
+        return cls(jet, in_domain=_pointwise(in_domain))
 
     def value(self, x):
         """The value part of the jet at x."""
@@ -328,6 +317,9 @@ class KillingData:
     u: Field
     l: Field
     lam: float
+
+    def __post_init__(self):
+        _finite("lam", self.lam)
 
 
 _LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
@@ -456,20 +448,15 @@ class WalkerData:
     lam: float
 
     def __post_init__(self):
-        if self.lam == 0.0:
+        if _finite("lam", self.lam) == 0.0:
             raise ValueError("lam must be nonzero")
 
 
 def walker_chart(wd):
-    """Assemble the four-dimensional chart; coordinates (v, u, x, y).
-
-    Its partials are analytic where those of F, K and q2 all are.
-    """
+    """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
     q2 = wd.q2
-    analytic = all(field.provenance == "analytic" for field in (wd.F, wd.K, q2))
     domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
-    return Field(lambda x, order: _walker_jets(wd, x, order, order)[0],
-                 provenance="analytic" if analytic else "finite-difference", in_domain=domain)
+    return Field(lambda x, order: _walker_jets(wd, x, order, order)[0], in_domain=domain)
 
 
 def _walker_jets(wd, x, order, k_order):
@@ -553,7 +540,7 @@ def walker_killing_data(wd):
         def jet(x, order):
             return _surface_pair(wd.lam, x, wd.K.jet(_surface(x), 2))[which][:order + 1]
 
-        return Field(jet, provenance=wd.K.provenance)
+        return Field(jet)
 
     return KillingData(field(0), field(1), wd.lam)
 
@@ -888,14 +875,10 @@ def _preset_walker_generic(params):
             "walker-generic requires Python callbacks for F, K, and q2; "
             "it cannot be built from serialized parameters"
         )
-
-    # each callback takes one surface point: a plain callable, or a Field whose jet does
-    def lifted(obj):
-        if isinstance(obj, Field):
-            return replace(obj, jet=_pointwise(obj.jet), in_domain=_pointwise(obj.in_domain))
-        return Field.from_callable(obj)
-
-    wd = WalkerData(F=lifted(params["F"]), K=lifted(params["K"]), q2=lifted(params["q2"]), lam=lam)
+    # a Field is taken as it is; any other callback takes one surface point
+    F, K, q2 = (obj if isinstance(obj, Field) else Field.from_callable(obj)
+                for obj in (params["F"], params["K"], params["q2"]))
+    wd = WalkerData(F=F, K=K, q2=q2, lam=lam)
     return Preset(name="walker-generic", params={"lam": lam}, sample_box=_BOX_HALF, walker=wd)
 
 
@@ -1069,9 +1052,12 @@ def _perturbed(ps, amount):
         old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order))))
 
 
-def _summary(vals, pts):
-    # the mean is a left-to-right sum, as when the points were scored one by one
+def _summary(name, vals, pts):
+    # a nan sets no floating-point flag, but argmax finds it, as it finds an inf
     listed, worst = vals.tolist(), int(vals.argmax())
+    if not math.isfinite(listed[worst]):
+        raise FloatingPointError(f"residual {name} is not finite: {listed[worst]!r}")
+    # the mean is a left-to-right sum, as when the points were scored one by one
     mean = sum(listed) / len(listed)
     return {"max": listed[worst], "mean": mean, "worst_point": pts[worst].tolist()}
 
@@ -1104,8 +1090,9 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     max, and verdict "pass" when every max is within tol.
     perturb biases the preset first, as a detection control: K + perturb
     on a surface preset, the metric times 1 + perturb elsewhere.  Points are
-    scored in blocks of POINT_BLOCK; overflow, division by zero or an
-    invalid operation raises FloatingPointError, never scoring inf or nan.
+    scored in blocks of POINT_BLOCK; overflow, division by zero, an
+    invalid operation or a residual that comes out inf or nan raises
+    FloatingPointError, so no report holds inf or nan.
     """
     require_check(ps, check)
     n_points, perturb = _count("n_points", n_points), _finite("perturb", perturb)
@@ -1124,7 +1111,7 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
             for name, value in _CHECKS[check][0](ps, x).items():
                 blocks.setdefault(name, []).append(value)
 
-    residuals = {name: _summary(np.concatenate(parts), pts) for name, parts in blocks.items()}
+    residuals = {name: _summary(name, np.concatenate(parts), pts) for name, parts in blocks.items()}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
     return {"preset": ps.name, "params": ps.params, "points": n_points,
             "residuals": residuals, "verdict": verdict, "seed": int(seed)}

@@ -895,23 +895,14 @@ def tensor_killing_residuals(chart, kd, x):
 
 
 def pointwise(fn):
-    """Lift a callable of one point to (..., d) stacks, calling it point by point.
-
-    A tuple result, such as a jet, is stacked part by part.
-    """
+    """Lift a callable of one point that returns one array to (..., d) stacks, point by point."""
     if fn is None:
         return None
 
-    def stacked(x, rows):
-        values = np.stack([np.asarray(row, dtype=float) for row in rows])
-        return values.reshape(x.shape[:-1] + values.shape[1:])
-
-    def lifted(x, *args):
+    def lifted(x):
         x = np.asarray(x, dtype=float)
-        rows = [fn(p, *args) for p in x.reshape(-1, x.shape[-1])]
-        if isinstance(rows[0], tuple):
-            return tuple(stacked(x, part) for part in zip(*rows))
-        return stacked(x, rows)
+        values = np.stack([np.asarray(fn(p), dtype=float) for p in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
 
     return lifted
 

@@ -4,14 +4,13 @@ Each test prints a single verdict line (ACCEPTANCE n: PASS/FAIL) and
 then asserts it, so a failing criterion is visible in the run log.
 """
 
-import math
 import time
 
 import numpy as np
 
 from kaspin import cli
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, quantize
-from kaspin.geometry_lab import preset, run_campaign, score
+from kaspin.geometry_lab import Field, preset, run_campaign, score
 from kaspin.ka_core import (
     Multivector,
     Signature,
@@ -45,28 +44,46 @@ def _paired(p, q):
 
 
 def _surface_half_plane(lam):
-    def g(s):
-        return np.eye(2) / (lam * s[1]) ** 2
+    """The half-plane metric delta/(lam y)^2 as a Field of surface point stacks (..., 2)."""
+    def conformal(s, factor, power):
+        return factor * np.eye(2) / (lam**2 * s[..., 1] ** power)[..., None, None]
 
     def dg(s):
-        out = np.zeros((2, 2, 2))
-        out[1] = -2.0 * np.eye(2) / (lam**2 * s[1] ** 3)
+        out = np.zeros(s.shape[:-1] + (2, 2, 2))
+        out[..., 1, :, :] = conformal(s, -2.0, 3)
         return out
 
     def d2g(s):
-        out = np.zeros((2, 2, 2, 2))
-        out[1, 1] = 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)
+        out = np.zeros(s.shape[:-1] + (2, 2, 2, 2))
+        out[..., 1, 1, :, :] = conformal(s, 6.0, 4)
         return out
 
-    return closed_field(g, dg, d2g, in_domain=lambda s: s[1] > 0.0)
+    return closed_field(lambda s: conformal(s, 1.0, 2), dg, d2g,
+                        in_domain=lambda s: s[..., 1] > 0.0)
 
 
 def _surface_profile(c0):
-    return closed_field(
-        lambda s: c0 / s[1] ** 2,
-        lambda s: np.array([0.0, -2.0 * c0 / s[1] ** 3]),
-        lambda s: np.array([[0.0, 0.0], [0.0, 6.0 * c0 / s[1] ** 4]]),
-    )
+    """The profile c0 / y^2 as a Field of surface point stacks (..., 2)."""
+    def dk(s):
+        out = np.zeros(s.shape)
+        out[..., 1] = -2.0 * c0 / s[..., 1] ** 3
+        return out
+
+    def d2k(s):
+        out = np.zeros(s.shape + (2,))
+        out[..., 1, 1] = 6.0 * c0 / s[..., 1] ** 4
+        return out
+
+    return closed_field(lambda s: c0 / s[..., 1] ** 2, dk, d2k)
+
+
+def _exp_cubic(s, order):
+    """The jet of e^x y^3 to order at the surface point stack s."""
+    e, y = np.exp(s[..., 0]), s[..., 1]
+    f, f_y, f_yy = e * y**3, 3.0 * e * y**2, 6.0 * e * y
+    grad = np.stack([f, f_y], axis=-1)
+    hess = np.stack([grad, np.stack([f_y, f_yy], axis=-1)], axis=-2)
+    return (f, grad, hess)[:order + 1]
 
 
 def _points_over_surface(rng, n, y_lo, y_hi):
@@ -301,14 +318,7 @@ def test_acceptance_08_deformed_families_and_sensitivity():
 
     # control: a profile solving neither deformation family must pass the
     # eigenfunction equations on K while breaking the F equation
-    bad_f = closed_field(
-        lambda s: math.exp(s[0]) * s[1] ** 3,
-        lambda s: np.array([math.exp(s[0]) * s[1] ** 3, 3.0 * math.exp(s[0]) * s[1] ** 2]),
-        lambda s: np.array([
-            [math.exp(s[0]) * s[1] ** 3, 3.0 * math.exp(s[0]) * s[1] ** 2],
-            [3.0 * math.exp(s[0]) * s[1] ** 2, 6.0 * math.exp(s[0]) * s[1]],
-        ]),
-    )
+    bad_f = Field(_exp_cubic)
     control = preset(
         "walker-generic",
         {"lam": 1.0, "F": bad_f, "K": _surface_profile(0.5), "q2": _surface_half_plane(1.0)},

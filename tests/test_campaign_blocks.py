@@ -184,6 +184,47 @@ def test_walker_generic_callbacks_see_one_point(check, orders):
             assert sum(name == field for name, _ in calls) == want, (field, opaque)
 
 
+@pytest.mark.parametrize("block", [POINTS, 7])
+@pytest.mark.parametrize("check", CHECKS["walker-generic"])
+def test_walker_generic_takes_fields_as_they_are(monkeypatch, check, block):
+    # ads4's own Fields given to walker-generic score as ads4 does; each jet is read once per
+    # field and block, on the block's whole (n, 2) stack of surface points
+    ads = preset("ads4")
+    calls = []
+
+    def logged(name):
+        field = getattr(ads.walker, name)
+
+        def jet(s, order):
+            calls.append((name, np.shape(s)))
+            return field.jet(s, order)
+
+        return dataclasses.replace(field, jet=jet)
+
+    generic = preset("walker-generic",
+                     {"lam": 1.0, "F": logged("F"), "K": logged("K"), "q2": logged("q2")})
+    monkeypatch.setattr(geometry_lab, "POINT_BLOCK", block)
+    blocks = [(min(block, POINTS - start), 2) for start in range(0, POINTS, block)]
+    read = ("K", "q2") if check == "walker" else ("F", "K", "q2")
+    for perturb in PERTURBS:
+        calls.clear()
+        got = run_campaign(generic, check, n_points=POINTS, seed=3, perturb=perturb)
+        want = run_campaign(ads, check, n_points=POINTS, seed=3, perturb=perturb)
+        assert (got.pop("preset"), want.pop("preset")) == ("walker-generic", "ads4")
+        assert got == want, (check, perturb)
+        assert sorted(calls) == sorted((name, shape) for name in read for shape in blocks)
+
+
+@pytest.mark.parametrize("check", ["killing", "einstein"])
+def test_a_nan_residual_raises_naming_its_key(check):
+    # nan + 1/y^2 sets no floating-point flag, so only the summary can see the nan
+    params = dict(ads4_callbacks(), F=lambda s: float("nan") + 1.0 / s[1] ** 2)
+    before = np.geterr()
+    with pytest.raises(FloatingPointError, match=rf"residual {check}\.\w+ is not finite: nan"):
+        run_campaign(preset("walker-generic", params), check, n_points=POINTS)
+    assert np.geterr() == before
+
+
 @pytest.mark.parametrize("check", CHECKS["walker-generic"])
 def test_exact_callbacks_pass_near_eps_and_their_controls_fail(check):
     # exact jets: the one-step differences failed einstein and walker here at about 1e-6
@@ -453,54 +494,45 @@ def test_a_residual_raises_when_any_point_of_the_block_does(layer, message):
 
 
 def same_bits(got, want):
-    """Whether got and want are equal arrays, or tuples of them, bit for bit."""
-    got, want = (g if isinstance(g, tuple) else (g,) for g in (got, want))
-    return len(got) == len(want) and all(
-        type(a) is type(b) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape
-        and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    """Whether got and want are equal arrays, bit for bit."""
+    return (type(got) is type(want) is np.ndarray and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
 
 
 # component shapes of a one-point callback result: a number, a vector, a matrix, a 3-tensor
-PARTS = st.lists(st.sampled_from([(), (2,), (4,), (2, 2), (4, 4), (2, 2, 2)]), min_size=1,
-                 max_size=3)
+SHAPES = st.sampled_from([(), (2,), (4,), (2, 2), (4, 4), (2, 2, 2)])
 
 
-def one_point_callback(parts, as_tuple, as_lists, seed):
-    """A callback of one point whose result has the component shapes parts: a tuple of
-    them, or the one part itself; arrays or nested lists, a number as a float."""
-    weights = [np.random.default_rng([seed, i]).standard_normal(shape)
-               for i, shape in enumerate(parts)]
+def one_point_callback(shape, as_lists, seed):
+    """A callback of one point whose result is one array of the given shape, or the same as
+    nested lists; a number as a float."""
+    weight = np.random.default_rng(seed).standard_normal(shape)
 
     def fn(p):
-        values = [np.asarray(w * np.sin(p).sum()) for w in weights]
-        values = [v.tolist() if as_lists or v.ndim == 0 else v for v in values]
-        return tuple(values) if as_tuple else values[0]
+        value = np.asarray(weight * np.sin(p).sum())
+        return value.tolist() if as_lists or value.ndim == 0 else value
 
     return fn
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([2, 4]), lead=st.sampled_from([(), (1,)]), n=st.integers(1, 7),
-       parts=PARTS, as_tuple=st.booleans(), as_lists=st.booleans(), seed=st.integers(0, 2**16))
-def test_one_array_lifting_is_bit_identical_to_stacking_rows(d, lead, n, parts, as_tuple,
-                                                              as_lists, seed):
+       shape=SHAPES, as_lists=st.booleans(), seed=st.integers(0, 2**16))
+def test_one_array_lifting_is_bit_identical_to_stacking_rows(d, lead, n, shape, as_lists, seed):
     from oracles import pointwise
 
-    parts = parts if as_tuple else parts[:1]
-    fn = one_point_callback(parts, as_tuple, as_lists, seed)
+    fn = one_point_callback(shape, as_lists, seed)
     x = np.random.default_rng(seed).uniform(0.5, 2.0, size=lead + (n, d))
     assert same_bits(geometry_lab._pointwise(fn)(x), pointwise(fn)(x))
     assert same_bits(geometry_lab._pointwise(fn)(x[0]), pointwise(fn)(x[0]))
 
 
-@pytest.mark.parametrize("as_tuple", [False, True])
-def test_a_ragged_callback_result_raises(as_tuple):
+def test_a_ragged_callback_result_raises():
     from oracles import pointwise
 
     # the second point returns one component fewer than the first
     def ragged(p):
-        value = np.ones(3 if p[0] < 0.5 else 2)
-        return (1.0, value) if as_tuple else value
+        return np.ones(3 if p[0] < 0.5 else 2)
 
     x = np.array([[0.0, 1.0], [1.0, 1.0]])
     for lift in (geometry_lab._pointwise, pointwise):

@@ -292,6 +292,10 @@ def test_payload_signature_must_be_json_integers(capsys, command, body, p, q):
     pytest.param(("square", "[true,0,0,0]", "--p", "3", "--q", "1"), None, id="true-component"),
     pytest.param(("square", '{"p":3,"q":1,"components":["1",0,0,0]}'), None,
                  id="string-component"),
+    # a spinor payload is a component list, or an object whose components are one
+    pytest.param(("square", '{"p":3,"q":1,"components":1}'), None, id="number-components"),
+    pytest.param(("square", '{"p":3,"q":1}'), None, id="no-components"),
+    pytest.param(("square", '"1"', "--p", "3", "--q", "1"), None, id="string-spinor"),
     # a polyform payload takes its signature from the flags, as a spinor payload does
     pytest.param(("check-polyform", '{"coeffs":{"1":1}}', "--p", "3", "--q", "1"),
                  ("check-polyform", '{"p":3,"q":1,"coeffs":{"1":1}}'), id="check-flags"),
@@ -552,6 +556,8 @@ def test_check_metric_usage_errors(capsys):
         ("check-metric", "--preset", "ads4", "--trials", "0"),
         ("check-metric", "--preset", "ads4", "--lambda", "0"),
         ("check-metric", "--preset", "ads4", "--tol", "-1"),
+        ("check-metric", "--preset", "ads4", "--check", ","),
+        ("check-metric", "--preset", "ads4", "--check", " "),
     ]
     # preset parameters are JSON numbers (or lists of them): no traceback, and
     # no silent coercion of "1234", true or "2"

@@ -335,6 +335,11 @@ def test_paired_rep_json(paired):
     np.testing.assert_allclose(np.array(payload["Bminus"]), pr.Bminus)
 
 
+def test_quantize_rejects_another_signature(reps):
+    with pytest.raises(ValueError, match="signature mismatch"):
+        quantize(reps[(3, 1)], Multivector.scalar(Signature(2, 2), 1.0))
+
+
 def test_spinor_length_checked(reps):
     rep = reps[(3, 1)]
     with pytest.raises(ValueError):

@@ -200,11 +200,35 @@ def test_preset_validation_errors():
         ("heterotic-ppwave", {"q0": [[1.0, 0.0], [0.0, None]]}),
         # exp(c x)^2 overflows on the sample box |x| <= 1.5 from c = 236.6
         ("ads4-deformed-bessel", {"c": 236.6}),
+        # q0 not symmetric, and not positive definite (a negative diagonal or determinant)
+        ("heterotic-ppwave", {"q0": [[1.0, 0.5], [0.0, 1.0]]}),
+        ("heterotic-ppwave", {"q0": [[-1.0, 0.0], [0.0, -1.0]]}),
+        ("heterotic-ppwave", {"q0": [[1.0, 0.0], [0.0, -1.0]]}),
     ],
 )
 def test_preset_rejects_non_finite_and_out_of_range_parameters(name, params):
     with pytest.raises(ValueError):
         preset(name, params)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_pair_and_surface_data_reject_a_non_finite_lam(lam):
+    ads = preset("ads4")
+    pair = pair_of(ads)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        dataclasses.replace(ads.walker, lam=lam)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        KillingData(pair.u, pair.l, lam)
+
+
+def test_surface_data_need_a_nonzero_lam_and_a_pair_does_not():
+    ads = preset("ads4")
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        dataclasses.replace(ads.walker, lam=0.0)
+    # minkowski and heterotic-ppwave pair at lam 0; a negative rate is a pair too
+    pair = pair_of(ads)
+    for lam in (0.0, -1.0):
+        assert KillingData(pair.u, pair.l, lam).lam == lam
 
 
 def test_preset_accepts_small_and_large_finite_lambda():
@@ -320,8 +344,6 @@ def test_fd_derivatives_match_analytic():
     x = halfplane_points(3, 7)
     for name in sorted(geometry_lab._PRESET_BUILDERS):
         ps = preset(name, ADS4_CALLBACKS if name == "walker-generic" else None)
-        want = "finite-difference" if name == "walker-generic" else "analytic"
-        assert ps.chart.provenance == want, name
         for field_name, (field, order, surface) in preset_fields(ps).items():
             points = x[:, 2:] if surface else x
             jet = field.jet(points, order)
@@ -330,7 +352,6 @@ def test_fd_derivatives_match_analytic():
             for k in range(1, order + 1):
                 assert within(fd[k], jet[k], 1e-5), (name, field_name, k)
         fd_chart = Field.from_callable(ps.chart.value, in_domain=ps.chart.in_domain)
-        assert fd_chart.provenance == "finite-difference"
         assert within(ricci(fd_chart, x), ricci(ps.chart, x), 1e-4), name
 
 
@@ -719,7 +740,6 @@ def poincare_surface(lam):
                 [np.zeros((2, 2)), 6.0 * np.eye(2) / (lam**2 * s[1] ** 4)],
             ]
         ),
-        provenance="analytic",
         in_domain=lambda s: s[1] > 0,
     )
 
@@ -869,7 +889,6 @@ def test_walker_to_killing_transfer():
     x = halfplane_points(4, 20)
     for wd in (ads.walker, poly.walker, generic):
         kd = walker_killing_data(wd)
-        assert kd.u.provenance == kd.l.provenance == "analytic"
         res = scored(dataclasses.replace(on_surface(wd), killing=kd), "killing", x)
         assert np.max(res["square"]) <= 1e-14
         assert np.max(res["ka"]) <= 1e-14

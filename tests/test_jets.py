@@ -156,6 +156,10 @@ OPAQUE = {
     "a list result": lambda s: [s[0] * s[1], 1.0],
     "a jet exponent": lambda s: s[0] ** s[1],
     "an unserved ufunc": lambda s: np.tanh(s[0]),
+    "an array exponent": lambda s: s[0] ** np.array([1.0, 2.0]),
+    "a complex constant": lambda s: (s[0] * 1j).imag,
+    "a truth test": lambda s: s[0] if s[1] else -s[0],
+    "a ufunc method": lambda s: np.add.reduce(s[0]),
 }
 
 
@@ -167,6 +171,14 @@ def test_opaque_callables_fall_back_to_differences_bit_for_bit(name, order):
     assert _jets.jet(fn, x, order) is None
     assert same_bits(geometry_lab.Field.from_callable(fn).jet(x, order),
                      geometry_lab._fd_jet(geometry_lab._pointwise(fn), x, order))
+
+
+def test_jets_of_different_orders_do_not_combine():
+    # no callback can make one (all coordinates of a jet point share its order), so _apply itself
+    x = np.ones(3)
+    value, slope = _jets.Jet((x,)), _jets.Jet((x, np.ones((3, 1))))
+    assert _jets._apply(np.add, (value, slope)) is NotImplemented
+    assert _jets._apply(np.multiply, (slope, value)) is NotImplemented
 
 
 def test_other_exceptions_propagate():

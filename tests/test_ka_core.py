@@ -455,12 +455,33 @@ def test_signature_mismatch_rejected():
     for op in (wedge, geometric_product):
         with pytest.raises(ValueError):
             op(a, b)
+    # equal coefficients of different signatures are not close
+    assert not a.allclose(b) and not b.allclose(a)
 
 
 def test_contract_requires_one_form():
     sig = Signature(3, 1)
     with pytest.raises(ValueError):
         contract(Multivector.basis(sig, (1, 2)), Multivector.scalar(sig, 1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Multivector.basis(Signature(3, 1), (2, 1)), "ascending in 1..4",
+                 id="basis-descending"),
+    pytest.param(lambda: Multivector.basis(Signature(3, 1), (1, 5)), "ascending in 1..4",
+                 id="basis-past-d"),
+    pytest.param(lambda: Multivector.basis(Signature(3, 1), (0,)), "ascending in 1..4",
+                 id="basis-zero"),
+    pytest.param(lambda: Multivector.covector(Signature(3, 1), [1.0, 0.0, 0.0]),
+                 "expected 4 components", id="covector-length"),
+    pytest.param(lambda: ka_trace(Multivector.scalar(Signature(2, 1), 1.0)),
+                 "requires even dimension", id="trace-odd-d"),
+    pytest.param(lambda: hodge_star(Multivector.scalar(Signature(2, 1), 1.0)),
+                 "even dimension only", id="hodge-star-odd-d"),
+])
+def test_index_length_and_dimension_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_grade_projection():

@@ -69,6 +69,10 @@ def test_pair_invariants_enforced():
         ParabolicPair(cov(1, 0, 0, 1), cov(1, 0, 0, 0))  # not orthogonal
     with pytest.raises(ValueError):
         ParabolicPair(cov(0, 0, 0, 0), cov(0, 1, 0, 0))  # u vanishes
+    neutral = Signature(2, 2)
+    with pytest.raises(ValueError, match=r"parabolic pairs live in signature \(3,1\)"):
+        ParabolicPair(Multivector.covector(neutral, [1.0, 0.0, 0.0, 1.0]),
+                      Multivector.covector(neutral, [0.0, 1.0, 0.0, 0.0]))
 
 
 def test_random_pairs_satisfy_invariants():
@@ -142,6 +146,8 @@ def test_polyform_to_pair_rejections():
         polyform_to_pair(pp.u + wedge(cov(0, 1, 0, 0), cov(0, 0, 1, 0)))  # not u /\ l
     with pytest.raises(ValueError, match="the zero square has no parabolic pair"):
         polyform_to_pair(Multivector.zero(SIG))
+    with pytest.raises(ValueError, match=r"expected a multivector in signature \(3,1\)"):
+        polyform_to_pair(Multivector.scalar(Signature(2, 2), 1.0))
 
 
 def test_round_trip_random_pairs():
@@ -257,6 +263,12 @@ def test_normalize_gauge():
 
     with pytest.raises(ValueError):
         normalize_gauge(pp, cov(1, 0, 0, 0))  # spacelike probe
+    with pytest.raises(ValueError, match="gauge direction must be a unit timelike one-form"):
+        normalize_gauge(pp, Multivector.basis(SIG, (1, 4)))  # a two-form
+    # a unit timelike direction boosted towards u = e^1 + e^4 until <u, v> / |v| <= 1e-9
+    t = 12.0
+    with pytest.raises(ValueError, match="u is orthogonal to the gauge direction"):
+        normalize_gauge(pp, cov(np.sinh(t), 0, 0, np.cosh(t)))
 
 
 def test_normalize_gauge_rejects_a_direction_of_another_signature():

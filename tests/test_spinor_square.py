@@ -87,6 +87,21 @@ def test_square_two_to_one_and_zero(paired):
     assert zero.alpha.norm_inf() == 0.0
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda pr, xi: square(pr, "minus", 0, xi), "kappa must be", id="kappa-zero"),
+    pytest.param(lambda pr, xi: square(pr, "minus", 2, xi), "kappa must be", id="kappa-two"),
+    pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(build_rep(Signature(2, 2)),
+                                                                xi.components)),
+                 "different representation", id="foreign-spinor"),
+    pytest.param(lambda pr, xi: check_chirality(pr, square(pr, "plus", 1, xi).alpha, 0),
+                 "mu must be", id="mu-zero"),
+])
+def test_sign_and_representation_guards(paired, call, message):
+    pr = paired[(3, 1)]
+    with pytest.raises(ValueError, match=message):
+        call(pr, random_spinor(pr.rep, make_rng(303)))
+
+
 def test_square_degree_filter(paired):
     for (p, q), pr in paired.items():
         d = p + q
