@@ -19,18 +19,21 @@ a Preset on five checks:
 
 Each check is one evaluator (ps, x) -> {report key: per-point values} in
 _CHECKS, with the preset data it reads; score(ps, check, x) is the one
-entry.  The pair is Preset.killing where one is given; a surface preset
-stores none and derives u = K dv and l = -dK/(2 lam K) from its K, and
-its chart from its surface data, whose lam einstein reads.
+entry, which checks the points and the preset and raises
+FloatingPointError on an overflow or a residual that is not finite, and
+run_campaign scores each block through it.  The pair is Preset.killing
+where one is given; a surface preset stores none and derives u = K dv
+and l = -dK/(2 lam K) from its K, and its chart from its surface data,
+whose lam einstein reads.
 
 One-form fields keep their d components; other forms are (..., 16)
 coefficient stacks over the coordinate coframe, bitmask-indexed as
-Multivector.coeffs (bit i is dx^i), wedged through the metric-free
-(4, 0) sign table and read into an orthonormal coframe E through one
-map, the exterior powers of E^-1 (_exterior).  Named presets supply
-closed-form charts for the constant curvature half-space model, its two
-deformation families over the hyperbolic half-plane and a plane-fronted
-heterotic background.
+Multivector.coeffs (bit i is dx^i), wedged through Signature(3, 1)'s
+wedge_sign table, the same in every signature, and read into an
+orthonormal coframe E through one map, the exterior powers of E^-1
+(_exterior).  Named presets supply closed-form charts for the constant
+curvature half-space model, its two deformation families over the
+hyperbolic half-plane and a plane-fronted heterotic background.
 
 Points are stacks: fields and residuals take x of shape (..., d), the
 leading axes indexing sample points; one point is the stack shape ().
@@ -55,7 +58,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .clifford_rep import build_pairings, build_rep
 from .ka_core import Signature
 from .spinor_square import square_test
@@ -270,18 +272,15 @@ def _nabla(gamma, jet):
 
 
 _COFRAME = 1 << np.arange(4)  # the masks of dx^0, ..., dx^3
+_LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
 
 
-def _wedge(a, b):
-    """a ^ b for coefficient stacks: out[K] = sum_I a[I] wedge_sign[I, K] b[I xor K].
-
-    A left factor of 4 components is a one-form, and only its coframe
-    rows I = dx^0, ..., dx^3 are gathered.
-    """
-    # the wedge sign does not depend on the metric: one table serves every chart
-    t = _kernels.get_tables(4, 0)
-    rows = _COFRAME if a.shape[-1] == 4 else np.s_[:]
-    return np.einsum("...i,ik,...ik->...k", a, t.wedge_sign[rows], b[..., t.xor[rows]])
+def _product(table, a, masks, b):
+    """a <> b (table "sign") or a ^ b ("wedge_sign") of stacks, a given by its coefficients of
+    the masks: out[K] = sum_I a[I] table[I, K] b[I xor K] over Signature(3, 1)'s tables, whose
+    wedge signs, as every signature's, do not depend on the metric."""
+    t = _LORENTZ.tables()
+    return np.einsum("...i,ik,...ik->...k", a, getattr(t, table)[masks], b[..., t.xor[masks]])
 
 
 def _exterior(m):
@@ -290,14 +289,15 @@ def _exterior(m):
     Row I is the wedge of the rows of m that I names, so with dx^i = sum_a
     m[i, a] e^a, c @ _exterior(m) is the stack c over dx^I rewritten over e^J.
     """
-    t = _kernels.get_tables(4, 0)
+    t = _LORENTZ.tables()
     # built up grade by grade from the lowest row of I and the already built rest
     out = np.zeros(m.shape[:-2] + (16, 16))
     out[..., 0, 0] = 1.0
     for k in range(1, 5):
         masks = np.flatnonzero(t.grade == k)
         low = masks & -masks
-        out[..., masks, :] = _wedge(m[..., np.log2(low).astype(int), :], out[..., masks ^ low, :])
+        out[..., masks, :] = _product("wedge_sign", m[..., np.log2(low).astype(int), :], _COFRAME,
+                                      out[..., masks ^ low, :])
     return out
 
 
@@ -322,7 +322,6 @@ class KillingData:
         _finite("lam", self.lam)
 
 
-_LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
 _TIME_LAST = np.array([1, 2, 3, 0])  # eigh's ascending order, its one negative eigenvalue last
 _LO, _HI = np.triu_indices(4, 1)
 # [u, m flattened] @ _POLYFORM = u + sum_ab m_ab e^a ^ e^b, each entry one exact sum of two terms
@@ -361,12 +360,6 @@ def _commutator_rows(grade):
     masks = _COFRAME if grade == 1 else _TWO
     rows = t.xor[masks]
     return t.sign[masks] - t.sign[rows, np.arange(16)], rows
-
-
-def _product(a, b, masks):
-    """a <> b in Signature(3, 1), a given by its coefficients of the masks."""
-    t = _LORENTZ.tables()
-    return np.einsum("...i,ik,...ik->...k", a, t.sign[masks], b[..., t.xor[masks]])
 
 
 def _pair_frame(jet, ginv, u_jet, l_jet):
@@ -571,14 +564,14 @@ def _flux(hc, x):
     if hc.H is None:
         return _zeros(x, 16), _zeros(x, 16)
     h, dh = hc.H.jet(x, 1)
-    return h, _wedge(np.eye(4), dh).sum(axis=-2)
+    return h, _product("wedge_sign", np.eye(4), _COFRAME, dh).sum(axis=-2)
 
 
 def _bianchi(d_h, gauge):
     """max |dH - sum_a sign_a * F_a ^ F_a|, from dH and the (sign_a, F_a stack) pairs."""
     source = 0.0
     for sign, two_form in gauge:
-        source = source + sign * _wedge(two_form, two_form)
+        source = source + sign * _product("wedge_sign", two_form, np.s_[:], two_form)
     return _max_abs(d_h - source, 1)
 
 
@@ -609,16 +602,16 @@ def _score_heterotic(ps, x):
         # row I of _exterior(E^-1) is dx^I in the coframe
         forms = np.stack([h, d_h, *(two_form for _, two_form in gauge)], axis=-2) @ _exterior(inverse)
         flux[..., _THREE], coclosed = forms[..., 0, _THREE], np.abs(forms[..., 1, 15])
-        gaugino = np.abs(_product(forms[..., 2:, _TWO], alpha[..., None, :], _TWO)).max(
+        gaugino = np.abs(_product("sign", forms[..., 2:, _TWO], _TWO, alpha[..., None, :])).max(
             axis=(-2, -1), initial=0.0)
     # A_i = -1/4 i_(X_i) H, the grade-2 part of X_i <> H
-    connection = -0.25 * _product(dual, flux[..., None, :], _COFRAME)[..., _TWO]
+    connection = -0.25 * _product("sign", dual, _COFRAME, flux[..., None, :])[..., _TWO]
     jac = phi_jet[1]
     return {
         "heterotic.square": _square_residual(alpha),
         "heterotic.gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, 2), 2),
-        "heterotic.dilatino": _max_abs(_product(phi, alpha, _COFRAME)
-                                       - _product(flux[..., _THREE], alpha, _THREE), 1),
+        "heterotic.dilatino": _max_abs(_product("sign", phi, _COFRAME, alpha)
+                                       - _product("sign", flux[..., _THREE], _THREE, alpha), 1),
         "heterotic.gaugino": gaugino,
         "heterotic.rho_coclosed": coclosed,  # |(dH)_0123 det E^-1|
         "heterotic.dphi_closed": _max_abs(jac - _t(jac, 1, 0), 2),
@@ -876,9 +869,13 @@ def _preset_walker_generic(params):
             "it cannot be built from serialized parameters"
         )
     # a Field is taken as it is; any other callback takes one surface point
-    F, K, q2 = (obj if isinstance(obj, Field) else Field.from_callable(obj)
-                for obj in (params["F"], params["K"], params["q2"]))
-    wd = WalkerData(F=F, K=K, q2=q2, lam=lam)
+    fields = {key: params[key] for key in ("F", "K", "q2")}
+    for key, obj in fields.items():
+        if not isinstance(obj, Field):
+            if not callable(obj):
+                raise ValueError(f"walker-generic {key} must be a Field or a callable, got {obj!r}")
+            fields[key] = Field.from_callable(obj)
+    wd = WalkerData(**fields, lam=lam)
     return Preset(name="walker-generic", params={"lam": lam}, sample_box=_BOX_HALF, walker=wd)
 
 
@@ -1052,11 +1049,8 @@ def _perturbed(ps, amount):
         old, jet=lambda x, order: tuple(factor * part for part in old.jet(x, order))))
 
 
-def _summary(name, vals, pts):
-    # a nan sets no floating-point flag, but argmax finds it, as it finds an inf
+def _summary(vals, pts):
     listed, worst = vals.tolist(), int(vals.argmax())
-    if not math.isfinite(listed[worst]):
-        raise FloatingPointError(f"residual {name} is not finite: {listed[worst]!r}")
     # the mean is a left-to-right sum, as when the points were scored one by one
     mean = sum(listed) / len(listed)
     return {"max": listed[worst], "mean": mean, "worst_point": pts[worst].tolist()}
@@ -1074,11 +1068,25 @@ def require_check(ps, check):
 def score(ps, check, x):
     """The residuals of check at the chart points x of ps: report key -> one value per point.
 
-    x is a (..., 4) stack, one point being the stack shape ().  Raises
-    ValueError, as require_check does, for a check ps cannot be scored on.
+    x is a (..., 4) stack of finite chart points, one point being the
+    stack shape ().  Raises ValueError for other points and, as
+    require_check does, for a check ps cannot be scored on.  Overflow,
+    division by zero, an invalid operation or a residual that comes out
+    inf or nan raises FloatingPointError, so no residual is inf or nan.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"chart points must be a (..., 4) stack, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("chart points must be finite")
     require_check(ps, check)
-    return _CHECKS[check][0](ps, np.asarray(x, dtype=float))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        residuals = _CHECKS[check][0](ps, x)
+    for key, value in residuals.items():
+        # a nan sets no floating-point flag; max gives the nan, else an inf
+        if not np.isfinite(value).all():
+            raise FloatingPointError(f"residual {key} is not finite: {float(np.max(value))!r}")
+    return residuals
 
 
 def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
@@ -1090,11 +1098,10 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     max, and verdict "pass" when every max is within tol.
     perturb biases the preset first, as a detection control: K + perturb
     on a surface preset, the metric times 1 + perturb elsewhere.  Points are
-    scored in blocks of POINT_BLOCK; overflow, division by zero, an
-    invalid operation or a residual that comes out inf or nan raises
-    FloatingPointError, so no report holds inf or nan.
+    scored through score in blocks of POINT_BLOCK, so an unknown check or
+    missing data raises ValueError, and an overflow or a residual that
+    comes out inf or nan FloatingPointError: no report holds inf or nan.
     """
-    require_check(ps, check)
     n_points, perturb = _count("n_points", n_points), _finite("perturb", perturb)
     tol = _positive("tol", tol)
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -1104,14 +1111,10 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     lower, upper = np.asarray(ps.sample_box, dtype=float).T
     pts = _halton(n_points, seed) * (upper - lower) + lower
 
-    blocks: dict[str, list[np.ndarray]] = {}
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for start in range(0, n_points, POINT_BLOCK):
-            x = pts[start:start + POINT_BLOCK]
-            for name, value in _CHECKS[check][0](ps, x).items():
-                blocks.setdefault(name, []).append(value)
-
-    residuals = {name: _summary(name, np.concatenate(parts), pts) for name, parts in blocks.items()}
+    blocks = [score(ps, check, pts[start:start + POINT_BLOCK])
+              for start in range(0, n_points, POINT_BLOCK)]
+    residuals = {name: _summary(np.concatenate([block[name] for block in blocks]), pts)
+                 for name in blocks[0]}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
     return {"preset": ps.name, "params": ps.params, "points": n_points,
             "residuals": residuals, "verdict": verdict, "seed": int(seed)}

@@ -17,6 +17,7 @@ immutable after construction and every operation is a pure function.
 """
 
 import json
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -64,13 +65,16 @@ class Signature(_SignatureFields):
     __slots__ = ()
 
     def __new__(cls, p, q):
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (p, q)):
+            raise ValueError(f"signature counts must be integers, got {p!r} and {q!r}")
         if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
         if p + q < 1:
             raise ValueError("dimension must be at least 1")
         if p + q > MAX_DIM:
             raise ValueError(f"dense storage is capped at d <= {MAX_DIM}")
-        return super().__new__(cls, p, q)
+        # plain ints, so a signature of numpy integers prints and serializes as any other
+        return super().__new__(cls, int(p), int(q))
 
     @classmethod
     def _make(cls, iterable):

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,13 +216,29 @@ def test_walker_generic_takes_fields_as_they_are(monkeypatch, check, block):
         assert sorted(calls) == sorted((name, shape) for name in read for shape in blocks)
 
 
-@pytest.mark.parametrize("check", ["killing", "einstein"])
-def test_a_nan_residual_raises_naming_its_key(check):
-    # nan + 1/y^2 sets no floating-point flag, so only the summary can see the nan
+def box_points(ps, n):
+    """n points of ps's sample box, as a campaign with seed 0 draws them."""
+    lower, upper = np.asarray(ps.sample_box).T
+    return geometry_lab._halton(n, 0) * (upper - lower) + lower
+
+
+@pytest.mark.parametrize("check, points", [
+    pytest.param("killing", None, id="killing"),
+    pytest.param("einstein", None, id="einstein"),
+    # score raises as a campaign does, at one point and on a stack
+    *(pytest.param(check, n, id=f"{check}-score-{n}")
+      for check in ("killing", "einstein") for n in (1, POINTS)),
+])
+def test_a_nan_residual_raises_naming_its_key(check, points):
+    # nan + 1/y^2 sets no floating-point flag, so only the residual test can see the nan
     params = dict(ads4_callbacks(), F=lambda s: float("nan") + 1.0 / s[1] ** 2)
+    ps = preset("walker-generic", params)
     before = np.geterr()
     with pytest.raises(FloatingPointError, match=rf"residual {check}\.\w+ is not finite: nan"):
-        run_campaign(preset("walker-generic", params), check, n_points=POINTS)
+        if points is None:
+            run_campaign(ps, check, n_points=POINTS)
+        else:
+            score(ps, check, box_points(ps, points))
     assert np.geterr() == before
 
 
@@ -398,6 +415,54 @@ def test_overflow_raises_and_the_error_state_is_restored():
     with pytest.raises(FloatingPointError, match="overflow"):
         run_campaign(preset("ads4", {"lam": 1e-150}), "walker", n_points=3)
     assert np.geterr() == before
+
+
+@pytest.mark.parametrize("points", [1, POINTS])
+def test_score_raises_on_overflow_and_restores_the_error_state(points):
+    # score itself raises, where it once returned inf with only a RuntimeWarning
+    ps = preset("ads4", {"lam": 1e-150})
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            score(ps, "walker", box_points(ps, points))
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda x: x[..., :3], id="three-coordinates"),
+    pytest.param(lambda x: np.concatenate([x, x[..., :1]], axis=-1), id="five-coordinates"),
+    pytest.param(lambda x: x[..., 0], id="scalars"),
+    pytest.param(lambda x: np.where(np.arange(4) == 0, np.nan, x), id="nan"),
+    pytest.param(lambda x: np.where(np.arange(4) == 3, np.inf, x), id="inf"),
+    pytest.param(lambda x: np.where(np.arange(4) == 1, -np.inf, x), id="minus-inf"),
+])
+@pytest.mark.parametrize("points", [1, POINTS])
+def test_score_rejects_what_is_not_a_finite_stack_of_chart_points(bad, points):
+    # such points once scored as passes (0.0), or raised IndexError, depending on the check
+    for name, checks in CHECKS.items():
+        ps = build(name)
+        x = bad(box_points(ps, points)[0] if points == 1 else box_points(ps, points))
+        for check in checks:
+            with pytest.raises(ValueError, match="^chart points must be"):
+                score(ps, check, x)
+
+
+def test_score_is_the_one_way_into_the_evaluators(monkeypatch):
+    # a campaign scores each block through score: 20 points in blocks of 7 make 3 calls
+    calls = []
+
+    def counted(ps, check, x):
+        calls.append(np.shape(x))
+        return score(ps, check, x)
+
+    monkeypatch.setattr(geometry_lab, "POINT_BLOCK", 7)
+    monkeypatch.setattr(geometry_lab, "score", counted)
+    for name, checks in CHECKS.items():
+        for check in checks:
+            calls.clear()
+            run_campaign(build(name), check, n_points=POINTS)
+            assert calls == [(7, 4), (7, 4), (6, 4)], (name, check)
 
 
 # ---------------------------------------------------------------------------

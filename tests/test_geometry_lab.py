@@ -211,6 +211,13 @@ def test_preset_rejects_non_finite_and_out_of_range_parameters(name, params):
         preset(name, params)
 
 
+@pytest.mark.parametrize("key, value", [("F", 1.0), ("K", None), ("q2", "abc")])
+def test_walker_generic_rejects_a_surface_field_that_cannot_be_called(key, value):
+    # such a value once built, and the first campaign raised TypeError from its difference jet
+    with pytest.raises(ValueError, match=f"^walker-generic {key} must be a Field or a callable"):
+        preset("walker-generic", dict(ADS4_CALLBACKS, **{key: value}))
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
 def test_pair_and_surface_data_reject_a_non_finite_lam(lam):
     ads = preset("ads4")
@@ -418,6 +425,14 @@ def test_exterior_of_a_signed_permutation_relabels_bit_for_bit():
     assert np.array_equal(maps[0], np.eye(16))
     _, inverse = geometry_lab._coframe(preset("minkowski").chart.value(np.zeros(4)))
     assert any(np.array_equal(inverse, m) for m in ms)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_wedge_signs_are_the_same_in_every_signature(p):
+    # the chart forms wedge through Signature(3, 1)'s tables, whatever the chart's metric
+    tables, lorentz = Signature(p, 4 - p).tables(), SIG.tables()
+    assert np.array_equal(tables.wedge_sign, lorentz.wedge_sign)
+    assert np.array_equal(tables.xor, lorentz.xor)
 
 
 @settings(max_examples=40, deadline=None)

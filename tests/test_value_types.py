@@ -76,6 +76,30 @@ def test_signature_rejects_what_it_always_rejected(p, q, message):
         Signature(1, 1)._replace(p=p, q=q)
 
 
+@pytest.mark.parametrize("p, q", [
+    (3.0, 1.0), (3, 1.0), (2.5, 1), (np.float64(3.0), 1), (True, 1), (3, False), (np.True_, 1),
+    ("3", 1), (3, None),
+], ids=["floats", "float-q", "fraction", "numpy-float", "true", "false", "numpy-bool", "string",
+        "none"])
+def test_signature_rejects_counts_that_are_not_integers(p, q):
+    # a float count once built and failed later, in n_blades' shift
+    message = "^signature counts must be integers, got "
+    with pytest.raises(ValueError, match=message):
+        Signature(p, q)
+    with pytest.raises(ValueError, match=message):
+        Signature(p=p, q=q)
+    with pytest.raises(ValueError, match=message):
+        Signature(1, 1)._replace(p=p, q=q)
+
+
+def test_signature_takes_numpy_integers_as_ints():
+    # numpy counts were once kept as they came, and to_json then raised TypeError
+    sig = Signature(np.int64(3), np.uint8(1))
+    assert sig == Signature(3, 1) and sig.n_blades == 16
+    assert type(sig.p) is int and type(sig.q) is int and repr(sig) == "Signature(p=3, q=1)"
+    assert Multivector.from_json(Multivector.zero(sig).to_json()).sig == sig
+
+
 def test_signature_is_a_value():
     sig = Signature(3, 1)
     assert sig == Signature(p=3, q=1) and hash(sig) == hash(Signature(3, 1))
