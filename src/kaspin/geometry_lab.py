@@ -1068,15 +1068,15 @@ def require_check(ps, check):
 def score(ps, check, x):
     """The residuals of check at the chart points x of ps: report key -> one value per point.
 
-    x is a (..., 4) stack of finite chart points, one point being the
-    stack shape ().  Raises ValueError for other points and, as
+    x is a non-empty (..., 4) stack of finite chart points, one point being
+    the stack shape ().  Raises ValueError for other points and, as
     require_check does, for a check ps cannot be scored on.  Overflow,
     division by zero, an invalid operation or a residual that comes out
     inf or nan raises FloatingPointError, so no residual is inf or nan.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (4,):
-        raise ValueError(f"chart points must be a (..., 4) stack, got shape {x.shape}")
+    if x.shape[-1:] != (4,) or not x.size:
+        raise ValueError(f"chart points must be a non-empty (..., 4) stack, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("chart points must be finite")
     require_check(ps, check)

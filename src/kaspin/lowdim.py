@@ -12,7 +12,10 @@ Whether a polyform is a square is decided once, by the exact test
 spinor_square.verify_square_conditions on the minus pairing, and
 polyform_to_pair reads the pair off an accepted square.  Every other
 check compares a residual at unit max-norm against DEFAULT_TOL, so no
-verdict depends on the scale and no product over- or underflows.
+verdict depends on the scale and no product over- or underflows.  The
+functions read coefficient arrays through cached grade index vectors,
+and u at unit scale, an exact even power of two as square_test reads
+alpha, wherever its size would enter a quotient.
 
 The orthonormal frame convention is e^1..e^3 spacelike with e^4
 timelike in (3,1), and e^3, e^4 timelike in (2,2), where squares of
@@ -31,12 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford_rep import build_pairings, build_rep
-from .ka_core import Multivector, Signature, hodge_star, inner, wedge
+from .ka_core import Multivector, Signature, hodge_star, wedge
 from .spinor_square import DEFAULT_TOL, verify_square_conditions
 
 SIG_LORENTZ = Signature(3, 1)
 SIG_NEUTRAL = Signature(2, 2)
-_E4 = Multivector.basis(SIG_LORENTZ, (4,))  # the timelike covector of the gauge
+_E4 = Multivector.basis(SIG_LORENTZ, (4,)).coeffs  # the timelike covector of the gauge
 
 
 class _Grades(NamedTuple):
@@ -57,14 +60,15 @@ def _grades(sig) -> _Grades:
     return vectors
 
 
-def _unit_gram(*forms) -> tuple | None:
+def _unit_gram(*coeffs) -> tuple | None:
     """(G, inv) with G[i, j] = h(a_i, a_j) inv_i inv_j and inv_i = 1 / |a_i| (max-norm).
 
-    So h(a, a) = c reads G[i, i] = c inv_i^2; a zero a_i has inv_i = inf. None
-    unless every a_i is finite with no part outside grade 1 at unit max-norm.
+    The a_i are coefficient arrays. So h(a, a) = c reads G[i, i] = c inv_i^2;
+    a zero a_i has inv_i = inf. None unless every a_i is finite with no part
+    outside grade 1 at unit max-norm.
     """
     grades = _grades(SIG_LORENTZ)
-    coeffs = np.array([a.coeffs for a in forms])
+    coeffs = np.array(coeffs)
     size = abs(coeffs)
     norms = size.max(axis=1).tolist()
     off = size[:, grades.off_one].max(axis=1).tolist()
@@ -73,6 +77,14 @@ def _unit_gram(*forms) -> tuple | None:
         return None
     hat = coeffs / np.array([[n or 1.0] for n in norms])
     return (hat * grades.metric) @ hat.T, [1.0 / n if n else math.inf for n in norms]
+
+
+def _at_unit_scale(coeffs) -> np.ndarray:
+    """coeffs times the even power of two that takes their max-norm into [0.5, 2).
+
+    square_test reads alpha so; in the normal range the product is exact.
+    """
+    return np.ldexp(coeffs, -(math.frexp(abs(coeffs).max())[1] & -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +98,7 @@ class ParabolicPair:
         u, l = self.u, self.l
         if u.sig != SIG_LORENTZ or l.sig != SIG_LORENTZ:
             raise ValueError("parabolic pairs live in signature (3,1)")
-        unit = _unit_gram(u, l)
+        unit = _unit_gram(u.coeffs, l.coeffs)
         if unit is None:
             raise ValueError("pair members must be one-forms")
         G, (_, l_inv) = unit
@@ -135,7 +147,8 @@ def polyform_to_pair(alpha: Multivector) -> ParabolicPair:
     alpha is a square when verify_square_conditions accepts it under the
     minus pairing. u is its grade-1 part; l is extracted from the grade-2
     part by contracting with the basis covector seeing the largest metric
-    component of u, then shifted into the gauge h*(l, e^4) = 0.
+    component of u, then shifted into the gauge h*(l, e^4) = 0. Both are
+    read at unit scale, so no square is too small for them.
     """
     if alpha.sig != SIG_LORENTZ:
         raise ValueError("expected a multivector in signature (3,1)")
@@ -149,17 +162,19 @@ def polyform_to_pair(alpha: Multivector) -> ParabolicPair:
         )
     grades = _grades(SIG_LORENTZ)
     ones = grades.ones
-    omega = alpha.grade(2).coeffs
-    r = grades.metric_ones * alpha.coeffs[ones]
+    hat = _at_unit_scale(alpha.coeffs)  # so 1 / r[pivot] is finite however small alpha is
+    r = grades.metric_ones * hat[ones]
     pivot = int(abs(r).argmax())
     # contracting the basis covector e^m with the two-form omega reads one
-    # row of the product's sign table: (e^m <> omega)[i] = sign[m, i] omega[m ^ i]
+    # row of the product's sign table: (e^m <> omega)[i] = sign[m, i] omega[m ^ i],
+    # where omega[m ^ m] = 0: the scalar mask is outside grade 2
     m = ones[pivot]
-    l0 = np.zeros(len(omega))
-    l0[ones] = SIG_LORENTZ.tables().sign[m, ones] * omega[m ^ ones] * (1.0 / r[pivot])
+    omega = np.where(ones == m, 0.0, hat[m ^ ones])
+    l0 = np.zeros(len(hat))
+    l0[ones] = SIG_LORENTZ.tables().sign[m, ones] * omega * (1.0 / r[pivot])
     # e^4 is a unit timelike direction and the null u of a square has
     # u_4 != 0, so normalize_gauge's checks hold: shift l at once
-    return _shifted(alpha.grade(1), Multivector(SIG_LORENTZ, l0), _E4)
+    return _shifted(alpha.grade(1), l0, _E4)
 
 
 def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str) -> bool:
@@ -190,24 +205,21 @@ def pair_equivalent(a: ParabolicPair, b: ParabolicPair, mode: str) -> bool:
 
 def pair_to_flag(pp: ParabolicPair) -> DegenerateFlag:
     """The degenerate flag span(u) < span(u,l) < u-perp of a pair."""
-    r = _grades(SIG_LORENTZ).metric_ones * pp.u.one_form_components()
+    grades = _grades(SIG_LORENTZ)
+    r = grades.metric_ones * pp.u.coeffs[grades.ones]
     pivot = int(abs(r).argmax())
-    w3 = []
-    for j in range(4):
-        if j == pivot:
-            continue
-        comps = np.zeros(4)
-        comps[j] = 1.0
-        comps[pivot] = -r[j] / r[pivot]
-        w3.append(Multivector.covector(SIG_LORENTZ, comps))
-    return DegenerateFlag(W1=(pp.u,), W2=(pp.u, pp.l), W3=tuple(w3))
+    others = [j for j in range(4) if j != pivot]
+    # row k is e^j - (r_j / r_pivot) e^pivot for the k-th j != pivot
+    w3 = np.eye(len(pp.u.coeffs))[grades.ones[others]]
+    w3[:, grades.ones[pivot]] = -r[others] / r[pivot]
+    return DegenerateFlag((pp.u,), (pp.u, pp.l), tuple(Multivector(SIG_LORENTZ, w) for w in w3))
 
 
 def normalize_gauge(pp: ParabolicPair, v: Multivector) -> ParabolicPair:
     """Shift l along u so that it is orthogonal to the timelike unit v."""
     if v.sig != SIG_LORENTZ:
         raise ValueError("signature mismatch")
-    unit = _unit_gram(pp.u, v)
+    unit = _unit_gram(pp.u.coeffs, v.coeffs)
     if unit is None:
         raise ValueError("gauge direction must be a unit timelike one-form")
     G, (_, v_inv) = unit
@@ -215,13 +227,17 @@ def normalize_gauge(pp: ParabolicPair, v: Multivector) -> ParabolicPair:
         raise ValueError("gauge direction must be a unit timelike one-form")
     if abs(G[0, 1]) <= DEFAULT_TOL:
         raise ValueError("u is orthogonal to the gauge direction; bad input")
-    return _shifted(pp.u, pp.l, v)
+    return _shifted(pp.u, pp.l.coeffs, v.coeffs)
 
 
-def _shifted(u: Multivector, l: Multivector, v: Multivector) -> ParabolicPair:
-    """The pair (u, l + f u) with f such that h*(l + f u, v) = 0."""
-    f = -inner(l, v) / inner(u, v)
-    return ParabolicPair(u, Multivector(SIG_LORENTZ, l.coeffs + u.coeffs * float(f)))
+def _shifted(u: Multivector, l, v) -> ParabolicPair:
+    """The pair (u, l + f u) with f such that h*(l + f u, v) = 0; l and v are coefficient arrays.
+
+    f u is read with u at unit scale, where f cannot overflow.
+    """
+    metric, hat = _grades(SIG_LORENTZ).metric, _at_unit_scale(u.coeffs)
+    f = -float(np.dot(l * metric, v)) / float(np.dot(hat * metric, v))
+    return ParabolicPair(u, Multivector(SIG_LORENTZ, l + hat * f))
 
 
 def check_22_chiral_square(alpha: Multivector) -> bool:
@@ -237,10 +253,10 @@ def check_22_chiral_square(alpha: Multivector) -> bool:
     if not 0.0 < norm < math.inf:
         return norm == 0.0
     a = alpha.coeffs / norm
-    two = Multivector(SIG_NEUTRAL, a).grade(2)
+    two = np.where(SIG_NEUTRAL.tables().grade == 2, a, 0.0)
     return bool(
-        abs(a - two.coeffs).max() <= DEFAULT_TOL
-        and (hodge_star(two) - two).norm_inf() <= DEFAULT_TOL
-        and abs(inner(two, two)) <= DEFAULT_TOL
+        abs(a - two).max() <= DEFAULT_TOL
+        and abs(hodge_star(Multivector(SIG_NEUTRAL, two)).coeffs - two).max() <= DEFAULT_TOL
+        and abs(np.dot(two * SIG_NEUTRAL.tables().metric, two)) <= DEFAULT_TOL
     )
 

@@ -13,11 +13,19 @@ those where the pairing's s-transpose weight vanishes (allowed_grades).
 
 Every check reads its input at unit max-norm and compares the residual
 against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
+
+verify_square_conditions and reconstruct (so check_admissible and
+lowdim.polyform_to_pair too) read one memo of square_test on a lone
+polyform, keyed by the identity of the PairedRep and the Multivector:
+both are immutable, so a polyform tested once is not tested again while
+the memo, bounded at _MEMO_SIZE entries, holds it. Stacked callers call
+square_test directly.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +34,7 @@ from .clifford_rep import PairedRep, Spinor, dequantize
 from .ka_core import Multivector, volume_product
 
 DEFAULT_TOL = 1e-9
+_MEMO_SIZE = 8  # polyforms whose square test the memo keeps
 
 
 def allowed_grades(pr: PairedRep, pairing_tag: str) -> tuple:
@@ -49,8 +58,12 @@ def square(pr: PairedRep, pairing_tag: str, kappa: int, xi: Spinor) -> SquareRes
     if xi.rep is not pr.rep and xi.rep.sig != pr.rep.sig:
         raise ValueError("spinor belongs to a different representation")
     B, sigma, s, _ = pr.pairing(pairing_tag)
-    E = kappa * np.outer(xi.components, xi.components @ B)
-    return SquareResult(dequantize(pr.rep, E), kappa, pairing_tag, s, sigma)
+    # past about 1e154 the products xi_i xi_j overflow: an error, not inf or nan coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = dequantize(pr.rep, kappa * np.outer(xi.components, xi.components @ B))
+    if not np.isfinite(alpha.coeffs).all():
+        raise ValueError("the square overflows float64 or the spinor is not finite")
+    return SquareResult(alpha, kappa, pairing_tag, s, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +135,24 @@ def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
     return fit, -lower, r_sym
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tested(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
+    """(scale, c, residual, r_sym, shift, eta): square_test on the lone row alpha, memoised.
+
+    PairedRep and Multivector hash and compare by identity and are
+    immutable, so the key names one pairing and one polyform, which the
+    memo holds alive: an equal copy is a new key, tested anew. eta is
+    read-only, as every caller of one entry shares it.
+    """
+    if alpha.sig != pr.rep.sig:
+        raise ValueError(f"signature mismatch: {alpha.sig} vs {pr.rep.sig}")
+    fit, shift, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
+    eta = fit.eta[0]
+    eta.setflags(write=False)
+    floats = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
+    return (*floats, int(shift[0]), eta)
+
+
 # ---------------------------------------------------------------------------
 # square conditions and reconstruction
 # ---------------------------------------------------------------------------
@@ -145,8 +176,7 @@ def verify_square_conditions(
     tol, exactly when reconstruct accepts it at the same tol. No probes, no seed.
     """
     # seed is accepted and ignored: perfbench/wl_algebra.py still passes it
-    fit, _, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
-    scale, c, residual, r_sym = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
+    scale, c, residual, r_sym, _, _ = _tested(pr, pairing_tag, alpha)
     # a zero fit coefficient is no spinor, whatever tol is; NaN (non-finite alpha) rejects too
     ok = scale == 0.0 or (c != 0.0 and r_sym <= tol and residual <= tol)
     return SquareConditionsReport(ok, r_sym, residual, tol)
@@ -183,14 +213,13 @@ def reconstruct(pr: PairedRep, pairing_tag: str, alpha: Multivector,
     to the same alpha, so the returned representative is arbitrary.
     """
     rep = pr.rep
-    fit, shift, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
-    scale, c, residual, r_sym = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
+    scale, c, residual, r_sym, shift, eta = _tested(pr, pairing_tag, alpha)
     if scale == 0.0:
         return ReconstructionResult(Spinor(rep, np.zeros(rep.N)), 0, 0.0)
     if c == 0.0:
         raise ReconstructionError("polyform is not reconstructible: degenerate fit")
     kappa = 1 if c > 0 else -1
-    xi = np.sqrt(abs(c)) * np.ldexp(np.sqrt(scale), shift[0] // 2) * fit.eta[0]
+    xi = np.sqrt(abs(c)) * np.ldexp(np.sqrt(scale), shift // 2) * eta
     # a NaN residual must reject too, so test for acceptance
     for name, r in (("rank-one fit", residual), ("symmetry", r_sym)):
         if not r <= tol:

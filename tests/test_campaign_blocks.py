@@ -436,6 +436,9 @@ def test_score_raises_on_overflow_and_restores_the_error_state(points):
     pytest.param(lambda x: np.where(np.arange(4) == 0, np.nan, x), id="nan"),
     pytest.param(lambda x: np.where(np.arange(4) == 3, np.inf, x), id="inf"),
     pytest.param(lambda x: np.where(np.arange(4) == 1, -np.inf, x), id="minus-inf"),
+    # numpy's reshape failed on an empty stack for every check but bianchi, which scored it
+    pytest.param(lambda x: np.reshape(x, (-1, 4))[:0], id="empty"),
+    pytest.param(lambda x: np.reshape(x, (-1, 1, 4))[:, :0], id="empty-inner-axis"),
 ])
 @pytest.mark.parametrize("points", [1, POINTS])
 def test_score_rejects_what_is_not_a_finite_stack_of_chart_points(bad, points):

@@ -236,6 +236,8 @@ def assert_usage_error(code, out, err):
         ("square", "[1e400,0,0,0]", "--p", "3", "--q", "1"),
         ("square", '["nan",0,0,0]', "--p", "3", "--q", "1"),
         ("square", "[1" + "0" * 400 + ",0,0,0]", "--p", "3", "--q", "1"),
+        # finite, but its square overflows: numpy warnings and a JSON error once followed
+        ("square", "[1e155,1e155,0,0]", "--p", "3", "--q", "1"),
         ("check-polyform", '{"p":3,"q":1,"coeffs":{"":Infinity,"1":0.5}}'),
         ("check-polyform", '{"p":3,"q":1,"coeffs":{"":"inf"}}'),
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"1":NaN,"1,4":1.0}}'),

@@ -1,6 +1,7 @@
 """Low-dimensional normal forms: parabolic pairs, flags, split-plane squares."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,23 @@ def test_round_trip_random_pairs():
         back = polyform_to_pair(pair_to_polyform(pp))
         assert pair_equivalent(back, pp, "strong")
         assert pair_to_polyform(back).allclose(pair_to_polyform(pp), tol=1e-9)
+
+
+def test_a_square_below_the_normal_range_gets_its_pair():
+    # at max-norm 4.4e-311, 1 / r[pivot] and the gauge shift overflowed, and the
+    # pair of a square that verify_square_conditions accepts was refused
+    pr = build_pairings(build_rep(SIG))
+    alpha = square(pr, "minus", 1, Spinor(pr.rep, np.array([0.3, -1.1, 0.7, 0.5]))).alpha
+    tiny = Multivector(SIG, np.ldexp(alpha.coeffs, -1030))
+    want = polyform_to_pair(alpha)
+    v = _timelike_unit(make_rng(409), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pp = polyform_to_pair(tiny)
+        gauged = normalize_gauge(pp, v)
+    assert pp.u.allclose(tiny.grade(1), tol=0.0)
+    assert pp.l.allclose(want.l, tol=1e-9)
+    assert gauged.l.allclose(normalize_gauge(want, v).l, tol=1e-9)
 
 
 def test_bijection_chain_spinor_to_pair_and_back():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaspin import _kernels, ka_core
+from kaspin import _kernels, geometry_lab, ka_core, spinor_square
 from kaspin.clifford_rep import Spinor, build_pairings, build_rep, dequantize, quantize
 from kaspin.ka_core import (
     MAX_DIM,
@@ -30,6 +30,7 @@ from kaspin.spinor_square import (
     square,
     verify_square_conditions,
 )
+from kaspin.lowdim import polyform_to_pair
 
 from helpers import REP_SIGS, make_rng, random_multivector
 from oracles import (
@@ -87,12 +88,33 @@ def test_square_two_to_one_and_zero(paired):
     assert zero.alpha.norm_inf() == 0.0
 
 
+def _neutral_square(xi):
+    pr = build_pairings(build_rep(Signature(2, 2)))
+    return square(pr, "minus", 1, Spinor(pr.rep, xi.components)).alpha
+
+
+def _pairings_44():
+    return build_pairings(build_rep(Signature(4, 4)))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda pr, xi: square(pr, "minus", 0, xi), "kappa must be", id="kappa-zero"),
     pytest.param(lambda pr, xi: square(pr, "minus", 2, xi), "kappa must be", id="kappa-two"),
     pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(build_rep(Signature(2, 2)),
                                                                 xi.components)),
                  "different representation", id="foreign-spinor"),
+    # a (2,2) square once read is_square=False against the (3,1) pairings, and a
+    # polyform of another blade count failed inside numpy's matmul
+    *(pytest.param(lambda pr, xi, test=test: test(pr, "minus", _neutral_square(xi)),
+                   "signature mismatch", id=f"{test.__name__}-neutral-square")
+      for test in (verify_square_conditions, reconstruct)),
+    *(pytest.param(lambda pr, xi, test=test: test(_pairings_44(), "minus",
+                                                  square(pr, "minus", 1, xi).alpha),
+                   "signature mismatch", id=f"{test.__name__}-other-blade-count")
+      for test in (verify_square_conditions, reconstruct)),
+    # products xi_i xi_j of 1e310 once gave inf and nan coefficients with numpy warnings
+    pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(pr.rep, [1e155, 1e155, 0.0, 0.0])),
+                 "the square overflows float64", id="overflowing-square"),
     pytest.param(lambda pr, xi: check_chirality(pr, square(pr, "plus", 1, xi).alpha, 0),
                  "mu must be", id="mu-zero"),
 ])
@@ -416,9 +438,13 @@ def test_square_test_is_bit_identical_to_its_multivector_form(paired, pq, tag, k
     got = verify_square_conditions(pr, tag, alpha)
     want = multivector_verify_square_conditions(pr, tag, alpha)
     assert (got.is_square, got.residual_symmetry, got.residual_rank_one, got.tol) == want
+    # a repeated call reads the memo of the first
+    assert verify_square_conditions(pr, tag, alpha) == got
     # the Multivector form keeps the old default tol=1e-8: compare at the one default
     want = _reconstruction(partial(multivector_reconstruct, tol=DEFAULT_TOL), pr, tag, alpha)
-    assert _reconstruction(reconstruct, pr, tag, alpha) == want
+    first = _reconstruction(reconstruct, pr, tag, alpha)
+    assert first == want
+    assert _reconstruction(reconstruct, pr, tag, alpha) == first
 
 
 def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch):
@@ -446,6 +472,32 @@ def test_square_conditions_gather_a_constant_number_of_times(paired, monkeypatch
     assert verify_square_conditions(pr, "minus", alpha).is_square
     assert not verify_square_conditions(pr, "minus", alpha + Multivector.scalar(alpha.sig, 1e-3)).is_square
     assert counts == {"gathers": 0, "products": 0}
+
+
+def test_each_polyform_is_square_tested_once(paired, monkeypatch):
+    # verify, reconstruct and polyform_to_pair read one memo keyed by the
+    # polyform object: an equal copy is tested anew, and a campaign's
+    # stacked test bypasses the memo, one call per block
+    calls = []
+    real = spinor_square.square_test
+
+    def counted(pr, tag, coeffs):
+        calls.append(len(coeffs))
+        return real(pr, tag, coeffs)
+
+    monkeypatch.setattr(spinor_square, "square_test", counted)
+    monkeypatch.setattr(geometry_lab, "square_test", counted)
+    pr = paired[(3, 1)]
+    alpha = square(pr, "minus", 1, random_spinor(pr.rep, make_rng(331))).alpha
+    for candidate in (alpha, Multivector(alpha.sig, alpha.coeffs)):
+        assert verify_square_conditions(pr, "minus", candidate).is_square
+        assert reconstruct(pr, "minus", candidate).kappa == 1
+        polyform_to_pair(candidate)
+    assert calls == [1, 1]
+    calls.clear()
+    monkeypatch.setattr(geometry_lab, "POINT_BLOCK", 7)
+    assert geometry_lab.run_campaign(geometry_lab.preset("ads4"), "killing")["verdict"] == "pass"
+    assert calls == [7, 7, 6]
 
 
 def test_negative_probe_count_is_rejected(paired):
