@@ -182,7 +182,6 @@ def _cmd_verify_algebra(args):
     _require_trials(args)
     if not 0 <= args.seed < 2**64:
         raise UsageError(f"seed must be between 0 and 2^64 - 1, got {args.seed}")
-    tol = _resolve_tol(args, 1e-9)
     pr = build_pairings(rep)
     assoc, iso, trace_err = _generator_residuals(sig, rep)
 
@@ -200,16 +199,16 @@ def _cmd_verify_algebra(args):
     expected = PAIRING_SYMMETRY[(sig.d // 2) % 4]
     computed = tuple(_symmetry_sign(B) for B in (pr.Bplus, pr.Bminus))
     checks = {
-        "associativity": {"max": assoc, "pass": assoc <= tol},
-        "clifford_relation": {"max": cliff, "pass": cliff <= tol},
-        "isomorphism": {"max": iso, "pass": iso <= tol},
-        "trace": {"max": trace_err, "pass": trace_err <= tol},
+        "associativity": {"max": assoc, "pass": assoc == 0.0},
+        "clifford_relation": {"max": cliff, "pass": cliff == 0.0},
+        "isomorphism": {"max": iso, "pass": iso == 0.0},
+        "trace": {"max": trace_err, "pass": trace_err == 0.0},
         "pairing_table": {
             "expected": list(expected),
             "computed": list(computed),
             "pass": computed == expected,
         },
-        "split_factorization": {"max": split, "pass": split <= tol},
+        "split_factorization": {"max": split, "pass": split == 0.0},
     }
     verdict = "pass" if all(c["pass"] for c in checks.values()) else "fail"
     report = {
@@ -217,7 +216,6 @@ def _cmd_verify_algebra(args):
         # the kernel every geometric product and wedge takes at this signature
         "product_kernel": _kernels.kernel_name(sig.d),
         "signature": [sig.p, sig.q],
-        "tol": tol,
         "checks": checks,
         "verdict": verdict,
     }
@@ -423,7 +421,6 @@ def _build_parser():
     va.add_argument("--q", type=int, required=True)
     va.add_argument("--trials", type=int, default=100, help=f"ignored (1..{MAX_TRIALS})")
     va.add_argument("--seed", type=int, default=0, help="ignored (0..2^64 - 1)")
-    tol_flag(va)
     out_flag(va)
     va.set_defaults(func=_cmd_verify_algebra)
 

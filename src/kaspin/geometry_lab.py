@@ -66,17 +66,6 @@ _FD_SCALE = 1e-5
 POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
 HALTON_BLOCK = 1024  # sample points whose digits _halton expands at once
 
-# libm power and exp, elementwise: numpy's own power and exp loops can
-# differ from libm in the last bit, and the closed forms keep the values
-# of their one-point (math module) versions bit for bit
-_pow = np.float_power
-_exp_ufunc = np.frompyfunc(math.exp, 1, 1)
-
-
-def _exp(v):
-    return np.asarray(_exp_ufunc(v), dtype=float)
-
-
 def _pointwise(fn):
     """Lift a callable of one point that returns one array to (..., d) stacks, point by point."""
     if fn is None:
@@ -155,7 +144,7 @@ def _fd_jet(f, x, order):
     if order >= 2:
         out = np.zeros((n, n) + f0.shape)
         for m in range(n):
-            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / _pow(hk[lead + (m,)], 2)
+            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / np.float_power(hk[lead + (m,)], 2)
             for k in range(m + 1, n):
                 corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
                 out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / (
@@ -717,9 +706,9 @@ def _poincare_half_plane(lam):
         y = s[..., 1]
 
         def conformal(factor, power):
-            return factor * np.eye(2) / (lam**2 * _pow(y, power))[..., None, None]
+            return factor * np.eye(2) / (lam**2 * y**power)[..., None, None]
 
-        yield np.eye(2) / _pow(lam * y, 2)[..., None, None]
+        yield np.eye(2) / ((lam * y) ** 2)[..., None, None]
         yield _embed(s, (2, 2, 2), (1, conformal(-2.0, 3)))
         yield _embed(s, (2, 2, 2, 2), ((1, 1), conformal(6.0, 4)))
 
@@ -730,9 +719,9 @@ def _inverse_square_profile(c0):
     @_closed
     def profile(s):
         y = s[..., 1]
-        yield c0 / _pow(y, 2)
-        yield _embed(s, (2,), (1, -2.0 * c0 / _pow(y, 3)))
-        yield _embed(s, (2, 2), ((1, 1), 6.0 * c0 / _pow(y, 4)))
+        yield c0 / y**2
+        yield _embed(s, (2,), (1, -2.0 * c0 / y**3))
+        yield _embed(s, (2, 2), ((1, 1), 6.0 * c0 / y**4))
 
     return Field(profile)
 
@@ -781,13 +770,13 @@ def _preset_poly(params):
         # F = linear(x) * rest(y)
         y = s[..., 1]
         linear = a1 + a2 * s[..., 0]
-        rest = a3 * y + a4 / _pow(y, 2)
+        rest = a3 * y + a4 / y**2
         yield linear * rest
-        slope = a3 - 2.0 * a4 / _pow(y, 3)  # d rest / dy
+        slope = a3 - 2.0 * a4 / y**3  # d rest / dy
         yield _embed(s, (2,), (0, a2 * rest), (1, linear * slope))
         cross = a2 * slope
         yield _embed(s, (2, 2), ((0, 1), cross), ((1, 0), cross),
-                     ((1, 1), linear * 6.0 * a4 / _pow(y, 4)))
+                     ((1, 1), linear * 6.0 * a4 / y**4))
 
     wd = WalkerData(F=Field(profile_f), K=_inverse_square_profile(0.5),
                     q2=_poincare_half_plane(lam), lam=lam)
@@ -842,13 +831,13 @@ def _preset_bessel(params):
         j1, j1p, y1, y1p = _spherical_bessel_1(z)
         h = a3 * y1 + a4 * j1
         hp = a3 * y1p + a4 * j1p
-        grow = a1 * _exp(c * s[..., 0])
-        decay = a2 * _exp(-c * s[..., 0])
+        grow = a1 * np.exp(c * s[..., 0])
+        decay = a2 * np.exp(-c * s[..., 0])
         even, odd = grow + decay, grow - decay
         yield even * h
         yield _embed(s, (2,), (0, c * odd * h), (1, c * even * hp))
         # order-one spherical equation gives the second derivative
-        hpp = -(2.0 / z) * hp - (1.0 - 2.0 / _pow(z, 2)) * h
+        hpp = -(2.0 / z) * hp - (1.0 - 2.0 / z**2) * h
         cross = c**2 * odd * hp
         yield _embed(s, (2, 2), ((0, 0), c**2 * even * h), ((0, 1), cross), ((1, 0), cross),
                      ((1, 1), c**2 * even * hpp))
@@ -896,7 +885,7 @@ def _preset_ppwave(params):
     def metric(x):
         v = x[..., 0]
         rate = amp * np.sin(v)  # d phase / dv
-        stretch = _exp(2.0 * phase(v))
+        stretch = np.exp(2.0 * phase(v))
 
         def conformal(factor):
             """factor * exp(2 phase(v)) * q0 in the transverse block, per point."""
@@ -904,7 +893,7 @@ def _preset_ppwave(params):
 
         yield _embed(x, (4, 4), ((0, 1), 1), ((1, 0), 1), (np.s_[2:, 2:], conformal(1.0)))
         yield _embed(x, (4, 4, 4), (np.s_[0, 2:, 2:], conformal(2.0 * rate)))
-        factor = 2.0 * amp * np.cos(v) + 4.0 * _pow(rate, 2)
+        factor = 2.0 * amp * np.cos(v) + 4.0 * rate**2
         yield _embed(x, (4, 4, 4, 4), (np.s_[0, 0, 2:, 2:], conformal(factor)))
 
     transverse = q0[:, 0] / math.sqrt(q0[0, 0])
@@ -912,14 +901,14 @@ def _preset_ppwave(params):
     @_closed
     def partner(x):
         v = x[..., 0]
-        root = _exp(phase(v))
+        root = np.exp(phase(v))
         yield _embed(x, (4,), (np.s_[2:], root[..., None] * transverse))
         yield _embed(x, (4, 4), (np.s_[0, 2:], (amp * np.sin(v) * root)[..., None] * transverse))
 
     @_closed
     def dilaton(x):
         v = x[..., 0]
-        yield _embed(x, (4,), (0, omega[0] + omega[1] * v + omega[2] * _pow(v, 2)))
+        yield _embed(x, (4,), (0, omega[0] + omega[1] * v + omega[2] * v**2))
         yield _embed(x, (4, 4), ((0, 0), omega[1] + 2.0 * omega[2] * v))
 
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 0.0]), l=Field(partner), lam=0.0)

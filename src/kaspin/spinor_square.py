@@ -35,6 +35,7 @@ from .ka_core import Multivector, volume_product
 
 DEFAULT_TOL = 1e-9
 _MEMO_SIZE = 8  # polyforms whose square test the memo keeps
+_TINY = np.finfo(float).tiny  # the least normal float64
 
 
 def allowed_grades(pr: PairedRep, pairing_tag: str) -> tuple:
@@ -58,11 +59,15 @@ def square(pr: PairedRep, pairing_tag: str, kappa: int, xi: Spinor) -> SquareRes
     if xi.rep is not pr.rep and xi.rep.sig != pr.rep.sig:
         raise ValueError("spinor belongs to a different representation")
     B, sigma, s, _ = pr.pairing(pairing_tag)
-    # past about 1e154 the products xi_i xi_j overflow: an error, not inf or nan coefficients
+    # past about 1e154 the products xi_i xi_j overflow, and below about 1e-154 they leave the
+    # normal range: an error either way, not inf or nan coefficients or the square of xi = 0
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = dequantize(pr.rep, kappa * np.outer(xi.components, xi.components @ B))
-    if not np.isfinite(alpha.coeffs).all():
+    size = abs(alpha.coeffs).max()
+    if not size < math.inf:
         raise ValueError("the square overflows float64 or the spinor is not finite")
+    if size < _TINY and xi.components.any():
+        raise ValueError("the square underflows float64: the spinor is too small to square")
     return SquareResult(alpha, kappa, pairing_tag, s, sigma)
 
 

@@ -29,7 +29,10 @@ and covariant derivative of that time. The lifting, embedding and
 Halton references are geometry_lab's former per-call forms: callbacks
 lifted row by row through np.stack, entries placed through
 np.index_exp, and the Halton draw summed base by base with a cumsum
-over a per-base digit table.
+over a per-base digit table. The preset references write the value of
+every field of each named preset as a one-point numpy expression, which
+kaspin._jets differentiates exactly: the reference of the presets'
+hand-written partials.
 The samplers at the end draw the tests' random spinors and pairs.
 """
 
@@ -965,6 +968,86 @@ def halton(n, seed):
             # a left-to-right sum, as SciPy's, so no sample point moves in its last bit
             out[start:stop, col] = np.cumsum(digits * halton_constants(base)[2], axis=1)[:, -1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the named presets' fields as one-point expressions of their values
+# ---------------------------------------------------------------------------
+
+
+def _unit(shape, *indices):
+    """A constant array of the given shape, zero but for ones at the indices."""
+    out = np.zeros(shape)
+    for index in indices:
+        out[index] = 1.0
+    return out
+
+
+_DV, _DY = _unit(4, 0), _unit(4, 3)
+
+
+def _spherical_bessel_1(z):
+    """(j1, y1) at z by their sin/cos closed forms (A&S 10.1.11), for z >= 0.5: there
+    j1's cancellation costs at most a digit."""
+    sin, cos = np.sin(z), np.cos(z)
+    return sin / z**2 - cos / z, -cos / z**2 - sin / z
+
+
+def _walker_fields(lam, f, k):
+    """The fields of the surface preset with profiles f, k and q2 = delta/(lam y)^2 on the
+    half-plane: the chart F dv^2 + 2 K dv du + q2 at (v, u, x, y) and the pair u = K dv,
+    l = -dK/(2 lam K) = dy/(lam y) of K = c0/y^2."""
+
+    def q2(s):
+        return np.eye(2) / (lam * s[1]) ** 2
+
+    def chart(x):
+        s = (x[2], x[3])
+        return (f(s) * _unit((4, 4), (0, 0)) + k(s) * _unit((4, 4), (0, 1), (1, 0))
+                + _unit((4, 4), (2, 2), (3, 3)) / (lam * x[3]) ** 2)
+
+    return {"chart": chart, "F": f, "K": k, "q2": q2,
+            "u": lambda x: k((x[2], x[3])) * _DV, "l": lambda x: _DY / (lam * x[3])}
+
+
+def preset_field_values(name, params):
+    """Field name -> the one-point numpy expression of that field's value, for the named preset
+    (not walker-generic) with its scored params; surface fields take (x, y), the others
+    (v, u, x, y)."""
+    if name == "minkowski":
+        return {"chart": lambda x: np.diag([1.0, 1.0, 1.0, -1.0]),
+                "u": lambda x: _unit(4, 0, 3), "l": lambda x: _unit(4, 1)}
+    if name == "heterotic-ppwave":
+        amp, omega = params["amp"], params["omega"]
+        q0 = np.zeros((4, 4))
+        q0[2:, 2:] = params["q0"]
+        transverse = q0[:, 2] / np.sqrt(q0[2, 2])
+
+        def phase(v):
+            return amp * (1.0 - np.cos(v))
+
+        return {
+            "chart": lambda x: _unit((4, 4), (0, 1), (1, 0)) + np.exp(2.0 * phase(x[0])) * q0,
+            "u": lambda x: _DV,
+            "l": lambda x: np.exp(phase(x[0])) * transverse,
+            "varphi": lambda x: (omega[0] + omega[1] * x[0] + omega[2] * x[0] ** 2) * _DV,
+        }
+    lam = params["lam"]
+    if name == "ads4":
+        return _walker_fields(lam, lambda s: 1.0 / (lam * s[1]) ** 2,
+                              lambda s: 1.0 / (lam * s[1]) ** 2)
+    a1, a2, a3, a4 = params["a"]
+
+    def poly(s):
+        return (a1 + a2 * s[0]) * (a3 * s[1] + a4 / s[1] ** 2)
+
+    def bessel(s):
+        c = params["c"]
+        j1, y1 = _spherical_bessel_1(c * s[1])
+        return (a1 * np.exp(c * s[0]) + a2 * np.exp(-c * s[0])) * (a3 * y1 + a4 * j1)
+
+    f = {"ads4-deformed-poly": poly, "ads4-deformed-bessel": bessel}[name]
+    return _walker_fields(lam, f, lambda s: 0.5 / s[1] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_verify_algebra_output_does_not_depend_on_trials_or_seed(capsys):
     }
     assert len(outputs) == 1
     report = json.loads(outputs.pop())
-    assert "trials" not in report and "seed" not in report
+    assert not {"trials", "seed", "tol"} & set(report)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -93,6 +93,9 @@ def test_verify_algebra_planted_sign_flip_fails_associativity(capsys, monkeypatc
     assert report["checks"]["associativity"] == {"max": 2.0, "pass": False}
     for name in ("clifford_relation", "isomorphism", "trace", "pairing_table"):
         assert report["checks"][name]["pass"], name
+    # --tol 2 once loosened the exact checks until this flip printed "pass" and exited 0
+    code, out, err = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--tol", "2")
+    assert (code, out) == (2, "") and "unrecognized arguments: --tol 2" in err
 
 
 def test_verify_algebra_checks_the_split_plan_and_names_the_kernel(capsys):
@@ -243,6 +246,10 @@ def assert_usage_error(code, out, err):
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"1":NaN,"1,4":1.0}}'),
         ("check-metric", "--preset", "ads4", "--params", '{"lam":NaN}'),
         ("check-metric", "--preset", "ads4", "--params", '{"lam":-1e999}'),
+        # finite and nonzero, but its square underflows: it read as the square of 0, or
+        # as subnormals that reconstructed to -9.99994e-161 for 1e-160
+        ("square", "[1e-200,1e-200,0,0]", "--p", "3", "--q", "1"),
+        ("square", "[1e-160,3e-160,0,0]", "--p", "3", "--q", "1"),
     ],
 )
 def test_non_finite_payloads_exit_two(capsys, argv):
@@ -254,7 +261,8 @@ def test_non_finite_payloads_exit_two(capsys, argv):
     [
         ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--tol", "nan"),
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--tol", "inf"),
-        ("verify-algebra", "--p", "3", "--q", "1", "--trials", "2", "--tol", "nan"),
+        # an infinite tolerance would pass every campaign
+        ("check-metric", "--preset", "ads4", "--check", "killing", "--tol", "inf"),
         ("check-metric", "--preset", "ads4", "--tol", "nan"),
         ("check-metric", "--preset", "ads4", "--lambda", "nan"),
         ("check-metric", "--preset", "ads4", "--lambda", "inf"),
@@ -353,6 +361,8 @@ def test_non_finite_report_is_never_printed(capsys, monkeypatch):
         ("reconstruct", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--seed", "3"),
         ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--trials", "5"),
         ("check-polyform", '{"p":3,"q":1,"coeffs":{"":1.0}}', "--seed", "3"),
+        # verify-algebra's checks are exact: there is no tolerance to give
+        ("verify-algebra", "--p", "3", "--q", "1", "--trials", "2", "--tol", "nan"),
     ],
 )
 def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
@@ -697,6 +707,8 @@ def test_unwritable_out_path_exits_two_with_empty_stdout(capsys, tmp_path, argv)
     ("--preset", "ads4", "--lambda", "1e-150", "--check", "walker"),
     # e^(c x) ~ 1e260 in F, whose square the curvature terms reach
     ("--preset", "ads4-deformed-bessel", "--c", "400"),
+    # exp(2 phase) overflows in the transverse block: libm once said "math range error"
+    ("--preset", "heterotic-ppwave", "--params", '{"amp":1e3}', "--check", "killing"),
 ])
 def test_check_metric_overflow_is_an_input_error(argv):
     # a fresh interpreter, so a warning or traceback would reach stderr as users see it
@@ -708,6 +720,7 @@ def test_check_metric_overflow_is_an_input_error(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "math range error" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
 
 

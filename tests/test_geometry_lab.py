@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaspin import geometry_lab
+from kaspin import _jets, geometry_lab
 from kaspin.geometry_lab import (
     Field,
     HeteroticConfig,
@@ -27,7 +27,7 @@ from kaspin.geometry_lab import (
 from kaspin.ka_core import Multivector, Signature, geometric_product, hodge_star, wedge
 
 from helpers import closed_field, make_rng
-from oracles import on_chart
+from oracles import on_chart, preset_field_values
 
 SIG = Signature(3, 1)
 HETEROTIC_RESIDUALS = ("square", "gravitino", "dilatino", "gaugino", "rho_coclosed", "dphi_closed",
@@ -346,27 +346,38 @@ ADS4_CALLBACKS = {"lam": 1.0, "F": lambda s: 1.0 / s[1] ** 2, "K": lambda s: 1.0
 
 
 def test_fd_derivatives_match_analytic():
-    # every field of every preset: its jet against centred differences of its own value,
-    # and each chart's Ricci tensor against that of the chart of its values alone
+    # every field of every preset: its jet against the exact jet of a one-point numpy expression
+    # of its value and against centred differences of its own value, and each chart's Ricci
+    # tensor against that of the chart of its values alone
     x = halfplane_points(3, 7)
-    for name in sorted(geometry_lab._PRESET_BUILDERS):
-        ps = preset(name, ADS4_CALLBACKS if name == "walker-generic" else None)
+    cases = [(name, ADS4_CALLBACKS if name == "walker-generic" else None)
+             for name in sorted(geometry_lab._PRESET_BUILDERS)]
+    # the default Bessel profile has no j1 term (a4 = 0)
+    cases.append(("ads4-deformed-bessel", {"a": [1.0, 0.5, 0.3, 0.7]}))
+    for name, params in cases:
+        ps = preset(name, params)
+        # walker-generic on the AdS4 callbacks is ads4 at lam = 1
+        values = preset_field_values("ads4" if name == "walker-generic" else name, ps.params)
+        assert set(values) == set(preset_fields(ps)), name
         for field_name, (field, order, surface) in preset_fields(ps).items():
             points = x[:, 2:] if surface else x
             jet = field.jet(points, order)
+            exact = _jets.jet(values[field_name], points, order)
             fd = geometry_lab._fd_jet(field.value, points, order)
-            assert len(jet) == len(fd) == order + 1, (name, field_name)
+            assert len(jet) == len(exact) == len(fd) == order + 1, (name, field_name)
+            for k in range(order + 1):
+                assert within(jet[k], exact[k], 1e-12, floor=0.0), (name, field_name, k)
             for k in range(1, order + 1):
                 assert within(fd[k], jet[k], 1e-5), (name, field_name, k)
         fd_chart = Field.from_callable(ps.chart.value, in_domain=ps.chart.in_domain)
         assert within(ricci(fd_chart, x), ricci(ps.chart, x), 1e-4), name
 
 
-def within(got, want, rtol):
-    """|got - want| <= rtol * max(1, |want|) at every point, each point on its own largest |want|."""
+def within(got, want, rtol, floor=1.0):
+    """|got - want| <= rtol * max(floor, |want|) at every point, each on its own largest |want|."""
     n = len(want)
     err = np.abs(got - want).reshape(n, -1).max(axis=1)
-    return bool((err <= rtol * np.maximum(1.0, np.abs(want).reshape(n, -1).max(axis=1))).all())
+    return bool((err <= rtol * np.maximum(floor, np.abs(want).reshape(n, -1).max(axis=1))).all())
 
 
 # ---------------------------------------------------------------------------

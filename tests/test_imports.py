@@ -38,7 +38,7 @@ def test_cli_imports_the_chart_layer_only_for_check_metric():
 
 
 def test_importing_lowdim_builds_no_product_tables():
-    # nor does importing the chart layer, which reads the (4,0) table when it wedges,
+    # nor does importing the chart layer, which reads Signature(3, 1)'s tables when it wedges,
     # and builds the (3,1) representation and pairings on its first killing block
     cached = fresh_python(
         "import kaspin.lowdim, kaspin.geometry_lab\n"

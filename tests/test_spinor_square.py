@@ -88,6 +88,18 @@ def test_square_two_to_one_and_zero(paired):
     assert zero.alpha.norm_inf() == 0.0
 
 
+def test_a_square_is_kept_while_it_is_normal_and_refused_below(paired):
+    # a square below the normal range once read as the square of xi = 0, or kept a digit or two
+    pr = paired[(3, 1)]
+    xi = np.array([1e-150, 3e-150, 0.0, 0.0])
+    rec = reconstruct(pr, "minus", square(pr, "minus", 1, Spinor(pr.rep, xi)).alpha)
+    sign = np.sign(rec.spinor.components[1])
+    np.testing.assert_allclose(sign * rec.spinor.components, xi, rtol=1e-12, atol=0.0)
+    for factor in (1e-5, 1e-50):
+        with pytest.raises(ValueError, match="the square underflows float64"):
+            square(pr, "minus", 1, Spinor(pr.rep, factor * xi))
+
+
 def _neutral_square(xi):
     pr = build_pairings(build_rep(Signature(2, 2)))
     return square(pr, "minus", 1, Spinor(pr.rep, xi.components)).alpha
@@ -115,6 +127,11 @@ def _pairings_44():
     # products xi_i xi_j of 1e310 once gave inf and nan coefficients with numpy warnings
     pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(pr.rep, [1e155, 1e155, 0.0, 0.0])),
                  "the square overflows float64", id="overflowing-square"),
+    # products xi_i xi_j of 1e-400 once gave the square of xi = 0, and of 3e-320 subnormals
+    pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(pr.rep, [1e-200, 1e-200, 0.0, 0.0])),
+                 "the square underflows float64", id="underflowing-square"),
+    pytest.param(lambda pr, xi: square(pr, "minus", 1, Spinor(pr.rep, [1e-160, 3e-160, 0.0, 0.0])),
+                 "the square underflows float64", id="subnormal-square"),
     pytest.param(lambda pr, xi: check_chirality(pr, square(pr, "plus", 1, xi).alpha, 0),
                  "mu must be", id="mu-zero"),
 ])
