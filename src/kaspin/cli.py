@@ -6,11 +6,13 @@ reconstruct / check-polyform exercise the quadratic map on explicit
 JSON payloads, and check-metric runs seeded residual campaigns on the
 named chart presets (the only sampling a run does).
 
-Reports are emitted as compact JSON on stdout (and to --out when
-given); human-readable one-liners go to stderr.  Runs are
-byte-deterministic.  Negative mathematical verdicts are successful
-runs and exit 0; usage, parsing, and unsupported-input errors exit 2;
-only verify-algebra property failures exit 1.
+Each subcommand returns its report, a one-line summary per verdict and
+its exit code, and writes nothing: `main` alone writes the report as
+compact JSON to --out when given and to stdout, then the summary lines
+to stderr.  Runs are byte-deterministic.  Negative mathematical verdicts
+are successful runs and exit 0; only verify-algebra property failures
+exit 1; bad input of any kind, argparse's usage errors included, exits 2
+with empty stdout and one `error:` line.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ def _finite(name, values):
     return values
 
 
-def _resolve_tol(args, fallback):
-    tol = fallback if args.tol is None else args.tol
-    if _finite("tol", tol) <= 0.0:
+def _require_tol(args):
+    if _finite("tol", args.tol) <= 0.0:
         raise UsageError("tol must be positive")
-    return tol
+    return args.tol
 
 
 # upper cap on --trials: each trial is a check-metric sample point whose
@@ -61,15 +62,6 @@ def _require_trials(args):
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     return args.trials
-
-
-def _emit(report, args):
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    # the file first: an unwritable path is exit 2 with nothing on stdout
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
 
 
 def _reject_constant(token):
@@ -219,14 +211,10 @@ def _cmd_verify_algebra(args):
         "checks": checks,
         "verdict": verdict,
     }
-    _emit(report, args)
     worst = max(assoc, cliff, iso, trace_err, split)
-    print(
-        f"verify-algebra ({sig.p},{sig.q}): {verdict} "
-        f"(worst residual {worst:.3e}, pairing signs {computed})",
-        file=sys.stderr,
-    )
-    return 0 if verdict == "pass" else 1
+    summary = (f"verify-algebra ({sig.p},{sig.q}): {verdict} "
+               f"(worst residual {worst:.3e}, pairing signs {computed})")
+    return report, summary, 0 if verdict == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +264,14 @@ def _cmd_square(args):
         "sigma": result.sigma,
         "alpha": json.loads(result.alpha.to_json()),
     }
-    _emit(report, args)
     grades = sorted(result.alpha.grades())
-    print(
-        f"square ({sig.p},{sig.q})/{args.pairing}: grades {grades}",
-        file=sys.stderr,
-    )
-    return 0
+    return report, f"square ({sig.p},{sig.q})/{args.pairing}: grades {grades}", 0
 
 
 def _cmd_reconstruct(args):
     payload, sig, pr = _payload_pairings(args)
     alpha = _polyform(payload, sig)
-    tol = _resolve_tol(args, 1e-8)
+    tol = _require_tol(args)
     report = {
         "command": "reconstruct",
         "signature": [sig.p, sig.q],
@@ -300,27 +283,20 @@ def _cmd_reconstruct(args):
     except ReconstructionError as exc:
         report["reconstructible"] = False
         report["reason"] = str(exc)
-        _emit(report, args)
-        print(f"reconstruct ({sig.p},{sig.q})/{args.pairing}: not a square", file=sys.stderr)
-        return 0
+        return report, f"reconstruct ({sig.p},{sig.q})/{args.pairing}: not a square", 0
     report["reconstructible"] = True
     report["spinor"] = [float(v) for v in result.spinor.components]
     report["kappa"] = result.kappa
     report["residual"] = result.residual
-    _emit(report, args)
-    print(
-        f"reconstruct ({sig.p},{sig.q})/{args.pairing}: "
-        f"kappa={result.kappa} residual={result.residual:.3e}",
-        file=sys.stderr,
-    )
-    return 0
+    summary = (f"reconstruct ({sig.p},{sig.q})/{args.pairing}: "
+               f"kappa={result.kappa} residual={result.residual:.3e}")
+    return report, summary, 0
 
 
 def _cmd_check_polyform(args):
     payload, sig, pr = _payload_pairings(args)
     alpha = _polyform(payload, sig)
-    tol = _resolve_tol(args, 1e-8)
-    conditions = verify_square_conditions(pr, args.pairing, alpha, tol=tol)
+    conditions = verify_square_conditions(pr, args.pairing, alpha, tol=_require_tol(args))
     report = {
         "command": "check-polyform",
         "signature": [sig.p, sig.q],
@@ -330,13 +306,9 @@ def _cmd_check_polyform(args):
         "residual_rank_one": conditions.residual_rank_one,
         "tol": conditions.tol,
     }
-    _emit(report, args)
-    print(
-        f"check-polyform ({sig.p},{sig.q})/{args.pairing}: "
-        f"is_square={str(conditions.is_square).lower()}",
-        file=sys.stderr,
-    )
-    return 0
+    summary = (f"check-polyform ({sig.p},{sig.q})/{args.pairing}: "
+               f"is_square={str(conditions.is_square).lower()}")
+    return report, summary, 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +345,21 @@ def _cmd_check_metric(args):
     repeated = sorted({check for check in checks if checks.count(check) > 1})
     if repeated:
         raise UsageError(f"--check names {', '.join(repeated)} more than once")
-    tol = _resolve_tol(args, 1e-6)
+    tol = _require_tol(args)
     n_points = _require_trials(args)
     ps = preset(args.preset, params)
     # every check is tested against the preset's data before any campaign runs
     for check in checks:
         require_check(ps, check)
-    reports = []
+    reports, lines = [], []
     for check in checks:
         report = run_campaign(
             ps, check, n_points=n_points, seed=args.seed, tol=tol, perturb=args.perturb
         )
         reports.append(report)
         worst = max((r["max"] for r in report["residuals"].values()), default=0.0)
-        print(
-            f"check-metric {ps.name} [{check}]: {report['verdict']} (worst {worst:.3e})",
-            file=sys.stderr,
-        )
-    _emit(reports[0] if len(reports) == 1 else reports, args)
-    return 0
+        lines.append(f"check-metric {ps.name} [{check}]: {report['verdict']} (worst {worst:.3e})")
+    return reports[0] if len(reports) == 1 else reports, "\n".join(lines), 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +367,16 @@ def _cmd_check_metric(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors reach main's one `except` as a UsageError."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    # the subparsers take this class too
+    parser = _Parser(
         prog="kaspin",
         description="seeded verification campaigns for the kaspin package",
     )
@@ -412,9 +388,9 @@ def _build_parser():
     def out_flag(p):
         p.add_argument("--out", default=None, help="also write the JSON report to this path")
 
-    def tol_flag(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default per command)")
+    def tol_flag(p, default):
+        p.add_argument("--tol", type=float, default=default,
+                       help="residual tolerance (default %(default)s)")
 
     va = sub.add_parser("verify-algebra", help="product and representation property suite")
     va.add_argument("--p", type=int, required=True)
@@ -439,11 +415,11 @@ def _build_parser():
     sq.set_defaults(func=_cmd_square)
 
     rc = payload_command("reconstruct", "recover a spinor from its polyform square")
-    tol_flag(rc)
+    tol_flag(rc, 1e-8)
     rc.set_defaults(func=_cmd_reconstruct)
 
     cp = payload_command("check-polyform", "test the square variety conditions")
-    tol_flag(cp)
+    tol_flag(cp, 1e-8)
     cp.set_defaults(func=_cmd_check_polyform)
 
     cm = sub.add_parser("check-metric", help="residual campaign on a chart preset")
@@ -460,7 +436,7 @@ def _build_parser():
     cm.add_argument("--trials", type=int, default=20,
                     help=f"number of sample points (1..{MAX_TRIALS})")
     cm.add_argument("--seed", type=int, default=0)
-    tol_flag(cm)
+    tol_flag(cm, 1e-6)
     out_flag(cm)
     cm.set_defaults(func=_cmd_check_metric)
 
@@ -468,38 +444,37 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
+    """Run one command and return its exit code: 0, 1 (a failed verify-algebra) or 2.
+
+    The one writer of a run: the report goes to --out first, so an unwritable
+    path leaves stdout empty, then to stdout, flushed, so a stdout that cannot
+    take it is an error here; the summary lines follow on stderr. Every input
+    error, argparse's included, is one `error:` line and exit 2. `--help`
+    prints usage and raises SystemExit(0), as argparse does.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        report, summary, code = args.func(args)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        print(text, flush=True)
+    except (UsageError, ValueError, KeyError, OSError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, OverflowError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(summary, file=sys.stderr)
+    return code
 
 
 def run():
     """The process entry of `kaspin` and `python -m kaspin.cli`: main(), then exit.
 
-    Once stdout and stderr are flushed the verdict is delivered, so the
-    process leaves through os._exit and skips finalising numpy and every
-    module (about 28 ms of a cold run). A stdout that cannot take the report
-    (closed, or a broken pipe) makes the run exit 2, as an OSError in main does.
+    main has written and flushed the report, so once stderr is flushed the
+    verdict is delivered, and the process leaves through os._exit, which skips
+    finalising numpy and every module (about 28 ms of a cold run).
     """
     code = main()
-    try:
-        if sys.stdout is not None:  # None when the process started with no fd 1
-            sys.stdout.flush()
-    except (OSError, ValueError) as exc:
-        if code != 2:  # else main has already reported the error
-            code = 2
-            with contextlib.suppress(OSError, ValueError):
-                print(f"error: {exc}", file=sys.stderr)
     with contextlib.suppress(OSError, ValueError, AttributeError):
         sys.stderr.flush()
     os._exit(code)

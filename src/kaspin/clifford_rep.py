@@ -144,6 +144,10 @@ class PairedRep(_Frozen):
 
     def __init__(self, rep: GammaRep, Bplus: np.ndarray, Bminus: np.ndarray,
                  sigma_plus: int, sigma_minus: int):
+        # private read-only copies, as Spinor keeps: build_pairings shares one PairedRep
+        Bplus, Bminus = np.array(Bplus), np.array(Bminus)
+        Bplus.setflags(write=False)
+        Bminus.setflags(write=False)
         _set(self, "rep", rep)
         _set(self, "Bplus", Bplus)
         _set(self, "Bminus", Bminus)

@@ -1,6 +1,8 @@
 """Command line interface: reports, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kaspin
 from kaspin import _kernels, cli
@@ -655,10 +659,25 @@ def test_check_metric_tests_every_check_before_any_campaign(capsys, monkeypatch)
 
 
 def test_cli_argparse_errors_map_to_two(capsys):
-    assert cli.main(["check-metric", "--preset", "ads4", "--a", "1,zz"]) == 2
-    assert cli.main(["no-such-command"]) == 2
-    assert cli.main([]) == 2
-    capsys.readouterr()
+    # argparse's errors once printed a usage synopsis above the error line
+    for argv in [
+        ("check-metric", "--preset", "ads4", "--a", "1,zz"),
+        ("no-such-command",),
+        (),
+        # argparse reads these values as options: they go as --perturb=-1e-3 and --a=-1,...
+        ("check-metric", "--preset", "ads4", "--perturb", "-1e-3"),
+        ("check-metric", "--preset", "ads4-deformed-poly", "--a", "-1,0.5,0.2,0.1"),
+    ]:
+        assert_usage_error(*run_cli(capsys, *argv))
+
+
+def test_check_metric_scores_every_check_before_its_first_stderr_line(capsys):
+    # walker's verdict line once preceded einstein's overflow error
+    code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4-deformed-bessel",
+                             "--check", "walker,einstein", "--trials", "2", "--perturb", "0.1",
+                             "--c", "1e-160")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: overflow")
 
 
 def test_env_tol_default_and_flag_override(capsys):
@@ -786,6 +805,85 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(readme_block("Library example", "python"), namespace)
     assert namespace["rec"].kappa == 1
+
+
+# ---------------------------------------------------------------------------
+# the contract over any argv: exit 0 or 1 with strict JSON on stdout, 1 only from
+# verify-algebra, or exit 2 with empty stdout and one `error:` line
+# ---------------------------------------------------------------------------
+
+# numbers as typed on a command line or in a payload: signed zeros, subnormals, the edge of
+# float64, 30-digit integers, non-finite spellings and values that start with "-"
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-0.0", "5e-324", "-2.2e-308", "1e-160", "1e308", "-1e308",
+                     "nan", "inf", "-inf", "NaN", "-Infinity", "1", "-1", "0.5", "-1e-3",
+                     "1" + "0" * 29, "-" + "9" * 30]),
+    st.floats().map(repr),
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+SIGNATURES = st.sampled_from([(3, 1), (2, 2), (1, 1), (2, 0), (4, 2), (4, 4),
+                              (0, 2), (3, 0), (1, 3), (5, 4)])
+BLADE_KEYS = ["", "1", "2", "4", "1,2", "1,4", "3,4", "1,2,3", "1,2,3,4", "9"]
+CHECKS = ["killing", "einstein", "walker", "heterotic", "bianchi", "susy"]
+PRESETS = ["minkowski", "ads4", "ads4-deformed-poly", "ads4-deformed-bessel",
+           "heterotic-ppwave", "walker-generic", "nope"]
+
+
+def _flag(name, values):
+    """--name value or --name=value."""
+    return st.tuples(values, st.booleans()).map(
+        lambda t: [f"{name}={t[0]}"] if t[1] else [name, t[0]])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["verify-algebra", "square", "reconstruct",
+                                    "check-polyform", "check-metric"]))
+    p, q = draw(SIGNATURES)
+    sig_flags = ["--p", str(p), "--q", str(q)]
+    small_ints = st.sampled_from(["0", "1", "2", "3", "-1", str(cli.MAX_TRIALS + 1), "9" * 30])
+    pairing = _flag("--pairing", st.sampled_from(["plus", "minus", "zero"]))
+    if command == "verify-algebra":
+        argv, optional = [command, *sig_flags], [_flag("--trials", small_ints),
+                                                 _flag("--seed", small_ints)]
+    elif command == "square":
+        n = draw(st.sampled_from([1 << ((p + q) // 2), 4, 3]))
+        payload = "[" + ",".join(draw(st.lists(NUMBERS, min_size=n, max_size=n))) + "]"
+        argv = [command, payload, *sig_flags]
+        optional = [pairing, _flag("--kappa", st.sampled_from(["1", "-1", "2"]))]
+    elif command in ("reconstruct", "check-polyform"):
+        coeffs = draw(st.dictionaries(st.sampled_from(BLADE_KEYS), NUMBERS, max_size=4))
+        body = ",".join(f"{json.dumps(key)}:{value}" for key, value in coeffs.items())
+        argv = [command, f'{{"p":{p},"q":{q},"coeffs":{{{body}}}}}']
+        optional = [pairing, _flag("--tol", NUMBERS)]
+    else:
+        checks = draw(st.lists(st.sampled_from(CHECKS), min_size=1, max_size=3, unique=True))
+        argv = [command, "--preset", draw(st.sampled_from(PRESETS)),
+                "--check", ",".join(checks), "--trials", draw(st.sampled_from(["1", "2", "3"]))]
+        four = st.lists(NUMBERS, min_size=4, max_size=4).map(",".join)
+        optional = [_flag("--lambda", NUMBERS), _flag("--c", NUMBERS), _flag("--a", four),
+                    _flag("--perturb", NUMBERS), _flag("--tol", NUMBERS),
+                    _flag("--seed", small_ints), _flag("--trials", small_ints)]
+    for option in draw(st.lists(st.sampled_from(optional), max_size=3, unique_by=id)):
+        argv += draw(option)
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=argvs())
+def test_every_argv_keeps_the_exit_contract(argv):
+    # in-process, as run_cli, with --help left out: it prints usage and exits 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and (code != 1 or argv[0] == "verify-algebra"), (code, err)
+    if code == 2:
+        assert_usage_error(code, out, err)
+    else:
+        json.loads(out, parse_constant=_no_constants)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

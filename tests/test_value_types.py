@@ -141,6 +141,23 @@ def test_multivector_and_spinor_hold_read_only_copies():
         Spinor(xi.rep, np.zeros(5))
 
 
+def test_paired_rep_holds_read_only_copies_of_its_pairings():
+    # build_pairings shares one PairedRep per rep: negating its Bminus in place
+    # once flipped the sign of every later (3,1) square in the process
+    pr = build_pairings(build_rep(Signature(3, 1)))
+    xi = Spinor(pr.rep, [0.5, -1.0, 2.0, 0.25])
+    before = square(pr, "minus", 1, xi).alpha.coeffs.copy()
+    with pytest.raises(ValueError):
+        pr.pairing("minus")[0] *= -1
+    with pytest.raises(ValueError):
+        pr.Bplus[0, 0] = 2.0
+    assert np.array_equal(square(pr, "minus", 1, xi).alpha.coeffs, before)
+    Bplus = np.array(pr.Bplus)
+    twin = PairedRep(pr.rep, Bplus, pr.Bminus, pr.sigma_plus, pr.sigma_minus)
+    Bplus[0, 0] = 2.0
+    assert twin.Bplus[0, 0] == pr.Bplus[0, 0] and not twin.Bminus.flags.writeable
+
+
 def test_paired_rep_holds_each_pairings_constants(values):
     pr = values["PairedRep"]
     sig = pr.rep.sig
