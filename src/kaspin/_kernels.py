@@ -65,6 +65,17 @@ class VolumeSigns(NamedTuple):
     star: np.ndarray  # tau(a) <> nu = star * a[::-1]
 
 
+def sealed(arr):
+    """A read-only copy of arr over an immutable bytes buffer.
+
+    numpy refuses setflags(write=True) on it and on every view of it, so
+    a cached table or a value's array cannot change under its readers.
+    """
+    out = np.frombuffer(arr.tobytes(), arr.dtype)
+    # a 1-D array skips the reshape, which costs about 0.2 us per call
+    return out if arr.ndim == 1 else out.reshape(arr.shape)
+
+
 def _parity_sign(count):
     return 1.0 - 2.0 * (count & 1)
 
@@ -91,10 +102,8 @@ def get_tables(p, q):
     metric = _parity_sign(grade[masks >> p])
     k = grade.astype(np.int64)
     pi, tau = _parity_sign(k), _parity_sign(k * (k - 1) // 2)
-    tables = ProductTables(xor.astype(np.intp), sign, wedge_sign, k, metric, pi, tau, pi * tau)
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
+    tables = (xor.astype(np.intp), sign, wedge_sign, k, metric, pi, tau, pi * tau)
+    return ProductTables._make(map(sealed, tables))
 
 
 def product(a, b, sign, xor):
@@ -130,10 +139,8 @@ def split_plan(p, q, table):
     graded = np.where(t.grade[high_masks, None] % 2 == 1, t.pi[:nl], 1.0)
     rows = (hi[:, None] * nh + t.xor[:nh, :nh]).ravel()
     s_hi = sign[np.ix_(high_masks, high_masks)]
-    plan = SplitPlan(gather, graded, rows, s_hi[:, :, None] * graded[:, None, :])
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
+    outer = s_hi[:, :, None] * graded[:, None, :]
+    return SplitPlan._make(map(sealed, (gather, graded, rows, outer)))
 
 
 def split_product(a, b, plan):
@@ -180,7 +187,4 @@ def volume_signs(p, q):
     t = get_tables(p, q)
     full = (1 << (p + q)) - 1
     masks = np.arange(full + 1)
-    signs = VolumeSigns(t.sign[full], t.tau[::-1] * t.sign[full ^ masks, masks])
-    for arr in signs:
-        arr.setflags(write=False)
-    return signs
+    return VolumeSigns(sealed(t.sign[full]), sealed(t.tau[::-1] * t.sign[full ^ masks, masks]))

@@ -33,14 +33,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import sealed
 from .ka_core import Multivector, Signature, _Frozen, _set
 
 # (sigma_plus, sigma_minus) keyed by k = d/2 mod 4
 PAIRING_SYMMETRY = {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
 
-_T = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_U = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-_OMEGA = _T @ _U  # squares to Id, anticommutes with _T and _U
+_T = sealed(np.array([[0, 1], [1, 0]], dtype=np.int64))
+_U = sealed(np.array([[0, 1], [-1, 0]], dtype=np.int64))
+_OMEGA = sealed(_T @ _U)  # squares to Id, anticommutes with _T and _U
 
 
 def _extend(gammas, p):
@@ -55,12 +56,13 @@ class GammaRep(_Frozen):
     """Irreducible real representation: gamma matrices plus blade cache.
 
     Equal and hashed by identity: build_pairings caches on the instance.
+    Holds sealed copies of the gammas.
     """
 
     __slots__ = ("sig", "gammas", "blade_table")
     _shown = ("sig",)
 
-    def __init__(self, sig: Signature, gammas: tuple):
+    def __init__(self, sig: Signature, gammas):
         n = sig.n_blades
         N = gammas[0].shape[0]
         blades = np.empty((n, N, N))
@@ -68,13 +70,11 @@ class GammaRep(_Frozen):
         for mask in range(1, n):
             low = mask & -mask
             blades[mask] = gammas[low.bit_length() - 1] @ blades[mask ^ low]
+        _set(self, "sig", sig)
+        _set(self, "gammas", tuple(map(sealed, gammas)))
         # float64 (n_blades, N^2) rows of the blade matrices Gamma_I, shared
         # by quantize, dequantize and build_pairings; the entries are exact
-        table = blades.reshape(n, N * N)
-        table.setflags(write=False)
-        _set(self, "sig", sig)
-        _set(self, "gammas", gammas)
-        _set(self, "blade_table", table)
+        _set(self, "blade_table", sealed(blades.reshape(n, N * N)))
 
     @property
     def N(self):
@@ -99,17 +99,15 @@ def build_rep(sig: Signature) -> GammaRep:
             "need d even and p - q in {0, 2}"
         )
     if sig.p - sig.q == 2:
-        gammas = [np.array([[1, 0], [0, -1]], dtype=np.int64), _T.copy()]
+        gammas = [np.array([[1, 0], [0, -1]], dtype=np.int64), _T]
         p_cur, steps = 2, sig.q
     else:
-        gammas = [_T.copy(), _U.copy()]
+        gammas = [_T, _U]
         p_cur, steps = 1, sig.p - 1
     for _ in range(steps):
         gammas = _extend(gammas, p_cur)
         p_cur += 1
-    for g in gammas:
-        g.setflags(write=False)
-    return GammaRep(sig, tuple(gammas))
+    return GammaRep(sig, gammas)
 
 
 def quantize(rep: GammaRep, a: Multivector) -> np.ndarray:
@@ -144,10 +142,8 @@ class PairedRep(_Frozen):
 
     def __init__(self, rep: GammaRep, Bplus: np.ndarray, Bminus: np.ndarray,
                  sigma_plus: int, sigma_minus: int):
-        # private read-only copies, as Spinor keeps: build_pairings shares one PairedRep
-        Bplus, Bminus = np.array(Bplus), np.array(Bminus)
-        Bplus.setflags(write=False)
-        Bminus.setflags(write=False)
+        # sealed copies: build_pairings shares one PairedRep
+        Bplus, Bminus = sealed(np.asarray(Bplus)), sealed(np.asarray(Bminus))
         _set(self, "rep", rep)
         _set(self, "Bplus", Bplus)
         _set(self, "Bminus", Bminus)
@@ -157,9 +153,7 @@ class PairedRep(_Frozen):
         for tag, B, sigma, s in (("plus", Bplus, sigma_plus, 1),
                                  ("minus", Bminus, sigma_minus, -1)):
             # square_test's per-blade weight of the s-transpose residual, made once here
-            weight = s_transpose_signs(rep.sig, s) - sigma
-            weight.setflags(write=False)
-            pairings[tag] = (B, sigma, s, weight)
+            pairings[tag] = (B, sigma, s, sealed(s_transpose_signs(rep.sig, s) - sigma))
         _set(self, "_pairings", pairings)
 
     def pairing(self, tag: str) -> tuple:
@@ -267,10 +261,8 @@ class Spinor(_Frozen):
     _shown = ("rep", "components")
 
     def __init__(self, rep: GammaRep, components):
-        # a private read-only copy
-        comps = np.array(components, dtype=np.float64)
+        comps = np.asarray(components, dtype=np.float64)
         if comps.shape != (rep.N,):
             raise ValueError(f"spinor must have {rep.N} components, got shape {comps.shape}")
-        comps.setflags(write=False)
         _set(self, "rep", rep)
-        _set(self, "components", comps)
+        _set(self, "components", sealed(comps))

@@ -49,6 +49,7 @@ highest order its check needs (_chart_jet), and inverts g and q2 once.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -58,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import sealed
 from .clifford_rep import build_pairings, build_rep
 from .ka_core import Signature
 from .spinor_square import square_test
@@ -158,7 +160,12 @@ def _closed(parts):
     then its partials, each computed only when the order asks for it."""
 
     def jet(x, order):
-        return tuple(itertools.islice(parts(np.asarray(x, dtype=float)), order + 1))
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return tuple(itertools.islice(parts(x), order + 1))
+        # a lone point as a stack of one: on its numpy scalars ** is libm's pow, whose last
+        # bit can differ from the x * x of the same point in a stack
+        return tuple(part[0] for part in jet(x[None], order))
 
     return jet
 
@@ -260,7 +267,7 @@ def _nabla(gamma, jet):
     return jet[1] - _matrix(lowered, 2, gamma.shape[-1])
 
 
-_COFRAME = 1 << np.arange(4)  # the masks of dx^0, ..., dx^3
+_COFRAME = sealed(1 << np.arange(4))  # the masks of dx^0, ..., dx^3
 _LORENTZ = Signature(3, 1)  # the algebra of the orthonormal coframe, e^4 timelike
 
 
@@ -311,13 +318,16 @@ class KillingData:
         _finite("lam", self.lam)
 
 
-_TIME_LAST = np.array([1, 2, 3, 0])  # eigh's ascending order, its one negative eigenvalue last
-_LO, _HI = np.triu_indices(4, 1)
+_TIME_LAST = sealed(np.array([1, 2, 3, 0]))  # eigh's ascending order, its negative eigenvalue last
+_LO, _HI = map(sealed, np.triu_indices(4, 1))
+_TWO = sealed((1 << _LO) | (1 << _HI))  # the masks of e^a ^ e^b, a < b, in _LO, _HI order
+_THREE = sealed(15 ^ _COFRAME)  # the masks of the duals of e^1, ..., e^4
 # [u, m flattened] @ _POLYFORM = u + sum_ab m_ab e^a ^ e^b, each entry one exact sum of two terms
 _POLYFORM = np.zeros((20, 16))
 _POLYFORM[range(4), _COFRAME] = 1.0
-_POLYFORM[4 + 4 * _LO + _HI, (1 << _LO) | (1 << _HI)] = 1.0
-_POLYFORM[4 + 4 * _HI + _LO, (1 << _LO) | (1 << _HI)] = -1.0
+_POLYFORM[4 + 4 * _LO + _HI, _TWO] = 1.0
+_POLYFORM[4 + 4 * _HI + _LO, _TWO] = -1.0
+_POLYFORM = sealed(_POLYFORM)
 
 
 def _coframe(g):
@@ -334,10 +344,6 @@ def _polyform(one, two):
     return np.concatenate((one, two.reshape(two.shape[:-2] + (16,))), axis=-1) @ _POLYFORM
 
 
-_TWO = (1 << _LO) | (1 << _HI)  # the masks of e^a ^ e^b, a < b, in _LO, _HI order
-_THREE = 15 ^ _COFRAME  # the masks of the duals of e^1, ..., e^4
-
-
 @functools.cache
 def _commutator_rows(grade):
     """(C, rows) with A <> a - a <> A = A @ (C * a[..., rows]) for A of grade 1 or 2.
@@ -348,7 +354,7 @@ def _commutator_rows(grade):
     t = _LORENTZ.tables()
     masks = _COFRAME if grade == 1 else _TWO
     rows = t.xor[masks]
-    return t.sign[masks] - t.sign[rows, np.arange(16)], rows
+    return sealed(t.sign[masks] - t.sign[rows, np.arange(16)]), sealed(rows)
 
 
 def _pair_frame(jet, ginv, u_jet, l_jet):
@@ -966,36 +972,25 @@ def _halton_constants():
         row = [1.0 / base]  # by repeated division, as SciPy accumulates the weights
         while len(row) < math.ceil(54 / math.log2(base)) - 1:
             row.append(row[-1] / base)
-        rows.append(np.tile(np.arange(base), (len(row), 1)))
+        rows.append(sealed(np.tile(np.arange(base), (len(row), 1))))
         weights += [w for w in row for _ in range(base)]
-    weights = np.array(weights + [0.0])
-    for shared in (*rows, weights):
-        shared.flags.writeable = False  # every call reads the same arrays
-    return rows, weights
+    return tuple(rows), sealed(np.array(weights + [0.0]))
 
 
-_HALTON_DIGITS = np.zeros((53, 0, 4), np.uint16)  # _halton_digits(0, n), n the largest yet
-
-
+@functools.lru_cache(maxsize=4)
 def _halton_digits(start, stop):
     """(places, points, bases) indices of the points start..stop-1 into _halton's digits:
     digit i // b^j % b of point i at place j of base b is entry j b + digit of b's row,
-    and the places past a base's own read the padding digit.
+    and the places past a base's own read the padding digit. Cached per block.
     """
-    global _HALTON_DIGITS
-    if start or stop > _HALTON_DIGITS.shape[1]:
-        rows, weights = _halton_constants()
-        pad, first, points = weights.size - 1, 0, np.arange(start, stop)
-        table = np.full((len(rows[0]), stop - start, len(rows)), pad, np.min_scalar_type(pad))
-        for col, row in enumerate(rows):
-            place, base = np.arange(len(row))[:, None], row.shape[1]
-            table[:len(row), :, col] = first + base * place + points // base**place % base
-            first += row.size
-        if start:
-            return table
-        table.flags.writeable = False  # every later call reads it
-        _HALTON_DIGITS = table
-    return _HALTON_DIGITS[:, :stop]
+    rows, weights = _halton_constants()
+    pad, first, points = weights.size - 1, 0, np.arange(start, stop)
+    table = np.full((len(rows[0]), stop - start, len(rows)), pad, np.min_scalar_type(pad))
+    for col, row in enumerate(rows):
+        place, base = np.arange(len(row))[:, None], row.shape[1]
+        table[:len(row), :, col] = first + base * place + points // base**place % base
+        first += row.size
+    return sealed(table)
 
 
 def _halton(n, seed):
@@ -1105,5 +1100,6 @@ def run_campaign(ps, check, n_points=20, seed=0, tol=1e-6, perturb=0.0):
     residuals = {name: _summary(np.concatenate([block[name] for block in blocks]), pts)
                  for name in blocks[0]}
     verdict = "pass" if all(r["max"] <= tol for r in residuals.values()) else "fail"
-    return {"preset": ps.name, "params": ps.params, "points": n_points,
+    # a copy, so a caller editing the report leaves the preset's params as they are
+    return {"preset": ps.name, "params": copy.deepcopy(ps.params), "points": n_points,
             "residuals": residuals, "verdict": verdict, "seed": int(seed)}

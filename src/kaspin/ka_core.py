@@ -13,11 +13,14 @@ Conventions, fixed once for the whole package:
 
 Coefficients are float64; the structure constants are exact signs, so
 all rounding comes from coefficient arithmetic alone. Values are
-immutable after construction and every operation is a pure function.
+immutable after construction: a Multivector holds a sealed copy of its
+coefficients (_kernels.sealed), which no caller can make writable, and
+every operation is a pure function.
 """
 
 import json
 import numbers
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,21 +100,22 @@ class Signature(_SignatureFields):
         return _kernels.get_tables(self.p, self.q)
 
 
-def _mask_key(mask):
-    indices = [str(i + 1) for i in range(MAX_DIM) if mask >> i & 1]
-    return ",".join(indices)
+@lru_cache(maxsize=None)
+def _blade_keys():
+    """(keys, masks): the basis key of every mask below 2^MAX_DIM ("1,3" for e^1 ^ e^3, "" for
+    the scalar) and its inverse, mask by key. Built on first use."""
+    keys = tuple(",".join(str(i + 1) for i in range(MAX_DIM) if mask >> i & 1)
+                 for mask in range(1 << MAX_DIM))
+    return keys, {key: mask for mask, key in enumerate(keys)}
 
 
 def _key_mask(key, d):
-    """The blade mask of a basis key, accepted only as _mask_key spells it."""
-    index = {str(i + 1): i for i in range(d)}
-    parts = key.split(",") if key else []
-    if all(part in index for part in parts):
-        mask = sum(1 << index[part] for part in parts)
-        # one spelling per blade: ascending, no repeats, no signs, spaces or zeros
-        if _mask_key(mask) == key:
-            return mask
-    raise ValueError(f"bad basis key {key!r} for d={d}")
+    """The blade mask of a basis key, accepted only as _blade_keys spells it."""
+    # one spelling per blade: ascending, no repeats, no signs, spaces or zeros
+    mask = _blade_keys()[1].get(key, 1 << d)
+    if mask >> d:
+        raise ValueError(f"bad basis key {key!r} for d={d}")
+    return mask
 
 
 class Multivector(_Frozen):
@@ -121,13 +125,11 @@ class Multivector(_Frozen):
     _shown = ("sig",)
 
     def __init__(self, sig, coeffs):
-        # a private read-only copy: np.array copies by default
-        arr = np.array(coeffs, dtype=float)
+        arr = np.asarray(coeffs, dtype=float)
         if arr.shape != (sig.n_blades,):
             raise ValueError(f"expected {sig.n_blades} coefficients, got shape {arr.shape}")
-        arr.setflags(write=False)
         _set(self, "sig", sig)
-        _set(self, "coeffs", arr)
+        _set(self, "coeffs", _kernels.sealed(arr))
 
     # -- constructors -------------------------------------------------
 
@@ -225,7 +227,8 @@ class Multivector(_Frozen):
     def to_json(self):
         # keep -0.0 so the round trip stays bit-exact
         kept = (self.coeffs != 0.0) | np.signbit(self.coeffs)
-        entries = {_mask_key(mask): float(self.coeffs[mask]) for mask in np.flatnonzero(kept)}
+        keys = _blade_keys()[0]
+        entries = {keys[mask]: float(self.coeffs[mask]) for mask in np.flatnonzero(kept)}
         return json.dumps(
             {"p": self.sig.p, "q": self.sig.q, "coeffs": entries},
             sort_keys=True,

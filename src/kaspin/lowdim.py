@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import sealed
 from .clifford_rep import build_pairings, build_rep
 from .ka_core import Multivector, Signature, hodge_star, wedge
 from .spinor_square import DEFAULT_TOL, verify_square_conditions
@@ -54,10 +55,8 @@ def _grades(sig) -> _Grades:
     """Cached index and metric vectors of a signature's grades."""
     tables = sig.tables()
     ones = np.flatnonzero(tables.grade == 1)
-    vectors = _Grades(ones, tables.metric[ones], np.flatnonzero(tables.grade != 1), tables.metric)
-    for arr in vectors:
-        arr.setflags(write=False)
-    return vectors
+    off_one = np.flatnonzero(tables.grade != 1)
+    return _Grades(sealed(ones), sealed(tables.metric[ones]), sealed(off_one), tables.metric)
 
 
 def _unit_gram(*coeffs) -> tuple | None:

@@ -17,9 +17,10 @@ against tol, DEFAULT_TOL = 1e-9 unless given; a non-finite input fails.
 verify_square_conditions and reconstruct (so check_admissible and
 lowdim.polyform_to_pair too) read one memo of square_test on a lone
 polyform, keyed by the identity of the PairedRep and the Multivector:
-both are immutable, so a polyform tested once is not tested again while
-the memo, bounded at _MEMO_SIZE entries, holds it. Stacked callers call
-square_test directly.
+both hold only sealed arrays (_kernels.sealed), so neither can change,
+and a polyform tested once is not tested again while the memo, bounded
+at _MEMO_SIZE entries, holds it. Stacked callers call square_test
+directly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import sealed
 from .clifford_rep import PairedRep, Spinor, dequantize
 from .ka_core import Multivector, volume_product
 
@@ -144,18 +146,16 @@ def square_test(pr: PairedRep, pairing_tag: str, coeffs) -> tuple:
 def _tested(pr: PairedRep, pairing_tag: str, alpha: Multivector) -> tuple:
     """(scale, c, residual, r_sym, shift, eta): square_test on the lone row alpha, memoised.
 
-    PairedRep and Multivector hash and compare by identity and are
-    immutable, so the key names one pairing and one polyform, which the
-    memo holds alive: an equal copy is a new key, tested anew. eta is
-    read-only, as every caller of one entry shares it.
+    PairedRep and Multivector hash and compare by identity, and their
+    arrays are sealed, so the key names one pairing and one polyform,
+    which the memo holds alive: an equal copy is a new key, tested anew.
+    eta is sealed too, as every caller of one entry shares it.
     """
     if alpha.sig != pr.rep.sig:
         raise ValueError(f"signature mismatch: {alpha.sig} vs {pr.rep.sig}")
     fit, shift, r_sym = square_test(pr, pairing_tag, alpha.coeffs[None])
-    eta = fit.eta[0]
-    eta.setflags(write=False)
     floats = (float(part[0]) for part in (fit.scale, fit.c, fit.residual, r_sym))
-    return (*floats, int(shift[0]), eta)
+    return (*floats, int(shift[0]), sealed(fit.eta[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,22 @@ def test_stacked_layer_calls_equal_row_by_row_calls(name, perturb, seed, n):
             assert np.array_equal(part, np.stack([row[i] for row in rows])), (name, layer, i)
 
 
+@pytest.mark.parametrize("name, row", [
+    # y = 1.5611736869448234, where (lam * y) ** 2 on a lone y once took libm's pow
+    ("ads4", 1958),
+    ("ads4-deformed-poly", 1958),
+    ("ads4-deformed-bessel", 1958),
+    ("heterotic-ppwave", 1141),  # rate ** 2, in the second derivatives
+])
+def test_a_lone_point_reads_the_bits_of_its_row_in_a_stack(name, row):
+    ps = build(name)
+    lower, upper = np.asarray(ps.sample_box).T
+    pts = np.random.default_rng(0).uniform(lower, upper, size=(2000, 4))
+    stacked = ps.chart.jet(pts, 2)
+    for k, part in enumerate(ps.chart.jet(pts[row], 2)):
+        assert np.array_equal(part, stacked[k][row]), k
+
+
 @pytest.mark.parametrize("layer, message", [
     ("christoffel", "outside the chart domain"),
     ("killing", "no Lorentzian coframe"),

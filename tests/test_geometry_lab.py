@@ -1501,6 +1501,15 @@ def test_run_campaign_reports_and_determinism():
     assert run_campaign(ads, "walker", seed=3)["verdict"] == "pass"
 
 
+def test_a_campaign_report_holds_a_copy_of_its_presets_params():
+    ps = preset("ads4-deformed-poly")
+    report = run_campaign(ps, "einstein", n_points=2)
+    report["params"]["lam"] = 7.0
+    report["params"]["a"][0] = 99.0
+    assert ps.params == {"lam": 1.0, "a": [1.0, 0.5, 0.2, 0.1]}
+    assert run_campaign(ps, "einstein", n_points=2)["params"] == ps.params
+
+
 def test_run_campaign_perturbation_sensitivity():
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     clean = run_campaign(poly, "einstein", seed=5)
@@ -1642,26 +1651,26 @@ def test_halton_memory_is_flat_in_the_point_count():
     assert peak < 10e6, peak
 
 
-def test_halton_digit_table_is_bounded_and_grows_to_the_largest_n(monkeypatch):
+def test_halton_digit_tables_are_a_small_sealed_cache_per_block():
     from kaspin import geometry_lab
 
-    def points():
-        # the one table holds (places, points, bases): 53 places of bases 2, 3, 5 and 7
-        table = geometry_lab._HALTON_DIGITS
-        assert table.shape[::2] == (53, 4) and not table.flags.writeable
-        return table.shape[1]
-
-    monkeypatch.setattr(geometry_lab, "_HALTON_DIGITS", geometry_lab._HALTON_DIGITS[:, :0])
+    digits = geometry_lab._halton_digits
+    digits.cache_clear()
     first = _halton(5, 0)
-    # a 5-point campaign expands only its own 5 points
-    assert points() == 5
-    _halton(20, 1)
-    _halton(3, 2)
-    assert points() == 20
+    # a 5-point campaign expands only its own 5 points, and a second draw of 5 reads them again
+    table = digits(0, 5)
+    assert digits.cache_info().currsize == 1
+    # (places, points, bases): 53 places of bases 2, 3, 5 and 7; the 2 * 53 + 3 * 34 + 5 * 23
+    # + 7 * 19 digits and one padding digit: 16 bits index them
+    assert table.shape == (53, 5, 4) and table.dtype == np.uint16
+    with pytest.raises(ValueError):
+        table.setflags(write=True)
+    assert np.array_equal(_halton(5, 1), _halton(5, 1)) and digits.cache_info().currsize == 1
     _halton(100_000, 1)
-    assert points() == geometry_lab.HALTON_BLOCK
-    # the 2 * 53 + 3 * 34 + 5 * 23 + 7 * 19 digits and one padding digit: 16 bits index them
-    assert geometry_lab._HALTON_DIGITS.dtype == np.uint16
+    # a block at a time, of at most HALTON_BLOCK points, and only the last few blocks are kept
+    info = digits.cache_info()
+    assert info.currsize == info.maxsize <= 4
+    assert digits(0, geometry_lab.HALTON_BLOCK).shape == (53, geometry_lab.HALTON_BLOCK, 4)
     assert np.array_equal(_halton(5, 0), first)
 
 

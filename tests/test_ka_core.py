@@ -545,12 +545,20 @@ def test_json_rejects_noncanonical_keys(key):
         Multivector.from_json(json.dumps({"p": 3, "q": 1, "coeffs": {key: 1.0}}))
 
 
-def test_json_keys_round_trip_every_blade():
-    from kaspin.ka_core import MAX_DIM, _key_mask, _mask_key
+@pytest.mark.parametrize("key", [1, None, (1,), 1.0])
+def test_json_rejects_a_key_that_is_not_a_string(key):
+    # a dict payload can carry any hashable key; only the canonical strings name blades
+    with pytest.raises(ValueError, match="bad basis key"):
+        Multivector.from_json({"p": 3, "q": 1, "coeffs": {key: 1.0}})
 
+
+def test_json_keys_round_trip_every_blade():
+    from kaspin.ka_core import MAX_DIM, _blade_keys, _key_mask
+
+    keys = _blade_keys()[0]
     for d in range(MAX_DIM + 1):
         for mask in range(1 << d):
-            assert _key_mask(_mask_key(mask), d) == mask
+            assert _key_mask(keys[mask], d) == mask
 
 
 def test_operations_keep_coefficients_finite():

@@ -149,6 +149,9 @@ def test_paired_rep_holds_read_only_copies_of_its_pairings():
     before = square(pr, "minus", 1, xi).alpha.coeffs.copy()
     with pytest.raises(ValueError):
         pr.pairing("minus")[0] *= -1
+    # nor can the flag be set back first: the pairings are sealed
+    with pytest.raises(ValueError):
+        pr.pairing("minus")[0].setflags(write=True)
     with pytest.raises(ValueError):
         pr.Bplus[0, 0] = 2.0
     assert np.array_equal(square(pr, "minus", 1, xi).alpha.coeffs, before)
@@ -197,3 +200,69 @@ def test_reprs_name_the_shown_fields(values):
     assert repr(values["Multivector"]) == "Multivector(sig=Signature(p=3, q=1))"
     assert repr(values["PairedRep"]) == (
         "PairedRep(rep=GammaRep(sig=Signature(p=3, q=1)), sigma_plus=-1, sigma_minus=-1)")
+
+
+def _shared_arrays():
+    """(name, array) for every array a value, a cache or a module constant hands its readers."""
+    from kaspin import _kernels, clifford_rep, geometry_lab, lowdim, spinor_square
+
+    for p, q in ((3, 1), (4, 4)):
+        sig = Signature(p, q)
+        yield from ((f"tables{sig}.{f}", a) for f, a in sig.tables()._asdict().items())
+        for table in ("sign", "wedge_sign"):
+            yield from ((f"split_plan{sig}.{table}", a) for a in _kernels.split_plan(p, q, table))
+        yield from ((f"volume_signs{sig}", a) for a in _kernels.volume_signs(p, q))
+    for name in ("_T", "_U", "_OMEGA"):
+        yield name, getattr(clifford_rep, name)
+    sig = Signature(3, 1)
+    pr = build_pairings(build_rep(sig))
+    yield from (("gammas", g) for g in pr.rep.gammas)
+    yield "blade_table", pr.rep.blade_table
+    yield from (("Bplus", pr.Bplus), ("Bminus", pr.Bminus))
+    for tag in ("plus", "minus"):
+        B, _, _, weight = pr.pairing(tag)
+        yield from ((f"pairing({tag}).B", B), (f"pairing({tag}).weight", weight))
+    xi = Spinor(pr.rep, [0.5, -1.0, 2.0, 0.25])
+    alpha = square(pr, "minus", 1, xi).alpha
+    yield from (("Multivector.coeffs", Multivector.zero(sig).coeffs), ("Spinor", xi.components))
+    yield "square", alpha.coeffs
+    yield "reconstruct", reconstruct(pr, "minus", alpha).spinor.components
+    yield "memo eta", spinor_square._tested(pr, "minus", alpha)[5]
+    pair = lowdim.polyform_to_pair(alpha)
+    flag = lowdim.pair_to_flag(pair)
+    yield from (("pair.u", pair.u.coeffs), ("pair.l", pair.l.coeffs))
+    yield from (("flag", w.coeffs) for w in flag.W1 + flag.W2 + flag.W3)
+    yield from (("_grades", a) for a in lowdim._grades(sig))
+    yield "_E4", lowdim._E4
+    for name in ("_COFRAME", "_TIME_LAST", "_LO", "_HI", "_POLYFORM", "_TWO", "_THREE"):
+        yield name, getattr(geometry_lab, name)
+    rows, weights = geometry_lab._halton_constants()
+    yield from (("_halton_constants", a) for a in (*rows, weights))
+    yield "_halton_digits", geometry_lab._halton_digits(0, 5)
+    for grade in (1, 2):
+        yield from ((f"_commutator_rows({grade})", a) for a in geometry_lab._commutator_rows(grade))
+
+
+def test_every_shared_array_is_sealed():
+    # a read-only flag that a reader can set back would let a cached table, a memo key or a
+    # constant change under every other reader
+    arrays = list(_shared_arrays())
+    assert len(arrays) > 60
+    for name, arr in arrays:
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            arr.setflags(write=True)
+
+
+def test_a_tested_polyform_cannot_change_under_the_memo():
+    # the memo keys on alpha's identity: once, a coefficient written after the test changed
+    # the polyform, and verify_square_conditions still answered from the memo
+    pr = build_pairings(build_rep(Signature(3, 1)))
+    alpha = square(pr, "minus", 1, Spinor(pr.rep, [0.5, -1.0, 2.0, 0.25])).alpha
+    before = alpha.coeffs.copy()
+    assert verify_square_conditions(pr, "minus", alpha).is_square
+    with pytest.raises(ValueError):
+        alpha.coeffs.setflags(write=True)
+    with pytest.raises(ValueError):
+        alpha.coeffs[0] = 5.0
+    assert np.array_equal(alpha.coeffs, before)
