@@ -185,17 +185,11 @@ def _apply(ufunc, inputs):
     return NotImplemented if parts is NotImplemented else Jet(parts)
 
 
-def _operator(ufunc, reflected=False):
-    if reflected:
-        return lambda self, other: _apply(ufunc, (other, self))
-    return lambda self, other: _apply(ufunc, (self, other))
-
-
 class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     """A quantity over a block of points with its partials up to second order.
 
-    The arithmetic operators go to the rules directly; the mixin's others
-    and every ufunc go through __array_ufunc__.
+    The mixin's operators call their ufuncs, and every ufunc reaches the
+    rules through __array_ufunc__.
     """
 
     __slots__ = ("parts",)
@@ -213,15 +207,6 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         if method != "__call__" or kwargs:
             return NotImplemented
         return _apply(ufunc, inputs)
-
-    __add__, __radd__ = _operator(np.add), _operator(np.add, True)
-    __sub__, __rsub__ = _operator(np.subtract), _operator(np.subtract, True)
-    __mul__, __rmul__ = _operator(np.multiply), _operator(np.multiply, True)
-    __truediv__, __rtruediv__ = _operator(np.divide), _operator(np.divide, True)
-    __pow__ = _operator(np.power)
-
-    def __neg__(self):
-        return _apply(np.negative, (self,))
 
 
 class JetPoint:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .clifford_rep import PAIRING_SYMMETRY, Spinor, build_pairings, build_rep
-from .ka_core import Multivector, Signature
+from .ka_core import Multivector, Signature, json_number
 from .spinor_square import (
     ReconstructionError,
     reconstruct,
@@ -87,11 +87,7 @@ def _payload_pairings(args):
     """The payload, its signature (embedded p/q, else the flags) and the pairings built for it."""
     payload = _read_payload(args)
     if isinstance(payload, dict) and "p" in payload and "q" in payload:
-        p, q = payload["p"], payload["q"]
-        # JSON integers only: int() would truncate 3.9 and take true or "3"
-        if type(p) is not int or type(q) is not int:
-            raise UsageError(f"payload p and q must be JSON integers, got {p!r} and {q!r}")
-        sig = Signature(p, q)
+        sig = Signature(payload["p"], payload["q"])
         if args.p is not None and (args.p, args.q) != (sig.p, sig.q):
             raise UsageError(
                 f"flags give signature ({args.p},{args.q}) "
@@ -222,31 +218,20 @@ def _cmd_verify_algebra(args):
 # ---------------------------------------------------------------------------
 
 
-def _number(name, value):
-    """A JSON number as a float; true, strings and null are not numbers."""
-    if type(value) not in (int, float):
-        raise UsageError(f"{name} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
-
-
 def _spinor_components(payload):
     if isinstance(payload, dict):
         payload = payload.get("components")
     if not isinstance(payload, list):
         raise UsageError("spinor payload must be a component list or carry 'components'")
     return _finite("spinor components",
-                   np.asarray([_number("spinor component", v) for v in payload]))
+                   np.asarray([json_number("spinor component", v) for v in payload]))
 
 
 def _polyform(payload, sig):
     """The polyform of a {"coeffs": {key: number}} payload, at the resolved signature."""
     if not isinstance(payload, dict):
         raise UsageError("polyform payload must be a JSON object")
-    coeffs = payload.get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise UsageError("polyform coeffs must be a JSON object")
-    coeffs = {key: _number(f"coefficient {key!r}", value) for key, value in coeffs.items()}
-    alpha = Multivector.from_json({"p": sig.p, "q": sig.q, "coeffs": coeffs})
+    alpha = Multivector.from_json({**payload, "p": sig.p, "q": sig.q})
     _finite("polyform coefficients", alpha.coeffs)
     return alpha
 

@@ -65,8 +65,8 @@ from .ka_core import Signature
 from .spinor_square import square_test
 
 _FD_SCALE = 1e-5
-POINT_BLOCK = 256  # sample points scored per stacked block in run_campaign
-HALTON_BLOCK = 1024  # sample points whose digits _halton expands at once
+POINT_BLOCK = 256  # sample points that _halton draws and run_campaign scores per block
+
 
 def _pointwise(fn):
     """Lift a callable of one point that returns one array to (..., d) stacks, point by point."""
@@ -1007,8 +1007,8 @@ def _halton(n, seed):
     perms = [rng.permuted(row, axis=1) for row in rows]
     digits = np.concatenate([*perms, [0]], axis=None) * weights  # the padding digit 0 last
     out = np.empty((n, 4))
-    for start in range(0, n, HALTON_BLOCK):  # a block at a time, so memory is flat in n
-        stop = min(start + HALTON_BLOCK, n)
+    for start in range(0, n, POINT_BLOCK):  # a block at a time, so memory is flat in n
+        stop = min(start + POINT_BLOCK, n)
         # a sum along the slow (places) axis adds one term at a time, left to right as
         # SciPy's cumsum, so no point moves in its last bit; padded places add 0.0
         digits.take(_halton_digits(start, stop)).sum(axis=0, out=out[start:stop])

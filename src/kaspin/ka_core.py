@@ -118,6 +118,13 @@ def _key_mask(key, d):
     return mask
 
 
+def json_number(name, value):
+    """A JSON number as a float: a real number, never a bool, a string or null."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a JSON number, got {json.dumps(value, default=repr)}")
+    return float(value)
+
+
 class Multivector(_Frozen):
     """Dense element of the exterior algebra over a fixed signature."""
 
@@ -238,10 +245,13 @@ class Multivector(_Frozen):
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text) if isinstance(text, str) else text
-        sig = Signature(int(payload["p"]), int(payload["q"]))
+        sig = Signature(payload["p"], payload["q"])
+        entries = payload.get("coeffs", {})
+        if not isinstance(entries, dict):
+            raise ValueError("polyform coeffs must be a JSON object")
         coeffs = np.zeros(sig.n_blades)
-        for key, value in payload.get("coeffs", {}).items():
-            coeffs[_key_mask(key, sig.d)] = float(value)
+        for key, value in entries.items():
+            coeffs[_key_mask(key, sig.d)] = json_number(f"coefficient {key!r}", value)
         return cls(sig, coeffs)
 
 

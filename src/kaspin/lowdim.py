@@ -35,7 +35,7 @@ import numpy as np
 
 from ._kernels import sealed
 from .clifford_rep import build_pairings, build_rep
-from .ka_core import Multivector, Signature, hodge_star, wedge
+from .ka_core import Multivector, Signature, hodge_star, json_number, wedge
 from .spinor_square import DEFAULT_TOL, verify_square_conditions
 
 SIG_LORENTZ = Signature(3, 1)
@@ -120,10 +120,10 @@ class ParabolicPair:
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text) if isinstance(text, str) else text
-        return cls(
-            Multivector.covector(SIG_LORENTZ, np.asarray(payload["u"], dtype=float)),
-            Multivector.covector(SIG_LORENTZ, np.asarray(payload["l"], dtype=float)),
-        )
+        if not all(isinstance(payload[name], list) for name in ("u", "l")):
+            raise ValueError("pair members u and l must be lists of JSON numbers")
+        u, l = ([json_number(f"{name} component", v) for v in payload[name]] for name in ("u", "l"))
+        return cls(Multivector.covector(SIG_LORENTZ, u), Multivector.covector(SIG_LORENTZ, l))
 
 
 @dataclass(frozen=True, eq=False)

@@ -653,7 +653,7 @@ def test_embedding_by_plain_tuples_is_bit_identical_to_index_exp(d, rank, n, pic
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.sampled_from([1, 5, 20, 257, 2 * geometry_lab.HALTON_BLOCK + 5]),
+@given(n=st.sampled_from([1, 5, 20, 257, 2 * geometry_lab.POINT_BLOCK + 5]),
        seed=st.integers(0, 2**32 - 1))
 def test_one_gather_halton_is_bit_identical_to_the_per_base_draw(n, seed):
     from oracles import halton

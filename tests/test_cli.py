@@ -325,6 +325,19 @@ def test_payloads_are_parsed_strictly(capsys, argv, same_as):
         assert got == run_cli(capsys, *same_as) and got[0] == 0
 
 
+@pytest.mark.parametrize("from_stdin, argv", [
+    pytest.param(("square", "--p", "3", "--q", "1"),
+                 ("square", "[1,0,0,0]", "--p", "3", "--q", "1"), id="square-omitted"),
+    pytest.param(("check-polyform", "-"),
+                 ("check-polyform", '{"p":3,"q":1,"coeffs":{"1":1,"1,4":1}}'), id="polyform-dash"),
+])
+def test_a_payload_on_stdin_reads_as_in_argv(capsys, monkeypatch, from_stdin, argv):
+    # argv[1] is the payload, given on stdin to the run of from_stdin
+    monkeypatch.setattr(sys, "stdin", io.StringIO(argv[1]))
+    got = run_cli(capsys, *from_stdin)
+    assert got == run_cli(capsys, *argv) and got[0] == 0
+
+
 @pytest.mark.parametrize("coeffs", [
     # two spellings of e^1 used to overwrite each other, scoring only the last
     '{" 1":1,"+1":-1,"1":0.5}',

@@ -142,6 +142,43 @@ def test_a_constant_result_has_zero_derivatives():
     assert grad.shape == (4, 2, 2, 2) and hess.shape == (4, 2, 2, 2, 2)
 
 
+def parts(value):
+    """A jet's parts as comparable bits, None for a zero part."""
+    assert isinstance(value, _jets.Jet)
+    return [None if p is None else (p.dtype, p.shape, p.tobytes()) for p in value.parts]
+
+
+# each operator form a callback writes, and the ufunc call it must equal bit for bit
+OPERATOR_FORMS = {
+    "s0 + c": (lambda s, c: s[0] + c, lambda s, c: np.add(s[0], c)),
+    "c + s0": (lambda s, c: c + s[0], lambda s, c: np.add(c, s[0])),
+    "c - s1": (lambda s, c: c - s[1], lambda s, c: np.subtract(c, s[1])),
+    "s1 - c": (lambda s, c: s[1] - c, lambda s, c: np.subtract(s[1], c)),
+    "c * s0": (lambda s, c: c * s[0], lambda s, c: np.multiply(c, s[0])),
+    "s0 / c": (lambda s, c: s[0] / c, lambda s, c: np.divide(s[0], c)),
+    "c / s1": (lambda s, c: c / s[1], lambda s, c: np.divide(c, s[1])),
+    "s1 ** c": (lambda s, c: s[1] ** c, lambda s, c: np.power(s[1], c)),
+    "-s0": (lambda s, c: -s[0], lambda s, c: np.negative(s[0])),
+    "+s0": (lambda s, c: +s[0], lambda s, c: np.positive(s[0])),
+}
+
+
+@pytest.mark.parametrize("c", [1.5, 3, np.float64(-0.75)], ids=["float", "int", "float64"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("form", sorted(OPERATOR_FORMS))
+def test_each_operator_is_its_ufunc_bit_for_bit(form, order, c):
+    written, ufunc = OPERATOR_FORMS[form]
+    s = _jets.JetPoint(np.random.default_rng(3).uniform(0.5, 1.5, size=(5, 2)), order)
+    assert parts(written(s, c)) == parts(ufunc(s, c))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("fn", [lambda s: 2.0 ** s[0], lambda s: abs(s[0]), lambda s: s[1] > 0],
+                         ids=["c ** s0", "abs(s0)", "s1 > 0"])
+def test_operators_without_a_rule_fall_back(fn, order):
+    assert _jets.jet(fn, np.ones((3, 2)), order) is None
+
+
 def branching(s):
     return s[1] ** 2 if s[1] > 0 else -s[1]
 

@@ -535,6 +535,26 @@ def test_json_rejects_bad_keys():
         Multivector.from_json('{"p": 3, "q": 1, "coeffs": {"5": 1.0}}')
 
 
+@pytest.mark.parametrize("p", ["3.9", "true", '"3"'])
+def test_json_signature_counts_must_be_integers(p):
+    # int() used to read all three as 3
+    with pytest.raises(ValueError, match="signature counts must be integers"):
+        Multivector.from_json(f'{{"p": {p}, "q": 1, "coeffs": {{"1": 1.0}}}}')
+
+
+@pytest.mark.parametrize("value", ["true", '"1.5"', "null"])
+def test_json_coefficients_must_be_numbers(value):
+    # float() used to read true as 1.0 and "1.5" as 1.5, and raised TypeError for null
+    with pytest.raises(ValueError, match="must be a JSON number"):
+        Multivector.from_json(f'{{"p": 3, "q": 1, "coeffs": {{"1": {value}}}}}')
+
+
+def test_json_coeffs_must_be_an_object():
+    # a list used to raise AttributeError
+    with pytest.raises(ValueError, match="coeffs must be a JSON object"):
+        Multivector.from_json('{"p": 3, "q": 1, "coeffs": [1.0, 2.0]}')
+
+
 # each blade has one spelling, the one to_json writes; int() used to accept the rest
 NONCANONICAL_KEYS = [" 1", "1 ", "+1", "01", "1, 4", "4,1", "1,1", "1,", ",", "1,,4", "\u0661", "1_0"]
 

@@ -94,6 +94,17 @@ def test_pair_json_round_trip():
     assert back.u.allclose(pp.u, tol=0.0) and back.l.allclose(pp.l, tol=0.0)
 
 
+@pytest.mark.parametrize("u, message", [
+    # both used to read as (1, 0, 0, 1)
+    ('["1", 0, 0, 1]', "u component must be a JSON number"),
+    ("[true, 0, 0, 1]", "u component must be a JSON number"),
+    ("1", "must be lists of JSON numbers"),
+])
+def test_pair_json_members_must_be_lists_of_numbers(u, message):
+    with pytest.raises(ValueError, match=message):
+        ParabolicPair.from_json(f'{{"u": {u}, "l": [0, 1, 0, 0]}}')
+
+
 # ---------------------------------------------------------------------------
 # pair <-> polyform
 # ---------------------------------------------------------------------------
