@@ -1,9 +1,10 @@
 """Exact second-order jets of one-point callbacks, one call per block of points.
 
 A callback written for one point, such as ``lambda s: 1.0 / s[1] ** 2``,
-is called once with a JetPoint: ``s[i]`` is the jet of coordinate i over
-every point of the block, and the callback's arithmetic carries value,
-gradient and Hessian along exactly (forward mode with hyper-dual numbers:
+is called once with a JetPoint, the tuple of the coordinate jets over
+every point of the block: ``s[i]`` is coordinate i's, and a slice ``s[1:]``
+is a tuple of them.  The callback's arithmetic carries value, gradient
+and Hessian along exactly (forward mode with hyper-dual numbers:
 Fike and Alonso, AIAA 2011-886; Griewank and Walther, Evaluating
 Derivatives, ch. 13).  A Jet serves the operators + - * / ** and the
 ufuncs in _RULES; anything else raises TypeError, and so does turning a
@@ -20,7 +21,6 @@ one part, its value, with a unit point axis (none for a number).
 from __future__ import annotations
 
 import numbers
-import operator
 
 import numpy as np
 
@@ -209,36 +209,28 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         return _apply(ufunc, inputs)
 
 
-class JetPoint:
-    """One point of d coordinates as a callback sees it: s[i] is coordinate i's jet.
+class JetPoint(tuple):
+    """One point of d coordinates as a callback sees it: the tuple of the coordinate jets.
 
-    It has len, iteration and shape (d,), as the point array of a plain
-    call has, and no array or number conversion.
+    s[i] is coordinate i's jet, and a slice s[i:] a tuple of them.  It has
+    len, iteration and shape (d,), as the point array of a plain call has,
+    and no array or number conversion.
     """
 
-    __slots__ = ("_coordinates",)
+    __slots__ = ()
 
-    def __init__(self, x, order):
+    def __new__(cls, x, order):
         """x: the block's (N, d) points; the jets carry partials up to order.
 
         Coordinate i has the unit gradient e_i, one row for every point, and no Hessian.
         """
         units = np.eye(x.shape[1])[:, None, :]
-        self._coordinates = tuple(Jet((values, gradient, None)[:order + 1])
-                                  for values, gradient in zip(x.T.copy(), units))
+        return super().__new__(cls, (Jet((values, gradient, None)[:order + 1])
+                                     for values, gradient in zip(x.T.copy(), units)))
 
     @property
     def shape(self):
-        return (len(self._coordinates),)
-
-    def __len__(self):
-        return len(self._coordinates)
-
-    def __iter__(self):
-        return iter(self._coordinates)
-
-    def __getitem__(self, index):
-        return self._coordinates[operator.index(index)]
+        return (len(self),)
 
     def __array__(self, *args, **kwargs):
         raise TypeError("a jet point is not an array")

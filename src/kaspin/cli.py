@@ -185,7 +185,7 @@ def _cmd_verify_algebra(args):
     split = _split_residual(sig)
 
     expected = PAIRING_SYMMETRY[(sig.d // 2) % 4]
-    computed = tuple(_symmetry_sign(B) for B in (pr.Bplus, pr.Bminus))
+    computed = tuple(_symmetry_sign(pr.pairing(tag).B) for tag in ("plus", "minus"))
     checks = {
         "associativity": {"max": assoc, "pass": assoc == 0.0},
         "clifford_relation": {"max": cliff, "pass": cliff == 0.0},

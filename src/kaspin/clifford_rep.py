@@ -24,12 +24,15 @@ that Bplus = (-1)^floor(q/2) * Bminus @ gamma(nu) holds exactly, with
 the largest-magnitude entry of Bplus equal to +1.  All invariants
 (symmetry types, adjoint identities, nondegeneracy) are verified at
 construction time; a failure is a construction bug, not user error.
+The PairedRep it returns holds one Pairing record (B, sigma, s, weight)
+per tag, read by ``pr.pairing("plus")`` or ``pr.pairing("minus")``.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,53 +134,47 @@ def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     return Multivector(rep.sig, coeffs)
 
 
+class Pairing(NamedTuple):
+    """One admissible pairing: B, its symmetry sign sigma, its adjoint type s, and
+    square_test's per-blade weight of the s-transpose residual, s-transpose signs - sigma."""
+
+    B: np.ndarray
+    sigma: int
+    s: int
+    weight: np.ndarray
+
+
 class PairedRep(_Frozen):
-    """Representation together with its two admissible pairings.
+    """Representation together with its two admissible pairings, read by pairing(tag).
 
     Equal and hashed by identity, like its rep.
     """
 
-    __slots__ = ("rep", "Bplus", "Bminus", "sigma_plus", "sigma_minus", "_pairings")
-    _shown = ("rep", "sigma_plus", "sigma_minus")
+    __slots__ = ("rep", "_pairings")
+    _shown = ("rep",)
 
     def __init__(self, rep: GammaRep, Bplus: np.ndarray, Bminus: np.ndarray,
                  sigma_plus: int, sigma_minus: int):
-        # sealed copies: build_pairings shares one PairedRep
-        Bplus, Bminus = sealed(np.asarray(Bplus)), sealed(np.asarray(Bminus))
         _set(self, "rep", rep)
-        _set(self, "Bplus", Bplus)
-        _set(self, "Bminus", Bminus)
-        _set(self, "sigma_plus", sigma_plus)
-        _set(self, "sigma_minus", sigma_minus)
-        pairings = {}
-        for tag, B, sigma, s in (("plus", Bplus, sigma_plus, 1),
-                                 ("minus", Bminus, sigma_minus, -1)):
-            # square_test's per-blade weight of the s-transpose residual, made once here
-            pairings[tag] = (B, sigma, s, sealed(s_transpose_signs(rep.sig, s) - sigma))
-        _set(self, "_pairings", pairings)
+        # sealed copies: build_pairings shares one PairedRep
+        _set(self, "_pairings", {
+            tag: Pairing(sealed(np.asarray(B)), sigma, s,
+                         sealed(s_transpose_signs(rep.sig, s) - sigma))
+            for tag, B, sigma, s in (("plus", Bplus, sigma_plus, 1),
+                                     ("minus", Bminus, sigma_minus, -1))})
 
-    def pairing(self, tag: str) -> tuple:
-        """(B, sigma, s, weight) of the pairing named by tag, weight = s-transpose signs - sigma."""
+    def pairing(self, tag: str) -> Pairing:
+        """The pairing named by tag, 'plus' (s = +1) or 'minus' (s = -1)."""
         try:
             return self._pairings[tag]
         except (KeyError, TypeError):
             raise ValueError(f"unknown pairing tag {tag!r}; use 'plus' or 'minus'") from None
 
-    def B(self, tag: str) -> np.ndarray:
-        return self.pairing(tag)[0]
-
-    def sigma(self, tag: str) -> int:
-        return self.pairing(tag)[1]
-
-    def s(self, tag: str) -> int:
-        return self.pairing(tag)[2]
-
     def to_json(self) -> str:
         payload = json.loads(self.rep.to_json())
-        payload["Bplus"] = self.Bplus.tolist()
-        payload["Bminus"] = self.Bminus.tolist()
-        payload["sigma_plus"] = self.sigma_plus
-        payload["sigma_minus"] = self.sigma_minus
+        for tag, pairing in self._pairings.items():
+            payload[f"B{tag}"] = pairing.B.tolist()
+            payload[f"sigma_{tag}"] = pairing.sigma
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

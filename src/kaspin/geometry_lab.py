@@ -44,7 +44,8 @@ serves a one-point callable (the user callbacks): exact jets from one
 call per block on a _jets.JetPoint, or, for a callback the jet cannot
 serve, centered differences (_fd_jet, one call per distinct stencil
 point and sample point).  A campaign block reads each field once, to the
-highest order its check needs (_chart_jet), and inverts g and q2 once.
+highest order its check needs (_chart_jet), and inverts one chart once:
+g, whose surface block is q2^-1, or for walker q2 itself.
 """
 
 from __future__ import annotations
@@ -496,7 +497,8 @@ def _score_einstein(ps, x):
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
     if wd is not None:
         f, k, q = surface
-        k, qinv = _nonzero(k), np.linalg.inv(q[0])
+        # g = [[F, K], [K, 0]] (+) q2 is block-diagonal, so g^-1's surface block is q2^-1
+        k, qinv = _nonzero(k), ginv[..., 2:, 2:]
         trace = (qinv @ _nabla(_christoffel(q, qinv), f[1:])).trace(axis1=-2, axis2=-1)
         out["einstein.f_equation"] = np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
                                             - 2.0 * lam**2 * f[0])
@@ -732,30 +734,24 @@ def _inverse_square_profile(c0):
     return Field(profile)
 
 
-def _constant(vector):
-    """One-form field with the same components at every point."""
+def _constant(value):
+    """Field with the same value, of any shape, at every point: its partials are zero."""
+    value = np.asarray(value, dtype=float)
 
     @_closed
-    def one_form(x):
-        yield _embed(x, (4,), (slice(None), vector))
-        yield _zeros(x, 4, 4)
+    def constant(x):
+        yield _zeros(x, *value.shape) + value
+        for k in itertools.count(1):
+            yield _zeros(x, *(4,) * k, *value.shape)
 
-    return Field(one_form)
+    return Field(constant)
 
 
 def _preset_minkowski(params):
     _check_keys("minkowski", params, set())
-    eta = np.diag([1.0, 1.0, 1.0, -1.0])
-
-    @_closed
-    def metric(x):
-        yield _zeros(x, 4, 4) + eta
-        yield _zeros(x, 4, 4, 4)
-        yield _zeros(x, 4, 4, 4, 4)
-
     kd = KillingData(u=_constant([1.0, 0.0, 0.0, 1.0]), l=_constant([0.0, 1.0, 0.0, 0.0]), lam=0.0)
-    return Preset(name="minkowski", params={}, sample_box=_BOX_FLAT, chart=Field(metric),
-                  killing=kd)
+    return Preset(name="minkowski", params={}, sample_box=_BOX_FLAT,
+                  chart=_constant(np.diag([1.0, 1.0, 1.0, -1.0])), killing=kd)
 
 
 def _preset_ads4(params):

@@ -130,6 +130,8 @@ class Multivector(_Frozen):
 
     __slots__ = ("sig", "coeffs")
     _shown = ("sig",)
+    # numpy defers every operator to these methods, so an array operand is no scale either
+    __array_ufunc__ = None
 
     def __init__(self, sig, coeffs):
         arr = np.asarray(coeffs, dtype=float)
@@ -225,6 +227,9 @@ class Multivector(_Frozen):
         return Multivector(self.sig, -self.coeffs)
 
     def __mul__(self, scalar):
+        # a real number only, as json_number takes it: a bool or a string is no scale
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
+            return NotImplemented
         return Multivector(self.sig, self.coeffs * float(scalar))
 
     __rmul__ = __mul__

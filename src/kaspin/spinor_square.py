@@ -42,7 +42,7 @@ _TINY = np.finfo(float).tiny  # the least normal float64
 
 def allowed_grades(pr: PairedRep, pairing_tag: str) -> tuple:
     """Grades that can appear in a square: where the s-transpose sign is the symmetry sign sigma."""
-    weight = pr.pairing(pairing_tag)[3]
+    weight = pr.pairing(pairing_tag).weight
     return tuple(sorted(set(pr.rep.sig.tables().grade[weight == 0.0].tolist())))
 
 
@@ -190,11 +190,14 @@ def verify_square_conditions(
 def check_admissible(pr: PairedRep, pairing_tag: str, E, tol=DEFAULT_TOL) -> SquareConditionsReport:
     """Whether the endomorphism E is a square kappa * xi (x) xi^*, by verify_square_conditions.
 
-    E is read as the polyform dequantize(E), whose quantization is E itself.
+    E, scaled by the even power of two that square_test scales by, is read
+    as the polyform dequantize(E), whose quantization is E itself.
     """
     E = np.asarray(E, dtype=np.float64)
     # a non-finite entry reads NaN, which square_test rejects; dequantize would meet 0 * inf
-    alpha = dequantize(pr.rep, np.where(np.isfinite(E), E, math.nan))
+    E = np.where(np.isfinite(E), E, math.nan)
+    # dequantize sums N entries of E per trace, which overflows near float64's top unless scaled
+    alpha = dequantize(pr.rep, np.ldexp(E, -(np.frexp(abs(E).max(initial=0.0))[1] & -2)))
     return verify_square_conditions(pr, pairing_tag, alpha, tol=tol)
 
 

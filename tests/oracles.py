@@ -165,7 +165,8 @@ class ProbeVerdict(NamedTuple):
 def _symmetry_residual(pr, pairing_tag, ahat):
     from kaspin.clifford_rep import s_transpose
 
-    return (s_transpose(pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat).norm_inf()
+    pairing = pr.pairing(pairing_tag)
+    return (s_transpose(pairing.s, ahat) - pairing.sigma * ahat).norm_inf()
 
 
 def slow_verify_square_conditions(pr, pairing_tag, alpha, n_probes=10, seed=0, tol=1e-9):
@@ -425,11 +426,12 @@ def _square_test(pr, pairing_tag, alpha):
     norm = float(np.max(np.abs(alpha.coeffs)))
     shift = 2 * (math.frexp(norm)[1] // 2)
     E = quantize(pr.rep, Multivector(alpha.sig, np.ldexp(alpha.coeffs, -shift)))
-    fit = _rank_one_fit(pr.B(pairing_tag), E)
+    pairing = pr.pairing(pairing_tag)
+    fit = _rank_one_fit(pairing.B, E)
     if norm == 0.0:
         return fit, shift, 0.0
     ahat = alpha * (1.0 / norm)
-    r_sym = s_transpose(pr.s(pairing_tag), ahat) - pr.sigma(pairing_tag) * ahat
+    r_sym = s_transpose(pairing.s, ahat) - pairing.sigma * ahat
     return fit, shift, float(np.max(np.abs(r_sym.coeffs)))
 
 

@@ -124,7 +124,7 @@ def test_acceptance_02_pairing_symmetry_table():
     for p, q in REP_SIGS:
         pr = _paired(p, q)
         expected = PAIRING_TABLE[((p + q) // 2) % 4]
-        matches += (pr.sigma_plus, pr.sigma_minus) == expected
+        matches += (pr.pairing("plus").sigma, pr.pairing("minus").sigma) == expected
     ok = matches == len(REP_SIGS)
     _verdict(2, ok, f"pairing symmetry signs match the half-dimension table {matches}/8")
 
@@ -167,7 +167,7 @@ def test_acceptance_04_square_variety_membership():
         pr = _paired(p, q)
         rng = make_rng(303, stream=16 * p + q)
         for tag in ("plus", "minus"):
-            B = pr.B(tag)
+            B = pr.pairing(tag).B
             for _ in range(10):
                 res = square(pr, tag, int(rng.choice([-1, 1])), random_spinor(pr.rep, rng))
                 report = verify_square_conditions(pr, tag, res.alpha, tol=1e-9)

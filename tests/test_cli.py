@@ -147,7 +147,8 @@ def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):
 
     def broken_pairings(rep):
         pr = real_build_pairings(rep)
-        return PairedRep(pr.rep, np.triu(pr.Bplus), pr.Bminus, pr.sigma_plus, pr.sigma_minus)
+        plus, minus = pr.pairing("plus"), pr.pairing("minus")
+        return PairedRep(pr.rep, np.triu(plus.B), minus.B, plus.sigma, minus.sigma)
 
     monkeypatch.setattr(cli, "build_pairings", broken_pairings)
     code, out, _ = run_cli(capsys, "verify-algebra", "--p", "3", "--q", "1", "--trials", "5")

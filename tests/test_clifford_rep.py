@@ -214,31 +214,33 @@ def test_dequantize_basis_cases(reps):
 def test_symmetry_table(paired):
     assert PAIRING_SYMMETRY == {0: (1, 1), 1: (1, -1), 2: (-1, -1), 3: (-1, 1)}
     for pq, pr in paired.items():
-        assert (pr.sigma_plus, pr.sigma_minus) == EXPECTED_SYMMETRY[pq]
-        np.testing.assert_array_equal(pr.Bplus.T, pr.sigma_plus * pr.Bplus)
-        np.testing.assert_array_equal(pr.Bminus.T, pr.sigma_minus * pr.Bminus)
+        pairings = pr.pairing("plus"), pr.pairing("minus")
+        assert tuple(pairing.sigma for pairing in pairings) == EXPECTED_SYMMETRY[pq]
+        for pairing in pairings:
+            np.testing.assert_array_equal(pairing.B.T, pairing.sigma * pairing.B)
 
 
 def test_pairings_match_the_averaged_construction_bit_for_bit(paired):
     # the blade matrices are orthogonal, so the group average is the identity
     # and reading B off the volume blades changes no value and no sign of zero
     for pq, pr in paired.items():
-        for got, want in zip((pr.Bplus, pr.Bminus), averaged_pairings(pr.rep)):
+        pairings = pr.pairing("plus").B, pr.pairing("minus").B
+        for got, want in zip(pairings, averaged_pairings(pr.rep)):
             np.testing.assert_array_equal(got, want, err_msg=str(pq))
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=str(pq))
 
 
 def test_pairings_nondegenerate_and_normalized(paired):
     for pr in paired.values():
-        assert abs(np.linalg.det(pr.Bplus)) > 1e-12
-        assert abs(np.linalg.det(pr.Bminus)) > 1e-12
-        assert np.max(np.abs(pr.Bplus)) == 1.0
+        assert abs(np.linalg.det(pr.pairing("plus").B)) > 1e-12
+        assert abs(np.linalg.det(pr.pairing("minus").B)) > 1e-12
+        assert np.max(np.abs(pr.pairing("plus").B)) == 1.0
 
 
 def test_definite_and_split_cases(paired):
-    eig20 = np.linalg.eigvalsh(paired[(2, 0)].Bplus)
+    eig20 = np.linalg.eigvalsh(paired[(2, 0)].pairing("plus").B)
     assert np.all(eig20 > 0)
-    eig11 = np.linalg.eigvalsh(paired[(1, 1)].Bplus)
+    eig11 = np.linalg.eigvalsh(paired[(1, 1)].pairing("plus").B)
     assert eig11[0] < 0 < eig11[1]
 
 
@@ -247,8 +249,7 @@ def test_adjoint_identity_all_monomials(paired):
         rep = pr.rep
         sig = rep.sig
         for tag in ("plus", "minus"):
-            B = pr.B(tag)
-            s = pr.s(tag)
+            B, _, s, _ = pr.pairing(tag)
             for mask in range(sig.n_blades):
                 coeffs = np.zeros(sig.n_blades)
                 coeffs[mask] = 1.0
@@ -262,8 +263,8 @@ def test_plus_minus_relation_exact_constant(paired):
     for (p, q), pr in paired.items():
         rep = pr.rep
         Gnu = quantize(rep, Multivector.volume(rep.sig))
-        want = (-1.0) ** (q // 2) * pr.Bminus @ Gnu
-        np.testing.assert_allclose(pr.Bplus, want, atol=1e-12)
+        want = (-1.0) ** (q // 2) * pr.pairing("minus").B @ Gnu
+        np.testing.assert_allclose(pr.pairing("plus").B, want, atol=1e-12)
 
 
 def test_spin_invariance_bivectors(paired):
@@ -277,7 +278,7 @@ def test_spin_invariance_bivectors(paired):
                     Multivector.basis(sig, (i,)), Multivector.basis(sig, (j,))
                 )
                 gx = quantize(rep, x)
-                for B in (pr.Bplus, pr.Bminus):
+                for B in (pr.pairing("plus").B, pr.pairing("minus").B):
                     assert np.max(np.abs(B @ gx + gx.T @ B)) <= 1e-12
 
 
@@ -290,8 +291,7 @@ def test_s_transpose_values_and_matrix_identity(paired):
     assert s_transpose(-1, e1).allclose(-1.0 * e1, tol=0.0)
     rng = make_rng(203)
     for tag in ("plus", "minus"):
-        B = pr.B(tag)
-        s = pr.s(tag)
+        B, _, s, _ = pr.pairing(tag)
         for _ in range(20):
             a = random_multivector(sig, rng)
             lhs = np.linalg.solve(B, quantize(pr.rep, a).T @ B)
@@ -331,8 +331,8 @@ def test_paired_rep_json(paired):
     pr = paired[(3, 1)]
     payload = json.loads(pr.to_json())
     assert payload["sigma_plus"] == -1 and payload["sigma_minus"] == -1
-    np.testing.assert_allclose(np.array(payload["Bplus"]), pr.Bplus)
-    np.testing.assert_allclose(np.array(payload["Bminus"]), pr.Bminus)
+    np.testing.assert_allclose(np.array(payload["Bplus"]), pr.pairing("plus").B)
+    np.testing.assert_allclose(np.array(payload["Bminus"]), pr.pairing("minus").B)
 
 
 def test_quantize_rejects_another_signature(reps):

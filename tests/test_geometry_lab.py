@@ -345,6 +345,25 @@ ADS4_CALLBACKS = {"lam": 1.0, "F": lambda s: 1.0 / s[1] ** 2, "K": lambda s: 1.0
                   "q2": lambda s: np.eye(2) / s[1] ** 2}
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["ads4", "ads4-deformed-poly", "ads4-deformed-bessel",
+                             "walker-generic"]),
+       log_lam=st.floats(-3.0, 3.0), c=st.floats(0.1, 20.0),
+       a=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       bump=st.sampled_from([0.0, 0.1, -0.3]), seed=st.integers(0, 2**31 - 1))
+def test_the_surface_block_of_g_inverse_is_q2_inverse(name, log_lam, c, a, bump, seed):
+    # g = [[F, K], [K, 0]] (+) q2 is block-diagonal: einstein reads q2^-1 off g^-1, bit for bit
+    params = {"ads4": {}, "ads4-deformed-poly": {"a": a}, "ads4-deformed-bessel": {"c": c, "a": a},
+              "walker-generic": ADS4_CALLBACKS}[name]
+    ps = preset(name, dict(params, lam=10.0**log_lam))
+    if bump:
+        ps = geometry_lab._perturbed(ps, bump)
+    lower, upper = np.asarray(ps.sample_box, dtype=float).T
+    x = _halton(32, seed) * (upper - lower) + lower
+    _, ginv, _, _, q = geometry_lab._chart_jet(ps.chart, x, 2, ps.walker)
+    assert ginv[..., 2:, 2:].tobytes() == np.linalg.inv(q[0]).tobytes()
+
+
 def test_fd_derivatives_match_analytic():
     # every field of every preset: its jet against the exact jet of a one-point numpy expression
     # of its value and against centred differences of its own value, and each chart's Ricci

@@ -134,6 +134,16 @@ def test_a_jet_point_looks_like_one_point():
     assert np.array_equal(value, x.sum(axis=-1)) and np.array_equal(grad, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_sliced_jet_point_gives_exact_jets(order):
+    # a slice is a tuple of the coordinate jets, so the callback gets no differences
+    x = np.random.default_rng(5).uniform(0.5, 1.5, size=(6, 3))
+    got = _jets.jet(lambda s: s[1:][0] ** 2, x, order)
+    assert got is not None and same_bits(got, _jets.jet(lambda s: s[1] ** 2, x, order))
+    assert same_bits(geometry_lab.Field.from_callable(lambda s: s[1:][0] ** 2).jet(x, order), got)
+    assert _jets.jet(lambda s: np.asarray(s)[1] ** 2, x, order) is None
+
+
 def test_a_constant_result_has_zero_derivatives():
     x = np.ones((4, 2))
     value, grad, hess = _jets.jet(lambda s: np.diag([1.0, -1.0]), x, 2)

@@ -83,7 +83,7 @@ def test_square_two_to_one_and_zero(paired):
             b = square(pr, tag, kappa, neg)
             assert a.alpha.allclose(b.alpha, tol=0.0)
             assert a.kappa == kappa and a.pairing_tag == tag
-            assert (a.s, a.sigma) == (pr.s(tag), pr.sigma(tag))
+            assert (a.s, a.sigma) == (pr.pairing(tag).s, pr.pairing(tag).sigma)
     zero = square(pr, "plus", 1, Spinor(pr.rep, np.zeros(4)))
     assert zero.alpha.norm_inf() == 0.0
 
@@ -160,7 +160,7 @@ def test_square_euclidean_plane_identities(paired):
     # to the scalar part
     pr = paired[(2, 0)]
     rng = make_rng(303)
-    B = pr.Bplus
+    B = pr.pairing("plus").B
     for _ in range(20):
         xi = random_spinor(pr.rep, rng)
         v = xi.components
@@ -360,7 +360,7 @@ VARIETY_KINDS = ["square", "perturbed", "two_squares", "rank_one_asymmetric", "r
 
 def _variety_candidate(pr, tag, kind, rng):
     """A polyform of the named kind, for comparing square verdicts."""
-    sig, N, B = pr.rep.sig, pr.rep.N, pr.B(tag)
+    sig, N, B = pr.rep.sig, pr.rep.N, pr.pairing(tag).B
     if kind == "zero":
         return Multivector.zero(sig)
     if kind == "random":
@@ -628,19 +628,32 @@ def test_check_admissible_rejects_non_finite_endomorphisms_without_raising(paire
                 check_admissible(pr, tag, np.full((N, N + 1), np.nan))
 
 
+@pytest.mark.parametrize("top", [1.5e308, np.finfo(float).max], ids=["1.5e308", "finfo.max"])
+@pytest.mark.parametrize("pq", [(3, 1), (2, 2), (4, 4)])
+def test_check_admissible_accepts_squares_at_the_top_of_float64(paired, pq, top):
+    # dequantize's traces once overflowed here: a square read as nan, "not a square"
+    pr = paired[pq]
+    rng = make_rng(317, stream=pq[0] * 10 + pq[1])
+    for tag in ("plus", "minus"):
+        for kappa in (1, -1):
+            E = quantize(pr.rep, square(pr, tag, kappa, random_spinor(pr.rep, rng)).alpha)
+            rep = check_admissible(pr, tag, E / abs(E).max() * top)
+            assert rep.is_square and rep.residual_rank_one <= 1e-9, (tag, kappa)
+
+
 def _probe_admissible(pr, tag, E, tol):
     """Admissibility by the sandwich E A E = tr(E A) E on probes, one at a time.
 
     The probes are the identity, ten random quantized polyforms and the
     taming operator B^-T; one of them must see tr(E A) != 0.
     """
-    B = pr.B(tag)
+    B = pr.pairing(tag).B
     rng = make_rng(5, stream=97)
     probes = [np.eye(pr.rep.N)]
     probes += [quantize(pr.rep, random_multivector(pr.rep.sig, rng)) for _ in range(10)]
     probes.append(np.linalg.inv(B).T)
     Ehat = E / np.max(np.abs(E))
-    transpose = np.max(np.abs(np.linalg.solve(B, Ehat.T @ B) - pr.sigma(tag) * Ehat))
+    transpose = np.max(np.abs(np.linalg.solve(B, Ehat.T @ B) - pr.pairing(tag).sigma * Ehat))
     idempotent = np.max(np.abs(Ehat @ Ehat - np.trace(Ehat) * Ehat))
     traces = [np.trace(Ehat @ A) for A in probes]
     sandwich = max(np.max(np.abs(Ehat @ A @ Ehat - t * Ehat)) for A, t in zip(probes, traces))
@@ -653,7 +666,7 @@ def test_admissibility_matches_per_probe_loop(paired):
         pr = paired[pq]
         rng = make_rng(316, stream=pq[0] * 10 + pq[1])
         for tag in ("plus", "minus"):
-            B = pr.B(tag)
+            B = pr.pairing(tag).B
             u, w, x = rng.standard_normal((3, pr.rep.N))
             good = quantize(pr.rep, square(pr, tag, 1, Spinor(pr.rep, u)).alpha)
             cases = (
@@ -677,8 +690,8 @@ def test_split_plane_example_raw_pairing(paired):
     # Cl(1,1)'s plus pairing is B = [[0, 1], [1, 0]] with sigma = +1; with respect to it
     # E = [[a, b], [c, a]] is a square kappa * xi (x) (xi @ B) exactly when b c = a^2
     pr = paired[(1, 1)]
-    B = pr.B("plus")
-    assert np.array_equal(B, [[0.0, 1.0], [1.0, 0.0]]) and pr.sigma("plus") == 1
+    B = pr.pairing("plus").B
+    assert np.array_equal(B, [[0.0, 1.0], [1.0, 0.0]]) and pr.pairing("plus").sigma == 1
     xi = np.array([2.0, 1.0])
     good = -1.0 * np.outer(xi, xi @ B)  # [[-2, -4], [-1, -2]]
     rep = check_admissible(pr, "plus", good)

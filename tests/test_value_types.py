@@ -141,36 +141,48 @@ def test_multivector_and_spinor_hold_read_only_copies():
         Spinor(xi.rep, np.zeros(5))
 
 
+def test_a_multivector_scales_only_by_a_real_number():
+    # "2" once scaled by 2.0 and True by 1.0, through float()
+    alpha = Multivector(Signature(3, 1), np.arange(16.0))
+    for c in (2, -0.5, np.float64(1.5), np.float32(0.25), np.int64(3)):
+        for scaled in (alpha * c, c * alpha):
+            assert np.array_equal(scaled.coeffs, alpha.coeffs * float(c))
+    for c in ("2", True, False, np.bool_(True), None, 1j, alpha, np.array(2.0), np.array([2.0])):
+        for product in (lambda: alpha * c, lambda: c * alpha):
+            with pytest.raises(TypeError):
+                product()
+
+
 def test_paired_rep_holds_read_only_copies_of_its_pairings():
     # build_pairings shares one PairedRep per rep: negating its Bminus in place
     # once flipped the sign of every later (3,1) square in the process
     pr = build_pairings(build_rep(Signature(3, 1)))
     xi = Spinor(pr.rep, [0.5, -1.0, 2.0, 0.25])
     before = square(pr, "minus", 1, xi).alpha.coeffs.copy()
+    plus, minus = pr.pairing("plus"), pr.pairing("minus")
     with pytest.raises(ValueError):
-        pr.pairing("minus")[0] *= -1
+        minus.B[...] *= -1
     # nor can the flag be set back first: the pairings are sealed
     with pytest.raises(ValueError):
-        pr.pairing("minus")[0].setflags(write=True)
+        minus.B.setflags(write=True)
     with pytest.raises(ValueError):
-        pr.Bplus[0, 0] = 2.0
+        plus.B[0, 0] = 2.0
     assert np.array_equal(square(pr, "minus", 1, xi).alpha.coeffs, before)
-    Bplus = np.array(pr.Bplus)
-    twin = PairedRep(pr.rep, Bplus, pr.Bminus, pr.sigma_plus, pr.sigma_minus)
+    Bplus = np.array(plus.B)
+    twin = PairedRep(pr.rep, Bplus, minus.B, plus.sigma, minus.sigma)
     Bplus[0, 0] = 2.0
-    assert twin.Bplus[0, 0] == pr.Bplus[0, 0] and not twin.Bminus.flags.writeable
+    assert twin.pairing("plus").B[0, 0] == plus.B[0, 0]
+    assert not twin.pairing("minus").B.flags.writeable
 
 
 def test_paired_rep_holds_each_pairings_constants(values):
     pr = values["PairedRep"]
     sig = pr.rep.sig
-    for tag, B, sigma, s in (("plus", pr.Bplus, pr.sigma_plus, 1),
-                             ("minus", pr.Bminus, pr.sigma_minus, -1)):
-        got_B, got_sigma, got_s, weight = pr.pairing(tag)
-        assert got_B is B and (got_sigma, got_s) == (sigma, s)
-        assert (pr.B(tag), pr.sigma(tag), pr.s(tag)) == (B, sigma, s)
+    for tag, s in (("plus", 1), ("minus", -1)):
+        B, sigma, _, weight = pairing = pr.pairing(tag)
+        assert pairing is pr.pairing(tag) and (pairing.B, pairing.sigma, pairing.s) == (B, sigma, s)
         assert np.array_equal(weight, s_transpose_signs(sig, s) - sigma)
-        assert not weight.flags.writeable
+        assert not B.flags.writeable and not weight.flags.writeable
     for tag in ("Plus", "", None, ["plus"]):
         with pytest.raises(ValueError, match="unknown pairing tag"):
             pr.pairing(tag)
@@ -178,9 +190,10 @@ def test_paired_rep_holds_each_pairings_constants(values):
 
 def test_a_rebuilt_paired_rep_derives_its_own_constants(values):
     pr = values["PairedRep"]
-    flipped = PairedRep(pr.rep, pr.Bplus, -pr.Bminus, pr.sigma_plus, -pr.sigma_minus)
-    weight = flipped.pairing("minus")[3]
-    assert np.array_equal(weight, s_transpose_signs(pr.rep.sig, -1) + pr.sigma_minus)
+    plus, minus = pr.pairing("plus"), pr.pairing("minus")
+    flipped = PairedRep(pr.rep, plus.B, -minus.B, plus.sigma, -minus.sigma)
+    weight = flipped.pairing("minus").weight
+    assert np.array_equal(weight, s_transpose_signs(pr.rep.sig, -1) + minus.sigma)
 
 
 def test_results_compare_by_value_and_unpack(values):
@@ -192,14 +205,15 @@ def test_results_compare_by_value_and_unpack(values):
     spinor, kappa, residual = values["ReconstructionResult"]
     assert kappa == 1 and residual == values["ReconstructionResult"].residual
     assert np.allclose(abs(spinor.components), [0.5, 1.0, 2.0, 0.25], rtol=1e-12)
-    assert values["SquareResult"][1:] == (1, "minus", -1, values["PairedRep"].sigma_minus)
+    sigma = values["PairedRep"].pairing("minus").sigma
+    assert values["SquareResult"][1:] == (1, "minus", -1, sigma)
 
 
 def test_reprs_name_the_shown_fields(values):
     assert repr(values["GammaRep"]) == "GammaRep(sig=Signature(p=3, q=1))"
     assert repr(values["Multivector"]) == "Multivector(sig=Signature(p=3, q=1))"
     assert repr(values["PairedRep"]) == (
-        "PairedRep(rep=GammaRep(sig=Signature(p=3, q=1)), sigma_plus=-1, sigma_minus=-1)")
+        "PairedRep(rep=GammaRep(sig=Signature(p=3, q=1)))")
 
 
 def _shared_arrays():
@@ -218,7 +232,6 @@ def _shared_arrays():
     pr = build_pairings(build_rep(sig))
     yield from (("gammas", g) for g in pr.rep.gammas)
     yield "blade_table", pr.rep.blade_table
-    yield from (("Bplus", pr.Bplus), ("Bminus", pr.Bminus))
     for tag in ("plus", "minus"):
         B, _, _, weight = pr.pairing(tag)
         yield from ((f"pairing({tag}).B", B), (f"pairing({tag}).weight", weight))
