@@ -8,8 +8,11 @@ and Hessian along exactly (forward mode with hyper-dual numbers:
 Fike and Alonso, AIAA 2011-886; Griewank and Walther, Evaluating
 Derivatives, ch. 13).  A Jet serves the operators + - * / ** and the
 ufuncs in _RULES; anything else raises TypeError, and so does turning a
-jet into an array or a number, or testing its value.  jet() returns None
-for such a callback, and the caller falls back to differences.
+jet into a number or testing its value.  numpy holds jets in object
+arrays, so ``np.asarray(s)`` and ``np.array([[s[0], 0.0], [0.0, s[1]]])``
+are arrays of jets, whose operators act entry by entry; jet() builds
+such a result part by part.  For a callback that does anything else,
+jet() raises ValueError naming the operation.
 
 A jet's parts are (value, gradient, Hessian) up to its order.  Part k has
 shape (N,) + (d,) * k + the value's shape, N the block's points; a
@@ -17,7 +20,6 @@ derivative part may hold 1 in the point axis or a value axis where it is
 constant along it, and is None where it is zero.  A constant operand is
 one part, its value, with a unit point axis (none for a number).
 """
-
 from __future__ import annotations
 
 import numbers
@@ -197,9 +199,6 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     def __init__(self, parts):
         self.parts = parts
 
-    def __array__(self, *args, **kwargs):
-        raise TypeError("a jet is not an array")
-
     def __bool__(self):
         raise TypeError("a jet has no truth value")
 
@@ -213,8 +212,9 @@ class JetPoint(tuple):
     """One point of d coordinates as a callback sees it: the tuple of the coordinate jets.
 
     s[i] is coordinate i's jet, and a slice s[i:] a tuple of them.  It has
-    len, iteration and shape (d,), as the point array of a plain call has,
-    and no array or number conversion.
+    len, iteration and shape (d,), as the point array of a plain call has;
+    np.asarray(s) is the object array of its jets, and it has no number
+    conversion.
     """
 
     __slots__ = ()
@@ -232,39 +232,52 @@ class JetPoint(tuple):
     def shape(self):
         return (len(self),)
 
-    def __array__(self, *args, **kwargs):
-        raise TypeError("a jet point is not an array")
+
+def _refused(what):
+    return ValueError(f"the callback has no exact jet: {what}")
+
+
+def _entry_parts(value, order):
+    """The parts of a result or an array entry: a jet's, or a real constant's value alone."""
+    if isinstance(value, Jet):
+        return value.parts
+    real = _real(value)
+    if real is None:
+        raise _refused(f"a {type(value).__name__} is neither a jet nor a real number")
+    return (real.reshape((1,) + real.shape),) + (None,) * order
 
 
 def jet(fn, x, order):
     """(value, gradient[, Hessian]) of the one-point callable fn at the (..., d) points x.
 
-    One call of fn on a JetPoint of every point of x; the layout is
-    geometry_lab._fd_jet's, derivative axes after the point axes.  None
-    when fn raises TypeError or AttributeError, or returns neither a jet
-    nor a real constant; any other exception propagates.
+    One call of fn on a JetPoint of every point of x; the derivative axes
+    follow the point axes.  fn returns a jet, a real constant, or an object
+    array whose entries are jets of one value or real numbers, each entry a
+    constant's where it is a number.  ValueError, naming the operation,
+    when fn raises TypeError or AttributeError or returns anything else;
+    any other exception propagates.
     """
     lead, flat = x.shape[:-1], x.reshape(-1, x.shape[-1])
     try:
         out = fn(JetPoint(flat, order))
-    except (TypeError, AttributeError):
-        return None
-    if isinstance(out, Jet):
-        parts = out.parts
+    except (TypeError, AttributeError) as err:
+        raise _refused(err) from err
+    if isinstance(out, np.ndarray) and out.dtype == object:
+        shape = out.shape
+        entries = [(index, _entry_parts(value, order)) for index, value in np.ndenumerate(out)]
+        if any(parts[0].ndim != 1 for _, parts in entries):
+            raise _refused("an entry of its array is an array, not one value")
     else:
-        value = _real(out)
-        if value is None:
-            return None
-        parts = (value.reshape((1,) + value.shape),) + (None,) * order
-    # a jet's value is this call's own arithmetic on the points: it has every value axis
+        parts = _entry_parts(out, order)
+        # a jet's value is this call's own arithmetic on the points: it has every value axis
+        shape, entries = parts[0].shape[1:], [((), parts)]
     n, d = flat.shape
-    shape = parts[0].shape[1:]
     jets = []
-    for k, part in enumerate(parts):
+    for k in range(order + 1):
         full = (n,) + (d,) * k + shape
-        if part is None or part.shape != full:
-            part, broadcast = np.zeros(full), part
-            if broadcast is not None:
-                part[...] = broadcast
+        part = np.zeros(full)
+        for index, parts in entries:
+            if parts[k] is not None:
+                part[(slice(None),) * (k + 1) + index] = parts[k]
         jets.append(part.reshape(lead + full[1:]))
     return tuple(jets)

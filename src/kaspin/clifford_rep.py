@@ -97,9 +97,11 @@ class GammaRep(_Frozen):
 def build_rep(sig: Signature) -> GammaRep:
     """Build the irreducible representation for a supported signature."""
     if not sig.supports_rep():
+        kind = (sig.p - sig.q) % 8
         raise ValueError(
-            f"no real irreducible matrix model for signature ({sig.p},{sig.q}); "
-            "need d even and p - q in {0, 2}"
+            f"signature ({sig.p},{sig.q}) is of real type, but only p - q in {{0, 2}} is built"
+            if kind in (0, 2) else
+            f"signature ({sig.p},{sig.q}) is not of real type: (p - q) mod 8 = {kind}, not 0 or 2"
         )
     if sig.p - sig.q == 2:
         gammas = [np.array([[1, 0], [0, -1]], dtype=np.int64), _T]

@@ -40,12 +40,12 @@ leading axes indexing sample points; one point is the stack shape ().
 A Field is built one of two ways.  The presets write each field as one
 jet function of stacks (_closed) that computes its shared terms once and
 each partial only when the order asks for it.  Field.from_callable
-serves a one-point callable (the user callbacks): exact jets from one
-call per block on a _jets.JetPoint, or, for a callback the jet cannot
-serve, centered differences (_fd_jet, one call per distinct stencil
-point and sample point).  A campaign block reads each field once, to the
-highest order its check needs (_chart_jet), and inverts one chart once:
-g, whose surface block is q2^-1, or for walker q2 itself.
+serves a one-point callable (the user callbacks): its exact jets from
+one call per block on a _jets.JetPoint, or a ValueError naming the
+operation where the callback's arithmetic has no exact rule.  A campaign
+block reads each field once, to the highest order its check needs
+(_chart_jet), and inverts one chart once: g, whose surface block is
+q2^-1, or for walker q2 itself.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ from .clifford_rep import build_pairings, build_rep
 from .ka_core import Signature
 from .spinor_square import square_test
 
-_FD_SCALE = 1e-5
 POINT_BLOCK = 256  # sample points that _halton draws and run_campaign scores per block
 
 
 def _pointwise(fn):
-    """Lift a callable of one point that returns one array to (..., d) stacks, point by point."""
+    """Lift a one-point callable (an in_domain test) to (..., d) stacks, point by point."""
     if fn is None:
         return None
 
@@ -116,46 +115,6 @@ def _pair(a, ginv, b):
     return ((a[..., None, :] @ ginv) @ b[..., :, None])[..., 0, 0]
 
 
-def _fd_jet(f, x, order):
-    """f at x with its centered-difference partials up to order (0, 1 or 2).
-
-    The derivative axes follow the point axes.  Each distinct stencil
-    point is evaluated once, by a call of f with x's own shape.
-    """
-    x = np.asarray(x, dtype=float)
-    h = _FD_SCALE * (1.0 + np.abs(x))
-    memo = {}
-
-    def at(*steps):
-        """f at x moved by sign * h[k] along each (k, sign) step."""
-        if steps not in memo:
-            p = x.copy()
-            for k, sign in steps:
-                p[..., k] += sign * h[..., k]
-            memo[steps] = np.asarray(f(p), dtype=float)
-        return memo[steps]
-
-    f0 = at()
-    n, lead = x.shape[-1], (slice(None),) * (x.ndim - 1)
-    hk = h.reshape(x.shape + (1,) * (f0.ndim - x.ndim + 1))  # h, to broadcast against f's values
-    jet = [f0]
-    if order >= 1:
-        d1 = np.empty(x.shape + f0.shape[x.ndim - 1:])
-        for k in range(n):
-            d1[lead + (k,)] = (at((k, 1)) - at((k, -1))) / (2.0 * hk[lead + (k,)])
-        jet.append(d1)
-    if order >= 2:
-        out = np.zeros((n, n) + f0.shape)
-        for m in range(n):
-            out[m, m] = (at((m, 1)) - 2.0 * f0 + at((m, -1))) / np.float_power(hk[lead + (m,)], 2)
-            for k in range(m + 1, n):
-                corners = at((m, 1), (k, 1)) - at((m, 1), (k, -1)) - at((m, -1), (k, 1))
-                out[m, k] = out[k, m] = (corners + at((m, -1), (k, -1))) / (
-                    4.0 * hk[lead + (m,)] * hk[lead + (k,)])
-        jet.append(out.transpose(*range(2, x.ndim + 1), 0, 1, *range(x.ndim + 1, out.ndim)))
-    return tuple(jet)
-
-
 def _closed(parts):
     """The jet function of closed forms: parts(x) yields the value at the (..., d) stack x,
     then its partials, each computed only when the order asks for it."""
@@ -187,17 +146,14 @@ class Field:
 
     @classmethod
     def from_callable(cls, fn, in_domain=None):
-        """Field of a one-point callable: exact jets from one call per block where fn's
-        arithmetic allows (kaspin._jets, imported on first use and tried on every block),
-        else _fd_jet's centered differences, bit for bit."""
-        lifted = _pointwise(fn)
+        """Field of a one-point callable: its exact jets from one call per block
+        (kaspin._jets, imported on first use); ValueError, naming the operation, on a block
+        where fn's arithmetic has no exact rule."""
 
         def jet(x, order):
             from . import _jets
 
-            x = np.asarray(x, dtype=float)
-            exact = _jets.jet(fn, x, order)
-            return _fd_jet(lifted, x, order) if exact is None else exact
+            return _jets.jet(fn, np.asarray(x, dtype=float), order)
 
         return cls(jet, in_domain=_pointwise(in_domain))
 

@@ -131,13 +131,22 @@ def test_verify_algebra_planted_split_plan_flip_fails(capsys, monkeypatch):
 
 
 def test_verify_algebra_unsupported_signature_exits_two(capsys):
-    # build_rep raises the ValueError, which main maps to exit 2; square too
-    for p, q in [(3, 0), (5, 0), (8, 0), (1, 3)]:
+    # build_rep raises the ValueError, which main maps to exit 2; square too.  (8,0), (0,6),
+    # (1,7) and (0,8) are of real type (p - q = 0 or 2 mod 8) but not built; the others are not
+    # of real type at all
+    want = {
+        (3, 0): "signature (3,0) is not of real type: (p - q) mod 8 = 3, not 0 or 2",
+        (5, 0): "signature (5,0) is not of real type: (p - q) mod 8 = 5, not 0 or 2",
+        (1, 3): "signature (1,3) is not of real type: (p - q) mod 8 = 6, not 0 or 2",
+        **{(p, q): f"signature ({p},{q}) is of real type, but only p - q in {{0, 2}} is built"
+           for p, q in [(8, 0), (0, 6), (1, 7), (0, 8)]},
+    }
+    for (p, q), message in want.items():
         for argv in (("verify-algebra",), ("square", "[1,0]")):
             code, out, err = run_cli(capsys, *argv, "--p", str(p), "--q", str(q))
             assert code == 2, (argv, p, q)
             assert out == ""
-            assert err.startswith("error: ") and "no real irreducible matrix model" in err
+            assert err == f"error: {message}\n", (argv, p, q)
 
 
 def test_verify_algebra_failed_property_exits_one(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Chart geometry: curvature, the coframe map of forms, Killing/Walker/heterotic residuals."""
 
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -27,7 +28,7 @@ from kaspin.geometry_lab import (
 from kaspin.ka_core import Multivector, Signature, geometric_product, hodge_star, wedge
 
 from helpers import closed_field, make_rng
-from oracles import on_chart, preset_field_values
+from oracles import _fd_jacobian, _fd_second, on_chart, preset_field_values
 
 SIG = Signature(3, 1)
 HETEROTIC_RESIDUALS = ("square", "gravitino", "dilatino", "gaugino", "rho_coclosed", "dphi_closed",
@@ -364,10 +365,18 @@ def test_the_surface_block_of_g_inverse_is_q2_inverse(name, log_lam, c, a, bump,
     assert ginv[..., 2:, 2:].tobytes() == np.linalg.inv(q[0]).tobytes()
 
 
+def differenced(field):
+    """field's values with the oracle's centred-difference partials: the field of its values alone."""
+    parts = (field.value, functools.partial(_fd_jacobian, field.value),
+             functools.partial(_fd_second, field.value))
+    return Field(lambda x, order: tuple(part(x) for part in parts[:order + 1]),
+                 in_domain=field.in_domain)
+
+
 def test_fd_derivatives_match_analytic():
     # every field of every preset: its jet against the exact jet of a one-point numpy expression
-    # of its value and against centred differences of its own value, and each chart's Ricci
-    # tensor against that of the chart of its values alone
+    # of its value and against the oracle's centred differences of its own value, and each
+    # chart's Ricci tensor against that of the chart of its values alone
     x = halfplane_points(3, 7)
     cases = [(name, ADS4_CALLBACKS if name == "walker-generic" else None)
              for name in sorted(geometry_lab._PRESET_BUILDERS)]
@@ -382,14 +391,13 @@ def test_fd_derivatives_match_analytic():
             points = x[:, 2:] if surface else x
             jet = field.jet(points, order)
             exact = _jets.jet(values[field_name], points, order)
-            fd = geometry_lab._fd_jet(field.value, points, order)
+            fd = differenced(field).jet(points, order)
             assert len(jet) == len(exact) == len(fd) == order + 1, (name, field_name)
             for k in range(order + 1):
                 assert within(jet[k], exact[k], 1e-12, floor=0.0), (name, field_name, k)
             for k in range(1, order + 1):
                 assert within(fd[k], jet[k], 1e-5), (name, field_name, k)
-        fd_chart = Field.from_callable(ps.chart.value, in_domain=ps.chart.in_domain)
-        assert within(ricci(fd_chart, x), ricci(ps.chart, x), 1e-4), name
+        assert within(ricci(differenced(ps.chart), x), ricci(ps.chart, x), 1e-4), name
 
 
 def within(got, want, rtol, floor=1.0):
@@ -402,44 +410,6 @@ def within(got, want, rtol, floor=1.0):
 # ---------------------------------------------------------------------------
 # chart Hodge star against the algebraic one
 # ---------------------------------------------------------------------------
-
-
-# scalar-, vector- and matrix-valued functions of a (..., d) stack
-STENCIL_VALUES = {
-    "scalar": lambda x: np.sin(x[..., 0]) * np.exp(x[..., -1]) + x[..., 1] ** 3,
-    "vector": lambda x: np.stack(
-        [np.cos(x).sum(axis=-1), x[..., 0] * x[..., 1], np.exp(-x[..., -1] ** 2)], axis=-1),
-    "matrix": lambda x: np.sin(x[..., :2, None] * x[..., None, -2:]) / (2.0 + x[..., :1, None]),
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(STENCIL_VALUES)),
-    d=st.sampled_from([2, 4]),
-    n=st.integers(1, 6),
-    order=st.sampled_from([1, 2]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fd_jet_equals_the_one_call_per_point_stencil(kind, d, n, order, seed):
-    from oracles import _fd_jacobian, _fd_second
-
-    value = STENCIL_VALUES[kind]
-    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
-    shapes = []
-
-    def f(p):
-        shapes.append(p.shape)
-        return value(p)
-
-    jet = geometry_lab._fd_jet(f, x, order)
-    # one call per distinct stencil point: 1 + 2d at order 1, 1 + 2d^2 at order 2
-    assert shapes == [x.shape] * (1 + 2 * d**order)
-    assert len(jet) == order + 1
-    assert np.array_equal(jet[0], value(x))
-    assert np.array_equal(jet[1], _fd_jacobian(value, x))
-    if order == 2:
-        assert np.array_equal(jet[2], _fd_second(value, x))
 
 
 def test_exterior_of_a_signed_permutation_relabels_bit_for_bit():
@@ -597,7 +567,8 @@ def test_killing_pair_invariants_and_sensitivity():
     x = np.array([0.2, -0.4, 0.3, 1.1])
 
     # l no longer unit: alpha is no square, and nabla(u ^ l) is 1.1 lam X ^ u
-    bad_l = Field.from_callable(lambda p: 1.1 * pair.l.value(p))
+    bad_l = dataclasses.replace(
+        pair.l, jet=lambda x, order: tuple(1.1 * part for part in pair.l.jet(x, order)))
     res = scored(dataclasses.replace(ads, killing=KillingData(pair.u, bad_l, 1.0)), "killing", x)
     assert res["square"] > 1e-3 and res["ka"] > 1e-3
 
@@ -937,12 +908,12 @@ def test_a_preset_needs_a_chart_or_walker_data_and_takes_its_fields_by_keyword()
 
 def test_walker_to_killing_transfer():
     # Pairs assembled from the surface data satisfy the chart-level system.
-    # The pair reads K alone: F is free, so a generic, differenced F gives
+    # The pair reads K alone: F is free, so a generic callback F gives
     # the same u and l.
     ads = preset("ads4", {"lam": 1.1})
     poly = preset("ads4-deformed-poly", {"lam": 1.0, "a": (1.0, 0.5, 0.2, 0.1)})
     generic = dataclasses.replace(poly.walker,
-                                  F=Field.from_callable(lambda s: np.exp(s[..., 0]) * s[..., 1] ** 3))
+                                  F=Field.from_callable(lambda s: np.exp(s[0]) * s[1] ** 3))
     x = halfplane_points(4, 20)
     for wd in (ads.walker, poly.walker, generic):
         kd = walker_killing_data(wd)
@@ -1303,7 +1274,7 @@ def ppwave_with_flux():
 
 
 def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
-    from oracles import tensor_bianchi_residual, tensor_heterotic_residuals
+    from oracles import _FD_SCALE, tensor_bianchi_residual, tensor_heterotic_residuals
 
     ps = ppwave_with_flux()
     x = make_rng(37, stream=5).uniform(-2.0, 2.0, size=(6, 4))
@@ -1316,7 +1287,7 @@ def test_heterotic_residuals_with_flux_match_the_tensor_oracle():
             # |*dH| from H's closed-form jet against the oracle's divergence of
             # the differenced density, with step h ~ _FD_SCALE: rounding in the
             # differenced values moves the oracle by ~ eps / h
-            tol += 4.0 * EPS / geometry_lab._FD_SCALE
+            tol += 4.0 * EPS / _FD_SCALE
         assert np.all(np.abs(got[name] - want[name]) <= tol), name
     # the flux and gauge terms are live: each Kaehler-Atiyah relation reads
     # well above rounding, and so do the tensor relations it replaces

@@ -1,4 +1,4 @@
-"""Exact jets of one-point callbacks against differences, closed forms and the fallback."""
+"""Exact jets of one-point callbacks against differences, closed forms and their refusals."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kaspin import _jets, geometry_lab
 from kaspin.geometry_lab import preset
+from oracles import _fd_jacobian, _fd_second, pointwise
 
 EPS = np.finfo(float).eps
 
@@ -76,8 +77,9 @@ def test_jets_of_ufunc_expressions_match_differences(data, d, n, seed):
         return evaluate(tree, s) + 0.0 * s[0]  # a constant expression still varies with s
 
     jet = _jets.jet(fn, x, 2)
-    fd = geometry_lab._fd_jet(geometry_lab._pointwise(fn), x, 2)
-    assert jet is not None and [a.shape for a in jet] == [a.shape for a in fd]
+    lifted = pointwise(fn)
+    fd = (lifted(x), _fd_jacobian(lifted, x), _fd_second(lifted, x))
+    assert [a.shape for a in jet] == [a.shape for a in fd]
     np.testing.assert_allclose(jet[0], fd[0], rtol=64 * EPS, atol=64 * EPS)
     # differences with h = 1e-5 (1 + |x|): roundoff eps |f| / h and eps |f| / h^2, truncation
     # h^2 |f'''| / 6 and h^2 |f''''| / 12, over these bounded, smooth expressions
@@ -115,7 +117,7 @@ def test_one_point_is_its_row_of_the_block(n, order, seed):
 
 
 # ---------------------------------------------------------------------------
-# the jet point and the fallback
+# the jet point, array results and refusals
 # ---------------------------------------------------------------------------
 
 
@@ -124,24 +126,25 @@ def test_a_jet_point_looks_like_one_point():
     seen = []
 
     def fn(s):
-        seen.append((len(s), s.shape, len(list(s))))
-        with pytest.raises(TypeError):
-            np.asarray(s)
-        return sum(s)
+        held = np.asarray(s)  # the object array of the coordinate jets themselves
+        seen.append((len(s), s.shape, len(list(s)), held.dtype, held.shape))
+        assert all(a is b for a, b in zip(held, s))
+        return held.sum()
 
     value, grad = _jets.jet(fn, x, 1)
-    assert seen == [(3, (3,), 3)]
+    assert seen == [(3, (3,), 3, np.dtype(object), (3,))]
     assert np.array_equal(value, x.sum(axis=-1)) and np.array_equal(grad, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_a_sliced_jet_point_gives_exact_jets(order):
-    # a slice is a tuple of the coordinate jets, so the callback gets no differences
+    # a slice is a tuple of the coordinate jets, and an entry of np.asarray(s) is one of them
     x = np.random.default_rng(5).uniform(0.5, 1.5, size=(6, 3))
     got = _jets.jet(lambda s: s[1:][0] ** 2, x, order)
-    assert got is not None and same_bits(got, _jets.jet(lambda s: s[1] ** 2, x, order))
+    assert same_bits(got, _jets.jet(lambda s: s[1] ** 2, x, order))
     assert same_bits(geometry_lab.Field.from_callable(lambda s: s[1:][0] ** 2).jet(x, order), got)
-    assert _jets.jet(lambda s: np.asarray(s)[1] ** 2, x, order) is None
+    assert same_bits(_jets.jet(lambda s: np.asarray(s)[1] ** 2, x, order), got)
+    assert same_bits(_jets.jet(lambda s: (np.asarray(s)[1:] ** 2)[0], x, order), got)
 
 
 def test_a_constant_result_has_zero_derivatives():
@@ -182,42 +185,98 @@ def test_each_operator_is_its_ufunc_bit_for_bit(form, order, c):
     assert parts(written(s, c)) == parts(ufunc(s, c))
 
 
+def refused(fn, x, order, names):
+    """fn's jet at x raises ValueError whose message names the refused operation."""
+    with pytest.raises(ValueError, match="the callback has no exact jet") as info:
+        _jets.jet(fn, x, order)
+    assert names in str(info.value), str(info.value)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("fn", [lambda s: 2.0 ** s[0], lambda s: abs(s[0]), lambda s: s[1] > 0],
-                         ids=["c ** s0", "abs(s0)", "s1 > 0"])
-def test_operators_without_a_rule_fall_back(fn, order):
-    assert _jets.jet(fn, np.ones((3, 2)), order) is None
+@pytest.mark.parametrize("fn, names", [
+    (lambda s: 2.0 ** s[0], "<ufunc 'power'>"),
+    (lambda s: abs(s[0]), "<ufunc 'absolute'>"),
+    (lambda s: s[1] > 0, "<ufunc 'greater'>"),
+], ids=["c ** s0", "abs(s0)", "s1 > 0"])
+def test_operators_without_a_rule_fall_back(fn, names, order):
+    # no exact rule and nothing to fall back on: the jet refuses, naming the operator's ufunc
+    refused(fn, np.ones((3, 2)), order, names)
 
 
 def branching(s):
     return s[1] ** 2 if s[1] > 0 else -s[1]
 
 
+# each callback with no exact rule, and what its refusal names
 OPAQUE = {
-    "math.exp": lambda s: math.exp(s[0]) * s[1],
-    "a branch on a value": branching,
-    "np.asarray": lambda s: np.asarray(s) ** 2,
-    "an array of jets": lambda s: np.array([[s[0], 0.0], [0.0, s[1]]]),
-    "float()": lambda s: float(s[1]) ** 3,
-    "an attribute": lambda s: s.sum(),
-    "a list result": lambda s: [s[0] * s[1], 1.0],
-    "a jet exponent": lambda s: s[0] ** s[1],
-    "an unserved ufunc": lambda s: np.tanh(s[0]),
-    "an array exponent": lambda s: s[0] ** np.array([1.0, 2.0]),
-    "a complex constant": lambda s: (s[0] * 1j).imag,
-    "a truth test": lambda s: s[0] if s[1] else -s[0],
-    "a ufunc method": lambda s: np.add.reduce(s[0]),
+    "math.exp": (lambda s: math.exp(s[0]) * s[1], "must be real number, not Jet"),
+    "a branch on a value": (branching, "<ufunc 'greater'>"),
+    "float()": (lambda s: float(s[1]) ** 3, "float() argument"),
+    "an attribute": (lambda s: s.sum(), "no attribute 'sum'"),
+    "a list result": (lambda s: [s[0] * s[1], 1.0], "a list is neither a jet nor a real number"),
+    "a jet exponent": (lambda s: s[0] ** s[1], "<ufunc 'power'>"),
+    "an unserved ufunc": (lambda s: np.tanh(s[0]), "<ufunc 'tanh'>"),
+    "an array exponent": (lambda s: s[0] ** np.array([1.0, 2.0]), "<ufunc 'power'>"),
+    "a complex constant": (lambda s: (s[0] * 1j).imag, "'complex'"),
+    "a truth test": (lambda s: s[0] if s[1] else -s[0], "a jet has no truth value"),
+    "a ufunc method": (lambda s: np.add.reduce(s[0]), "'reduce'"),
+    "a ufunc of an array": (lambda s: np.sin(np.asarray(s)), "no callable sin method"),
+    "an array times a jet": (lambda s: np.array([s[0]]) * s[1], "<ufunc 'multiply'>"),
+    "an array entry": (lambda s: np.array([s[0] * np.ones(2), 0.0], dtype=object),
+                       "an entry of its array is an array, not one value"),
+}
+
+
+def stacked(entries, x, order):
+    """The jets of one-point callbacks stacked along one value axis, as an array result's."""
+    return tuple(np.stack(parts, axis=-1) for parts in zip(*(_jets.jet(fn, x, order)
+                                                             for fn in entries)))
+
+
+# each array result, and the same callback written entry by entry on scalar jets
+ARRAY_RESULTS = {
+    "np.asarray": (lambda s: np.asarray(s) ** 2, lambda x, order: stacked(
+        [lambda s: s[0] ** 2, lambda s: s[1] ** 2], x, order)),
+    "an array of jets": (lambda s: np.array([[s[0], 0.0], [0.0, s[1]]]), lambda x, order: tuple(
+        part.reshape(part.shape[:-1] + (2, 2)) for part in stacked(
+            [lambda s: s[0], lambda s: 0.0, lambda s: 0.0, lambda s: s[1]], x, order))),
 }
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(OPAQUE))
+@pytest.mark.parametrize("name", sorted(OPAQUE) + sorted(ARRAY_RESULTS))
 def test_opaque_callables_fall_back_to_differences_bit_for_bit(name, order):
-    fn = OPAQUE[name]
+    # an array result gets exact jets, bit for bit those of its entries written on scalar jets;
+    # every other case has no exact rule and is refused by the jet and the Field alike
     x = np.random.default_rng(7).uniform(0.5, 1.5, size=(5, 2))
-    assert _jets.jet(fn, x, order) is None
-    assert same_bits(geometry_lab.Field.from_callable(fn).jet(x, order),
-                     geometry_lab._fd_jet(geometry_lab._pointwise(fn), x, order))
+    if name in ARRAY_RESULTS:
+        fn, entrywise = ARRAY_RESULTS[name]
+        got = _jets.jet(fn, x, order)
+        assert same_bits(got, entrywise(x, order))
+        assert same_bits(geometry_lab.Field.from_callable(fn).jet(x, order), got)
+        return
+    fn, names = OPAQUE[name]
+    refused(fn, x, order, names)
+    with pytest.raises(ValueError, match="the callback has no exact jet"):
+        geometry_lab.Field.from_callable(fn).jet(x, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 4]), n=st.integers(1, 5),
+       order=st.sampled_from([0, 1, 2]), c=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_an_array_result_gets_the_jets_of_its_entries_bit_for_bit(data, d, n, order, c, seed):
+    # np.array([e1, 0.0, e2, c]): each expression entry the bits of its own scalar callback,
+    # whether it is a jet or a number, and each constant entry its value with zero derivatives
+    e1, e2 = data.draw(expressions(d)), data.draw(expressions(d))
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
+    got = _jets.jet(lambda s: np.array([evaluate(e1, s), 0.0, evaluate(e2, s), c]), x, order)
+    assert [part.shape for part in got] == [(n,) + (d,) * k + (4,) for k in range(order + 1)]
+    for entry, tree in ((0, e1), (2, e2)):
+        want = _jets.jet(lambda s: evaluate(tree, s), x, order)
+        assert same_bits(tuple(part[..., entry].copy() for part in got), want)
+    for entry, value in ((1, 0.0), (3, c)):
+        assert same_bits((got[0][..., entry].copy(),), (np.full(n, value),))
+        assert not any(part[..., entry].any() for part in got[1:])
 
 
 def test_jets_of_different_orders_do_not_combine():
