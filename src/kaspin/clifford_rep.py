@@ -130,9 +130,10 @@ def dequantize(rep: GammaRep, E: np.ndarray) -> Multivector:
     # row I of the table is Gamma_I flattened, so its dot with E^T
     # flattened is tr(Gamma_I E): every trace in one product
     traces = rep.blade_table @ E.T.ravel()
-    # Gamma_I^{-1} = tau_I * metric_I * Gamma_I for each blade
+    # Gamma_I^{-1} = tau_I * metric_I * Gamma_I for each blade; + 0.0 turns the -0.0 of a
+    # zero trace times a sign -1 into 0.0 and leaves every other value's bits as they are
     t = rep.sig.tables()
-    coeffs = t.tau * t.metric * traces / rep.N
+    coeffs = t.tau * t.metric * traces / rep.N + 0.0
     return Multivector(rep.sig, coeffs)
 
 

@@ -444,7 +444,12 @@ def _score_walker(ps, x):
 def _score_einstein(ps, x):
     """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2.
 
-    lam is the walker data's on a surface preset and 0 (Ricci-flat) on any other.
+    lam is the walker data's on a surface preset and 0 (Ricci-flat) on any other.  The two
+    surface equations are read off E = Ric + 3 lam^2 g in the coordinates (v, u, x, y), with
+    delta = 4 lam^2 - q2^-1(dK/K, dK/K):
+        Delta_q F - q2^-1(dK, dF)/K - 2 lam^2 F = F delta - 2 E_vv,
+        Ric(q2) + lam^2 q2 = (tr(q2^-1 E_xy) / 2 - E_vu / K + delta / 4) q2,
+    identities of every F, K and q2 (proved in sympy by tests/test_einstein_reduction.py).
     """
     wd = ps.walker
     lam = 0.0 if wd is None else wd.lam
@@ -455,10 +460,12 @@ def _score_einstein(ps, x):
         f, k, q = surface
         # g = [[F, K], [K, 0]] (+) q2 is block-diagonal, so g^-1's surface block is q2^-1
         k, qinv = _nonzero(k), ginv[..., 2:, 2:]
-        trace = (qinv @ _nabla(_christoffel(q, qinv), f[1:])).trace(axis1=-2, axis2=-1)
-        out["einstein.f_equation"] = np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
-                                            - 2.0 * lam**2 * f[0])
-        out["einstein.ricci_q"] = _max_abs(_ricci(q, qinv) + lam**2 * q[0], 2)
+        grad = k[1] / k[0][..., None]  # dK/K: K^2 may overflow where K does not
+        delta = 4.0 * lam**2 - _pair(grad, qinv, grad)
+        out["einstein.f_equation"] = np.abs(f[0] * delta - 2.0 * defect[..., 0, 0])
+        conformal = (0.5 * (qinv @ defect[..., 2:, 2:]).trace(axis1=-2, axis2=-1)
+                     - defect[..., 0, 1] / k[0] + 0.25 * delta)
+        out["einstein.ricci_q"] = np.abs(conformal) * _max_abs(q[0], 2)
     return out
 
 

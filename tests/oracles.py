@@ -25,7 +25,9 @@ the Killing pair system scored as tensors, before it was scored on the
 polyform u + u ^ l. The curvature reference builds the full Riemann
 tensor by einsum and traces it, as geometry_lab did before it took
 Ricci by one direct contraction, with the einsum Christoffel symbols
-and covariant derivative of that time. The lifting, embedding and
+and covariant derivative of that time, and the surface einstein keys
+by the second pass on q2 and F that the check made before it read them
+off the chart's Einstein tensor. The lifting, embedding and
 Halton references are geometry_lab's former per-call forms: callbacks
 lifted row by row through np.stack, entries placed through
 np.index_exp, and the Halton draw summed base by base with a cumsum
@@ -638,6 +640,32 @@ def riemann(jet, ginv):
 def ricci(jet, ginv):
     """Ric_sn = R^r_srn, the trace of riemann."""
     return np.einsum("...rsrn->...sn", riemann(jet, ginv))
+
+
+def surface_reduction(ps, x):
+    """The surface einstein keys at the chart points x of the surface preset ps, by the
+    second pass geometry_lab made before it read them off E = Ric + 3 lam^2 g: the Laplacian
+    of F through q2's own Christoffel symbols, and q2's own Ricci tensor."""
+    from kaspin.geometry_lab import (
+        _chart_jet,
+        _christoffel,
+        _max_abs,
+        _nabla,
+        _nonzero,
+        _pair,
+        _ricci,
+    )
+
+    wd = ps.walker
+    lam = wd.lam
+    jet, ginv, f, k, q = _chart_jet(ps.chart, x, 2, wd)
+    k, qinv = _nonzero(k), ginv[..., 2:, 2:]
+    trace = (qinv @ _nabla(_christoffel(q, qinv), f[1:])).trace(axis1=-2, axis2=-1)
+    return {
+        "einstein.f_equation": np.abs(trace - _pair(k[1], qinv, f[1]) / k[0]
+                                      - 2.0 * lam**2 * f[0]),
+        "einstein.ricci_q": _max_abs(_ricci(q, qinv) + lam**2 * q[0], 2),
+    }
 
 
 def on_chart(kernel, chart, x, order):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import kaspin
 from kaspin import _kernels, cli
 from kaspin.clifford_rep import PairedRep
+from kaspin.ka_core import Multivector
 
 from helpers import REP_SIGS
 
@@ -220,6 +221,27 @@ def test_square_negative_kappa_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "reconstruct", json.dumps(alpha), "--pairing", "plus")
     assert code == 0
     assert json.loads(out)["kappa"] == -1
+
+
+def test_a_square_lists_no_signed_zero(capsys):
+    # a trace that is exactly 0, times the sign -1 of its blade, once read -0.0: a key the
+    # report listed and its grade summary left out
+    cases = [
+        (("[0,0,0,0]", "--p", "3", "--q", "1"), {}, "grades []"),
+        (('{"p":2,"q":0,"components":[1,2]}', "--pairing", "plus"),
+         {"": 2.5, "1": -1.5, "2": 2.0}, "grades [0, 1]"),
+    ]
+    for argv, coeffs, grades in cases:
+        code, out, err = run_cli(capsys, "square", *argv)
+        assert code == 0 and json.loads(out)["alpha"]["coeffs"] == coeffs, argv
+        assert err.rstrip().endswith(grades), argv
+    spinor = np.random.default_rng(0).standard_normal(16).tolist()
+    code, out, _ = run_cli(capsys, "square", json.dumps(spinor), "--p", "4", "--q", "4")
+    listed = json.loads(out)["alpha"]["coeffs"].values()
+    assert code == 0 and listed and all(value != 0.0 for value in listed)
+    # a payload's own -0.0 still round-trips, bit for bit
+    text = '{"coeffs":{"1":-0.0,"1,2":1.5},"p":3,"q":1}'
+    assert Multivector.from_json(text).to_json() == text
 
 
 def test_payload_commands_reject_bad_input(capsys):
