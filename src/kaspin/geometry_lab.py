@@ -10,8 +10,8 @@ a Preset on five checks:
 * killing: a parabolic pair (u, l), as the paper poses it: alpha = u + u ^ l
   in an orthonormal coframe must be a spinor square and solve nabla_X alpha
   = (lam/2)(X <> alpha - alpha <> X) in the Kaehler-Atiyah algebra;
-* einstein and walker: Ric = -3 lam^2 g, and on charts F dv^2 + 2 K dv du
-  + q2 the Einstein reduction of that family and the profile equations of K;
+* einstein: Ric = -3 lam^2 g, and walker: on charts F dv^2 + 2 K dv du + q2
+  the profile equations of K;
 * heterotic: the same alpha and frame with nabla_X alpha = -1/4 (i_X H <>
   alpha - alpha <> i_X H), (phi - H) <> alpha = 0 and F_a <> alpha = 0 for
   a dilaton one-form phi, a flux three-form H and gauge curvatures F_a;
@@ -44,8 +44,7 @@ serves a one-point callable (the user callbacks): its exact jets from
 one call per block on a _jets.JetPoint, or a ValueError naming the
 operation where the callback's arithmetic has no exact rule.  A campaign
 block reads each field once, to the highest order its check needs
-(_chart_jet), and inverts one chart once: g, whose surface block is
-q2^-1, or for walker q2 itself.
+(_chart_jet), and inverts one chart once: g, or for walker q2 itself.
 """
 
 from __future__ import annotations
@@ -108,11 +107,6 @@ def _max_abs(a, axes):
 
 def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
-
-
-def _pair(a, ginv, b):
-    """a @ ginv @ b at every point."""
-    return ((a[..., None, :] @ ginv) @ b[..., :, None])[..., 0, 0]
 
 
 def _closed(parts):
@@ -302,14 +296,14 @@ def _polyform(one, two):
 
 
 @functools.cache
-def _commutator_rows(grade):
-    """(C, rows) with A <> a - a <> A = A @ (C * a[..., rows]) for A of grade 1 or 2.
+def _commutator_rows(masks):
+    """(C, rows) with A <> a - a <> A = A @ (C * a[..., rows]) for A over the tuple of masks.
 
-    A holds the coefficients of the masks _COFRAME or _TWO.  Row J of C is
+    A holds the coefficients of the masks, in their order.  Row J of C is
     sign[J, K] - sign[J ^ K, K]: e_J <> e_(J ^ K) less e_(J ^ K) <> e_J.
     """
     t = _LORENTZ.tables()
-    masks = _COFRAME if grade == 1 else _TWO
+    masks = np.array(masks)
     rows = t.xor[masks]
     return sealed(t.sign[masks] - t.sign[rows, np.arange(16)]), sealed(rows)
 
@@ -334,13 +328,12 @@ def _pair_frame(jet, ginv, u_jet, l_jet):
             d_alpha / size[..., None, None], size)
 
 
-def _ka_defect(alpha, d_alpha, connection, grade):
+def _ka_defect(alpha, d_alpha, connection, masks):
     """Row i is d_alpha[i] - (A_i <> alpha - alpha <> A_i), A_i = connection[..., i, :].
 
-    A_i is a form of the given grade (1 or 2), held as the coefficients of
-    _commutator_rows' masks.
+    A_i is held as the coefficients of the masks (_COFRAME or _TWO).
     """
-    table, rows = _commutator_rows(grade)
+    table, rows = _commutator_rows(tuple(masks.tolist()))
     return d_alpha - connection @ (table * alpha[..., rows])
 
 
@@ -374,7 +367,7 @@ def _score_killing(ps, x):
     """
     *jets, lam = _pair_jets(ps, x)
     _, _, dual, alpha, d_alpha, _ = _pair_frame(*jets)
-    defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * dual, 1)
+    defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * dual, _COFRAME)
     return {"killing.square": _square_residual(alpha), "killing.ka": _max_abs(defect, 2)}
 
 
@@ -442,14 +435,12 @@ def _score_walker(ps, x):
 
 
 def _score_einstein(ps, x):
-    """Ric + 3 lam^2 g over max|g|; on a surface preset the F equation and Ric(q2) + lam^2 q2.
+    """Ric + 3 lam^2 g over max|g|: lam is the walker data's on a surface preset, whose K
+    must be nowhere zero, and 0 (Ricci-flat) on any other.
 
-    lam is the walker data's on a surface preset and 0 (Ricci-flat) on any other.  The two
-    surface equations are read off E = Ric + 3 lam^2 g in the coordinates (v, u, x, y), with
-    delta = 4 lam^2 - q2^-1(dK/K, dK/K):
-        Delta_q F - q2^-1(dK, dF)/K - 2 lam^2 F = F delta - 2 E_vv,
-        Ric(q2) + lam^2 q2 = (tr(q2^-1 E_xy) / 2 - E_vu / K + delta / 4) q2,
-    identities of every F, K and q2 (proved in sympy by tests/test_einstein_reduction.py).
+    On a surface preset this is the whole Einstein reduction: the F equation and Ric(q2) +
+    lam^2 q2 are components of E = Ric + 3 lam^2 g plus terms in |l|^2 - 1, which killing's
+    square test holds (README, "How campaigns are scored").
     """
     wd = ps.walker
     lam = 0.0 if wd is None else wd.lam
@@ -457,15 +448,7 @@ def _score_einstein(ps, x):
     defect = _ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
     if wd is not None:
-        f, k, q = surface
-        # g = [[F, K], [K, 0]] (+) q2 is block-diagonal, so g^-1's surface block is q2^-1
-        k, qinv = _nonzero(k), ginv[..., 2:, 2:]
-        grad = k[1] / k[0][..., None]  # dK/K: K^2 may overflow where K does not
-        delta = 4.0 * lam**2 - _pair(grad, qinv, grad)
-        out["einstein.f_equation"] = np.abs(f[0] * delta - 2.0 * defect[..., 0, 0])
-        conformal = (0.5 * (qinv @ defect[..., 2:, 2:]).trace(axis1=-2, axis2=-1)
-                     - defect[..., 0, 1] / k[0] + 0.25 * delta)
-        out["einstein.ricci_q"] = np.abs(conformal) * _max_abs(q[0], 2)
+        _nonzero(surface[1])
     return out
 
 
@@ -569,7 +552,7 @@ def _score_heterotic(ps, x):
     jac = phi_jet[1]
     return {
         "heterotic.square": _square_residual(alpha),
-        "heterotic.gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, 2), 2),
+        "heterotic.gravitino": _max_abs(_ka_defect(alpha, d_alpha, connection, _TWO), 2),
         "heterotic.dilatino": _max_abs(_product("sign", phi, _COFRAME, alpha)
                                        - _product("sign", flux[..., _THREE], _THREE, alpha), 1),
         "heterotic.gaugino": gaugino,

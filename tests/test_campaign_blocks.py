@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -33,6 +34,7 @@ from kaspin.geometry_lab import (
 from oracles import on_chart
 
 FIXTURE = Path(__file__).parent / "data" / "campaign_reports.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CHECKS = {
     "minkowski": ("killing", "einstein"),
@@ -672,6 +674,23 @@ def test_every_evaluator_returns_one_value_per_point(points, perturb):
                     assert type(value) is np.ndarray and value.shape == (points,), (name, key)
                 scored.add(check)
     assert scored == set(geometry_lab._CHECKS)
+
+
+def test_the_readme_names_every_report_key_and_no_other():
+    # a key the checks no longer report once stayed in the README
+    reported = set()
+    for name in CHECKS:
+        ps = build(name)
+        x = np.asarray(ps.sample_box).mean(axis=1)
+        for check in geometry_lab._CHECKS:
+            try:
+                require_check(ps, check)
+            except ValueError:
+                continue
+            reported |= set(score(ps, check, x))
+    assert {key.split(".")[0] for key in reported} == set(geometry_lab._CHECKS)
+    checks = "|".join(geometry_lab._CHECKS)
+    assert set(re.findall(rf"`((?:{checks})\.\w+)`", README.read_text())) == reported
 
 
 def test_a_campaign_calls_no_stack_broadcast_or_index_exp(monkeypatch):

@@ -568,7 +568,7 @@ def test_check_metric_perturbation_is_detected(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "fail"
-    assert report["residuals"]["einstein.f_equation"]["max"] > 1e-3
+    assert report["residuals"]["einstein.chart"]["max"] > 1e-3  # reads 0.60
 
 
 def test_check_metric_heterotic_and_bianchi(capsys):
@@ -797,6 +797,16 @@ def test_check_metric_bessel_overflow_says_exp_of_c_x_overflows(capsys):
     assert err.splitlines() == [
         "error: c 1000.0 is out of range: exp(c * x) overflows once squared on the sample box "
         "|x| <= 1.5; c must be at most 236.59"]
+
+
+def test_check_metric_einstein_refuses_a_profile_k_below_its_floor(capsys):
+    # at lam 1e150, K = 1/(lam y)^2 ~ 1e-300 lies under the absolute floor 1e-12 (ROADMAP
+    # item 5); without that guard einstein.chart read a false fail, 4.2e285
+    code, out, err = run_cli(capsys, "check-metric", "--preset", "ads4", "--lambda", "1e150",
+                             "--check", "einstein")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: profile K must be nowhere zero"]
 
 
 @pytest.mark.parametrize("argv, verdicts", [

@@ -252,8 +252,9 @@ def _shared_arrays():
     rows, weights = geometry_lab._halton_constants()
     yield from (("_halton_constants", a) for a in (*rows, weights))
     yield "_halton_digits", geometry_lab._halton_digits(0, 5)
-    for grade in (1, 2):
-        yield from ((f"_commutator_rows({grade})", a) for a in geometry_lab._commutator_rows(grade))
+    for name in ("_COFRAME", "_TWO"):
+        masks = tuple(getattr(geometry_lab, name).tolist())
+        yield from ((f"_commutator_rows({name})", a) for a in geometry_lab._commutator_rows(masks))
 
 
 def test_every_shared_array_is_sealed():
