@@ -42,9 +42,13 @@ jet function of stacks (_closed) that computes its shared terms once and
 each partial only when the order asks for it.  Field.from_callable
 serves a one-point callable (the user callbacks): its exact jets from
 one call per block on a _jets.JetPoint, or a ValueError naming the
-operation where the callback's arithmetic has no exact rule.  A campaign
-block reads each field once, to the highest order its check needs
-(_chart_jet), and inverts one chart once: g, or for walker q2 itself.
+operation where the callback's arithmetic has no exact rule.  Every check
+reads a preset's metric through its chart alone (_chart_jet); a surface
+chart reads F, K and q2 once per jet, and einstein's K guard and the
+surface pair read K off its g_vu entry.  So a campaign block reads each
+field once, to the highest order its check needs, and inverts one chart
+once: g, or for walker q2 itself.  _pair_frame is the one place the pair's
+polyform alpha = u + u ^ l is built, for killing and heterotic alike.
 """
 
 from __future__ import annotations
@@ -160,17 +164,13 @@ class Field:
         return self.in_domain is None or bool(np.asarray(self.in_domain(x)).all())
 
 
-def _chart_jet(chart, x, order, walker=None, k_order=0):
-    """The chart's jet to order at x, checked inside its domain, and g^-1.
-
-    With walker given, chart is walker_chart(walker), built from one read
-    of F, q2 (to order) and K (to k_order), and those three jets follow.
-    """
+def _chart_jet(chart, x, order):
+    """The chart's jet to order at x, checked inside its domain, and g^-1."""
     x = np.asarray(x, dtype=float)
     if not chart.contains(x):
         raise ValueError("point lies outside the chart domain")
-    jets = (chart.jet(x, order),) if walker is None else _walker_jets(walker, x, order, k_order)
-    return (jets[0], np.linalg.inv(jets[0][0])) + jets[1:]
+    jet = chart.jet(x, order)
+    return jet, np.linalg.inv(jet[0])
 
 
 def _matrix(a, axes, rows):
@@ -282,12 +282,11 @@ _POLYFORM = sealed(_POLYFORM)
 
 
 def _coframe(g):
-    """(E, E^-1) with g = E^T diag(1, 1, 1, -1) E: eigh(g), its one negative eigenvalue last."""
+    """E^-1 with g = E^T diag(1, 1, 1, -1) E: from eigh(g), its one negative eigenvalue last."""
     w, v = np.linalg.eigh(g)
     if (w[..., 0] >= 0.0).any() or (w[..., 1] <= 0.0).any():
         raise ValueError("eigh(g) finds no Lorentzian coframe at the sample point")
-    root, v = np.sqrt(np.abs(w[..., _TIME_LAST])), v[..., _TIME_LAST]
-    return _t(v, 1, 0) * root[..., :, None], v / root[..., None, :]
+    return v[..., _TIME_LAST] / np.sqrt(np.abs(w[..., _TIME_LAST]))[..., None, :]
 
 
 def _polyform(one, two):
@@ -308,24 +307,29 @@ def _commutator_rows(masks):
     return sealed(t.sign[masks] - t.sign[rows, np.arange(16)]), sealed(rows)
 
 
-def _pair_frame(jet, ginv, u_jet, l_jet):
-    """(E, E^-1, X, alpha, D, size): the pair (u, l) in the orthonormal coframe E of eigh(g).
+def _pair_frame(ps, x):
+    """(E^-1, X, alpha, D): ps's pair (u, l) at x in the orthonormal coframe E of eigh(g).
 
     g = E^T diag(1, 1, 1, -1) E, and a one-form's frame components are
-    omega @ E^-1; row i of X is the one-form dual to d/dx^i.  size = max|u
-    + u ^ l| (1 where it vanishes), alpha = (u + u ^ l) / size and row i of
-    D is nabla_i (u + u ^ l) / size.
+    omega @ E^-1; row i of X is the one-form dual to d/dx^i.  alpha = (u +
+    u ^ l) / size and row i of D is nabla_i (u + u ^ l) / size, size =
+    max|u + u ^ l| (1 where it vanishes).  The pair is ps.killing where one
+    is given; a surface preset without one has u = K dv and l = -dK/(2 lam
+    K) from K's 2-jet, read off the block's one order-2 chart jet.
     """
-    frame, inverse = _coframe(jet[0])
+    kd = ps.killing
+    jet, ginv = _chart_jet(ps.chart, x, 2 if kd is None else 1)
+    u_jet, l_jet = (_surface_pair(ps.walker.lam, x, _k_jet(jet)) if kd is None
+                    else (kd.u.jet(x, 1), kd.l.jet(x, 1)))
+    inverse = _coframe(jet[0])
     gamma = _christoffel(jet, ginv)
     u, l = ((omega[..., None, :] @ inverse)[..., 0, :] for omega in (u_jet[0], l_jet[0]))
     du, dl = (_nabla(gamma, omega) @ inverse for omega in (u_jet, l_jet))
     alpha = _polyform(u, _outer(u, l))
     size = _max_abs(alpha, 1)
-    size = np.where(size == 0.0, 1.0, size)
+    size = np.where(size == 0.0, 1.0, size)[..., None]
     d_alpha = _polyform(du, _outer(du, l[..., None, :]) + _outer(u[..., None, :], dl))
-    return (frame, inverse, jet[0] @ inverse, alpha / size[..., None],
-            d_alpha / size[..., None, None], size)
+    return inverse, jet[0] @ inverse, alpha / size, d_alpha / size[..., None]
 
 
 def _ka_defect(alpha, d_alpha, connection, masks):
@@ -344,20 +348,6 @@ def _square_residual(alpha):
     return square.reshape(alpha.shape[:-1])
 
 
-def _pair_jets(ps, x):
-    """The order-1 chart jet at x, g^-1, the u and l jets of ps's pair and its lam.
-
-    The pair is ps.killing where one is given; a surface preset without one
-    has u = K dv and l = -dK/(2 lam K) from the block's one read of K.
-    """
-    kd = ps.killing
-    if kd is not None:
-        return (*_chart_jet(ps.chart, x, 1), kd.u.jet(x, 1), kd.l.jet(x, 1), kd.lam)
-    wd = ps.walker
-    jet, ginv, _, k, _ = _chart_jet(ps.chart, x, 1, wd, 2)
-    return (jet, ginv, *_surface_pair(wd.lam, x, k), wd.lam)
-
-
 def _score_killing(ps, x):
     """The pair system on alpha = u + u ^ l in an orthonormal coframe.
 
@@ -365,8 +355,8 @@ def _score_killing(ps, x):
     = 0), ka the defect of nabla_X alpha = (lam/2)(X <> alpha - alpha <> X)
     over max|alpha| (README, "How campaigns are scored").
     """
-    *jets, lam = _pair_jets(ps, x)
-    _, _, dual, alpha, d_alpha, _ = _pair_frame(*jets)
+    _, dual, alpha, d_alpha = _pair_frame(ps, x)
+    lam = (ps.walker if ps.killing is None else ps.killing).lam
     defect = _ka_defect(alpha, d_alpha, (0.5 * lam) * dual, _COFRAME)
     return {"killing.square": _square_residual(alpha), "killing.ka": _max_abs(defect, 2)}
 
@@ -391,23 +381,28 @@ class WalkerData:
 
 
 def walker_chart(wd):
-    """Assemble the four-dimensional chart; coordinates (v, u, x, y)."""
+    """Assemble the four-dimensional chart; coordinates (v, u, x, y).
+
+    Its jet reads F, K and q2 once each, to the order asked.
+    """
     q2 = wd.q2
     domain = None if q2.in_domain is None else (lambda x: q2.in_domain(_surface(x)))
-    return Field(lambda x, order: _walker_jets(wd, x, order, order)[0], in_domain=domain)
 
-
-def _walker_jets(wd, x, order, k_order):
-    """The chart jet to order at chart points x and the F, K (to k_order) and q2 jets it reads."""
-    s = _surface(x)
-    f, k, q = wd.F.jet(s, order), wd.K.jet(s, max(order, k_order)), wd.q2.jet(s, order)
-    out = []
-    for n in range(order + 1):
+    def jet(x, order):
+        s = _surface(x)
+        f, k, q = (field.jet(s, order) for field in (wd.F, wd.K, wd.q2))
         # part n holds the partials along n leading surface axes; v and u are flat
-        lead = (np.s_[2:],) * n
-        out.append(_embed(s, (4,) * (n + 2), (lead + (0, 0), f[n]), (lead + (0, 1), k[n]),
-                          (lead + (1, 0), k[n]), (lead + (np.s_[2:], np.s_[2:]), q[n])))
-    return tuple(out), f, k, q
+        leads = [(np.s_[2:],) * n for n in range(order + 1)]
+        return tuple(_embed(s, (4,) * (n + 2), (lead + (0, 0), f[n]), (lead + (0, 1), k[n]),
+                            (lead + (1, 0), k[n]), (lead + (np.s_[2:], np.s_[2:]), q[n]))
+                     for n, lead in enumerate(leads))
+
+    return Field(jet, in_domain=domain)
+
+
+def _k_jet(jet):
+    """K's jet over the surface, read off the g_vu entry of a walker chart's jet."""
+    return tuple(part[(Ellipsis,) + (np.s_[2:],) * n + (0, 1)] for n, part in enumerate(jet))
 
 
 def _surface(x):
@@ -444,11 +439,11 @@ def _score_einstein(ps, x):
     """
     wd = ps.walker
     lam = 0.0 if wd is None else wd.lam
-    jet, ginv, *surface = _chart_jet(ps.chart, x, 2, wd)
+    jet, ginv = _chart_jet(ps.chart, x, 2)
     defect = _ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     out = {"einstein.chart": _max_abs(defect, 2) / _max_abs(jet[0], 2)}
     if wd is not None:
-        _nonzero(surface[1])
+        _nonzero(_k_jet(jet))
     return out
 
 
@@ -536,8 +531,7 @@ def _score_heterotic(ps, x):
     from the one 1-jet of H (README, "How campaigns are scored").
     """
     hc = ps.heterotic
-    jet, ginv, u_jet, l_jet, _ = _pair_jets(ps, x)
-    _, inverse, dual, alpha, d_alpha, _ = _pair_frame(jet, ginv, u_jet, l_jet)
+    inverse, dual, alpha, d_alpha = _pair_frame(ps, x)
     phi_jet, (h, d_h), gauge = hc.varphi.jet(x, 1), _flux(hc, x), _gauge(hc, x)
     phi = (phi_jet[0][..., None, :] @ inverse)[..., 0, :]
     flux, gaugino, coclosed = _zeros(x, 16), _zeros(x), _zeros(x)
@@ -577,10 +571,11 @@ def _score_bianchi(ps, x):
 class Preset:
     """Named chart family with the field data its campaigns need; fields by keyword only.
 
-    A preset with walker data is a surface preset: its chart is walker_chart(walker),
-    derived at every construction and replacing any chart passed beside it, so a
-    copy with other walker data (dataclasses.replace) scores that data's chart.
-    Any other preset needs its chart.
+    A preset with walker data is a surface preset: its chart is walker_chart(walker)
+    and its params' lam the walker data's, both derived at every construction and
+    replacing any chart or lam passed beside them, so a copy with other walker data
+    (dataclasses.replace) scores that data's chart and reports its lam.  Any other
+    preset needs its chart.
     """
 
     name: str
@@ -594,6 +589,7 @@ class Preset:
     def __post_init__(self):
         if self.walker is not None:
             object.__setattr__(self, "chart", walker_chart(self.walker))
+            object.__setattr__(self, "params", {**self.params, "lam": self.walker.lam})
         elif self.chart is None:
             raise ValueError("a preset needs a chart or walker data")
 

@@ -651,7 +651,8 @@ def surface_reduction(ps, x):
 
     wd = ps.walker
     lam = wd.lam
-    jet, ginv, f, k, q = _chart_jet(ps.chart, x, 2, wd)
+    ginv = _chart_jet(ps.chart, x, 2)[1]
+    f, k, q = (field.jet(x[..., 2:], 2) for field in (wd.F, wd.K, wd.q2))
     k, qinv = _nonzero(k), ginv[..., 2:, 2:]
     trace = (qinv @ _nabla(_christoffel(q, qinv), f[1:])).trace(axis1=-2, axis2=-1)
     return {

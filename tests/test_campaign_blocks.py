@@ -170,6 +170,8 @@ def test_reports_are_identical_across_block_sizes(monkeypatch, block):
 @pytest.mark.parametrize("check, orders", [
     # the einstein block reads each field once, at order 2, for the chart and the profiles
     pytest.param("einstein", {"F": 2, "K": 2, "q2": 2}, id="einstein"),
+    # the killing block reads the same order-2 chart jet, and the pair off its K entry
+    pytest.param("killing", {"F": 2, "K": 2, "q2": 2}, id="killing"),
     # the walker check reads K to order 2 and q2 to order 1 alone
     pytest.param("walker", {"K": 2, "q2": 1}, id="walker"),
 ])
@@ -477,7 +479,7 @@ def _as_arrays(result):
 def polyform_in_coframe(chart, x):
     """A polyform with parts of every degree over dx^i, read into the orthonormal coframe at x."""
     c = np.concatenate([x, x**2, np.sin(x), x[..., ::-1]], axis=-1)
-    _, inverse = geometry_lab._coframe(chart.value(x))
+    inverse = geometry_lab._coframe(chart.value(x))
     return (c[..., None, :] @ geometry_lab._exterior(inverse))[..., 0, :]
 
 

@@ -83,7 +83,8 @@ def reduction_from_e(ps, x):
     roundoff of either is a few eps times this.
     """
     lam = ps.walker.lam
-    jet, ginv, f, k, q = geometry_lab._chart_jet(ps.chart, x, 2, ps.walker)
+    jet, ginv = geometry_lab._chart_jet(ps.chart, x, 2)
+    f, k, q = (field.jet(x[..., 2:], 2) for field in (ps.walker.F, ps.walker.K, ps.walker.q2))
     e = geometry_lab._ricci(jet, ginv) + 3.0 * lam**2 * jet[0]
     qinv, q_inv_abs = ginv[..., 2:, 2:], np.abs(ginv[..., 2:, 2:])
     grad = k[1] / k[0][..., None]

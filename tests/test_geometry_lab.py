@@ -361,7 +361,8 @@ def test_the_surface_block_of_g_inverse_is_q2_inverse(name, log_lam, c, a, bump,
         ps = geometry_lab._perturbed(ps, bump)
     lower, upper = np.asarray(ps.sample_box, dtype=float).T
     x = _halton(32, seed) * (upper - lower) + lower
-    _, ginv, _, _, q = geometry_lab._chart_jet(ps.chart, x, 2, ps.walker)
+    _, ginv = geometry_lab._chart_jet(ps.chart, x, 2)
+    q = ps.walker.q2.jet(x[..., 2:], 2)
     assert ginv[..., 2:, 2:].tobytes() == np.linalg.inv(q[0]).tobytes()
 
 
@@ -423,7 +424,7 @@ def test_exterior_of_a_signed_permutation_relabels_bit_for_bit():
         assert np.array_equal(exterior, want)
         assert np.array_equal(geometry_lab._exterior(m), exterior)
     assert np.array_equal(maps[0], np.eye(16))
-    _, inverse = geometry_lab._coframe(preset("minkowski").chart.value(np.zeros(4)))
+    inverse = geometry_lab._coframe(preset("minkowski").chart.value(np.zeros(4)))
     assert any(np.array_equal(inverse, m) for m in ms)
 
 
@@ -475,7 +476,8 @@ def test_chart_star_matches_the_tensor_oracle_and_squares_to_a_sign(k, n, seed):
     # the chart star, read through the coframe: dx^I is row I of _exterior(E^-1) there and e^J
     # row J of _exterior(E) in the chart; ka_core's star is oriented by e^1234 = det E dx^0123
     g = lorentzian_metrics(rng, n)
-    frame, inverse = geometry_lab._coframe(g)
+    inverse = geometry_lab._coframe(g)
+    frame = np.linalg.inv(inverse)
     orientation = np.sign(np.linalg.det(frame))[:, None]
 
     def star(c):
@@ -685,11 +687,12 @@ def test_ka_grade_one_defect_is_the_tensor_r_u_defect():
         lower, upper = np.asarray(ps.sample_box).T
         x = make_rng(29, stream=3).uniform(lower, upper, size=(12, 4))
         kd = pair_of(ps)
-        jet, ginv = geometry_lab._chart_jet(ps.chart, x, 1)
-        frame, _, dual, alpha, d_alpha, size = geometry_lab._pair_frame(
-            jet, ginv, kd.u.jet(x, 1), kd.l.jet(x, 1))
+        inverse, dual, alpha, d_alpha = geometry_lab._pair_frame(ps, x)
         defect = geometry_lab._ka_defect(alpha, d_alpha, (0.5 * kd.lam) * dual, geometry_lab._COFRAME)
-        got = (defect[..., geometry_lab._COFRAME] @ frame) * size[:, None, None]
+        # the size max|u + u ^ l| that _pair_frame divides by, u and l in the coframe
+        u_e, l_e = ((field.value(x)[:, None, :] @ inverse)[:, 0, :] for field in (kd.u, kd.l))
+        size = geometry_lab._max_abs(geometry_lab._polyform(u_e, geometry_lab._outer(u_e, l_e)), 1)
+        got = (defect[..., geometry_lab._COFRAME] @ np.linalg.inv(inverse)) * size[:, None, None]
         want = tensor_killing_residuals(ps.chart, kd, x).d_u
         # relative to the size of the terms that cancel in the defect
         nabla_u = covariant_derivative(ps.chart, kd.u, x)
@@ -900,6 +903,8 @@ def test_a_copy_with_other_surface_data_scores_their_chart_and_lam():
         got, want = run_campaign(ps, check), run_campaign(other, check)
         assert (got["verdict"], got["residuals"]) == (want["verdict"], want["residuals"]), check
         assert got["verdict"] == "pass"
+        # the lam it reports is the lam it scored
+        assert got["params"] == want["params"] == {"lam": 0.7}, check
 
 
 def test_a_preset_needs_a_chart_or_walker_data_and_takes_its_fields_by_keyword():
